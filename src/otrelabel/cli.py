@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .core import NumericalError, PipelineConfig, ValidationError, validate_dataset
@@ -25,7 +26,7 @@ from .pipeline import (
     load_config,
     load_features_csv,
     load_votes_csv,
-    parse_config_text,
+    parse_config_value,
     read_raw_csv,
     run_pipeline,
     run_theory_suite,
@@ -48,38 +49,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-_CONFIG_FLAGS = [
-    ("ot_type", str, "transport type: none, linear or sinkhorn"),
-    ("knn_k", int, "nearest neighbors used for re-labeling"),
-    ("sinkhorn_eta", float, "entropic regularization strength"),
-    ("sinkhorn_max_iter", int, "scaling rounds"),
-    ("sinkhorn_tol", float, "marginal-violation tolerance"),
-    ("covariance_ridge", float, "diagonal ridge added to covariances"),
-    ("transport_scope", str, "per_lf or global direction choice"),
-    ("class_balance", float, "prior P(y=1) for the label model"),
-    ("tie_tol", float, "skip transport when group accuracies are this close"),
-    ("seed", int, "seed for stochastic operations"),
-    ("end_model", str, "train the end model: on or off"),
-    ("epochs", int, "end-model gradient steps"),
-    ("lr", float, "end-model learning rate"),
-    ("l2", float, "end-model L2 penalty"),
-]
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH",
                    help="flat key=value config file; flags override it")
-    for name, _, help_text in _CONFIG_FLAGS:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                       metavar="V", help=help_text)
+    for f in fields(PipelineConfig):
+        p.add_argument(_flag(f.name), dest=f.name, metavar="V",
+                       help=f.metadata["help"])
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = {}
-    for name, _, _ in _CONFIG_FLAGS:
-        raw = getattr(args, name, None)
-        if raw is not None:
-            overrides.update(parse_config_text(f"{name}={raw}"))
+    for f in fields(PipelineConfig):
+        raw = getattr(args, f.name, None)
+        if raw is None:
+            continue
+        try:
+            overrides[f.name] = parse_config_value(f.name, raw)
+        except ValueError:
+            raise ValidationError(
+                f"{_flag(f.name)}: bad value {raw!r}") from None
     if args.config:
         return load_config(args.config, overrides)
     return PipelineConfig(**overrides)

@@ -17,7 +17,7 @@ of raising on the first bad cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -149,24 +149,40 @@ class AccuracyEstimate:
 class PipelineConfig:
     """Knobs for the end-to-end repair pipeline.
 
-    Defaults mirror the reference transport settings: 1 nearest neighbor,
-    entropic regularization 1 with 10 scaling rounds.
+    The fields are the only list of config keys: config files and the
+    ``run`` flags accept exactly these names, parse each value by the
+    field's annotation (``bool`` is spelled ``on``/``off``) and take the
+    help text from the field's metadata.  Defaults mirror the reference
+    transport settings: 1 nearest neighbor, entropic regularization 1 with
+    10 scaling rounds.
     """
 
-    ot_type: str = "none"
-    knn_k: int = 1
-    sinkhorn_eta: float = 1.0
-    sinkhorn_max_iter: int = 10
-    sinkhorn_tol: float = 1e-9
-    covariance_ridge: float = 1e-6
-    transport_scope: str = "per_lf"
-    class_balance: float = 0.5
-    tie_tol: float = 0.01
-    seed: int = 0
-    end_model: bool = True
-    epochs: int = 500
-    lr: float = 0.1
-    l2: float = 1e-4
+    ot_type: str = field(default="none", metadata={
+        "help": "transport type: none, linear or sinkhorn"})
+    knn_k: int = field(default=1, metadata={
+        "help": "nearest neighbors used for re-labeling"})
+    sinkhorn_eta: float = field(default=1.0, metadata={
+        "help": "entropic regularization strength"})
+    sinkhorn_max_iter: int = field(default=10, metadata={
+        "help": "scaling rounds"})
+    sinkhorn_tol: float = field(default=1e-9, metadata={
+        "help": "marginal-violation tolerance"})
+    covariance_ridge: float = field(default=1e-6, metadata={
+        "help": "diagonal ridge added to covariances"})
+    transport_scope: str = field(default="per_lf", metadata={
+        "help": "per_lf or global direction choice"})
+    class_balance: float = field(default=0.5, metadata={
+        "help": "prior P(y=1) for the label model"})
+    tie_tol: float = field(default=0.01, metadata={
+        "help": "skip transport when group accuracies are this close"})
+    end_model: bool = field(default=True, metadata={
+        "help": "train the end model: on or off"})
+    epochs: int = field(default=500, metadata={
+        "help": "end-model gradient steps"})
+    lr: float = field(default=0.1, metadata={
+        "help": "end-model learning rate"})
+    l2: float = field(default=1e-4, metadata={
+        "help": "end-model L2 penalty"})
 
     def __post_init__(self):
         if self.ot_type not in ("none", "linear", "sinkhorn"):
@@ -188,6 +204,9 @@ class PipelineConfig:
             raise ValidationError("class_balance must be in (0, 1)")
         if self.tie_tol < 0:
             raise ValidationError("tie_tol must be nonnegative")
+        if not isinstance(self.end_model, bool):
+            raise ValidationError(
+                f"end_model must be True or False, got {self.end_model!r}")
         if self.epochs < 1 or self.lr <= 0 or self.l2 < 0:
             raise ValidationError("bad end-model hyperparameters")
 
@@ -224,13 +243,6 @@ def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> list[str]:
         for (r,) in np.argwhere(bad_labels):
             report.append(f"illegal label value {ds.labels[r]} at row {r}")
     return report
-
-
-def require_valid(ds: GroupedDataset, wl: WeakLabelMatrix) -> None:
-    """Raise ValidationError when validate_dataset reports violations."""
-    report = validate_dataset(ds, wl)
-    if report:
-        raise ValidationError("; ".join(report))
 
 
 def require_vote_values(votes: np.ndarray) -> None:

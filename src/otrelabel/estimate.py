@@ -203,9 +203,12 @@ def estimate_accuracies(
     eps_pair: float = EPS_PAIR,
     aggregation: str = "median",
 ) -> tuple[AccuracyEstimate, list[TripletRecord]]:
-    """Convenience wrapper bundling global and per-group estimates."""
-    global_est, records = triplet_accuracies(
-        wl, eps_pair=eps_pair, aggregation=aggregation)
+    """Bundle per-group and global estimates.
+
+    Groups are estimated first, so a failure names the group it hit.
+    """
     group_est = per_group_accuracies(
         wl, ds, eps_pair=eps_pair, aggregation=aggregation)
+    global_est, records = triplet_accuracies(
+        wl, eps_pair=eps_pair, aggregation=aggregation)
     return AccuracyEstimate(global_est, group_est, aggregation), records

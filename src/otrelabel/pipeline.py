@@ -10,13 +10,12 @@ an optional label column with values -1/1.
 Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, integer values in
 {-1, 0, 1}, row-aligned with the features CSV.
 
-Config file: flat ``key=value`` lines (``#`` starts a comment).  Accepted
-keys: ot_type, knn_k, sinkhorn_eta, sinkhorn_max_iter, sinkhorn_tol,
-covariance_ridge, transport_scope, class_balance, tie_tol, seed,
-end_model, epochs, lr, l2.
+Config file: flat ``key=value`` lines (``#`` starts a comment).  The
+accepted keys are the field names of :class:`PipelineConfig`; each value
+is parsed by its field's annotation, with booleans spelled ``on``/``off``.
 
 All artifacts are written atomically (temp file then rename), and a rerun
-with identical inputs, config and seed produces byte-identical data
+with identical inputs and config produces byte-identical data
 artifacts; only the manifest's timestamp and stage timings vary, and both
 are excluded from the manifest digest.
 """
@@ -30,21 +29,20 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import (
-    AccuracyEstimate,
     GroupedDataset,
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
     validate_dataset,
 )
-from .estimate import per_group_accuracies, triplet_accuracies
+from .estimate import estimate_accuracies
 from .labelmodel import fit_label_model, infer_pseudolabels, predict, train_end_model
 from .metrics import fairness_report, lf_delta_report
 from .ot import MongeMap
@@ -58,26 +56,30 @@ from .transport import sbm_transport
 
 logger = logging.getLogger("otrelabel")
 
-_CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
-    "ot_type": str,
-    "knn_k": int,
-    "sinkhorn_eta": float,
-    "sinkhorn_max_iter": int,
-    "sinkhorn_tol": float,
-    "covariance_ridge": float,
-    "transport_scope": str,
-    "class_balance": float,
-    "tie_tol": float,
-    "seed": int,
-    "end_model": lambda s: {"on": True, "off": False}[s],
-    "epochs": int,
-    "lr": float,
-    "l2": float,
-}
-
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _parse_on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
+_PARSE_BY_TYPE: dict[str, Callable[[str], object]] = {
+    "int": int, "float": float, "str": str, "bool": _parse_on_off}
+_FIELD_PARSERS = {
+    f.name: _PARSE_BY_TYPE[f.type] for f in fields(PipelineConfig)}
+
+
+def parse_config_value(key: str, text: str) -> object:
+    """Parse ``text`` as a value of the PipelineConfig field ``key``.
+
+    Raises KeyError for an unknown key and ValueError for a value that
+    does not parse; callers say where the value came from.
+    """
+    return _FIELD_PARSERS[key](text)
 
 
 def parse_config_text(text: str) -> dict:
@@ -90,11 +92,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_PARSERS:
+        if key not in _FIELD_PARSERS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         try:
-            out[key] = _CONFIG_PARSERS[key](value)
-        except (ValueError, KeyError) as exc:
+            out[key] = parse_config_value(key, value)
+        except ValueError as exc:
             raise ValidationError(
                 f"config line {lineno}: bad value {value!r} for {key}") from exc
     return out
@@ -287,18 +289,6 @@ class ValueIn(Predicate):
 
 
 @dataclass(frozen=True)
-class Contains(Predicate):
-    column: str
-    substring: str
-
-    def columns(self):
-        return {self.column}
-
-    def evaluate(self, row):
-        return self.substring in row[self.column]
-
-
-@dataclass(frozen=True)
 class AnyOf(Predicate):
     parts: tuple[Predicate, ...]
 
@@ -307,17 +297,6 @@ class AnyOf(Predicate):
 
     def evaluate(self, row):
         return any(p.evaluate(row) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class AllOf(Predicate):
-    parts: tuple[Predicate, ...]
-
-    def columns(self):
-        return set().union(*(p.columns() for p in self.parts))
-
-    def evaluate(self, row):
-        return all(p.evaluate(row) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -450,13 +429,18 @@ def _atomic_write(path: str, write_fn: Callable) -> None:
         raise
 
 
-def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
+def _write_csv(path: str, header: Sequence[str],
+               rows: Iterable[Sequence]) -> None:
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"lf_{j}" for j in range(wl.m)])
-        writer.writerows(wl.votes.tolist())
+        writer.writerow(header)
+        writer.writerows(rows)
 
     _atomic_write(path, write)
+
+
+def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
+    _write_csv(path, [f"lf_{j}" for j in range(wl.m)], wl.votes.tolist())
 
 
 def write_json(obj: dict, path: str) -> None:
@@ -549,9 +533,7 @@ def run_pipeline(
         t0 = finish_stage("ingest", t0)
 
         stage = "estimate"
-        group_acc = per_group_accuracies(wl, blind)
-        global_acc, _ = triplet_accuracies(wl)
-        est = AccuracyEstimate(global_acc, group_acc)
+        est, _ = estimate_accuracies(wl, blind)
         t0 = finish_stage("estimate", t0)
 
         stage = "transport"
@@ -562,9 +544,11 @@ def run_pipeline(
         t0 = finish_stage("transport", t0)
 
         stage = "label_model"
-        repaired_global, _ = triplet_accuracies(repaired)
-        repaired_est = AccuracyEstimate(
-            repaired_global, per_group_accuracies(repaired, blind))
+        # estimation is deterministic, so unchanged votes keep their estimate
+        if np.array_equal(repaired.votes, wl.votes):
+            repaired_est = est
+        else:
+            repaired_est, _ = estimate_accuracies(repaired, blind)
         params = fit_label_model(repaired_est, cfg.class_balance)
         probs, hard = infer_pseudolabels(params, repaired)
         t0 = finish_stage("label_model", t0)
@@ -616,14 +600,8 @@ def run_pipeline(
             }
 
         write_votes_csv(repaired, os.path.join(out_dir, "votes_repaired.csv"))
-
-        def write_pseudo(fh):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["prob", "label"])
-            for p, l in zip(probs, hard):
-                writer.writerow([repr(float(p)), int(l)])
-
-        _atomic_write(os.path.join(out_dir, "pseudolabels.csv"), write_pseudo)
+        _write_csv(os.path.join(out_dir, "pseudolabels.csv"), ["prob", "label"],
+                   ([repr(float(p)), int(l)] for p, l in zip(probs, hard)))
         write_json(fairness, os.path.join(out_dir, "fairness.json"))
         timings["reports"] = (time.perf_counter() - t0) * 1000.0
         write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
@@ -710,37 +688,25 @@ def write_theory_artifacts(bundle: dict, out_dir: str) -> None:
     write_json(bundle, os.path.join(out_dir, "theory_report.json"))
 
     def sweep_csv(report: dict, path: str, value_name: str):
-        def write(fh):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([value_name, "measured", "bound_or_limit"])
-            for row in zip(report["sweep_values"], report["measured"],
-                           report["bound_or_limit"]):
-                writer.writerow([repr(float(x)) for x in row])
-
-        _atomic_write(path, write)
+        _write_csv(path, [value_name, "measured", "bound_or_limit"],
+                   ([repr(float(x)) for x in row]
+                    for row in zip(report["sweep_values"], report["measured"],
+                                   report["bound_or_limit"])))
 
     sweep_csv(bundle["shift_limit"],
               os.path.join(out_dir, "shift_sweep.csv"), "shift")
     sweep_csv(bundle["map_error_bound"],
               os.path.join(out_dir, "map_error_sweep.csv"), "n")
-
-    def lipschitz_csv(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta0", "max_ratio", "bound"])
-        lp = bundle["lipschitz"]
-        for row in zip(lp["theta0"], lp["max_ratio"], lp["bound"]):
-            writer.writerow([repr(float(x)) for x in row])
-
-    _atomic_write(os.path.join(out_dir, "lipschitz.csv"), lipschitz_csv)
+    lp = bundle["lipschitz"]
+    _write_csv(os.path.join(out_dir, "lipschitz.csv"),
+               ["theta0", "max_ratio", "bound"],
+               ([repr(float(x)) for x in row]
+                for row in zip(lp["theta0"], lp["max_ratio"], lp["bound"])))
 
 
 def write_regime_csv(profile, path: str) -> None:
     """Plot-ready CSV of a RegimeProfile's per-group curves."""
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "farthest_distance", "cumulative_accuracy"])
-        for k, curve in enumerate(profile.curves):
-            for dist, acc in curve:
-                writer.writerow([k, repr(float(dist)), repr(float(acc))])
-
-    _atomic_write(path, write)
+    _write_csv(path, ["group", "farthest_distance", "cumulative_accuracy"],
+               ([k, repr(float(dist)), repr(float(acc))]
+                for k, curve in enumerate(profile.curves)
+                for dist, acc in curve))

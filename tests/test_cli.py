@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from otrelabel import PipelineConfig
 from otrelabel.cli import main
-from otrelabel.pipeline import write_votes_csv
+from otrelabel.pipeline import parse_config_text, write_votes_csv
 from helpers import make_biased_fixture
 from test_pipeline import write_features_csv, write_fixture
 
@@ -73,7 +74,45 @@ def test_run_unknown_config_key_is_input_error(tmp_path):
                  "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
 
 
-def test_run_numerical_failure_exit_code(tmp_path):
+def test_run_bad_flag_value_names_the_flag(tmp_path, capsys):
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
+    assert main(["run", "--features", features, "--votes", votes,
+                 "--out", str(tmp_path / "o"), "--knn-k", "one"]) == 1
+    err = capsys.readouterr().err
+    assert "--knn-k: bad value 'one'" in err
+    assert "config line" not in err
+
+
+# one non-default value per PipelineConfig field
+NON_DEFAULT_CONFIG = {
+    "ot_type": "sinkhorn", "knn_k": 3, "sinkhorn_eta": 0.5,
+    "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6, "covariance_ridge": 1e-3,
+    "transport_scope": "global", "class_balance": 0.4, "tie_tol": 0.05,
+    "end_model": False, "epochs": 50, "lr": 0.05, "l2": 1e-3,
+}
+
+
+def test_every_config_field_parses_from_file_and_flag(tmp_path):
+    defaults = PipelineConfig().to_dict()
+    assert NON_DEFAULT_CONFIG.keys() == defaults.keys()
+    for key, value in NON_DEFAULT_CONFIG.items():
+        assert value != defaults[key], key
+    text = {key: ("on" if value else "off") if isinstance(value, bool)
+            else str(value) for key, value in NON_DEFAULT_CONFIG.items()}
+    parsed = parse_config_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+    assert PipelineConfig(**parsed).to_dict() == NON_DEFAULT_CONFIG
+
+    _, _, features, votes = write_fixture(tmp_path, 60, seed=5)
+    out = tmp_path / "out"
+    argv = ["run", "--features", features, "--votes", votes, "--out", str(out)]
+    for key, value in text.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == NON_DEFAULT_CONFIG
+
+
+def test_run_numerical_failure_exit_code(tmp_path, capsys):
     # lf_2's pairwise moments vanish inside each group, so every triplet
     # degenerates and accuracy estimation aborts numerically
     f = tmp_path / "f.csv"
@@ -83,6 +122,9 @@ def test_run_numerical_failure_exit_code(tmp_path):
     code = main(["run", "--features", str(f), "--votes", str(v),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "estimate"
+    assert "group 0:" in capsys.readouterr().err
 
 
 def test_lf_bank_materializes_votes(tmp_path, capsys):

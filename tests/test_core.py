@@ -88,6 +88,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(knn_k=0)
     with pytest.raises(ValidationError):
         PipelineConfig(class_balance=1.0)
+    with pytest.raises(ValidationError):
+        PipelineConfig(end_model="off")
 
 
 def test_without_labels_strips_gold():

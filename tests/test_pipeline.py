@@ -123,7 +123,6 @@ def test_config_text_roundtrip():
     knn_k = 3
     sinkhorn_eta = 0.5
     end_model = off
-    seed = 7
     """
     kwargs = parse_config_text(text)
     cfg = PipelineConfig(**kwargs)
@@ -131,7 +130,6 @@ def test_config_text_roundtrip():
     assert cfg.knn_k == 3
     assert cfg.sinkhorn_eta == 0.5
     assert cfg.end_model is False
-    assert cfg.seed == 7
 
 
 def test_config_unknown_key_rejected():

@@ -157,7 +157,7 @@ def test_changed_mask_tracks_rewrites():
 def test_deterministic_given_inputs():
     ds, wl = make_biased_fixture(300, seed=3)
     est, _ = estimate_accuracies(wl, ds.without_labels())
-    cfg = PipelineConfig(ot_type="linear", seed=11)
+    cfg = PipelineConfig(ot_type="linear")
     r1 = sbm_transport(ds.without_labels(), wl, est, cfg)
     r2 = sbm_transport(ds.without_labels(), wl, est, cfg)
     assert np.array_equal(r1.new_votes.votes, r2.new_votes.votes)
