@@ -232,7 +232,12 @@ def sinkhorn_plan(
     if eta <= 0 or max_iter < 1 or tol <= 0:
         raise ValidationError("eta, max_iter and tol must be positive")
 
-    K = np.exp(-_rescale_cost(M, rescale) / eta)
+    # K = exp(-M / eta) built in one buffer; with rescale="none" the
+    # rescaled cost is the caller's M, which is negated into a copy
+    K = _rescale_cost(M, rescale)
+    K = np.negative(K, out=None if K is M else K)
+    K /= eta
+    np.exp(K, out=K)
     if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
         raise NumericalError(
             "exp(-M/eta) underflowed to zero along an entire row or column; "
@@ -243,8 +248,9 @@ def sinkhorn_plan(
     log: list[float] = []
     iterations = 0
     violation = np.inf
+    Kv = K @ v
     for _ in range(max_iter):
-        u = a / (K @ v)
+        u = a / Kv
         v = b / (K.T @ u)
         iterations += 1
         Kv = K @ v
@@ -256,7 +262,8 @@ def sinkhorn_plan(
                                     - a @ np.log(u) - b @ np.log(v))))
         if violation <= tol:
             break
-    T = (u[:, None] * K) * v[None, :]
+    T = u[:, None] * K
+    T *= v
     violation = max(
         float(np.abs(T.sum(axis=1) - a).max()),
         float(np.abs(T.sum(axis=0) - b).max()),

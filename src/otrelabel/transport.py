@@ -61,6 +61,10 @@ def knn_transfer(
 ) -> np.ndarray:
     """Majority vote among the k nearest destination rows (Euclidean).
 
+    ``votes_dst`` is one vote column (``n_dst``) or a block of columns
+    (``n_dst x c``); the result has the same layout over the query rows.
+    The neighbours are found once and every column votes from them.
+
     Deterministic tie handling: exact distance ties prefer the lower row
     index; a tied majority falls back to the nearest non-abstaining
     neighbor's vote.  Abstaining neighbors are excluded from the majority;
@@ -74,38 +78,51 @@ def knn_transfer(
     if X_query.ndim != 2 or X_dst.ndim != 2 \
             or X_query.shape[1] != X_dst.shape[1]:
         raise ValidationError("query/destination dimensions differ")
-    if votes_dst.shape != (X_dst.shape[0],):
+    if votes_dst.ndim not in (1, 2) or votes_dst.shape[0] != X_dst.shape[0]:
         raise ValidationError("votes_dst length must match X_dst rows")
     require_vote_values(votes_dst)
     if not 1 <= k <= X_dst.shape[0]:
         raise ValidationError(
             f"k must be in [1, {X_dst.shape[0]}], got {k}")
 
+    nbrs = _nearest(X_query, X_dst, k)
+    return _majority_vote(votes_dst[nbrs])
+
+
+def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
+    """Indices (n_query x k) of each query row's k nearest destination
+    rows, nearest first, exact distance ties to the lower index."""
     n_dst = X_dst.shape[0]
-    out = np.empty(X_query.shape[0], dtype=np.int64)
+    nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
     for start in range(0, X_query.shape[0], _CHUNK):
-        chunk = X_query[start:start + _CHUNK]
-        dist = cdist(chunk, X_dst, metric="euclidean")
+        dist = cdist(X_query[start:start + _CHUNK], X_dst,
+                     metric="euclidean")
         if k == 1:
             # argmin returns the first (lowest-index) minimum
-            out[start:start + _CHUNK] = votes_dst[np.argmin(dist, axis=1)]
+            nbrs[start:start + _CHUNK, 0] = np.argmin(dist, axis=1)
             continue
-        for r in range(chunk.shape[0]):
-            order = np.lexsort((np.arange(n_dst), dist[r]))[:k]
-            votes = votes_dst[order]
-            votes = votes[votes != 0]
-            if votes.size == 0:
-                out[start + r] = 0
-                continue
-            pos = int((votes > 0).sum())
-            neg = votes.size - pos
-            if pos > neg:
-                out[start + r] = 1
-            elif neg > pos:
-                out[start + r] = -1
-            else:
-                out[start + r] = votes[0]
-    return out
+        cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        cand_dist = np.take_along_axis(dist, cand, axis=1)
+        order = np.lexsort((cand, cand_dist), axis=1)
+        cand = np.take_along_axis(cand, order, axis=1)
+        # the partition picks arbitrarily among rows tied at the k-th
+        # distance; such rows redo the exact (distance, index) sort
+        kth = np.take_along_axis(dist, cand[:, -1:], axis=1)
+        for r in np.flatnonzero((dist <= kth).sum(axis=1) > k):
+            cand[r] = np.lexsort((np.arange(n_dst), dist[r]))[:k]
+        nbrs[start:start + _CHUNK] = cand
+    return nbrs
+
+
+def _majority_vote(votes: np.ndarray) -> np.ndarray:
+    """Vote over axis 1 of an (n, k, ...) tensor of neighbour votes,
+    nearest neighbour first; returns the (n, ...) transferred votes."""
+    pos = (votes > 0).sum(axis=1)
+    neg = (votes < 0).sum(axis=1)
+    # the first non-abstaining vote, or abstain when every vote abstains
+    first = np.take_along_axis(
+        votes, np.argmax(votes != 0, axis=1)[:, None], axis=1)[:, 0]
+    return np.where(pos > neg, 1, np.where(neg > pos, -1, first))
 
 
 def _transported_sources(
@@ -154,8 +171,9 @@ def sbm_transport(
     estimated-accuracy group (skipped when the two estimates are within
     ``tie_tol``); in ``global`` scope one direction is chosen from the
     mean per-group accuracy and one shared map re-labels every LF.  The
-    transported coordinates depend only on features, so they are computed
-    once per (src, dst) direction and reused across LFs.
+    transported coordinates and their nearest destination neighbours
+    depend only on features, so both are computed once per (src, dst)
+    direction: one ``knn_transfer`` call re-labels every LF moved that way.
     """
     report = validate_dataset(ds, wl)
     if report:
@@ -169,27 +187,22 @@ def sbm_transport(
     decisions: list[TransportDecision] = []
     masks = {k: ds.group_mask(k) for k in (0, 1)}
     feats = {k: ds.features[masks[k]] for k in (0, 1)}
-    transported_cache: dict[tuple[int, int], np.ndarray] = {}
+    transported: dict[tuple[int, int], np.ndarray] = {}
+    moved_columns: dict[tuple[int, int], list[int]] = {}
 
-    def transported(src: int, dst: int, context: str) -> np.ndarray:
-        key = (src, dst)
-        if key not in transported_cache:
-            try:
-                transported_cache[key] = _transported_sources(
-                    feats[src], feats[dst], cfg, ds.d)
-            except (ValidationError, NumericalError) as exc:
-                raise type(exc)(f"{context}: {exc}") from exc
-        return transported_cache[key]
-
-    def relabel_column(j: int, src: int, dst: int, context: str) -> None:
+    def schedule_relabel(j: int, src: int, dst: int, context: str) -> None:
         if feats[dst].shape[0] < cfg.knn_k:
             raise ValidationError(
                 f"{context}: destination group {dst} has "
                 f"{feats[dst].shape[0]} rows, fewer than k={cfg.knn_k}")
-        moved = knn_transfer(
-            transported(src, dst, context), feats[dst],
-            votes[masks[dst], j], cfg.knn_k)
-        new_votes[masks[src], j] = moved
+        key = (src, dst)
+        if key not in transported:
+            try:
+                transported[key] = _transported_sources(
+                    feats[src], feats[dst], cfg, ds.d)
+            except (ValidationError, NumericalError) as exc:
+                raise type(exc)(f"{context}: {exc}") from exc
+        moved_columns.setdefault(key, []).append(j)
 
     if cfg.transport_scope == "per_lf":
         for j in range(wl.m):
@@ -201,7 +214,7 @@ def sbm_transport(
                 continue
             src = 0 if a0 < a1 else 1
             dst = 1 - src
-            relabel_column(j, src, dst, f"lf_{j}")
+            schedule_relabel(j, src, dst, f"lf_{j}")
             decisions.append(TransportDecision(
                 j, src, dst,
                 float(est.per_lf_group[j, src]),
@@ -216,10 +229,15 @@ def sbm_transport(
             src = 0 if mean_acc[0] < mean_acc[1] else 1
             dst = 1 - src
             for j in range(wl.m):
-                relabel_column(j, src, dst, f"lf_{j}")
+                schedule_relabel(j, src, dst, f"lf_{j}")
             decisions.append(TransportDecision(
                 "all", src, dst,
                 float(mean_acc[src]), float(mean_acc[dst])))
+
+    for (src, dst), cols in moved_columns.items():
+        new_votes[np.ix_(masks[src], cols)] = knn_transfer(
+            transported[(src, dst)], feats[dst],
+            votes[np.ix_(masks[dst], cols)], cfg.knn_k)
 
     changed = new_votes != votes
     return RelabelResult(

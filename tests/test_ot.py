@@ -256,6 +256,15 @@ def test_sinkhorn_underflow_raises_without_rescale():
     assert plan.converged
 
 
+@pytest.mark.parametrize("rescale", ["median", "none"])
+def test_sinkhorn_leaves_cost_unchanged(rescale):
+    rng = np.random.default_rng(9)
+    cost = rng.uniform(0.0, 3.0, size=(6, 5))
+    before = cost.copy()
+    sinkhorn_plan(cost, rescale=rescale)
+    assert np.array_equal(cost, before)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12))
 def test_sinkhorn_marginal_conservation(seed, n, m):

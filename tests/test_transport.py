@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otrelabel.transport as transport
 from otrelabel import (
     AccuracyEstimate,
     GroupedDataset,
@@ -93,6 +94,45 @@ def test_oracle_agreement_property(seed, k):
     query = rng.integers(-3, 4, size=(15, 2)).astype(float)
     assert np.array_equal(knn_transfer(query, dst, votes, k),
                           knn_oracle(query, dst, votes, k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_vote_block_matches_oracle_per_column_property(seed, k):
+    rng = np.random.default_rng(seed)
+    dst = rng.integers(-3, 4, size=(12, 2)).astype(float)  # forces ties
+    votes = rng.choice([-1, 0, 1], size=(12, 3))
+    query = rng.integers(-3, 4, size=(15, 2)).astype(float)
+    out = knn_transfer(query, dst, votes, k)
+    assert out.shape == (15, 3)
+    for c in range(3):
+        assert np.array_equal(out[:, c],
+                              knn_oracle(query, dst, votes[:, c], k))
+
+
+def test_vote_block_across_query_chunks():
+    rng = np.random.default_rng(10)
+    dst = rng.integers(-4, 5, size=(40, 2)).astype(float)
+    votes = rng.choice([-1, 0, 1], size=(40, 2))
+    query = rng.integers(-4, 5, size=(300, 2)).astype(float)
+    for k in (1, 5):
+        out = knn_transfer(query, dst, votes, k)
+        for c in range(2):
+            assert np.array_equal(out[:, c],
+                                  knn_oracle(query, dst, votes[:, c], k))
+
+
+def test_kth_distance_tie_outside_nearest_k_breaks_to_lower_index():
+    # rows 0-3 tie at the 3rd distance and only the lower-index ones
+    # (rows 0 and 1) join the nearest row 4; a partition of the distances
+    # may pick row 2 instead of row 1, which would flip both votes
+    dst = np.array([[2.0], [-2.0], [2.0], [-2.0], [0.5]])
+    votes = np.column_stack([[0, -1, 1, 1, 0], [0, 1, -1, -1, 0]])
+    out = knn_transfer(np.array([[0.0]]), dst, votes, k=3)
+    assert out.tolist() == [[-1, 1]]
+    for c in range(2):
+        assert np.array_equal(out[:, c],
+                              knn_oracle([[0.0]], dst, votes[:, c], 3))
 
 
 # --------------------------------------------------------------------------
@@ -248,3 +288,44 @@ def test_linear_needs_enough_rows_per_group():
     with pytest.raises(ValidationError, match="lf_0"):
         sbm_transport(GroupedDataset(x, groups), wl, est,
                       PipelineConfig(ot_type="linear"))
+
+
+def oracle_repair(ds, wl, moves, k):
+    """Identity transport with a per-column oracle kNN for each moved
+    (lf, src, dst)."""
+    expected = wl.votes.copy()
+    for j, src, dst in moves:
+        s, d = ds.groups == src, ds.groups == dst
+        expected[s, j] = knn_oracle(ds.features[s], ds.features[d],
+                                    wl.votes[d, j], k)
+    return expected
+
+
+@pytest.mark.parametrize("scope, per_lf_group, moves, n_calls", [
+    ("global", [[0.9, 0.6], [0.8, 0.7], [0.7, 0.7]],
+     [(0, 1, 0), (1, 1, 0), (2, 1, 0)], 1),
+    ("per_lf", [[0.6, 0.9], [0.7, 0.8], [0.7, 0.7]],
+     [(0, 0, 1), (1, 0, 1)], 1),
+    ("per_lf", [[0.6, 0.9], [0.8, 0.7], [0.7, 0.7]],
+     [(0, 0, 1), (1, 1, 0)], 2),
+])
+def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
+                                    moves, n_calls):
+    rng = np.random.default_rng(11)
+    ds = GroupedDataset(rng.normal(size=(60, 2)), np.repeat([0, 1], 30))
+    wl = WeakLabelMatrix(rng.choice([-1, 0, 1], size=(60, 3)))
+    per_lf_group = np.array(per_lf_group)
+    est = AccuracyEstimate(per_lf_group.mean(axis=1), per_lf_group)
+    cfg = PipelineConfig(ot_type="none", knn_k=3, transport_scope=scope)
+    calls = []
+    real = transport.knn_transfer
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transport, "knn_transfer", counting)
+    result = sbm_transport(ds, wl, est, cfg)
+    assert len(calls) == n_calls
+    assert np.array_equal(result.new_votes.votes,
+                          oracle_repair(ds, wl, moves, 3))
