@@ -34,7 +34,8 @@ est, records = triplet_accuracies(wl)
 print("true accuracies:     ", true_acc)
 print("estimated from votes:", est.round(3))
 print("max error:           ", float(np.abs(est - true_acc).max()).__round__(4))
-print("triplets used:       ", len(records))
+print("triplets used:       ", int((~records.degenerate).sum()),
+      "of", len(records))
 
 # %% with exact population moments the identity is sharp
 

@@ -23,6 +23,7 @@ from .core import (
 )
 from .estimate import (
     TripletRecord,
+    TripletRecords,
     accuracies_from_moments,
     estimate_accuracies,
     moment_matrix,
@@ -99,6 +100,7 @@ __all__ = [
     "TransportDecision",
     "TransportPlan",
     "TripletRecord",
+    "TripletRecords",
     "ValidationError",
     "WeakLabelMatrix",
     "accuracies_from_moments",

@@ -9,14 +9,17 @@ Each LF collects one magnitude per triplet it belongs to; the values are
 aggregated (median by default) and signs are resolved afterwards from
 agreement with the row-wise majority vote.
 
-Moments are computed over rows where both LFs are non-abstaining, using
-integer accumulation, so results are exactly invariant to row order.
+Moments are computed over rows where both LFs are non-abstaining.  The
+sums are accumulated in float64, which is exact for integer terms below
+2**53 rows, so results are exactly invariant to row order.  The triplet
+pass is vectorised over all C(m, 3) triplets at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +55,43 @@ class TripletRecord:
             raise ValidationError(f"triplet indices must be distinct: {self.indices}")
 
 
+@dataclass(frozen=True, eq=False)
+class TripletRecords(Sequence):
+    """Every triplet of one estimate, held as arrays.
+
+    Row t of ``indices`` (T x 3) is the t-th triplet in
+    ``itertools.combinations`` order, ``raw_estimates`` (T x 3) its three
+    magnitudes (NaN when degenerate) and ``degenerate`` (T,) its flag.
+    Items are ``TripletRecord`` objects, built only when accessed.
+    """
+
+    indices: np.ndarray
+    raw_estimates: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.degenerate)
+
+    def __getitem__(self, t: int) -> TripletRecord:
+        t = operator.index(t)
+        return TripletRecord(tuple(self.indices[t].tolist()),
+                             tuple(self.raw_estimates[t].tolist()),
+                             bool(self.degenerate[t]))
+
+
 def moment_matrix(wl: WeakLabelMatrix) -> np.ndarray:
     """m x m matrix of pairwise second moments over co-voting rows.
 
     Entry (i, j) is mean(l_i * l_j) restricted to rows where neither LF
     abstains, or NaN when no such row exists.  Abstains contribute zero to
-    the integer product sums, so no masking pass is needed.
+    the product sums, so no masking pass is needed.  Both Gram products
+    run in float64 BLAS: their terms are integers, so every partial sum is
+    exact (hence independent of row order) below 2**53 rows.
     """
-    v = wl.votes
+    v = wl.votes.astype(np.float64)
     num = v.T @ v
-    active = (v != 0).astype(np.int64)
-    cnt = active.T @ active
+    np.not_equal(wl.votes, 0, out=v)
+    cnt = v.T @ v
     with np.errstate(invalid="ignore"):
         return np.where(cnt > 0, num / np.maximum(cnt, 1), np.nan)
 
@@ -83,22 +112,44 @@ def pairwise_moment(wl: WeakLabelMatrix, i: int, j: int) -> float:
     return float(int((vi * vj)[both].sum()) / cnt)
 
 
-def _triplet_value(num1: float, num2: float, den: float) -> float:
+def _triplet_indices(m: int) -> np.ndarray:
+    """C(m, 3) x 3 array of triplets i < j < k in combinations order.
+
+    Pairs (j, k) from ``triu_indices`` are in lexicographic order, so the
+    pairs completing a triplet with first index i are the suffix of pairs
+    whose j exceeds i.
+    """
+    j, k = np.triu_indices(m, 1)
+    start = np.searchsorted(j, np.arange(m), side="right")
+    counts = len(j) - start
+    first = np.cumsum(counts) - counts  # first triplet of each i
+    pair = np.arange(counts.sum()) + np.repeat(start - first, counts)
+    return np.column_stack([np.repeat(np.arange(m), counts),
+                            j[pair], k[pair]])
+
+
+def _triplet_value(num1: np.ndarray, num2: np.ndarray,
+                   den: np.ndarray) -> np.ndarray:
+    # clamp to [0, 1] as Python's min(max(r, 0.0), 1.0) does: NaN and -0.0
+    # pass through unchanged
     r = num1 * num2 / den
-    return math.sqrt(min(max(r, 0.0), 1.0))
+    r[r < 0.0] = 0.0
+    r[r > 1.0] = 1.0
+    return np.sqrt(r)
 
 
 def accuracies_from_moments(
     moments: np.ndarray,
     eps_pair: float = EPS_PAIR,
     aggregation: str = "median",
-) -> tuple[np.ndarray, list[TripletRecord]]:
+) -> tuple[np.ndarray, TripletRecords]:
     """Aggregate |a_i| estimates from a pairwise second-moment matrix.
 
     Feeding the exact population moments a_i * a_j recovers the accuracies
     to machine precision (algebraic identity).  Triplets where any moment
     is NaN or has magnitude <= eps_pair are recorded as degenerate and
     skipped; an LF whose every triplet is degenerate raises NumericalError.
+    Each LF's values are aggregated in triplet order.
     """
     m = moments.shape[0]
     if moments.shape != (m, m):
@@ -107,31 +158,29 @@ def accuracies_from_moments(
         raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
     if aggregation not in ("median", "mean"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
-    per_lf: list[list[float]] = [[] for _ in range(m)]
-    records: list[TripletRecord] = []
-    for i, j, k in itertools.combinations(range(m), 3):
-        mij, mik, mjk = moments[i, j], moments[i, k], moments[j, k]
-        bad = any(
-            math.isnan(x) or abs(x) <= eps_pair for x in (mij, mik, mjk))
-        if bad:
-            records.append(TripletRecord(
-                (i, j, k), (math.nan, math.nan, math.nan), degenerate=True))
-            continue
-        vi = _triplet_value(mij, mik, mjk)
-        vj = _triplet_value(mij, mjk, mik)
-        vk = _triplet_value(mik, mjk, mij)
-        per_lf[i].append(vi)
-        per_lf[j].append(vj)
-        per_lf[k].append(vk)
-        records.append(TripletRecord((i, j, k), (vi, vj, vk)))
+    idx = _triplet_indices(m)
+    i, j, k = idx.T
+    bad = np.isnan(moments) | (np.abs(moments) <= eps_pair)
+    degenerate = bad[i, j] | bad[i, k] | bad[j, k]
+    mij, mik, mjk = moments[i, j], moments[i, k], moments[j, k]
+    raw = np.empty(idx.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw[:, 0] = _triplet_value(mij, mik, mjk)
+        raw[:, 1] = _triplet_value(mij, mjk, mik)
+        raw[:, 2] = _triplet_value(mik, mjk, mij)
+    raw[degenerate] = np.nan
+
+    lf = idx[~degenerate].ravel()
+    counts = np.bincount(lf, minlength=m)
+    if not counts.all():
+        raise NumericalError(
+            f"every triplet containing lf {int(np.argmin(counts))} "
+            "is degenerate")
+    vals = raw[~degenerate].ravel()[np.argsort(lf, kind="stable")]
     agg = np.median if aggregation == "median" else np.mean
-    out = np.empty(m)
-    for i, vals in enumerate(per_lf):
-        if not vals:
-            raise NumericalError(
-                f"every triplet containing lf {i} is degenerate")
-        out[i] = agg(vals)
-    return out, records
+    segments = np.split(vals, np.cumsum(counts)[:-1])
+    out = np.array([agg(seg) for seg in segments])
+    return out, TripletRecords(idx, raw, degenerate)
 
 
 def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
@@ -160,7 +209,7 @@ def triplet_accuracies(
     wl: WeakLabelMatrix,
     eps_pair: float = EPS_PAIR,
     aggregation: str = "median",
-) -> tuple[np.ndarray, list[TripletRecord]]:
+) -> tuple[np.ndarray, TripletRecords]:
     """Signed accuracy estimates for every LF from vote moments alone."""
     if wl.m < 3:
         raise ValidationError(f"need at least 3 LFs, got {wl.m}")
@@ -202,7 +251,7 @@ def estimate_accuracies(
     ds: GroupedDataset,
     eps_pair: float = EPS_PAIR,
     aggregation: str = "median",
-) -> tuple[AccuracyEstimate, list[TripletRecord]]:
+) -> tuple[AccuracyEstimate, TripletRecords]:
     """Bundle per-group and global estimates.
 
     Groups are estimated first, so a failure names the group it hit.

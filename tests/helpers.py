@@ -2,15 +2,26 @@
 
 The oracles here deliberately avoid the production code paths: the kNN
 oracle is an exhaustive scan, the Sinkhorn oracle projects the full matrix
-instead of scaling factor vectors, and the posterior oracle enumerates the
-joint outcome space.  Tests compare library output against these.
+instead of scaling factor vectors, the posterior oracle enumerates the
+joint outcome space, and the triplet oracle visits one LF triplet at a
+time instead of making one array pass.  Tests compare library output
+against these.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from otrelabel import GroupedDataset, WeakLabelMatrix
+from otrelabel import (
+    GroupedDataset,
+    NumericalError,
+    TripletRecord,
+    ValidationError,
+    WeakLabelMatrix,
+)
 
 
 def make_biased_fixture(n_per_group: int, seed: int,
@@ -110,3 +121,46 @@ def bayes_posterior_oracle(votes_row, accuracies, balance):
                 continue
             like[y] *= p if v == y else 1 - p
     return like[1] / (like[1] + like[-1])
+
+
+def _triplet_value(num1: float, num2: float, den: float) -> float:
+    r = num1 * num2 / den
+    return math.sqrt(min(max(r, 0.0), 1.0))
+
+
+def triplet_oracle(moments, eps_pair, aggregation):
+    """Per-triplet loop over ``itertools.combinations``: the scalar
+    reference for ``accuracies_from_moments``.  Returns the aggregated
+    magnitudes and a list of ``TripletRecord``."""
+    m = moments.shape[0]
+    if moments.shape != (m, m):
+        raise ValidationError("moment matrix must be square")
+    if m < 3:
+        raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
+    if aggregation not in ("median", "mean"):
+        raise ValidationError(f"unknown aggregation {aggregation!r}")
+    per_lf: list[list[float]] = [[] for _ in range(m)]
+    records: list[TripletRecord] = []
+    for i, j, k in itertools.combinations(range(m), 3):
+        mij, mik, mjk = moments[i, j], moments[i, k], moments[j, k]
+        bad = any(
+            math.isnan(x) or abs(x) <= eps_pair for x in (mij, mik, mjk))
+        if bad:
+            records.append(TripletRecord(
+                (i, j, k), (math.nan, math.nan, math.nan), degenerate=True))
+            continue
+        vi = _triplet_value(mij, mik, mjk)
+        vj = _triplet_value(mij, mjk, mik)
+        vk = _triplet_value(mik, mjk, mij)
+        per_lf[i].append(vi)
+        per_lf[j].append(vj)
+        per_lf[k].append(vk)
+        records.append(TripletRecord((i, j, k), (vi, vj, vk)))
+    agg = np.median if aggregation == "median" else np.mean
+    out = np.empty(m)
+    for i, vals in enumerate(per_lf):
+        if not vals:
+            raise NumericalError(
+                f"every triplet containing lf {i} is degenerate")
+        out[i] = agg(vals)
+    return out, records

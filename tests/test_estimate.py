@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,16 +9,19 @@ from hypothesis import strategies as st
 from otrelabel import (
     GroupedDataset,
     NumericalError,
+    TripletRecord,
     ValidationError,
     WeakLabelMatrix,
     accuracies_from_moments,
     estimate_accuracies,
+    moment_matrix,
     pairwise_moment,
     per_group_accuracies,
     resolve_sign,
     triplet_accuracies,
 )
-from helpers import sample_conditional_lfs
+from otrelabel.estimate import EPS_PAIR
+from helpers import sample_conditional_lfs, triplet_oracle
 
 TRUE_ACC = np.array([0.8, 0.6, 0.4, 0.3, 0.2])
 
@@ -199,3 +203,75 @@ def test_median_vs_mean_aggregation_tag():
     mean, _ = triplet_accuracies(wl, aggregation="mean")
     assert med.shape == mean.shape
     assert not np.array_equal(med, mean)
+
+
+def random_moments(m, seed, eps_pair, p_bad):
+    """Symmetric moments in [-1, 1] with a unit diagonal; each off-diagonal
+    cell is, with probability p_bad, replaced by NaN, +-eps_pair or 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, m))
+    hit = rng.random((m, m)) < p_bad
+    a[hit] = rng.choice([np.nan, eps_pair, -eps_pair, 0.0], size=hit.sum())
+    a = np.triu(a, 1)
+    a = a + a.T
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([EPS_PAIR, 0.3]),
+       st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+       st.sampled_from(["median", "mean"]))
+def test_triplet_pass_matches_loop_oracle(m, seed, eps_pair, p_bad,
+                                          aggregation):
+    moments = random_moments(m, seed, eps_pair, p_bad)
+    try:
+        want, want_records = triplet_oracle(moments, eps_pair, aggregation)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as got:
+            accuracies_from_moments(moments, eps_pair, aggregation)
+        assert str(got.value) == str(exc)
+        return
+    est, records = accuracies_from_moments(moments, eps_pair, aggregation)
+    assert np.array_equal(est, want)
+    assert len(records) == len(want_records)
+    for got_rec, want_rec in zip(records, want_records):
+        assert got_rec.indices == want_rec.indices
+        assert got_rec.degenerate == want_rec.degenerate
+        assert np.array_equal(got_rec.raw_estimates, want_rec.raw_estimates,
+                              equal_nan=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_moment_matrix_equals_pairwise_moment_exactly(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.choice([-1, 0, 1], p=[0.35, 0.3, 0.35], size=(300, 6))
+    v[150:, 4] = 0  # lf 4 votes only on the first half
+    v[:150, 5] = 0  # lf 5 only on the second: no co-voting row
+    wl = WeakLabelMatrix(v)
+    moments = moment_matrix(wl)
+    for i, j in itertools.permutations(range(6), 2):
+        if {i, j} == {4, 5}:
+            assert math.isnan(moments[i, j])
+        else:
+            assert moments[i, j] == pairwise_moment(wl, i, j)
+
+
+def test_records_are_an_array_backed_sequence():
+    m = 7
+    moments = random_moments(m, seed=11, eps_pair=EPS_PAIR, p_bad=0.1)
+    _, records = accuracies_from_moments(moments)
+    assert len(records) == math.comb(m, 3)
+    assert records.indices.tolist() == [
+        list(t) for t in itertools.combinations(range(m), 3)]
+    assert records[-1].indices == (4, 5, 6)
+    assert records[-len(records)].indices == (0, 1, 2)
+    with pytest.raises(IndexError):
+        records[len(records)]
+    assert all(isinstance(r, TripletRecord) for r in records)
+    assert sum(r.degenerate for r in records) == records.degenerate.sum() > 0
+    usable = np.flatnonzero(~records.degenerate)[0]
+    assert records[usable].raw_estimates == tuple(
+        records.raw_estimates[usable])
