@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, WeakLabelMatrix
+from .core import ValidationError, WeakLabelMatrix, require_vote_values
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 
@@ -73,36 +73,44 @@ def fairness_report(
         raise ValidationError("pred, gold and groups must share one length")
     if not np.isin(groups, (0, 1)).all():
         raise ValidationError("groups entries must be in {0, 1}")
-    masks = [groups == k for k in (0, 1)]
-    if not (masks[0].any() and masks[1].any()):
-        raise ValidationError("both groups must be non-empty")
+    active = np.ones((pred.size, 1), dtype=bool)
+    return _report(_group_counts(pred[:, None], gold, groups, active)[0])
 
-    accuracy = float((pred == gold).mean())
-    tp = int(((pred == 1) & (gold == 1)).sum())
-    fp = int(((pred == 1) & (gold == -1)).sum())
-    fn = int(((pred == -1) & (gold == 1)).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
+
+def _group_counts(pred: np.ndarray, gold: np.ndarray, groups: np.ndarray,
+                  active: np.ndarray) -> np.ndarray:
+    """Counts over the active rows of each column of an n x c ``pred``
+    block, as a c x 3 x 4 array: (rows, correct predictions, positive
+    predictions) x (group 0, group 1, gold positives in group 0, in
+    group 1).  Float64 sums of 0/1 terms are exact below 2**53 rows."""
+    member = np.stack([groups == 0, groups == 1], axis=1)
+    weights = np.concatenate([member, member & (gold == 1)[:, None]], axis=1)
+    masks = (active, active & (pred == gold[:, None]), active & (pred == 1))
+    return np.stack([m.T.astype(np.float64) @ weights for m in masks],
+                    axis=1).astype(np.int64)
+
+
+def _report(counts: np.ndarray) -> FairnessReport:
+    """FairnessReport from one column of :func:`_group_counts`.  Each
+    rate is an integer count over a count, which equals the mean of the
+    matching boolean mask."""
+    (n0, n1, gp0, gp1), (ok0, ok1, _, _), (pos0, pos1, tp0, tp1) = \
+        counts.tolist()
+    if not (n0 and n1):
+        raise ValidationError("both groups must be non-empty")
+    tp, pos, gp = tp0 + tp1, pos0 + pos1, gp0 + gp1
+    precision = tp / pos if pos else 0.0
+    recall = tp / gp if gp else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
-
-    pos_rate = tuple(float((pred[m] == 1).mean()) for m in masks)
-    grp_acc = tuple(float((pred[m] == gold[m]).mean()) for m in masks)
-    dp_gap = abs(pos_rate[1] - pos_rate[0])
-
-    tpr = []
-    for m in masks:
-        pos = m & (gold == 1)
-        tpr.append(float((pred[pos] == 1).mean()) if pos.any() else math.nan)
-    eo_defined = not any(math.isnan(t) for t in tpr)
-    eo_gap = abs(tpr[1] - tpr[0]) if eo_defined else math.nan
-
+    pos_rate = (pos0 / n0, pos1 / n1)
+    eo_defined = bool(gp0 and gp1)
     return FairnessReport(
-        accuracy=accuracy,
+        accuracy=(ok0 + ok1) / (n0 + n1),
         f1=f1,
-        dp_gap=dp_gap,
-        eo_gap=eo_gap,
-        per_group_accuracy=grp_acc,
+        dp_gap=abs(pos_rate[1] - pos_rate[0]),
+        eo_gap=abs(tp1 / gp1 - tp0 / gp0) if eo_defined else math.nan,
+        per_group_accuracy=(ok0 / n0, ok1 / n1),
         positive_rate_per_group=pos_rate,
         eo_defined=eo_defined,
     )
@@ -127,6 +135,8 @@ def lf_delta_report(
 
     Each LF is scored on the rows where it is non-abstaining in both
     matrices, so the before/after comparison covers a common row set.
+    The reports equal :func:`fairness_report` on those rows; inputs are
+    validated once and all LFs are counted in one pass.
     """
     if before.votes.shape != after.votes.shape:
         raise ValidationError("before/after vote shapes differ")
@@ -138,20 +148,24 @@ def lf_delta_report(
         names = [f"lf_{j}" for j in range(before.m)]
     if len(names) != before.m:
         raise ValidationError("need one name per LF")
+    gold = _check_pm1(gold, "gold")
+    if not np.isin(groups, (0, 1)).all():
+        raise ValidationError("groups entries must be in {0, 1}")
+    require_vote_values(before.votes)
+    require_vote_values(after.votes)
+    active = (before.votes != 0) & (after.votes != 0)
+    counts = [_group_counts(wl.votes, gold, groups, active)
+              for wl in (before, after)]
     rows = []
-    for j in range(before.m):
-        active = (before.votes[:, j] != 0) & (after.votes[:, j] != 0)
-        if not active.any():
-            raise ValidationError(f"{names[j]}: no mutually non-abstaining rows")
+    for j, name in enumerate(names):
+        if not active[:, j].any():
+            raise ValidationError(f"{name}: no mutually non-abstaining rows")
         try:
-            rep_before = fairness_report(
-                before.votes[active, j], gold[active], groups[active])
-            rep_after = fairness_report(
-                after.votes[active, j], gold[active], groups[active])
+            rep_before, rep_after = (_report(c[j]) for c in counts)
         except ValidationError as exc:
-            raise ValidationError(f"{names[j]}: {exc}") from exc
+            raise ValidationError(f"{name}: {exc}") from exc
         rows.append({
-            "name": names[j],
+            "name": name,
             "before": rep_before,
             "after": rep_after,
             "delta": _delta(rep_after, rep_before),

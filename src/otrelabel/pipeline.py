@@ -4,11 +4,20 @@ repair run with its report artifacts.
 File formats
 ------------
 Features CSV: UTF-8, header row, comma-separated, ``.`` decimal.  Any
-number of numeric feature columns, one group column with values 0/1, and
-an optional label column with values -1/1.
+number of numeric feature columns (any spelling Python's ``float``
+accepts), one group column with values ``0``/``1``, and an optional
+label column with values ``-1``/``1``/``+1``.
 
-Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, integer values in
-{-1, 0, 1}, row-aligned with the features CSV.
+Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, values ``-1``, ``0``,
+``1`` or ``+1``, row-aligned with the features CSV.
+
+Both: an optional UTF-8 BOM, LF, CRLF or CR line ends, csv quoting, and
+whitespace around any cell or header name.  Every row has the header's
+width and no line is blank.  Files in the plain subset of this syntax
+(ASCII body, no quotes, canonical group, label and vote spellings, as
+:func:`write_votes_csv` writes) are parsed by numpy in one pass; any
+other file by an exact cell-by-cell pass that reports each bad cell on
+its own line, up to ``MAX_CELL_ERRORS`` lines plus a count of the rest.
 
 Config file: flat ``key=value`` lines (``#`` starts a comment).  The
 accepted keys are the field names of :class:`PipelineConfig`; each value
@@ -22,8 +31,10 @@ are excluded from the manifest digest.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -40,6 +51,7 @@ from .core import (
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
+    require_vote_values,
     validate_dataset,
 )
 from .estimate import estimate_accuracies
@@ -113,6 +125,11 @@ def load_config(path: str, overrides: Optional[dict] = None) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
+MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
+_GROUPS = {"0": 0, "1": 1}
+_LABELS = {"-1": -1, "1": 1, "+1": 1}
+_VOTES = {"-1": -1, "0": 0, "1": 1, "+1": 1}
+
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     try:
@@ -137,6 +154,67 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _plain_table(path: str, dtype) -> Optional[tuple]:
+    """``(header, values, body)`` for a file in the plain subset of the
+    CSV syntax, else None; never raises.
+
+    Plain: no quote characters, LF or CRLF line ends, no blank line, an
+    ASCII body that numpy's C reader parses into ``dtype`` values, and as
+    many columns as the header.  On such a file ``csv`` splits rows and
+    cells exactly where numpy does, and a float cell numpy accepts gets
+    the value ``float`` gives it; callers still check the spelling of
+    integer cells, which numpy reads more loosely (``-0``, ``01``).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
+    head, _, body = data.partition(b"\n")
+    if (not head or body[:1] in (b"", b"\n") or b'"' in data
+            or b"\r" in data or not body.isascii()):
+        return None
+    try:
+        header = [h.strip() for h in head.decode("utf-8").split(",")]
+        values = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",",
+                            comments=None, ndmin=2, encoding="ascii")
+    except ValueError:  # UnicodeDecodeError is one too
+        return None
+    n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    if values.shape != (n_lines, len(header)):  # numpy skips blank lines
+        return None
+    return header, values, body
+
+
+def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
+                 dtype) -> np.ndarray:
+    """The exact pass: parse stripped cells one at a time into one output
+    column per ``(index, parse, message)`` in ``columns``.
+
+    ``parse`` raises ValueError or KeyError on a bad cell.  Bad cells are
+    reported in row-major order, one line each ending in the cell's repr;
+    past MAX_CELL_ERRORS of them the rest are only counted.
+    """
+    out = np.empty((len(rows), len(columns)), dtype=dtype)
+    lines: list[str] = []
+    n_bad = 0
+    for r, row in enumerate(rows):
+        for c, (i, parse, message) in enumerate(columns):
+            cell = row[i].strip()
+            try:
+                out[r, c] = parse(cell)
+            except (ValueError, KeyError):
+                n_bad += 1
+                if n_bad <= MAX_CELL_ERRORS:
+                    lines.append(f"{path}: row {r + 2}{message}{cell!r}")
+    if n_bad > MAX_CELL_ERRORS:
+        lines.append(f"... and {n_bad - MAX_CELL_ERRORS} more bad cells")
+    if lines:
+        raise ValidationError("\n".join(lines))
+    return out
+
+
 def load_features_csv(
     path: str,
     group_col: str = "group",
@@ -147,9 +225,10 @@ def load_features_csv(
 
     ``label_col`` is optional in the file; when present it must contain
     -1/1.  Errors carry 1-based row numbers (the header is row 1) and
-    column names.
+    column names, one line per bad cell.
     """
-    header, rows = _read_rows(path)
+    plain = _plain_table(path, np.float64)
+    header, rows = (plain[0], None) if plain else _read_rows(path)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
     has_labels = label_col is not None and label_col in header
@@ -163,51 +242,56 @@ def load_features_csv(
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
     col_idx = {h: i for i, h in enumerate(header)}
+    columns = [(col_idx[name], float, f", column {name!r}: non-numeric value ")
+               for name in feature_cols]
+    columns.append((col_idx[group_col], _GROUPS.__getitem__,
+                    ": unknown group value "))
+    if has_labels:
+        columns.append((col_idx[label_col], _LABELS.__getitem__,
+                        ": label must be -1 or 1, got "))
+    index = [i for i, _, _ in columns]
 
-    n = len(rows)
-    features = np.empty((n, len(feature_cols)))
-    groups = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64) if has_labels else None
-    for r, row in enumerate(rows):
-        lineno = r + 2
-        for c, name in enumerate(feature_cols):
-            cell = row[col_idx[name]].strip()
-            try:
-                features[r, c] = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {lineno}, column {name!r}: "
-                    f"non-numeric value {cell!r}") from None
-        g = row[col_idx[group_col]].strip()
-        if g not in ("0", "1"):
-            raise ValidationError(
-                f"{path}: row {lineno}: unknown group value {g!r}")
-        groups[r] = int(g)
-        if has_labels:
-            l = row[col_idx[label_col]].strip()
-            if l not in ("-1", "1", "+1"):
-                raise ValidationError(
-                    f"{path}: row {lineno}: label must be -1 or 1, got {l!r}")
-            labels[r] = int(l)
-    return GroupedDataset(features, groups, labels)
+    if plain is not None:
+        # numpy reads group and label cells loosely ("0.0", "+0"), so
+        # check their text; U3 is longer than any accepted spelling, so
+        # a truncated cell never passes
+        text = np.loadtxt(io.BytesIO(plain[2]), dtype="U3", delimiter=",",
+                          comments=None, usecols=index[len(feature_cols):],
+                          ndmin=2, encoding="ascii")
+        if np.isin(text[:, 0], list(_GROUPS)).all() and (
+                not has_labels or np.isin(text[:, 1], list(_LABELS)).all()):
+            values = plain[1][:, index]
+        else:
+            plain = None
+    if plain is None:
+        values = _parse_cells(path, rows or _read_rows(path)[1], columns,
+                              np.float64)
+    d = len(feature_cols)
+    return GroupedDataset(values[:, :d], values[:, d],
+                          values[:, d + 1] if has_labels else None)
 
 
 def load_votes_csv(path: str) -> WeakLabelMatrix:
     """Parse a votes CSV (header lf_0..lf_{m-1}, values in {-1, 0, 1})."""
-    header, rows = _read_rows(path)
+    plain = _plain_table(path, np.int64)
+    header, rows = (plain[0], None) if plain else _read_rows(path)
     expected = [f"lf_{j}" for j in range(len(header))]
     if header != expected:
         raise ValidationError(
             f"{path}: votes header must be {','.join(expected)}")
-    votes = np.empty((len(rows), len(header)), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if cell not in ("-1", "0", "1", "+1"):
-                raise ValidationError(
-                    f"{path}: row {r + 2}, lf_{c}: illegal vote {cell!r}")
-            votes[r, c] = int(cell)
-    return WeakLabelMatrix(votes)
+    if plain is not None:
+        votes, body = plain[1:]
+        count = np.bincount(np.frombuffer(body, np.uint8), minlength=256)
+        # bytes only from "-01,\n", one digit per cell and no "-0": every
+        # cell is spelled -1, 0 or 1
+        if (count.sum() == count[list(b"-01,\n")].sum()
+                and count[ord("0")] + count[ord("1")] == votes.size
+                and count[ord("-")] == np.count_nonzero(votes == -1)):
+            return WeakLabelMatrix(votes)
+    columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
+               for c in range(len(header))]
+    return WeakLabelMatrix(_parse_cells(
+        path, rows or _read_rows(path)[1], columns, np.int64))
 
 
 def read_raw_csv(path: str) -> dict[str, list[str]]:
@@ -440,7 +524,14 @@ def _write_csv(path: str, header: Sequence[str],
 
 
 def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
-    _write_csv(path, [f"lf_{j}" for j in range(wl.m)], wl.votes.tolist())
+    """Write the votes through a token lookup, byte-identical to
+    ``csv.writer``; numpy pads the two-byte tokens with NUL bytes."""
+    require_vote_values(wl.votes)
+    cells = np.array([b"-1,", b"0,", b"1,"])[wl.votes + 1]
+    cells[:, -1] = np.array([b"-1\n", b"0\n", b"1\n"])[wl.votes[:, -1] + 1]
+    header = ",".join(f"lf_{j}" for j in range(wl.m)) + "\n"
+    body = cells.tobytes().replace(b"\0", b"").decode("ascii")
+    _atomic_write(path, lambda fh: fh.write(header + body))
 
 
 def write_json(obj: dict, path: str) -> None:

@@ -3,19 +3,23 @@
 The oracles here deliberately avoid the production code paths: the kNN
 oracle is an exhaustive scan, the Sinkhorn oracle projects the full matrix
 instead of scaling factor vectors, the posterior oracle enumerates the
-joint outcome space, and the triplet oracle visits one LF triplet at a
-time instead of making one array pass.  Tests compare library output
-against these.
+joint outcome space, the triplet oracle visits one LF triplet at a
+time instead of making one array pass, the CSV loader oracles check one
+cell at a time, the sigmoid oracle splits its input by sign with boolean
+indexing, and the fairness oracle takes boolean means over masked rows.  Tests compare library output against these.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 from otrelabel import (
+    FairnessReport,
     GroupedDataset,
     NumericalError,
     TripletRecord,
@@ -164,3 +168,145 @@ def triplet_oracle(moments, eps_pair, aggregation):
                 f"every triplet containing lf {i} is degenerate")
         out[i] = agg(vals)
     return out, records
+
+
+def sigmoid_oracle(z):
+    """Logistic function on each sign separately, one exp per element."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _read_rows_oracle(path: str) -> tuple[list[str], list[list[str]]]:
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: file is empty") from None
+        rows = list(reader)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    header = [h.strip() for h in header]
+    width = len(header)
+    for i, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ValidationError(
+                f"{path}: row {i} has {len(row)} fields, expected {width}")
+    return header, rows
+
+
+def load_features_oracle(
+    path: str,
+    group_col: str = "group",
+    label_col: Optional[str] = "label",
+    feature_cols: Optional[Sequence[str]] = None,
+) -> GroupedDataset:
+    """Cell-by-cell features CSV parser that stops at the first bad cell:
+    the reference for ``load_features_csv``."""
+    header, rows = _read_rows_oracle(path)
+    if group_col not in header:
+        raise ValidationError(f"{path}: missing group column {group_col!r}")
+    has_labels = label_col is not None and label_col in header
+    if feature_cols is None:
+        skip = {group_col} | ({label_col} if has_labels else set())
+        feature_cols = [h for h in header if h not in skip]
+    else:
+        missing = [c for c in feature_cols if c not in header]
+        if missing:
+            raise ValidationError(f"{path}: missing feature columns {missing}")
+    if not feature_cols:
+        raise ValidationError(f"{path}: no feature columns")
+    col_idx = {h: i for i, h in enumerate(header)}
+
+    n = len(rows)
+    features = np.empty((n, len(feature_cols)))
+    groups = np.empty(n, dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64) if has_labels else None
+    for r, row in enumerate(rows):
+        lineno = r + 2
+        for c, name in enumerate(feature_cols):
+            cell = row[col_idx[name]].strip()
+            try:
+                features[r, c] = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {lineno}, column {name!r}: "
+                    f"non-numeric value {cell!r}") from None
+        g = row[col_idx[group_col]].strip()
+        if g not in ("0", "1"):
+            raise ValidationError(
+                f"{path}: row {lineno}: unknown group value {g!r}")
+        groups[r] = int(g)
+        if has_labels:
+            l = row[col_idx[label_col]].strip()
+            if l not in ("-1", "1", "+1"):
+                raise ValidationError(
+                    f"{path}: row {lineno}: label must be -1 or 1, got {l!r}")
+            labels[r] = int(l)
+    return GroupedDataset(features, groups, labels)
+
+
+def load_votes_oracle(path: str) -> WeakLabelMatrix:
+    """Cell-by-cell votes CSV parser that stops at the first bad cell:
+    the reference for ``load_votes_csv``."""
+    header, rows = _read_rows_oracle(path)
+    expected = [f"lf_{j}" for j in range(len(header))]
+    if header != expected:
+        raise ValidationError(
+            f"{path}: votes header must be {','.join(expected)}")
+    votes = np.empty((len(rows), len(header)), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            cell = cell.strip()
+            if cell not in ("-1", "0", "1", "+1"):
+                raise ValidationError(
+                    f"{path}: row {r + 2}, lf_{c}: illegal vote {cell!r}")
+            votes[r, c] = int(cell)
+    return WeakLabelMatrix(votes)
+
+
+def fairness_oracle(pred, gold, groups) -> FairnessReport:
+    """Fairness report from boolean-mask means, for valid +-1 ``pred`` and
+    ``gold`` and 0/1 ``groups``: the reference for ``fairness_report``."""
+    pred, gold, groups = (np.asarray(x) for x in (pred, gold, groups))
+    masks = [groups == k for k in (0, 1)]
+    if not (masks[0].any() and masks[1].any()):
+        raise ValidationError("both groups must be non-empty")
+
+    accuracy = float((pred == gold).mean())
+    tp = int(((pred == 1) & (gold == 1)).sum())
+    fp = int(((pred == 1) & (gold == -1)).sum())
+    fn = int(((pred == -1) & (gold == 1)).sum())
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+
+    pos_rate = tuple(float((pred[m] == 1).mean()) for m in masks)
+    grp_acc = tuple(float((pred[m] == gold[m]).mean()) for m in masks)
+    dp_gap = abs(pos_rate[1] - pos_rate[0])
+
+    tpr = []
+    for m in masks:
+        pos = m & (gold == 1)
+        tpr.append(float((pred[pos] == 1).mean()) if pos.any() else math.nan)
+    eo_defined = not any(math.isnan(t) for t in tpr)
+    eo_gap = abs(tpr[1] - tpr[0]) if eo_defined else math.nan
+
+    return FairnessReport(
+        accuracy=accuracy,
+        f1=f1,
+        dp_gap=dp_gap,
+        eo_gap=eo_gap,
+        per_group_accuracy=grp_acc,
+        positive_rate_per_group=pos_rate,
+        eo_defined=eo_defined,
+    )

@@ -27,6 +27,28 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "empty group 1" in capsys.readouterr().out
 
 
+def test_validate_lists_every_bad_cell(tmp_path, capsys):
+    ds, wl = make_biased_fixture(10, seed=1)
+    features = tmp_path / "f.csv"
+    write_features_csv(str(features), ds)
+    lines = features.read_text().splitlines()
+    for r, col, bad in ((2, 0, "abc"), (5, 2, "7"), (9, 3, "0")):
+        cells = lines[r - 1].split(",")
+        cells[col] = bad
+        lines[r - 1] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+    votes = str(tmp_path / "v.csv")
+    write_votes_csv(wl, votes)
+    assert main(["validate", "--features", str(features),
+                 "--votes", votes]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {features}: row 2, column 'f0': "
+        "non-numeric value 'abc'",
+        f"{features}: row 5: unknown group value '7'",
+        f"{features}: row 9: label must be -1 or 1, got '0'",
+    ]
+
+
 def test_validate_missing_file_is_input_error(tmp_path):
     assert main(["validate", "--features", str(tmp_path / "nope.csv"),
                  "--votes", str(tmp_path / "nope2.csv")]) == 1

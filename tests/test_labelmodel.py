@@ -18,7 +18,8 @@ from otrelabel import (
     train_end_model,
     uniform_label_model,
 )
-from helpers import bayes_posterior_oracle
+from otrelabel.labelmodel import _sigmoid
+from helpers import bayes_posterior_oracle, sigmoid_oracle
 
 
 def make_estimate(global_acc):
@@ -67,6 +68,21 @@ def test_single_lf_reduces_to_sigmoid():
     probs, _ = infer_pseudolabels(params, WeakLabelMatrix([[1], [-1]]))
     assert probs[0] == pytest.approx(1 / (1 + math.exp(-2 * w)))
     assert probs[1] == pytest.approx(1 / (1 + math.exp(2 * w)))
+
+
+def test_sigmoid_bitwise_equal_to_split_by_sign_oracle():
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308,
+             np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+    z = np.concatenate([edges, rng.standard_normal(10_000),
+                        rng.standard_normal(10_000) * 40.0,
+                        rng.uniform(-800.0, 800.0, 10_000)])
+    got, expected = _sigmoid(z), sigmoid_oracle(z)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    # NaN maps to NaN; its sign bit is not part of the contract
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_posterior_matches_exact_bayes_enumeration():

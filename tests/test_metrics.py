@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from otrelabel import (
     lf_delta_report,
     regime_profile,
 )
+from helpers import fairness_oracle
 
 
 def rates_fixture(rate1: float, rate0: float, n: int = 10_000):
@@ -116,6 +118,31 @@ def test_gaps_symmetric_under_group_swap(seed):
         assert a.eo_gap == pytest.approx(b.eo_gap)
 
 
+def assert_same_report(got, expected):
+    # to_dict maps an undefined eo gap (NaN) to None, so == can compare it
+    assert got.to_dict() == expected.to_dict()
+    assert type(got.accuracy) is float and type(got.f1) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 25), data=st.data())
+def test_report_matches_boolean_mean_oracle(n, data):
+    def pm1():
+        return np.array(data.draw(st.lists(st.sampled_from([-1, 1]),
+                                           min_size=n, max_size=n)))
+
+    pred, gold = pm1(), pm1()
+    groups = np.array(data.draw(st.lists(st.sampled_from([0, 1]),
+                                         min_size=n, max_size=n)))
+    try:
+        expected = fairness_oracle(pred, gold, groups)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            fairness_report(pred, gold, groups)
+        return
+    assert_same_report(fairness_report(pred, gold, groups), expected)
+
+
 # --------------------------------------------------------------------------
 # lf_delta_report
 
@@ -180,6 +207,74 @@ def test_named_lfs_carried_through():
     groups = np.array([0, 1, 0, 1])
     rows = lf_delta_report(wl, wl, gold, groups, names=["alpha", "beta"])
     assert [r["name"] for r in rows] == ["alpha", "beta"]
+
+
+@st.composite
+def delta_cases(draw):
+    """Vote matrices with abstains, LFs silent in one group and gold
+    labels that often leave a group without positives."""
+    n, m = draw(st.integers(2, 24)), draw(st.integers(1, 5))
+
+    def column(values):
+        return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+    groups = np.array(column([0, 1]))
+    gold = np.array(column(draw(st.sampled_from([[-1, 1], [-1, -1, 1]]))))
+    before = np.array([column([-1, 0, 1]) for _ in range(m)]).T
+    after = np.array([column([-1, 0, 1]) for _ in range(m)]).T
+    for j in range(m):
+        if draw(st.integers(0, 5)) == 0:  # silent on one group after repair
+            after[groups == draw(st.sampled_from([0, 1])), j] = 0
+    return before, after, gold, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta_cases())
+def test_block_report_matches_per_lf_fairness_report(case):
+    before, after, gold, groups = case
+    names = [f"lf_{j}" for j in range(before.shape[1])]
+    expected, error = [], None
+    for j, name in enumerate(names):
+        active = (before[:, j] != 0) & (after[:, j] != 0)
+        if not active.any():
+            error = f"{name}: no mutually non-abstaining rows"
+            break
+        try:
+            pair = [fairness_report(v[active, j], gold[active], groups[active])
+                    for v in (before, after)]
+        except ValidationError as exc:
+            error = f"{name}: {exc}"
+            break
+        expected.append(pair)
+    args = (WeakLabelMatrix(before), WeakLabelMatrix(after), gold, groups)
+    if error is not None:
+        with pytest.raises(ValidationError) as err:
+            lf_delta_report(*args)
+        assert str(err.value) == error
+        return
+    rows = lf_delta_report(*args)
+    assert [row["name"] for row in rows] == names
+    for row, (rep_before, rep_after) in zip(rows, expected):
+        assert_same_report(row["before"], rep_before)
+        assert_same_report(row["after"], rep_after)
+        for key, value in row["delta"].items():
+            x, y = getattr(rep_after, key), getattr(rep_before, key)
+            assert value == (x - y if math.isfinite(x) and math.isfinite(y)
+                             else None)
+
+
+def test_block_report_validates_gold_groups_and_votes_once():
+    wl = WeakLabelMatrix(np.array([[1, 1], [-1, 0], [1, 1]]))
+    gold, groups = np.array([1, -1, 1]), np.array([1, 0, 1])
+    with pytest.raises(ValidationError, match="^gold entries"):
+        lf_delta_report(wl, wl, np.array([1, 0, 1]), groups)
+    with pytest.raises(ValidationError, match="^groups entries"):
+        lf_delta_report(wl, wl, gold, np.array([0, 2, 1]))
+    with pytest.raises(ValidationError, match="illegal vote value 2"):
+        lf_delta_report(wl, WeakLabelMatrix(np.array([[1, 1], [2, 0], [1, 1]])),
+                        gold, groups)
+    with pytest.raises(ValidationError, match="^lf_1: both groups"):
+        lf_delta_report(wl, wl, gold, groups)
 
 
 # --------------------------------------------------------------------------

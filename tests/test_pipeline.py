@@ -1,11 +1,18 @@
+import codecs
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otrelabel import PipelineConfig, ValidationError
+from otrelabel import PipelineConfig, ValidationError, WeakLabelMatrix
+from otrelabel import pipeline
 from otrelabel.pipeline import (
+    MAX_CELL_ERRORS,
     apply_lf_bank,
     builtin_bank,
     load_features_csv,
@@ -17,7 +24,7 @@ from otrelabel.pipeline import (
     write_theory_artifacts,
     write_votes_csv,
 )
-from helpers import make_biased_fixture
+from helpers import load_features_oracle, load_votes_oracle, make_biased_fixture
 
 
 def write_features_csv(path, ds, include_labels=True, newline="\n"):
@@ -110,6 +117,184 @@ def test_votes_roundtrip(tmp_path):
     p = str(tmp_path / "v.csv")
     write_votes_csv(wl, p)
     assert np.array_equal(load_votes_csv(p).votes, wl.votes)
+
+
+def test_votes_written_byte_identical_to_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    for shape in [(1, 1), (7, 1), (1, 5), (40, 6)]:
+        votes = rng.integers(-1, 2, size=shape)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow([f"lf_{j}" for j in range(shape[1])])
+        writer.writerows(votes.tolist())
+        p = tmp_path / "v.csv"
+        write_votes_csv(WeakLabelMatrix(votes), str(p))
+        assert p.read_bytes() == expected.getvalue().encode()
+
+
+def test_votes_writer_rejects_illegal_votes(tmp_path):
+    with pytest.raises(ValidationError, match="illegal vote value 2"):
+        write_votes_csv(WeakLabelMatrix(np.array([[1, 2]])),
+                        str(tmp_path / "v.csv"))
+
+
+@pytest.mark.parametrize("bom, eol", [(b"", b"\n"), (codecs.BOM_UTF8, b"\r\n")])
+def test_plain_files_skip_the_cell_loop(tmp_path, monkeypatch, bom, eol):
+    ds, wl, features, votes = write_fixture(tmp_path, 20, seed=3)
+    for path in (features, votes):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(bom + data.replace(b"\n", eol))
+
+    def no_cell_loop(*args):
+        raise AssertionError("plain file went to the exact pass")
+
+    monkeypatch.setattr(pipeline, "_read_rows", no_cell_loop)
+    assert np.array_equal(load_votes_csv(votes).votes, wl.votes)
+    loaded = load_features_csv(features)
+    assert np.array_equal(loaded.features, ds.features)
+    assert np.array_equal(loaded.groups, ds.groups)
+    assert np.array_equal(loaded.labels, ds.labels)
+
+
+@pytest.mark.parametrize("text", [
+    "\n1\n0\n", "\n\n", "lf_0\n\n", "lf_0\n", "lf_0", "lf_0\r1\r0\r",
+    "lf_0,lf_1\r1,0\n0,1\n", "lf_0\n1\n\n", "lf_0\n \n", "\ufefflf_0\n1\n",
+])
+def test_framing_edge_cases_match_cell_oracle(tmp_path, text):
+    p = tmp_path / "v.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(load_votes_csv, load_votes_oracle, str(p), ["votes"])
+
+
+def test_bom_quoted_and_padded_cells_read_like_plain_ones(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("f1,group,label\n1.5,0,1\n-2,1,-1\n")
+    odd = tmp_path / "odd.csv"
+    odd.write_bytes(codecs.BOM_UTF8 + b'f1 , group,label\r\n'
+                    b'"1.5",0 , +1\r\n -2,"1",-1\r\n')
+    a, b = load_features_csv(str(plain)), load_features_csv(str(odd))
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.groups, b.groups)
+    assert np.array_equal(a.labels, b.labels)
+    votes = tmp_path / "v.csv"
+    votes.write_bytes(codecs.BOM_UTF8 + b'lf_0,lf_1\r\n"-1", +1\r\n0\t,1\r\n')
+    assert load_votes_csv(str(votes)).votes.tolist() == [[-1, 1], [0, 1]]
+
+
+def test_every_bad_cell_reported_on_its_own_line(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("f1,f2,group,label\n1.0,oops,0,1\n2.0,3.0,2,-1\n"
+                 "x,4.0,1,0\n")
+    with pytest.raises(ValidationError) as err:
+        load_features_csv(str(p))
+    assert str(err.value).split("\n") == [
+        f"{p}: row 2, column 'f2': non-numeric value 'oops'",
+        f"{p}: row 3: unknown group value '2'",
+        f"{p}: row 4, column 'f1': non-numeric value 'x'",
+        f"{p}: row 4: label must be -1 or 1, got '0'",
+    ]
+
+
+def test_bad_cells_past_the_cap_are_counted(tmp_path):
+    p = tmp_path / "v.csv"
+    n_bad = MAX_CELL_ERRORS + 5
+    p.write_text("lf_0,lf_1\n" + "2,0\n" * n_bad + "1,1\n")
+    with pytest.raises(ValidationError) as err:
+        load_votes_csv(str(p))
+    lines = str(err.value).split("\n")
+    assert len(lines) == MAX_CELL_ERRORS + 1
+    assert lines[0] == f"{p}: row 2, lf_0: illegal vote '2'"
+    assert lines[-2] == f"{p}: row {MAX_CELL_ERRORS + 1}, lf_0: illegal vote '2'"
+    assert lines[-1] == "... and 5 more bad cells"
+
+
+# Cell spellings the loaders must read exactly as the cell-by-cell oracles
+# do: canonical ones, ones only the exact pass accepts (padding, quotes,
+# "+1"), ones numpy reads more loosely than the oracle ("-0", "01") and
+# ones only Python's float accepts ("1_0", full-width digits).
+_ODD_TOKENS = ["+1", " 1", "-1 ", "\t0", "0\x0b", "\x1c1", "-0", "+0", "00",
+               "01", "1.0", "1e0", "1_0", "\uff11", "\xa01", '"1"', '"-1"',
+               '" 0"', "", " ", "2", "-2", "nan", "-nan", "inf", "-Infinity",
+               "1,", '"0,1"', "abc", "#1"]
+_VOTE_TOKENS = ["-1", "0", "1"]
+_FEATURE_TOKENS = ["0.5", "-1.25", "3", "1e5", "-0.0", "12345678.9"]
+_GROUP_TOKENS = ["0", "1"]
+_LABEL_TOKENS = ["-1", "1"]
+
+
+@st.composite
+def csv_files(draw, header, column_tokens):
+    """Bytes of a CSV whose cells come from ``column_tokens`` with up to
+    three cells replaced by odd spellings, in varied framing."""
+    n = draw(st.integers(0, 6))
+    rows = [[draw(st.sampled_from(tokens)) for tokens in column_tokens]
+            for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, len(header) - 1))
+        rows[r][c] = draw(st.sampled_from(_ODD_TOKENS))
+    if n and draw(st.integers(0, 3)) == 0:  # ragged row
+        r = draw(st.integers(0, n - 1))
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+    lines = [[draw(st.sampled_from([name, f" {name}", f'"{name}"']))
+              for name in header]] + rows
+    if draw(st.integers(0, 9)) == 0:  # blank line, possibly before the header
+        lines.insert(draw(st.integers(0, len(lines))), [])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    breaks = [eol] * len(lines)
+    if draw(st.integers(0, 9)) == 0:  # one lone carriage return
+        breaks[draw(st.integers(0, len(lines) - 1))] = "\r"
+    text = "".join(",".join(line) + end for line, end in zip(lines, breaks))
+    if not draw(st.booleans()):
+        text = text[:-len(breaks[-1])]
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8")
+
+
+def assert_same_outcome(load, oracle, path, fields):
+    try:
+        expected = oracle(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert str(err.value).split("\n")[0] == str(exc)
+        return
+    got = load(path)
+    for name in fields:
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit-equal, NaN signs included
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 4), data=st.data())
+def test_votes_loader_matches_cell_oracle(tmp_path_factory, m, data):
+    header = [f"lf_{j}" for j in range(m)]
+    p = tmp_path_factory.mktemp("votes") / "v.csv"
+    p.write_bytes(data.draw(csv_files(header, [_VOTE_TOKENS] * m)))
+    assert_same_outcome(load_votes_csv, load_votes_oracle, str(p), ["votes"])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(with_labels=st.booleans(), data=st.data())
+def test_features_loader_matches_cell_oracle(tmp_path_factory, with_labels,
+                                             data):
+    columns = {"x0": _FEATURE_TOKENS, "x1": _FEATURE_TOKENS,
+               "group": _GROUP_TOKENS}
+    if with_labels:
+        columns["label"] = _LABEL_TOKENS
+    header = data.draw(st.permutations(list(columns)))
+    p = tmp_path_factory.mktemp("features") / "f.csv"
+    p.write_bytes(data.draw(
+        csv_files(header, [columns[name] for name in header])))
+    assert_same_outcome(load_features_csv, load_features_oracle, str(p),
+                        ["features", "groups", "labels"])
 
 
 # --------------------------------------------------------------------------
