@@ -72,7 +72,7 @@ class EndModel:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # at most 1, so it cannot overflow
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def fit_label_model(
@@ -133,19 +133,45 @@ def end_model_objective(
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     w, b = coefficients[:-1], coefficients[-1]
+    z = _scores(X, w, b)
+    return _loss(z, targets, w, l2), _gradient(z, X, targets, w, l2)
+
+
+def _scores(X: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # inf loss is caught by the caller
-        z = X @ w + b
+        return X @ w + b
+
+
+def _loss(z: np.ndarray, targets: np.ndarray, w: np.ndarray,
+          l2: float) -> float:
+    with np.errstate(over="ignore"):
         # log(1 + exp(z)) computed without overflow
         log1pexp = np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))),
                             np.log1p(np.exp(-np.abs(z))))
-        loss = float(np.mean(log1pexp - targets * z) + 0.5 * l2 * (w @ w))
-    p = _sigmoid(z)
-    residual = p - targets
-    grad = np.concatenate([
+        return float(np.mean(log1pexp - targets * z) + 0.5 * l2 * (w @ w))
+
+
+def _gradient(z: np.ndarray, X: np.ndarray, targets: np.ndarray,
+              w: np.ndarray, l2: float) -> np.ndarray:
+    residual = _sigmoid(z) - targets
+    return np.concatenate([
         X.T @ residual / X.shape[0] + l2 * w,
         [residual.mean()],
     ])
-    return loss, grad
+
+
+def _loss_surely_finite(z: np.ndarray, w: np.ndarray, l2: float) -> bool:
+    """True when :func:`_loss` cannot overflow or be NaN at these scores.
+
+    With targets in [0, 1] each loss term is at most 2 max|z| + log 2 in
+    size, so the sum inside the mean stays below n (2 max|z| + 1), and
+    the penalty is l2 w.w / 2.  Their total below 1e300 leaves a factor
+    1e8 for rounding before the float64 limit.  NaN fails the test.
+    """
+    with np.errstate(over="ignore"):
+        zmax = float(np.maximum(z.max(), -z.min()))
+        bound = z.shape[0] * (2.0 * zmax + 1.0) + 0.5 * l2 * float(w @ w)
+    return bound < 1e300
 
 
 def train_end_model(
@@ -160,7 +186,9 @@ def train_end_model(
     Optimization runs on per-column standardized features (so the learning
     rate and the L2 penalty are insensitive to feature units) and the
     returned coefficients are folded back to the raw feature space, so
-    :func:`predict` applies them to unmodified inputs.
+    :func:`predict` applies them to unmodified inputs.  An epoch evaluates
+    the loss only when a bound from max|z| and w.w cannot prove it finite,
+    so a non-finite loss stops training at the same epoch either way.
     """
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(pseudo_probs, dtype=np.float64)
@@ -168,7 +196,7 @@ def train_end_model(
         raise ValidationError("X must be a non-empty 2-D matrix")
     if t.shape != (X.shape[0],):
         raise ValidationError("pseudo_probs length must match X rows")
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((t >= 0) & (t <= 1)):  # NaN too
         raise ValidationError("pseudo_probs must lie in [0, 1]")
     if epochs < 1 or lr <= 0 or l2 < 0:
         raise ValidationError("bad training hyperparameters")
@@ -177,14 +205,15 @@ def train_end_model(
     spread = np.where(spread > 0, spread, 1.0)
     Xs = (X - center) / spread
     coef = np.zeros(X.shape[1] + 1)
-    loss = math.nan
     for epoch in range(epochs):
-        loss, grad = end_model_objective(coef, Xs, t, l2)
-        if not math.isfinite(loss):
+        w, b = coef[:-1], coef[-1]
+        z = _scores(Xs, w, b)
+        if not _loss_surely_finite(z, w, l2) \
+                and not math.isfinite(_loss(z, t, w, l2)):
             raise NumericalError(
                 f"end-model objective became non-finite at epoch {epoch} "
                 f"(lr={lr}, l2={l2}); lower the learning rate")
-        coef = coef - lr * grad
+        coef = coef - lr * _gradient(z, Xs, t, w, l2)
     loss, _ = end_model_objective(coef, Xs, t, l2)
     if not math.isfinite(loss):
         raise NumericalError("end-model objective diverged on the last step")

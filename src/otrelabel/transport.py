@@ -5,6 +5,11 @@ high-accuracy group, and re-assign its weak labels by nearest neighbors.
 Only the source (low-accuracy) group's votes are ever rewritten; the
 destination group's votes are untouched by construction.  The direction
 decision uses estimated accuracies exclusively, never gold labels.
+
+Neighbours are searched in a KD-tree on the destination rows at up to
+``_TREE_MAX_D`` dimensions; rows the tree cannot rank beyond rounding
+doubt, and every row at higher dimension, take an exact ``cdist`` scan,
+so the chosen neighbours never depend on which search found them.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .core import (
@@ -31,6 +37,16 @@ from .ot import apply_monge, barycentric_map, fit_moments, linear_monge, sinkhor
 logger = logging.getLogger("otrelabel")
 
 _CHUNK = 256
+# Above this dimension a KD-tree prunes too little to beat the cdist scan
+# (6k x 6k Gaussian rows, 1-NN, one core: d = 10 tree 289 ms vs scan
+# 327 ms; d = 12, 487 vs 341).
+_TREE_MAX_D = 10
+# A tree ranking is trusted only across gaps wider than this margin.  The
+# relative part is some 10**3 times the rounding difference between the
+# tree's and cdist's distances at d <= _TREE_MAX_D; the absolute part
+# (in distance units) covers squared differences that underflow.
+_TIE_REL = 1e-12
+_TIE_ABS = 1e-150
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,11 @@ def knn_transfer(
 
     ``votes_dst`` is one vote column (``n_dst``) or a block of columns
     (``n_dst x c``); the result has the same layout over the query rows.
-    The neighbours are found once and every column votes from them.
+    The neighbours are found once and every column votes from them: a
+    KD-tree search at low dimension, with an exact ``cdist`` scan for
+    rows whose ranking the tree cannot prove and for every row above
+    ``_TREE_MAX_D`` dimensions.  Either way the neighbours are exactly
+    the scan's.  Non-finite coordinates in either block are rejected.
 
     Deterministic tie handling: exact distance ties prefer the lower row
     index; a tied majority falls back to the nearest non-abstaining
@@ -80,6 +100,9 @@ def knn_transfer(
         raise ValidationError("query/destination dimensions differ")
     if votes_dst.ndim not in (1, 2) or votes_dst.shape[0] != X_dst.shape[0]:
         raise ValidationError("votes_dst length must match X_dst rows")
+    for name, block in (("query", X_query), ("destination", X_dst)):
+        if not np.isfinite(block).all():
+            raise ValidationError(f"{name} coordinates must be finite")
     require_vote_values(votes_dst)
     if not 1 <= k <= X_dst.shape[0]:
         raise ValidationError(
@@ -91,7 +114,38 @@ def knn_transfer(
 
 def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     """Indices (n_query x k) of each query row's k nearest destination
-    rows, nearest first, exact distance ties to the lower index."""
+    rows, nearest first, exact distance ties to the lower index.
+
+    For ``1 <= d <= _TREE_MAX_D`` a KD-tree on the destination rows finds
+    each row's k + 1 nearest.  A row keeps the tree's first k when every
+    gap between consecutive tree distances exceeds ``_TIE_REL`` relative
+    plus ``_TIE_ABS``: the tree and ``cdist`` sum the same rounded squared
+    differences in different orders, so their distances differ by about
+    d ulps, far inside the margin, and ``cdist`` ranks those k + 1 rows
+    the same way with no other row between them.  Every other row (a
+    near or exact tie, a non-finite distance), every row when
+    k + 1 > n_dst, and every row above ``_TREE_MAX_D`` takes the
+    ``cdist`` scan of :func:`_nearest_exact`.  The result is the scan's,
+    index for index.
+    """
+    n_dst, d = X_dst.shape
+    if not 0 < d <= _TREE_MAX_D or k + 1 > n_dst:
+        return _nearest_exact(X_query, X_dst, k)
+    dist, idx = cKDTree(X_dst).query(X_query, k=k + 1, eps=0, workers=1)
+    # an infinite (overflowed) distance fails the gap test unless it is
+    # the last one, which is checked on its own
+    proven = np.isfinite(dist[:, -1]) & np.all(
+        dist[:, 1:] > dist[:, :-1] * (1.0 + _TIE_REL) + _TIE_ABS, axis=1)
+    nbrs = idx[:, :k]
+    redo = np.flatnonzero(~proven)
+    nbrs[redo] = _nearest_exact(X_query[redo], X_dst, k)
+    return nbrs
+
+
+def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray,
+                   k: int) -> np.ndarray:
+    """:func:`_nearest` by a row-chunked ``cdist`` scan of every
+    destination row."""
     n_dst = X_dst.shape[0]
     nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
     for start in range(0, X_query.shape[0], _CHUNK):

@@ -6,7 +6,9 @@ instead of scaling factor vectors, the posterior oracle enumerates the
 joint outcome space, the triplet oracle visits one LF triplet at a
 time instead of making one array pass, the CSV loader oracles check one
 cell at a time, the sigmoid oracle splits its input by sign with boolean
-indexing, and the fairness oracle takes boolean means over masked rows.  Tests compare library output against these.
+indexing, the fairness oracle takes boolean means over masked rows, and
+the end-model oracle evaluates the full loss every epoch.  Tests compare
+library output against these.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from otrelabel import (
+    EndModel,
     FairnessReport,
     GroupedDataset,
     NumericalError,
     TripletRecord,
     ValidationError,
     WeakLabelMatrix,
+    end_model_objective,
 )
 
 
@@ -178,6 +182,39 @@ def sigmoid_oracle(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
+    """Full-batch gradient descent that checks the full loss is finite
+    after every epoch."""
+    X = np.asarray(X, dtype=np.float64)
+    t = np.asarray(pseudo_probs, dtype=np.float64)
+    center = X.mean(axis=0)
+    spread = X.std(axis=0)
+    spread = np.where(spread > 0, spread, 1.0)
+    Xs = (X - center) / spread
+    coef = np.zeros(X.shape[1] + 1)
+    loss = math.nan
+    for epoch in range(epochs):
+        loss, grad = end_model_objective(coef, Xs, t, l2)
+        if not math.isfinite(loss):
+            raise NumericalError(
+                f"end-model objective became non-finite at epoch {epoch} "
+                f"(lr={lr}, l2={l2}); lower the learning rate")
+        coef = coef - lr * grad
+    loss, _ = end_model_objective(coef, Xs, t, l2)
+    if not math.isfinite(loss):
+        raise NumericalError("end-model objective diverged on the last step")
+    w_raw = coef[:-1] / spread
+    b_raw = coef[-1] - float(w_raw @ center)
+    return EndModel(
+        coefficients=np.concatenate([w_raw, [b_raw]]),
+        training_meta={
+            "iterations": epochs,
+            "final_objective": loss,
+            "learning_rate": lr,
+        },
+    )
 
 
 def _read_rows_oracle(path: str) -> tuple[list[str], list[list[str]]]:

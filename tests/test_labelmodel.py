@@ -19,7 +19,11 @@ from otrelabel import (
     uniform_label_model,
 )
 from otrelabel.labelmodel import _sigmoid
-from helpers import bayes_posterior_oracle, sigmoid_oracle
+from helpers import (
+    bayes_posterior_oracle,
+    sigmoid_oracle,
+    train_end_model_oracle,
+)
 
 
 def make_estimate(global_acc):
@@ -196,6 +200,51 @@ def test_divergence_raises_numerical_error():
                         l2=0.1)
 
 
+def _outcome(train, *args, **kwargs):
+    try:
+        model = train(*args, **kwargs)
+    except (NumericalError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return model.coefficients, model.training_meta
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4),
+       st.integers(0, 300), st.integers(1, 200), st.integers(-3, 5),
+       st.sampled_from([0.0, 1e-4, 0.1, 1.0, 30.0]))
+def test_training_matches_loss_every_epoch_oracle(seed, n, d, log_scale,
+                                                  epochs, log_lr, l2):
+    # large lr * l2 diverges geometrically, at any epoch up to ~200;
+    # feature scales up to 1e300 overflow the standardisation
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(0, log_scale + 1,
+                                                        size=d)
+    x[:, rng.integers(d)] = rng.choice([x[0, 0], 0.0])  # constant column
+    t = rng.choice([rng.uniform(size=n), rng.integers(0, 2, n) * 1.0])
+    lr = 10.0 ** log_lr
+    got = _outcome(train_end_model, x, t, epochs=epochs, lr=lr, l2=l2)
+    want = _outcome(train_end_model_oracle, x, t, epochs=epochs, lr=lr,
+                    l2=l2)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
+def test_divergence_epoch_and_message_match_oracle():
+    x = np.array([[1.0], [-1.0], [3.0]])
+    t = np.array([0.9, 0.5, 0.1])
+    with pytest.raises(NumericalError) as oracle:
+        train_end_model_oracle(x, t, epochs=500, lr=100.0, l2=0.1)
+    # |1 - lr * l2| = 9: the ridge term overflows w.w after 162 epochs
+    assert "at epoch 162 " in str(oracle.value)
+    with pytest.raises(NumericalError) as got:
+        train_end_model(x, t, epochs=500, lr=100.0, l2=0.1)
+    assert str(got.value) == str(oracle.value)
+
+
 def test_training_insensitive_to_feature_units():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(80, 2))
@@ -243,3 +292,8 @@ def test_predict_dimension_mismatch():
 def test_bad_targets_rejected():
     with pytest.raises(ValidationError):
         train_end_model(np.zeros((2, 1)), np.array([0.5, 1.5]))
+
+
+def test_nan_targets_rejected():
+    with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+        train_end_model(np.zeros((2, 1)), np.array([0.5, np.nan]))

@@ -135,6 +135,65 @@ def test_kth_distance_tie_outside_nearest_k_breaks_to_lower_index():
                               knn_oracle([[0.0]], dst, votes[:, c], 3))
 
 
+def test_non_finite_coordinates_rejected():
+    votes = np.array([1, -1])
+    dst = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match="query"):
+        knn_transfer(np.array([[np.nan, 0.0], [np.inf, 0.0]]), dst, votes, 1)
+    with pytest.raises(ValidationError, match="destination"):
+        knn_transfer(np.zeros((1, 2)), np.array([[0.0, 0.0], [-np.inf, 0.0]]),
+                     votes, 1)
+
+
+def tie_heavy_points(rng, kind, n, d):
+    if kind == "grid":  # many exact distance ties
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    pts = rng.normal(size=(n, d))
+    if kind == "duplicates":  # each row twice: ties, at 0 for a query on one
+        pts[n // 2:] = pts[:n - n // 2]
+    elif kind == "ulp":  # pairs one representable step apart
+        pts[1::2] = np.nextafter(pts[:n - n % 2:2], np.inf)
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["grid", "duplicates", "ulp", "gaussian"]),
+       st.integers(1, 7), st.integers(1, transport._TREE_MAX_D + 2),
+       st.integers(0, 30))
+def test_tree_search_matches_exact_scan_property(seed, kind, k, d, extra):
+    rng = np.random.default_rng(seed)
+    n_dst = k + extra  # extra = 0 leaves no (k+1)-th row for the tree
+    dst = tie_heavy_points(rng, kind, n_dst, d)
+    query = np.vstack([tie_heavy_points(rng, kind, 20, d), dst[:5]])
+    nbrs = transport._nearest(query, dst, k)
+    assert np.array_equal(nbrs, transport._nearest_exact(query, dst, k))
+    if kind == "ulp":
+        return  # one-ulp gaps are below the oracle's own rounding (norm)
+    votes = rng.choice([-1, 0, 1], n_dst)
+    assert np.array_equal(knn_transfer(query, dst, votes, k),
+                          knn_oracle(query, dst, votes, k))
+
+
+@pytest.mark.parametrize("kind, tied", [("grid", True), ("gaussian", False)])
+def test_only_tied_rows_take_the_exact_scan(monkeypatch, kind, tied):
+    rng = np.random.default_rng(12)
+    dst = tie_heavy_points(rng, kind, 200, 3)
+    query = tie_heavy_points(rng, kind, 100, 3)
+    scanned = []
+    real = transport._nearest_exact
+
+    def counting(X_query, X_dst, k):
+        scanned.append(X_query.shape[0])
+        return real(X_query, X_dst, k)
+
+    monkeypatch.setattr(transport, "_nearest_exact", counting)
+    nbrs = transport._nearest(query, dst, 3)
+    assert np.array_equal(nbrs, real(query, dst, 3))
+    # 200 rows on a 5**3 grid: every query row meets a tie
+    assert sum(scanned) == (100 if tied else 0)
+
+
 # --------------------------------------------------------------------------
 # sbm_transport
 
