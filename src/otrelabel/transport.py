@@ -8,8 +8,9 @@ decision uses estimated accuracies exclusively, never gold labels.
 
 Neighbours are searched in a KD-tree on the destination rows at up to
 ``_TREE_MAX_D`` dimensions; rows the tree cannot rank beyond rounding
-doubt, and every row at higher dimension, take an exact ``cdist`` scan,
-so the chosen neighbours never depend on which search found them.
+doubt re-rank the tree's rows near their k-th distance by ``cdist``, and
+every row at higher dimension takes an exact ``cdist`` scan, so the
+chosen neighbours never depend on which search found them.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from .ot import apply_monge, barycentric_map, fit_moments, linear_monge, sinkhor
 logger = logging.getLogger("otrelabel")
 
 _CHUNK = 256
-# Above this dimension a KD-tree prunes too little to beat the cdist scan
-# (6k x 6k Gaussian rows, 1-NN, one core: d = 10 tree 289 ms vs scan
-# 327 ms; d = 12, 487 vs 341).
+# Above this dimension a KD-tree prunes too little to beat the cdist scan.
+# Provisional, set from one-core probes on Gaussian rows only: at 6k x 6k,
+# 1-NN, d = 10 tree 289 ms vs scan 327 ms, d = 12 487 vs 341; at 50k x 50k
+# the tree still wins at d = 12 (1-NN 19.0 s vs 28.7 s), so the crossover
+# rises with n_dst.  Re-tune once a workload runs transport above d = 10.
 _TREE_MAX_D = 10
 # A tree ranking is trusted only across gaps wider than this margin.  The
 # relative part is some 10**3 times the rounding difference between the
@@ -47,6 +50,10 @@ _TREE_MAX_D = 10
 # (in distance units) covers squared differences that underflow.
 _TIE_REL = 1e-12
 _TIE_ABS = 1e-150
+# Tied rows re-rank the tree's candidates only while every squared
+# distance, and the squared search radius, stays far from overflow (the
+# tree's ball search raises on overflow).
+_MAX_SQ_SPAN = 1e300
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,11 @@ def knn_transfer(
     ``votes_dst`` is one vote column (``n_dst``) or a block of columns
     (``n_dst x c``); the result has the same layout over the query rows.
     The neighbours are found once and every column votes from them: a
-    KD-tree search at low dimension, with an exact ``cdist`` scan for
-    rows whose ranking the tree cannot prove and for every row above
-    ``_TREE_MAX_D`` dimensions.  Either way the neighbours are exactly
-    the scan's.  Non-finite coordinates in either block are rejected.
+    KD-tree search at low dimension, where rows whose ranking the tree
+    cannot prove re-rank its nearby rows by ``cdist``, and an exact
+    ``cdist`` scan for every row above ``_TREE_MAX_D`` dimensions.
+    Either way the neighbours are exactly the scan's.  Non-finite
+    coordinates in either block are rejected.
 
     Deterministic tie handling: exact distance ties prefer the lower row
     index; a tied majority falls back to the nearest non-abstaining
@@ -122,23 +130,53 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     plus ``_TIE_ABS``: the tree and ``cdist`` sum the same rounded squared
     differences in different orders, so their distances differ by about
     d ulps, far inside the margin, and ``cdist`` ranks those k + 1 rows
-    the same way with no other row between them.  Every other row (a
-    near or exact tie, a non-finite distance), every row when
-    k + 1 > n_dst, and every row above ``_TREE_MAX_D`` takes the
-    ``cdist`` scan of :func:`_nearest_exact`.  The result is the scan's,
-    index for index.
+    the same way with no other row between them.  A row with a near or
+    exact tie takes :func:`_rerank` over the tree's rows within the margin
+    of its k-th distance, which hold every row ``cdist`` could rank among
+    the k nearest.  Every row when k + 1 > n_dst, every row above
+    ``_TREE_MAX_D``, and tied rows whose coordinates span so far that
+    squared distances could overflow take the full ``cdist`` scan of
+    :func:`_nearest_exact`.  The result is the scan's, index for index.
     """
     n_dst, d = X_dst.shape
     if not 0 < d <= _TREE_MAX_D or k + 1 > n_dst:
         return _nearest_exact(X_query, X_dst, k)
-    dist, idx = cKDTree(X_dst).query(X_query, k=k + 1, eps=0, workers=1)
+    tree = cKDTree(X_dst)
+    dist, idx = tree.query(X_query, k=k + 1, eps=0, workers=1)
+    bound = dist * (1.0 + _TIE_REL) + _TIE_ABS
     # an infinite (overflowed) distance fails the gap test unless it is
     # the last one, which is checked on its own
     proven = np.isfinite(dist[:, -1]) & np.all(
-        dist[:, 1:] > dist[:, :-1] * (1.0 + _TIE_REL) + _TIE_ABS, axis=1)
+        dist[:, 1:] > bound[:, :-1], axis=1)
     nbrs = idx[:, :k]
     redo = np.flatnonzero(~proven)
-    nbrs[redo] = _nearest_exact(X_query[redo], X_dst, k)
+    if redo.size == 0:
+        return nbrs
+    X_redo = X_query[redo]
+    with np.errstate(over="ignore"):
+        span = np.maximum(X_dst.max(axis=0), X_redo.max(axis=0)) \
+            - np.minimum(X_dst.min(axis=0), X_redo.min(axis=0))
+        safe = np.sum(span * span) < _MAX_SQ_SPAN
+    if not safe:
+        nbrs[redo] = _nearest_exact(X_redo, X_dst, k)
+        return nbrs
+    cands = tree.query_ball_point(X_redo, r=bound[redo, k - 1], eps=0,
+                                  workers=1, return_sorted=False)
+    nbrs[redo] = _rerank(X_redo, X_dst, cands, k)
+    return nbrs
+
+
+def _rerank(X_query: np.ndarray, X_dst: np.ndarray, cands: np.ndarray,
+            k: int) -> np.ndarray:
+    """:func:`_nearest` of each query row among its candidate destination
+    rows (one index list per row), by ``cdist`` and a (distance, index)
+    sort.  Exact when the candidates hold every row within the k-th
+    nearest ``cdist`` distance, ties included."""
+    nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
+    for r, cand in enumerate(cands):
+        cand = np.asarray(cand, dtype=np.intp)
+        dist = cdist(X_query[r:r + 1], X_dst[cand], metric="euclidean")[0]
+        nbrs[r] = cand[np.lexsort((cand, dist))[:k]]
     return nbrs
 
 

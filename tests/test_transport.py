@@ -148,6 +148,8 @@ def test_non_finite_coordinates_rejected():
 def tie_heavy_points(rng, kind, n, d):
     if kind == "grid":  # many exact distance ties
         return rng.integers(-2, 3, size=(n, d)).astype(float)
+    if kind == "tiny":  # squared differences subnormal or zero
+        return rng.integers(-40, 41, size=(n, d)) * 1e-163
     pts = rng.normal(size=(n, d))
     if kind == "duplicates":  # each row twice: ties, at 0 for a query on one
         pts[n // 2:] = pts[:n - n // 2]
@@ -156,9 +158,9 @@ def tie_heavy_points(rng, kind, n, d):
     return pts
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["grid", "duplicates", "ulp", "gaussian"]),
+       st.sampled_from(["grid", "duplicates", "ulp", "tiny", "gaussian"]),
        st.integers(1, 7), st.integers(1, transport._TREE_MAX_D + 2),
        st.integers(0, 30))
 def test_tree_search_matches_exact_scan_property(seed, kind, k, d, extra):
@@ -168,30 +170,100 @@ def test_tree_search_matches_exact_scan_property(seed, kind, k, d, extra):
     query = np.vstack([tie_heavy_points(rng, kind, 20, d), dst[:5]])
     nbrs = transport._nearest(query, dst, k)
     assert np.array_equal(nbrs, transport._nearest_exact(query, dst, k))
-    if kind == "ulp":
-        return  # one-ulp gaps are below the oracle's own rounding (norm)
+    if kind in ("ulp", "tiny"):
+        return  # gaps below the oracle's own rounding (norm vs cdist)
     votes = rng.choice([-1, 0, 1], n_dst)
     assert np.array_equal(knn_transfer(query, dst, votes, k),
                           knn_oracle(query, dst, votes, k))
 
 
+def count_searches(monkeypatch):
+    """Patch the two fallback searches to record how many rows each gets."""
+    rows = {"_rerank": 0, "_nearest_exact": 0}
+    for name in rows:
+        real = getattr(transport, name)
+
+        def counting(X_query, *args, _name=name, _real=real):
+            rows[_name] += X_query.shape[0]
+            return _real(X_query, *args)
+
+        monkeypatch.setattr(transport, name, counting)
+    return rows
+
+
 @pytest.mark.parametrize("kind, tied", [("grid", True), ("gaussian", False)])
-def test_only_tied_rows_take_the_exact_scan(monkeypatch, kind, tied):
+def test_only_tied_rows_rerank_and_none_scan(monkeypatch, kind, tied):
     rng = np.random.default_rng(12)
     dst = tie_heavy_points(rng, kind, 200, 3)
     query = tie_heavy_points(rng, kind, 100, 3)
-    scanned = []
-    real = transport._nearest_exact
+    expected = transport._nearest_exact(query, dst, 3)
+    rows = count_searches(monkeypatch)
+    assert np.array_equal(transport._nearest(query, dst, 3), expected)
+    # 200 rows on a 5**3 grid: every query row meets a tie, and re-ranks
+    # the tree's candidates instead of scanning every destination row
+    assert rows == {"_rerank": 100 if tied else 0, "_nearest_exact": 0}
 
-    def counting(X_query, X_dst, k):
-        scanned.append(X_query.shape[0])
-        return real(X_query, X_dst, k)
 
-    monkeypatch.setattr(transport, "_nearest_exact", counting)
-    nbrs = transport._nearest(query, dst, 3)
-    assert np.array_equal(nbrs, real(query, dst, 3))
-    # 200 rows on a 5**3 grid: every query row meets a tie
-    assert sum(scanned) == (100 if tied else 0)
+def test_tied_rows_rerank_only_rows_near_the_kth_distance(monkeypatch):
+    dst = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                    [5.0, 5.0], [9.0, 9.0], [-7.0, 3.0]])
+    seen = []
+    real = transport._rerank
+
+    def recording(X_query, X_dst, cands, k):
+        seen.extend(sorted(c) for c in cands)
+        return real(X_query, X_dst, cands, k)
+
+    monkeypatch.setattr(transport, "_rerank", recording)
+    nbrs = transport._nearest(np.zeros((1, 2)), dst, 2)
+    assert nbrs.tolist() == [[0, 1]]  # four-way tie at distance 1
+    assert seen == [[0, 1, 2, 3]]
+
+
+class UnderflowFreeTree:
+    """Brute-force stand-in for ``cKDTree`` whose distances scale the
+    differences up before squaring, as a build that fuses multiply-adds
+    may in effect do: where ``cdist``'s squares underflow to 0 its
+    distances differ from ``cdist``'s by about 1e-161 absolute."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def _dist(self, X):
+        diff = (X[:, None, :] - self.data[None, :, :]) * 1e160
+        return np.sqrt((diff * diff).sum(axis=2)) / 1e160
+
+    def query(self, X, k, eps, workers):
+        dist = self._dist(X)
+        idx = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(dist, idx, axis=1), idx
+
+    def query_ball_point(self, X, r, eps, workers, return_sorted):
+        return [np.flatnonzero(row <= radius).tolist()
+                for row, radius in zip(self._dist(X), r)]
+
+
+def test_absolute_margin_covers_underflowing_squares(monkeypatch):
+    rng = np.random.default_rng(5)
+    dst = rng.integers(-40, 41, size=(30, 2)) * 1e-170
+    query = rng.integers(-40, 41, size=(10, 2)) * 1e-170
+    expected = transport._nearest_exact(query, dst, 2)
+    monkeypatch.setattr(transport, "cKDTree", UnderflowFreeTree)
+    # cdist sees every distance as 0 and breaks ties to the lower index;
+    # the stand-in's distances are distinct but all below the margin
+    assert expected.tolist() == [[0, 1]] * 10
+    assert np.array_equal(transport._nearest(query, dst, 2), expected)
+
+
+def test_tied_rows_with_overflowing_span_take_the_scan(monkeypatch):
+    dst = np.array([[1.0, 0.0], [-1.0, 0.0], [1e200, 0.0], [-1e200, 0.0],
+                    [1e308, 0.0], [-1e308, 0.0]])
+    query = np.array([[0.0, 0.0], [1e308, 0.0], [-1e308, 1.0]])
+    expected = transport._nearest_exact(query, dst, 2)
+    rows = count_searches(monkeypatch)
+    assert np.array_equal(transport._nearest(query, dst, 2), expected)
+    assert expected[0].tolist() == [0, 1]
+    assert rows == {"_rerank": 0, "_nearest_exact": 3}
 
 
 # --------------------------------------------------------------------------
