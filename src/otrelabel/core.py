@@ -9,10 +9,11 @@ Conventions used throughout the package:
   evaluation only.
 
 Containers are frozen dataclasses wrapping read-only numpy arrays, so they
-can be shared across workers without defensive copies.  Construction only
-checks structure (shape / dtype); value-level problems are reported by
-:func:`validate_dataset` so that malformed inputs can be diagnosed instead
-of raising on the first bad cell.
+can be shared across workers without defensive copies.  Construction
+checks shapes and the values of votes, groups and labels, one error line
+per bad entry; stages that receive a container do not check them again.
+:func:`validate_dataset` reports what only a features/votes pair can get
+wrong.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 VOTE_VALUES = (-1, 0, 1)
+MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
 
 
 class ValidationError(ValueError):
@@ -34,10 +36,32 @@ class NumericalError(ArithmeticError):
     non-finite objective, unusable moment estimates)."""
 
 
+def cell_error(lines: list[str], n_bad: int) -> ValidationError:
+    """One error from the lines of the first MAX_CELL_ERRORS of ``n_bad``
+    bad cells, counting the rest."""
+    more = n_bad - MAX_CELL_ERRORS
+    tail = [f"... and {more} more bad cells"] if more > 0 else []
+    return ValidationError("\n".join(lines + tail))
+
+
 def _frozen_array(x, dtype) -> np.ndarray:
     a = np.array(x, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
+
+
+def require_values(x: np.ndarray, allowed: tuple, what: str) -> np.ndarray:
+    """``x`` once every entry, as given (before an int cast truncates 0.5
+    to 0), is in ``allowed``; else an error naming each bad entry's row,
+    and its column as ``lf`` in a matrix.  Boolean masks only: ``np.isin``
+    copies integer input."""
+    bad = np.argwhere(~np.logical_or.reduce([x == v for v in allowed]))
+    if len(bad):
+        raise cell_error(
+            [f"illegal {what} value {x[tuple(i)]} at row {i[0]}"
+             + (f", lf {i[1]}" if len(i) > 1 else "")
+             for i in bad[:MAX_CELL_ERRORS]], len(bad))
+    return x
 
 
 @dataclass(frozen=True)
@@ -47,12 +71,13 @@ class WeakLabelMatrix:
     votes: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.votes, np.int64)
+        v = np.asarray(self.votes)
         if v.ndim != 2:
             raise ValidationError(f"votes must be 2-D, got ndim={v.ndim}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise ValidationError(f"votes must be at least 1x1, got {v.shape}")
-        object.__setattr__(self, "votes", v)
+        v = require_values(v, VOTE_VALUES, "vote")
+        object.__setattr__(self, "votes", _frozen_array(v, np.int64))
 
     @property
     def n(self) -> int:
@@ -61,9 +86,6 @@ class WeakLabelMatrix:
     @property
     def m(self) -> int:
         return self.votes.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.votes[:, j]
 
     def restrict_rows(self, mask: np.ndarray) -> "WeakLabelMatrix":
         return WeakLabelMatrix(self.votes[np.asarray(mask)])
@@ -79,21 +101,23 @@ class GroupedDataset:
 
     def __post_init__(self):
         f = _frozen_array(self.features, np.float64)
-        g = _frozen_array(self.groups, np.int64)
+        g = np.asarray(self.groups)
         if f.ndim != 2:
             raise ValidationError(f"features must be 2-D, got ndim={f.ndim}")
         if g.shape != (f.shape[0],):
             raise ValidationError(
                 f"groups must be a length-{f.shape[0]} vector, got {g.shape}")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "groups", g)
         if self.labels is not None:
-            l = _frozen_array(self.labels, np.int64)
+            l = np.asarray(self.labels)
             if l.shape != (f.shape[0],):
                 raise ValidationError(
                     f"labels must be a length-{f.shape[0]} vector, "
                     f"got {l.shape}")
-            object.__setattr__(self, "labels", l)
+            l = require_values(l, (-1, 1), "label")
+            object.__setattr__(self, "labels", _frozen_array(l, np.int64))
+        g = require_values(g, (0, 1), "group")
+        object.__setattr__(self, "features", f)
+        object.__setattr__(self, "groups", _frozen_array(g, np.int64))
 
     @property
     def n(self) -> int:
@@ -217,8 +241,9 @@ class PipelineConfig:
 def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> list[str]:
     """Return a list of human-readable violations; empty means consistent.
 
-    Idempotent and side-effect free.  Downstream operations refuse inputs
-    for which this report is non-empty.
+    Checks what the containers cannot: row counts, finite features and
+    non-empty groups.  Idempotent and side-effect free.  Downstream
+    operations refuse inputs for which this report is non-empty.
     """
     report: list[str] = []
     if ds.n != wl.n:
@@ -227,29 +252,8 @@ def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> list[str]:
     if not np.all(np.isfinite(ds.features)):
         r, c = np.argwhere(~np.isfinite(ds.features))[0]
         report.append(f"non-finite feature at row {r}, column {c}")
-    bad_votes = ~np.isin(wl.votes, VOTE_VALUES)
-    for r, c in np.argwhere(bad_votes):
-        report.append(
-            f"illegal vote value {wl.votes[r, c]} at row {r}, lf {c}")
-    bad_groups = ~np.isin(ds.groups, (0, 1))
-    for (r,) in np.argwhere(bad_groups):
-        report.append(f"illegal group value {ds.groups[r]} at row {r}")
-    if not bad_groups.any():
-        for k in (0, 1):
-            if not np.any(ds.groups == k):
-                report.append(f"empty group {k}")
-    if ds.labels is not None:
-        bad_labels = ~np.isin(ds.labels, (-1, 1))
-        for (r,) in np.argwhere(bad_labels):
-            report.append(f"illegal label value {ds.labels[r]} at row {r}")
+    for k in (0, 1):
+        if not np.any(ds.groups == k):
+            report.append(f"empty group {k}")
     return report
 
-
-def require_vote_values(votes: np.ndarray) -> None:
-    """Raise ValidationError when any entry falls outside {-1, 0, +1}."""
-    votes = np.asarray(votes)
-    bad = ~np.isin(votes, VOTE_VALUES)
-    if bad.any():
-        where = tuple(np.argwhere(bad)[0])
-        raise ValidationError(
-            f"illegal vote value {votes[where]} at position {where}")

@@ -30,7 +30,6 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
-    require_vote_values,
 )
 
 EPS_PAIR = 1e-3
@@ -213,7 +212,6 @@ def triplet_accuracies(
     """Signed accuracy estimates for every LF from vote moments alone."""
     if wl.m < 3:
         raise ValidationError(f"need at least 3 LFs, got {wl.m}")
-    require_vote_values(wl.votes)
     mags, records = accuracies_from_moments(
         moment_matrix(wl), eps_pair=eps_pair, aggregation=aggregation)
     return resolve_sign(mags, wl), records

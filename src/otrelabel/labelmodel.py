@@ -23,7 +23,6 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
-    require_vote_values,
 )
 
 ACC_CLAMP = 0.999
@@ -112,7 +111,6 @@ def infer_pseudolabels(
     if wl.m != params.m:
         raise ValidationError(
             f"label model has {params.m} weights but matrix has {wl.m} LFs")
-    require_vote_values(wl.votes)
     score = 0.5 * params.prior + wl.votes.astype(np.float64) @ params.weights
     probs = _sigmoid(2.0 * score)
     labels = np.where(probs >= 0.5, 1, -1).astype(np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, WeakLabelMatrix, require_vote_values
+from .core import ValidationError, WeakLabelMatrix
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 
@@ -135,8 +135,8 @@ def lf_delta_report(
 
     Each LF is scored on the rows where it is non-abstaining in both
     matrices, so the before/after comparison covers a common row set.
-    The reports equal :func:`fairness_report` on those rows; inputs are
-    validated once and all LFs are counted in one pass.
+    The reports equal :func:`fairness_report` on those rows; gold and
+    groups are validated once and all LFs are counted in one pass.
     """
     if before.votes.shape != after.votes.shape:
         raise ValidationError("before/after vote shapes differ")
@@ -151,8 +151,6 @@ def lf_delta_report(
     gold = _check_pm1(gold, "gold")
     if not np.isin(groups, (0, 1)).all():
         raise ValidationError("groups entries must be in {0, 1}")
-    require_vote_values(before.votes)
-    require_vote_values(after.votes)
     active = (before.votes != 0) & (after.votes != 0)
     counts = [_group_counts(wl.votes, gold, groups, active)
               for wl in (before, after)]

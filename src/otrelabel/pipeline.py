@@ -47,11 +47,12 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    MAX_CELL_ERRORS,
     GroupedDataset,
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
-    require_vote_values,
+    cell_error,
     validate_dataset,
 )
 from .estimate import estimate_accuracies
@@ -125,7 +126,6 @@ def load_config(path: str, overrides: Optional[dict] = None) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
 _GROUPS = {"0": 0, "1": 1}
 _LABELS = {"-1": -1, "1": 1, "+1": 1}
 _VOTES = {"-1": -1, "0": 0, "1": 1, "+1": 1}
@@ -194,7 +194,8 @@ def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
 
     ``parse`` raises ValueError or KeyError on a bad cell.  Bad cells are
     reported in row-major order, one line each ending in the cell's repr;
-    past MAX_CELL_ERRORS of them the rest are only counted.
+    past MAX_CELL_ERRORS of them the rest are only counted
+    (:func:`core.cell_error`).
     """
     out = np.empty((len(rows), len(columns)), dtype=dtype)
     lines: list[str] = []
@@ -208,10 +209,8 @@ def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
                 n_bad += 1
                 if n_bad <= MAX_CELL_ERRORS:
                     lines.append(f"{path}: row {r + 2}{message}{cell!r}")
-    if n_bad > MAX_CELL_ERRORS:
-        lines.append(f"... and {n_bad - MAX_CELL_ERRORS} more bad cells")
-    if lines:
-        raise ValidationError("\n".join(lines))
+    if n_bad:
+        raise cell_error(lines, n_bad)
     return out
 
 
@@ -514,11 +513,13 @@ def _atomic_write(path: str, write_fn: Callable) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str],
-               rows: Iterable[Sequence]) -> None:
+               rows: Iterable[Sequence[str]]) -> None:
+    """Rows of string cells, comma-joined and unquoted (every cell is a
+    number's text or a header name), written one at a time."""
     def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
     _atomic_write(path, write)
 
@@ -526,7 +527,6 @@ def _write_csv(path: str, header: Sequence[str],
 def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
     """Write the votes through a token lookup, byte-identical to
     ``csv.writer``; numpy pads the two-byte tokens with NUL bytes."""
-    require_vote_values(wl.votes)
     cells = np.array([b"-1,", b"0,", b"1,"])[wl.votes + 1]
     cells[:, -1] = np.array([b"-1\n", b"0\n", b"1\n"])[wl.votes[:, -1] + 1]
     header = ",".join(f"lf_{j}" for j in range(wl.m)) + "\n"
@@ -593,7 +593,6 @@ def run_pipeline(
     group_col: str = "group",
     label_col: Optional[str] = "label",
     passthrough: bool = False,
-    lf_names: Optional[list[str]] = None,
 ) -> RunManifest:
     """Execute estimate -> transport -> label model -> end model -> reports.
 
@@ -617,9 +616,6 @@ def run_pipeline(
         report = validate_dataset(ds, wl)
         if report:
             raise ValidationError("; ".join(report))
-        if lf_names is not None and len(lf_names) != wl.m:
-            raise ValidationError("need one LF name per vote column")
-        names = lf_names or [f"lf_{j}" for j in range(wl.m)]
         blind = ds.without_labels()
         t0 = finish_stage("ingest", t0)
 
@@ -672,7 +668,7 @@ def run_pipeline(
             }
             logger.info("gold labels absent; metrics stage skipped")
         else:
-            per_lf = lf_delta_report(wl, repaired, ds.labels, ds.groups, names)
+            per_lf = lf_delta_report(wl, repaired, ds.labels, ds.groups)
             fairness = {
                 "skipped": False,
                 "per_lf": [
@@ -692,7 +688,7 @@ def run_pipeline(
 
         write_votes_csv(repaired, os.path.join(out_dir, "votes_repaired.csv"))
         _write_csv(os.path.join(out_dir, "pseudolabels.csv"), ["prob", "label"],
-                   ([repr(float(p)), int(l)] for p, l in zip(probs, hard)))
+                   zip(map(repr, probs.tolist()), map(str, hard.tolist())))
         write_json(fairness, os.path.join(out_dir, "fairness.json"))
         timings["reports"] = (time.perf_counter() - t0) * 1000.0
         write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
@@ -716,20 +712,20 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 # theory suite
 
+# The fixed models of the three checks, SyntheticModel.gaussian(dim,
+# theta0), whose labeler is right with probability
+# sigmoid(2 * theta0 * prox(x, center)).  The shift check uses
+# shift_sweep's default tolerances (final_tol 0.02, mono_slack 0.01).
+SHIFT_DIM, SHIFT_THETA0 = 3, 5.0
+LIPSCHITZ_DIM, LIPSCHITZ_THETA0S = 3, (0.5, 1.0, 3.0)
+MAP_DIM, MAP_THETA0 = 4, 1.0
+
 
 def run_theory_suite(
     seed: int = 0,
-    shift_theta0: float = 5.0,
     shifts: Sequence[float] = (0.0, 1.0, 10.0, 100.0, 1000.0),
     shift_n: int = 100_000,
-    shift_dim: int = 3,
-    final_tol: float = 0.02,
-    mono_slack: float = 0.01,
-    lipschitz_theta0s: Sequence[float] = (0.5, 1.0, 3.0),
     lipschitz_trials: int = 100_000,
-    lipschitz_dim: int = 3,
-    map_theta0: float = 1.0,
-    map_dim: int = 4,
     map_sizes: Sequence[int] = (100, 1000, 10_000),
     map_holdout: int = 20_000,
 ) -> dict:
@@ -738,28 +734,26 @@ def run_theory_suite(
     The bundle's ``passed`` is the conjunction of the individual flags;
     the CLI maps a false overall flag to exit status 3.
     """
-    shift_model = SyntheticModel.gaussian(shift_dim, shift_theta0)
-    shift_report = shift_sweep(
-        shift_model, shifts, shift_n, seed=seed,
-        final_tol=final_tol, mono_slack=mono_slack)
+    shift_model = SyntheticModel.gaussian(SHIFT_DIM, SHIFT_THETA0)
+    shift_report = shift_sweep(shift_model, shifts, shift_n, seed=seed)
 
     ratios = []
-    for i, theta0 in enumerate(lipschitz_theta0s):
-        model = SyntheticModel.gaussian(lipschitz_dim, theta0)
+    for i, theta0 in enumerate(LIPSCHITZ_THETA0S):
+        model = SyntheticModel.gaussian(LIPSCHITZ_DIM, theta0)
         ratios.append(lipschitz_check(model, lipschitz_trials, seed=seed + i))
-    bounds = [4.0 * t for t in lipschitz_theta0s]
+    bounds = [4.0 * t for t in LIPSCHITZ_THETA0S]
     lipschitz = {
-        "theta0": list(lipschitz_theta0s),
+        "theta0": list(LIPSCHITZ_THETA0S),
         "max_ratio": ratios,
         "bound": bounds,
         "passed": all(r < b for r, b in zip(ratios, bounds)),
     }
 
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((map_dim, map_dim)))
-    g1_matrix = (q * rng.uniform(0.8, 1.6, map_dim)) @ q.T
-    g1_offset = rng.standard_normal(map_dim)
-    map_model = SyntheticModel.gaussian(map_dim, map_theta0).with_group1(
+    q, _ = np.linalg.qr(rng.standard_normal((MAP_DIM, MAP_DIM)))
+    g1_matrix = (q * rng.uniform(0.8, 1.6, MAP_DIM)) @ q.T
+    g1_offset = rng.standard_normal(MAP_DIM)
+    map_model = SyntheticModel.gaussian(MAP_DIM, MAP_THETA0).with_group1(
         MongeMap(g1_matrix, g1_offset))
     map_report = map_error_sweep(
         map_model, map_sizes, seed=seed, holdout=map_holdout)
@@ -798,6 +792,6 @@ def write_theory_artifacts(bundle: dict, out_dir: str) -> None:
 def write_regime_csv(profile, path: str) -> None:
     """Plot-ready CSV of a RegimeProfile's per-group curves."""
     _write_csv(path, ["group", "farthest_distance", "cumulative_accuracy"],
-               ([k, repr(float(dist)), repr(float(acc))]
+               ([str(k), repr(float(dist)), repr(float(acc))]
                 for k, curve in enumerate(profile.curves)
                 for dist, acc in curve))

@@ -28,9 +28,10 @@ from .core import (
     GroupedDataset,
     NumericalError,
     PipelineConfig,
+    VOTE_VALUES,
     ValidationError,
     WeakLabelMatrix,
-    require_vote_values,
+    require_values,
     validate_dataset,
 )
 from .ot import apply_monge, barycentric_map, fit_moments, linear_monge, sinkhorn_plan
@@ -91,7 +92,7 @@ def knn_transfer(
     cannot prove re-rank its nearby rows by ``cdist``, and an exact
     ``cdist`` scan for every row above ``_TREE_MAX_D`` dimensions.
     Either way the neighbours are exactly the scan's.  Non-finite
-    coordinates in either block are rejected.
+    coordinates and votes outside {-1, 0, +1} are rejected.
 
     Deterministic tie handling: exact distance ties prefer the lower row
     index; a tied majority falls back to the nearest non-abstaining
@@ -100,7 +101,7 @@ def knn_transfer(
     """
     X_query = np.asarray(X_query, dtype=np.float64)
     X_dst = np.asarray(X_dst, dtype=np.float64)
-    votes_dst = np.asarray(votes_dst, dtype=np.int64)
+    votes_dst = np.asarray(votes_dst)
     if X_dst.shape[0] == 0:
         raise ValidationError("destination set is empty")
     if X_query.ndim != 2 or X_dst.ndim != 2 \
@@ -111,7 +112,8 @@ def knn_transfer(
     for name, block in (("query", X_query), ("destination", X_dst)):
         if not np.isfinite(block).all():
             raise ValidationError(f"{name} coordinates must be finite")
-    require_vote_values(votes_dst)
+    votes_dst = np.asarray(
+        require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int64)
     if not 1 <= k <= X_dst.shape[0]:
         raise ValidationError(
             f"k must be in [1, {X_dst.shape[0]}], got {k}")

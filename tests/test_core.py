@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otrelabel import (
     GroupedDataset,
@@ -8,6 +10,7 @@ from otrelabel import (
     WeakLabelMatrix,
     validate_dataset,
 )
+from otrelabel.core import MAX_CELL_ERRORS
 
 
 def test_consistent_input_yields_empty_report():
@@ -17,11 +20,9 @@ def test_consistent_input_yields_empty_report():
 
 
 def test_illegal_vote_names_the_cell():
-    wl = WeakLabelMatrix([[1, -1], [1, 2], [-1, -1], [1, 1]])
-    ds = GroupedDataset(np.zeros((4, 2)), [0, 0, 1, 1])
-    report = validate_dataset(ds, wl)
-    assert len(report) == 1
-    assert "2" in report[0] and "row 1" in report[0] and "lf 1" in report[0]
+    with pytest.raises(ValidationError) as exc:
+        WeakLabelMatrix([[1, -1], [1, 2], [-1, -1], [1, 1]])
+    assert str(exc.value) == "illegal vote value 2 at row 1, lf 1"
 
 
 def test_all_zero_groups_reports_empty_group_one():
@@ -38,17 +39,82 @@ def test_row_count_mismatch_reported():
 
 
 def test_validate_is_idempotent():
-    wl = WeakLabelMatrix([[1, 2], [0, -1]])
-    ds = GroupedDataset(np.zeros((2, 1)), [0, 1])
+    with pytest.raises(ValidationError,
+                       match="^illegal vote value 2 at row 0, lf 1$"):
+        WeakLabelMatrix([[1, 2], [0, -1]])
+    wl = WeakLabelMatrix([[1, 1], [0, -1], [1, 0]])
+    ds = GroupedDataset([[0.0], [np.nan]], [0, 0])
     first = validate_dataset(ds, wl)
+    assert len(first) == 3
     assert validate_dataset(ds, wl) == first
 
 
 def test_label_values_checked():
-    wl = WeakLabelMatrix([[1], [1]])
-    ds = GroupedDataset(np.zeros((2, 1)), [0, 1], [1, 0])
-    report = validate_dataset(ds, wl)
-    assert any("illegal label" in line for line in report)
+    with pytest.raises(ValidationError,
+                       match="^illegal label value 0 at row 1$"):
+        GroupedDataset(np.zeros((2, 1)), [0, 1], [1, 0])
+
+
+DOMAINS = {"vote": (-1, 0, 1), "group": (0, 1), "label": (-1, 1)}
+OUT_OF_DOMAIN = (2, -2, 0.5, -1.5, 0.9, float("nan"), float("inf"),
+                 float("-inf"))
+
+
+def build(kind, values):
+    """``values`` as stored by a container that takes them as its
+    ``kind`` entries."""
+    if kind == "vote":
+        return WeakLabelMatrix(values).votes
+    n = len(values)
+    if kind == "group":
+        return GroupedDataset(np.zeros((n, 1)), values).groups
+    return GroupedDataset(np.zeros((n, 1)), np.arange(n) % 2, values).labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DOMAINS)), st.sampled_from([int, float, bool]),
+       st.data())
+def test_containers_name_every_out_of_domain_entry(kind, dtype, data):
+    shape = ((data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4)))
+             if kind == "vote" else (data.draw(st.integers(1, 8)),))
+    # a bool array holds only the domain's values among 0 and 1
+    legal = [v for v in DOMAINS[kind] if dtype is not bool or v in (0, 1)]
+    size = int(np.prod(shape))
+    flat = data.draw(st.lists(st.sampled_from(legal), min_size=size,
+                              max_size=size))
+    values = np.array(flat, dtype=dtype).reshape(shape)
+    where = data.draw(st.lists(st.integers(0, values.size - 1), max_size=3,
+                               unique=True))
+    bad = [data.draw(st.sampled_from(OUT_OF_DOMAIN)) for _ in where]
+    values = values.astype(np.result_type(values, *bad))
+    values.flat[where] = bad
+    if not where:
+        stored = build(kind, values)
+        assert stored.dtype == np.int64
+        assert np.array_equal(stored, values.astype(np.int64))
+        return
+    with pytest.raises(ValidationError) as exc:
+        build(kind, values)
+    expected = []
+    for i in sorted(where):
+        pos = np.unravel_index(i, shape)
+        line = f"illegal {kind} value {values[pos]} at row {pos[0]}"
+        expected.append(line + (f", lf {pos[1]}" if kind == "vote" else ""))
+    assert str(exc.value).split("\n") == expected
+
+
+@pytest.mark.parametrize("n_bad", [MAX_CELL_ERRORS, MAX_CELL_ERRORS + 1, 25])
+def test_bad_entries_past_the_cap_are_counted(n_bad):
+    votes = np.zeros((30, 2))
+    votes[:n_bad, 1] = 0.5
+    with pytest.raises(ValidationError) as exc:
+        WeakLabelMatrix(votes)
+    lines = str(exc.value).split("\n")
+    named = [f"illegal vote value 0.5 at row {r}, lf 1"
+             for r in range(MAX_CELL_ERRORS)]
+    rest = n_bad - MAX_CELL_ERRORS
+    tail = [f"... and {rest} more bad cells"] if rest else []
+    assert lines == named + tail
 
 
 def test_containers_are_read_only():

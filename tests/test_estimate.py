@@ -192,9 +192,9 @@ def test_row_shuffle_leaves_estimates_unchanged_exactly(seed):
 
 
 def test_illegal_vote_values_refused():
-    wl = WeakLabelMatrix([[1, 1, 2], [1, -1, 1], [-1, 1, -1]])
-    with pytest.raises(ValidationError, match="illegal vote"):
-        triplet_accuracies(wl)
+    with pytest.raises(ValidationError,
+                       match="^illegal vote value 2 at row 0, lf 2$"):
+        WeakLabelMatrix([[1, 1, 2], [1, -1, 1], [-1, 1, -1]])
 
 
 def test_median_vs_mean_aggregation_tag():

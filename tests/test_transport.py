@@ -145,6 +145,17 @@ def test_non_finite_coordinates_rejected():
                      votes, 1)
 
 
+def test_out_of_domain_votes_named_before_the_int_cast():
+    dst = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValidationError,
+                       match="^illegal vote value 0.5 at row 1$"):
+        knn_transfer(np.zeros((1, 1)), dst, [1.0, 0.5, -1.0], 1)
+    with pytest.raises(ValidationError, match=(
+            "^illegal vote value 2 at row 0, lf 1\n"
+            "illegal vote value -2 at row 2, lf 0$")):
+        knn_transfer(np.zeros((1, 1)), dst, [[1, 2], [0, 1], [-2, 1]], 1)
+
+
 def tie_heavy_points(rng, kind, n, d):
     if kind == "grid":  # many exact distance ties
         return rng.integers(-2, 3, size=(n, d)).astype(float)
