@@ -11,13 +11,15 @@ Conventions used throughout the package:
 Containers are frozen dataclasses wrapping read-only numpy arrays, so they
 can be shared across workers without defensive copies.  Construction
 checks shapes and the values of votes, groups and labels, one error line
-per bad entry; stages that receive a container do not check them again.
+per bad entry; stages that receive a container do not check them again,
+and containers derived from a checked one skip the value checks.
 :func:`validate_dataset` reports what only a features/votes pair can get
 wrong.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -50,6 +52,23 @@ def _frozen_array(x, dtype) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **values):
+    """A ``cls`` container holding ``values`` without running its checks:
+    for values taken from a container that already passed them."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _vote_shape(v: np.ndarray) -> np.ndarray:
+    if v.ndim != 2:
+        raise ValidationError(f"votes must be 2-D, got ndim={v.ndim}")
+    if v.shape[0] < 1 or v.shape[1] < 1:
+        raise ValidationError(f"votes must be at least 1x1, got {v.shape}")
+    return v
+
+
 def require_values(x: np.ndarray, allowed: tuple, what: str) -> np.ndarray:
     """``x`` once every entry, as given (before an int cast truncates 0.5
     to 0), is in ``allowed``; else an error naming each bad entry's row,
@@ -71,12 +90,8 @@ class WeakLabelMatrix:
     votes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.votes)
-        if v.ndim != 2:
-            raise ValidationError(f"votes must be 2-D, got ndim={v.ndim}")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValidationError(f"votes must be at least 1x1, got {v.shape}")
-        v = require_values(v, VOTE_VALUES, "vote")
+        v = require_values(_vote_shape(np.asarray(self.votes)),
+                           VOTE_VALUES, "vote")
         object.__setattr__(self, "votes", _frozen_array(v, np.int64))
 
     @property
@@ -88,7 +103,10 @@ class WeakLabelMatrix:
         return self.votes.shape[1]
 
     def restrict_rows(self, mask: np.ndarray) -> "WeakLabelMatrix":
-        return WeakLabelMatrix(self.votes[np.asarray(mask)])
+        """The rows ``mask`` selects; their values are not checked again."""
+        rows = _vote_shape(self.votes[np.asarray(mask)])
+        rows.setflags(write=False)
+        return _unchecked(WeakLabelMatrix, votes=rows)
 
 
 @dataclass(frozen=True)
@@ -131,9 +149,11 @@ class GroupedDataset:
         return self.groups == k
 
     def without_labels(self) -> "GroupedDataset":
-        """Copy with gold labels stripped; estimation and transport stages
-        receive their inputs through this so labels cannot leak."""
-        return GroupedDataset(self.features, self.groups, None)
+        """The dataset with gold labels stripped; estimation and transport
+        stages receive their inputs through this so labels cannot leak.
+        Shares the read-only features and groups, not checked again."""
+        return _unchecked(GroupedDataset, features=self.features,
+                          groups=self.groups, labels=None)
 
 
 @dataclass(frozen=True)
@@ -209,6 +229,11 @@ class PipelineConfig:
         "help": "end-model L2 penalty"})
 
     def __post_init__(self):
+        # one loop for every float field: NaN passes the range checks below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.ot_type not in ("none", "linear", "sinkhorn"):
             raise ValidationError(f"unknown ot_type {self.ot_type!r}")
         if self.transport_scope not in ("per_lf", "global"):

@@ -8,7 +8,9 @@ The closed-form map between two Gaussians N(mu_s, S_s) and N(mu_t, S_t) is
 
 which is symmetric positive definite whenever both covariances are.  The
 entropic plan is obtained by alternately scaling the rows and columns of
-K = exp(-M / eta) until the marginals match.
+K = exp(-M / eta) until the marginals match.  Besides the cost M, which is
+never written, it holds one dense buffer: the exact median of M is
+selected in it by one partition, then it holds K, and then the plan T.
 """
 
 from __future__ import annotations
@@ -185,19 +187,6 @@ def inverse_monge(map_: MongeMap) -> MongeMap:
     return MongeMap(Ainv, -Ainv @ map_.b)
 
 
-def _rescale_cost(M: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "none":
-        return M
-    if mode != "median":
-        raise ValidationError(f"unknown cost rescale mode {mode!r}")
-    scale = float(np.median(M))
-    if scale <= 0.0:
-        scale = float(M.mean())
-    if scale <= 0.0:
-        scale = 1.0
-    return M / scale
-
-
 def sinkhorn_plan(
     M: np.ndarray,
     a: Optional[np.ndarray] = None,
@@ -210,10 +199,12 @@ def sinkhorn_plan(
 ) -> TransportPlan:
     """Entropic transport plan by alternating row/column scaling.
 
-    The cost matrix is divided by its median before exponentiation
-    (``rescale="none"`` disables this); raw squared-Euclidean costs at
-    eta = 1 routinely underflow exp(-M/eta) otherwise.  Marginals default
-    to uniform.  Stops early once the worst marginal violation is <= tol.
+    The cost matrix is divided by its median (else its mean, else 1)
+    before exponentiation (``rescale="none"`` disables this); raw
+    squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
+    otherwise.  Marginals default to uniform.  Stops early once the worst
+    marginal violation is <= tol.  M is never written; the returned ``T``
+    is the one n_src x n_dst buffer allocated, scaled in place from K.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -225,18 +216,30 @@ def sinkhorn_plan(
     b = np.full(n_dst, 1.0 / n_dst) if b is None else np.asarray(b, float)
     if a.shape != (n_src,) or b.shape != (n_dst,):
         raise ValidationError("marginal shapes do not match the cost matrix")
-    if np.any(a <= 0) or np.any(b <= 0):
+    # `not (x > 0)`, unlike `x <= 0`, is true for NaN
+    if not (np.all(a > 0) and np.all(b > 0)):
         raise ValidationError("marginals must be strictly positive")
     if abs(a.sum() - 1.0) > 1e-8 or abs(b.sum() - 1.0) > 1e-8:
         raise ValidationError("marginals must each sum to 1")
-    if eta <= 0 or max_iter < 1 or tol <= 0:
-        raise ValidationError("eta, max_iter and tol must be positive")
+    if not (0 < eta < np.inf and 0 < tol < np.inf and max_iter >= 1):
+        raise ValidationError(
+            "eta, max_iter and tol must be positive, eta and tol finite")
+    if rescale not in ("median", "none"):
+        raise ValidationError(f"unknown cost rescale mode {rescale!r}")
 
-    # K = exp(-M / eta) built in one buffer; with rescale="none" the
-    # rescaled cost is the caller's M, which is negated into a copy
-    K = _rescale_cost(M, rescale)
-    K = np.negative(K, out=None if K is M else K)
-    K /= eta
+    K = M.copy(order="K")
+    if rescale == "median":
+        flat = K.ravel(order="K")  # a view: the copy is contiguous
+        h = flat.size // 2
+        flat.partition(h)
+        # np.median's exact float: flat[:h] holds the h smallest entries,
+        # so for an even count their maximum is the lower middle value
+        scale = float(flat[h] if flat.size % 2 else
+                      (flat[:h].max() + flat[h]) / 2)
+        if scale <= 0.0:
+            scale = float(M.mean()) or 1.0
+        np.divide(M, scale, out=K)
+    K /= -eta  # -(K / eta) bit for bit: rounding is symmetric in sign
     np.exp(K, out=K)
     if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
         raise NumericalError(
@@ -247,7 +250,6 @@ def sinkhorn_plan(
     v = np.ones(n_dst)
     log: list[float] = []
     iterations = 0
-    violation = np.inf
     Kv = K @ v
     for _ in range(max_iter):
         u = a / Kv
@@ -262,20 +264,15 @@ def sinkhorn_plan(
                                     - a @ np.log(u) - b @ np.log(v))))
         if violation <= tol:
             break
-    T = u[:, None] * K
+    T = K  # scaled in place, the kernel becomes the plan
+    T *= u[:, None]
     T *= v
     violation = max(
         float(np.abs(T.sum(axis=1) - a).max()),
         float(np.abs(T.sum(axis=0) - b).max()),
     )
-    return TransportPlan(
-        T=T,
-        eta=eta,
-        iterations_run=iterations,
-        converged=violation <= tol,
-        marginal_violation=violation,
-        objective_log=tuple(log) if log_objective else None,
-    )
+    return TransportPlan(T, eta, iterations, violation <= tol, violation,
+                         tuple(log) if log_objective else None)
 
 
 def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:

@@ -245,6 +245,7 @@ def _transported_sources(
         max_iter=cfg.sinkhorn_max_iter,
         tol=cfg.sinkhorn_tol,
     )
+    del cost  # the projection's full-size temporary takes its place
     if not plan.converged:
         logger.info(
             "sinkhorn stopped after %d rounds with marginal violation "

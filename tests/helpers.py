@@ -2,13 +2,14 @@
 
 The oracles here deliberately avoid the production code paths: the kNN
 oracle is an exhaustive scan, the Sinkhorn oracle projects the full matrix
-instead of scaling factor vectors, the posterior oracle enumerates the
-joint outcome space, the triplet oracle visits one LF triplet at a
-time instead of making one array pass, the CSV loader oracles check one
-cell at a time, the sigmoid oracle splits its input by sign with boolean
-indexing, the fairness oracle takes boolean means over masked rows, and
-the end-model oracle evaluates the full loss every epoch.  Tests compare
-library output against these.
+instead of scaling factor vectors, the Sinkhorn plan oracle takes
+``np.median`` and builds every intermediate in a fresh array, the
+posterior oracle enumerates the joint outcome space, the triplet oracle
+visits one LF triplet at a time instead of making one array pass, the CSV
+loader oracles check one cell at a time, the sigmoid oracle splits its
+input by sign with boolean indexing, the fairness oracle takes boolean
+means over masked rows, and the end-model oracle evaluates the full loss
+every epoch.  Tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from otrelabel import (
     FairnessReport,
     GroupedDataset,
     NumericalError,
+    TransportPlan,
     TripletRecord,
     ValidationError,
     WeakLabelMatrix,
@@ -116,6 +118,59 @@ def sinkhorn_projection_oracle(M, a, b, eta, rescale_median=True,
         if violation <= tol:
             break
     return T
+
+
+def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
+                         rescale="median", log_objective=False):
+    """``sinkhorn_plan`` without its checks, the median taken by
+    ``np.median`` and every intermediate in a fresh array; the library
+    must return this plan bit for bit."""
+    M = np.asarray(M, dtype=np.float64)
+    n_src, n_dst = M.shape
+    a = np.full(n_src, 1.0 / n_src) if a is None else np.asarray(a, float)
+    b = np.full(n_dst, 1.0 / n_dst) if b is None else np.asarray(b, float)
+    if rescale == "median":
+        scale = float(np.median(M))
+        if scale <= 0.0:
+            scale = float(M.mean())
+        if scale <= 0.0:
+            scale = 1.0
+        K = M / scale
+    else:
+        K = M
+    K = np.negative(K, out=None if K is M else K)
+    K /= eta
+    np.exp(K, out=K)
+    u = np.ones(n_src)
+    v = np.ones(n_dst)
+    log = []
+    iterations = 0
+    Kv = K @ v
+    for _ in range(max_iter):
+        u = a / Kv
+        v = b / (K.T @ u)
+        iterations += 1
+        Kv = K @ v
+        violation = float(np.abs(u * Kv - a).max())
+        if log_objective:
+            log.append(float(eta * (u @ Kv
+                                    - a @ np.log(u) - b @ np.log(v))))
+        if violation <= tol:
+            break
+    T = u[:, None] * K
+    T *= v
+    violation = max(
+        float(np.abs(T.sum(axis=1) - a).max()),
+        float(np.abs(T.sum(axis=0) - b).max()),
+    )
+    return TransportPlan(
+        T=T,
+        eta=eta,
+        iterations_run=iterations,
+        converged=violation <= tol,
+        marginal_violation=violation,
+        objective_log=tuple(log) if log_objective else None,
+    )
 
 
 def bayes_posterior_oracle(votes_row, accuracies, balance):

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otrelabel.core as core
 from otrelabel import (
     GroupedDataset,
     PipelineConfig,
@@ -158,6 +161,48 @@ def test_config_rejects_bad_values():
         PipelineConfig(end_model="off")
 
 
+FLOAT_FIELDS = ("sinkhorn_eta", "sinkhorn_tol", "covariance_ridge",
+                "class_balance", "tie_tol", "lr", "l2")
+
+
+def test_float_fields_listed():
+    assert FLOAT_FIELDS == tuple(
+        f.name for f in fields(PipelineConfig) if f.type == "float")
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_floats(name, value):
+    # NaN compares false, so a range check alone lets it through
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        PipelineConfig(**{name: value})
+
+
 def test_without_labels_strips_gold():
     ds = GroupedDataset(np.zeros((2, 1)), [0, 1], [1, -1])
     assert ds.without_labels().labels is None
+
+
+def test_derived_containers_skip_the_value_checks(monkeypatch):
+    wl = WeakLabelMatrix([[1, 0], [-1, 1], [0, 0]])
+    ds = GroupedDataset(np.ones((3, 2)), [0, 1, 1], [1, -1, 1])
+    calls = []
+    real = core.require_values
+    monkeypatch.setattr(core, "require_values",
+                        lambda x, *args: calls.append(x.size) or real(x, *args))
+    sub = wl.restrict_rows(np.array([True, False, True]))
+    blind = ds.without_labels()
+    assert calls == []
+    assert np.array_equal(sub.votes, [[1, 0], [0, 0]])
+    assert sub.votes.dtype == np.int64 and not sub.votes.flags.writeable
+    assert blind.labels is None
+    assert blind.features is ds.features and blind.groups is ds.groups
+    # raw input is still checked
+    WeakLabelMatrix(sub.votes)
+    assert calls == [4]
+
+
+def test_restrict_rows_keeps_the_shape_checks():
+    wl = WeakLabelMatrix([[1, 0], [-1, 1]])
+    with pytest.raises(ValidationError, match="at least 1x1"):
+        wl.restrict_rows(np.array([False, False]))

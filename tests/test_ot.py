@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from otrelabel import (
     sinkhorn_plan,
     spectral_summary,
 )
-from helpers import sinkhorn_projection_oracle
+from helpers import sinkhorn_plan_oracle, sinkhorn_projection_oracle
 
 
 def random_spd(rng, d, lo=0.5, hi=2.0):
@@ -257,12 +259,84 @@ def test_sinkhorn_underflow_raises_without_rescale():
 
 
 @pytest.mark.parametrize("rescale", ["median", "none"])
-def test_sinkhorn_leaves_cost_unchanged(rescale):
+@pytest.mark.parametrize("writeable", [True, False])
+def test_sinkhorn_leaves_cost_unchanged(rescale, writeable):
+    # the median is selected by an in-place partition of a copy
     rng = np.random.default_rng(9)
     cost = rng.uniform(0.0, 3.0, size=(6, 5))
+    cost.setflags(write=writeable)
     before = cost.copy()
     sinkhorn_plan(cost, rescale=rescale)
     assert np.array_equal(cost, before)
+    assert cost.flags.writeable == writeable
+
+
+@pytest.mark.parametrize("name,value", [
+    ("eta", np.nan), ("eta", np.inf), ("tol", np.nan), ("tol", np.inf),
+    ("a", np.array([np.nan, 1.0])), ("b", np.array([0.5, np.nan])),
+])
+def test_sinkhorn_rejects_non_finite_arguments(name, value):
+    # NaN compares false, so `x <= 0` checks let it through
+    with pytest.raises(ValidationError):
+        sinkhorn_plan(np.ones((2, 2)), **{name: value})
+
+
+def test_sinkhorn_names_an_unknown_rescale():
+    with pytest.raises(ValidationError,
+                       match="unknown cost rescale mode 'mean'"):
+        sinkhorn_plan(np.ones((2, 2)), rescale="mean")
+
+
+def cost_of_kind(rng, kind, n, m):
+    if kind == "uniform":
+        return rng.uniform(0.0, 3.0, size=(n, m))
+    if kind == "ties":
+        return rng.integers(0, 3, size=(n, m)).astype(float)
+    if kind == "zero_median":  # the rescale falls back to the mean
+        return np.where(rng.random((n, m)) < 0.7, 0.0,
+                        rng.uniform(0.0, 2.0, size=(n, m)))
+    return np.zeros((n, m))  # the mean is zero too: the scale is 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from(["uniform", "ties", "zero_median", "zero"]),
+       st.sampled_from(["median", "none"]), st.booleans(), st.booleans(),
+       st.booleans())
+def test_sinkhorn_plan_matches_oracle_bit_for_bit(
+        seed, n, m, kind, rescale, log_objective, marginals, transposed):
+    rng = np.random.default_rng(seed)
+    cost = cost_of_kind(rng, kind, n, m)
+    if transposed:  # a column-major cost
+        cost = np.ascontiguousarray(cost.T).T
+    a = b = None
+    if marginals:
+        a = rng.uniform(0.1, 1.0, n)
+        a /= a.sum()
+        b = rng.uniform(0.1, 1.0, m)
+        b /= b.sum()
+    kwargs = dict(eta=float(rng.uniform(0.2, 3.0)),
+                  max_iter=int(rng.integers(1, 40)), rescale=rescale,
+                  log_objective=log_objective)
+    plan = sinkhorn_plan(cost, a, b, **kwargs)
+    oracle = sinkhorn_plan_oracle(cost, a, b, **kwargs)
+    assert np.array_equal(plan.T, oracle.T)
+    assert plan.iterations_run == oracle.iterations_run
+    assert plan.converged == oracle.converged
+    assert plan.marginal_violation == oracle.marginal_violation
+    assert plan.objective_log == oracle.objective_log
+
+
+def test_sinkhorn_plan_holds_one_dense_buffer():
+    rng = np.random.default_rng(10)
+    cost = rng.uniform(0.0, 3.0, size=(400, 300))
+    tracemalloc.start()
+    try:
+        sinkhorn_plan(cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * cost.nbytes
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,6 +386,22 @@ def test_sinkhorn_transport_sharpens_with_smaller_eta():
     assert results[1.0] >= before + 0.05
     assert results[0.02] >= 0.9
     assert results[0.02] > results[1.0]
+
+
+def test_sinkhorn_transport_frees_the_cost_before_the_projection():
+    rng = np.random.default_rng(11)
+    X_src = rng.normal(size=(400, 3))
+    X_dst = rng.normal(size=(300, 3)) + 1.0
+    dense = 400 * 300 * 8
+    cfg = PipelineConfig(ot_type="sinkhorn")
+    tracemalloc.start()
+    try:
+        transport._transported_sources(X_src, X_dst, cfg, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the plan and the projection's temporary, not the cost as well
+    assert peak <= 2.25 * dense
 
 
 def test_global_scope_uses_one_direction():
