@@ -259,16 +259,25 @@ def test_sinkhorn_underflow_raises_without_rescale():
 
 
 @pytest.mark.parametrize("rescale", ["median", "none"])
-@pytest.mark.parametrize("writeable", [True, False])
-def test_sinkhorn_leaves_cost_unchanged(rescale, writeable):
+def test_sinkhorn_leaves_cost_unchanged(rescale):
     # the median is selected by an in-place partition of a copy
     rng = np.random.default_rng(9)
     cost = rng.uniform(0.0, 3.0, size=(6, 5))
-    cost.setflags(write=writeable)
     before = cost.copy()
     sinkhorn_plan(cost, rescale=rescale)
     assert np.array_equal(cost, before)
-    assert cost.flags.writeable == writeable
+    assert cost.flags.writeable
+
+
+@pytest.mark.parametrize("rescale", ["median", "none"])
+def test_sinkhorn_accepts_read_only_cost(rescale):
+    rng = np.random.default_rng(9)
+    cost = rng.uniform(0.0, 3.0, size=(6, 5))
+    cost.setflags(write=False)
+    before = cost.copy()
+    sinkhorn_plan(cost, rescale=rescale)
+    assert np.array_equal(cost, before)
+    assert not cost.flags.writeable
 
 
 @pytest.mark.parametrize("name,value", [
