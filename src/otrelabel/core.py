@@ -20,6 +20,7 @@ wrong.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -59,6 +60,16 @@ def _unchecked(cls, **values):
     for name, value in values.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def require_count(name: str, value) -> int:
+    """``value`` as a Python int once it is an integer >= 1; ``bool``
+    (an ``int`` subclass) and non-integers such as 2.0 are rejected,
+    numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _vote_shape(v: np.ndarray) -> np.ndarray:
@@ -229,22 +240,21 @@ class PipelineConfig:
         "help": "end-model L2 penalty"})
 
     def __post_init__(self):
-        # one loop for every float field: NaN passes the range checks below
+        # one loop for every float and int field: NaN passes the range
+        # checks below, and 2.5 or True would fail later as a TypeError
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
+            if f.type == "int":
+                object.__setattr__(self, f.name, require_count(f.name, value))
         if self.ot_type not in ("none", "linear", "sinkhorn"):
             raise ValidationError(f"unknown ot_type {self.ot_type!r}")
         if self.transport_scope not in ("per_lf", "global"):
             raise ValidationError(
                 f"unknown transport_scope {self.transport_scope!r}")
-        if self.knn_k < 1:
-            raise ValidationError("knn_k must be >= 1")
         if self.sinkhorn_eta <= 0:
             raise ValidationError("sinkhorn_eta must be positive")
-        if self.sinkhorn_max_iter < 1:
-            raise ValidationError("sinkhorn_max_iter must be >= 1")
         if self.sinkhorn_tol <= 0:
             raise ValidationError("sinkhorn_tol must be positive")
         if self.covariance_ridge < 0:
@@ -256,7 +266,7 @@ class PipelineConfig:
         if not isinstance(self.end_model, bool):
             raise ValidationError(
                 f"end_model must be True or False, got {self.end_model!r}")
-        if self.epochs < 1 or self.lr <= 0 or self.l2 < 0:
+        if self.lr <= 0 or self.l2 < 0:
             raise ValidationError("bad end-model hyperparameters")
 
     def to_dict(self) -> dict:

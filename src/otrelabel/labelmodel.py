@@ -23,6 +23,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    require_count,
 )
 
 ACC_CLAMP = 0.999
@@ -69,9 +70,17 @@ class EndModel:
         return self.coefficients.shape[0] - 1
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # at most 1, so it cannot overflow
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function with one exp: e = exp(-|z|) in [+0, 1] cannot
+    overflow, and max(e, z >= 0) is the numerator (1, or e for z < 0 or NaN)
+    without a branch.  Given ``a`` = |z|, it works in place over both."""
+    if a is None:
+        z, a = z.copy(), np.abs(z)
+    np.exp(np.negative(a, out=a), out=a)
+    np.maximum(a, z >= 0, out=z)
+    a += 1.0
+    z /= a
+    return z
 
 
 def fit_label_model(
@@ -130,46 +139,29 @@ def end_model_objective(
     numerically stable for large |z|.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    w, b = coefficients[:-1], coefficients[-1]
-    z = _scores(X, w, b)
-    return _loss(z, targets, w, l2), _gradient(z, X, targets, w, l2)
-
-
-def _scores(X: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
+    w = coefficients[:-1]
     with np.errstate(over="ignore"):  # inf loss is caught by the caller
-        return X @ w + b
+        z = X @ w + coefficients[-1]
+    loss = _loss(z, targets, w, l2)
+    return loss, _gradient(z, np.abs(z), X, targets, w, l2)
 
 
 def _loss(z: np.ndarray, targets: np.ndarray, w: np.ndarray,
           l2: float) -> float:
     with np.errstate(over="ignore"):
-        # log(1 + exp(z)) computed without overflow
-        log1pexp = np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))),
-                            np.log1p(np.exp(-np.abs(z))))
+        # log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), without overflow
+        log1pexp = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         return float(np.mean(log1pexp - targets * z) + 0.5 * l2 * (w @ w))
 
 
-def _gradient(z: np.ndarray, X: np.ndarray, targets: np.ndarray,
-              w: np.ndarray, l2: float) -> np.ndarray:
-    residual = _sigmoid(z) - targets
-    return np.concatenate([
-        X.T @ residual / X.shape[0] + l2 * w,
-        [residual.mean()],
-    ])
-
-
-def _loss_surely_finite(z: np.ndarray, w: np.ndarray, l2: float) -> bool:
-    """True when :func:`_loss` cannot overflow or be NaN at these scores.
-
-    With targets in [0, 1] each loss term is at most 2 max|z| + log 2 in
-    size, so the sum inside the mean stays below n (2 max|z| + 1), and
-    the penalty is l2 w.w / 2.  Their total below 1e300 leaves a factor
-    1e8 for rounding before the float64 limit.  NaN fails the test.
-    """
-    with np.errstate(over="ignore"):
-        zmax = float(np.maximum(z.max(), -z.min()))
-        bound = z.shape[0] * (2.0 * zmax + 1.0) + 0.5 * l2 * float(w @ w)
-    return bound < 1e300
+def _gradient(z: np.ndarray, a: np.ndarray, X: np.ndarray,
+              targets: np.ndarray, w: np.ndarray, l2: float) -> np.ndarray:
+    """Gradient at scores ``z`` given ``a`` = |z|; overwrites both, ``z``
+    with the residual, whose mean is taken as ``np.mean`` does: sum / n."""
+    r = _sigmoid(z, a)
+    r -= targets
+    return np.concatenate([X.T @ r / X.shape[0] + l2 * w,
+                           [r.sum() / X.shape[0]]])
 
 
 def train_end_model(
@@ -184,35 +176,42 @@ def train_end_model(
     Optimization runs on per-column standardized features (so the learning
     rate and the L2 penalty are insensitive to feature units) and the
     returned coefficients are folded back to the raw feature space, so
-    :func:`predict` applies them to unmodified inputs.  An epoch evaluates
-    the loss only when a bound from max|z| and w.w cannot prove it finite,
-    so a non-finite loss stops training at the same epoch either way.
+    :func:`predict` applies them to unmodified inputs.  An epoch works in
+    two n-length buffers allocated once per call and evaluates the loss
+    only when its bound n (2 max|z| + 1) + l2 w.w / 2 (targets in [0, 1]) is
+    NaN or not below 1e300: a non-finite loss stops training at the same
+    epoch either way.  ``training_meta`` adds the final gradient's norm.
     """
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(pseudo_probs, dtype=np.float64)
+    epochs = require_count("epochs", epochs)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValidationError("X must be a non-empty 2-D matrix")
     if t.shape != (X.shape[0],):
         raise ValidationError("pseudo_probs length must match X rows")
     if not np.all((t >= 0) & (t <= 1)):  # NaN too
         raise ValidationError("pseudo_probs must lie in [0, 1]")
-    if epochs < 1 or lr <= 0 or l2 < 0:
+    if lr <= 0 or l2 < 0:
         raise ValidationError("bad training hyperparameters")
     center = X.mean(axis=0)
     spread = X.std(axis=0)
     spread = np.where(spread > 0, spread, 1.0)
     Xs = (X - center) / spread
     coef = np.zeros(X.shape[1] + 1)
+    z, a = np.empty(len(Xs)), np.empty(len(Xs))
     for epoch in range(epochs):
-        w, b = coef[:-1], coef[-1]
-        z = _scores(Xs, w, b)
-        if not _loss_surely_finite(z, w, l2) \
-                and not math.isfinite(_loss(z, t, w, l2)):
+        w = coef[:-1]
+        with np.errstate(over="ignore"):
+            np.matmul(Xs, w, out=z)
+            z += coef[-1]
+            zmax = float(np.abs(z, out=a).max())
+            bound = z.size * (2.0 * zmax + 1.0) + 0.5 * l2 * float(w @ w)
+        if not bound < 1e300 and not math.isfinite(_loss(z, t, w, l2)):
             raise NumericalError(
                 f"end-model objective became non-finite at epoch {epoch} "
                 f"(lr={lr}, l2={l2}); lower the learning rate")
-        coef = coef - lr * _gradient(z, Xs, t, w, l2)
-    loss, _ = end_model_objective(coef, Xs, t, l2)
+        coef = coef - lr * _gradient(z, a, Xs, t, w, l2)
+    loss, grad = end_model_objective(coef, Xs, t, l2)
     if not math.isfinite(loss):
         raise NumericalError("end-model objective diverged on the last step")
     w_raw = coef[:-1] / spread
@@ -222,6 +221,7 @@ def train_end_model(
         training_meta={
             "iterations": epochs,
             "final_objective": loss,
+            "final_gradient_norm": float(np.linalg.norm(grad)),
             "learning_rate": lr,
         },
     )

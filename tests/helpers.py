@@ -9,7 +9,8 @@ visits one LF triplet at a time instead of making one array pass, the CSV
 loader oracles check one cell at a time, the sigmoid oracle splits its
 input by sign with boolean indexing, the fairness oracle takes boolean
 means over masked rows, and the end-model oracle evaluates the full loss
-every epoch.  Tests compare library output against these.
+every epoch from its own frozen copy of the objective, every intermediate
+in a fresh array.  Tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from otrelabel import (
     TripletRecord,
     ValidationError,
     WeakLabelMatrix,
-    end_model_objective,
 )
 
 
@@ -239,9 +239,40 @@ def sigmoid_oracle(z):
     return out
 
 
+def _scores_oracle(X, w, b):
+    with np.errstate(over="ignore"):  # inf loss is caught by the caller
+        return X @ w + b
+
+
+def _loss_oracle(z, targets, w, l2):
+    with np.errstate(over="ignore"):
+        # log(1 + exp(z)) computed without overflow
+        log1pexp = np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))),
+                            np.log1p(np.exp(-np.abs(z))))
+        return float(np.mean(log1pexp - targets * z) + 0.5 * l2 * (w @ w))
+
+
+def _gradient_oracle(z, X, targets, w, l2):
+    residual = sigmoid_oracle(z) - targets
+    return np.concatenate([
+        X.T @ residual / X.shape[0] + l2 * w,
+        [residual.mean()],
+    ])
+
+
+def end_model_objective_oracle(coefficients, X, targets, l2):
+    """Loss and gradient of the end model, each step in a fresh array;
+    the sigmoid is :func:`sigmoid_oracle`."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    w, b = coefficients[:-1], coefficients[-1]
+    z = _scores_oracle(X, w, b)
+    return _loss_oracle(z, targets, w, l2), _gradient_oracle(z, X, targets,
+                                                             w, l2)
+
+
 def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
     """Full-batch gradient descent that checks the full loss is finite
-    after every epoch."""
+    after every epoch, through :func:`end_model_objective_oracle`."""
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(pseudo_probs, dtype=np.float64)
     center = X.mean(axis=0)
@@ -251,13 +282,13 @@ def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
     coef = np.zeros(X.shape[1] + 1)
     loss = math.nan
     for epoch in range(epochs):
-        loss, grad = end_model_objective(coef, Xs, t, l2)
+        loss, grad = end_model_objective_oracle(coef, Xs, t, l2)
         if not math.isfinite(loss):
             raise NumericalError(
                 f"end-model objective became non-finite at epoch {epoch} "
                 f"(lr={lr}, l2={l2}); lower the learning rate")
         coef = coef - lr * grad
-    loss, _ = end_model_objective(coef, Xs, t, l2)
+    loss, grad = end_model_objective_oracle(coef, Xs, t, l2)
     if not math.isfinite(loss):
         raise NumericalError("end-model objective diverged on the last step")
     w_raw = coef[:-1] / spread
@@ -267,6 +298,7 @@ def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
         training_meta={
             "iterations": epochs,
             "final_objective": loss,
+            "final_gradient_norm": float(np.linalg.norm(grad)),
             "learning_rate": lr,
         },
     )

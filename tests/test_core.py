@@ -178,6 +178,29 @@ def test_config_rejects_non_finite_floats(name, value):
         PipelineConfig(**{name: value})
 
 
+INT_FIELDS = ("knn_k", "sinkhorn_max_iter", "epochs")
+
+
+def test_int_fields_listed():
+    assert INT_FIELDS == tuple(
+        f.name for f in fields(PipelineConfig) if f.type == "int")
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", 0])
+def test_config_rejects_non_integer_counts(name, value):
+    # 2.5 or True used to pass here and fail later as a TypeError
+    with pytest.raises(ValidationError,
+                       match=f"{name} must be an integer >= 1"):
+        PipelineConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_config_accepts_numpy_integers_as_int(name):
+    value = getattr(PipelineConfig(**{name: np.int64(3)}), name)
+    assert value == 3 and type(value) is int
+
+
 def test_without_labels_strips_gold():
     ds = GroupedDataset(np.zeros((2, 1)), [0, 1], [1, -1])
     assert ds.without_labels().labels is None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from otrelabel import (
 from otrelabel.labelmodel import _sigmoid
 from helpers import (
     bayes_posterior_oracle,
+    end_model_objective_oracle,
     sigmoid_oracle,
     train_end_model_oracle,
 )
@@ -231,6 +233,52 @@ def test_training_matches_loss_every_epoch_oracle(seed, n, d, log_scale,
     else:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 1e3])
+def test_objective_bitwise_equal_to_frozen_oracle(scale):
+    # at scale 1e3 most scores lie beyond +-745, where exp(-|z|) is +0
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(500, 4))
+    t = rng.uniform(size=500)
+    for _ in range(5):
+        coef = rng.normal(size=5) * scale
+        loss, grad = end_model_objective(coef, x, t, 1e-3)
+        want_loss, want_grad = end_model_objective_oracle(coef, x, t, 1e-3)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("hyper", [{}, {"lr": 1e4, "l2": 0.0}],
+                         ids=["defaults", "saturated"])
+def test_bench_sized_training_equals_oracle_without_warnings(hyper):
+    # the linear_k1 end model's shape: 12,000 rows, 8 shifted Gaussian
+    # features, soft targets
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(12_000, 8)) + rng.normal(scale=3.0, size=8)
+    t = 1.0 / (1.0 + np.exp(-(x[:, 0] - x[:, 0].mean()
+                              + rng.normal(size=12_000))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = train_end_model(x, t, **hyper)
+        want = train_end_model_oracle(x, t, **hyper)
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert got.training_meta == want.training_meta
+    scores = x @ got.coefficients[:-1] + got.coefficients[-1]
+    if hyper:  # exp(-|z|) is +0 on these rows, the select picks 0 or 1
+        assert scores.min() < -745.0 and scores.max() > 745.0
+    else:
+        assert np.abs(scores).max() < 745.0
+
+
+def test_non_integer_epochs_rejected():
+    for epochs in (10.5, 10.0, True, "10"):
+        with pytest.raises(ValidationError, match="epochs must be an integer"):
+            train_end_model(np.zeros((2, 1)), np.array([0.5, 0.5]),
+                            epochs=epochs)
+    model = train_end_model(np.zeros((2, 1)), np.array([0.5, 0.5]),
+                            epochs=np.int64(3))
+    assert model.training_meta["iterations"] == 3
 
 
 def test_divergence_epoch_and_message_match_oracle():
