@@ -8,22 +8,37 @@ The closed-form map between two Gaussians N(mu_s, S_s) and N(mu_t, S_t) is
 
 which is symmetric positive definite whenever both covariances are.  The
 entropic plan is obtained by alternately scaling the rows and columns of
-K = exp(-M / eta) until the marginals match.  Besides the cost M, which is
-never written, it holds one dense buffer: the exact median of M is
-selected in it by one partition, then it holds K, and then the plan T.
+K = exp(-M / eta) until the marginals match.
+
+Buffers: the plan is the one dense n_src x n_dst object of the package.
+One private core writes K into a buffer it is handed and scales it in
+place into the plan; the exact median of M that rescales the cost is
+selected from a small bracketed subset of M, not from a copy.  Public
+``sinkhorn_plan`` hands the core a fresh buffer, so M is never written
+and a run holds M plus the plan.  The transport stage owns its cost and
+hands the core the cost itself, which becomes K, then the plan, then the
+row-normalised plan of the barycentric projection: one buffer in all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, ValidationError
+from .core import NumericalError, ValidationError, require_count
 
 _SYM_TOL = 1e-8
 _EIG_FLOOR = -1e-6
+# The median's bracket samples every stride-th entry of M: about
+# _MEDIAN_SAMPLE entries of a large M, and never more than 1/32 of M, so
+# the sample adds at most 3% to M's bytes.
+_MEDIAN_SAMPLE = 20_000
+_MEDIAN_MIN_STRIDE = 32
+# Entries per row block of the bracket's counting pass.
+_MEDIAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -203,13 +218,29 @@ def sinkhorn_plan(
     before exponentiation (``rescale="none"`` disables this); raw
     squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
     otherwise.  Marginals default to uniform.  Stops early once the worst
-    marginal violation is <= tol.  M is never written; the returned ``T``
-    is the one n_src x n_dst buffer allocated, scaled in place from K.
+    marginal violation is <= tol.  M is never written, and its median is
+    selected from a small bracketed part of it, not from a copy.  The
+    returned ``T``, allocated in M's memory order, is the one n_src x
+    n_dst buffer besides M: written first as K, then scaled in place into
+    the plan.
     """
+    M, a, b, max_iter = _checked_sinkhorn_args(
+        M, a, b, eta, max_iter, tol, rescale)
+    return _sinkhorn(M, np.empty_like(M), a, b, eta, max_iter, tol,
+                     rescale, log_objective)[0]
+
+
+def _checked_sinkhorn_args(M, a, b, eta, max_iter, tol, rescale):
+    """:func:`sinkhorn_plan`'s arguments once checked: M as float64, the
+    marginals (uniform by default) and ``max_iter`` as an int."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValidationError("cost matrix must be 2-D")
-    if not np.all(np.isfinite(M)) or np.any(M < 0):
+    if M.size == 0:
+        raise ValidationError("cost matrix is empty")
+    # reductions, not elementwise masks: a NaN makes the minimum NaN, and
+    # `NaN >= 0` is false; -0.0 >= 0 holds
+    if not (M.min() >= 0 and M.max() < np.inf):
         raise ValidationError("cost matrix entries must be finite and >= 0")
     n_src, n_dst = M.shape
     a = np.full(n_src, 1.0 / n_src) if a is None else np.asarray(a, float)
@@ -221,33 +252,33 @@ def sinkhorn_plan(
         raise ValidationError("marginals must be strictly positive")
     if abs(a.sum() - 1.0) > 1e-8 or abs(b.sum() - 1.0) > 1e-8:
         raise ValidationError("marginals must each sum to 1")
-    if not (0 < eta < np.inf and 0 < tol < np.inf and max_iter >= 1):
-        raise ValidationError(
-            "eta, max_iter and tol must be positive, eta and tol finite")
+    max_iter = require_count("max_iter", max_iter)
+    if not (0 < eta < np.inf and 0 < tol < np.inf):
+        raise ValidationError("eta and tol must be positive and finite")
     if rescale not in ("median", "none"):
         raise ValidationError(f"unknown cost rescale mode {rescale!r}")
+    return M, a, b, max_iter
 
-    K = M.copy(order="K")
+
+def _sinkhorn(M, out, a, b, eta, max_iter, tol, rescale, log_objective):
+    """:func:`sinkhorn_plan` on checked arguments, built in ``out`` (M's
+    shape, float64), which may be M itself: M is read in full before
+    ``out`` is first written.  Returns the plan, whose ``T`` is ``out``,
+    and its row sums from the final marginal check."""
     if rescale == "median":
-        flat = K.ravel(order="K")  # a view: the copy is contiguous
-        h = flat.size // 2
-        flat.partition(h)
-        # np.median's exact float: flat[:h] holds the h smallest entries,
-        # so for an even count their maximum is the lower middle value
-        scale = float(flat[h] if flat.size % 2 else
-                      (flat[:h].max() + flat[h]) / 2)
+        scale = _median(M)
         if scale <= 0.0:
             scale = float(M.mean()) or 1.0
-        np.divide(M, scale, out=K)
-    K /= -eta  # -(K / eta) bit for bit: rounding is symmetric in sign
-    np.exp(K, out=K)
+        M = np.divide(M, scale, out=out)
+    K = np.divide(M, -eta, out=out)  # -(M / eta) bit for bit: rounding
+    np.exp(K, out=K)                 # is symmetric in sign
     if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
         raise NumericalError(
             "exp(-M/eta) underflowed to zero along an entire row or column; "
             "scaling is infeasible (rescale the cost or increase eta)")
 
-    u = np.ones(n_src)
-    v = np.ones(n_dst)
+    u = np.ones(K.shape[0])
+    v = np.ones(K.shape[1])
     log: list[float] = []
     iterations = 0
     Kv = K @ v
@@ -267,24 +298,123 @@ def sinkhorn_plan(
     T = K  # scaled in place, the kernel becomes the plan
     T *= u[:, None]
     T *= v
+    row_sums = T.sum(axis=1)
     violation = max(
-        float(np.abs(T.sum(axis=1) - a).max()),
+        float(np.abs(row_sums - a).max()),
         float(np.abs(T.sum(axis=0) - b).max()),
     )
-    return TransportPlan(T, eta, iterations, violation <= tol, violation,
+    plan = TransportPlan(T, eta, iterations, violation <= tol, violation,
                          tuple(log) if log_objective else None)
+    return plan, row_sums
+
+
+def _median(M: np.ndarray) -> float:
+    """``np.median(M)`` bit for bit; M is never written and, past
+    ``_MEDIAN_SAMPLE`` entries, not copied unless the bracket misses.
+
+    A Floyd-Rivest bracket (Floyd & Rivest, CACM 1975): pivots at about
+    the 49th and 51st percentiles of a strided sample, then one pass over
+    M in row blocks counts the entries below the low pivot and gathers
+    those between the pivots.  Only that small set is partitioned.  When
+    the middle ranks fall outside the bracket, or ties make the gathered
+    set large, the median comes from partitioning a copy, as for small M.
+    """
+    if M.flags.f_contiguous:
+        M = M.T  # the same entries, with contiguous rows
+    h, odd = divmod(M.size, 2)
+    if M.size > _MEDIAN_SAMPLE:
+        middle = _bracketed_middle(M, h, odd)
+        if middle is not None:
+            return middle
+    return _middle(M.flatten(order="K"), h, odd)
+
+
+def _bracketed_middle(M: np.ndarray, h: int, odd: int) -> Optional[float]:
+    """:func:`_median` from a sample bracket, or None when it misses."""
+    n_rows, n_cols = M.shape
+    size = M.size
+    # coprime to both sides, a stride steps through every column and row
+    # instead of a few evenly spaced ones
+    stride = max(_MEDIAN_MIN_STRIDE, size // _MEDIAN_SAMPLE)
+    while math.gcd(stride, size) != 1:
+        stride += 1
+    sample = M.flat[::stride]  # a copy, in M's logical (C) order
+    sample.sort()
+    # the pivots sit three standard deviations of the sample median's
+    # rank (sqrt(m) / 2) either side of it: the 48.9th and 51.1st
+    # percentiles of a 20k sample (any m >= 16 keeps both inside it)
+    m = sample.size
+    w = math.ceil(1.5 * math.sqrt(m))
+    lo, hi = sample[m // 2 - w], sample[m // 2 + w]
+    below = at_most = 0  # entries < lo, and <= hi
+    gathered = []
+    rows = max(1, _MEDIAN_BLOCK // n_cols)
+    for start in range(0, n_rows, rows):
+        block = M[start:start + rows]
+        lt = block < lo
+        le = block <= hi
+        below += np.count_nonzero(lt)
+        at_most += np.count_nonzero(le)
+        if lo < hi:  # else every entry between the pivots equals lo
+            if at_most - below > 4 * w * stride:
+                return None  # twice the expected set: heavy ties
+            gathered.append(block[le > lt])
+    # the middle ranks, h and (for an even count) h - 1, must lie in
+    # [below, at_most)
+    if below > h - 1 + odd or at_most <= h:
+        return None
+    if lo == hi:
+        return float(lo if odd else (lo + lo) / 2)
+    return _middle(np.concatenate(gathered), h - below, odd)
+
+
+def _middle(values: np.ndarray, h: int, odd: int) -> float:
+    """np.median's float from the entries of rank h (and h - 1 for an
+    even count) of ``values``, which is partitioned in place."""
+    values.partition(h)
+    # values[:h] holds the h smallest entries, so for an even count their
+    # maximum is the lower middle value
+    return float(values[h] if odd else (values[:h].max() + values[h]) / 2)
 
 
 def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
-    """Row-normalized barycentric projection diag(rowsums)^-1 T X_dst."""
+    """Row-normalized barycentric projection diag(rowsums)^-1 T X_dst;
+    ``plan.T`` is not written (the normalised plan is a temporary)."""
     X_dst = np.asarray(X_dst, dtype=np.float64)
     if X_dst.ndim != 2 or X_dst.shape[0] != plan.T.shape[1]:
         raise ValidationError(
             f"X_dst must have {plan.T.shape[1]} rows, got {X_dst.shape}")
     row_sums = plan.T.sum(axis=1)
+    _require_positive_rows(row_sums)
+    return (plan.T / row_sums[:, None]) @ X_dst
+
+
+def _sinkhorn_projection(
+    cost: np.ndarray,
+    X_dst: np.ndarray,
+    eta: float,
+    max_iter: int,
+    tol: float,
+) -> tuple[np.ndarray, TransportPlan]:
+    """``barycentric_map(sinkhorn_plan(cost, eta=eta, max_iter=max_iter,
+    tol=tol), X_dst)`` bit for bit, and the plan's diagnostics, in cost's
+    own buffer: the cost is overwritten by K, then the plan, which is
+    row-normalised in place.  The returned plan's ``T`` is that
+    normalised buffer.  For a caller that owns ``cost`` and ``X_dst``,
+    whose rows match the cost's columns."""
+    cost, a, b, max_iter = _checked_sinkhorn_args(
+        cost, None, None, eta, max_iter, tol, "median")
+    plan, row_sums = _sinkhorn(cost, cost, a, b, eta, max_iter, tol,
+                               "median", False)
+    _require_positive_rows(row_sums)
+    T = plan.T
+    T /= row_sums[:, None]
+    return T @ X_dst, plan
+
+
+def _require_positive_rows(row_sums: np.ndarray) -> None:
     if np.any(row_sums <= 0):
         raise NumericalError("transport plan has a zero row sum")
-    return (plan.T / row_sums[:, None]) @ X_dst
 
 
 def spectral_summary(S: np.ndarray) -> SpectralSummary:

@@ -11,6 +11,11 @@ Neighbours are searched in a KD-tree on the destination rows at up to
 doubt re-rank the tree's rows near their k-th distance by ``cdist``, and
 every row at higher dimension takes an exact ``cdist`` scan, so the
 chosen neighbours never depend on which search found them.
+
+Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
+squared-Euclidean cost is computed into it, and it then holds K, the plan
+and the row-normalised plan of the barycentric projection in turn.  When
+it cannot be allocated the error names its size before any work starts.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ from .core import (
     VOTE_VALUES,
     ValidationError,
     WeakLabelMatrix,
+    require_count,
     require_values,
     validate_dataset,
 )
-from .ot import apply_monge, barycentric_map, fit_moments, linear_monge, sinkhorn_plan
+from .ot import _sinkhorn_projection, apply_monge, fit_moments, linear_monge
 
 logger = logging.getLogger("otrelabel")
 
@@ -114,7 +120,8 @@ def knn_transfer(
             raise ValidationError(f"{name} coordinates must be finite")
     votes_dst = np.asarray(
         require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int64)
-    if not 1 <= k <= X_dst.shape[0]:
+    k = require_count("k", k)
+    if k > X_dst.shape[0]:
         raise ValidationError(
             f"k must be in [1, {X_dst.shape[0]}], got {k}")
 
@@ -238,20 +245,27 @@ def _transported_sources(
             fit_moments(X_dst, cfg.covariance_ridge),
         )
         return apply_monge(mm, X_src)
-    cost = cdist(X_src, X_dst, metric="sqeuclidean")
-    plan = sinkhorn_plan(
-        cost,
+    n_src, n_dst = X_src.shape[0], X_dst.shape[0]
+    try:
+        cost = np.empty((n_src, n_dst))
+    except MemoryError:
+        raise ValidationError(
+            f"a sinkhorn plan over {n_src} x {n_dst} rows needs one dense "
+            f"float64 buffer of {8 * n_src * n_dst} bytes, which could not "
+            "be allocated; ot_type=linear needs no dense buffer") from None
+    cdist(X_src, X_dst, metric="sqeuclidean", out=cost)
+    projected, plan = _sinkhorn_projection(
+        cost, X_dst,
         eta=cfg.sinkhorn_eta,
         max_iter=cfg.sinkhorn_max_iter,
         tol=cfg.sinkhorn_tol,
     )
-    del cost  # the projection's full-size temporary takes its place
     if not plan.converged:
         logger.info(
             "sinkhorn stopped after %d rounds with marginal violation "
             "%.2e (raise sinkhorn_max_iter to tighten)",
             plan.iterations_run, plan.marginal_violation)
-    return barycentric_map(plan, X_dst)
+    return projected
 
 
 def sbm_transport(

@@ -1,10 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from otrelabel import ot
 from otrelabel import (
     GaussianMoments,
     NumericalError,
@@ -348,6 +351,138 @@ def test_sinkhorn_plan_holds_one_dense_buffer():
     assert peak <= 1.25 * cost.nbytes
 
 
+@pytest.mark.parametrize("max_iter", [1.5, 2.5, True, 2.0])
+def test_sinkhorn_rejects_a_non_integer_max_iter(max_iter):
+    with pytest.raises(ValidationError,
+                       match="max_iter must be an integer >= 1"):
+        sinkhorn_plan(np.ones((2, 2)), max_iter=max_iter)
+
+
+def test_sinkhorn_accepts_a_numpy_integer_max_iter():
+    cost = np.random.default_rng(14).uniform(0.0, 3.0, size=(5, 4))
+    assert np.array_equal(sinkhorn_plan(cost, max_iter=np.int64(3)).T,
+                          sinkhorn_plan(cost, max_iter=3).T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_sinkhorn_rejects_each_bad_cost_entry(bad):
+    cost = np.ones((3, 4))
+    cost[2, 1] = bad
+    with pytest.raises(ValidationError,
+                       match="cost matrix entries must be finite and >= 0"):
+        sinkhorn_plan(cost)
+
+
+def test_sinkhorn_rejects_an_empty_cost():
+    with pytest.raises(ValidationError, match="cost matrix is empty"):
+        sinkhorn_plan(np.zeros((0, 3)))
+
+
+def test_sinkhorn_accepts_a_negative_zero_cost():
+    cost = np.random.default_rng(15).uniform(0.0, 3.0, size=(4, 5))
+    cost[0, 0] = 0.0
+    signed = cost.copy()
+    signed[0, 0] = -0.0
+    assert np.array_equal(sinkhorn_plan(signed).T, sinkhorn_plan(cost).T)
+
+
+def as_layout(cost, layout):
+    """``cost`` row-major, column-major, or as a strided view of it."""
+    if layout == "F":
+        return np.asfortranarray(cost)
+    if layout == "view":
+        return cost[::2, ::3]
+    return cost
+
+
+def same_float(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.fixture
+def partitioned(monkeypatch):
+    """The sizes of the arrays the median partitions, call by call."""
+    sizes = []
+    middle = ot._middle
+
+    def spy(values, h, odd):
+        sizes.append(values.size)
+        return middle(values, h, odd)
+
+    monkeypatch.setattr(ot, "_middle", spy)
+    return sizes
+
+
+def median_cost(rng, kind, n, m):
+    """``cost_of_kind``, or mostly entries whose sum overflows: the mean
+    of two middle entries is then inf."""
+    if kind == "huge":
+        return np.where(rng.random((n, m)) < 0.8, 1e308, 0.0)
+    return cost_of_kind(rng, kind, n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 90),
+       st.one_of(st.integers(1, 90), st.sampled_from([32, 64, 96])),
+       st.sampled_from(["uniform", "ties", "zero_median", "zero", "huge"]),
+       st.sampled_from(["C", "F", "view"]),
+       st.sampled_from([(64, 2), (ot._MEDIAN_SAMPLE, ot._MEDIAN_MIN_STRIDE)]))
+def test_median_matches_np_median_bit_for_bit(seed, n, m, kind, layout,
+                                              sampling):
+    # a sample of 64 entries at stride >= 2 sends small costs through the
+    # bracket; a row length of 32k shares a factor with every even stride
+    cost = as_layout(median_cost(np.random.default_rng(seed), kind, n, m),
+                     layout)
+    before = cost.copy()
+    with mock.patch.object(ot, "_MEDIAN_SAMPLE", sampling[0]), \
+            mock.patch.object(ot, "_MEDIAN_MIN_STRIDE", sampling[1]), \
+            np.errstate(over="ignore"):
+        got = ot._median(cost)
+        want = np.median(cost)
+    assert same_float(got, want)
+    assert np.array_equal(cost, before)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "view"])
+@pytest.mark.parametrize("n_dst", [600, 599])
+def test_median_of_a_large_cost_is_bracketed(partitioned, layout, n_dst):
+    rng = np.random.default_rng(16)
+    cost = as_layout(cdist(rng.normal(size=(601, 4)),
+                           rng.normal(size=(n_dst, 4)) + 0.5,
+                           "sqeuclidean"), layout)
+    assert same_float(ot._median(cost), np.median(cost))
+    # only the bracketed few percent were partitioned, not a copy
+    assert len(partitioned) == 1 and partitioned[0] <= 0.1 * cost.size
+
+
+@pytest.mark.parametrize("miss", ["rank", "straddle", "ties"])
+def test_median_falls_back_to_a_copy_when_the_bracket_misses(
+        partitioned, miss):
+    rng = np.random.default_rng(17)
+    p = 20_011  # a prime, so the sample stride is the least one, 32
+    if miss == "rank":  # every sampled entry is the minimum
+        cost = rng.uniform(1.0, 2.0, size=(1, p))
+        cost[0, ::ot._MEDIAN_MIN_STRIDE] = 0.0
+    elif miss == "straddle":
+        # an even count, half of it zeros that the sample (every 33rd
+        # entry: 33 is the least stride >= 32 coprime to 2p) never reads;
+        # the lower middle entry lies just below the bracket
+        cost = np.ones((1, 2 * p))
+        cost[0, np.flatnonzero(np.arange(2 * p) % 33)[:p]] = 0.0
+    else:  # two values, each half the cost: the bracket holds them all
+        cost = np.where(rng.random((1, p)) < 0.5, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        got = ot._median(cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_float(got, np.median(cost))
+    assert partitioned == [cost.size]
+    # a miss costs the copy, no more
+    assert peak <= 1.25 * cost.nbytes
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12))
 def test_sinkhorn_marginal_conservation(seed, n, m):
@@ -392,6 +527,15 @@ def test_barycentric_permutation_limit():
                          rescale="none")
     mapped = barycentric_map(plan, x[perm])
     assert np.abs(mapped - x).max() <= 1e-6
+
+
+def test_barycentric_leaves_the_plan_unchanged():
+    rng = np.random.default_rng(18)
+    plan = sinkhorn_plan(rng.uniform(0.0, 3.0, size=(6, 5)))
+    before = plan.T.copy()
+    plan.T.setflags(write=False)  # a write would raise
+    barycentric_map(plan, rng.normal(size=(5, 2)))
+    assert np.array_equal(plan.T, before)
 
 
 def test_barycentric_rejects_zero_row():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial.distance import cdist
+
 import otrelabel.transport as transport
 from otrelabel import (
     AccuracyEstimate,
@@ -12,10 +14,12 @@ from otrelabel import (
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
+    barycentric_map,
     estimate_accuracies,
     knn_transfer,
     per_group_accuracies,
     sbm_transport,
+    sinkhorn_plan,
 )
 from helpers import knn_oracle, make_biased_fixture
 
@@ -85,6 +89,22 @@ def test_k_out_of_range_rejected():
     dst = np.zeros((3, 2))
     with pytest.raises(ValidationError):
         knn_transfer(np.zeros((1, 2)), dst, np.ones(3, int), k=4)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.5, True, 2.0])
+def test_non_integer_k_rejected(k):
+    dst = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+        knn_transfer(np.zeros((1, 2)), dst, np.ones(3, int), k)
+
+
+def test_numpy_integer_k_accepted():
+    rng = np.random.default_rng(3)
+    dst = rng.normal(size=(20, 2))
+    votes = rng.choice([-1, 0, 1], size=20)
+    query = rng.normal(size=(5, 2))
+    assert np.array_equal(knn_transfer(query, dst, votes, np.int64(3)),
+                          knn_transfer(query, dst, votes, 3))
 
 
 @settings(max_examples=20, deadline=None)
@@ -402,6 +422,64 @@ def test_sinkhorn_transport_frees_the_cost_before_the_projection():
         tracemalloc.stop()
     # the plan and the projection's temporary, not the cost as well
     assert peak <= 2.25 * dense
+
+
+@pytest.mark.parametrize("n_src,n_dst,d,eta,max_iter", [
+    (1, 1, 2, 1.0, 10),
+    (40, 30, 3, 0.5, 50),
+    # past the median's sample size, so the bracket selects it
+    (300, 250, 4, 1.0, 10),
+    (250, 301, 2, 0.05, 200),
+])
+def test_sinkhorn_transport_matches_the_public_plan_and_projection(
+        n_src, n_dst, d, eta, max_iter):
+    rng = np.random.default_rng(n_src + n_dst)
+    X_src = rng.normal(size=(n_src, d))
+    X_dst = rng.normal(size=(n_dst, d)) + 0.5
+    cfg = PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=eta,
+                         sinkhorn_max_iter=max_iter)
+    public = barycentric_map(
+        sinkhorn_plan(cdist(X_src, X_dst, "sqeuclidean"), eta=eta,
+                      max_iter=max_iter, tol=cfg.sinkhorn_tol),
+        X_dst)
+    got = transport._transported_sources(X_src, X_dst, cfg, d)
+    assert np.array_equal(got, public)
+
+
+def test_sinkhorn_transport_holds_one_dense_buffer():
+    rng = np.random.default_rng(12)
+    X_src = rng.normal(size=(1000, 3))
+    X_dst = rng.normal(size=(800, 3)) + 1.0
+    dense = 1000 * 800 * 8
+    cfg = PipelineConfig(ot_type="sinkhorn")
+    tracemalloc.start()
+    try:
+        transport._transported_sources(X_src, X_dst, cfg, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cost, which becomes the plan; the median adds a few percent
+    assert peak <= 1.15 * dense
+
+
+def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
+    empty = np.empty
+
+    def no_dense(shape, *args, **kwargs):
+        if shape == (400, 300):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(transport.np, "empty", no_dense)
+    rng = np.random.default_rng(13)
+    cfg = PipelineConfig(ot_type="sinkhorn")
+    with pytest.raises(ValidationError) as info:
+        transport._transported_sources(
+            rng.normal(size=(400, 2)), rng.normal(size=(300, 2)), cfg, 2)
+    message = str(info.value)
+    assert "400 x 300" in message
+    assert "960000 bytes" in message
+    assert "ot_type=linear" in message
 
 
 def test_global_scope_uses_one_direction():
