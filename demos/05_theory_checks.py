@@ -18,7 +18,8 @@ Running this script executes all three sweeps and writes plot-ready CSVs.
 
 import sys
 
-from otrelabel.pipeline import run_theory_suite, write_theory_artifacts
+from otrelabel.pipeline import write_theory_artifacts
+from otrelabel.synthetic import run_theory_suite
 
 out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
 

@@ -27,7 +27,6 @@ from .estimate import (
     accuracies_from_moments,
     estimate_accuracies,
     moment_matrix,
-    pairwise_moment,
     per_group_accuracies,
     resolve_sign,
     triplet_accuracies,
@@ -40,7 +39,6 @@ from .labelmodel import (
     infer_pseudolabels,
     predict,
     train_end_model,
-    uniform_label_model,
 )
 from .metrics import (
     FairnessReport,
@@ -121,7 +119,6 @@ __all__ = [
     "lipschitz_check",
     "map_error_sweep",
     "moment_matrix",
-    "pairwise_moment",
     "per_group_accuracies",
     "predict",
     "proximity",
@@ -135,6 +132,5 @@ __all__ = [
     "spectral_summary",
     "train_end_model",
     "triplet_accuracies",
-    "uniform_label_model",
     "validate_dataset",
 ]

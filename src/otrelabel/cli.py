@@ -29,10 +29,10 @@ from .pipeline import (
     parse_config_value,
     read_raw_csv,
     run_pipeline,
-    run_theory_suite,
     write_theory_artifacts,
     write_votes_csv,
 )
+from .synthetic import run_theory_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -172,13 +172,11 @@ class AccuracyEstimate:
     """Estimated LF accuracies, globally and per group.
 
     ``per_lf_global[j]`` estimates E[lambda_j * y]; ``per_lf_group[j, k]``
-    the same restricted to group k.  ``aggregation`` records how values
-    from individual triplets were combined.
+    the same restricted to group k.
     """
 
     per_lf_global: np.ndarray
     per_lf_group: np.ndarray
-    aggregation: str = "median"
 
     def __post_init__(self):
         g = _frozen_array(self.per_lf_global, np.float64)
@@ -190,8 +188,6 @@ class AccuracyEstimate:
                 f"per_lf_group must be {g.shape[0]}x2, got {p.shape}")
         if np.any(np.abs(g) > 1 + 1e-12) or np.any(np.abs(p) > 1 + 1e-12):
             raise ValidationError("accuracy estimates must lie in [-1, 1]")
-        if self.aggregation not in ("median", "mean"):
-            raise ValidationError(f"unknown aggregation {self.aggregation!r}")
         object.__setattr__(self, "per_lf_global", g)
         object.__setattr__(self, "per_lf_group", p)
 

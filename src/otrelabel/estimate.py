@@ -5,8 +5,8 @@ factorizes, E[lambda_i lambda_j] = a_i a_j, so for any triplet (i, j, k)
 
     |a_i| = sqrt(E[l_i l_j] * E[l_i l_k] / E[l_j l_k]).
 
-Each LF collects one magnitude per triplet it belongs to; the values are
-aggregated (median by default) and signs are resolved afterwards from
+Each LF collects one magnitude per triplet it belongs to; its estimate is
+the median of those values, and signs are resolved afterwards from
 agreement with the row-wise majority vote.
 
 Moments are computed over rows where both LFs are non-abstaining.  The
@@ -17,7 +17,6 @@ pass is vectorised over all C(m, 3) triplets at once.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -95,22 +94,6 @@ def moment_matrix(wl: WeakLabelMatrix) -> np.ndarray:
         return np.where(cnt > 0, num / np.maximum(cnt, 1), np.nan)
 
 
-def pairwise_moment(wl: WeakLabelMatrix, i: int, j: int) -> float:
-    """Empirical E[l_i * l_j] over mutually non-abstaining rows.
-
-    Returns NaN (the undefined-moment signal) when the two LFs never vote
-    on a common row.
-    """
-    if i == j:
-        raise ValidationError("pairwise_moment requires distinct LF indices")
-    vi, vj = wl.votes[:, i], wl.votes[:, j]
-    both = (vi != 0) & (vj != 0)
-    cnt = int(both.sum())
-    if cnt == 0:
-        return math.nan
-    return float(int((vi * vj)[both].sum()) / cnt)
-
-
 def _triplet_indices(m: int) -> np.ndarray:
     """C(m, 3) x 3 array of triplets i < j < k in combinations order.
 
@@ -140,7 +123,6 @@ def _triplet_value(num1: np.ndarray, num2: np.ndarray,
 def accuracies_from_moments(
     moments: np.ndarray,
     eps_pair: float = EPS_PAIR,
-    aggregation: str = "median",
 ) -> tuple[np.ndarray, TripletRecords]:
     """Aggregate |a_i| estimates from a pairwise second-moment matrix.
 
@@ -148,15 +130,13 @@ def accuracies_from_moments(
     to machine precision (algebraic identity).  Triplets where any moment
     is NaN or has magnitude <= eps_pair are recorded as degenerate and
     skipped; an LF whose every triplet is degenerate raises NumericalError.
-    Each LF's values are aggregated in triplet order.
+    Each LF's estimate is the median of its values in triplet order.
     """
     m = moments.shape[0]
     if moments.shape != (m, m):
         raise ValidationError("moment matrix must be square")
     if m < 3:
         raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
-    if aggregation not in ("median", "mean"):
-        raise ValidationError(f"unknown aggregation {aggregation!r}")
     idx = _triplet_indices(m)
     i, j, k = idx.T
     bad = np.isnan(moments) | (np.abs(moments) <= eps_pair)
@@ -176,9 +156,8 @@ def accuracies_from_moments(
             f"every triplet containing lf {int(np.argmin(counts))} "
             "is degenerate")
     vals = raw[~degenerate].ravel()[np.argsort(lf, kind="stable")]
-    agg = np.median if aggregation == "median" else np.mean
     segments = np.split(vals, np.cumsum(counts)[:-1])
-    out = np.array([agg(seg) for seg in segments])
+    out = np.array([np.median(seg) for seg in segments])
     return out, TripletRecords(idx, raw, degenerate)
 
 
@@ -207,13 +186,11 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
 def triplet_accuracies(
     wl: WeakLabelMatrix,
     eps_pair: float = EPS_PAIR,
-    aggregation: str = "median",
 ) -> tuple[np.ndarray, TripletRecords]:
     """Signed accuracy estimates for every LF from vote moments alone."""
     if wl.m < 3:
         raise ValidationError(f"need at least 3 LFs, got {wl.m}")
-    mags, records = accuracies_from_moments(
-        moment_matrix(wl), eps_pair=eps_pair, aggregation=aggregation)
+    mags, records = accuracies_from_moments(moment_matrix(wl), eps_pair)
     return resolve_sign(mags, wl), records
 
 
@@ -221,7 +198,6 @@ def per_group_accuracies(
     wl: WeakLabelMatrix,
     ds: GroupedDataset,
     eps_pair: float = EPS_PAIR,
-    aggregation: str = "median",
 ) -> np.ndarray:
     """m x 2 matrix of per-group accuracy estimates.
 
@@ -237,8 +213,7 @@ def per_group_accuracies(
             raise ValidationError(f"group {k} is empty")
         try:
             out[:, k], _ = triplet_accuracies(
-                wl.restrict_rows(mask), eps_pair=eps_pair,
-                aggregation=aggregation)
+                wl.restrict_rows(mask), eps_pair=eps_pair)
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"group {k}: {exc}") from exc
     return out
@@ -248,14 +223,11 @@ def estimate_accuracies(
     wl: WeakLabelMatrix,
     ds: GroupedDataset,
     eps_pair: float = EPS_PAIR,
-    aggregation: str = "median",
 ) -> tuple[AccuracyEstimate, TripletRecords]:
     """Bundle per-group and global estimates.
 
     Groups are estimated first, so a failure names the group it hit.
     """
-    group_est = per_group_accuracies(
-        wl, ds, eps_pair=eps_pair, aggregation=aggregation)
-    global_est, records = triplet_accuracies(
-        wl, eps_pair=eps_pair, aggregation=aggregation)
-    return AccuracyEstimate(global_est, group_est, aggregation), records
+    group_est = per_group_accuracies(wl, ds, eps_pair=eps_pair)
+    global_est, records = triplet_accuracies(wl, eps_pair=eps_pair)
+    return AccuracyEstimate(global_est, group_est), records

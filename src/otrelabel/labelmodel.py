@@ -35,7 +35,6 @@ class LabelModelParams:
 
     weights: np.ndarray
     prior: float
-    source: str = "triplet"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -43,8 +42,6 @@ class LabelModelParams:
             raise ValidationError("weights must be 1-D")
         if not np.all(np.isfinite(w)) or not math.isfinite(self.prior):
             raise ValidationError("label-model parameters must be finite")
-        if self.source not in ("triplet", "uniform"):
-            raise ValidationError(f"unknown weight source {self.source!r}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -96,17 +93,7 @@ def fit_label_model(
     a = np.clip(est.per_lf_global, -ACC_CLAMP, ACC_CLAMP)
     weights = 0.5 * np.log((1.0 + a) / (1.0 - a))
     prior = math.log(class_balance / (1.0 - class_balance))
-    return LabelModelParams(weights, prior, source="triplet")
-
-
-def uniform_label_model(m: int, class_balance: float = 0.5) -> LabelModelParams:
-    """Majority-vote fallback: every LF gets the same unit weight."""
-    if m < 1:
-        raise ValidationError("need at least one LF")
-    if not 0.0 < class_balance < 1.0:
-        raise ValidationError("class_balance must be in (0, 1)")
-    prior = math.log(class_balance / (1.0 - class_balance))
-    return LabelModelParams(np.ones(m), prior, source="uniform")
+    return LabelModelParams(weights, prior)
 
 
 def infer_pseudolabels(
@@ -191,7 +178,7 @@ def train_end_model(
         raise ValidationError("pseudo_probs length must match X rows")
     if not np.all((t >= 0) & (t <= 1)):  # NaN too
         raise ValidationError("pseudo_probs must lie in [0, 1]")
-    if lr <= 0 or l2 < 0:
+    if not (0 < lr < math.inf and 0 <= l2 < math.inf):  # NaN too
         raise ValidationError("bad training hyperparameters")
     center = X.mean(axis=0)
     spread = X.std(axis=0)

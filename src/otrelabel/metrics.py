@@ -129,9 +129,9 @@ def lf_delta_report(
     after: WeakLabelMatrix,
     gold: np.ndarray,
     groups: np.ndarray,
-    names: list[str] | None = None,
 ) -> list[dict]:
-    """Per-LF fairness reports for two vote matrices plus their deltas.
+    """Per-LF fairness reports for two vote matrices plus their deltas,
+    one row per LF, named ``lf_j`` as in the votes CSV header.
 
     Each LF is scored on the rows where it is non-abstaining in both
     matrices, so the before/after comparison covers a common row set.
@@ -144,10 +144,6 @@ def lf_delta_report(
     groups = np.asarray(groups)
     if gold.shape != (before.n,) or groups.shape != (before.n,):
         raise ValidationError("gold/groups lengths must match the votes")
-    if names is None:
-        names = [f"lf_{j}" for j in range(before.m)]
-    if len(names) != before.m:
-        raise ValidationError("need one name per LF")
     gold = _check_pm1(gold, "gold")
     if not np.isin(groups, (0, 1)).all():
         raise ValidationError("groups entries must be in {0, 1}")
@@ -155,7 +151,8 @@ def lf_delta_report(
     counts = [_group_counts(wl.votes, gold, groups, active)
               for wl in (before, after)]
     rows = []
-    for j, name in enumerate(names):
+    for j in range(before.m):
+        name = f"lf_{j}"
         if not active[:, j].any():
             raise ValidationError(f"{name}: no mutually non-abstaining rows")
         try:

@@ -145,6 +145,7 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
 
     The ridge is added verbatim to the diagonal; pick it relative to the
     feature scale (the pipeline default 1e-6 suits unit-scale embeddings).
+    A non-finite ridge or entry of X is rejected.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -152,8 +153,10 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
     n, d = X.shape
     if n < 2:
         raise ValidationError(f"need at least 2 rows to fit moments, got {n}")
-    if ridge < 0:
-        raise ValidationError("ridge must be nonnegative")
+    if not 0 <= ridge < math.inf:  # NaN too
+        raise ValidationError("ridge must be nonnegative and finite")
+    if not np.isfinite(X).all():
+        raise ValidationError("X must be finite")
     mu = X.mean(axis=0)
     Xc = X - mu
     sigma = (Xc.T @ Xc) / (n - 1)

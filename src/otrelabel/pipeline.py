@@ -1,5 +1,6 @@
 """Data ingestion, built-in labeling-function banks, and the end-to-end
-repair run with its report artifacts.
+repair run with its report artifacts.  The theory suite runs in
+:mod:`otrelabel.synthetic`; its artifacts are written here.
 
 File formats
 ------------
@@ -58,13 +59,6 @@ from .core import (
 from .estimate import estimate_accuracies
 from .labelmodel import fit_label_model, infer_pseudolabels, predict, train_end_model
 from .metrics import fairness_report, lf_delta_report
-from .ot import MongeMap
-from .synthetic import (
-    SyntheticModel,
-    lipschitz_check,
-    map_error_sweep,
-    shift_sweep,
-)
 from .transport import sbm_transport
 
 logger = logging.getLogger("otrelabel")
@@ -218,7 +212,6 @@ def load_features_csv(
     path: str,
     group_col: str = "group",
     label_col: Optional[str] = "label",
-    feature_cols: Optional[Sequence[str]] = None,
 ) -> GroupedDataset:
     """Parse a features CSV into a GroupedDataset, preserving row order.
 
@@ -231,13 +224,8 @@ def load_features_csv(
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
     has_labels = label_col is not None and label_col in header
-    if feature_cols is None:
-        skip = {group_col} | ({label_col} if has_labels else set())
-        feature_cols = [h for h in header if h not in skip]
-    else:
-        missing = [c for c in feature_cols if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing feature columns {missing}")
+    skip = {group_col} | ({label_col} if has_labels else set())
+    feature_cols = [h for h in header if h not in skip]
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
     col_idx = {h: i for i, h in enumerate(header)}
@@ -710,62 +698,7 @@ def run_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# theory suite
-
-# The fixed models of the three checks, SyntheticModel.gaussian(dim,
-# theta0), whose labeler is right with probability
-# sigmoid(2 * theta0 * prox(x, center)).  The shift check uses
-# shift_sweep's default tolerances (final_tol 0.02, mono_slack 0.01).
-SHIFT_DIM, SHIFT_THETA0 = 3, 5.0
-LIPSCHITZ_DIM, LIPSCHITZ_THETA0S = 3, (0.5, 1.0, 3.0)
-MAP_DIM, MAP_THETA0 = 4, 1.0
-
-
-def run_theory_suite(
-    seed: int = 0,
-    shifts: Sequence[float] = (0.0, 1.0, 10.0, 100.0, 1000.0),
-    shift_n: int = 100_000,
-    lipschitz_trials: int = 100_000,
-    map_sizes: Sequence[int] = (100, 1000, 10_000),
-    map_holdout: int = 20_000,
-) -> dict:
-    """Run the three numeric checks and bundle their reports.
-
-    The bundle's ``passed`` is the conjunction of the individual flags;
-    the CLI maps a false overall flag to exit status 3.
-    """
-    shift_model = SyntheticModel.gaussian(SHIFT_DIM, SHIFT_THETA0)
-    shift_report = shift_sweep(shift_model, shifts, shift_n, seed=seed)
-
-    ratios = []
-    for i, theta0 in enumerate(LIPSCHITZ_THETA0S):
-        model = SyntheticModel.gaussian(LIPSCHITZ_DIM, theta0)
-        ratios.append(lipschitz_check(model, lipschitz_trials, seed=seed + i))
-    bounds = [4.0 * t for t in LIPSCHITZ_THETA0S]
-    lipschitz = {
-        "theta0": list(LIPSCHITZ_THETA0S),
-        "max_ratio": ratios,
-        "bound": bounds,
-        "passed": all(r < b for r, b in zip(ratios, bounds)),
-    }
-
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((MAP_DIM, MAP_DIM)))
-    g1_matrix = (q * rng.uniform(0.8, 1.6, MAP_DIM)) @ q.T
-    g1_offset = rng.standard_normal(MAP_DIM)
-    map_model = SyntheticModel.gaussian(MAP_DIM, MAP_THETA0).with_group1(
-        MongeMap(g1_matrix, g1_offset))
-    map_report = map_error_sweep(
-        map_model, map_sizes, seed=seed, holdout=map_holdout)
-
-    bundle = {
-        "shift_limit": shift_report.to_dict(),
-        "lipschitz": lipschitz,
-        "map_error_bound": map_report.to_dict(),
-        "passed": bool(
-            shift_report.passed and lipschitz["passed"] and map_report.passed),
-    }
-    return bundle
+# theory-suite and regime artifacts
 
 
 def write_theory_artifacts(bundle: dict, out_dir: str) -> None:

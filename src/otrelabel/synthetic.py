@@ -17,6 +17,9 @@ Three checkable consequences drive the harness:
 * repairing a shifted group with an *estimated* affine transport map
   changes expected accuracy by at most 4*theta0 times the mean map error,
   a bound that shrinks as the fit uses more samples (``map_error_sweep``).
+
+``run_theory_suite`` runs the three checks on fixed models and bundles
+their reports; ``pipeline.write_theory_artifacts`` writes the bundle.
 """
 
 from __future__ import annotations
@@ -365,3 +368,59 @@ def map_error_sweep(
         passed=passed,
         extras={"diagnostics": diagnostics, "t": t, "holdout": holdout},
     )
+
+
+# The fixed models of the three checks, SyntheticModel.gaussian(dim,
+# theta0), whose labeler is right with probability
+# sigmoid(2 * theta0 * prox(x, center)).  The shift check uses
+# shift_sweep's default tolerances (final_tol 0.02, mono_slack 0.01).
+SHIFT_DIM, SHIFT_THETA0 = 3, 5.0
+LIPSCHITZ_DIM, LIPSCHITZ_THETA0S = 3, (0.5, 1.0, 3.0)
+MAP_DIM, MAP_THETA0 = 4, 1.0
+
+
+def run_theory_suite(
+    seed: int = 0,
+    shifts: Sequence[float] = (0.0, 1.0, 10.0, 100.0, 1000.0),
+    shift_n: int = 100_000,
+    lipschitz_trials: int = 100_000,
+    map_sizes: Sequence[int] = (100, 1000, 10_000),
+    map_holdout: int = 20_000,
+) -> dict:
+    """Run the three numeric checks and bundle their reports.
+
+    The bundle's ``passed`` is the conjunction of the individual flags;
+    the CLI maps a false overall flag to exit status 3.
+    """
+    shift_model = SyntheticModel.gaussian(SHIFT_DIM, SHIFT_THETA0)
+    shift_report = shift_sweep(shift_model, shifts, shift_n, seed=seed)
+
+    ratios = []
+    for i, theta0 in enumerate(LIPSCHITZ_THETA0S):
+        model = SyntheticModel.gaussian(LIPSCHITZ_DIM, theta0)
+        ratios.append(lipschitz_check(model, lipschitz_trials, seed=seed + i))
+    bounds = [4.0 * t for t in LIPSCHITZ_THETA0S]
+    lipschitz = {
+        "theta0": list(LIPSCHITZ_THETA0S),
+        "max_ratio": ratios,
+        "bound": bounds,
+        "passed": all(r < b for r, b in zip(ratios, bounds)),
+    }
+
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((MAP_DIM, MAP_DIM)))
+    g1_matrix = (q * rng.uniform(0.8, 1.6, MAP_DIM)) @ q.T
+    g1_offset = rng.standard_normal(MAP_DIM)
+    map_model = SyntheticModel.gaussian(MAP_DIM, MAP_THETA0).with_group1(
+        MongeMap(g1_matrix, g1_offset))
+    map_report = map_error_sweep(
+        map_model, map_sizes, seed=seed, holdout=map_holdout)
+
+    bundle = {
+        "shift_limit": shift_report.to_dict(),
+        "lipschitz": lipschitz,
+        "map_error_bound": map_report.to_dict(),
+        "passed": bool(
+            shift_report.passed and lipschitz["passed"] and map_report.passed),
+    }
+    return bundle

@@ -178,14 +178,15 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
 def _rerank(X_query: np.ndarray, X_dst: np.ndarray, cands: np.ndarray,
             k: int) -> np.ndarray:
     """:func:`_nearest` of each query row among its candidate destination
-    rows (one index list per row), by ``cdist`` and a (distance, index)
-    sort.  Exact when the candidates hold every row within the k-th
-    nearest ``cdist`` distance, ties included."""
+    rows (one index list per row, in any order).  Exact when the
+    candidates hold every row within the k-th nearest ``cdist`` distance,
+    ties included."""
     nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
     for r, cand in enumerate(cands):
-        cand = np.asarray(cand, dtype=np.intp)
-        dist = cdist(X_query[r:r + 1], X_dst[cand], metric="euclidean")[0]
-        nbrs[r] = cand[np.lexsort((cand, dist))[:k]]
+        # sorted, a lower column is a lower row index for _rank's tie rule
+        cand = np.sort(np.asarray(cand, dtype=np.intp))
+        dist = cdist(X_query[r:r + 1], X_dst[cand], metric="euclidean")
+        nbrs[r] = cand[_rank(dist, k)[0]]
     return nbrs
 
 
@@ -193,26 +194,30 @@ def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray,
                    k: int) -> np.ndarray:
     """:func:`_nearest` by a row-chunked ``cdist`` scan of every
     destination row."""
-    n_dst = X_dst.shape[0]
     nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
     for start in range(0, X_query.shape[0], _CHUNK):
         dist = cdist(X_query[start:start + _CHUNK], X_dst,
                      metric="euclidean")
-        if k == 1:
-            # argmin returns the first (lowest-index) minimum
-            nbrs[start:start + _CHUNK, 0] = np.argmin(dist, axis=1)
-            continue
-        cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        cand_dist = np.take_along_axis(dist, cand, axis=1)
-        order = np.lexsort((cand, cand_dist), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)
-        # the partition picks arbitrarily among rows tied at the k-th
-        # distance; such rows redo the exact (distance, index) sort
-        kth = np.take_along_axis(dist, cand[:, -1:], axis=1)
-        for r in np.flatnonzero((dist <= kth).sum(axis=1) > k):
-            cand[r] = np.lexsort((np.arange(n_dst), dist[r]))[:k]
-        nbrs[start:start + _CHUNK] = cand
+        nbrs[start:start + _CHUNK] = _rank(dist, k)
     return nbrs
+
+
+def _rank(dist: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest distances, nearest first, exact
+    distance ties to the lower column."""
+    if k == 1:
+        # argmin returns the first (lowest-column) minimum
+        return np.argmin(dist, axis=1)[:, None]
+    cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    cand_dist = np.take_along_axis(dist, cand, axis=1)
+    order = np.lexsort((cand, cand_dist), axis=1)
+    cand = np.take_along_axis(cand, order, axis=1)
+    # the partition picks arbitrarily among columns tied at the k-th
+    # distance; such rows redo the exact (distance, column) sort
+    kth = np.take_along_axis(dist, cand[:, -1:], axis=1)
+    for r in np.flatnonzero((dist <= kth).sum(axis=1) > k):
+        cand[r] = np.lexsort((np.arange(dist.shape[1]), dist[r]))[:k]
+    return cand
 
 
 def _majority_vote(votes: np.ndarray) -> np.ndarray:
@@ -230,11 +235,11 @@ def _transported_sources(
     X_src: np.ndarray,
     X_dst: np.ndarray,
     cfg: PipelineConfig,
-    d: int,
 ) -> np.ndarray:
     if cfg.ot_type == "none":
         return X_src
     if cfg.ot_type == "linear":
+        d = X_src.shape[1]
         for name, block in (("source", X_src), ("destination", X_dst)):
             if block.shape[0] < d + 1:
                 raise ValidationError(
@@ -308,7 +313,7 @@ def sbm_transport(
         if key not in transported:
             try:
                 transported[key] = _transported_sources(
-                    feats[src], feats[dst], cfg, ds.d)
+                    feats[src], feats[dst], cfg)
             except (ValidationError, NumericalError) as exc:
                 raise type(exc)(f"{context}: {exc}") from exc
         moved_columns.setdefault(key, []).append(j)

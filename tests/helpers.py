@@ -4,13 +4,15 @@ The oracles here deliberately avoid the production code paths: the kNN
 oracle is an exhaustive scan, the Sinkhorn oracle projects the full matrix
 instead of scaling factor vectors, the Sinkhorn plan oracle takes
 ``np.median`` and builds every intermediate in a fresh array, the
-posterior oracle enumerates the joint outcome space, the triplet oracle
-visits one LF triplet at a time instead of making one array pass, the CSV
-loader oracles check one cell at a time, the sigmoid oracle splits its
-input by sign with boolean indexing, the fairness oracle takes boolean
-means over masked rows, and the end-model oracle evaluates the full loss
-every epoch from its own frozen copy of the objective, every intermediate
-in a fresh array.  Tests compare library output against these.
+posterior oracle enumerates the joint outcome space, the moment oracle
+masks one LF pair at a time instead of taking Gram products, the
+triplet oracle visits one LF triplet at a time instead of making one
+array pass, the CSV loader oracles check one cell at a time, the sigmoid
+oracle splits its input by sign with boolean indexing, the fairness
+oracle takes boolean means over masked rows, and the end-model oracle
+evaluates the full loss every epoch from its own frozen copy of the
+objective, every intermediate in a fresh array.  Tests compare library
+output against these.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -191,17 +193,27 @@ def _triplet_value(num1: float, num2: float, den: float) -> float:
     return math.sqrt(min(max(r, 0.0), 1.0))
 
 
-def triplet_oracle(moments, eps_pair, aggregation):
+def pairwise_moment(wl: WeakLabelMatrix, i: int, j: int) -> float:
+    """Empirical E[l_i * l_j] over mutually non-abstaining rows, NaN when
+    the two LFs never vote on a common row: the reference for one entry
+    of ``moment_matrix``."""
+    vi, vj = wl.votes[:, i], wl.votes[:, j]
+    both = (vi != 0) & (vj != 0)
+    cnt = int(both.sum())
+    if cnt == 0:
+        return math.nan
+    return float(int((vi * vj)[both].sum()) / cnt)
+
+
+def triplet_oracle(moments, eps_pair):
     """Per-triplet loop over ``itertools.combinations``: the scalar
-    reference for ``accuracies_from_moments``.  Returns the aggregated
-    magnitudes and a list of ``TripletRecord``."""
+    reference for ``accuracies_from_moments``.  Returns each LF's median
+    magnitude and a list of ``TripletRecord``."""
     m = moments.shape[0]
     if moments.shape != (m, m):
         raise ValidationError("moment matrix must be square")
     if m < 3:
         raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
-    if aggregation not in ("median", "mean"):
-        raise ValidationError(f"unknown aggregation {aggregation!r}")
     per_lf: list[list[float]] = [[] for _ in range(m)]
     records: list[TripletRecord] = []
     for i, j, k in itertools.combinations(range(m), 3):
@@ -219,13 +231,12 @@ def triplet_oracle(moments, eps_pair, aggregation):
         per_lf[j].append(vj)
         per_lf[k].append(vk)
         records.append(TripletRecord((i, j, k), (vi, vj, vk)))
-    agg = np.median if aggregation == "median" else np.mean
     out = np.empty(m)
     for i, vals in enumerate(per_lf):
         if not vals:
             raise NumericalError(
                 f"every triplet containing lf {i} is degenerate")
-        out[i] = agg(vals)
+        out[i] = np.median(vals)
     return out, records
 
 
@@ -331,7 +342,6 @@ def load_features_oracle(
     path: str,
     group_col: str = "group",
     label_col: Optional[str] = "label",
-    feature_cols: Optional[Sequence[str]] = None,
 ) -> GroupedDataset:
     """Cell-by-cell features CSV parser that stops at the first bad cell:
     the reference for ``load_features_csv``."""
@@ -339,13 +349,8 @@ def load_features_oracle(
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
     has_labels = label_col is not None and label_col in header
-    if feature_cols is None:
-        skip = {group_col} | ({label_col} if has_labels else set())
-        feature_cols = [h for h in header if h not in skip]
-    else:
-        missing = [c for c in feature_cols if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing feature columns {missing}")
+    skip = {group_col} | ({label_col} if has_labels else set())
+    feature_cols = [h for h in header if h not in skip]
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
     col_idx = {h: i for i, h in enumerate(header)}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otrelabel
 import otrelabel.core as core
 from otrelabel import (
     GroupedDataset,
@@ -229,3 +230,10 @@ def test_restrict_rows_keeps_the_shape_checks():
     wl = WeakLabelMatrix([[1, 0], [-1, 1]])
     with pytest.raises(ValidationError, match="at least 1x1"):
         wl.restrict_rows(np.array([False, False]))
+
+
+def test_every_export_resolves_and_is_listed_once():
+    names = otrelabel.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(otrelabel, name), name

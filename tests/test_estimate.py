@@ -15,48 +15,42 @@ from otrelabel import (
     accuracies_from_moments,
     estimate_accuracies,
     moment_matrix,
-    pairwise_moment,
     per_group_accuracies,
     resolve_sign,
     triplet_accuracies,
 )
 from otrelabel.estimate import EPS_PAIR
-from helpers import sample_conditional_lfs, triplet_oracle
+from helpers import pairwise_moment, sample_conditional_lfs, triplet_oracle
 
 TRUE_ACC = np.array([0.8, 0.6, 0.4, 0.3, 0.2])
 
 
 def test_moment_perfect_agreement():
     wl = WeakLabelMatrix(np.tile([[1, 1]], (5, 1)) * np.array([[1], [-1], [1], [1], [-1]]))
-    assert pairwise_moment(wl, 0, 1) == 1.0
+    assert moment_matrix(wl)[0, 1] == 1.0
 
 
 def test_moment_perfect_disagreement():
     v = np.array([[1, -1], [-1, 1], [1, -1]])
-    assert pairwise_moment(WeakLabelMatrix(v), 0, 1) == -1.0
+    assert moment_matrix(WeakLabelMatrix(v))[0, 1] == -1.0
 
 
 def test_moment_independent_lfs_near_zero():
     rng = np.random.default_rng(7)
     v = rng.choice([-1, 1], size=(1_000_000, 2))
     # independent fair votes: moment 0 with CLT tolerance 5/sqrt(n)
-    assert abs(pairwise_moment(WeakLabelMatrix(v), 0, 1)) <= 0.005
+    assert abs(moment_matrix(WeakLabelMatrix(v))[0, 1]) <= 0.005
 
 
 def test_moment_skips_abstains():
     v = np.array([[1, 1], [0, 1], [1, 0], [-1, -1]])
     # only rows 0 and 3 count
-    assert pairwise_moment(WeakLabelMatrix(v), 0, 1) == 1.0
+    assert moment_matrix(WeakLabelMatrix(v))[0, 1] == 1.0
 
 
 def test_moment_undefined_when_no_overlap():
     v = np.array([[1, 0], [0, 1]])
-    assert math.isnan(pairwise_moment(WeakLabelMatrix(v), 0, 1))
-
-
-def test_moment_requires_distinct_indices():
-    with pytest.raises(ValidationError):
-        pairwise_moment(WeakLabelMatrix([[1, 1]]), 0, 0)
+    assert math.isnan(moment_matrix(WeakLabelMatrix(v))[0, 1])
 
 
 def test_population_moments_recover_accuracies_exactly():
@@ -197,14 +191,6 @@ def test_illegal_vote_values_refused():
         WeakLabelMatrix([[1, 1, 2], [1, -1, 1], [-1, 1, -1]])
 
 
-def test_median_vs_mean_aggregation_tag():
-    wl, _ = sample_conditional_lfs(TRUE_ACC, 5_000, seed=8)
-    med, _ = triplet_accuracies(wl, aggregation="median")
-    mean, _ = triplet_accuracies(wl, aggregation="mean")
-    assert med.shape == mean.shape
-    assert not np.array_equal(med, mean)
-
-
 def random_moments(m, seed, eps_pair, p_bad):
     """Symmetric moments in [-1, 1] with a unit diagonal; each off-diagonal
     cell is, with probability p_bad, replaced by NaN, +-eps_pair or 0."""
@@ -221,19 +207,17 @@ def random_moments(m, seed, eps_pair, p_bad):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 12), st.integers(0, 2**32 - 1),
        st.sampled_from([EPS_PAIR, 0.3]),
-       st.sampled_from([0.0, 0.05, 0.2, 0.6]),
-       st.sampled_from(["median", "mean"]))
-def test_triplet_pass_matches_loop_oracle(m, seed, eps_pair, p_bad,
-                                          aggregation):
+       st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+def test_triplet_pass_matches_loop_oracle(m, seed, eps_pair, p_bad):
     moments = random_moments(m, seed, eps_pair, p_bad)
     try:
-        want, want_records = triplet_oracle(moments, eps_pair, aggregation)
+        want, want_records = triplet_oracle(moments, eps_pair)
     except NumericalError as exc:
         with pytest.raises(NumericalError) as got:
-            accuracies_from_moments(moments, eps_pair, aggregation)
+            accuracies_from_moments(moments, eps_pair)
         assert str(got.value) == str(exc)
         return
-    est, records = accuracies_from_moments(moments, eps_pair, aggregation)
+    est, records = accuracies_from_moments(moments, eps_pair)
     assert np.array_equal(est, want)
     assert len(records) == len(want_records)
     for got_rec, want_rec in zip(records, want_records):

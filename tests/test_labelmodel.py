@@ -17,7 +17,6 @@ from otrelabel import (
     infer_pseudolabels,
     predict,
     train_end_model,
-    uniform_label_model,
 )
 from otrelabel.labelmodel import _sigmoid
 from helpers import (
@@ -110,14 +109,6 @@ def test_posterior_with_abstains_matches_bayes():
     for row, p in zip(rows, probs):
         assert p == pytest.approx(
             bayes_posterior_oracle(row, accs, 0.6), abs=1e-12)
-
-
-def test_uniform_label_model_is_majority_vote():
-    params = uniform_label_model(3)
-    _, labels = infer_pseudolabels(
-        params, WeakLabelMatrix([[1, 1, -1], [-1, -1, 1]]))
-    assert labels.tolist() == [1, -1]
-    assert params.source == "uniform"
 
 
 def test_inference_invariant_under_column_permutation():
@@ -345,3 +336,12 @@ def test_bad_targets_rejected():
 def test_nan_targets_rejected():
     with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
         train_end_model(np.zeros((2, 1)), np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("name", ["lr", "l2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_hyperparameters_rejected(value, name):
+    hyper = {"lr": 0.1, "l2": 1e-4, name: value}
+    with pytest.raises(ValidationError, match="bad training hyperparameters"):
+        train_end_model(np.array([[0.0], [1.0]]), np.array([0.2, 0.8]),
+                        epochs=5, **hyper)

@@ -201,14 +201,6 @@ def test_abstain_rows_excluded_per_lf():
     assert rows[0]["after"].accuracy == 1.0
 
 
-def test_named_lfs_carried_through():
-    wl = WeakLabelMatrix(np.ones((4, 2), dtype=int))
-    gold = np.array([1, 1, -1, 1])
-    groups = np.array([0, 1, 0, 1])
-    rows = lf_delta_report(wl, wl, gold, groups, names=["alpha", "beta"])
-    assert [r["name"] for r in rows] == ["alpha", "beta"]
-
-
 @st.composite
 def delta_cases(draw):
     """Vote matrices with abstains, LFs silent in one group and gold

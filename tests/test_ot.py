@@ -105,6 +105,21 @@ def test_fit_moments_needs_two_rows():
         fit_moments(np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("ridge", [np.nan, np.inf])
+def test_fit_moments_rejects_a_non_finite_ridge(ridge):
+    x = np.random.default_rng(4).normal(size=(50, 3))
+    with pytest.raises(ValidationError, match="ridge must be"):
+        fit_moments(x, ridge)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_moments_rejects_a_non_finite_row(value):
+    x = np.random.default_rng(4).normal(size=(50, 3))
+    x[17, 1] = value
+    with pytest.raises(ValidationError, match="X must be finite"):
+        fit_moments(x)
+
+
 # --------------------------------------------------------------------------
 # linear_monge / apply_monge
 

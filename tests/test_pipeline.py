@@ -20,10 +20,10 @@ from otrelabel.pipeline import (
     parse_config_text,
     read_raw_csv,
     run_pipeline,
-    run_theory_suite,
     write_theory_artifacts,
     write_votes_csv,
 )
+from otrelabel.synthetic import run_theory_suite
 from helpers import load_features_oracle, load_votes_oracle, make_biased_fixture
 
 

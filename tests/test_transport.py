@@ -253,6 +253,22 @@ def test_tied_rows_rerank_only_rows_near_the_kth_distance(monkeypatch):
     assert seen == [[0, 1, 2, 3]]
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("kind", ["grid", "duplicates"])
+def test_rerank_ranks_candidates_given_in_any_order(kind, k, order):
+    # the tree's ball search (return_sorted=False) lists each row's
+    # candidates in no particular order
+    rng = np.random.default_rng(14)
+    dst = tie_heavy_points(rng, kind, 60, 3)
+    query = np.vstack([tie_heavy_points(rng, kind, 20, 3), dst[:5]])
+    rows = np.arange(len(dst))
+    cands = [rows[::-1] if order == "reversed" else rng.permutation(rows)
+             for _ in query]
+    assert np.array_equal(transport._rerank(query, dst, cands, k),
+                          transport._nearest_exact(query, dst, k))
+
+
 class UnderflowFreeTree:
     """Brute-force stand-in for ``cKDTree`` whose distances scale the
     differences up before squaring, as a build that fuses multiply-adds
@@ -416,7 +432,7 @@ def test_sinkhorn_transport_frees_the_cost_before_the_projection():
     cfg = PipelineConfig(ot_type="sinkhorn")
     tracemalloc.start()
     try:
-        transport._transported_sources(X_src, X_dst, cfg, 3)
+        transport._transported_sources(X_src, X_dst, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -442,7 +458,7 @@ def test_sinkhorn_transport_matches_the_public_plan_and_projection(
         sinkhorn_plan(cdist(X_src, X_dst, "sqeuclidean"), eta=eta,
                       max_iter=max_iter, tol=cfg.sinkhorn_tol),
         X_dst)
-    got = transport._transported_sources(X_src, X_dst, cfg, d)
+    got = transport._transported_sources(X_src, X_dst, cfg)
     assert np.array_equal(got, public)
 
 
@@ -454,7 +470,7 @@ def test_sinkhorn_transport_holds_one_dense_buffer():
     cfg = PipelineConfig(ot_type="sinkhorn")
     tracemalloc.start()
     try:
-        transport._transported_sources(X_src, X_dst, cfg, 3)
+        transport._transported_sources(X_src, X_dst, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -475,7 +491,7 @@ def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
     cfg = PipelineConfig(ot_type="sinkhorn")
     with pytest.raises(ValidationError) as info:
         transport._transported_sources(
-            rng.normal(size=(400, 2)), rng.normal(size=(300, 2)), cfg, 2)
+            rng.normal(size=(400, 2)), rng.normal(size=(300, 2)), cfg)
     message = str(info.value)
     assert "400 x 300" in message
     assert "960000 bytes" in message
