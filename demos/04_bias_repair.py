@@ -97,7 +97,7 @@ for name, matrix in (("raw", wl), ("repaired", best)):
     print(f"\npseudolabels from {name} votes: accuracy={rep.accuracy:.3f} "
           f"dp_gap={rep.dp_gap:.3f}")
     if name == "repaired":
-        model = train_end_model(x, probs, epochs=300, lr=0.3, l2=1e-4)
+        model = train_end_model(x, probs, l2=1e-4)
         _, preds = predict(model, x)
         emr = fairness_report(preds, y, groups)
         print(f"end model on repaired pseudolabels: "

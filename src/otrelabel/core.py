@@ -228,10 +228,6 @@ class PipelineConfig:
         "help": "skip transport when group accuracies are this close"})
     end_model: bool = field(default=True, metadata={
         "help": "train the end model: on or off"})
-    epochs: int = field(default=500, metadata={
-        "help": "end-model gradient steps"})
-    lr: float = field(default=0.1, metadata={
-        "help": "end-model learning rate"})
     l2: float = field(default=1e-4, metadata={
         "help": "end-model L2 penalty"})
 
@@ -262,7 +258,7 @@ class PipelineConfig:
         if not isinstance(self.end_model, bool):
             raise ValidationError(
                 f"end_model must be True or False, got {self.end_model!r}")
-        if self.lr <= 0 or self.l2 < 0:
+        if self.l2 < 0:
             raise ValidationError("bad end-model hyperparameters")
 
     def to_dict(self) -> dict:

@@ -7,8 +7,8 @@ weights w_j = 0.5 * log((1 + a_j) / (1 - a_j)) and prior log-odds theta_y,
 
 which coincides with exact Bayes when votes are independent given y.
 Abstains contribute nothing (vote 0).  The end model is plain logistic
-regression trained by full-batch gradient descent against the soft
-pseudolabel probabilities.
+regression fitted to the soft pseudolabel probabilities by damped Newton
+(IRLS) steps, to the optimum of its L2-regularized objective.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
-    require_count,
 )
 
 ACC_CLAMP = 0.999
+NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-10  # gradient norm, in standardized space
+HESSIAN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -67,17 +69,15 @@ class EndModel:
         return self.coefficients.shape[0] - 1
 
 
-def _sigmoid(z: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function with one exp: e = exp(-|z|) in [+0, 1] cannot
     overflow, and max(e, z >= 0) is the numerator (1, or e for z < 0 or NaN)
-    without a branch.  Given ``a`` = |z|, it works in place over both."""
-    if a is None:
-        z, a = z.copy(), np.abs(z)
-    np.exp(np.negative(a, out=a), out=a)
-    np.maximum(a, z >= 0, out=z)
-    a += 1.0
-    z /= a
-    return z
+    without a branch."""
+    e = np.exp(-np.abs(z))
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def fit_label_model(
@@ -127,91 +127,90 @@ def end_model_objective(
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     w = coefficients[:-1]
-    with np.errstate(over="ignore"):  # inf loss is caught by the caller
+    with np.errstate(over="ignore"):  # an inf loss fails the line search
         z = X @ w + coefficients[-1]
-    loss = _loss(z, targets, w, l2)
-    return loss, _gradient(z, np.abs(z), X, targets, w, l2)
-
-
-def _loss(z: np.ndarray, targets: np.ndarray, w: np.ndarray,
-          l2: float) -> float:
-    with np.errstate(over="ignore"):
         # log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), without overflow
         log1pexp = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        return float(np.mean(log1pexp - targets * z) + 0.5 * l2 * (w @ w))
-
-
-def _gradient(z: np.ndarray, a: np.ndarray, X: np.ndarray,
-              targets: np.ndarray, w: np.ndarray, l2: float) -> np.ndarray:
-    """Gradient at scores ``z`` given ``a`` = |z|; overwrites both, ``z``
-    with the residual, whose mean is taken as ``np.mean`` does: sum / n."""
-    r = _sigmoid(z, a)
+        loss = float(np.mean(log1pexp - targets * z) + 0.5 * l2 * (w @ w))
+    r = _sigmoid(z)
     r -= targets
-    return np.concatenate([X.T @ r / X.shape[0] + l2 * w,
-                           [r.sum() / X.shape[0]]])
+    return loss, np.concatenate([X.T @ r / len(X) + l2 * w, [r.mean()]])
+
+
+def _hessian(Xs: np.ndarray, coef: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian of :func:`end_model_objective`: Xs^T diag(p (1 - p)) Xs / n
+    with its intercept row and column, plus the ridge.  It is summed over
+    blocks of ``HESSIAN_ROWS`` rows, so no n x (d + 1) array is built."""
+    H = np.diag(np.append(np.full(Xs.shape[1], l2), 0.0))
+    for lo in range(0, len(Xs), HESSIAN_ROWS):
+        block = Xs[lo:lo + HESSIAN_ROWS]
+        p = _sigmoid(block @ coef[:-1] + coef[-1])
+        p *= (1.0 - p) / len(Xs)
+        pb = p @ block
+        H += np.block([[(block.T * p) @ block, pb[:, None]], [pb, p.sum()]])
+    return H
 
 
 def train_end_model(
     X: np.ndarray,
     pseudo_probs: np.ndarray,
-    epochs: int = 500,
-    lr: float = 0.1,
     l2: float = 1e-4,
 ) -> EndModel:
-    """Full-batch gradient descent from zero init; deterministic.
+    """Minimize :func:`end_model_objective` by damped Newton steps from
+    zero, on per-column standardized features (so the L2 penalty is
+    insensitive to feature units); deterministic.
 
-    Optimization runs on per-column standardized features (so the learning
-    rate and the L2 penalty are insensitive to feature units) and the
-    returned coefficients are folded back to the raw feature space, so
-    :func:`predict` applies them to unmodified inputs.  An epoch works in
-    two n-length buffers allocated once per call and evaluates the loss
-    only when its bound n (2 max|z| + 1) + l2 w.w / 2 (targets in [0, 1]) is
-    NaN or not below 1e300: a non-finite loss stops training at the same
-    epoch either way.  ``training_meta`` adds the final gradient's norm.
-    """
+    Each step solves the Newton system and is halved until the loss does
+    not increase; training stops once the gradient norm is at most
+    ``NEWTON_TOL``.  A constant column, or one whose variance is not a
+    finite positive float, is left out with a zero coefficient.  The
+    coefficients are folded back to raw feature units for :func:`predict`;
+    ``training_meta`` holds the iterations and the final loss and gradient
+    norm in standardized units."""
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(pseudo_probs, dtype=np.float64)
-    epochs = require_count("epochs", epochs)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValidationError("X must be a non-empty 2-D matrix")
     if t.shape != (X.shape[0],):
         raise ValidationError("pseudo_probs length must match X rows")
     if not np.all((t >= 0) & (t <= 1)):  # NaN too
         raise ValidationError("pseudo_probs must lie in [0, 1]")
-    if not (0 < lr < math.inf and 0 <= l2 < math.inf):  # NaN too
+    if not 0 <= l2 < math.inf:  # NaN too
         raise ValidationError("bad training hyperparameters")
-    center = X.mean(axis=0)
-    spread = X.std(axis=0)
-    spread = np.where(spread > 0, spread, 1.0)
-    Xs = (X - center) / spread
-    coef = np.zeros(X.shape[1] + 1)
-    z, a = np.empty(len(Xs)), np.empty(len(Xs))
-    for epoch in range(epochs):
-        w = coef[:-1]
-        with np.errstate(over="ignore"):
-            np.matmul(Xs, w, out=z)
-            z += coef[-1]
-            zmax = float(np.abs(z, out=a).max())
-            bound = z.size * (2.0 * zmax + 1.0) + 0.5 * l2 * float(w @ w)
-        if not bound < 1e300 and not math.isfinite(_loss(z, t, w, l2)):
-            raise NumericalError(
-                f"end-model objective became non-finite at epoch {epoch} "
-                f"(lr={lr}, l2={l2}); lower the learning rate")
-        coef = coef - lr * _gradient(z, a, Xs, t, w, l2)
+    lo, hi = X.min(axis=0), X.max(axis=0)  # NaN propagates
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValidationError("X must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        center, spread = X.mean(axis=0), X.std(axis=0)
+    # hi > lo: the mean of a constant column can miss it by an ulp
+    live = (hi > lo) & (spread > 0) & (spread < math.inf)
+    center, spread = center[live], spread[live]
+    Xs = X[:, live]
+    Xs -= center
+    Xs /= spread
+    coef = np.zeros(Xs.shape[1] + 1)
     loss, grad = end_model_objective(coef, Xs, t, l2)
-    if not math.isfinite(loss):
-        raise NumericalError("end-model objective diverged on the last step")
-    w_raw = coef[:-1] / spread
-    b_raw = coef[-1] - float(w_raw @ center)
+    iterations = 0
+    while (grad_norm := float(np.linalg.norm(grad))) > NEWTON_TOL:
+        if iterations == NEWTON_MAX_ITER:
+            raise NumericalError(
+                f"end model not solved within the cap of {NEWTON_MAX_ITER} "
+                f"Newton iterations: gradient norm {grad_norm:.3g}")
+        step = np.linalg.lstsq(_hessian(Xs, coef, l2), grad, rcond=None)[0]
+        # a zero step keeps the loss; near the optimum the loss change is
+        # below its rounding, and only the tolerance tells an improvement
+        while ((trial := end_model_objective(coef - step, Xs, t, l2))[0] > loss
+               and np.linalg.norm(trial[1]) > NEWTON_TOL):
+            step /= 2.0
+        coef -= step
+        loss, grad = trial
+        iterations += 1
+    w_raw = np.zeros(X.shape[1])
+    w_raw[live] = coef[:-1] / spread
     return EndModel(
-        coefficients=np.concatenate([w_raw, [b_raw]]),
-        training_meta={
-            "iterations": epochs,
-            "final_objective": loss,
-            "final_gradient_norm": float(np.linalg.norm(grad)),
-            "learning_rate": lr,
-        },
-    )
+        coefficients=np.append(w_raw, coef[-1] - float(w_raw[live] @ center)),
+        training_meta={"iterations": iterations, "final_objective": loss,
+                       "final_gradient_norm": grad_norm})
 
 
 def predict(model: EndModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -632,8 +632,7 @@ def run_pipeline(
         end_model = None
         end_preds = None
         if cfg.end_model:
-            end_model = train_end_model(
-                ds.features, probs, cfg.epochs, cfg.lr, cfg.l2)
+            end_model = train_end_model(ds.features, probs, cfg.l2)
             _, end_preds = predict(end_model, ds.features)
         t0 = finish_stage("end_model", t0)
 

@@ -281,16 +281,22 @@ def end_model_objective_oracle(coefficients, X, targets, l2):
                                                              w, l2)
 
 
-def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
-    """Full-batch gradient descent that checks the full loss is finite
-    after every epoch, through :func:`end_model_objective_oracle`."""
+def _standardize_oracle(X):
     X = np.asarray(X, dtype=np.float64)
-    t = np.asarray(pseudo_probs, dtype=np.float64)
     center = X.mean(axis=0)
     spread = X.std(axis=0)
     spread = np.where(spread > 0, spread, 1.0)
-    Xs = (X - center) / spread
-    coef = np.zeros(X.shape[1] + 1)
+    return (X - center) / spread, center, spread
+
+
+def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
+    """The end model as full-batch gradient descent once trained it: 500
+    epochs from zero, checking after every epoch that the full loss is
+    finite, through :func:`end_model_objective_oracle`.  Its loss is an
+    upper bound for a solver that reaches the optimum."""
+    t = np.asarray(pseudo_probs, dtype=np.float64)
+    Xs, center, spread = _standardize_oracle(X)
+    coef = np.zeros(Xs.shape[1] + 1)
     loss = math.nan
     for epoch in range(epochs):
         loss, grad = end_model_objective_oracle(coef, Xs, t, l2)
@@ -313,6 +319,29 @@ def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
             "learning_rate": lr,
         },
     )
+
+
+def standardized_gradient_oracle(coefficients, X, targets, l2):
+    """Gradient of the end-model objective at raw-space ``coefficients``,
+    in the standardized space the trainer works in: w_s = w * spread and
+    b_s = b + w @ center, evaluated by :func:`end_model_objective_oracle`."""
+    Xs, center, spread = _standardize_oracle(X)
+    w, b = coefficients[:-1], coefficients[-1]
+    coef_s = np.concatenate([w * spread, [b + w @ center]])
+    return end_model_objective_oracle(coef_s, Xs, targets, l2)[1]
+
+
+def end_model_lbfgs_oracle(X, targets, l2):
+    """Raw-space end-model coefficients from scipy's L-BFGS-B run to a
+    tight gradient tolerance on :func:`end_model_objective_oracle`."""
+    from scipy.optimize import minimize
+
+    Xs, center, spread = _standardize_oracle(X)
+    res = minimize(end_model_objective_oracle, np.zeros(Xs.shape[1] + 1),
+                   args=(Xs, targets, l2), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-13, "ftol": 0.0, "maxiter": 10_000})
+    w = res.x[:-1] / spread
+    return np.concatenate([w, [res.x[-1] - w @ center]])
 
 
 def _read_rows_oracle(path: str) -> tuple[list[str], list[list[str]]]:

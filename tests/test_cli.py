@@ -110,7 +110,7 @@ NON_DEFAULT_CONFIG = {
     "ot_type": "sinkhorn", "knn_k": 3, "sinkhorn_eta": 0.5,
     "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6, "covariance_ridge": 1e-3,
     "transport_scope": "global", "class_balance": 0.4, "tie_tol": 0.05,
-    "end_model": False, "epochs": 50, "lr": 0.05, "l2": 1e-3,
+    "end_model": False, "l2": 1e-3,
 }
 
 

@@ -163,7 +163,7 @@ def test_config_rejects_bad_values():
 
 
 FLOAT_FIELDS = ("sinkhorn_eta", "sinkhorn_tol", "covariance_ridge",
-                "class_balance", "tie_tol", "lr", "l2")
+                "class_balance", "tie_tol", "l2")
 
 
 def test_float_fields_listed():
@@ -179,7 +179,7 @@ def test_config_rejects_non_finite_floats(name, value):
         PipelineConfig(**{name: value})
 
 
-INT_FIELDS = ("knn_k", "sinkhorn_max_iter", "epochs")
+INT_FIELDS = ("knn_k", "sinkhorn_max_iter")
 
 
 def test_int_fields_listed():

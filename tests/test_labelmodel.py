@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,11 +20,14 @@ from otrelabel import (
     predict,
     train_end_model,
 )
-from otrelabel.labelmodel import _sigmoid
+from otrelabel import labelmodel
+from otrelabel.labelmodel import NEWTON_MAX_ITER, NEWTON_TOL, _sigmoid
 from helpers import (
     bayes_posterior_oracle,
+    end_model_lbfgs_oracle,
     end_model_objective_oracle,
     sigmoid_oracle,
+    standardized_gradient_oracle,
     train_end_model_oracle,
 )
 
@@ -144,7 +149,7 @@ def test_separable_blobs_reach_high_training_accuracy():
     x = np.vstack([rng.normal(-3.0, 1.0, size=(100, 2)),
                    rng.normal(3.0, 1.0, size=(100, 2))])
     target = np.repeat([0.0, 1.0], 100)
-    model = train_end_model(x, target, epochs=800, lr=0.5, l2=1e-4)
+    model = train_end_model(x, target, l2=1e-4)
     _, labels = predict(model, x)
     gold = np.repeat([-1, 1], 100)
     assert (labels == gold).mean() >= 0.99
@@ -153,7 +158,7 @@ def test_separable_blobs_reach_high_training_accuracy():
 def test_uninformative_targets_keep_zero_coefficients():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 3))
-    model = train_end_model(x, np.full(50, 0.5), epochs=200, lr=0.3, l2=0.1)
+    model = train_end_model(x, np.full(50, 0.5), l2=0.1)
     assert np.abs(model.coefficients).max() <= 1e-6
 
 
@@ -180,50 +185,52 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(30, 2))
     t = rng.random(30)
-    m1 = train_end_model(x, t, epochs=50, lr=0.2, l2=1e-3)
-    m2 = train_end_model(x, t, epochs=50, lr=0.2, l2=1e-3)
+    m1 = train_end_model(x, t, l2=1e-3)
+    m2 = train_end_model(x, t, l2=1e-3)
     assert np.array_equal(m1.coefficients, m2.coefficients)
+    assert m1.training_meta == m2.training_meta
 
 
-def test_divergence_raises_numerical_error():
-    # lr * l2 > 2 makes the ridge term a geometric amplifier
-    x = np.array([[1.0], [-1.0]])
-    with pytest.raises(NumericalError):
-        train_end_model(x, np.array([0.9, 0.5]), epochs=500, lr=100.0,
-                        l2=0.1)
+def test_divergence_raises_numerical_error(monkeypatch):
+    # a run still above the tolerance at the iteration cap
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 2))
+    monkeypatch.setattr(labelmodel, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match=(
+            r"cap of 1 Newton iterations: gradient norm 0\.0\d+$")):
+        train_end_model(x, (x[:, 0] > 0) * 0.8 + 0.1, l2=1e-4)
 
 
-def _outcome(train, *args, **kwargs):
-    try:
-        model = train(*args, **kwargs)
-    except (NumericalError, ValidationError) as exc:
-        return type(exc), str(exc)
-    return model.coefficients, model.training_meta
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4),
-       st.integers(0, 300), st.integers(1, 200), st.integers(-3, 5),
-       st.sampled_from([0.0, 1e-4, 0.1, 1.0, 30.0]))
-def test_training_matches_loss_every_epoch_oracle(seed, n, d, log_scale,
-                                                  epochs, log_lr, l2):
-    # large lr * l2 diverges geometrically, at any epoch up to ~200;
-    # feature scales up to 1e300 overflow the standardisation
+       st.integers(0, 12), st.sampled_from([1e-4, 0.1, 1.0, 30.0]))
+def test_training_reaches_the_optimum_property(seed, n, d, log_scale, l2):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(0, log_scale + 1,
                                                         size=d)
-    x[:, rng.integers(d)] = rng.choice([x[0, 0], 0.0])  # constant column
+    x[:, rng.integers(d)] = rng.choice([x[0, 0], 0.0, 7.3])  # constant
     t = rng.choice([rng.uniform(size=n), rng.integers(0, 2, n) * 1.0])
-    lr = 10.0 ** log_lr
-    got = _outcome(train_end_model, x, t, epochs=epochs, lr=lr, l2=l2)
-    want = _outcome(train_end_model_oracle, x, t, epochs=epochs, lr=lr,
-                    l2=l2)
-    if isinstance(want[0], type):
-        assert got == want
-    else:
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_end_model(x, t, l2=l2)
+    assert model.training_meta["final_gradient_norm"] <= NEWTON_TOL
+    # the oracle's gradient repeats the intercept's component for a
+    # constant column whose mean is off by an ulp: up to sqrt(2) times more
+    grad = standardized_gradient_oracle(model.coefficients, x, t, l2)
+    assert np.linalg.norm(grad) <= 1.5 * NEWTON_TOL
+
+
+@pytest.mark.parametrize("l2", [1e-4, 0.1])
+def test_training_agrees_with_lbfgs_reference(l2):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(300, 3)) * [1.0, 50.0, 0.02] + [0.0, 7.0, -3.0]
+    t = 1.0 / (1.0 + np.exp(-(x[:, 0] + 0.05 * x[:, 1]
+                              + rng.normal(size=300))))
+    model = train_end_model(x, t, l2=l2)
+    grad = standardized_gradient_oracle(model.coefficients, x, t, l2)
+    assert np.linalg.norm(grad) <= NEWTON_TOL
+    want = end_model_lbfgs_oracle(x, t, l2)
+    assert np.allclose(model.coefficients, want, rtol=1e-7, atol=1e-9)
 
 
 @pytest.mark.parametrize("scale", [0.1, 1.0, 1e3])
@@ -240,48 +247,80 @@ def test_objective_bitwise_equal_to_frozen_oracle(scale):
         assert np.array_equal(grad, want_grad)
 
 
-@pytest.mark.parametrize("hyper", [{}, {"lr": 1e4, "l2": 0.0}],
-                         ids=["defaults", "saturated"])
-def test_bench_sized_training_equals_oracle_without_warnings(hyper):
+def bench_sized_fixture():
     # the linear_k1 end model's shape: 12,000 rows, 8 shifted Gaussian
     # features, soft targets
     rng = np.random.default_rng(31)
     x = rng.normal(size=(12_000, 8)) + rng.normal(scale=3.0, size=8)
     t = 1.0 / (1.0 + np.exp(-(x[:, 0] - x[:, 0].mean()
                               + rng.normal(size=12_000))))
+    return x, t
+
+
+@pytest.mark.parametrize("l2", [1e-4, 0.0], ids=["defaults", "unregularized"])
+def test_bench_sized_training_beats_gd_oracle_without_warnings(l2):
+    x, t = bench_sized_fixture()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = train_end_model(x, t, **hyper)
-        want = train_end_model_oracle(x, t, **hyper)
-    assert np.array_equal(got.coefficients, want.coefficients)
-    assert got.training_meta == want.training_meta
-    scores = x @ got.coefficients[:-1] + got.coefficients[-1]
-    if hyper:  # exp(-|z|) is +0 on these rows, the select picks 0 or 1
-        assert scores.min() < -745.0 and scores.max() > 745.0
-    else:
-        assert np.abs(scores).max() < 745.0
+        got = train_end_model(x, t, l2=l2)
+        want = train_end_model_oracle(x, t, l2=l2)
+    meta = got.training_meta
+    assert meta.keys() == {"iterations", "final_objective",
+                           "final_gradient_norm"}
+    assert meta["final_gradient_norm"] <= NEWTON_TOL
+    assert meta["final_objective"] <= want.training_meta["final_objective"]
+    assert 1 <= meta["iterations"] <= NEWTON_MAX_ITER
 
 
-def test_non_integer_epochs_rejected():
-    for epochs in (10.5, 10.0, True, "10"):
-        with pytest.raises(ValidationError, match="epochs must be an integer"):
-            train_end_model(np.zeros((2, 1)), np.array([0.5, 0.5]),
-                            epochs=epochs)
-    model = train_end_model(np.zeros((2, 1)), np.array([0.5, 0.5]),
-                            epochs=np.int64(3))
-    assert model.training_meta["iterations"] == 3
+def test_training_peak_memory_stays_near_two_feature_copies():
+    # a standardized copy of X plus row blocks: an n x (d + 1) design
+    # matrix for the Hessian would add another copy and more
+    x, t = bench_sized_fixture()
+    tracemalloc.start()
+    try:
+        train_end_model(x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * x.nbytes
 
 
-def test_divergence_epoch_and_message_match_oracle():
-    x = np.array([[1.0], [-1.0], [3.0]])
-    t = np.array([0.9, 0.5, 0.1])
-    with pytest.raises(NumericalError) as oracle:
-        train_end_model_oracle(x, t, epochs=500, lr=100.0, l2=0.1)
-    # |1 - lr * l2| = 9: the ridge term overflows w.w after 162 epochs
-    assert "at epoch 162 " in str(oracle.value)
-    with pytest.raises(NumericalError) as got:
-        train_end_model(x, t, epochs=500, lr=100.0, l2=0.1)
-    assert str(got.value) == str(oracle.value)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    x = np.random.default_rng(9).normal(size=(50, 3))
+    x[17, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="X must be finite"):
+            train_end_model(x, np.full(50, 0.3))
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-4])
+@pytest.mark.parametrize("targets", ["soft", "separable"])
+def test_constant_column_keeps_a_zero_coefficient(targets, l2):
+    # 7.3's mean over 500 rows misses it by an ulp, so std() is not 0
+    rng = np.random.default_rng(10)
+    informative = rng.normal(size=(500, 2))
+    x = np.column_stack([informative[:, 0], np.full(500, 7.3),
+                         informative[:, 1]])
+    t = (1.0 / (1.0 + np.exp(-informative @ [2.0, -1.0])) if targets == "soft"
+         else (informative[:, 0] > 0) * 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = train_end_model(x, t, l2=l2)
+        except NumericalError as exc:
+            # the optimum of an unregularized separable fit is at infinity
+            assert targets == "separable" and l2 == 0.0
+            assert re.search(r"cap of 50 Newton iterations: gradient norm "
+                             r"\S+$", str(exc))
+            return
+        reduced = train_end_model(informative, t, l2=l2)
+    assert model.coefficients[1] == 0.0
+    assert np.all(np.isfinite(model.coefficients))
+    assert model.training_meta["final_gradient_norm"] <= NEWTON_TOL
+    assert np.allclose(model.coefficients[[0, 2, 3]], reduced.coefficients,
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_training_insensitive_to_feature_units():
@@ -289,24 +328,29 @@ def test_training_insensitive_to_feature_units():
     x = rng.normal(size=(80, 2))
     t = (x[:, 0] > 0).astype(float)
     rescaled = x * np.array([1000.0, 0.01]) + np.array([50.0, -7.0])
-    m1 = train_end_model(x, t, epochs=300, lr=0.5, l2=1e-4)
-    m2 = train_end_model(rescaled, t, epochs=300, lr=0.5, l2=1e-4)
+    m1 = train_end_model(x, t, l2=1e-4)
+    m2 = train_end_model(rescaled, t, l2=1e-4)
     p1, _ = predict(m1, x)
     p2, _ = predict(m2, rescaled)
     assert np.allclose(p1, p2, atol=1e-9)
 
 
 def test_training_meta_recorded():
-    model = train_end_model(np.zeros((5, 2)), np.full(5, 0.5),
-                            epochs=7, lr=0.1, l2=0.0)
-    assert model.training_meta["iterations"] == 7
-    assert model.training_meta["learning_rate"] == 0.1
-    assert math.isfinite(model.training_meta["final_objective"])
+    # all-zero features leave only the intercept to fit
+    model = train_end_model(np.zeros((5, 2)), np.array([0.1, 0.2, 0.9, 0.4,
+                                                        0.6]), l2=0.0)
+    meta = model.training_meta
+    assert meta.keys() == {"iterations", "final_objective",
+                           "final_gradient_norm"}
+    assert 1 <= meta["iterations"] <= NEWTON_MAX_ITER
+    assert math.isfinite(meta["final_objective"])
+    assert meta["final_gradient_norm"] <= NEWTON_TOL
+    assert np.array_equal(model.coefficients[:2], [0.0, 0.0])
+    assert _sigmoid(model.coefficients[2:]) == pytest.approx(0.44)
 
 
 def test_predict_zero_model_gives_half():
-    model = train_end_model(np.zeros((4, 2)), np.full(4, 0.5),
-                            epochs=5, lr=0.1, l2=0.0)
+    model = train_end_model(np.zeros((4, 2)), np.full(4, 0.5), l2=0.0)
     probs, labels = predict(model, np.array([[5.0, -1.0]]))
     assert probs[0] == pytest.approx(0.5)
     assert labels[0] == 1
@@ -322,8 +366,7 @@ def test_predict_hand_values():
 
 
 def test_predict_dimension_mismatch():
-    model = train_end_model(np.zeros((4, 2)), np.full(4, 0.5),
-                            epochs=2, lr=0.1, l2=0.0)
+    model = train_end_model(np.zeros((4, 2)), np.full(4, 0.5), l2=0.0)
     with pytest.raises(ValidationError):
         predict(model, np.zeros((3, 5)))
 
@@ -338,10 +381,9 @@ def test_nan_targets_rejected():
         train_end_model(np.zeros((2, 1)), np.array([0.5, np.nan]))
 
 
-@pytest.mark.parametrize("name", ["lr", "l2"])
+@pytest.mark.parametrize("name", ["l2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_hyperparameters_rejected(value, name):
-    hyper = {"lr": 0.1, "l2": 1e-4, name: value}
     with pytest.raises(ValidationError, match="bad training hyperparameters"):
         train_end_model(np.array([[0.0], [1.0]]), np.array([0.2, 0.8]),
-                        epochs=5, **hyper)
+                        **{name: value})

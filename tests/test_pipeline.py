@@ -322,6 +322,13 @@ def test_config_unknown_key_rejected():
         parse_config_text("ot_type=linear\nfoo=1\n")
 
 
+@pytest.mark.parametrize("line", ["lr=0.1", "epochs=500"])
+def test_removed_end_model_keys_are_unknown(line):
+    # the end model is solved to its optimum: no step size or epoch count
+    with pytest.raises(ValidationError, match="config line 2: unknown key"):
+        parse_config_text(f"ot_type=linear\n{line}\n")
+
+
 def test_config_bad_value_rejected():
     with pytest.raises(ValidationError, match="bad value"):
         parse_config_text("knn_k=one\n")
