@@ -9,10 +9,11 @@ masks one LF pair at a time instead of taking Gram products, the
 triplet oracle visits one LF triplet at a time instead of making one
 array pass, the CSV loader oracles check one cell at a time, the sigmoid
 oracle splits its input by sign with boolean indexing, the fairness
-oracle takes boolean means over masked rows, and the end-model oracle
-evaluates the full loss every epoch from its own frozen copy of the
-objective, every intermediate in a fresh array.  Tests compare library
-output against these.
+oracle takes boolean means over masked rows, and the end-model oracles
+evaluate the full loss every iteration from their own frozen copy of the
+objective, every intermediate in a fresh array, the Newton one with a
+dense design matrix for its Hessian.  Tests compare library output
+against these.
 """
 
 from __future__ import annotations
@@ -319,6 +320,48 @@ def train_end_model_oracle(X, pseudo_probs, epochs=500, lr=0.1, l2=1e-4):
             "learning_rate": lr,
         },
     )
+
+
+def train_end_model_newton_oracle(X, pseudo_probs, l2=1e-4, max_iter=50,
+                                  tol=1e-10):
+    """Damped Newton on :func:`end_model_objective_oracle` with a dense
+    n x (d + 1) design matrix A: constant columns (max == min) are dropped
+    with a zero coefficient, each step solves the whole Hessian
+    A^T diag(p (1 - p)) A / n plus the ridge by least squares and is
+    halved until the loss does not increase.  Returns the model and the
+    loss at every iterate, from zero to the last."""
+    X = np.asarray(X, dtype=np.float64)
+    t = np.asarray(pseudo_probs, dtype=np.float64)
+    live = X.max(axis=0) > X.min(axis=0)
+    center, spread = X[:, live].mean(axis=0), X[:, live].std(axis=0)
+    Xs = (X[:, live] - center) / spread
+    A = np.column_stack([Xs, np.ones(len(Xs))])
+    ridge = np.diag(np.append(np.full(Xs.shape[1], l2), 0.0))
+    coef = np.zeros(A.shape[1])
+    loss, grad = end_model_objective_oracle(coef, Xs, t, l2)
+    losses = [loss]
+    while np.linalg.norm(grad) > tol:
+        if len(losses) > max_iter:
+            raise NumericalError(
+                f"end model not solved within the cap of {max_iter} Newton "
+                f"iterations: gradient norm {np.linalg.norm(grad):.3g}")
+        p = sigmoid_oracle(A @ coef)
+        hessian = (A.T * (p * (1.0 - p))) @ A / len(A) + ridge
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        trial = end_model_objective_oracle(coef - step, Xs, t, l2)
+        while trial[0] > loss and np.linalg.norm(trial[1]) > tol:
+            step = step / 2.0
+            trial = end_model_objective_oracle(coef - step, Xs, t, l2)
+        coef = coef - step
+        loss, grad = trial
+        losses.append(loss)
+    w_raw = np.zeros(X.shape[1])
+    w_raw[live] = coef[:-1] / spread
+    model = EndModel(
+        coefficients=np.append(w_raw, coef[-1] - w_raw[live] @ center),
+        training_meta={"iterations": len(losses) - 1, "final_objective": loss,
+                       "final_gradient_norm": float(np.linalg.norm(grad))})
+    return model, losses
 
 
 def standardized_gradient_oracle(coefficients, X, targets, l2):

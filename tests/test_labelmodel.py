@@ -28,6 +28,7 @@ from helpers import (
     end_model_objective_oracle,
     sigmoid_oracle,
     standardized_gradient_oracle,
+    train_end_model_newton_oracle,
     train_end_model_oracle,
 )
 
@@ -201,15 +202,63 @@ def test_divergence_raises_numerical_error(monkeypatch):
         train_end_model(x, (x[:, 0] > 0) * 0.8 + 0.1, l2=1e-4)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4),
-       st.integers(0, 12), st.sampled_from([1e-4, 0.1, 1.0, 30.0]))
-def test_training_reaches_the_optimum_property(seed, n, d, log_scale, l2):
+def test_divergence_epoch_and_message_match_oracle(monkeypatch):
+    # an unregularized separable fit needs 23 iterations; a cap of 5 stops
+    # the trainer and the dense oracle at the same iterate
+    x = np.array([[1.0], [-1.0], [3.0]])
+    t = np.array([1.0, 0.0, 1.0])
+    assert train_end_model(x, t, l2=0.0).training_meta["iterations"] == 23
+    assert train_end_model_newton_oracle(x, t, l2=0.0)[0].training_meta[
+        "iterations"] == 23
+    with pytest.raises(NumericalError) as oracle:
+        train_end_model_newton_oracle(x, t, l2=0.0, max_iter=5)
+    assert "cap of 5 Newton iterations: gradient norm " in str(oracle.value)
+    monkeypatch.setattr(labelmodel, "NEWTON_MAX_ITER", 5)
+    with pytest.raises(NumericalError) as got:
+        train_end_model(x, t, l2=0.0)
+    assert str(got.value) == str(oracle.value)
+
+
+def _feature_case(seed, n, d, log_scale):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(0, log_scale + 1,
                                                         size=d)
     x[:, rng.integers(d)] = rng.choice([x[0, 0], 0.0, 7.3])  # constant
     t = rng.choice([rng.uniform(size=n), rng.integers(0, 2, n) * 1.0])
+    return x, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4),
+       st.integers(0, 12), st.sampled_from([1e-4, 0.1, 1.0, 30.0]))
+def test_training_matches_loss_every_epoch_oracle(seed, n, d, log_scale, l2):
+    # the loss at every Newton iterate, read where the trainer builds the
+    # iterate's Hessian, against the dense oracle's iterates
+    x, t = _feature_case(seed, n, d, log_scale)
+    losses = []
+    hessian = labelmodel._hessian
+
+    def spy(Xs, coef, l2):
+        losses.append(end_model_objective_oracle(coef, Xs, t, l2)[0])
+        return hessian(Xs, coef, l2)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(labelmodel, "_hessian", spy)
+        warnings.simplefilter("error")
+        model = train_end_model(x, t, l2=l2)
+        want, want_losses = train_end_model_newton_oracle(x, t, l2=l2)
+    losses.append(model.training_meta["final_objective"])
+    assert model.training_meta["iterations"] == len(want_losses) - 1
+    assert np.allclose(losses, want_losses, rtol=1e-10, atol=0.0)
+    # only the step that meets the tolerance may raise the loss, by rounding
+    assert np.all(np.diff(losses[:-1]) <= 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4),
+       st.integers(0, 12), st.sampled_from([1e-4, 0.1, 1.0, 30.0]))
+def test_training_reaches_the_optimum_property(seed, n, d, log_scale, l2):
+    x, t = _feature_case(seed, n, d, log_scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = train_end_model(x, t, l2=l2)
@@ -272,6 +321,23 @@ def test_bench_sized_training_beats_gd_oracle_without_warnings(l2):
     assert 1 <= meta["iterations"] <= NEWTON_MAX_ITER
 
 
+@pytest.mark.parametrize("hard", [False, True], ids=["defaults", "saturated"])
+def test_bench_sized_training_equals_oracle_without_warnings(hard):
+    # saturated: the soft targets rounded to 0 or 1
+    x, t = bench_sized_fixture()
+    if hard:
+        t = np.round(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = train_end_model(x, t)
+        want, _ = train_end_model_newton_oracle(x, t)
+    assert got.training_meta["iterations"] == want.training_meta["iterations"]
+    assert got.training_meta["final_objective"] == pytest.approx(
+        want.training_meta["final_objective"], rel=1e-12)
+    assert np.allclose(got.coefficients, want.coefficients, rtol=1e-9,
+                       atol=1e-12)
+
+
 def test_training_peak_memory_stays_near_two_feature_copies():
     # a standardized copy of X plus row blocks: an n x (d + 1) design
     # matrix for the Hessian would add another copy and more
@@ -283,6 +349,15 @@ def test_training_peak_memory_stays_near_two_feature_copies():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * x.nbytes
+
+
+def test_non_integer_epochs_rejected():
+    # epochs went with gradient descent: an old caller's value, integer or
+    # not, fails as an unknown argument instead of being ignored
+    for epochs in (10.5, 10.0, True, "10", np.int64(3), 3):
+        with pytest.raises(TypeError, match="'epochs'"):
+            train_end_model(np.zeros((2, 1)), np.array([0.5, 0.5]),
+                            epochs=epochs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
