@@ -20,9 +20,8 @@ from dataclasses import fields
 from typing import Optional, Sequence
 
 from .core import NumericalError, PipelineConfig, ValidationError, validate_dataset
+from .lfbank import apply_lf_bank, builtin_bank
 from .pipeline import (
-    apply_lf_bank,
-    builtin_bank,
     load_config,
     load_features_csv,
     load_votes_csv,
@@ -166,8 +165,11 @@ def _cmd_lf_bank(args) -> int:
     table = read_raw_csv(args.raw)
     category_map = None
     if args.category_map:
-        with open(args.category_map, "r", encoding="utf-8") as fh:
-            category_map = json.load(fh)
+        try:
+            with open(args.category_map, "r", encoding="utf-8") as fh:
+                category_map = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSON and decode errors too
+            raise ValidationError(f"{args.category_map}: {exc}") from exc
     wl = apply_lf_bank(table, rules, category_map)
     write_votes_csv(wl, args.out)
     print(f"wrote {wl.n} x {wl.m} votes to {args.out}")

@@ -185,20 +185,16 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
 
 def triplet_accuracies(
     wl: WeakLabelMatrix,
-    eps_pair: float = EPS_PAIR,
 ) -> tuple[np.ndarray, TripletRecords]:
     """Signed accuracy estimates for every LF from vote moments alone."""
     if wl.m < 3:
         raise ValidationError(f"need at least 3 LFs, got {wl.m}")
-    mags, records = accuracies_from_moments(moment_matrix(wl), eps_pair)
+    mags, records = accuracies_from_moments(moment_matrix(wl))
     return resolve_sign(mags, wl), records
 
 
-def per_group_accuracies(
-    wl: WeakLabelMatrix,
-    ds: GroupedDataset,
-    eps_pair: float = EPS_PAIR,
-) -> np.ndarray:
+def per_group_accuracies(wl: WeakLabelMatrix,
+                         ds: GroupedDataset) -> np.ndarray:
     """m x 2 matrix of per-group accuracy estimates.
 
     Runs the full triplet procedure independently on each group's row
@@ -212,22 +208,19 @@ def per_group_accuracies(
         if not mask.any():
             raise ValidationError(f"group {k} is empty")
         try:
-            out[:, k], _ = triplet_accuracies(
-                wl.restrict_rows(mask), eps_pair=eps_pair)
+            out[:, k], _ = triplet_accuracies(wl.restrict_rows(mask))
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"group {k}: {exc}") from exc
     return out
 
 
 def estimate_accuracies(
-    wl: WeakLabelMatrix,
-    ds: GroupedDataset,
-    eps_pair: float = EPS_PAIR,
+    wl: WeakLabelMatrix, ds: GroupedDataset
 ) -> tuple[AccuracyEstimate, TripletRecords]:
     """Bundle per-group and global estimates.
 
     Groups are estimated first, so a failure names the group it hit.
     """
-    group_est = per_group_accuracies(wl, ds, eps_pair=eps_pair)
-    global_est, records = triplet_accuracies(wl, eps_pair=eps_pair)
+    group_est = per_group_accuracies(wl, ds)
+    global_est, records = triplet_accuracies(wl)
     return AccuracyEstimate(global_est, group_est), records

@@ -19,6 +19,8 @@ import numpy as np
 from .core import ValidationError, WeakLabelMatrix
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
+# regime_profile's share of points around a center and its curve step
+NEIGHBORHOOD_FRAC, STEP_FRAC = 0.10, 0.02
 
 
 @dataclass(frozen=True)
@@ -173,14 +175,12 @@ def regime_profile(
     correct_mask: np.ndarray,
     groups: np.ndarray,
     candidate_centers: list[int],
-    neighborhood_frac: float = 0.10,
-    step_frac: float = 0.02,
 ) -> RegimeProfile:
     """Locate the best-accuracy center and trace per-group accuracy decay.
 
-    The center is the candidate whose nearest ``neighborhood_frac`` share
+    The center is the candidate whose nearest ``NEIGHBORHOOD_FRAC`` share
     of all points is most accurate (ties favor the earlier candidate).
-    Each group's curve then grows the included set in ``step_frac`` steps
+    Each group's curve then grows the included set in ``STEP_FRAC`` steps
     ordered by distance to that center, recording the farthest included
     distance and the cumulative accuracy.
     """
@@ -192,13 +192,11 @@ def regime_profile(
         raise ValidationError("X, correct_mask and groups are inconsistent")
     if len(candidate_centers) == 0:
         raise ValidationError("candidate set must be non-empty")
-    if not (0 < neighborhood_frac <= 1 and 0 < step_frac <= 1):
-        raise ValidationError("fractions must lie in (0, 1]")
     n = X.shape[0]
-    k_neigh = int(neighborhood_frac * n)
+    k_neigh = int(NEIGHBORHOOD_FRAC * n)
     if k_neigh == 0:
         raise ValidationError(
-            f"{neighborhood_frac:.0%} of {n} points is an empty neighborhood")
+            f"{NEIGHBORHOOD_FRAC:.0%} of {n} points is an empty neighborhood")
 
     best_idx, best_acc = -1, -np.inf
     for c in candidate_centers:
@@ -218,7 +216,7 @@ def regime_profile(
         order = np.lexsort((np.arange(n_k), dist[mask]))
         d_k = dist[mask][order]
         c_k = correct[mask][order]
-        step = max(1, int(step_frac * n_k))
+        step = max(1, int(STEP_FRAC * n_k))
         pts = []
         for stop in range(step, n_k + step, step):
             stop = min(stop, n_k)

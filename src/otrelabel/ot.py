@@ -212,14 +212,13 @@ def sinkhorn_plan(
     eta: float = 1.0,
     max_iter: int = 10,
     tol: float = 1e-9,
-    rescale: str = "median",
     log_objective: bool = False,
 ) -> TransportPlan:
     """Entropic transport plan by alternating row/column scaling.
 
-    The cost matrix is divided by its median (else its mean, else 1)
-    before exponentiation (``rescale="none"`` disables this); raw
-    squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
+    The cost matrix is always divided by its median (else its mean, else
+    1) before exponentiation, so ``eta`` is relative to the median cost;
+    raw squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
     otherwise.  Marginals default to uniform.  Stops early once the worst
     marginal violation is <= tol.  M is never written, and its median is
     selected from a small bracketed part of it, not from a copy.  The
@@ -227,13 +226,12 @@ def sinkhorn_plan(
     n_dst buffer besides M: written first as K, then scaled in place into
     the plan.
     """
-    M, a, b, max_iter = _checked_sinkhorn_args(
-        M, a, b, eta, max_iter, tol, rescale)
+    M, a, b, max_iter = _checked_sinkhorn_args(M, a, b, eta, max_iter, tol)
     return _sinkhorn(M, np.empty_like(M), a, b, eta, max_iter, tol,
-                     rescale, log_objective)[0]
+                     log_objective)[0]
 
 
-def _checked_sinkhorn_args(M, a, b, eta, max_iter, tol, rescale):
+def _checked_sinkhorn_args(M, a, b, eta, max_iter, tol):
     """:func:`sinkhorn_plan`'s arguments once checked: M as float64, the
     marginals (uniform by default) and ``max_iter`` as an int."""
     M = np.asarray(M, dtype=np.float64)
@@ -258,27 +256,24 @@ def _checked_sinkhorn_args(M, a, b, eta, max_iter, tol, rescale):
     max_iter = require_count("max_iter", max_iter)
     if not (0 < eta < np.inf and 0 < tol < np.inf):
         raise ValidationError("eta and tol must be positive and finite")
-    if rescale not in ("median", "none"):
-        raise ValidationError(f"unknown cost rescale mode {rescale!r}")
     return M, a, b, max_iter
 
 
-def _sinkhorn(M, out, a, b, eta, max_iter, tol, rescale, log_objective):
+def _sinkhorn(M, out, a, b, eta, max_iter, tol, log_objective):
     """:func:`sinkhorn_plan` on checked arguments, built in ``out`` (M's
     shape, float64), which may be M itself: M is read in full before
     ``out`` is first written.  Returns the plan, whose ``T`` is ``out``,
     and its row sums from the final marginal check."""
-    if rescale == "median":
-        scale = _median(M)
-        if scale <= 0.0:
-            scale = float(M.mean()) or 1.0
-        M = np.divide(M, scale, out=out)
+    scale = _median(M)
+    if scale <= 0.0:
+        scale = float(M.mean()) or 1.0
+    M = np.divide(M, scale, out=out)
     K = np.divide(M, -eta, out=out)  # -(M / eta) bit for bit: rounding
     np.exp(K, out=K)                 # is symmetric in sign
     if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
         raise NumericalError(
             "exp(-M/eta) underflowed to zero along an entire row or column; "
-            "scaling is infeasible (rescale the cost or increase eta)")
+            "scaling is infeasible (increase eta)")
 
     u = np.ones(K.shape[0])
     v = np.ones(K.shape[1])
@@ -406,9 +401,8 @@ def _sinkhorn_projection(
     normalised buffer.  For a caller that owns ``cost`` and ``X_dst``,
     whose rows match the cost's columns."""
     cost, a, b, max_iter = _checked_sinkhorn_args(
-        cost, None, None, eta, max_iter, tol, "median")
-    plan, row_sums = _sinkhorn(cost, cost, a, b, eta, max_iter, tol,
-                               "median", False)
+        cost, None, None, eta, max_iter, tol)
+    plan, row_sums = _sinkhorn(cost, cost, a, b, eta, max_iter, tol, False)
     _require_positive_rows(row_sums)
     T = plan.T
     T /= row_sums[:, None]

@@ -1,6 +1,8 @@
-"""Data ingestion, built-in labeling-function banks, and the end-to-end
-repair run with its report artifacts.  The theory suite runs in
-:mod:`otrelabel.synthetic`; its artifacts are written here.
+"""Data ingestion and the end-to-end repair run with its report
+artifacts.  The theory suite runs in :mod:`otrelabel.synthetic`, whose
+artifacts are written here; the labeling-function banks live in
+:mod:`otrelabel.lfbank`, whose raw tables are read here
+(:func:`read_raw_csv`).
 
 File formats
 ------------
@@ -110,8 +112,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        kwargs = parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            kwargs = parse_config_text(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     if overrides:
         kwargs.update(overrides)
     return PipelineConfig(**kwargs)
@@ -288,198 +293,6 @@ def read_raw_csv(path: str) -> dict[str, list[str]]:
         raise ValidationError(f"{path}: duplicate column names")
     return {name: [row[i].strip() for row in rows]
             for i, name in enumerate(header)}
-
-
-# ---------------------------------------------------------------------------
-# labeling-function rules
-
-
-class Predicate:
-    """Boolean expression over named raw-table columns."""
-
-    def columns(self) -> set[str]:
-        raise NotImplementedError
-
-    def evaluate(self, row: dict[str, str]) -> bool:
-        raise NotImplementedError
-
-
-def _as_number(value: str, column: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(
-            f"column {column!r}: cannot compare non-numeric value "
-            f"{value!r}") from None
-
-
-@dataclass(frozen=True)
-class NumericCompare(Predicate):
-    column: str
-    op: str  # one of > >= < <= ==
-    value: float
-
-    def columns(self):
-        return {self.column}
-
-    def evaluate(self, row):
-        x = _as_number(row[self.column], self.column)
-        return {
-            ">": x > self.value,
-            ">=": x >= self.value,
-            "<": x < self.value,
-            "<=": x <= self.value,
-            "==": x == self.value,
-        }[self.op]
-
-
-@dataclass(frozen=True)
-class NumericBetween(Predicate):
-    column: str
-    low: float
-    high: float  # inclusive on both ends
-
-    def columns(self):
-        return {self.column}
-
-    def evaluate(self, row):
-        x = _as_number(row[self.column], self.column)
-        return self.low <= x <= self.high
-
-
-@dataclass(frozen=True)
-class ValueIn(Predicate):
-    column: str
-    values: frozenset
-
-    def columns(self):
-        return {self.column}
-
-    def evaluate(self, row):
-        return row[self.column] in self.values
-
-
-@dataclass(frozen=True)
-class AnyOf(Predicate):
-    parts: tuple[Predicate, ...]
-
-    def columns(self):
-        return set().union(*(p.columns() for p in self.parts))
-
-    def evaluate(self, row):
-        return any(p.evaluate(row) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class LfRule:
-    """Named predicate producing +1 when true, ``false_vote`` otherwise."""
-
-    name: str
-    predicate: Predicate
-    false_vote: int = -1  # -1 or 0 (abstain)
-
-    def __post_init__(self):
-        if self.false_vote not in (-1, 0):
-            raise ValidationError("false_vote must be -1 or 0")
-
-
-def apply_lf_bank(
-    table: dict[str, list[str]],
-    rules: Sequence[LfRule],
-    category_map: Optional[dict[str, dict[str, str]]] = None,
-) -> WeakLabelMatrix:
-    """Evaluate each rule row-wise into a vote column.
-
-    ``category_map`` optionally renames raw category spellings per column
-    (e.g. mapping a local dataset's "professional" onto the canonical
-    "Prof-specialty") before rules are evaluated.
-    """
-    if not rules:
-        raise ValidationError("rule list is empty")
-    if not table:
-        raise ValidationError("raw table has no columns")
-    n = len(next(iter(table.values())))
-    needed = set().union(*(r.predicate.columns() for r in rules))
-    missing = sorted(needed - set(table))
-    if missing:
-        raise ValidationError(f"raw table is missing columns {missing}")
-    remap = category_map or {}
-    votes = np.empty((n, len(rules)), dtype=np.int64)
-    for r in range(n):
-        row = {c: table[c][r] for c in needed}
-        for c, mapping in remap.items():
-            if c in row:
-                row[c] = mapping.get(row[c], row[c])
-        for j, rule in enumerate(rules):
-            try:
-                hit = rule.predicate.evaluate(row)
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"rule {rule.name!r}, row {r + 2}: {exc}") from exc
-            votes[r, j] = 1 if hit else rule.false_vote
-    if len(rules) < 3:
-        logger.warning(
-            "bank produced %d vote columns; accuracy estimation needs >= 3",
-            len(rules))
-    return WeakLabelMatrix(votes)
-
-
-def _adult_rules() -> list[LfRule]:
-    # Category spellings follow the canonical census-income distribution;
-    # pass a category_map to adapt local variants.
-    return [
-        LfRule("age", NumericBetween("age", 30, 60)),
-        LfRule("education", ValueIn(
-            "education", frozenset({"Bachelors", "Masters", "Doctorate"}))),
-        LfRule("marital", ValueIn("marital-status", frozenset({
-            "Married-civ-spouse", "Married-spouse-absent", "Married-AF-spouse",
-        }))),
-        LfRule("relationship", ValueIn(
-            "relationship", frozenset({"Wife", "Own-child", "Husband"}))),
-        LfRule("capital", NumericCompare("capital-gain", ">", 5000)),
-        LfRule("race", ValueIn(
-            "race", frozenset({"Asian-Pac-Islander", "Other"}))),
-        LfRule("country", ValueIn("native-country", frozenset({
-            "Germany", "Japan", "Greece", "China",
-        }))),
-        LfRule("workclass", ValueIn("workclass", frozenset({
-            "Self-emp-not-inc", "Self-emp-inc", "Federal-gov",
-            "Local-gov", "State-gov",
-        }))),
-        LfRule("occupation", ValueIn("occupation", frozenset({
-            "Sales", "Exec-managerial", "Prof-specialty", "Machine-op-inspct",
-        }))),
-    ]
-
-
-def _bank_marketing_rules() -> list[LfRule]:
-    # Column/category spellings follow the "bank-additional" distribution.
-    return [
-        LfRule("loan", AnyOf((
-            ValueIn("housing", frozenset({"yes"})),
-            ValueIn("loan", frozenset({"yes"})),
-        ))),
-        LfRule("previous_contact", NumericCompare("previous", ">", 1.1)),
-        LfRule("duration", NumericCompare("duration", ">", 360)),
-        LfRule("marital", ValueIn("marital", frozenset({"single"}))),
-        LfRule("previous_outcome", ValueIn("poutcome", frozenset({"success"}))),
-        LfRule("education", ValueIn("education", frozenset({
-            "university.degree", "professional.course",
-        }))),
-    ]
-
-
-BUILTIN_BANKS: dict[str, Callable[[], list[LfRule]]] = {
-    "adult-v1": _adult_rules,
-    "bank-v1": _bank_marketing_rules,
-}
-
-
-def builtin_bank(name: str) -> list[LfRule]:
-    if name not in BUILTIN_BANKS:
-        raise ValidationError(
-            f"unknown bank {name!r}; available: {sorted(BUILTIN_BANKS)}")
-    return BUILTIN_BANKS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ from .ot import (
 )
 
 
+LABEL_BALANCE = 0.5  # share of positive labels in every sample
+# shift_sweep's tolerance on its last accuracy and its monotonicity slack
+SHIFT_FINAL_TOL, SHIFT_MONO_SLACK = 0.02, 0.01
+# map_error_sweep's covariance ridge and the t of its tau diagnostic
+MAP_FIT_RIDGE, MAP_TAU_T = 1e-9, 1.0
+
+
 def identity_map(d: int) -> MongeMap:
     return MongeMap(np.eye(d), np.zeros(d))
 
@@ -58,13 +65,10 @@ class SyntheticModel:
     latent_mean: np.ndarray
     latent_cov: np.ndarray
     group_maps: tuple[MongeMap, MongeMap]
-    label_balance: float = 0.5
 
     def __post_init__(self):
         if self.theta0 < 0:
             raise ValidationError("theta0 must be nonnegative")
-        if not 0.0 < self.label_balance < 1.0:
-            raise ValidationError("label_balance must be in (0, 1)")
         center = np.asarray(self.center, dtype=np.float64)
         mean = np.asarray(self.latent_mean, dtype=np.float64)
         cov = np.asarray(self.latent_cov, dtype=np.float64)
@@ -83,8 +87,7 @@ class SyntheticModel:
         return self.center.shape[0]
 
     @classmethod
-    def gaussian(cls, dim: int, theta0: float,
-                 label_balance: float = 0.5) -> "SyntheticModel":
+    def gaussian(cls, dim: int, theta0: float) -> "SyntheticModel":
         """Standard-normal latent centered on the high-accuracy point,
         both groups observing through the identity."""
         return cls(
@@ -93,7 +96,6 @@ class SyntheticModel:
             latent_mean=np.zeros(dim),
             latent_cov=np.eye(dim),
             group_maps=(identity_map(dim), identity_map(dim)),
-            label_balance=label_balance,
         )
 
     def with_group1(self, g1: MongeMap) -> "SyntheticModel":
@@ -178,7 +180,7 @@ def sample_labeled(
         mask = groups == k
         if mask.any():
             x[mask] = apply_monge(model.group_maps[k], z[mask])
-    y = np.where(rng.random(n) < model.label_balance, 1, -1).astype(np.int64)
+    y = np.where(rng.random(n) < LABEL_BALANCE, 1, -1).astype(np.int64)
     votes = _sample_votes(x, y, model, rng)
     return (
         GroupedDataset(x, groups, y),
@@ -196,8 +198,6 @@ def shift_sweep(
     shifts: Sequence[float],
     n: int,
     seed: int = 0,
-    final_tol: float = 0.02,
-    mono_slack: float = 0.01,
 ) -> SweepReport:
     """Measure group-1 labeler accuracy as its points drift from the center.
 
@@ -206,8 +206,8 @@ def shift_sweep(
     the mean of accuracy_prob over the sampled points ("measured") and the
     empirical agreement rate of sampled votes ("measured_sampled").  The
     check passes when the measured sequence is non-increasing within
-    ``mono_slack`` and the final value lies within ``final_tol`` of the
-    random-guessing limit 1/2.
+    ``SHIFT_MONO_SLACK`` and the final value lies within
+    ``SHIFT_FINAL_TOL`` of the random-guessing limit 1/2.
     """
     shifts = [float(s) for s in shifts]
     if any(s < 0 for s in shifts) or any(
@@ -226,18 +226,18 @@ def shift_sweep(
         x1 = apply_monge(shifted.group_maps[1], z)
         p = accuracy_prob(x1, shifted)
         measured.append(float(p.mean()))
-        y = np.where(rng.random(n) < shifted.label_balance, 1, -1)
+        y = np.where(rng.random(n) < LABEL_BALANCE, 1, -1)
         votes = _sample_votes(x1, y, shifted, rng)
         sampled.append(float((votes == y).mean()))
-    passed = (_monotone_nonincreasing(measured, mono_slack)
-              and abs(measured[-1] - 0.5) <= final_tol)
+    passed = (_monotone_nonincreasing(measured, SHIFT_MONO_SLACK)
+              and abs(measured[-1] - 0.5) <= SHIFT_FINAL_TOL)
     return SweepReport(
         sweep_values=tuple(shifts),
         measured=tuple(measured),
         bound_or_limit=tuple(0.5 for _ in shifts),
         passed=passed,
-        extras={"measured_sampled": sampled,
-                "final_tol": final_tol, "mono_slack": mono_slack},
+        extras={"measured_sampled": sampled, "final_tol": SHIFT_FINAL_TOL,
+                "mono_slack": SHIFT_MONO_SLACK},
     )
 
 
@@ -291,8 +291,6 @@ def map_error_sweep(
     sample_sizes: Sequence[int],
     seed: int = 0,
     holdout: int = 20000,
-    fit_ridge: float = 1e-9,
-    t: float = 1.0,
 ) -> SweepReport:
     """Check that the repair-induced accuracy gap is controlled by the
     transport map's estimation error, and that the error decays with n.
@@ -334,8 +332,8 @@ def map_error_sweep(
         rng = np.random.default_rng(seed + i)
         z0 = _sample_latent(model, n, rng)
         x1 = apply_monge(g1, _sample_latent(model, n, rng))
-        m1 = fit_moments(x1, fit_ridge)
-        m0 = fit_moments(z0, fit_ridge)
+        m1 = fit_moments(x1, MAP_FIT_RIDGE)
+        m0 = fit_moments(z0, MAP_FIT_RIDGE)
         h_fit = linear_monge(m1, m0)
         mapped = apply_monge(h_fit, x_hold)
         gap = abs(p_latent - float(accuracy_prob(mapped, model).mean()))
@@ -348,8 +346,8 @@ def map_error_sweep(
         tau = max(
             s0.effective_rank / n,
             s1.effective_rank / n,
-            t / n,
-            t * t / (n * n),
+            MAP_TAU_T / n,
+            MAP_TAU_T * MAP_TAU_T / (n * n),
         )
         diagnostics.append({
             "n": n,
@@ -366,14 +364,14 @@ def map_error_sweep(
         measured=tuple(measured),
         bound_or_limit=tuple(bound),
         passed=passed,
-        extras={"diagnostics": diagnostics, "t": t, "holdout": holdout},
+        extras={"diagnostics": diagnostics, "t": MAP_TAU_T,
+                "holdout": holdout},
     )
 
 
 # The fixed models of the three checks, SyntheticModel.gaussian(dim,
 # theta0), whose labeler is right with probability
-# sigmoid(2 * theta0 * prox(x, center)).  The shift check uses
-# shift_sweep's default tolerances (final_tol 0.02, mono_slack 0.01).
+# sigmoid(2 * theta0 * prox(x, center)).
 SHIFT_DIM, SHIFT_THETA0 = 3, 5.0
 LIPSCHITZ_DIM, LIPSCHITZ_THETA0S = 3, (0.5, 1.0, 3.0)
 MAP_DIM, MAP_THETA0 = 4, 1.0

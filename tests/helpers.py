@@ -12,8 +12,9 @@ oracle splits its input by sign with boolean indexing, the fairness
 oracle takes boolean means over masked rows, and the end-model oracles
 evaluate the full loss every iteration from their own frozen copy of the
 objective, every intermediate in a fresh array, the Newton one with a
-dense design matrix for its Hessian.  Tests compare library output
-against these.
+dense design matrix for its Hessian, and the LF-bank oracle evaluates
+predicate objects on one row dict at a time.  Tests compare library
+output against these.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,7 +126,7 @@ def sinkhorn_projection_oracle(M, a, b, eta, rescale_median=True,
 
 
 def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
-                         rescale="median", log_objective=False):
+                         log_objective=False):
     """``sinkhorn_plan`` without its checks, the median taken by
     ``np.median`` and every intermediate in a fresh array; the library
     must return this plan bit for bit."""
@@ -132,16 +134,13 @@ def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
     n_src, n_dst = M.shape
     a = np.full(n_src, 1.0 / n_src) if a is None else np.asarray(a, float)
     b = np.full(n_dst, 1.0 / n_dst) if b is None else np.asarray(b, float)
-    if rescale == "median":
-        scale = float(np.median(M))
-        if scale <= 0.0:
-            scale = float(M.mean())
-        if scale <= 0.0:
-            scale = 1.0
-        K = M / scale
-    else:
-        K = M
-    K = np.negative(K, out=None if K is M else K)
+    scale = float(np.median(M))
+    if scale <= 0.0:
+        scale = float(M.mean())
+    if scale <= 0.0:
+        scale = 1.0
+    K = M / scale
+    K = np.negative(K, out=K)
     K /= eta
     np.exp(K, out=K)
     u = np.ones(n_src)
@@ -511,3 +510,179 @@ def fairness_oracle(pred, gold, groups) -> FairnessReport:
         positive_rate_per_group=pos_rate,
         eo_defined=eo_defined,
     )
+
+
+# LF banks as predicate objects, the form the built-in banks first took
+
+class Predicate:
+    """Boolean expression over named raw-table columns."""
+
+    def columns(self) -> set[str]:
+        raise NotImplementedError
+
+    def evaluate(self, row: dict[str, str]) -> bool:
+        raise NotImplementedError
+
+
+def _as_number(value: str, column: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValidationError(
+            f"column {column!r}: cannot compare non-numeric value "
+            f"{value!r}") from None
+
+
+@dataclass(frozen=True)
+class NumericCompare(Predicate):
+    column: str
+    op: str  # one of > >= < <= ==
+    value: float
+
+    def columns(self):
+        return {self.column}
+
+    def evaluate(self, row):
+        x = _as_number(row[self.column], self.column)
+        return {
+            ">": x > self.value,
+            ">=": x >= self.value,
+            "<": x < self.value,
+            "<=": x <= self.value,
+            "==": x == self.value,
+        }[self.op]
+
+
+@dataclass(frozen=True)
+class NumericBetween(Predicate):
+    column: str
+    low: float
+    high: float  # inclusive on both ends
+
+    def columns(self):
+        return {self.column}
+
+    def evaluate(self, row):
+        x = _as_number(row[self.column], self.column)
+        return self.low <= x <= self.high
+
+
+@dataclass(frozen=True)
+class ValueIn(Predicate):
+    column: str
+    values: frozenset
+
+    def columns(self):
+        return {self.column}
+
+    def evaluate(self, row):
+        return row[self.column] in self.values
+
+
+@dataclass(frozen=True)
+class AnyOf(Predicate):
+    parts: tuple[Predicate, ...]
+
+    def columns(self):
+        return set().union(*(p.columns() for p in self.parts))
+
+    def evaluate(self, row):
+        return any(p.evaluate(row) for p in self.parts)
+
+
+@dataclass(frozen=True)
+class LfRule:
+    """Named predicate producing +1 when true, ``false_vote`` otherwise."""
+
+    name: str
+    predicate: Predicate
+    false_vote: int = -1  # -1 or 0 (abstain)
+
+    def __post_init__(self):
+        if self.false_vote not in (-1, 0):
+            raise ValidationError("false_vote must be -1 or 0")
+
+
+def lf_bank_oracle(
+    table: dict[str, list[str]],
+    rules: Sequence[LfRule],
+    category_map: Optional[dict[str, dict[str, str]]] = None,
+) -> WeakLabelMatrix:
+    """``lfbank.apply_lf_bank`` as it was first written: every rule
+    evaluated on one row dict at a time, stopping at the first bad cell,
+    and no length check (a short column raises IndexError)."""
+    if not rules:
+        raise ValidationError("rule list is empty")
+    if not table:
+        raise ValidationError("raw table has no columns")
+    n = len(next(iter(table.values())))
+    needed = set().union(*(r.predicate.columns() for r in rules))
+    missing = sorted(needed - set(table))
+    if missing:
+        raise ValidationError(f"raw table is missing columns {missing}")
+    remap = category_map or {}
+    votes = np.empty((n, len(rules)), dtype=np.int64)
+    for r in range(n):
+        row = {c: table[c][r] for c in needed}
+        for c, mapping in remap.items():
+            if c in row:
+                row[c] = mapping.get(row[c], row[c])
+        for j, rule in enumerate(rules):
+            try:
+                hit = rule.predicate.evaluate(row)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"rule {rule.name!r}, row {r + 2}: {exc}") from exc
+            votes[r, j] = 1 if hit else rule.false_vote
+    return WeakLabelMatrix(votes)
+
+
+def _adult_rules() -> list[LfRule]:
+    # Category spellings follow the canonical census-income distribution;
+    # pass a category_map to adapt local variants.
+    return [
+        LfRule("age", NumericBetween("age", 30, 60)),
+        LfRule("education", ValueIn(
+            "education", frozenset({"Bachelors", "Masters", "Doctorate"}))),
+        LfRule("marital", ValueIn("marital-status", frozenset({
+            "Married-civ-spouse", "Married-spouse-absent", "Married-AF-spouse",
+        }))),
+        LfRule("relationship", ValueIn(
+            "relationship", frozenset({"Wife", "Own-child", "Husband"}))),
+        LfRule("capital", NumericCompare("capital-gain", ">", 5000)),
+        LfRule("race", ValueIn(
+            "race", frozenset({"Asian-Pac-Islander", "Other"}))),
+        LfRule("country", ValueIn("native-country", frozenset({
+            "Germany", "Japan", "Greece", "China",
+        }))),
+        LfRule("workclass", ValueIn("workclass", frozenset({
+            "Self-emp-not-inc", "Self-emp-inc", "Federal-gov",
+            "Local-gov", "State-gov",
+        }))),
+        LfRule("occupation", ValueIn("occupation", frozenset({
+            "Sales", "Exec-managerial", "Prof-specialty", "Machine-op-inspct",
+        }))),
+    ]
+
+
+def _bank_marketing_rules() -> list[LfRule]:
+    # Column/category spellings follow the "bank-additional" distribution.
+    return [
+        LfRule("loan", AnyOf((
+            ValueIn("housing", frozenset({"yes"})),
+            ValueIn("loan", frozenset({"yes"})),
+        ))),
+        LfRule("previous_contact", NumericCompare("previous", ">", 1.1)),
+        LfRule("duration", NumericCompare("duration", ">", 360)),
+        LfRule("marital", ValueIn("marital", frozenset({"single"}))),
+        LfRule("previous_outcome", ValueIn("poutcome", frozenset({"success"}))),
+        LfRule("education", ValueIn("education", frozenset({
+            "university.degree", "professional.course",
+        }))),
+    ]
+
+
+ORACLE_BANKS = {
+    "adult-v1": _adult_rules,
+    "bank-v1": _bank_marketing_rules,
+}

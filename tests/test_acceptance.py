@@ -41,7 +41,8 @@ from otrelabel import (
     sinkhorn_plan,
     triplet_accuracies,
 )
-from otrelabel.pipeline import apply_lf_bank, builtin_bank, read_raw_csv
+from otrelabel.lfbank import apply_lf_bank, builtin_bank
+from otrelabel.pipeline import read_raw_csv
 from helpers import (
     bayes_posterior_oracle,
     make_biased_fixture,

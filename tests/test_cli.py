@@ -182,6 +182,36 @@ def test_lf_bank_category_map(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[8] == "1"
 
 
+@pytest.mark.parametrize("case,content", [
+    ("missing_config", None),
+    ("missing_category_map", None),
+    ("category_map_bad_json", "{bad"),
+    ("category_map_list", '["occupation"]'),
+    ("category_map_flat", '{"occupation": "x"}'),
+])
+def test_unreadable_input_files_are_input_errors(tmp_path, capsys, case,
+                                                 content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    if case == "missing_config":
+        _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+        argv = ["run", "--features", features, "--votes", votes,
+                "--out", str(tmp_path / "out"), "--config", str(path)]
+    else:
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "age,workclass,education,marital-status,occupation,"
+            "relationship,race,capital-gain,native-country\n"
+            "40,Private,HS-grad,Never-married,Sales,Not-in-family,"
+            "White,0,United-States\n")
+        argv = ["lf-bank", "--bank", "adult-v1", "--raw", str(raw),
+                "--out", str(tmp_path / "votes.csv"),
+                "--category-map", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_theory_verb_writes_bundle(tmp_path, capsys):
     code = main(["theory", "--out", str(tmp_path),
                  "--shifts", "0,5,1000", "--shift-n", "3000",

@@ -317,4 +317,4 @@ def test_curve_distances_nondecreasing_and_final_is_group_accuracy():
 def test_tiny_neighborhood_errors():
     with pytest.raises(ValidationError):
         regime_profile(np.zeros((5, 1)), np.ones(5, bool),
-                       np.array([0, 0, 0, 1, 1]), [0], neighborhood_frac=0.1)
+                       np.array([0, 0, 0, 1, 1]), [0])

@@ -267,33 +267,37 @@ def test_sinkhorn_rejects_bad_costs():
 
 
 def test_sinkhorn_underflow_raises_without_rescale():
-    # the second source row underflows across the board at eta = 1
-    cost = np.array([[0.0, 1.0], [4000.0, 4000.0]])
+    # the median of this cost is 1, so the median rescale leaves the last
+    # source row at 1e6 / eta, which underflows across the board
+    cost = np.ones((3, 3))
+    cost[2] = 1e6
     with pytest.raises(NumericalError):
-        sinkhorn_plan(cost, rescale="none")
-    # the median rescale makes the same instance feasible
-    plan = sinkhorn_plan(cost, max_iter=100, tol=1e-9)
+        sinkhorn_plan(cost)
+    # the median rescale makes an instance feasible whose raw cost
+    # underflows at eta = 1
+    plan = sinkhorn_plan(np.array([[0.0, 1.0], [4000.0, 4000.0]]),
+                         max_iter=100, tol=1e-9)
     assert plan.converged
 
 
-@pytest.mark.parametrize("rescale", ["median", "none"])
+# the one parameter value names the cost rescale, which is always the median
+@pytest.mark.parametrize("rescale", ["median"])
 def test_sinkhorn_leaves_cost_unchanged(rescale):
-    # the median is selected by an in-place partition of a copy
     rng = np.random.default_rng(9)
     cost = rng.uniform(0.0, 3.0, size=(6, 5))
     before = cost.copy()
-    sinkhorn_plan(cost, rescale=rescale)
+    sinkhorn_plan(cost)
     assert np.array_equal(cost, before)
     assert cost.flags.writeable
 
 
-@pytest.mark.parametrize("rescale", ["median", "none"])
+@pytest.mark.parametrize("rescale", ["median"])
 def test_sinkhorn_accepts_read_only_cost(rescale):
     rng = np.random.default_rng(9)
     cost = rng.uniform(0.0, 3.0, size=(6, 5))
     cost.setflags(write=False)
     before = cost.copy()
-    sinkhorn_plan(cost, rescale=rescale)
+    sinkhorn_plan(cost)
     assert np.array_equal(cost, before)
     assert not cost.flags.writeable
 
@@ -306,12 +310,6 @@ def test_sinkhorn_rejects_non_finite_arguments(name, value):
     # NaN compares false, so `x <= 0` checks let it through
     with pytest.raises(ValidationError):
         sinkhorn_plan(np.ones((2, 2)), **{name: value})
-
-
-def test_sinkhorn_names_an_unknown_rescale():
-    with pytest.raises(ValidationError,
-                       match="unknown cost rescale mode 'mean'"):
-        sinkhorn_plan(np.ones((2, 2)), rescale="mean")
 
 
 def cost_of_kind(rng, kind, n, m):
@@ -328,10 +326,9 @@ def cost_of_kind(rng, kind, n, m):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9),
        st.sampled_from(["uniform", "ties", "zero_median", "zero"]),
-       st.sampled_from(["median", "none"]), st.booleans(), st.booleans(),
-       st.booleans())
+       st.booleans(), st.booleans(), st.booleans())
 def test_sinkhorn_plan_matches_oracle_bit_for_bit(
-        seed, n, m, kind, rescale, log_objective, marginals, transposed):
+        seed, n, m, kind, log_objective, marginals, transposed):
     rng = np.random.default_rng(seed)
     cost = cost_of_kind(rng, kind, n, m)
     if transposed:  # a column-major cost
@@ -343,7 +340,7 @@ def test_sinkhorn_plan_matches_oracle_bit_for_bit(
         b = rng.uniform(0.1, 1.0, m)
         b /= b.sum()
     kwargs = dict(eta=float(rng.uniform(0.2, 3.0)),
-                  max_iter=int(rng.integers(1, 40)), rescale=rescale,
+                  max_iter=int(rng.integers(1, 40)),
                   log_objective=log_objective)
     plan = sinkhorn_plan(cost, a, b, **kwargs)
     oracle = sinkhorn_plan_oracle(cost, a, b, **kwargs)
@@ -538,8 +535,7 @@ def test_barycentric_permutation_limit():
     from scipy.spatial.distance import cdist
 
     cost = cdist(x, x[perm], "sqeuclidean")
-    plan = sinkhorn_plan(cost, eta=1e-3, max_iter=20_000, tol=1e-12,
-                         rescale="none")
+    plan = sinkhorn_plan(cost, eta=1e-3, max_iter=20_000, tol=1e-12)
     mapped = barycentric_map(plan, x[perm])
     assert np.abs(mapped - x).max() <= 1e-6
 

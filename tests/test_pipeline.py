@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from otrelabel import PipelineConfig, ValidationError, WeakLabelMatrix
 from otrelabel import pipeline
+from otrelabel.lfbank import apply_lf_bank, builtin_bank
 from otrelabel.pipeline import (
     MAX_CELL_ERRORS,
-    apply_lf_bank,
-    builtin_bank,
     load_features_csv,
     load_votes_csv,
     parse_config_text,
@@ -24,7 +23,13 @@ from otrelabel.pipeline import (
     write_votes_csv,
 )
 from otrelabel.synthetic import run_theory_suite
-from helpers import load_features_oracle, load_votes_oracle, make_biased_fixture
+from helpers import (
+    ORACLE_BANKS,
+    lf_bank_oracle,
+    load_features_oracle,
+    load_votes_oracle,
+    make_biased_fixture,
+)
 
 
 def write_features_csv(path, ds, include_labels=True, newline="\n"):
@@ -444,6 +449,105 @@ def test_fewer_than_three_rules_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="otrelabel"):
         apply_lf_bank(adult_table(), [builtin_bank("adult-v1")[0]])
     assert any("3" in rec.message for rec in caplog.records)
+
+
+def test_columns_of_unequal_length_rejected():
+    table = adult_table()
+    table["race"] = ["White", "White"]
+    with pytest.raises(ValidationError,
+                       match="column 'race' has 2 values, expected 1"):
+        apply_lf_bank(table, builtin_bank("adult-v1"))
+
+
+def test_bad_cells_listed_row_major_then_rule_order():
+    base = {k: [v] * 3 for k, v in ADULT_COLUMNS.items()}
+    base["age"] = ["forty", "40", "x"]
+    base["capital-gain"] = ["0", "lots", "y"]
+    with pytest.raises(ValidationError) as exc:
+        apply_lf_bank(base, builtin_bank("adult-v1"))
+    message = "cannot compare non-numeric value"
+    assert str(exc.value).splitlines() == [
+        f"rule 'age', row 2: column 'age': {message} 'forty'",
+        f"rule 'capital', row 3: column 'capital-gain': {message} 'lots'",
+        f"rule 'age', row 4: column 'age': {message} 'x'",
+        f"rule 'capital', row 4: column 'capital-gain': {message} 'y'",
+    ]
+
+
+def test_bad_cells_past_the_limit_are_counted():
+    base = {k: [v] * 30 for k, v in ADULT_COLUMNS.items()}
+    base["age"] = ["?"] * 30
+    with pytest.raises(ValidationError) as exc:
+        apply_lf_bank(base, builtin_bank("adult-v1"))
+    lines = str(exc.value).splitlines()
+    assert len(lines) == MAX_CELL_ERRORS + 1
+    assert lines[-1] == f"... and {30 - MAX_CELL_ERRORS} more bad cells"
+
+
+@pytest.mark.parametrize("category_map", [
+    ["occupation"], {"occupation": "x"}, {"occupation": {"a": 1}}])
+def test_malformed_category_map_rejected(category_map):
+    with pytest.raises(ValidationError, match="category map"):
+        apply_lf_bank(adult_table(), builtin_bank("adult-v1"), category_map)
+
+
+# cells around every threshold of both banks, float spellings Python reads
+# but a careless parser might not, and cells no float parse accepts
+NUMBER_CELLS = [
+    "30", "29.999", "60", "60.0001", "5000", "5000.0",
+    repr(float(np.nextafter(5000.0, np.inf))), "1.1",
+    repr(float(np.nextafter(1.1, np.inf))),
+    repr(float(np.nextafter(1.1, -np.inf))), "360", "361", "0", "-0.0",
+    "inf", "-inf", "nan", " 7", "1e4", "1_000"]
+BAD_NUMBER_CELLS = ["forty", "", "1,0", "0x10"]
+
+
+def bank_spellings(name):
+    return sorted({s for _, *tests in builtin_bank(name)
+                   for _, spec in tests if isinstance(spec, frozenset)
+                   for s in spec})
+
+
+@st.composite
+def bank_inputs(draw):
+    """A bank name, a raw table over its columns and a category map."""
+    name = draw(st.sampled_from(sorted(ORACLE_BANKS)))
+    rules = builtin_bank(name)
+    numeric = {c for _, *tests in rules for c, spec in tests
+               if not isinstance(spec, frozenset)}
+    columns = sorted({c for _, *tests in rules for c, _ in tests})
+    # each spelling with its near misses: case, a trailing space or NUL
+    words = [w for s in bank_spellings(name)
+             for w in (s, s.lower(), s.upper(), s + " ", s + "\x00")]
+    anything = NUMBER_CELLS + BAD_NUMBER_CELLS + words
+    clean = draw(st.booleans())  # no bad cell in a numeric column
+    n = draw(st.integers(1, 6))
+    table = {c: draw(st.lists(
+        st.sampled_from(NUMBER_CELLS if clean and c in numeric
+                        else anything), min_size=n, max_size=n))
+        for c in columns}
+    category_map = draw(st.none() | st.dictionaries(
+        st.sampled_from(columns),
+        st.dictionaries(st.sampled_from(anything), st.sampled_from(
+            NUMBER_CELLS if clean else anything), max_size=4),
+        max_size=3))
+    return name, table, category_map
+
+
+@settings(max_examples=500, deadline=None)
+@given(bank_inputs())
+def test_lf_bank_matches_row_wise_oracle(inputs):
+    name, table, category_map = inputs
+    rules = builtin_bank(name)
+    try:
+        want = lf_bank_oracle(table, ORACLE_BANKS[name](), category_map)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            apply_lf_bank(table, rules, category_map)
+        assert str(got.value).splitlines()[0] == str(exc)
+    else:
+        got = apply_lf_bank(table, rules, category_map)
+        assert np.array_equal(got.votes, want.votes)
 
 
 def test_read_raw_csv_strips_whitespace(tmp_path):
