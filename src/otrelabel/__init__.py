@@ -65,11 +65,9 @@ from .synthetic import (
     SweepReport,
     SyntheticModel,
     accuracy_prob,
-    identity_map,
     lipschitz_check,
     map_error_sweep,
     proximity,
-    sample_labeled,
     shift_sweep,
 )
 from .transport import (
@@ -110,7 +108,6 @@ __all__ = [
     "fairness_report",
     "fit_label_model",
     "fit_moments",
-    "identity_map",
     "infer_pseudolabels",
     "inverse_monge",
     "knn_transfer",
@@ -125,7 +122,6 @@ __all__ = [
     "psd_sqrt",
     "regime_profile",
     "resolve_sign",
-    "sample_labeled",
     "sbm_transport",
     "shift_sweep",
     "sinkhorn_plan",

@@ -300,17 +300,22 @@ def read_raw_csv(path: str) -> dict[str, list[str]]:
 
 
 def _atomic_write(path: str, write_fn: Callable) -> None:
+    """Write ``path`` through a temporary file in its directory; an
+    unwritable path is an input error."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            write_fn(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                write_fn(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: str, header: Sequence[str],
@@ -504,8 +509,8 @@ def run_pipeline(
         )
         try:
             write_json(failed.to_dict(), os.path.join(out_dir, "manifest.json"))
-        except OSError:
-            pass
+        except ValidationError:
+            pass  # the original error is the one to report
         raise
 
 

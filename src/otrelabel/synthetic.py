@@ -1,16 +1,17 @@
 """Synthetic generator used to stress the repair machinery numerically.
 
-The generative model: latent points z are Gaussian; each group observes an
-affine image of them (group 0 the identity by default).  A single noisy
-labeler agrees with the true +-1 label at
+The generative model: latent points z are standard normal in ``dim``
+dimensions; group 0 observes them directly and group 1 through an affine
+map (the identity by default).  A single noisy labeler agrees with the
+true +-1 label at
 
-    P(lambda(x) = y) = sigmoid(2 * theta0 * prox(x, center)),
+    P(lambda(x) = y) = sigmoid(2 * theta0 * prox(x, 0)),
     prox(x, center) = 1 / (1 + ||x - center||),
 
-so accuracy is high near ``center`` and decays to coin flipping far away.
+so accuracy is high near the origin and decays to coin flipping far away.
 Three checkable consequences drive the harness:
 
-* shifting a group's points arbitrarily far from the center drives its
+* shifting a group's points arbitrarily far from the origin drives its
   expected labeler accuracy to exactly 1/2 (``shift_sweep``);
 * the accuracy probability is 4*theta0-Lipschitz in x
   (``lipschitz_check``);
@@ -29,14 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroupedDataset, ValidationError, WeakLabelMatrix
+from .core import ValidationError
 from .ot import (
     MongeMap,
     apply_monge,
     fit_moments,
     inverse_monge,
     linear_monge,
-    psd_sqrt,
     spectral_summary,
 )
 
@@ -48,58 +48,32 @@ SHIFT_FINAL_TOL, SHIFT_MONO_SLACK = 0.02, 0.01
 MAP_FIT_RIDGE, MAP_TAU_T = 1e-9, 1.0
 
 
-def identity_map(d: int) -> MongeMap:
-    return MongeMap(np.eye(d), np.zeros(d))
-
-
 @dataclass(frozen=True)
 class SyntheticModel:
-    """Latent Gaussian, per-group affine observations, and the labeler.
+    """Standard-normal latent in ``dim`` dimensions, the affine map
+    ``group1`` through which group 1 observes it, and the labeler.
 
     ``theta0 = 0`` is allowed and makes the labeler a fair coin everywhere;
-    positive values concentrate accuracy around ``center``.
+    positive values concentrate accuracy around the origin.
     """
 
+    dim: int
     theta0: float
-    center: np.ndarray
-    latent_mean: np.ndarray
-    latent_cov: np.ndarray
-    group_maps: tuple[MongeMap, MongeMap]
+    group1: MongeMap
 
     def __post_init__(self):
         if self.theta0 < 0:
             raise ValidationError("theta0 must be nonnegative")
-        center = np.asarray(self.center, dtype=np.float64)
-        mean = np.asarray(self.latent_mean, dtype=np.float64)
-        cov = np.asarray(self.latent_cov, dtype=np.float64)
-        d = center.shape[0]
-        if mean.shape != (d,) or cov.shape != (d, d):
-            raise ValidationError("latent moment shapes are inconsistent")
-        for g in self.group_maps:
-            if g.d != d:
-                raise ValidationError("group transform dimension mismatch")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "latent_mean", mean)
-        object.__setattr__(self, "latent_cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
+        if self.group1.d != self.dim:
+            raise ValidationError("group transform dimension mismatch")
 
     @classmethod
     def gaussian(cls, dim: int, theta0: float) -> "SyntheticModel":
-        """Standard-normal latent centered on the high-accuracy point,
-        both groups observing through the identity."""
-        return cls(
-            theta0=theta0,
-            center=np.zeros(dim),
-            latent_mean=np.zeros(dim),
-            latent_cov=np.eye(dim),
-            group_maps=(identity_map(dim), identity_map(dim)),
-        )
+        """Group 1 observing through the identity, like group 0."""
+        return cls(dim, theta0, MongeMap(np.eye(dim), np.zeros(dim)))
 
     def with_group1(self, g1: MongeMap) -> "SyntheticModel":
-        return replace(self, group_maps=(self.group_maps[0], g1))
+        return replace(self, group1=g1)
 
 
 @dataclass(frozen=True)
@@ -138,54 +112,20 @@ def proximity(x: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 
 def accuracy_prob(x: np.ndarray, model: SyntheticModel) -> np.ndarray:
-    """P(lambda(x) = y) = sigmoid(2 * theta0 * prox(x, center))."""
-    z = 2.0 * model.theta0 * proximity(x, model.center)
+    """P(lambda(x) = y) = sigmoid(2 * theta0 * prox(x, 0))."""
+    z = 2.0 * model.theta0 * proximity(x, np.zeros(model.dim))
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def _latent_factor(model: SyntheticModel) -> np.ndarray:
-    return psd_sqrt(model.latent_cov)
 
 
 def _sample_latent(model: SyntheticModel, n: int,
                    rng: np.random.Generator) -> np.ndarray:
-    return model.latent_mean + rng.standard_normal((n, model.dim)) @ _latent_factor(model)
+    return rng.standard_normal((n, model.dim))
 
 
 def _sample_votes(x: np.ndarray, y: np.ndarray, model: SyntheticModel,
                   rng: np.random.Generator) -> np.ndarray:
     agree = rng.random(x.shape[0]) < accuracy_prob(x, model)
     return np.where(agree, y, -y)
-
-
-def sample_labeled(
-    model: SyntheticModel, n: int, seed: int
-) -> tuple[GroupedDataset, WeakLabelMatrix]:
-    """Draw n examples with group assignments, labels and one LF column.
-
-    Rows are split evenly between the groups (random order), each group is
-    pushed through its own transform, and the single labeling function
-    agrees with y with probability accuracy_prob at the observed point.
-    Bit-reproducible for a fixed seed.
-    """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = _sample_latent(model, n, rng)
-    groups = np.zeros(n, dtype=np.int64)
-    groups[n // 2:] = 1
-    rng.shuffle(groups)
-    x = np.empty_like(z)
-    for k in (0, 1):
-        mask = groups == k
-        if mask.any():
-            x[mask] = apply_monge(model.group_maps[k], z[mask])
-    y = np.where(rng.random(n) < LABEL_BALANCE, 1, -1).astype(np.int64)
-    votes = _sample_votes(x, y, model, rng)
-    return (
-        GroupedDataset(x, groups, y),
-        WeakLabelMatrix(votes.reshape(-1, 1)),
-    )
 
 
 def _monotone_nonincreasing(values: Sequence[float], slack: float) -> bool:
@@ -199,7 +139,7 @@ def shift_sweep(
     n: int,
     seed: int = 0,
 ) -> SweepReport:
-    """Measure group-1 labeler accuracy as its points drift from the center.
+    """Measure group-1 labeler accuracy as its points drift from the origin.
 
     For each magnitude D the group-1 transform becomes identity plus an
     offset of norm D along the first axis.  Two channels are recorded:
@@ -210,6 +150,8 @@ def shift_sweep(
     ``SHIFT_FINAL_TOL`` of the random-guessing limit 1/2.
     """
     shifts = [float(s) for s in shifts]
+    if not shifts or not np.isfinite(shifts).all():
+        raise ValidationError("shifts must be nonempty and finite")
     if any(s < 0 for s in shifts) or any(
             b < a for a, b in zip(shifts, shifts[1:])):
         raise ValidationError("shifts must be nonnegative and increasing")
@@ -223,7 +165,7 @@ def shift_sweep(
         shifted = model.with_group1(
             MongeMap(np.eye(model.dim), dist * direction))
         z = _sample_latent(shifted, n, rng)
-        x1 = apply_monge(shifted.group_maps[1], z)
+        x1 = apply_monge(shifted.group1, z)
         p = accuracy_prob(x1, shifted)
         measured.append(float(p.mean()))
         y = np.where(rng.random(n) < LABEL_BALANCE, 1, -1)
@@ -246,7 +188,7 @@ def lipschitz_check(
 ) -> float:
     """Max observed |delta P| / ||delta x|| over random point pairs.
 
-    Half the pairs are independent draws around the center, half are tight
+    Half the pairs are independent draws around the origin, half are tight
     perturbations that probe the local gradient; coincident pairs are
     skipped.  The labeler construction guarantees the ratio stays strictly
     below 4 * theta0.
@@ -257,9 +199,9 @@ def lipschitz_check(
     d = model.dim
     n_wide = trials // 2
     n_tight = trials - n_wide
-    x1 = model.center + rng.standard_normal((trials, d)) * 2.0
+    x1 = rng.standard_normal((trials, d)) * 2.0
     x2 = np.empty_like(x1)
-    x2[:n_wide] = model.center + rng.standard_normal((n_wide, d)) * 2.0
+    x2[:n_wide] = rng.standard_normal((n_wide, d)) * 2.0
     step = rng.standard_normal((n_tight, d))
     step /= np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-300)
     x2[n_wide:] = x1[n_wide:] + step * (
@@ -270,13 +212,6 @@ def lipschitz_check(
     if not keep.any():
         return 0.0
     return float((gap[keep] / dist[keep]).max())
-
-
-def _require_identity(g: MongeMap, what: str) -> None:
-    d = g.d
-    if (np.abs(g.A - np.eye(d)).max() > 1e-12
-            or np.abs(g.b).max() > 1e-12):
-        raise ValidationError(f"{what} must be the identity transform")
 
 
 def _require_spd(A: np.ndarray, what: str) -> None:
@@ -295,11 +230,11 @@ def map_error_sweep(
     """Check that the repair-induced accuracy gap is controlled by the
     transport map's estimation error, and that the error decays with n.
 
-    Group 0 must observe through the identity and the group-1 transform
-    must be symmetric positive definite plus an offset, so that its exact
-    inverse h is also the moment-matching transport map and the fitted map
-    converges to it.  For each n an affine map is fitted from n samples
-    per group; on a fixed held-out set we record
+    Group 0 observes the latent points directly, and the group-1
+    transform must be symmetric positive definite plus an offset, so that
+    its exact inverse h is also the moment-matching transport map and the
+    fitted map converges to it.  For each n an affine map is fitted from
+    n samples per group; on a fixed held-out set we record
 
         measured[i] = |mean P(z) - mean P(h_fit(x'))|          (gap)
         bound[i]    = 4 * theta0 * mean ||h(x') - h_fit(x')||  (rhs)
@@ -310,14 +245,15 @@ def map_error_sweep(
     logged in ``extras``.
     """
     sizes = [int(s) for s in sample_sizes]
+    if not sizes:
+        raise ValidationError("sample sizes must not be empty")
     if any(s < model.dim + 1 for s in sizes) or any(
             b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError(
             "sample sizes must be increasing and exceed the dimension")
     if holdout < 2:
         raise ValidationError("holdout must be >= 2")
-    g0, g1 = model.group_maps
-    _require_identity(g0, "group-0 transform")
+    g1 = model.group1
     _require_spd(g1.A, "group-1 transform matrix")
     h_true = inverse_monge(g1)
 
@@ -371,7 +307,7 @@ def map_error_sweep(
 
 # The fixed models of the three checks, SyntheticModel.gaussian(dim,
 # theta0), whose labeler is right with probability
-# sigmoid(2 * theta0 * prox(x, center)).
+# sigmoid(2 * theta0 * prox(x, 0)).
 SHIFT_DIM, SHIFT_THETA0 = 3, 5.0
 LIPSCHITZ_DIM, LIPSCHITZ_THETA0S = 3, (0.5, 1.0, 3.0)
 MAP_DIM, MAP_THETA0 = 4, 1.0

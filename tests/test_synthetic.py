@@ -8,11 +8,9 @@ from otrelabel import (
     SyntheticModel,
     ValidationError,
     accuracy_prob,
-    identity_map,
     lipschitz_check,
     map_error_sweep,
     proximity,
-    sample_labeled,
     shift_sweep,
 )
 
@@ -75,68 +73,14 @@ def test_negative_theta_rejected():
         SyntheticModel.gaussian(2, -0.1)
 
 
-# --------------------------------------------------------------------------
-# sampling
-
-
-def test_sample_labeled_deterministic():
-    model = SyntheticModel.gaussian(3, 1.5)
-    ds1, wl1 = sample_labeled(model, 500, seed=42)
-    ds2, wl2 = sample_labeled(model, 500, seed=42)
-    assert np.array_equal(ds1.features, ds2.features)
-    assert np.array_equal(ds1.groups, ds2.groups)
-    assert np.array_equal(ds1.labels, ds2.labels)
-    assert np.array_equal(wl1.votes, wl2.votes)
-
-
-def test_sample_labeled_chance_accuracy_at_theta_zero():
-    model = SyntheticModel.gaussian(2, 0.0)
-    ds, wl = sample_labeled(model, 100_000, seed=1)
-    agreement = (wl.votes[:, 0] == ds.labels).mean()
-    # binomial 3-sigma band around 1/2
-    assert abs(agreement - 0.5) <= 3 * 0.5 / math.sqrt(100_000)
-
-
-def test_sample_labeled_saturates_at_large_theta():
-    model = SyntheticModel(
-        theta0=50.0,
-        center=np.zeros(2),
-        latent_mean=np.zeros(2),
-        latent_cov=np.zeros((2, 2)),  # point mass at the center
-        group_maps=(identity_map(2), identity_map(2)),
-    )
-    ds, wl = sample_labeled(model, 5000, seed=2)
-    assert (wl.votes[:, 0] == ds.labels).mean() >= 0.999
-
-
-def test_identical_transforms_give_indistinguishable_groups():
-    model = SyntheticModel.gaussian(3, 1.0)
-    ds, wl = sample_labeled(model, 100_000, seed=3)
-    agree = wl.votes[:, 0] == ds.labels
-    p = [agree[ds.groups == k].mean() for k in (0, 1)]
-    n = [(ds.groups == k).sum() for k in (0, 1)]
-    pooled = agree.mean()
-    z = abs(p[1] - p[0]) / math.sqrt(
-        pooled * (1 - pooled) * (1 / n[0] + 1 / n[1]))
-    assert z < 4.0
+def test_group1_of_another_dimension_rejected():
+    with pytest.raises(ValidationError):
+        SyntheticModel.gaussian(3, 1.0).with_group1(
+            MongeMap(np.eye(2), np.zeros(2)))
 
 
 # --------------------------------------------------------------------------
 # shift sweep
-
-
-def test_shift_sweep_degenerate_latent_hits_sigmoid_exactly():
-    theta0 = 1.25
-    model = SyntheticModel(
-        theta0=theta0,
-        center=np.zeros(2),
-        latent_mean=np.zeros(2),
-        latent_cov=np.zeros((2, 2)),
-        group_maps=(identity_map(2), identity_map(2)),
-    )
-    report = shift_sweep(model, [0.0], n=100, seed=0)
-    assert report.measured[0] == pytest.approx(
-        1 / (1 + math.exp(-2 * theta0)), abs=1e-12)
 
 
 def test_shift_sweep_theta_zero_is_exactly_half():
@@ -158,10 +102,32 @@ def test_shift_sweep_decays_toward_half():
     assert max(abs(s - m) for s, m in zip(sampled, report.measured)) <= 0.02
 
 
+def test_shift_sweep_sampled_channel_is_chance_at_theta_zero():
+    n = 100_000
+    model = SyntheticModel.gaussian(2, 0.0)
+    report = shift_sweep(model, [0.0, 5.0, 50.0], n=n, seed=1)
+    # binomial 3-sigma band around 1/2
+    assert all(abs(s - 0.5) <= 3 * 0.5 / math.sqrt(n)
+               for s in report.extras["measured_sampled"])
+
+
+def test_shift_sweep_same_seed_same_report():
+    model = SyntheticModel.gaussian(3, 1.5)
+    assert shift_sweep(model, [0.0, 2.0], n=500, seed=42) == shift_sweep(
+        model, [0.0, 2.0], n=500, seed=42)
+
+
 def test_shift_sweep_rejects_decreasing_shifts():
     model = SyntheticModel.gaussian(2, 1.0)
     with pytest.raises(ValidationError):
         shift_sweep(model, [1.0, 0.5], n=10)
+
+
+@pytest.mark.parametrize("shifts", [[], [math.inf], [0.0, math.nan]],
+                         ids=["empty", "inf", "nan"])
+def test_shift_sweep_rejects_shifts_it_cannot_check(shifts):
+    with pytest.raises(ValidationError):
+        shift_sweep(SyntheticModel.gaussian(2, 1.0), shifts, n=10)
 
 
 # --------------------------------------------------------------------------
@@ -226,22 +192,14 @@ def test_map_error_diagnostics_consistent():
         assert diag["tau"] > 0
 
 
+def test_map_error_rejects_empty_sizes():
+    with pytest.raises(ValidationError):
+        map_error_sweep(SyntheticModel.gaussian(2, 1.0), [])
+
+
 def test_map_error_rejects_non_spd_transform():
     model = SyntheticModel.gaussian(2, 1.0).with_group1(
         MongeMap(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2)))
     with pytest.raises(ValidationError):
         map_error_sweep(model, [50, 500])
 
-
-def test_map_error_rejects_non_identity_group0():
-    rng = np.random.default_rng(6)
-    g1 = spd_transform(rng, 2)
-    model = SyntheticModel(
-        theta0=1.0,
-        center=np.zeros(2),
-        latent_mean=np.zeros(2),
-        latent_cov=np.eye(2),
-        group_maps=(MongeMap(2 * np.eye(2), np.zeros(2)), g1),
-    )
-    with pytest.raises(ValidationError):
-        map_error_sweep(model, [50, 500])

@@ -504,9 +504,25 @@ def test_global_scope_uses_one_direction():
     est, _ = estimate_accuracies(wl, blind)
     cfg = PipelineConfig(ot_type="none", transport_scope="global")
     moved = sbm_transport(blind, wl, est, cfg)
-    assert len(moved.decisions) == 1
-    assert moved.decisions[0].lf_index == "all"
-    assert not moved.decisions[0].skipped
+    assert [d.lf_index for d in moved.decisions] == list(range(wl.m))
+    assert len({(d.src_group, d.dst_group) for d in moved.decisions}) == 1
+    assert not any(d.skipped for d in moved.decisions)
+    mean_acc = est.per_lf_group.mean(axis=0)
+    for d in moved.decisions:
+        assert (d.acc_src, d.acc_dst) == (mean_acc[d.src_group],
+                                          mean_acc[d.dst_group])
+
+
+def test_global_scope_tie_skips_every_lf():
+    ds, wl = make_biased_fixture(400, seed=6)
+    blind = ds.without_labels()
+    est, _ = estimate_accuracies(wl, blind)
+    cfg = PipelineConfig(ot_type="none", transport_scope="global",
+                         tie_tol=1.0)
+    moved = sbm_transport(blind, wl, est, cfg)
+    assert np.array_equal(moved.new_votes.votes, wl.votes)
+    assert [d.lf_index for d in moved.decisions] == list(range(wl.m))
+    assert all(d.skipped and d.reason == "tie" for d in moved.decisions)
 
 
 def test_invalid_inputs_rejected():
