@@ -5,9 +5,9 @@ factorizes, E[lambda_i lambda_j] = a_i a_j, so for any triplet (i, j, k)
 
     |a_i| = sqrt(E[l_i l_j] * E[l_i l_k] / E[l_j l_k]).
 
-Each LF collects one magnitude per triplet it belongs to; its estimate is
-the median of those values, and signs are resolved afterwards from
-agreement with the row-wise majority vote.
+Each LF's estimate is the median of its magnitudes, one per triplet it
+belongs to (a median does not depend on order: one row sort finds them
+all); signs come afterwards from agreement with the row-wise majority.
 
 Moments are computed over rows where both LFs are non-abstaining.  The
 sums are accumulated in float64, which is exact for integer terms below
@@ -130,7 +130,7 @@ def accuracies_from_moments(
     to machine precision (algebraic identity).  Triplets where any moment
     is NaN or has magnitude <= eps_pair are recorded as degenerate and
     skipped; an LF whose every triplet is degenerate raises NumericalError.
-    Each LF's estimate is the median of its values in triplet order.
+    Each LF's estimate is the median of its values, in one row sort.
     """
     m = moments.shape[0]
     if moments.shape != (m, m):
@@ -147,17 +147,23 @@ def accuracies_from_moments(
         raw[:, 0] = _triplet_value(mij, mik, mjk)
         raw[:, 1] = _triplet_value(mij, mjk, mik)
         raw[:, 2] = _triplet_value(mik, mjk, mij)
+    del mij, mik, mjk
+    # row i of the table holds lf i's C(m-1, 2) values, degenerate ones as
+    # +inf, above any clamped value; a stable small-uint sort is a radix sort
+    raw[degenerate] = np.inf
+    order = np.argsort(idx.ravel().astype(np.min_scalar_type(m - 1)),
+                       kind="stable")
+    table = raw.ravel()[order].reshape(m, -1)
     raw[degenerate] = np.nan
-
-    lf = idx[~degenerate].ravel()
-    counts = np.bincount(lf, minlength=m)
+    counts = np.count_nonzero(table != np.inf, axis=1)
     if not counts.all():
         raise NumericalError(
             f"every triplet containing lf {int(np.argmin(counts))} "
             "is degenerate")
-    vals = raw[~degenerate].ravel()[np.argsort(lf, kind="stable")]
-    segments = np.split(vals, np.cumsum(counts)[:-1])
-    out = np.array([np.median(seg) for seg in segments])
+    table.sort(axis=1)
+    rows = np.arange(m)
+    out = (table[rows, (counts - 1) // 2] + table[rows, counts // 2]) / 2
+    out[np.isnan(table[:, -1])] = np.nan  # NaN sorts last; np.median keeps it
     return out, TripletRecords(idx, raw, degenerate)
 
 
@@ -208,7 +214,7 @@ def per_group_accuracies(wl: WeakLabelMatrix,
         if not mask.any():
             raise ValidationError(f"group {k} is empty")
         try:
-            out[:, k], _ = triplet_accuracies(wl.restrict_rows(mask))
+            out[:, k] = triplet_accuracies(wl.restrict_rows(mask))[0]
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"group {k}: {exc}") from exc
     return out

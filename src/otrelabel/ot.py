@@ -145,7 +145,7 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
 
     The ridge is added verbatim to the diagonal; pick it relative to the
     feature scale (the pipeline default 1e-6 suits unit-scale embeddings).
-    A non-finite ridge or entry of X is rejected.
+    A non-finite ridge or X is rejected; covariance overflow: NumericalError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -159,7 +159,11 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
         raise ValidationError("X must be finite")
     mu = X.mean(axis=0)
     Xc = X - mu
-    sigma = (Xc.T @ Xc) / (n - 1)
+    with np.errstate(over="ignore"):
+        sigma = (Xc.T @ Xc) / (n - 1)
+    if not np.isfinite(sigma).all():
+        raise NumericalError(
+            "covariance overflows float64; rescale the features")
     sigma = 0.5 * (sigma + sigma.T) + ridge * np.eye(d)
     return GaussianMoments(mu, sigma, n)
 
@@ -178,10 +182,16 @@ def linear_monge(src: GaussianMoments, dst: GaussianMoments) -> MongeMap:
     if src.d != dst.d:
         raise ValidationError("source and destination dimensions differ")
     ws, Qs = _pd_eig(src.sigma, "source covariance")
-    _pd_eig(dst.sigma, "destination covariance")
+    wd = _pd_eig(dst.sigma, "destination covariance")[0]
     s_half = (Qs * np.sqrt(ws)) @ Qs.T
     s_mhalf = (Qs / np.sqrt(ws)) @ Qs.T
-    mid = psd_sqrt(s_half @ dst.sigma @ s_half)
+    with np.errstate(over="ignore"):
+        inner = s_half @ dst.sigma @ s_half
+    if not np.isfinite(inner).all():
+        raise NumericalError(
+            "the Monge map's S^1/2 Sigma S^1/2 overflows float64 at covariance"
+            f" scale {max(ws[-1], wd[-1]):.3e}; rescale the features")
+    mid = psd_sqrt(inner)
     A = s_mhalf @ mid @ s_mhalf
     A = 0.5 * (A + A.T)
     return MongeMap(A, dst.mu - A @ src.mu)

@@ -16,11 +16,11 @@ Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, values ``-1``, ``0``,
 
 Both: an optional UTF-8 BOM, LF, CRLF or CR line ends, csv quoting, and
 whitespace around any cell or header name.  Every row has the header's
-width and no line is blank.  Files in the plain subset of this syntax
-(ASCII body, no quotes, canonical group, label and vote spellings, as
-:func:`write_votes_csv` writes) are parsed by numpy in one pass; any
-other file by an exact cell-by-cell pass that reports each bad cell on
-its own line, up to ``MAX_CELL_ERRORS`` lines plus a count of the rest.
+width and no line is blank.  Plain files (ASCII body, no quotes,
+canonical spellings, as :func:`write_votes_csv` writes) take one byte
+pass for votes, numpy's C reader plus a spelling check for features; any
+other file an exact cell-by-cell pass that reports each bad cell on its
+own line, up to ``MAX_CELL_ERRORS`` lines plus a count of the rest.
 
 Config file: flat ``key=value`` lines (``#`` starts a comment).  The
 accepted keys are the field names of :class:`PipelineConfig`; each value
@@ -128,6 +128,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> PipelineConfig:
 _GROUPS = {"0": 0, "1": 1}
 _LABELS = {"-1": -1, "1": 1, "+1": 1}
 _VOTES = {"-1": -1, "0": 0, "1": 1, "+1": 1}
+# the vote each byte spells in _plain_votes ("-" stands for -1); 2: none
+_BYTE_VOTE = np.array([{45: -1, 48: 0, 49: 1}.get(b, 2) for b in range(256)])
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
@@ -153,37 +155,49 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _plain_table(path: str, dtype) -> Optional[tuple]:
-    """``(header, values, body)`` for a file in the plain subset of the
-    CSV syntax, else None; never raises.
-
-    Plain: no quote characters, LF or CRLF line ends, no blank line, an
-    ASCII body that numpy's C reader parses into ``dtype`` values, and as
-    many columns as the header.  On such a file ``csv`` splits rows and
-    cells exactly where numpy does, and a float cell numpy accepts gets
-    the value ``float`` gives it; callers still check the spelling of
-    integer cells, which numpy reads more loosely (``-0``, ``01``).
-    """
+def _plain_lines(path: str) -> Optional[tuple[list[str], bytes]]:
+    """``(header, body)`` of a file without quote characters, with LF or
+    CRLF line ends (the body comes back with LF ones), an ASCII body and
+    no blank first body line, else None; ``csv`` splits its header at ","."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError:
+        data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
+        head, _, body = data.partition(b"\n")
+        if (not head or body[:1] in (b"", b"\n") or b'"' in data
+                or b"\r" in data or not body.isascii()):
+            return None
+        return [h.strip() for h in head.decode("utf-8").split(",")], body
+    except (OSError, UnicodeDecodeError):
         return None
-    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
-    head, _, body = data.partition(b"\n")
-    if (not head or body[:1] in (b"", b"\n") or b'"' in data
-            or b"\r" in data or not body.isascii()):
-        return None
+
+
+def _plain_table(body: bytes, width: int) -> Optional[np.ndarray]:
+    """float64 values of a plain body that numpy's C reader parses into
+    ``width`` per line, else None; ``csv`` and ``float`` read it alike."""
     try:
-        header = [h.strip() for h in head.decode("utf-8").split(",")]
-        values = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",",
+        values = np.loadtxt(io.BytesIO(body), dtype=np.float64, delimiter=",",
                             comments=None, ndmin=2, encoding="ascii")
-    except ValueError:  # UnicodeDecodeError is one too
+    except ValueError:
         return None
     n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
-    if values.shape != (n_lines, len(header)):  # numpy skips blank lines
-        return None
-    return header, values, body
+    # numpy skips blank lines
+    return values if values.shape == (n_lines, width) else None
+
+
+def _plain_votes(body: bytes, m: int) -> Optional[np.ndarray]:
+    """n x m votes of a body whose every cell is ``-1``, ``0`` or ``1`` then
+    its column's separator, else None.  Once every ``-`` is seen to precede
+    a ``1``, dropping those ``1`` bytes leaves one byte per cell."""
+    a = np.frombuffer(body.removesuffix(b"\n") + b"\n", np.uint8)
+    minus = a[:-1] == ord("-")
+    cells = a[np.concatenate(([True], ~minus))]  # never empty: ends in \n
+    if (minus & (a[1:] != ord("1"))).any() or len(cells) % (2 * m):
+        return None  # "-0" too, which the exact pass reports
+    cells = cells.reshape(-1, m, 2)
+    sep = np.frombuffer(b"," * (m - 1) + b"\n", np.uint8)
+    votes = _BYTE_VOTE[cells[..., 0]]
+    return None if (votes > 1).any() or (cells[..., 1] != sep).any() else votes
 
 
 def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
@@ -224,8 +238,9 @@ def load_features_csv(
     -1/1.  Errors carry 1-based row numbers (the header is row 1) and
     column names, one line per bad cell.
     """
-    plain = _plain_table(path, np.float64)
-    header, rows = (plain[0], None) if plain else _read_rows(path)
+    plain = _plain_lines(path)
+    values = plain and _plain_table(plain[1], len(plain[0]))
+    header, rows = (plain[0], None) if values is not None else _read_rows(path)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
     has_labels = label_col is not None and label_col in header
@@ -243,19 +258,17 @@ def load_features_csv(
                         ": label must be -1 or 1, got "))
     index = [i for i, _, _ in columns]
 
-    if plain is not None:
+    if values is not None:
         # numpy reads group and label cells loosely ("0.0", "+0"), so
         # check their text; U3 is longer than any accepted spelling, so
         # a truncated cell never passes
-        text = np.loadtxt(io.BytesIO(plain[2]), dtype="U3", delimiter=",",
+        text = np.loadtxt(io.BytesIO(plain[1]), dtype="U3", delimiter=",",
                           comments=None, usecols=index[len(feature_cols):],
                           ndmin=2, encoding="ascii")
-        if np.isin(text[:, 0], list(_GROUPS)).all() and (
-                not has_labels or np.isin(text[:, 1], list(_LABELS)).all()):
-            values = plain[1][:, index]
-        else:
-            plain = None
-    if plain is None:
+        spelled = np.isin(text[:, 0], list(_GROUPS)).all() and (
+            not has_labels or np.isin(text[:, 1], list(_LABELS)).all())
+        values = values[:, index] if spelled else None
+    if values is None:
         values = _parse_cells(path, rows or _read_rows(path)[1], columns,
                               np.float64)
     d = len(feature_cols)
@@ -265,25 +278,18 @@ def load_features_csv(
 
 def load_votes_csv(path: str) -> WeakLabelMatrix:
     """Parse a votes CSV (header lf_0..lf_{m-1}, values in {-1, 0, 1})."""
-    plain = _plain_table(path, np.int64)
-    header, rows = (plain[0], None) if plain else _read_rows(path)
+    plain = _plain_lines(path)
+    votes = plain and _plain_votes(plain[1], len(plain[0]))
+    header, rows = (plain[0], None) if votes is not None else _read_rows(path)
     expected = [f"lf_{j}" for j in range(len(header))]
     if header != expected:
         raise ValidationError(
             f"{path}: votes header must be {','.join(expected)}")
-    if plain is not None:
-        votes, body = plain[1:]
-        count = np.bincount(np.frombuffer(body, np.uint8), minlength=256)
-        # bytes only from "-01,\n", one digit per cell and no "-0": every
-        # cell is spelled -1, 0 or 1
-        if (count.sum() == count[list(b"-01,\n")].sum()
-                and count[ord("0")] + count[ord("1")] == votes.size
-                and count[ord("-")] == np.count_nonzero(votes == -1)):
-            return WeakLabelMatrix(votes)
+    if votes is not None:
+        return WeakLabelMatrix(votes)
     columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
                for c in range(len(header))]
-    return WeakLabelMatrix(_parse_cells(
-        path, rows or _read_rows(path)[1], columns, np.int64))
+    return WeakLabelMatrix(_parse_cells(path, rows, columns, np.int64))
 
 
 def read_raw_csv(path: str) -> dict[str, list[str]]:
@@ -338,6 +344,18 @@ def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
     header = ",".join(f"lf_{j}" for j in range(wl.m)) + "\n"
     body = cells.tobytes().replace(b"\0", b"").decode("ascii")
     _atomic_write(path, lambda fh: fh.write(header + body))
+
+
+def _write_pseudolabels(path: str, probs: np.ndarray,
+                        hard: np.ndarray) -> None:
+    """The ``_write_csv`` bytes of ``repr(prob),str(label)`` rows, built
+    with one ``repr`` per distinct probability (by bits: -0.0 stays)."""
+    bits, row_of = np.unique(probs.view(np.int64), return_inverse=True)
+    text = [repr(p) for p in bits.view(np.float64).tolist()]
+    ends = {label: f",{label}\n" for label in np.unique(hard).tolist()}
+    body = "".join([text[i] + ends[label]
+                    for i, label in zip(row_of.tolist(), hard.tolist())])
+    _atomic_write(path, lambda fh: fh.write("prob,label\n" + body))
 
 
 def write_json(obj: dict, path: str) -> None:
@@ -492,8 +510,8 @@ def run_pipeline(
             }
 
         write_votes_csv(repaired, os.path.join(out_dir, "votes_repaired.csv"))
-        _write_csv(os.path.join(out_dir, "pseudolabels.csv"), ["prob", "label"],
-                   zip(map(repr, probs.tolist()), map(str, hard.tolist())))
+        _write_pseudolabels(os.path.join(out_dir, "pseudolabels.csv"), probs,
+                            hard)
         write_json(fairness, os.path.join(out_dir, "fairness.json"))
         timings["reports"] = (time.perf_counter() - t0) * 1000.0
         write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))

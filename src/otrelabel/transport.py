@@ -258,6 +258,12 @@ def _transported_sources(
             f"float64 buffer of {8 * n_src * n_dst} bytes, which could not "
             "be allocated; ot_type=linear needs no dense buffer") from None
     cdist(X_src, X_dst, metric="sqeuclidean", out=cost)
+    # finite features have finite costs unless a squared distance overflows
+    big = float(max(np.abs(X_src).max(), np.abs(X_dst).max()))
+    if 4 * X_src.shape[1] * big * big > _MAX_SQ_SPAN and cost.max() == np.inf:
+        raise NumericalError(
+            "squared feature distances overflow float64 (largest |feature| "
+            f"{big:.3e}); rescale the features")
     projected, plan = _sinkhorn_projection(
         cost, X_dst,
         eta=cfg.sinkhorn_eta,

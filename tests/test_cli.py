@@ -149,6 +149,51 @@ def test_run_numerical_failure_exit_code(tmp_path, capsys):
     assert "group 0:" in capsys.readouterr().err
 
 
+def run_scaled_fixture(tmp_path, scale, ot_type):
+    """Exit code of a run on the biased fixture's features times
+    ``scale``; every input stays finite."""
+    ds, wl = make_biased_fixture(150, seed=0)
+    features = str(tmp_path / "f.csv")
+    write_features_csv(features, ds.__class__(ds.features * scale, ds.groups,
+                                              ds.labels))
+    votes = str(tmp_path / "v.csv")
+    write_votes_csv(wl, votes)
+    return main(["run", "--features", features, "--votes", votes,
+                 "--out", str(tmp_path / "out"), "--ot-type", ot_type])
+
+
+def test_monge_product_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # covariances near 1e200 are finite, but S^1/2 Sigma S^1/2 is not:
+    # eigh used to raise LinAlgError through the CLI as a traceback
+    assert run_scaled_fixture(tmp_path, 1e100, "linear") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: lf_0: the Monge map's "
+                          "S^1/2 Sigma S^1/2 overflows float64 at covariance "
+                          "scale ")
+    assert "e+200; rescale the features" in err
+    assert "Traceback" not in err
+
+
+def test_covariance_overflow_is_a_numerical_failure(tmp_path, capsys):
+    assert run_scaled_fixture(tmp_path, 1e160, "linear") == 2
+    assert capsys.readouterr().err == ("numerical failure: lf_0: covariance "
+                                       "overflows float64; rescale the "
+                                       "features\n")
+
+
+def test_sinkhorn_distance_overflow_names_the_feature_scale(tmp_path,
+                                                            capsys):
+    # the features are finite but their squared distances are not; the
+    # run used to blame the cost matrix as if an input were bad
+    assert run_scaled_fixture(tmp_path, 1e155, "sinkhorn") == 2
+    err = capsys.readouterr().err
+    biggest = float(np.abs(make_biased_fixture(150, seed=0)[0].features).max()
+                    * 1e155)
+    assert err == ("numerical failure: lf_0: squared feature distances "
+                   f"overflow float64 (largest |feature| {biggest:.3e}); "
+                   "rescale the features\n")
+
+
 def test_lf_bank_materializes_votes(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(

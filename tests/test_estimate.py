@@ -227,6 +227,36 @@ def test_triplet_pass_matches_loop_oracle(m, seed, eps_pair, p_bad):
                               equal_nan=True)
 
 
+@pytest.mark.parametrize("m", [30, 60])
+@pytest.mark.parametrize("p_bad", [0.0, 0.05, 0.2])
+def test_triplet_pass_matches_loop_oracle_bitwise_at_bench_width(m, p_bad):
+    moments = random_moments(m, seed=m + int(100 * p_bad), eps_pair=EPS_PAIR,
+                             p_bad=p_bad)
+    want, _ = triplet_oracle(moments, EPS_PAIR)
+    est, records = accuracies_from_moments(moments)
+    assert est.tobytes() == want.tobytes()
+    # both kinds of median occur: an odd count reads one middle value, an
+    # even count averages two (without bad moments every lf has
+    # C(m - 1, 2) values, 406 at m = 30 and 1711 at m = 60)
+    if p_bad:
+        counts = np.bincount(records.indices[~records.degenerate].ravel(),
+                             minlength=m)
+        assert set(counts % 2) == {0, 1}
+
+
+@pytest.mark.parametrize("m", [30, 60])
+def test_all_degenerate_lf_error_matches_loop_oracle_at_bench_width(m):
+    moments = random_moments(m, seed=m, eps_pair=EPS_PAIR, p_bad=0.05)
+    moments[m // 2, :] = moments[:, m // 2] = np.nan
+    moments[m // 2, m // 2] = 1.0
+    with pytest.raises(NumericalError) as want:
+        triplet_oracle(moments, EPS_PAIR)
+    with pytest.raises(NumericalError) as got:
+        accuracies_from_moments(moments)
+    assert str(got.value) == str(want.value)
+    assert f"lf {m // 2} " in str(got.value)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_moment_matrix_equals_pairwise_moment_exactly(seed):

@@ -163,6 +163,34 @@ def test_plain_files_skip_the_cell_loop(tmp_path, monkeypatch, bom, eol):
     assert np.array_equal(loaded.labels, ds.labels)
 
 
+@pytest.mark.parametrize("data, votes", [
+    (b"lf_0,lf_1\n-1,0\n1,-1\n", [[-1, 0], [1, -1]]),  # first cell -1
+    (b"lf_0\n-1\n0\n1\n", [[-1], [0], [1]]),  # m = 1
+    (b"lf_0,lf_1,lf_2\n0,1,-1\n-1,-1,0", [[0, 1, -1], [-1, -1, 0]]),
+    (b"lf_0,lf_1\r\n1,-1\r\n-1,1\r\n", [[1, -1], [-1, 1]]),
+    (codecs.BOM_UTF8 + b"lf_0,lf_1\n0,-1\n", [[0, -1]]),
+], ids=["first-cell-minus-one", "one-lf", "no-final-newline", "crlf", "bom"])
+def test_canonical_files_never_reach_the_exact_pass(tmp_path, monkeypatch,
+                                                    data, votes):
+    # the exact pass returns the same values, so only this catches a
+    # canonical file that falls back to it
+    def exact_pass(*args):
+        raise AssertionError("canonical file went to the exact pass")
+
+    ds, wl, features, written = write_fixture(tmp_path, 20, seed=5)
+    monkeypatch.setattr(pipeline, "_read_rows", exact_pass)
+    monkeypatch.setattr(pipeline, "_parse_cells", exact_pass)
+    p = tmp_path / "v.csv"
+    p.write_bytes(data)
+    assert load_votes_csv(str(p)).votes.tolist() == votes
+    assert wl.votes.min() == -1 and wl.votes[0, 0] == -1
+    assert np.array_equal(load_votes_csv(written).votes, wl.votes)
+    loaded = load_features_csv(features)
+    assert np.array_equal(loaded.features, ds.features)
+    assert np.array_equal(loaded.groups, ds.groups)
+    assert np.array_equal(loaded.labels, ds.labels)
+
+
 @pytest.mark.parametrize("text", [
     "\n1\n0\n", "\n\n", "lf_0\n\n", "lf_0\n", "lf_0", "lf_0\r1\r0\r",
     "lf_0,lf_1\r1,0\n0,1\n", "lf_0\n1\n\n", "lf_0\n \n", "\ufefflf_0\n1\n",
