@@ -14,15 +14,14 @@ well it worked.
 import numpy as np
 
 from otrelabel import (
-    AccuracyEstimate,
     GroupedDataset,
     PipelineConfig,
     WeakLabelMatrix,
-    estimate_accuracies,
     fairness_report,
     fit_label_model,
     infer_pseudolabels,
     lf_delta_report,
+    per_group_accuracies,
     predict,
     sbm_transport,
     train_end_model,
@@ -63,10 +62,10 @@ print("lf_0 accuracy by group before repair: "
 
 # %% estimate accuracies from votes alone; the gap drives the direction
 
-est, _ = estimate_accuracies(wl, blind)
+group_acc = per_group_accuracies(wl, blind)
 print("\nestimated per-group accuracies (no gold labels involved):")
 for j in range(wl.m):
-    a0, a1 = est.per_lf_group[j]
+    a0, a1 = group_acc[j]
     print(f"  lf_{j}: group0={a0:+.3f} group1={a1:+.3f}")
 
 # %% repair with each transport flavor and compare
@@ -74,7 +73,7 @@ for j in range(wl.m):
 for ot in ("none", "linear", "sinkhorn"):
     cfg = PipelineConfig(ot_type=ot, sinkhorn_max_iter=2000,
                          sinkhorn_eta=0.05)
-    repaired = sbm_transport(blind, wl, est, cfg).new_votes
+    repaired = sbm_transport(blind, wl, group_acc, cfg).new_votes
     print(f"\not={ot}: lf_0 group-1 accuracy "
           f"{group_accuracy(repaired.votes, 0, 1):.3f}")
     if ot == "linear":
@@ -90,8 +89,7 @@ for row in rows:
 
 for name, matrix in (("raw", wl), ("repaired", best)):
     global_acc, _ = triplet_accuracies(matrix)
-    params = fit_label_model(AccuracyEstimate(
-        global_acc, np.column_stack([global_acc, global_acc])))
+    params = fit_label_model(global_acc)
     probs, hard = infer_pseudolabels(params, matrix)
     rep = fairness_report(hard, y, groups)
     print(f"\npseudolabels from {name} votes: accuracy={rep.accuracy:.3f} "

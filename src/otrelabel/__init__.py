@@ -13,7 +13,6 @@ numerically.
 __version__ = "0.1.0"
 
 from .core import (
-    AccuracyEstimate,
     GroupedDataset,
     NumericalError,
     PipelineConfig,
@@ -25,7 +24,6 @@ from .estimate import (
     TripletRecord,
     TripletRecords,
     accuracies_from_moments,
-    estimate_accuracies,
     moment_matrix,
     per_group_accuracies,
     resolve_sign,
@@ -79,7 +77,6 @@ from .transport import (
 
 __all__ = [
     "__version__",
-    "AccuracyEstimate",
     "EndModel",
     "FairnessReport",
     "GaussianMoments",
@@ -104,7 +101,6 @@ __all__ = [
     "apply_monge",
     "barycentric_map",
     "end_model_objective",
-    "estimate_accuracies",
     "fairness_report",
     "fit_label_model",
     "fit_moments",

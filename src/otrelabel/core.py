@@ -168,35 +168,6 @@ class GroupedDataset:
 
 
 @dataclass(frozen=True)
-class AccuracyEstimate:
-    """Estimated LF accuracies, globally and per group.
-
-    ``per_lf_global[j]`` estimates E[lambda_j * y]; ``per_lf_group[j, k]``
-    the same restricted to group k.
-    """
-
-    per_lf_global: np.ndarray
-    per_lf_group: np.ndarray
-
-    def __post_init__(self):
-        g = _frozen_array(self.per_lf_global, np.float64)
-        p = _frozen_array(self.per_lf_group, np.float64)
-        if g.ndim != 1:
-            raise ValidationError("per_lf_global must be 1-D")
-        if p.shape != (g.shape[0], 2):
-            raise ValidationError(
-                f"per_lf_group must be {g.shape[0]}x2, got {p.shape}")
-        if np.any(np.abs(g) > 1 + 1e-12) or np.any(np.abs(p) > 1 + 1e-12):
-            raise ValidationError("accuracy estimates must lie in [-1, 1]")
-        object.__setattr__(self, "per_lf_global", g)
-        object.__setattr__(self, "per_lf_group", p)
-
-    @property
-    def m(self) -> int:
-        return self.per_lf_global.shape[0]
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the end-to-end repair pipeline.
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AccuracyEstimate,
     GroupedDataset,
     NumericalError,
     ValidationError,
@@ -218,15 +217,3 @@ def per_group_accuracies(wl: WeakLabelMatrix,
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"group {k}: {exc}") from exc
     return out
-
-
-def estimate_accuracies(
-    wl: WeakLabelMatrix, ds: GroupedDataset
-) -> tuple[AccuracyEstimate, TripletRecords]:
-    """Bundle per-group and global estimates.
-
-    Groups are estimated first, so a failure names the group it hit.
-    """
-    group_est = per_group_accuracies(wl, ds)
-    global_est, records = triplet_accuracies(wl)
-    return AccuracyEstimate(global_est, group_est), records

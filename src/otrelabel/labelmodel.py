@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AccuracyEstimate,
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
@@ -81,16 +80,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def fit_label_model(
-    est: AccuracyEstimate, class_balance: float = 0.5
+    accuracies: np.ndarray, class_balance: float = 0.5
 ) -> LabelModelParams:
-    """Turn estimated global accuracies into posterior vote weights.
+    """Turn the m-vector of estimated global accuracies into posterior
+    vote weights.
 
     Accuracies are clamped to [-0.999, 0.999] before the log so weights
     stay finite even for (near-)perfect LFs.
     """
+    a = np.asarray(accuracies, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValidationError("accuracies must be 1-D")
+    if np.any(np.abs(a) > 1 + 1e-12):
+        raise ValidationError("accuracy estimates must lie in [-1, 1]")
     if not 0.0 < class_balance < 1.0:
         raise ValidationError("class_balance must be in (0, 1)")
-    a = np.clip(est.per_lf_global, -ACC_CLAMP, ACC_CLAMP)
+    a = np.clip(a, -ACC_CLAMP, ACC_CLAMP)
     weights = 0.5 * np.log((1.0 + a) / (1.0 - a))
     prior = math.log(class_balance / (1.0 - class_balance))
     return LabelModelParams(weights, prior)

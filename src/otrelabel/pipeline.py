@@ -58,7 +58,7 @@ from .core import (
     cell_error,
     validate_dataset,
 )
-from .estimate import estimate_accuracies
+from .estimate import per_group_accuracies, triplet_accuracies
 from .labelmodel import fit_label_model, infer_pseudolabels, predict, train_end_model
 from .metrics import fairness_report, lf_delta_report
 from .transport import sbm_transport
@@ -421,10 +421,14 @@ def run_pipeline(
     """Execute estimate -> transport -> label model -> end model -> reports.
 
     Writes ``votes_repaired.csv``, ``pseudolabels.csv``, ``fairness.json``
-    and ``manifest.json`` into ``out_dir``.  With ``passthrough=True`` the
-    transport stage is skipped entirely and pseudolabels come from the raw
-    votes (the plain weak-supervision baseline).  Gold labels, when
-    present, are used only by the report stage.
+    and ``manifest.json`` into ``out_dir``.  Each stage estimates only
+    what it reads: the estimate stage computes the per-group accuracies
+    of the input votes, which pick the transport direction, and the label
+    model stage the global accuracies of the repaired votes, which weight
+    the posterior.  With ``passthrough=True`` the estimate and transport
+    stages are skipped entirely and pseudolabels come from the raw votes
+    (the plain weak-supervision baseline).  Gold labels, when present,
+    are used only by the report stage.
     """
     timings: dict[str, float] = {}
     stage = "ingest"
@@ -444,23 +448,20 @@ def run_pipeline(
         t0 = finish_stage("ingest", t0)
 
         stage = "estimate"
-        est, _ = estimate_accuracies(wl, blind)
+        if not passthrough:
+            group_acc = per_group_accuracies(wl, blind)
         t0 = finish_stage("estimate", t0)
 
         stage = "transport"
         if passthrough:
             repaired = wl
         else:
-            repaired = sbm_transport(blind, wl, est, cfg).new_votes
+            repaired = sbm_transport(blind, wl, group_acc, cfg).new_votes
         t0 = finish_stage("transport", t0)
 
         stage = "label_model"
-        # estimation is deterministic, so unchanged votes keep their estimate
-        if np.array_equal(repaired.votes, wl.votes):
-            repaired_est = est
-        else:
-            repaired_est, _ = estimate_accuracies(repaired, blind)
-        params = fit_label_model(repaired_est, cfg.class_balance)
+        params = fit_label_model(triplet_accuracies(repaired)[0],
+                                 cfg.class_balance)
         probs, hard = infer_pseudolabels(params, repaired)
         t0 = finish_stage("label_model", t0)
 

@@ -28,7 +28,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .core import (
-    AccuracyEstimate,
     GroupedDataset,
     NumericalError,
     PipelineConfig,
@@ -281,26 +280,30 @@ def _transported_sources(
 def sbm_transport(
     ds: GroupedDataset,
     wl: WeakLabelMatrix,
-    est: AccuracyEstimate,
+    group_acc: np.ndarray,
     cfg: PipelineConfig,
 ) -> RelabelResult:
     """Repair the vote matrix by transporting the weaker group per LF.
 
-    Each LF picks src = its lower estimated-accuracy group, and is
-    skipped when the two estimates are within ``tie_tol``.  In ``per_lf``
-    scope the estimates are the LF's own; in ``global`` scope every LF
-    uses the mean per-group accuracy over all LFs, so all of them share
-    one decision and one map, and one decision per LF is recorded.  The
+    ``group_acc`` is the m x 2 matrix of per-group accuracy estimates
+    (:func:`~otrelabel.estimate.per_group_accuracies`).  Each LF picks
+    src = its lower estimated-accuracy group, and is skipped when the two
+    estimates are within ``tie_tol``.  In ``per_lf`` scope the estimates
+    are the LF's own; in ``global`` scope every LF uses the mean
+    per-group accuracy over all LFs, so all of them share one decision
+    and one map, and one decision per LF is recorded.  The
     transported coordinates and their nearest destination neighbours
     depend only on features, so both are computed once per (src, dst)
     direction: one ``knn_transfer`` call re-labels every LF moved that way.
     """
+    acc = np.asarray(group_acc, dtype=np.float64)
+    if acc.shape != (wl.m, 2):
+        raise ValidationError(f"group_acc must be {wl.m}x2, got {acc.shape}")
+    if np.any(np.abs(acc) > 1 + 1e-12):
+        raise ValidationError("accuracy estimates must lie in [-1, 1]")
     report = validate_dataset(ds, wl)
     if report:
         raise ValidationError("; ".join(report))
-    if est.m != wl.m:
-        raise ValidationError(
-            f"estimate covers {est.m} LFs but matrix has {wl.m}")
 
     votes = wl.votes
     new_votes = votes.copy()
@@ -310,7 +313,6 @@ def sbm_transport(
     transported: dict[tuple[int, int], np.ndarray] = {}
     moved_columns: dict[tuple[int, int], list[int]] = {}
 
-    acc = est.per_lf_group
     if cfg.transport_scope == "global":
         acc = np.broadcast_to(acc.mean(axis=0), acc.shape)
     for j in range(wl.m):

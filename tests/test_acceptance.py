@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from otrelabel import (
-    AccuracyEstimate,
     GaussianMoments,
     MongeMap,
     PipelineConfig,
@@ -27,14 +26,14 @@ from otrelabel import (
     accuracies_from_moments,
     apply_monge,
     end_model_objective,
-    estimate_accuracies,
     fairness_report,
     fit_label_model,
     fit_moments,
     infer_pseudolabels,
-    lipschitz_check,
     linear_monge,
+    lipschitz_check,
     map_error_sweep,
+    per_group_accuracies,
     psd_sqrt,
     sbm_transport,
     shift_sweep,
@@ -190,7 +189,7 @@ def test_criterion_07_end_to_end_repair():
         ds, wl = make_biased_fixture(2000, seed=0)
         blind = ds.without_labels()
         y, groups = ds.labels, ds.groups
-        est, _ = estimate_accuracies(wl, blind)
+        est = per_group_accuracies(wl, blind)
 
         def group_acc(votes, j, k):
             mask = groups == k
@@ -215,9 +214,7 @@ def test_criterion_07_end_to_end_repair():
 
         def pseudo_dp(votes_matrix):
             global_acc, _ = triplet_accuracies(votes_matrix)
-            params = fit_label_model(
-                AccuracyEstimate(global_acc,
-                                 np.column_stack([global_acc, global_acc])))
+            params = fit_label_model(global_acc)
             _, hard = infer_pseudolabels(params, votes_matrix)
             return fairness_report(hard, y, groups).dp_gap
 
@@ -267,9 +264,7 @@ def test_criterion_09_adult_bank_sanity_gated():
 def test_criterion_10_bayes_equivalence_and_gradient():
     accs = [0.85, 0.6, 0.35, 0.15]
     balance = 0.4
-    est = AccuracyEstimate(np.array(accs),
-                           np.column_stack([accs, accs]))
-    params = fit_label_model(est, balance)
+    params = fit_label_model(np.array(accs), balance)
     outcomes = np.array(list(itertools.product([-1, 0, 1], repeat=4)))
     probs, _ = infer_pseudolabels(params, WeakLabelMatrix(outcomes))
     for row, p in zip(outcomes, probs):

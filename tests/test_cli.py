@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from otrelabel import PipelineConfig
+from otrelabel import GroupedDataset, PipelineConfig, WeakLabelMatrix
 from otrelabel.cli import main
-from otrelabel.pipeline import parse_config_text, write_votes_csv
+from otrelabel.pipeline import (
+    load_votes_csv,
+    parse_config_text,
+    write_votes_csv,
+)
 from helpers import make_biased_fixture
 from test_pipeline import write_features_csv, write_fixture
 
@@ -147,6 +151,87 @@ def test_run_numerical_failure_exit_code(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["failed_stage"] == "estimate"
     assert "group 0:" in capsys.readouterr().err
+
+
+def write_run_inputs(tmp_path, ds, votes):
+    """The run flags for ``ds`` and ``votes`` written as the two CSVs."""
+    features = str(tmp_path / "f.csv")
+    write_features_csv(features, ds)
+    votes_path = str(tmp_path / "v.csv")
+    write_votes_csv(WeakLabelMatrix(votes), votes_path)
+    return ["run", "--features", features, "--votes", votes_path,
+            "--out", str(tmp_path / "out")]
+
+
+def test_run_repairs_lf_negated_on_one_group(tmp_path, capsys):
+    # group 1 is group 0's rows shifted by a constant vector, with lf_0
+    # negated on it: lf_0's moments with every other LF cancel over the
+    # whole sample, so only the per-group estimates of the input votes are
+    # defined, and they are all the run needs to pick the direction
+    rng = np.random.default_rng(3)
+    n = 200
+    x0 = rng.normal(size=(n, 2))
+    y0 = np.where(x0[:, 0] + x0[:, 1] > 0, 1, -1)
+    votes0 = np.column_stack(
+        [np.where(x0[:, 0] > 0, 1, -1)]
+        + [np.where(rng.random(n) < p, -y0, y0) for p in (0.1, 0.2, 0.3)])
+    votes1 = votes0.copy()
+    votes1[:, 0] *= -1
+    ds = GroupedDataset(np.vstack([x0, x0 + [4.0, -2.5]]),
+                        np.repeat([0, 1], n), np.concatenate([y0, y0]))
+    argv = write_run_inputs(tmp_path, ds, np.vstack([votes0, votes1]))
+
+    assert main(argv + ["--ot-type", "linear"]) == 0
+    repaired = load_votes_csv(str(tmp_path / "out" / "votes_repaired.csv"))
+    assert np.array_equal(repaired.votes[n:, 0], votes0[:, 0])
+    assert np.array_equal(repaired.votes[:n], votes0)
+
+    # without the repair the label model estimates the input votes
+    assert main(argv + ["--passthrough"]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "label_model"
+    assert capsys.readouterr().err.endswith(
+        "every triplet containing lf 0 is degenerate\n")
+
+
+def silent_lf_run(tmp_path, labelled):
+    """Run flags for two groups of noisy copies of y where lf_3 abstains
+    on every group-1 row, with its votes."""
+    rng = np.random.default_rng(4)
+    n = 200
+    x = rng.normal(size=(2 * n, 2))
+    y = np.where(x[:, 0] + x[:, 1] > 0, 1, -1)
+    votes = np.column_stack([np.where(rng.random(2 * n) < p, -y, y)
+                             for p in (0.1, 0.2, 0.25, 0.3)])
+    groups = np.repeat([0, 1], n)
+    votes[groups == 1, 3] = 0
+    ds = GroupedDataset(x, groups, y if labelled else None)
+    return write_run_inputs(tmp_path, ds, votes), votes
+
+
+@pytest.mark.parametrize("labelled", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(
+        reason="lf_delta_report rejects an LF with no votes in one group: "
+        "'lf_3: both groups must be non-empty', exit 1")),
+])
+def test_passthrough_runs_with_lf_silent_on_one_group(tmp_path, labelled):
+    # lf_3 has no group-1 estimate, but a passthrough run reads only the
+    # whole-sample one
+    argv, votes = silent_lf_run(tmp_path, labelled)
+    assert main(argv + ["--passthrough"]) == 0
+    repaired = load_votes_csv(str(tmp_path / "out" / "votes_repaired.csv"))
+    assert np.array_equal(repaired.votes, votes)
+
+
+def test_transport_needs_every_lf_estimated_in_both_groups(tmp_path, capsys):
+    argv, _ = silent_lf_run(tmp_path, labelled=True)
+    assert main(argv + ["--ot-type", "linear"]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "estimate"
+    assert capsys.readouterr().err == (
+        "numerical failure: group 1: every triplet containing lf 3 is "
+        "degenerate\n")
 
 
 def run_scaled_fixture(tmp_path, scale, ot_type):

@@ -13,7 +13,6 @@ from otrelabel import (
     ValidationError,
     WeakLabelMatrix,
     accuracies_from_moments,
-    estimate_accuracies,
     moment_matrix,
     per_group_accuracies,
     resolve_sign,
@@ -153,16 +152,6 @@ def test_per_group_error_names_group():
     ds = GroupedDataset(np.zeros((4, 1)), [0, 0, 1, 1])
     with pytest.raises(NumericalError, match="group 0"):
         per_group_accuracies(WeakLabelMatrix(v), ds)
-
-
-def test_estimate_accuracies_bundles_both_parts():
-    wl, _ = sample_conditional_lfs([0.9, 0.7, 0.5], 20_000, seed=6)
-    ds = GroupedDataset(np.zeros((20_000, 1)),
-                        np.tile([0, 1], 10_000))
-    est, records = estimate_accuracies(wl, ds)
-    assert est.per_lf_global.shape == (3,)
-    assert est.per_lf_group.shape == (3, 2)
-    assert records
 
 
 @settings(max_examples=20, deadline=None)

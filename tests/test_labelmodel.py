@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otrelabel import (
-    AccuracyEstimate,
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
@@ -33,17 +32,12 @@ from helpers import (
 )
 
 
-def make_estimate(global_acc):
-    g = np.asarray(global_acc, dtype=float)
-    return AccuracyEstimate(g, np.column_stack([g, g]))
-
-
 # --------------------------------------------------------------------------
 # label model
 
 
 def test_zero_accuracy_gives_zero_weights():
-    params = fit_label_model(make_estimate([0.0, 0.0, 0.0]))
+    params = fit_label_model(np.array([0.0, 0.0, 0.0]))
     assert np.allclose(params.weights, 0.0)
     probs, labels = infer_pseudolabels(
         params, WeakLabelMatrix([[1, -1, 1], [1, 1, 1]]))
@@ -52,7 +46,7 @@ def test_zero_accuracy_gives_zero_weights():
 
 
 def test_hand_computed_weights():
-    params = fit_label_model(make_estimate([0.8, 0.6, 0.4]), 0.5)
+    params = fit_label_model(np.array([0.8, 0.6, 0.4]), 0.5)
     expected = [0.5 * math.log(9.0), 0.5 * math.log(4.0),
                 0.5 * math.log(7.0 / 3.0)]
     assert np.allclose(params.weights, expected, rtol=1e-12)
@@ -60,21 +54,21 @@ def test_hand_computed_weights():
 
 
 def test_extreme_accuracy_clamped_to_finite_weight():
-    params = fit_label_model(make_estimate([0.9999]))
+    params = fit_label_model(np.array([0.9999]))
     assert np.isfinite(params.weights).all()
     assert params.weights[0] == pytest.approx(
         0.5 * math.log(1.999 / 0.001))
 
 
 def test_all_abstain_returns_prior():
-    params = fit_label_model(make_estimate([0.7, 0.5]), class_balance=0.5)
+    params = fit_label_model(np.array([0.7, 0.5]), class_balance=0.5)
     probs, labels = infer_pseudolabels(params, WeakLabelMatrix([[0, 0]]))
     assert probs[0] == pytest.approx(0.5)
     assert labels[0] == 1
 
 
 def test_single_lf_reduces_to_sigmoid():
-    params = fit_label_model(make_estimate([0.6]), class_balance=0.5)
+    params = fit_label_model(np.array([0.6]), class_balance=0.5)
     w = params.weights[0]
     probs, _ = infer_pseudolabels(params, WeakLabelMatrix([[1], [-1]]))
     assert probs[0] == pytest.approx(1 / (1 + math.exp(-2 * w)))
@@ -99,7 +93,7 @@ def test_sigmoid_bitwise_equal_to_split_by_sign_oracle():
 def test_posterior_matches_exact_bayes_enumeration():
     accs = [0.7, 0.55, 0.9]
     balance = 0.3
-    params = fit_label_model(make_estimate(accs), balance)
+    params = fit_label_model(np.array(accs), balance)
     outcomes = np.array(list(itertools.product([-1, 1], repeat=3)))
     probs, _ = infer_pseudolabels(params, WeakLabelMatrix(outcomes))
     for row, p in zip(outcomes, probs):
@@ -109,7 +103,7 @@ def test_posterior_matches_exact_bayes_enumeration():
 
 def test_posterior_with_abstains_matches_bayes():
     accs = [0.8, 0.4]
-    params = fit_label_model(make_estimate(accs), 0.6)
+    params = fit_label_model(np.array(accs), 0.6)
     rows = np.array([[1, 0], [0, -1], [0, 0], [-1, 1]])
     probs, _ = infer_pseudolabels(params, WeakLabelMatrix(rows))
     for row, p in zip(rows, probs):
@@ -123,9 +117,9 @@ def test_inference_invariant_under_column_permutation():
     accs = np.array([0.9, 0.6, 0.3, 0.1])
     perm = np.array([2, 0, 3, 1])
     p1, _ = infer_pseudolabels(
-        fit_label_model(make_estimate(accs)), WeakLabelMatrix(votes))
+        fit_label_model(np.array(accs)), WeakLabelMatrix(votes))
     p2, _ = infer_pseudolabels(
-        fit_label_model(make_estimate(accs[perm])),
+        fit_label_model(np.array(accs[perm])),
         WeakLabelMatrix(votes[:, perm]))
     assert np.allclose(p1, p2, atol=1e-14)
 
@@ -134,11 +128,26 @@ def test_inference_invariant_under_column_permutation():
 @given(st.floats(0.0, 0.9), st.floats(0.01, 0.5))
 def test_monotone_in_positive_vote_weight(acc, bump):
     votes = WeakLabelMatrix([[1, 1, -1]])
-    base = fit_label_model(make_estimate([acc, 0.5, 0.5]))
-    more = fit_label_model(make_estimate([min(acc + bump, 0.999), 0.5, 0.5]))
+    base = fit_label_model(np.array([acc, 0.5, 0.5]))
+    more = fit_label_model(np.array([min(acc + bump, 0.999), 0.5, 0.5]))
     p_base, _ = infer_pseudolabels(base, votes)
     p_more, _ = infer_pseudolabels(more, votes)
     assert p_more[0] >= p_base[0] - 1e-15
+
+
+@pytest.mark.parametrize("accuracies, message", [
+    (np.full((3, 2), 0.5), "accuracies must be 1-D"),
+    (np.array([0.5, 1.5, 0.2]), r"must lie in \[-1, 1\]"),
+    (np.array([0.5, -1 - 1e-9, 0.2]), r"must lie in \[-1, 1\]"),
+])
+def test_label_model_rejects_bad_accuracies(accuracies, message):
+    with pytest.raises(ValidationError, match=message):
+        fit_label_model(accuracies)
+
+
+def test_label_model_accepts_accuracies_at_the_bounds():
+    params = fit_label_model(np.array([1.0, -1.0, 1 + 1e-13]))
+    assert np.isfinite(params.weights).all()
 
 
 # --------------------------------------------------------------------------

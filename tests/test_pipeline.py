@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otrelabel import PipelineConfig, ValidationError, WeakLabelMatrix
-from otrelabel import pipeline
+from otrelabel import estimate, pipeline
 from otrelabel.lfbank import apply_lf_bank, builtin_bank
 from otrelabel.pipeline import (
     MAX_CELL_ERRORS,
@@ -668,6 +668,35 @@ def test_pipeline_gold_labels_do_not_steer_transport(tmp_path):
     a = load_votes_csv(os.path.join(out1, "votes_repaired.csv"))
     b = load_votes_csv(os.path.join(out2, "votes_repaired.csv"))
     assert np.array_equal(a.votes, b.votes)
+
+
+@pytest.mark.parametrize("passthrough, tie_tol, changed, estimated_rows", [
+    # per-group estimates pick the direction; the repaired votes' global
+    # estimate weights the posterior
+    (False, 0.01, True, [150, 150, 300]),
+    # every LF a tie: the votes come back unchanged
+    (False, 1.0, False, [150, 150, 300]),
+    # no direction to pick: only the global estimate
+    (True, 0.01, False, [300]),
+])
+def test_pipeline_estimates_only_what_its_stages_read(
+        tmp_path, monkeypatch, passthrough, tie_tol, changed,
+        estimated_rows):
+    _, wl, features, votes = write_fixture(tmp_path, 150, seed=8)
+    rows = []
+    real = estimate.moment_matrix
+
+    def counting(matrix):
+        rows.append(matrix.n)
+        return real(matrix)
+
+    monkeypatch.setattr(estimate, "moment_matrix", counting)
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(ot_type="linear", tie_tol=tie_tol), features,
+                 votes, str(out), passthrough=passthrough)
+    repaired = load_votes_csv(str(out / "votes_repaired.csv"))
+    assert (not np.array_equal(repaired.votes, wl.votes)) == changed
+    assert rows == estimated_rows
 
 
 def test_pipeline_failure_recorded_in_manifest(tmp_path):

@@ -9,13 +9,11 @@ from scipy.spatial.distance import cdist
 
 import otrelabel.transport as transport
 from otrelabel import (
-    AccuracyEstimate,
     GroupedDataset,
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
     barycentric_map,
-    estimate_accuracies,
     knn_transfer,
     per_group_accuracies,
     sbm_transport,
@@ -334,8 +332,7 @@ def coincident_fixture():
     votes = np.column_stack([lf0, y, y, y])
     ds = GroupedDataset(x, groups, y)
     wl = WeakLabelMatrix(votes)
-    group_acc = per_group_accuracies(wl, ds.without_labels())
-    est = AccuracyEstimate(group_acc.mean(axis=1), group_acc)
+    est = per_group_accuracies(wl, ds.without_labels())
     return ds, wl, est, y, groups
 
 
@@ -352,9 +349,7 @@ def test_identity_transport_copies_colocated_votes():
 
 def test_tie_skips_lf():
     ds, wl, _, _, _ = coincident_fixture()
-    est = AccuracyEstimate(
-        np.array([0.5, 0.5, 0.5, 0.5]),
-        np.array([[0.6, 0.6], [0.9, 0.895], [0.7, 0.7], [0.8, 0.8]]))
+    est = np.array([[0.6, 0.6], [0.9, 0.895], [0.7, 0.7], [0.8, 0.8]])
     cfg = PipelineConfig(ot_type="none", tie_tol=0.01)
     result = sbm_transport(ds.without_labels(), wl, est, cfg)
     assert np.array_equal(result.new_votes.votes, wl.votes)
@@ -376,7 +371,7 @@ def test_changed_mask_tracks_rewrites():
 
 def test_deterministic_given_inputs():
     ds, wl = make_biased_fixture(300, seed=3)
-    est, _ = estimate_accuracies(wl, ds.without_labels())
+    est = per_group_accuracies(wl, ds.without_labels())
     cfg = PipelineConfig(ot_type="linear")
     r1 = sbm_transport(ds.without_labels(), wl, est, cfg)
     r2 = sbm_transport(ds.without_labels(), wl, est, cfg)
@@ -387,7 +382,7 @@ def test_deterministic_given_inputs():
 def test_linear_transport_repairs_degraded_lf():
     ds, wl = make_biased_fixture(1500, seed=12)
     blind = ds.without_labels()
-    est, _ = estimate_accuracies(wl, blind)
+    est = per_group_accuracies(wl, blind)
     y, groups = ds.labels, ds.groups
     before_g1 = lf_group_accuracy(wl.votes[:, 0], y, groups, 1)
     assert abs(before_g1 - 0.5) <= 0.06  # starts at chance
@@ -407,7 +402,7 @@ def test_linear_transport_repairs_degraded_lf():
 def test_sinkhorn_transport_sharpens_with_smaller_eta():
     ds, wl = make_biased_fixture(250, seed=5)
     blind = ds.without_labels()
-    est, _ = estimate_accuracies(wl, blind)
+    est = per_group_accuracies(wl, blind)
     y, groups = ds.labels, ds.groups
     before = lf_group_accuracy(wl.votes[:, 0], y, groups, 1)
     results = {}
@@ -501,13 +496,13 @@ def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
 def test_global_scope_uses_one_direction():
     ds, wl = make_biased_fixture(400, seed=6)
     blind = ds.without_labels()
-    est, _ = estimate_accuracies(wl, blind)
+    est = per_group_accuracies(wl, blind)
     cfg = PipelineConfig(ot_type="none", transport_scope="global")
     moved = sbm_transport(blind, wl, est, cfg)
     assert [d.lf_index for d in moved.decisions] == list(range(wl.m))
     assert len({(d.src_group, d.dst_group) for d in moved.decisions}) == 1
     assert not any(d.skipped for d in moved.decisions)
-    mean_acc = est.per_lf_group.mean(axis=0)
+    mean_acc = est.mean(axis=0)
     for d in moved.decisions:
         assert (d.acc_src, d.acc_dst) == (mean_acc[d.src_group],
                                           mean_acc[d.dst_group])
@@ -516,7 +511,7 @@ def test_global_scope_uses_one_direction():
 def test_global_scope_tie_skips_every_lf():
     ds, wl = make_biased_fixture(400, seed=6)
     blind = ds.without_labels()
-    est, _ = estimate_accuracies(wl, blind)
+    est = per_group_accuracies(wl, blind)
     cfg = PipelineConfig(ot_type="none", transport_scope="global",
                          tie_tol=1.0)
     moved = sbm_transport(blind, wl, est, cfg)
@@ -527,10 +522,26 @@ def test_global_scope_tie_skips_every_lf():
 
 def test_invalid_inputs_rejected():
     ds, wl = make_biased_fixture(50, seed=7)
-    est, _ = estimate_accuracies(wl, ds.without_labels())
+    est = per_group_accuracies(wl, ds.without_labels())
     bad = GroupedDataset(ds.features, np.zeros(ds.n, int))  # empty group 1
     with pytest.raises(ValidationError):
         sbm_transport(bad, wl, est, PipelineConfig())
+
+
+@pytest.mark.parametrize("group_acc, message", [
+    (np.full((4, 2), 0.5), r"group_acc must be 3x2, got \(4, 2\)"),
+    (np.full((3, 3), 0.5), r"group_acc must be 3x2, got \(3, 3\)"),
+    (np.full(3, 0.5), r"group_acc must be 3x2, got \(3,\)"),
+    (np.array([[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]]),
+     r"must lie in \[-1, 1\]"),
+    (np.array([[0.5, 0.5], [0.5, 0.5], [-1 - 1e-9, 0.5]]),
+     r"must lie in \[-1, 1\]"),
+])
+def test_bad_group_accuracies_rejected(group_acc, message):
+    ds, wl = make_biased_fixture(50, seed=7)
+    wl = WeakLabelMatrix(wl.votes[:, :3])
+    with pytest.raises(ValidationError, match=message):
+        sbm_transport(ds.without_labels(), wl, group_acc, PipelineConfig())
 
 
 def test_group_smaller_than_k_rejected():
@@ -541,8 +552,7 @@ def test_group_smaller_than_k_rejected():
     wl = WeakLabelMatrix(np.column_stack([y, y, y]))
     ds = GroupedDataset(x, groups)
     # group 1 (2 rows) is the high-accuracy destination, smaller than k
-    est = AccuracyEstimate(
-        np.full(3, 0.5), np.array([[0.2, 0.9], [0.2, 0.9], [0.2, 0.9]]))
+    est = np.array([[0.2, 0.9], [0.2, 0.9], [0.2, 0.9]])
     with pytest.raises(ValidationError, match="fewer than k"):
         sbm_transport(ds, wl, est, PipelineConfig(ot_type="none", knn_k=5))
 
@@ -553,8 +563,7 @@ def test_linear_needs_enough_rows_per_group():
     groups = np.array([0, 0, 0, 1, 1, 1])  # 3 rows < d + 1 = 5
     y = rng.choice([-1, 1], 6)
     wl = WeakLabelMatrix(np.column_stack([y, y, y]))
-    est = AccuracyEstimate(
-        np.full(3, 0.5), np.array([[0.9, 0.2], [0.9, 0.2], [0.9, 0.2]]))
+    est = np.array([[0.9, 0.2], [0.9, 0.2], [0.9, 0.2]])
     with pytest.raises(ValidationError, match="lf_0"):
         sbm_transport(GroupedDataset(x, groups), wl, est,
                       PipelineConfig(ot_type="linear"))
@@ -584,8 +593,7 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
     rng = np.random.default_rng(11)
     ds = GroupedDataset(rng.normal(size=(60, 2)), np.repeat([0, 1], 30))
     wl = WeakLabelMatrix(rng.choice([-1, 0, 1], size=(60, 3)))
-    per_lf_group = np.array(per_lf_group)
-    est = AccuracyEstimate(per_lf_group.mean(axis=1), per_lf_group)
+    est = np.array(per_lf_group)
     cfg = PipelineConfig(ot_type="none", knn_k=3, transport_scope=scope)
     calls = []
     real = transport.knn_transfer
