@@ -81,7 +81,7 @@ for ot in ("none", "linear", "sinkhorn"):
 
 # %% per-LF fairness deltas, pseudolabels, and the end model
 
-rows = lf_delta_report(wl, best, y, groups)
+rows = lf_delta_report(wl, best, ds)
 print("\nper-LF accuracy / demographic-parity deltas (linear repair):")
 for row in rows:
     print(f"  {row['name']}: dAcc={row['delta']['accuracy']:+.3f} "

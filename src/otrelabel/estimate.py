@@ -192,8 +192,6 @@ def triplet_accuracies(
     wl: WeakLabelMatrix,
 ) -> tuple[np.ndarray, TripletRecords]:
     """Signed accuracy estimates for every LF from vote moments alone."""
-    if wl.m < 3:
-        raise ValidationError(f"need at least 3 LFs, got {wl.m}")
     mags, records = accuracies_from_moments(moment_matrix(wl))
     return resolve_sign(mags, wl), records
 

@@ -5,8 +5,11 @@ Gap definitions (two groups, positive class +1):
 * demographic parity gap  dp = |P(pred=1 | A=1) - P(pred=1 | A=0)|
 * equal opportunity gap   eo = |P(pred=1 | Y=1, A=1) - P(pred=1 | Y=1, A=0)|
 
-When a group has no gold positives the eo gap is undefined and reported
-as NaN with ``eo_defined=False`` rather than silently as 0.
+A rate over zero rows is NaN, not an error or 0, and
+:meth:`FairnessReport.to_dict` writes it as ``None`` (JSON ``null``): a
+group with no rows has no accuracy or positive rate, and so no dp gap; a
+group with no gold positives has no eo gap (``eo_defined=False``).  F1 is
+0.0 when there are no positive predictions or no gold positives.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, WeakLabelMatrix
+from .core import (GroupedDataset, ValidationError, WeakLabelMatrix,
+                   require_values)
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 # regime_profile's share of points around a center and its curve step
@@ -34,14 +38,19 @@ class FairnessReport:
     eo_defined: bool = True
 
     def to_dict(self) -> dict:
+        """The report as JSON values, each NaN rate as None."""
+        def value(x: float):
+            return None if math.isnan(x) else x
+
         return {
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "dp_gap": self.dp_gap,
-            "eo_gap": None if not self.eo_defined else self.eo_gap,
+            "accuracy": value(self.accuracy),
+            "f1": value(self.f1),
+            "dp_gap": value(self.dp_gap),
+            "eo_gap": value(self.eo_gap),
             "eo_defined": self.eo_defined,
-            "per_group_accuracy": list(self.per_group_accuracy),
-            "positive_rate_per_group": list(self.positive_rate_per_group),
+            "per_group_accuracy": [value(x) for x in self.per_group_accuracy],
+            "positive_rate_per_group":
+                [value(x) for x in self.positive_rate_per_group],
         }
 
 
@@ -57,24 +66,16 @@ class RegimeProfile:
     curves: tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]
 
 
-def _check_pm1(x: np.ndarray, what: str) -> np.ndarray:
-    x = np.asarray(x)
-    if not np.isin(x, (-1, 1)).all():
-        raise ValidationError(f"{what} entries must be in {{-1, +1}}")
-    return x.astype(np.int64)
-
-
 def fairness_report(
     pred: np.ndarray, gold: np.ndarray, groups: np.ndarray
 ) -> FairnessReport:
     """Accuracy, F1 and the two group gaps for hard +-1 predictions."""
-    pred = _check_pm1(pred, "pred")
-    gold = _check_pm1(gold, "gold")
-    groups = np.asarray(groups)
+    pred, gold, groups = (np.asarray(x) for x in (pred, gold, groups))
     if not (pred.shape == gold.shape == groups.shape) or pred.ndim != 1:
         raise ValidationError("pred, gold and groups must share one length")
-    if not np.isin(groups, (0, 1)).all():
-        raise ValidationError("groups entries must be in {0, 1}")
+    require_values(pred, (-1, 1), "pred")
+    require_values(gold, (-1, 1), "gold")
+    require_values(groups, (0, 1), "group")
     active = np.ones((pred.size, 1), dtype=bool)
     return _report(_group_counts(pred[:, None], gold, groups, active)[0])
 
@@ -92,29 +93,31 @@ def _group_counts(pred: np.ndarray, gold: np.ndarray, groups: np.ndarray,
                     axis=1).astype(np.int64)
 
 
+def _rate(count: int, total: int) -> float:
+    """``count / total``, or NaN over zero rows."""
+    return count / total if total else math.nan
+
+
 def _report(counts: np.ndarray) -> FairnessReport:
     """FairnessReport from one column of :func:`_group_counts`.  Each
     rate is an integer count over a count, which equals the mean of the
     matching boolean mask."""
     (n0, n1, gp0, gp1), (ok0, ok1, _, _), (pos0, pos1, tp0, tp1) = \
         counts.tolist()
-    if not (n0 and n1):
-        raise ValidationError("both groups must be non-empty")
     tp, pos, gp = tp0 + tp1, pos0 + pos1, gp0 + gp1
     precision = tp / pos if pos else 0.0
     recall = tp / gp if gp else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
-    pos_rate = (pos0 / n0, pos1 / n1)
-    eo_defined = bool(gp0 and gp1)
+    pos_rate = (_rate(pos0, n0), _rate(pos1, n1))
     return FairnessReport(
-        accuracy=(ok0 + ok1) / (n0 + n1),
+        accuracy=_rate(ok0 + ok1, n0 + n1),
         f1=f1,
         dp_gap=abs(pos_rate[1] - pos_rate[0]),
-        eo_gap=abs(tp1 / gp1 - tp0 / gp0) if eo_defined else math.nan,
-        per_group_accuracy=(ok0 / n0, ok1 / n1),
+        eo_gap=abs(_rate(tp1, gp1) - _rate(tp0, gp0)),
+        per_group_accuracy=(_rate(ok0, n0), _rate(ok1, n1)),
         positive_rate_per_group=pos_rate,
-        eo_defined=eo_defined,
+        eo_defined=bool(gp0 and gp1),
     )
 
 
@@ -129,40 +132,32 @@ def _delta(after: FairnessReport, before: FairnessReport) -> dict:
 def lf_delta_report(
     before: WeakLabelMatrix,
     after: WeakLabelMatrix,
-    gold: np.ndarray,
-    groups: np.ndarray,
+    ds: GroupedDataset,
 ) -> list[dict]:
     """Per-LF fairness reports for two vote matrices plus their deltas,
     one row per LF, named ``lf_j`` as in the votes CSV header.
 
-    Each LF is scored on the rows where it is non-abstaining in both
-    matrices, so the before/after comparison covers a common row set.
-    The reports equal :func:`fairness_report` on those rows; gold and
-    groups are validated once and all LFs are counted in one pass.
+    Each LF is scored against ``ds``'s gold labels and groups on the rows
+    where it is non-abstaining in both matrices, so the before/after
+    comparison covers a common row set.  The reports equal
+    :func:`fairness_report` on those rows, NaN where a group has none of
+    them; all LFs are counted in one pass.
     """
+    if ds.labels is None:
+        raise ValidationError("lf_delta_report needs gold labels")
     if before.votes.shape != after.votes.shape:
         raise ValidationError("before/after vote shapes differ")
-    gold = np.asarray(gold)
-    groups = np.asarray(groups)
-    if gold.shape != (before.n,) or groups.shape != (before.n,):
-        raise ValidationError("gold/groups lengths must match the votes")
-    gold = _check_pm1(gold, "gold")
-    if not np.isin(groups, (0, 1)).all():
-        raise ValidationError("groups entries must be in {0, 1}")
+    if before.n != ds.n:
+        raise ValidationError(
+            f"row-count mismatch: {ds.n} dataset rows vs {before.n} vote rows")
     active = (before.votes != 0) & (after.votes != 0)
-    counts = [_group_counts(wl.votes, gold, groups, active)
+    counts = [_group_counts(wl.votes, ds.labels, ds.groups, active)
               for wl in (before, after)]
     rows = []
     for j in range(before.m):
-        name = f"lf_{j}"
-        if not active[:, j].any():
-            raise ValidationError(f"{name}: no mutually non-abstaining rows")
-        try:
-            rep_before, rep_after = (_report(c[j]) for c in counts)
-        except ValidationError as exc:
-            raise ValidationError(f"{name}: {exc}") from exc
+        rep_before, rep_after = (_report(c[j]) for c in counts)
         rows.append({
-            "name": name,
+            "name": f"lf_{j}",
             "before": rep_before,
             "after": rep_after,
             "delta": _delta(rep_after, rep_before),

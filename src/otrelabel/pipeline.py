@@ -360,7 +360,7 @@ def _write_pseudolabels(path: str, probs: np.ndarray,
 
 def write_json(obj: dict, path: str) -> None:
     _atomic_write(path, lambda fh: fh.write(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n"))
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"))
 
 
 def _sha256(path: str) -> str:
@@ -492,7 +492,7 @@ def run_pipeline(
             }
             logger.info("gold labels absent; metrics stage skipped")
         else:
-            per_lf = lf_delta_report(wl, repaired, ds.labels, ds.groups)
+            per_lf = lf_delta_report(wl, repaired, ds)
             fairness = {
                 "skipped": False,
                 "per_lf": [

@@ -34,6 +34,7 @@ from .core import (
     VOTE_VALUES,
     ValidationError,
     WeakLabelMatrix,
+    _unchecked,
     require_count,
     require_values,
     validate_dataset,
@@ -344,8 +345,10 @@ def sbm_transport(
             votes[np.ix_(masks[dst], cols)], cfg.knn_k)
 
     changed = new_votes != votes
+    # checked votes moved by _majority_vote: not checked again
+    new_votes.setflags(write=False)
     return RelabelResult(
-        new_votes=WeakLabelMatrix(new_votes),
+        new_votes=_unchecked(WeakLabelMatrix, votes=new_votes),
         changed_mask=changed,
         decisions=decisions,
     )

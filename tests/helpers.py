@@ -475,13 +475,15 @@ def load_votes_oracle(path: str) -> WeakLabelMatrix:
 
 def fairness_oracle(pred, gold, groups) -> FairnessReport:
     """Fairness report from boolean-mask means, for valid +-1 ``pred`` and
-    ``gold`` and 0/1 ``groups``: the reference for ``fairness_report``."""
+    ``gold`` and 0/1 ``groups``: the reference for ``fairness_report``.
+    A mean over zero rows is NaN."""
     pred, gold, groups = (np.asarray(x) for x in (pred, gold, groups))
     masks = [groups == k for k in (0, 1)]
-    if not (masks[0].any() and masks[1].any()):
-        raise ValidationError("both groups must be non-empty")
 
-    accuracy = float((pred == gold).mean())
+    def mean(hits):
+        return float(hits.mean()) if hits.size else math.nan
+
+    accuracy = mean(pred == gold)
     tp = int(((pred == 1) & (gold == 1)).sum())
     fp = int(((pred == 1) & (gold == -1)).sum())
     fn = int(((pred == -1) & (gold == 1)).sum())
@@ -490,14 +492,11 @@ def fairness_oracle(pred, gold, groups) -> FairnessReport:
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
 
-    pos_rate = tuple(float((pred[m] == 1).mean()) for m in masks)
-    grp_acc = tuple(float((pred[m] == gold[m]).mean()) for m in masks)
+    pos_rate = tuple(mean(pred[m] == 1) for m in masks)
+    grp_acc = tuple(mean(pred[m] == gold[m]) for m in masks)
     dp_gap = abs(pos_rate[1] - pos_rate[0])
 
-    tpr = []
-    for m in masks:
-        pos = m & (gold == 1)
-        tpr.append(float((pred[pos] == 1).mean()) if pos.any() else math.nan)
+    tpr = [mean(pred[m & (gold == 1)] == 1) for m in masks]
     eo_defined = not any(math.isnan(t) for t in tpr)
     eo_gap = abs(tpr[1] - tpr[0]) if eo_defined else math.nan
 

@@ -209,12 +209,7 @@ def silent_lf_run(tmp_path, labelled):
     return write_run_inputs(tmp_path, ds, votes), votes
 
 
-@pytest.mark.parametrize("labelled", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(
-        reason="lf_delta_report rejects an LF with no votes in one group: "
-        "'lf_3: both groups must be non-empty', exit 1")),
-])
+@pytest.mark.parametrize("labelled", [False, True])
 def test_passthrough_runs_with_lf_silent_on_one_group(tmp_path, labelled):
     # lf_3 has no group-1 estimate, but a passthrough run reads only the
     # whole-sample one
@@ -222,6 +217,18 @@ def test_passthrough_runs_with_lf_silent_on_one_group(tmp_path, labelled):
     assert main(argv + ["--passthrough"]) == 0
     repaired = load_votes_csv(str(tmp_path / "out" / "votes_repaired.csv"))
     assert np.array_equal(repaired.votes, votes)
+    if labelled:
+        # its group-1 rates, over zero rows, are null; parsed as strict
+        # JSON, where a NaN or Infinity token fails the test
+        fairness = json.loads((tmp_path / "out" / "fairness.json").read_text(),
+                              parse_constant=pytest.fail)
+        lf_3 = fairness["per_lf"][3]
+        for report in (lf_3["before"], lf_3["after"]):
+            assert report["per_group_accuracy"][1] is None
+            assert report["positive_rate_per_group"][1] is None
+            assert report["dp_gap"] is None and report["eo_gap"] is None
+            assert report["per_group_accuracy"][0] is not None
+        assert lf_3["delta"]["dp_gap"] is None
 
 
 def test_transport_needs_every_lf_estimated_in_both_groups(tmp_path, capsys):

@@ -12,6 +12,7 @@ from otrelabel import (
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
+    sbm_transport,
     validate_dataset,
 )
 from otrelabel.core import MAX_CELL_ERRORS
@@ -209,16 +210,22 @@ def test_without_labels_strips_gold():
 
 def test_derived_containers_skip_the_value_checks(monkeypatch):
     wl = WeakLabelMatrix([[1, 0], [-1, 1], [0, 0]])
-    ds = GroupedDataset(np.ones((3, 2)), [0, 1, 1], [1, -1, 1])
+    ds = GroupedDataset(np.arange(6.0).reshape(3, 2), [0, 1, 1], [1, -1, 1])
     calls = []
     real = core.require_values
     monkeypatch.setattr(core, "require_values",
                         lambda x, *args: calls.append(x.size) or real(x, *args))
     sub = wl.restrict_rows(np.array([True, False, True]))
     blind = ds.without_labels()
+    # lf_0 moves from group 0 to group 1: its row-0 vote becomes row 1's
+    repaired = sbm_transport(blind, wl, np.array([[0.2, 0.8], [0.5, 0.5]]),
+                             PipelineConfig(ot_type="sinkhorn")).new_votes
     assert calls == []
-    assert np.array_equal(sub.votes, [[1, 0], [0, 0]])
-    assert sub.votes.dtype == np.int64 and not sub.votes.flags.writeable
+    for derived, votes in ((sub, [[1, 0], [0, 0]]),
+                           (repaired, [[-1, 0], [-1, 1], [0, 0]])):
+        assert np.array_equal(derived.votes, votes)
+        assert derived.votes.dtype == np.int64
+        assert not derived.votes.flags.writeable
     assert blind.labels is None
     assert blind.features is ds.features and blind.groups is ds.groups
     # raw input is still checked

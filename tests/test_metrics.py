@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otrelabel import (
+    GroupedDataset,
     ValidationError,
     WeakLabelMatrix,
     fairness_report,
@@ -81,10 +81,21 @@ def test_eo_undefined_when_group_has_no_positives():
     assert rep.to_dict()["eo_gap"] is None
 
 
-def test_empty_group_rejected():
-    with pytest.raises(ValidationError):
-        fairness_report(np.array([1, -1]), np.array([1, -1]),
-                        np.array([0, 0]))
+def test_empty_group_rates_are_null():
+    rep = fairness_report(np.array([1, -1]), np.array([1, -1]),
+                          np.array([0, 0]))
+    assert math.isnan(rep.per_group_accuracy[1])
+    assert math.isnan(rep.dp_gap) and math.isnan(rep.eo_gap)
+    assert rep.to_dict() == {
+        "accuracy": 1.0, "f1": 1.0, "dp_gap": None, "eo_gap": None,
+        "eo_defined": False, "per_group_accuracy": [1.0, None],
+        "positive_rate_per_group": [0.5, None]}
+    # over zero rows every rate is null; F1 keeps its 0.0 convention
+    empty = np.array([], dtype=np.int64)
+    assert fairness_report(empty, empty, empty).to_dict() == {
+        "accuracy": None, "f1": 0.0, "dp_gap": None, "eo_gap": None,
+        "eo_defined": False, "per_group_accuracy": [None, None],
+        "positive_rate_per_group": [None, None]}
 
 
 def test_non_pm1_predictions_rejected():
@@ -125,7 +136,7 @@ def assert_same_report(got, expected):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 25), data=st.data())
+@given(n=st.integers(0, 25), data=st.data())
 def test_report_matches_boolean_mean_oracle(n, data):
     def pm1():
         return np.array(data.draw(st.lists(st.sampled_from([-1, 1]),
@@ -134,17 +145,18 @@ def test_report_matches_boolean_mean_oracle(n, data):
     pred, gold = pm1(), pm1()
     groups = np.array(data.draw(st.lists(st.sampled_from([0, 1]),
                                          min_size=n, max_size=n)))
-    try:
-        expected = fairness_oracle(pred, gold, groups)
-    except ValidationError as exc:
-        with pytest.raises(ValidationError, match=re.escape(str(exc))):
-            fairness_report(pred, gold, groups)
-        return
-    assert_same_report(fairness_report(pred, gold, groups), expected)
+    assert_same_report(fairness_report(pred, gold, groups),
+                       fairness_oracle(pred, gold, groups))
 
 
 # --------------------------------------------------------------------------
 # lf_delta_report
+
+
+def labelled(gold, groups) -> GroupedDataset:
+    """A dataset holding ``gold`` and ``groups``; the report reads no
+    features."""
+    return GroupedDataset(np.zeros((len(gold), 1)), groups, gold)
 
 
 def test_identical_matrices_zero_deltas():
@@ -153,7 +165,7 @@ def test_identical_matrices_zero_deltas():
     wl = WeakLabelMatrix(votes)
     gold = rng.choice([-1, 1], 30)
     groups = np.tile([0, 1], 15)
-    rows = lf_delta_report(wl, wl, gold, groups)
+    rows = lf_delta_report(wl, wl, labelled(gold, groups))
     assert len(rows) == 3
     for row in rows:
         for key, value in row["delta"].items():
@@ -167,7 +179,7 @@ def test_single_flip_changes_accuracy_by_one_over_n():
     after = before.copy()
     after[0, 0] = -after[0, 0]
     rows = lf_delta_report(WeakLabelMatrix(before), WeakLabelMatrix(after),
-                           gold, np.tile([0, 1], 10))
+                           labelled(gold, np.tile([0, 1], 10)))
     assert rows[0]["delta"]["accuracy"] == pytest.approx(-1 / n)
     assert rows[1]["delta"]["accuracy"] == 0.0
 
@@ -180,7 +192,7 @@ def test_random_instance_matches_recomputation():
     groups = rng.integers(0, 2, 100)
     groups[:2] = [0, 1]
     rows = lf_delta_report(WeakLabelMatrix(before), WeakLabelMatrix(after),
-                           gold, groups)
+                           labelled(gold, groups))
     for j, row in enumerate(rows):
         fresh = fairness_report(after[:, j], gold, groups)
         assert row["after"] == fresh
@@ -195,7 +207,7 @@ def test_abstain_rows_excluded_per_lf():
     before = np.array([[1], [0], [-1], [-1]])
     after = np.array([[1], [1], [0], [-1]])
     rows = lf_delta_report(WeakLabelMatrix(before), WeakLabelMatrix(after),
-                           gold, groups)
+                           labelled(gold, groups))
     # only rows 0 and 3 are active in both -> both matrices perfect there
     assert rows[0]["before"].accuracy == 1.0
     assert rows[0]["after"].accuracy == 1.0
@@ -225,26 +237,15 @@ def delta_cases(draw):
 def test_block_report_matches_per_lf_fairness_report(case):
     before, after, gold, groups = case
     names = [f"lf_{j}" for j in range(before.shape[1])]
-    expected, error = [], None
-    for j, name in enumerate(names):
+    expected = []
+    for j in range(before.shape[1]):
+        # an LF with no such rows in a group has null rates there
         active = (before[:, j] != 0) & (after[:, j] != 0)
-        if not active.any():
-            error = f"{name}: no mutually non-abstaining rows"
-            break
-        try:
-            pair = [fairness_report(v[active, j], gold[active], groups[active])
-                    for v in (before, after)]
-        except ValidationError as exc:
-            error = f"{name}: {exc}"
-            break
-        expected.append(pair)
-    args = (WeakLabelMatrix(before), WeakLabelMatrix(after), gold, groups)
-    if error is not None:
-        with pytest.raises(ValidationError) as err:
-            lf_delta_report(*args)
-        assert str(err.value) == error
-        return
-    rows = lf_delta_report(*args)
+        expected.append([
+            fairness_report(v[active, j], gold[active], groups[active])
+            for v in (before, after)])
+    rows = lf_delta_report(WeakLabelMatrix(before), WeakLabelMatrix(after),
+                           labelled(gold, groups))
     assert [row["name"] for row in rows] == names
     for row, (rep_before, rep_after) in zip(rows, expected):
         assert_same_report(row["before"], rep_before)
@@ -256,17 +257,25 @@ def test_block_report_matches_per_lf_fairness_report(case):
 
 
 def test_block_report_validates_gold_groups_and_votes_once():
+    # the containers check gold, groups and votes; the report trusts them
     wl = WeakLabelMatrix(np.array([[1, 1], [-1, 0], [1, 1]]))
-    gold, groups = np.array([1, -1, 1]), np.array([1, 0, 1])
-    with pytest.raises(ValidationError, match="^gold entries"):
-        lf_delta_report(wl, wl, np.array([1, 0, 1]), groups)
-    with pytest.raises(ValidationError, match="^groups entries"):
-        lf_delta_report(wl, wl, gold, np.array([0, 2, 1]))
+    ds = labelled(np.array([1, -1, 1]), np.array([1, 0, 1]))
+    with pytest.raises(ValidationError, match="needs gold labels"):
+        lf_delta_report(wl, wl, ds.without_labels())
+    sub = wl.restrict_rows(np.array([True, True, False]))
+    with pytest.raises(ValidationError, match="3 dataset rows vs 2 vote"):
+        lf_delta_report(sub, sub, ds)
     with pytest.raises(ValidationError, match="illegal vote value 2"):
         lf_delta_report(wl, WeakLabelMatrix(np.array([[1, 1], [2, 0], [1, 1]])),
-                        gold, groups)
-    with pytest.raises(ValidationError, match="^lf_1: both groups"):
-        lf_delta_report(wl, wl, gold, groups)
+                        ds)
+    # lf_1 votes on group 1 only: its group-0 rates are null
+    row = lf_delta_report(wl, wl, ds)[1]
+    assert row["after"].to_dict() == {
+        "accuracy": 1.0, "f1": 1.0, "dp_gap": None, "eo_gap": None,
+        "eo_defined": False, "per_group_accuracy": [None, 1.0],
+        "positive_rate_per_group": [None, 1.0]}
+    assert row["delta"] == {"accuracy": 0.0, "f1": 0.0, "dp_gap": None,
+                            "eo_gap": None}
 
 
 # --------------------------------------------------------------------------
