@@ -236,14 +236,6 @@ def sinkhorn_plan(
     n_dst buffer besides M: written first as K, then scaled in place into
     the plan.
     """
-    M, a, b, max_iter = _checked_sinkhorn_args(M, a, b, eta, max_iter, tol)
-    return _sinkhorn(M, np.empty_like(M), a, b, eta, max_iter, tol,
-                     log_objective)[0]
-
-
-def _checked_sinkhorn_args(M, a, b, eta, max_iter, tol):
-    """:func:`sinkhorn_plan`'s arguments once checked: M as float64, the
-    marginals (uniform by default) and ``max_iter`` as an int."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValidationError("cost matrix must be 2-D")
@@ -266,7 +258,8 @@ def _checked_sinkhorn_args(M, a, b, eta, max_iter, tol):
     max_iter = require_count("max_iter", max_iter)
     if not (0 < eta < np.inf and 0 < tol < np.inf):
         raise ValidationError("eta and tol must be positive and finite")
-    return M, a, b, max_iter
+    return _sinkhorn(M, np.empty_like(M), a, b, eta, max_iter, tol,
+                     log_objective)[0]
 
 
 def _sinkhorn(M, out, a, b, eta, max_iter, tol, log_objective):
@@ -409,10 +402,13 @@ def _sinkhorn_projection(
     own buffer: the cost is overwritten by K, then the plan, which is
     row-normalised in place.  The returned plan's ``T`` is that
     normalised buffer.  For a caller that owns ``cost`` and ``X_dst``,
-    whose rows match the cost's columns."""
-    cost, a, b, max_iter = _checked_sinkhorn_args(
-        cost, None, None, eta, max_iter, tol)
-    plan, row_sums = _sinkhorn(cost, cost, a, b, eta, max_iter, tol, False)
+    whose rows match the cost's columns, and has checked what
+    :func:`sinkhorn_plan` checks of a cost, ``eta``, ``tol`` and
+    ``max_iter``; the marginals are uniform."""
+    n_src, n_dst = cost.shape
+    plan, row_sums = _sinkhorn(cost, cost, np.full(n_src, 1.0 / n_src),
+                               np.full(n_dst, 1.0 / n_dst), eta, max_iter,
+                               tol, False)
     _require_positive_rows(row_sums)
     T = plan.T
     T /= row_sums[:, None]

@@ -9,7 +9,7 @@ File formats
 Features CSV: UTF-8, header row, comma-separated, ``.`` decimal.  Any
 number of numeric feature columns (any spelling Python's ``float``
 accepts), one group column with values ``0``/``1``, and an optional
-label column with values ``-1``/``1``/``+1``.
+label column with values ``-1``/``1``/``+1``; no name appears twice.
 
 Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, values ``-1``, ``0``,
 ``1`` or ``+1``, row-aligned with the features CSV.
@@ -43,7 +43,9 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -134,16 +136,21 @@ _BYTE_VOTE = np.array([{45: -1, 48: 0, 49: 1}.get(b, 2) for b in range(256)])
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not "
+            f"UTF-8: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: file is empty") from None
+    rows = list(reader)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     header = [h.strip() for h in header]
@@ -153,6 +160,13 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
             raise ValidationError(
                 f"{path}: row {i} has {len(row)} fields, expected {width}")
     return header, rows
+
+
+def _require_unique(path: str, header: list[str]) -> None:
+    repeated = [name for name, n in Counter(header).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"{path}: duplicate column names "
+                              f"{', '.join(map(repr, repeated))}")
 
 
 def _plain_lines(path: str) -> Optional[tuple[list[str], bytes]]:
@@ -241,6 +255,7 @@ def load_features_csv(
     plain = _plain_lines(path)
     values = plain and _plain_table(plain[1], len(plain[0]))
     header, rows = (plain[0], None) if values is not None else _read_rows(path)
+    _require_unique(path, header)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
     has_labels = label_col is not None and label_col in header
@@ -295,8 +310,7 @@ def load_votes_csv(path: str) -> WeakLabelMatrix:
 def read_raw_csv(path: str) -> dict[str, list[str]]:
     """Read a raw (possibly non-numeric) CSV into column -> string values."""
     header, rows = _read_rows(path)
-    if len(set(header)) != len(header):
-        raise ValidationError(f"{path}: duplicate column names")
+    _require_unique(path, header)
     return {name: [row[i].strip() for row in rows]
             for i, name in enumerate(header)}
 
@@ -377,6 +391,7 @@ class RunManifest:
 
     The digest covers config, input digests and version only, so it is
     stable across reruns; timings and the timestamp are informational.
+    :func:`run_pipeline` fills the two dicts in as its stages finish.
     """
 
     config: dict
@@ -418,7 +433,8 @@ def run_pipeline(
     label_col: Optional[str] = "label",
     passthrough: bool = False,
 ) -> RunManifest:
-    """Execute estimate -> transport -> label model -> end model -> reports.
+    """Execute ingest -> estimate -> transport -> label model -> end
+    model -> reports.
 
     Writes ``votes_repaired.csv``, ``pseudolabels.csv``, ``fairness.json``
     and ``manifest.json`` into ``out_dir``.  Each stage estimates only
@@ -429,105 +445,92 @@ def run_pipeline(
     stages are skipped entirely and pseudolabels come from the raw votes
     (the plain weak-supervision baseline).  Gold labels, when present,
     are used only by the report stage.
+
+    The manifest is built once, when the run starts; the inputs' digests
+    join it once they have loaded and validated, and each stage's
+    elapsed ms once it finishes.  A run that raises writes that manifest
+    with ``failed_stage`` set to the stage that raised.
     """
     timings: dict[str, float] = {}
+    digests: dict[str, str] = {}
+    manifest = RunManifest(cfg.to_dict(), digests, timings, __version__,
+                           time.time())
     stage = "ingest"
 
-    def finish_stage(name: str, started: float) -> float:
+    @contextmanager
+    def timed(name: str):
+        nonlocal stage
+        stage = name
+        started = time.perf_counter()
+        yield
         timings[name] = (time.perf_counter() - started) * 1000.0
-        return time.perf_counter()
 
     try:
-        t0 = time.perf_counter()
-        ds = load_features_csv(features_path, group_col, label_col)
-        wl = load_votes_csv(votes_path)
-        report = validate_dataset(ds, wl)
-        if report:
-            raise ValidationError("; ".join(report))
-        blind = ds.without_labels()
-        t0 = finish_stage("ingest", t0)
+        with timed("ingest"):
+            ds = load_features_csv(features_path, group_col, label_col)
+            wl = load_votes_csv(votes_path)
+            report = validate_dataset(ds, wl)
+            if report:
+                raise ValidationError("; ".join(report))
+            digests.update({path: _sha256(path)
+                            for path in (features_path, votes_path)})
+            blind = ds.without_labels()
 
-        stage = "estimate"
-        if not passthrough:
-            group_acc = per_group_accuracies(wl, blind)
-        t0 = finish_stage("estimate", t0)
+        with timed("estimate"):
+            if not passthrough:
+                group_acc = per_group_accuracies(wl, blind)
 
-        stage = "transport"
-        if passthrough:
-            repaired = wl
-        else:
-            repaired = sbm_transport(blind, wl, group_acc, cfg).new_votes
-        t0 = finish_stage("transport", t0)
+        with timed("transport"):
+            repaired = wl if passthrough else sbm_transport(
+                blind, wl, group_acc, cfg).new_votes
 
-        stage = "label_model"
-        params = fit_label_model(triplet_accuracies(repaired)[0],
-                                 cfg.class_balance)
-        probs, hard = infer_pseudolabels(params, repaired)
-        t0 = finish_stage("label_model", t0)
+        with timed("label_model"):
+            params = fit_label_model(triplet_accuracies(repaired)[0],
+                                     cfg.class_balance)
+            probs, hard = infer_pseudolabels(params, repaired)
 
-        stage = "end_model"
-        end_model = None
-        end_preds = None
-        if cfg.end_model:
-            end_model = train_end_model(ds.features, probs, cfg.l2)
-            _, end_preds = predict(end_model, ds.features)
-        t0 = finish_stage("end_model", t0)
+        with timed("end_model"):
+            end_preds = None
+            if cfg.end_model:
+                end_model = train_end_model(ds.features, probs, cfg.l2)
+                _, end_preds = predict(end_model, ds.features)
 
-        stage = "reports"
-        manifest = RunManifest(
-            config=cfg.to_dict(),
-            input_digests={
-                features_path: _sha256(features_path),
-                votes_path: _sha256(votes_path),
-            },
-            stage_timings_ms=timings,
-            version=__version__,
-            created_unix=time.time(),
-        )
-        if ds.labels is None:
-            fairness: dict = {
-                "skipped": True,
-                "reason": "no gold labels in the features file",
-                "manifest_digest": manifest.digest(),
-            }
-            logger.info("gold labels absent; metrics stage skipped")
-        else:
-            per_lf = lf_delta_report(wl, repaired, ds)
-            fairness = {
-                "skipped": False,
-                "per_lf": [
-                    {"name": row["name"],
-                     "before": row["before"].to_dict(),
-                     "after": row["after"].to_dict(),
-                     "delta": row["delta"]}
-                    for row in per_lf
-                ],
-                "pseudolabels": fairness_report(
-                    hard, ds.labels, ds.groups).to_dict(),
-                "end_model": (
-                    fairness_report(end_preds, ds.labels, ds.groups).to_dict()
-                    if end_preds is not None else None),
-                "manifest_digest": manifest.digest(),
-            }
-
-        write_votes_csv(repaired, os.path.join(out_dir, "votes_repaired.csv"))
-        _write_pseudolabels(os.path.join(out_dir, "pseudolabels.csv"), probs,
-                            hard)
-        write_json(fairness, os.path.join(out_dir, "fairness.json"))
-        timings["reports"] = (time.perf_counter() - t0) * 1000.0
+        with timed("reports"):
+            if ds.labels is None:
+                fairness: dict = {
+                    "skipped": True,
+                    "reason": "no gold labels in the features file",
+                }
+                logger.info("gold labels absent; metrics stage skipped")
+            else:
+                fairness = {
+                    "skipped": False,
+                    "per_lf": [
+                        {"name": row["name"],
+                         "before": row["before"].to_dict(),
+                         "after": row["after"].to_dict(),
+                         "delta": row["delta"]}
+                        for row in lf_delta_report(wl, repaired, ds)
+                    ],
+                    "pseudolabels": fairness_report(
+                        hard, ds.labels, ds.groups).to_dict(),
+                    "end_model": (
+                        fairness_report(end_preds, ds.labels,
+                                        ds.groups).to_dict()
+                        if end_preds is not None else None),
+                }
+            fairness["manifest_digest"] = manifest.digest()
+            write_votes_csv(repaired,
+                            os.path.join(out_dir, "votes_repaired.csv"))
+            _write_pseudolabels(os.path.join(out_dir, "pseudolabels.csv"),
+                                probs, hard)
+            write_json(fairness, os.path.join(out_dir, "fairness.json"))
         write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
         return manifest
     except Exception:
-        failed = RunManifest(
-            config=cfg.to_dict(),
-            input_digests={},
-            stage_timings_ms=timings,
-            version=__version__,
-            created_unix=time.time(),
-            failed_stage=stage,
-        )
         try:
-            write_json(failed.to_dict(), os.path.join(out_dir, "manifest.json"))
+            write_json(replace(manifest, failed_stage=stage).to_dict(),
+                       os.path.join(out_dir, "manifest.json"))
         except ValidationError:
             pass  # the original error is the one to report
         raise

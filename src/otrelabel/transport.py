@@ -294,8 +294,11 @@ def sbm_transport(
     per-group accuracy over all LFs, so all of them share one decision
     and one map, and one decision per LF is recorded.  The
     transported coordinates and their nearest destination neighbours
-    depend only on features, so both are computed once per (src, dst)
-    direction: one ``knn_transfer`` call re-labels every LF moved that way.
+    depend only on features, so the (at most two) directions are taken
+    one at a time, in the order of each direction's first moved LF: one
+    transport of the source rows and one ``knn_transfer`` call re-label
+    every LF moved that way.  An error in a direction names that first
+    LF.
     """
     acc = np.asarray(group_acc, dtype=np.float64)
     if acc.shape != (wl.m, 2):
@@ -306,43 +309,36 @@ def sbm_transport(
     if report:
         raise ValidationError("; ".join(report))
 
-    votes = wl.votes
-    new_votes = votes.copy()
-    decisions: list[TransportDecision] = []
-    masks = {k: ds.group_mask(k) for k in (0, 1)}
-    feats = {k: ds.features[masks[k]] for k in (0, 1)}
-    transported: dict[tuple[int, int], np.ndarray] = {}
-    moved_columns: dict[tuple[int, int], list[int]] = {}
-
     if cfg.transport_scope == "global":
         acc = np.broadcast_to(acc.mean(axis=0), acc.shape)
-    for j in range(wl.m):
-        a0, a1 = acc[j]
-        if abs(a0 - a1) <= cfg.tie_tol:
-            decisions.append(TransportDecision(
-                j, 0, 1, float(a0), float(a1), skipped=True, reason="tie"))
-            continue
-        src = 0 if a0 < a1 else 1
-        dst = 1 - src
-        if feats[dst].shape[0] < cfg.knn_k:
-            raise ValidationError(
-                f"lf_{j}: destination group {dst} has "
-                f"{feats[dst].shape[0]} rows, fewer than k={cfg.knn_k}")
-        key = (src, dst)
-        if key not in transported:
-            try:
-                transported[key] = _transported_sources(
-                    feats[src], feats[dst], cfg)
-            except (ValidationError, NumericalError) as exc:
-                raise type(exc)(f"lf_{j}: {exc}") from exc
-        moved_columns.setdefault(key, []).append(j)
-        decisions.append(TransportDecision(
-            j, src, dst, float(acc[j, src]), float(acc[j, dst])))
+    skipped = np.abs(acc[:, 0] - acc[:, 1]) <= cfg.tie_tol
+    # a tie is recorded with group 0 as its source
+    src_of = np.where(skipped | (acc[:, 0] < acc[:, 1]), 0, 1)
+    rows = acc.tolist()
+    decisions = [
+        TransportDecision(j, src, 1 - src, rows[j][src], rows[j][1 - src],
+                          skip, "tie" if skip else "")
+        for j, (src, skip) in enumerate(zip(src_of.tolist(),
+                                            skipped.tolist()))]
 
-    for (src, dst), cols in moved_columns.items():
-        new_votes[np.ix_(masks[src], cols)] = knn_transfer(
-            transported[(src, dst)], feats[dst],
-            votes[np.ix_(masks[dst], cols)], cfg.knn_k)
+    votes = wl.votes
+    new_votes = votes.copy()
+    moved = np.flatnonzero(~skipped)
+    for src in dict.fromkeys(src_of[moved].tolist()):
+        cols = moved[src_of[moved] == src]
+        dst = 1 - src
+        src_rows, dst_rows = ds.group_mask(src), ds.group_mask(dst)
+        X_dst = ds.features[dst_rows]
+        if X_dst.shape[0] < cfg.knn_k:
+            raise ValidationError(
+                f"lf_{cols[0]}: destination group {dst} has "
+                f"{X_dst.shape[0]} rows, fewer than k={cfg.knn_k}")
+        try:
+            X_src = _transported_sources(ds.features[src_rows], X_dst, cfg)
+        except (ValidationError, NumericalError) as exc:
+            raise type(exc)(f"lf_{cols[0]}: {exc}") from exc
+        new_votes[np.ix_(src_rows, cols)] = knn_transfer(
+            X_src, X_dst, votes[np.ix_(dst_rows, cols)], cfg.knn_k)
 
     changed = new_votes != votes
     # checked votes moved by _majority_vote: not checked again

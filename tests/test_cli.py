@@ -411,3 +411,49 @@ def test_theory_rejects_lists_it_cannot_check(tmp_path, capsys, flag):
     assert err.startswith("input error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "validate", "lf-bank"])
+def test_non_utf8_input_is_one_line_input_error(tmp_path, capsys, verb):
+    # one reader per verb: features, votes and a raw table
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+    raw = str(write_adult_raw(tmp_path))
+    bad = {"run": features, "validate": votes, "lf-bank": raw}[verb]
+    with open(bad, "rb") as fh:
+        data = fh.read()
+    offset = data.index(b"\n") + 2
+    with open(bad, "wb") as fh:
+        fh.write(data[:offset] + b"\xff" + data[offset:])
+    argv = {"run": ["run", "--features", features, "--votes", votes,
+                    "--out", str(tmp_path / "out")],
+            "validate": ["validate", "--features", features, "--votes", votes],
+            "lf-bank": ["lf-bank", "--bank", "adult-v1", "--raw", raw,
+                        "--out", str(tmp_path / "v.csv")]}[verb]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {bad}: byte {offset} (0xff) is not UTF-8: "
+        "invalid start byte\n")
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "quoted"])
+@pytest.mark.parametrize("text, repeated", [
+    ("x0,x0,group,label\n1.0,10.0,0,1\n2.0,20.0,1,-1\n", "'x0'"),
+    ("x0,group,x1,group\n1.0,0,2.0,0\n3.0,1,4.0,1\n", "'group'"),
+    ("label,x0,group,label,x0\n1,1.0,0,1,2.0\n-1,3.0,1,-1,4.0\n",
+     "'label', 'x0'"),
+], ids=["feature", "group", "label-and-feature"])
+def test_repeated_features_header_name_is_input_error(tmp_path, capsys,
+                                                      plain, text, repeated):
+    # a repeated name would read one of its columns and drop the others;
+    # plain files take numpy's reader, quoted ones the exact pass
+    if not plain:
+        text = "\n".join(",".join(f'"{cell}"' for cell in line.split(","))
+                         for line in text.splitlines()) + "\n"
+    features = tmp_path / "f.csv"
+    features.write_text(text)
+    votes = tmp_path / "v.csv"
+    votes.write_text("lf_0\n1\n-1\n")
+    assert main(["validate", "--features", str(features),
+                 "--votes", str(votes)]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {features}: duplicate column names {repeated}\n")

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otrelabel import PipelineConfig, ValidationError, WeakLabelMatrix
+from otrelabel import (
+    NumericalError,
+    PipelineConfig,
+    ValidationError,
+    WeakLabelMatrix,
+)
 from otrelabel import estimate, pipeline
 from otrelabel.lfbank import apply_lf_bank, builtin_bank
 from otrelabel.pipeline import (
@@ -699,16 +705,71 @@ def test_pipeline_estimates_only_what_its_stages_read(
     assert rows == estimated_rows
 
 
-def test_pipeline_failure_recorded_in_manifest(tmp_path):
+@pytest.mark.parametrize("features_text, votes_text, error, stage", [
+    # group 1 empty: the inputs never validate
+    ("f1,group\n1.0,0\n2.0,0\n", "lf_0,lf_1,lf_2\n1,1,-1\n-1,1,1\n",
+     ValidationError, "ingest"),
+    # lf_2's moments vanish inside each group: estimation aborts
+    ("f1,group\n0.0,0\n0.1,0\n1.0,1\n1.1,1\n",
+     "lf_0,lf_1,lf_2\n1,1,1\n1,1,-1\n-1,-1,1\n-1,-1,-1\n",
+     NumericalError, "estimate"),
+], ids=["ingest", "estimate"])
+def test_pipeline_failure_recorded_in_manifest(tmp_path, features_text,
+                                               votes_text, error, stage):
     p = tmp_path / "f.csv"
-    p.write_text("f1,group\n1.0,0\n2.0,0\n")  # group 1 empty
+    p.write_text(features_text)
     v = tmp_path / "v.csv"
-    v.write_text("lf_0,lf_1,lf_2\n1,1,-1\n-1,1,1\n")
+    v.write_text(votes_text)
     out = tmp_path / "out"
-    with pytest.raises(ValidationError):
+    with pytest.raises(error):
         run_pipeline(PipelineConfig(), str(p), str(v), str(out))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["failed_stage"] == "ingest"
+    assert manifest["failed_stage"] == stage
+    if stage == "ingest":
+        assert manifest["input_digests"] == {}
+        assert manifest["stage_timings_ms"] == {}
+    else:
+        # the inputs were read, so the manifest says which
+        assert manifest["input_digests"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (p, v)}
+        assert set(manifest["stage_timings_ms"]) == {"ingest"}
+
+
+# the calls a run makes through each name the pipeline module resolves:
+# (with transport, passthrough)
+PIPELINE_CALLS = {
+    "load_features_csv": (1, 1), "load_votes_csv": (1, 1),
+    "validate_dataset": (1, 1), "per_group_accuracies": (1, 0),
+    "sbm_transport": (1, 0), "triplet_accuracies": (1, 1),
+    "fit_label_model": (1, 1), "infer_pseudolabels": (1, 1),
+    "train_end_model": (1, 1), "predict": (1, 1),
+    "lf_delta_report": (1, 1), "fairness_report": (2, 2),
+    "write_votes_csv": (1, 1),
+}
+
+
+@pytest.mark.parametrize("passthrough", [False, True])
+def test_pipeline_calls_each_step_through_its_module_name(
+        tmp_path, monkeypatch, passthrough):
+    # wrapping a name in the pipeline module must see every call the run
+    # makes to it, and each stage must be timed, transport or not
+    calls = dict.fromkeys(PIPELINE_CALLS, 0)
+    for name in PIPELINE_CALLS:
+        def counted(*args, _name=name, _real=getattr(pipeline, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    _, _, features, votes = write_fixture(tmp_path, 150, seed=8)
+    manifest = run_pipeline(PipelineConfig(ot_type="linear"), features, votes,
+                            str(tmp_path / "out"), passthrough=passthrough)
+    assert calls == {name: counts[passthrough]
+                     for name, counts in PIPELINE_CALLS.items()}
+    assert set(manifest.stage_timings_ms) == {
+        "ingest", "estimate", "transport", "label_model", "end_model",
+        "reports"}
 
 
 # --------------------------------------------------------------------------

@@ -607,3 +607,7 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
     assert len(calls) == n_calls
     assert np.array_equal(result.new_votes.votes,
                           oracle_repair(ds, wl, moves, 3))
+    assert [(d.lf_index, d.src_group, d.dst_group)
+            for d in result.decisions if not d.skipped] == moves
+    assert [d.lf_index for d in result.decisions if d.skipped] == [
+        j for j in range(wl.m) if j not in {move[0] for move in moves}]
