@@ -10,7 +10,10 @@ Neighbours are searched in a KD-tree on the destination rows at up to
 ``_TREE_MAX_D`` dimensions; rows the tree cannot rank beyond rounding
 doubt re-rank the tree's rows near their k-th distance by ``cdist``, and
 every row at higher dimension takes an exact ``cdist`` scan, so the
-chosen neighbours never depend on which search found them.
+chosen neighbours never depend on which search found them.  Both tree
+searches run on every CPU in the process's affinity set; each query row
+is searched on its own, so the result never depends on that count, and
+``taskset -c 0`` pins the search to one CPU.
 
 Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
 squared-Euclidean cost is computed into it, and it then holds K, the plan
@@ -21,6 +24,7 @@ it cannot be allocated the error names its size before any work starts.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,10 @@ _CHUNK = 256
 # Provisional, set from one-core probes on Gaussian rows only: at 6k x 6k,
 # 1-NN, d = 10 tree 289 ms vs scan 327 ms, d = 12 487 vs 341; at 50k x 50k
 # the tree still wins at d = 12 (1-NN 19.0 s vs 28.7 s), so the crossover
-# rises with n_dst.  Re-tune once a workload runs transport above d = 10.
+# rises with n_dst.  The tree now searches on every allowed CPU while the
+# scan's cdist holds the GIL (two threads scanning halves at d = 16,
+# 6k x 6k: 378 -> 355 ms), so on more than one CPU the crossover is at
+# least this high.  Re-tune once a workload runs transport above d = 10.
 _TREE_MAX_D = 10
 # A tree ranking is trusted only across gaps wider than this margin.  The
 # relative part is some 10**3 times the rounding difference between the
@@ -128,6 +135,15 @@ def knn_transfer(
     return _majority_vote(votes_dst[nbrs])
 
 
+def _search_workers() -> int:
+    """CPUs the process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     """Indices (n_query x k) of each query row's k nearest destination
     rows, nearest first, exact distance ties to the lower index.
@@ -145,12 +161,15 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     ``_TREE_MAX_D``, and tied rows whose coordinates span so far that
     squared distances could overflow take the full ``cdist`` scan of
     :func:`_nearest_exact`.  The result is the scan's, index for index.
+    Both tree searches split the query rows over :func:`_search_workers`
+    threads; each row is searched alone, so the split changes nothing.
     """
     n_dst, d = X_dst.shape
     if not 0 < d <= _TREE_MAX_D or k + 1 > n_dst:
         return _nearest_exact(X_query, X_dst, k)
+    workers = _search_workers()
     tree = cKDTree(X_dst)
-    dist, idx = tree.query(X_query, k=k + 1, eps=0, workers=1)
+    dist, idx = tree.query(X_query, k=k + 1, eps=0, workers=workers)
     bound = dist * (1.0 + _TIE_REL) + _TIE_ABS
     # an infinite (overflowed) distance fails the gap test unless it is
     # the last one, which is checked on its own
@@ -169,7 +188,7 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
         nbrs[redo] = _nearest_exact(X_redo, X_dst, k)
         return nbrs
     cands = tree.query_ball_point(X_redo, r=bound[redo, k - 1], eps=0,
-                                  workers=1, return_sorted=False)
+                                  workers=workers, return_sorted=False)
     nbrs[redo] = _rerank(X_redo, X_dst, cands, k)
     return nbrs
 

@@ -16,7 +16,7 @@ from otrelabel import (
     ValidationError,
     WeakLabelMatrix,
 )
-from otrelabel import estimate, pipeline
+from otrelabel import estimate, pipeline, transport
 from otrelabel.lfbank import apply_lf_bank, builtin_bank
 from otrelabel.pipeline import (
     MAX_CELL_ERRORS,
@@ -622,6 +622,34 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
             for p in ("votes_repaired.csv", "pseudolabels.csv",
                       "fairness.json")})
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("ot_type, k", [("linear", 1), ("sinkhorn", 5)])
+def test_pipeline_bytes_do_not_depend_on_search_workers(
+        tmp_path, monkeypatch, ot_type, k):
+    _, _, features, votes = write_fixture(tmp_path, 300, seed=5)
+    cfg = PipelineConfig(ot_type=ot_type, knn_k=k)
+    searches = []
+
+    def one_worker():
+        searches.append(1)
+        return 1
+
+    blobs = []
+    for name in ("default", "one"):
+        if name == "one":
+            monkeypatch.setattr(transport, "_search_workers", one_worker)
+        out = tmp_path / name
+        run_pipeline(cfg, features, votes, str(out))
+        blobs.append({
+            p: (out / p).read_bytes()
+            for p in ("votes_repaired.csv", "pseudolabels.csv",
+                      "fairness.json")})
+    assert blobs[0] == blobs[1]
+    # the pinned run searched the tree, and transport moved votes
+    assert searches
+    with open(votes, "rb") as fh:
+        assert blobs[0]["votes_repaired.csv"] != fh.read()
 
 
 def test_pipeline_without_gold_labels_skips_metrics(tmp_path):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -311,6 +312,64 @@ def test_tied_rows_with_overflowing_span_take_the_scan(monkeypatch):
     assert np.array_equal(transport._nearest(query, dst, 2), expected)
     assert expected[0].tolist() == [0, 1]
     assert rows == {"_rerank": 0, "_nearest_exact": 3}
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["grid", "duplicates", "gaussian"])
+def test_search_does_not_depend_on_worker_count(monkeypatch, kind, k):
+    rng = np.random.default_rng(21)
+    dst = tie_heavy_points(rng, kind, 300, 3)
+    # 240 query rows; on the grid and duplicated points nearly all of
+    # them are tied, so each of two workers re-ranks its own share
+    query = np.vstack([tie_heavy_points(rng, kind, 220, 3), dst[:20]])
+    expected = transport._nearest_exact(query, dst, k)
+    found = []
+    for workers in (1, 2):
+        monkeypatch.setattr(transport, "_search_workers", lambda: workers)
+        found.append(transport._nearest(query, dst, k))
+        assert np.array_equal(found[-1], expected)
+    assert np.array_equal(found[0], found[1])
+
+
+class RecordingTree(transport.cKDTree):
+    """``cKDTree`` that records the worker count of every search."""
+
+    workers = []
+
+    def query(self, X, k, eps, workers):
+        RecordingTree.workers.append(("query", workers))
+        return super().query(X, k=k, eps=eps, workers=workers)
+
+    def query_ball_point(self, X, r, eps, workers, return_sorted):
+        RecordingTree.workers.append(("query_ball_point", workers))
+        return super().query_ball_point(X, r=r, eps=eps, workers=workers,
+                                        return_sorted=return_sorted)
+
+
+def test_both_tree_searches_get_the_worker_count(monkeypatch):
+    rng = np.random.default_rng(22)
+    dst = tie_heavy_points(rng, "grid", 200, 3)
+    query = tie_heavy_points(rng, "grid", 50, 3)
+    monkeypatch.setattr(RecordingTree, "workers", [])
+    monkeypatch.setattr(transport, "cKDTree", RecordingTree)
+    monkeypatch.setattr(transport, "_search_workers", lambda: 3)
+    nbrs = transport._nearest(query, dst, 2)
+    assert np.array_equal(nbrs, transport._nearest_exact(query, dst, 2))
+    assert RecordingTree.workers == [("query", 3), ("query_ball_point", 3)]
+
+
+def test_search_workers_count_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    assert transport._search_workers() == 2
+
+
+def test_search_workers_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert transport._search_workers() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert transport._search_workers() == 1
 
 
 # --------------------------------------------------------------------------
