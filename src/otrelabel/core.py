@@ -9,12 +9,13 @@ Conventions used throughout the package:
   evaluation only.
 
 Containers are frozen dataclasses wrapping read-only numpy arrays, so they
-can be shared across workers without defensive copies.  Construction
-checks shapes and the values of votes, groups and labels, one error line
-per bad entry; stages that receive a container do not check them again,
-and containers derived from a checked one skip the value checks.
-:func:`validate_dataset` reports what only a features/votes pair can get
-wrong.
+can be shared across workers without defensive copies.  Each fact about
+the inputs has one owner: :class:`WeakLabelMatrix` checks vote values,
+:class:`GroupedDataset` finite features and group and label values, and
+:func:`validate_dataset` what only the pair can get wrong, equal row counts
+and two non-empty groups.  Each raises one error, one line per violation.
+Stages that receive a container do not check it again, and containers
+derived from a checked one skip the value checks.
 """
 
 from __future__ import annotations
@@ -144,6 +145,12 @@ class GroupedDataset:
                     f"got {l.shape}")
             l = require_values(l, (-1, 1), "label")
             object.__setattr__(self, "labels", _frozen_array(l, np.int64))
+        finite = np.isfinite(f)
+        if not finite.all():
+            bad = np.argwhere(~finite)
+            raise cell_error(
+                [f"non-finite feature value {f[r, c]} at row {r}, column {c}"
+                 for r, c in bad[:MAX_CELL_ERRORS]], len(bad))
         g = require_values(g, (0, 1), "group")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "groups", _frozen_array(g, np.int64))
@@ -236,22 +243,12 @@ class PipelineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> list[str]:
-    """Return a list of human-readable violations; empty means consistent.
-
-    Checks what the containers cannot: row counts, finite features and
-    non-empty groups.  Idempotent and side-effect free.  Downstream
-    operations refuse inputs for which this report is non-empty.
-    """
-    report: list[str] = []
-    if ds.n != wl.n:
-        report.append(
-            f"row-count mismatch: {ds.n} feature rows vs {wl.n} vote rows")
-    if not np.all(np.isfinite(ds.features)):
-        r, c = np.argwhere(~np.isfinite(ds.features))[0]
-        report.append(f"non-finite feature at row {r}, column {c}")
-    for k in (0, 1):
-        if not np.any(ds.groups == k):
-            report.append(f"empty group {k}")
-    return report
-
+def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> None:
+    """Raise one ValidationError, one line per violation, unless the pair
+    has equal row counts and two non-empty groups: the facts neither
+    container can check alone.  Side-effect free."""
+    report = [] if ds.n == wl.n else [
+        f"row-count mismatch: {ds.n} feature rows vs {wl.n} vote rows"]
+    report += [f"empty group {k}" for k in (0, 1) if k not in ds.groups]
+    if report:
+        raise ValidationError("\n".join(report))

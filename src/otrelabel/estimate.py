@@ -28,6 +28,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    validate_dataset,
 )
 
 EPS_PAIR = 1e-3
@@ -203,13 +204,10 @@ def per_group_accuracies(wl: WeakLabelMatrix,
     Runs the full triplet procedure independently on each group's row
     slice; estimation failures are re-raised naming the group.
     """
-    if ds.n != wl.n:
-        raise ValidationError("dataset and vote matrix row counts differ")
+    validate_dataset(ds, wl)
     out = np.empty((wl.m, 2))
     for k in (0, 1):
         mask = ds.group_mask(k)
-        if not mask.any():
-            raise ValidationError(f"group {k} is empty")
         try:
             out[:, k] = triplet_accuracies(wl.restrict_rows(mask))[0]
         except (ValidationError, NumericalError) as exc:

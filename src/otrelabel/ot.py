@@ -126,15 +126,16 @@ def _check_symmetric(S: np.ndarray, what: str) -> np.ndarray:
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues below -1e-6 are rejected; tiny negatives from roundoff are
-    clamped to zero.  The result R satisfies R @ R = S up to roundoff and
-    commutes with S.
+    Eigenvalues below -1e-6 * max(1, |lambda_max|) are rejected; smaller
+    negatives from roundoff are clamped to zero.  The result R satisfies
+    R @ R = S up to roundoff and commutes with S.
     """
     S = _check_symmetric(S, "psd_sqrt input")
     w, Q = np.linalg.eigh(S)
-    if w.min() < _EIG_FLOOR:
+    floor = _EIG_FLOOR * max(1.0, abs(w[-1]))
+    if w[0] < floor:
         raise ValidationError(
-            f"psd_sqrt input has eigenvalue {w.min():.3e} < {_EIG_FLOOR}")
+            f"psd_sqrt input has eigenvalue {w[0]:.3e} < {floor:.3e}")
     w = np.clip(w, 0.0, None)
     R = (Q * np.sqrt(w)) @ Q.T
     return 0.5 * (R + R.T)
@@ -191,7 +192,7 @@ def linear_monge(src: GaussianMoments, dst: GaussianMoments) -> MongeMap:
         raise NumericalError(
             "the Monge map's S^1/2 Sigma S^1/2 overflows float64 at covariance"
             f" scale {max(ws[-1], wd[-1]):.3e}; rescale the features")
-    mid = psd_sqrt(inner)
+    mid = psd_sqrt(0.5 * (inner + inner.T))  # PSD but for rounding
     A = s_mhalf @ mid @ s_mhalf
     A = 0.5 * (A + A.T)
     return MongeMap(A, dst.mu - A @ src.mu)

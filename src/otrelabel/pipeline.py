@@ -389,12 +389,15 @@ def _sha256(path: str) -> str:
 class RunManifest:
     """Provenance of one pipeline run.
 
-    The digest covers config, input digests and version only, so it is
-    stable across reruns; timings and the timestamp are informational.
-    :func:`run_pipeline` fills the two dicts in as its stages finish.
+    The digest covers config, run options, input digests keyed by role
+    and version only, so it depends on content, not on the input paths,
+    timings or the timestamp, which are informational.  :func:`run_pipeline`
+    fills the input digests and the timings in as its stages finish.
     """
 
     config: dict
+    options: dict
+    input_paths: dict[str, str]
     input_digests: dict[str, str]
     stage_timings_ms: dict[str, float]
     version: str
@@ -403,14 +406,16 @@ class RunManifest:
 
     def digest(self) -> str:
         stable = json.dumps(
-            {"config": self.config, "inputs": self.input_digests,
-             "version": self.version},
+            {"config": self.config, "options": self.options,
+             "inputs": self.input_digests, "version": self.version},
             sort_keys=True)
         return hashlib.sha256(stable.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {
             "config": self.config,
+            "options": self.options,
+            "input_paths": self.input_paths,
             "input_digests": self.input_digests,
             "stage_timings_ms": self.stage_timings_ms,
             "version": self.version,
@@ -453,8 +458,10 @@ def run_pipeline(
     """
     timings: dict[str, float] = {}
     digests: dict[str, str] = {}
-    manifest = RunManifest(cfg.to_dict(), digests, timings, __version__,
-                           time.time())
+    manifest = RunManifest(cfg.to_dict(), dict(
+        passthrough=passthrough, group_col=group_col, label_col=label_col),
+        dict(features=features_path, votes=votes_path), digests, timings,
+        __version__, time.time())
     stage = "ingest"
 
     @contextmanager
@@ -469,11 +476,9 @@ def run_pipeline(
         with timed("ingest"):
             ds = load_features_csv(features_path, group_col, label_col)
             wl = load_votes_csv(votes_path)
-            report = validate_dataset(ds, wl)
-            if report:
-                raise ValidationError("; ".join(report))
-            digests.update({path: _sha256(path)
-                            for path in (features_path, votes_path)})
+            validate_dataset(ds, wl)
+            digests.update(features=_sha256(features_path),
+                           votes=_sha256(votes_path))
             blind = ds.without_labels()
 
         with timed("estimate"):

@@ -324,9 +324,7 @@ def sbm_transport(
         raise ValidationError(f"group_acc must be {wl.m}x2, got {acc.shape}")
     if np.any(np.abs(acc) > 1 + 1e-12):
         raise ValidationError("accuracy estimates must lie in [-1, 1]")
-    report = validate_dataset(ds, wl)
-    if report:
-        raise ValidationError("; ".join(report))
+    validate_dataset(ds, wl)
 
     if cfg.transport_scope == "global":
         acc = np.broadcast_to(acc.mean(axis=0), acc.shape)

@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otrelabel import GroupedDataset, PipelineConfig, WeakLabelMatrix
-from otrelabel.cli import main
+from otrelabel.cli import build_parser, main
 from otrelabel.pipeline import (
     load_votes_csv,
     parse_config_text,
@@ -28,7 +31,9 @@ def test_validate_reports_problems(tmp_path, capsys):
     votes = str(tmp_path / "v.csv")
     write_votes_csv(wl, votes)
     assert main(["validate", "--features", features, "--votes", votes]) == 1
-    assert "empty group 1" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["input error: empty group 1"]
+    assert captured.out == ""
 
 
 def test_validate_lists_every_bad_cell(tmp_path, capsys):
@@ -51,6 +56,37 @@ def test_validate_lists_every_bad_cell(tmp_path, capsys):
         f"{features}: row 5: unknown group value '7'",
         f"{features}: row 9: label must be -1 or 1, got '0'",
     ]
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "quoted"])
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_non_finite_features_are_named_one_line_each(tmp_path, capsys, verb,
+                                                     plain):
+    # nan, inf and 1e999 parse as floats; the dataset names each cell
+    ds, wl = make_biased_fixture(10, seed=1)
+    features = tmp_path / "f.csv"
+    write_features_csv(str(features), ds)
+    lines = features.read_text().splitlines()
+    for r, col, bad in ((2, 0, "nan"), (5, 1, "inf"), (9, 0, "1e999")):
+        cells = lines[r - 1].split(",")
+        cells[col] = bad
+        lines[r - 1] = ",".join(cells)
+    if not plain:
+        lines = [",".join(f'"{cell}"' for cell in line.split(","))
+                 for line in lines]
+    features.write_text("\n".join(lines) + "\n")
+    votes = str(tmp_path / "v.csv")
+    write_votes_csv(wl, votes)
+    argv = [verb, "--features", str(features), "--votes", votes]
+    assert main(argv + (["--out", str(tmp_path / "out")]
+                        if verb == "run" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "input error: non-finite feature value nan at row 0, column 0",
+        "non-finite feature value inf at row 3, column 1",
+        "non-finite feature value inf at row 7, column 0",
+    ]
+    assert captured.out == ""
 
 
 def test_validate_missing_file_is_input_error(tmp_path):
@@ -136,6 +172,20 @@ def test_every_config_field_parses_from_file_and_flag(tmp_path):
     assert main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == NON_DEFAULT_CONFIG
+
+
+def test_readme_config_keys_are_the_config_fields():
+    # the README's "Keys:" sentence lists the keys by hand; it must name
+    # exactly PipelineConfig's fields, and each must be a run flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme[readme.index("Keys: "):].split(" — ", 1)[0]
+    names = [f.name for f in fields(PipelineConfig)]
+    assert re.findall(r"`(\w+)`", sentence) == names
+    run = ["run", "--features", "f", "--votes", "v", "--out", "o"]
+    for name in names:
+        args = build_parser().parse_args(
+            run + ["--" + name.replace("_", "-"), "x"])
+        assert getattr(args, name) == "x", name
 
 
 def test_run_numerical_failure_exit_code(tmp_path, capsys):

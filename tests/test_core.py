@@ -21,7 +21,7 @@ from otrelabel.core import MAX_CELL_ERRORS
 def test_consistent_input_yields_empty_report():
     wl = WeakLabelMatrix([[1, -1], [1, 1], [-1, -1], [1, 1]])
     ds = GroupedDataset(np.zeros((4, 2)), [0, 0, 1, 1])
-    assert validate_dataset(ds, wl) == []
+    assert validate_dataset(ds, wl) is None
 
 
 def test_illegal_vote_names_the_cell():
@@ -33,14 +33,16 @@ def test_illegal_vote_names_the_cell():
 def test_all_zero_groups_reports_empty_group_one():
     wl = WeakLabelMatrix([[1], [1]])
     ds = GroupedDataset(np.zeros((2, 1)), [0, 0])
-    assert validate_dataset(ds, wl) == ["empty group 1"]
+    with pytest.raises(ValidationError, match="^empty group 1$"):
+        validate_dataset(ds, wl)
 
 
 def test_row_count_mismatch_reported():
     wl = WeakLabelMatrix([[1], [1], [1]])
     ds = GroupedDataset(np.zeros((2, 1)), [0, 1])
-    report = validate_dataset(ds, wl)
-    assert any("row-count mismatch" in line for line in report)
+    with pytest.raises(ValidationError, match="^row-count mismatch: "
+                       "2 feature rows vs 3 vote rows$"):
+        validate_dataset(ds, wl)
 
 
 def test_validate_is_idempotent():
@@ -48,10 +50,20 @@ def test_validate_is_idempotent():
                        match="^illegal vote value 2 at row 0, lf 1$"):
         WeakLabelMatrix([[1, 2], [0, -1]])
     wl = WeakLabelMatrix([[1, 1], [0, -1], [1, 0]])
-    ds = GroupedDataset([[0.0], [np.nan]], [0, 0])
-    first = validate_dataset(ds, wl)
-    assert len(first) == 3
-    assert validate_dataset(ds, wl) == first
+    # a non-finite feature is the dataset's own fact; the pair check
+    # names the other two violations, one line each, on every call
+    with pytest.raises(ValidationError,
+                       match="^non-finite feature value nan at row 1, "
+                             "column 0$"):
+        GroupedDataset([[0.0], [np.nan]], [0, 0])
+    ds = GroupedDataset([[0.0], [0.0]], [0, 0])
+    reports = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as exc:
+            validate_dataset(ds, wl)
+        reports.append(str(exc.value).split("\n"))
+    assert reports[0] == reports[1] == [
+        "row-count mismatch: 2 feature rows vs 3 vote rows", "empty group 1"]
 
 
 def test_label_values_checked():
@@ -117,6 +129,21 @@ def test_bad_entries_past_the_cap_are_counted(n_bad):
     lines = str(exc.value).split("\n")
     named = [f"illegal vote value 0.5 at row {r}, lf 1"
              for r in range(MAX_CELL_ERRORS)]
+    rest = n_bad - MAX_CELL_ERRORS
+    tail = [f"... and {rest} more bad cells"] if rest else []
+    assert lines == named + tail
+
+
+@pytest.mark.parametrize("n_bad", [MAX_CELL_ERRORS, MAX_CELL_ERRORS + 1, 25])
+def test_non_finite_features_past_the_cap_are_counted(n_bad):
+    features = np.zeros((15, 2))
+    bad = [np.nan, np.inf, -np.inf]
+    features.flat[:n_bad] = [bad[i % 3] for i in range(n_bad)]
+    with pytest.raises(ValidationError) as exc:
+        GroupedDataset(features, np.arange(15) % 2)
+    lines = str(exc.value).split("\n")
+    named = [f"non-finite feature value {bad[i % 3]} at row {i // 2}, "
+             f"column {i % 2}" for i in range(MAX_CELL_ERRORS)]
     rest = n_bad - MAX_CELL_ERRORS
     tail = [f"... and {rest} more bad cells"] if rest else []
     assert lines == named + tail

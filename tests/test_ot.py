@@ -75,6 +75,37 @@ def test_sqrt_clamps_tiny_negatives():
     assert r[1, 1] == 0.0
 
 
+def test_sqrt_floor_is_relative_to_the_largest_eigenvalue():
+    # -1e5 is rounding next to 1e12 (floor -1e-6 * 1e12), -1e7 is not
+    r = psd_sqrt(np.diag([1e12, -1e5]))
+    assert np.array_equal(r, np.diag([1e6, 0.0]))
+    with pytest.raises(ValidationError,
+                       match=r"eigenvalue -1\.000e\+07 < -1\.000e\+06"):
+        psd_sqrt(np.diag([1e12, -1e7]))
+
+
+def collinear_moments(rng, shift):
+    z = rng.normal(size=(300, 1))
+    X = np.hstack([z, z + 1e-7 * rng.normal(size=(300, 1)),
+                   rng.normal(size=(300, 1))])
+    return fit_moments(1e3 * X + shift, ridge=1e-6)
+
+
+def test_monge_map_of_nearly_collinear_features_at_scale():
+    # two columns 1e-7 apart at scale 1e3: rounding leaves
+    # S^1/2 Sigma S^1/2 an eigenvalue below -1e-6, which an absolute
+    # floor rejected as if the input were not PSD
+    rng = np.random.default_rng(1)
+    src, dst = collinear_moments(rng, 0.0), collinear_moments(rng, 1.0)
+    w, Q = np.linalg.eigh(src.sigma)
+    s_half = (Q * np.sqrt(w)) @ Q.T
+    assert np.linalg.eigvalsh(s_half @ dst.sigma @ s_half).min() < -1e-6
+    m = linear_monge(src, dst)
+    assert np.array_equal(m.A, m.A.T)
+    pushed = m.A @ src.sigma @ m.A
+    assert np.abs(pushed - dst.sigma).max() <= 1e-3 * np.abs(dst.sigma).max()
+
+
 # --------------------------------------------------------------------------
 # fit_moments
 

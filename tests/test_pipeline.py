@@ -757,11 +757,52 @@ def test_pipeline_failure_recorded_in_manifest(tmp_path, features_text,
         assert manifest["input_digests"] == {}
         assert manifest["stage_timings_ms"] == {}
     else:
-        # the inputs were read, so the manifest says which
+        # the inputs were read, so the manifest says which, by role
         assert manifest["input_digests"] == {
-            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in (p, v)}
+            role: hashlib.sha256(path.read_bytes()).hexdigest()
+            for role, path in (("features", p), ("votes", v))}
         assert set(manifest["stage_timings_ms"]) == {"ingest"}
+
+
+def test_manifest_digest_does_not_depend_on_the_input_paths(
+        tmp_path, monkeypatch):
+    _, _, features, votes = write_fixture(tmp_path, 150, seed=9)
+    data = tmp_path / "b" / "data"
+    data.mkdir(parents=True)
+    for name in ("features.csv", "votes.csv"):
+        (data / name).write_bytes((tmp_path / name).read_bytes())
+    cfg = PipelineConfig(ot_type="linear")
+    blobs = []
+    for cwd, prefix in ((tmp_path, ""), (tmp_path / "b", "data/")):
+        monkeypatch.chdir(cwd)
+        run_pipeline(cfg, prefix + "features.csv", prefix + "votes.csv",
+                     "out")
+        blobs.append((cwd / "out" / "fairness.json").read_bytes())
+        manifest = json.loads((cwd / "out" / "manifest.json").read_text())
+        assert manifest["input_paths"] == {
+            "features": prefix + "features.csv", "votes": prefix + "votes.csv"}
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("option", [
+    {"passthrough": True}, {"group_col": "g"}, {"label_col": None}],
+    ids=["passthrough", "group_col", "label_col"])
+def test_manifest_digest_covers_every_run_option(tmp_path, option):
+    _, _, features, votes = write_fixture(tmp_path, 150, seed=9)
+    # a copy of the group column, so that either one can hold the groups
+    head, *rows = (tmp_path / "features.csv").read_text().splitlines()
+    (tmp_path / "features.csv").write_text("".join(
+        f"{line},{group}\n" for line, group in
+        zip([head] + rows, ["g"] + [r.split(",")[-2] for r in rows])))
+    cfg = PipelineConfig(ot_type="linear")
+    digests = [run_pipeline(cfg, features, votes, str(tmp_path / name),
+                            **kwargs).digest()
+               for name, kwargs in (("base", {}), ("changed", option))]
+    assert digests[0] != digests[1]
+    manifest = json.loads((tmp_path / "changed" / "manifest.json").read_text())
+    assert manifest["options"] == {
+        "passthrough": False, "group_col": "group", "label_col": "label",
+        **option}
 
 
 # the calls a run makes through each name the pipeline module resolves:
