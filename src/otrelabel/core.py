@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -29,6 +30,7 @@ import numpy as np
 
 VOTE_VALUES = (-1, 0, 1)
 MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
+ROW_MISMATCH = "row-count mismatch: {} feature rows vs {} vote rows"
 
 
 class ValidationError(ValueError):
@@ -61,6 +63,14 @@ def _unchecked(cls, **values):
     for name, value in values.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _workers() -> int:
+    """CPUs the process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def require_count(name: str, value) -> int:
@@ -247,8 +257,7 @@ def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> None:
     """Raise one ValidationError, one line per violation, unless the pair
     has equal row counts and two non-empty groups: the facts neither
     container can check alone.  Side-effect free."""
-    report = [] if ds.n == wl.n else [
-        f"row-count mismatch: {ds.n} feature rows vs {wl.n} vote rows"]
+    report = [] if ds.n == wl.n else [ROW_MISMATCH.format(ds.n, wl.n)]
     report += [f"empty group {k}" for k in (0, 1) if k not in ds.groups]
     if report:
         raise ValidationError("\n".join(report))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GroupedDataset, ValidationError, WeakLabelMatrix,
-                   require_values)
+from .core import (ROW_MISMATCH, GroupedDataset, ValidationError,
+                   WeakLabelMatrix, require_values)
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 # regime_profile's share of points around a center and its curve step
@@ -148,8 +148,7 @@ def lf_delta_report(
     if before.votes.shape != after.votes.shape:
         raise ValidationError("before/after vote shapes differ")
     if before.n != ds.n:
-        raise ValidationError(
-            f"row-count mismatch: {ds.n} dataset rows vs {before.n} vote rows")
+        raise ValidationError(ROW_MISMATCH.format(ds.n, before.n))
     active = (before.votes != 0) & (after.votes != 0)
     counts = [_group_counts(wl.votes, ds.labels, ds.groups, active)
               for wl in (before, after)]

@@ -11,23 +11,25 @@ entropic plan is obtained by alternately scaling the rows and columns of
 K = exp(-M / eta) until the marginals match.
 
 Buffers: the plan is the one dense n_src x n_dst object of the package.
-One private core writes K into a buffer it is handed and scales it in
-place into the plan; the exact median of M that rescales the cost is
-selected from a small bracketed subset of M, not from a copy.  Public
-``sinkhorn_plan`` hands the core a fresh buffer, so M is never written
-and a run holds M plus the plan.  The transport stage owns its cost and
-hands the core the cost itself, which becomes K, then the plan, then the
-row-normalised plan of the barycentric projection: one buffer in all.
+One private core writes K into a buffer it is handed and scales it by
+row blocks on every CPU in the affinity set; the exact median of M that
+rescales the cost is selected from a small bracketed subset of M, not
+from a copy.  Public ``sinkhorn_plan`` hands the core a fresh buffer, so
+M is never written and a run holds M plus the plan.  The transport stage
+hands it the cost itself, which becomes K, and reads the projection from
+K and the scalings without forming the plan: one buffer in all.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import core
 from .core import NumericalError, ValidationError, require_count
 
 _SYM_TOL = 1e-8
@@ -39,6 +41,10 @@ _MEDIAN_SAMPLE = 20_000
 _MEDIAN_MIN_STRIDE = 32
 # Entries per row block of the bracket's counting pass.
 _MEDIAN_BLOCK = 1 << 14
+# Bytes of K per Sinkhorn row block: blocks, and sums, ignore the threads.
+_BLOCK_BYTES = 1 << 22
+_UNDERFLOW = ("exp(-M/eta) underflowed to zero along an entire row or "
+              "column; scaling is infeasible (increase eta)")
 
 
 @dataclass(frozen=True)
@@ -259,55 +265,76 @@ def sinkhorn_plan(
     max_iter = require_count("max_iter", max_iter)
     if not (0 < eta < np.inf and 0 < tol < np.inf):
         raise ValidationError("eta and tol must be positive and finite")
-    return _sinkhorn(M, np.empty_like(M), a, b, eta, max_iter, tol,
-                     log_objective)[0]
+    T = np.empty_like(M)
+    u, v, _, _, iterations, log = _sinkhorn(M, T, a, b, eta, max_iter, tol,
+                                            log_objective)
+    T *= u[:, None]  # scaled in place, the kernel becomes the plan
+    T *= v
+    violation = max(float(np.abs(T.sum(axis=1) - a).max()),
+                    float(np.abs(T.sum(axis=0) - b).max()))
+    return TransportPlan(T, eta, iterations, violation <= tol, violation,
+                         tuple(log) if log_objective else None)
 
 
-def _sinkhorn(M, out, a, b, eta, max_iter, tol, log_objective):
-    """:func:`sinkhorn_plan` on checked arguments, built in ``out`` (M's
-    shape, float64), which may be M itself: M is read in full before
-    ``out`` is first written.  Returns the plan, whose ``T`` is ``out``,
-    and its row sums from the final marginal check."""
+def _sinkhorn(M, K, a, b, eta, max_iter, tol, log_objective):
+    """The scaling of :func:`sinkhorn_plan` on checked arguments, K built in
+    ``K``, which may be M (read in full first).  A sweep takes Kv = K v,
+    u = a / Kv and u K by row blocks, claimed one at a time by the calling
+    thread and :func:`core._workers` - 1 helpers; v = b / (u K) sums the
+    blocks in order, and (u, v)'s violation is read from the next sweep's
+    Kv.  Returns u, v, Kv, the u K that gave v, the rounds and the log."""
     scale = _median(M)
     if scale <= 0.0:
         scale = float(M.mean()) or 1.0
-    M = np.divide(M, scale, out=out)
-    K = np.divide(M, -eta, out=out)  # -(M / eta) bit for bit: rounding
-    np.exp(K, out=K)                 # is symmetric in sign
-    if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
-        raise NumericalError(
-            "exp(-M/eta) underflowed to zero along an entire row or column; "
-            "scaling is infeasible (increase eta)")
+    n_src, n_dst = M.shape
+    step = max(1, _BLOCK_BYTES // (8 * n_dst))
+    blocks = [slice(s, s + step) for s in range(0, n_src, step)]
+    workers = min(core._workers(), len(blocks))
+    Kv, sums = np.empty(n_src), np.empty((len(blocks), n_dst))
 
-    u = np.ones(K.shape[0])
-    v = np.ones(K.shape[1])
-    log: list[float] = []
-    iterations = 0
-    Kv = K @ v
-    for _ in range(max_iter):
-        u = a / Kv
-        v = b / (K.T @ u)
-        iterations += 1
-        Kv = K @ v
-        # right after the v step the column sums equal b up to roundoff,
-        # so the worst marginal violation is on the rows
-        violation = float(np.abs(u * Kv - a).max())
-        if log_objective:
-            log.append(float(eta * (u @ Kv
-                                    - a @ np.log(u) - b @ np.log(v))))
-        if violation <= tol:
-            break
-    T = K  # scaled in place, the kernel becomes the plan
-    T *= u[:, None]
-    T *= v
-    row_sums = T.sum(axis=1)
-    violation = max(
-        float(np.abs(row_sums - a).max()),
-        float(np.abs(T.sum(axis=0) - b).max()),
-    )
-    plan = TransportPlan(T, eta, iterations, violation <= tol, violation,
-                         tuple(log) if log_objective else None)
-    return plan, row_sums
+    def build(i, rows):
+        K_b = np.divide(M[rows], scale, out=K[rows])
+        np.divide(K_b, -eta, out=K_b)  # -(M / eta) bit for bit: rounding
+        np.exp(K_b, out=K_b)           # is symmetric in sign
+
+    def sweep(i, rows):
+        if not np.matmul(K[rows], v, out=Kv[rows]).all():
+            raise NumericalError(_UNDERFLOW)
+        if iterations < max_iter:
+            np.matmul(np.divide(a[rows], Kv[rows], out=u_next[rows]),
+                      K[rows], out=sums[i])
+
+    # a pool starts its threads on its first task: none for one worker
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        def each(fn):
+            left = iter(range(len(blocks)))  # next() is atomic under the GIL
+            def run():
+                for i in left:
+                    fn(i, blocks[i])
+            helpers = [pool.submit(run) for _ in range(workers - 1)]
+            run()
+            for helper in helpers:
+                helper.result()
+
+        each(build)
+        u, v, log, iterations = None, np.ones(n_dst), [], 0
+        while True:
+            u_next = np.empty(n_src)
+            each(sweep)
+            if iterations:
+                # right after the v step the column sums equal b up to
+                # roundoff, so the worst marginal violation is on the rows
+                violation = float(np.abs(u * Kv - a).max())
+                if log_objective:
+                    log.append(float(eta * (u @ Kv - a @ np.log(u)
+                                            - b @ np.log(v))))
+                if violation <= tol or iterations == max_iter:
+                    break
+            col_sums = sums.sum(axis=0)
+            if not col_sums.all():
+                raise NumericalError(_UNDERFLOW)
+            u, v, iterations = u_next, b / col_sums, iterations + 1
+    return u, v, Kv, col_sums, iterations, log
 
 
 def _median(M: np.ndarray) -> float:
@@ -387,7 +414,8 @@ def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"X_dst must have {plan.T.shape[1]} rows, got {X_dst.shape}")
     row_sums = plan.T.sum(axis=1)
-    _require_positive_rows(row_sums)
+    if np.any(row_sums <= 0):
+        raise NumericalError("transport plan has a zero row sum")
     return (plan.T / row_sums[:, None]) @ X_dst
 
 
@@ -399,26 +427,19 @@ def _sinkhorn_projection(
     tol: float,
 ) -> tuple[np.ndarray, TransportPlan]:
     """``barycentric_map(sinkhorn_plan(cost, eta=eta, max_iter=max_iter,
-    tol=tol), X_dst)`` bit for bit, and the plan's diagnostics, in cost's
-    own buffer: the cost is overwritten by K, then the plan, which is
-    row-normalised in place.  The returned plan's ``T`` is that
-    normalised buffer.  For a caller that owns ``cost`` and ``X_dst``,
-    whose rows match the cost's columns, and has checked what
-    :func:`sinkhorn_plan` checks of a cost, ``eta``, ``tol`` and
-    ``max_iter``; the marginals are uniform."""
-    n_src, n_dst = cost.shape
-    plan, row_sums = _sinkhorn(cost, cost, np.full(n_src, 1.0 / n_src),
-                               np.full(n_dst, 1.0 / n_dst), eta, max_iter,
-                               tol, False)
-    _require_positive_rows(row_sums)
-    T = plan.T
-    T /= row_sums[:, None]
-    return T @ X_dst, plan
-
-
-def _require_positive_rows(row_sums: np.ndarray) -> None:
-    if np.any(row_sums <= 0):
-        raise NumericalError("transport plan has a zero row sum")
+    tol=tol), X_dst)`` up to rounding, and the plan's diagnostics (its
+    ``T`` is K), in cost's own buffer, overwritten by K: the projection
+    K (v X_dst) / Kv and the violations u Kv - a and v (u K) - b come from
+    K and the scalings, never from a plan.  For a caller that owns ``cost``
+    and ``X_dst`` (rows matching the cost's columns) and has checked what
+    :func:`sinkhorn_plan` checks; the marginals are uniform."""
+    a, b = (np.full(n, 1.0 / n) for n in cost.shape)
+    u, v, Kv, col_sums, iterations, _ = _sinkhorn(cost, cost, a, b, eta,
+                                                  max_iter, tol, False)
+    violation = max(float(np.abs(u * Kv - a).max()),
+                    float(np.abs(v * col_sums - b).max()))
+    return (cost @ (v[:, None] * X_dst)) / Kv[:, None], TransportPlan(
+        cost, eta, iterations, violation <= tol, violation)
 
 
 def spectral_summary(S: np.ndarray) -> SpectralSummary:

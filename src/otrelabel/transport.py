@@ -11,26 +11,26 @@ Neighbours are searched in a KD-tree on the destination rows at up to
 doubt re-rank the tree's rows near their k-th distance by ``cdist``, and
 every row at higher dimension takes an exact ``cdist`` scan, so the
 chosen neighbours never depend on which search found them.  Both tree
-searches run on every CPU in the process's affinity set; each query row
-is searched on its own, so the result never depends on that count, and
-``taskset -c 0`` pins the search to one CPU.
+searches, like the Sinkhorn scaling, run on every CPU in the process's
+affinity set; each query row is searched on its own, so the result never
+depends on that count, and ``taskset -c 0`` pins both to one CPU.
 
 Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
-squared-Euclidean cost is computed into it, and it then holds K, the plan
-and the row-normalised plan of the barycentric projection in turn.  When
-it cannot be allocated the error names its size before any work starts.
+squared-Euclidean cost is computed into it and becomes K, which the
+projection reads with the scalings.  When it cannot be allocated the
+error names its size before any work starts.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from . import core
 from .core import (
     GroupedDataset,
     NumericalError,
@@ -52,8 +52,8 @@ _CHUNK = 256
 # Provisional, set from one-core probes on Gaussian rows only: at 6k x 6k,
 # 1-NN, d = 10 tree 289 ms vs scan 327 ms, d = 12 487 vs 341; at 50k x 50k
 # the tree still wins at d = 12 (1-NN 19.0 s vs 28.7 s), so the crossover
-# rises with n_dst.  The tree now searches on every allowed CPU while the
-# scan's cdist holds the GIL (two threads scanning halves at d = 16,
+# rises with n_dst.  The tree searches on core._workers() threads while
+# the scan's cdist holds the GIL (two threads scanning halves at d = 16,
 # 6k x 6k: 378 -> 355 ms), so on more than one CPU the crossover is at
 # least this high.  Re-tune once a workload runs transport above d = 10.
 _TREE_MAX_D = 10
@@ -121,27 +121,22 @@ def knn_transfer(
         raise ValidationError("query/destination dimensions differ")
     if votes_dst.ndim not in (1, 2) or votes_dst.shape[0] != X_dst.shape[0]:
         raise ValidationError("votes_dst length must match X_dst rows")
-    for name, block in (("query", X_query), ("destination", X_dst)):
-        if not np.isfinite(block).all():
-            raise ValidationError(f"{name} coordinates must be finite")
     votes_dst = np.asarray(
         require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int64)
     k = require_count("k", k)
     if k > X_dst.shape[0]:
         raise ValidationError(
             f"k must be in [1, {X_dst.shape[0]}], got {k}")
-
-    nbrs = _nearest(X_query, X_dst, k)
-    return _majority_vote(votes_dst[nbrs])
+    return _transfer(X_query, X_dst, votes_dst, k)
 
 
-def _search_workers() -> int:
-    """CPUs the process may run on: its affinity set where the platform
-    reports one, else the machine's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _transfer(X_query: np.ndarray, X_dst: np.ndarray, votes_dst: np.ndarray,
+              k: int) -> np.ndarray:
+    """:func:`knn_transfer` past its shape, vote and ``k`` checks."""
+    for name, block in (("query", X_query), ("destination", X_dst)):
+        if not np.isfinite(block).all():
+            raise ValidationError(f"{name} coordinates must be finite")
+    return _majority_vote(votes_dst[_nearest(X_query, X_dst, k)])
 
 
 def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
@@ -161,13 +156,13 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     ``_TREE_MAX_D``, and tied rows whose coordinates span so far that
     squared distances could overflow take the full ``cdist`` scan of
     :func:`_nearest_exact`.  The result is the scan's, index for index.
-    Both tree searches split the query rows over :func:`_search_workers`
+    Both tree searches split the query rows over :func:`core._workers`
     threads; each row is searched alone, so the split changes nothing.
     """
     n_dst, d = X_dst.shape
     if not 0 < d <= _TREE_MAX_D or k + 1 > n_dst:
         return _nearest_exact(X_query, X_dst, k)
-    workers = _search_workers()
+    workers = core._workers()
     tree = cKDTree(X_dst)
     dist, idx = tree.query(X_query, k=k + 1, eps=0, workers=workers)
     bound = dist * (1.0 + _TIE_REL) + _TIE_ABS
@@ -284,11 +279,7 @@ def _transported_sources(
             "squared feature distances overflow float64 (largest |feature| "
             f"{big:.3e}); rescale the features")
     projected, plan = _sinkhorn_projection(
-        cost, X_dst,
-        eta=cfg.sinkhorn_eta,
-        max_iter=cfg.sinkhorn_max_iter,
-        tol=cfg.sinkhorn_tol,
-    )
+        cost, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, cfg.sinkhorn_tol)
     if not plan.converged:
         logger.info(
             "sinkhorn stopped after %d rounds with marginal violation "
@@ -315,9 +306,9 @@ def sbm_transport(
     transported coordinates and their nearest destination neighbours
     depend only on features, so the (at most two) directions are taken
     one at a time, in the order of each direction's first moved LF: one
-    transport of the source rows and one ``knn_transfer`` call re-label
-    every LF moved that way.  An error in a direction names that first
-    LF.
+    transport of the source rows and one kNN transfer, which trusts the
+    container's votes, re-label every LF moved that way.  An error in a
+    direction names that first LF.
     """
     acc = np.asarray(group_acc, dtype=np.float64)
     if acc.shape != (wl.m, 2):
@@ -354,7 +345,7 @@ def sbm_transport(
             X_src = _transported_sources(ds.features[src_rows], X_dst, cfg)
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"lf_{cols[0]}: {exc}") from exc
-        new_votes[np.ix_(src_rows, cols)] = knn_transfer(
+        new_votes[np.ix_(src_rows, cols)] = _transfer(
             X_src, X_dst, votes[np.ix_(dst_rows, cols)], cfg.knn_k)
 
     changed = new_votes != votes

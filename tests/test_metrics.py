@@ -263,7 +263,8 @@ def test_block_report_validates_gold_groups_and_votes_once():
     with pytest.raises(ValidationError, match="needs gold labels"):
         lf_delta_report(wl, wl, ds.without_labels())
     sub = wl.restrict_rows(np.array([True, True, False]))
-    with pytest.raises(ValidationError, match="3 dataset rows vs 2 vote"):
+    with pytest.raises(ValidationError,
+                       match="^row-count mismatch: 3 feature rows vs 2 vote"):
         lf_delta_report(sub, sub, ds)
     with pytest.raises(ValidationError, match="illegal vote value 2"):
         lf_delta_report(wl, WeakLabelMatrix(np.array([[1, 1], [2, 0], [1, 1]])),

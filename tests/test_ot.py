@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -427,6 +428,71 @@ def test_sinkhorn_accepts_a_negative_zero_cost():
     signed = cost.copy()
     signed[0, 0] = -0.0
     assert np.array_equal(sinkhorn_plan(signed).T, sinkhorn_plan(cost).T)
+
+
+def few_row_blocks(monkeypatch, n_dst, rows):
+    """Sinkhorn row blocks of ``rows`` rows for an n_dst-column cost."""
+    monkeypatch.setattr(ot, "_BLOCK_BYTES", 8 * n_dst * rows)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n_src,n_dst,rows,eta", [
+    (103, 40, 20, 1.0), (61, 77, 7, 0.3), (250, 9, 31, 2.0)])
+def test_sinkhorn_plan_over_row_blocks_matches_the_oracle(
+        monkeypatch, layout, n_src, n_dst, rows, eta):
+    # >= 5 blocks, the last one short
+    assert n_src // rows >= 5 and n_src % rows
+    few_row_blocks(monkeypatch, n_dst, rows)
+    rng = np.random.default_rng(n_src)
+    cost = as_layout(rng.uniform(0.0, 3.0, size=(n_src, n_dst)), layout)
+    plan = sinkhorn_plan(cost, eta=eta, max_iter=300, tol=1e-10)
+    oracle = sinkhorn_plan_oracle(cost, eta=eta, max_iter=300, tol=1e-10)
+    assert plan.iterations_run == oracle.iterations_run < 300
+    # Only the order of the sums differs.  Two orders of a sum of n
+    # positive terms differ by at most 2 n eps of it; per round this
+    # enters Kv (n_dst terms) and u K (n_src terms), plus two roundings
+    # for each of u and v, and reaches T = u K v from both u and v.
+    t = plan.iterations_run
+    bound = 4 * t * (n_src + n_dst + 2) * np.finfo(float).eps
+    assert np.all(np.abs(plan.T - oracle.T) <= bound * oracle.T)
+
+
+def test_sinkhorn_does_not_depend_on_the_worker_count(monkeypatch):
+    rng = np.random.default_rng(16)
+    X_src = rng.normal(size=(103, 3))
+    X_dst = rng.normal(size=(40, 3)) + 0.5
+    cost = cdist(X_src, X_dst, "sqeuclidean")
+    few_row_blocks(monkeypatch, 40, 20)  # 6 blocks, the last of 3 rows
+    plans, projections = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch as often as they can
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ot.core, "_workers", lambda: workers)
+            plans.append(sinkhorn_plan(cost, eta=0.5, max_iter=200))
+            projections.append(ot._sinkhorn_projection(
+                cost.copy(), X_dst, eta=0.5, max_iter=200, tol=1e-9))
+    finally:
+        sys.setswitchinterval(interval)
+    for plan, (projected, diagnostics) in zip(plans[1:], projections[1:]):
+        assert np.array_equal(plan.T, plans[0].T)
+        assert plan.iterations_run == plans[0].iterations_run
+        assert np.array_equal(projected, projections[0][0])
+        assert diagnostics.iterations_run == projections[0][1].iterations_run
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sinkhorn_underflow_in_any_block_raises(monkeypatch, axis):
+    # the last row, or the last column, underflows: a helper thread may
+    # sweep the block that finds it
+    cost = np.random.default_rng(17).uniform(0.0, 1.0, size=(50, 50))
+    (cost[-1] if axis == 0 else cost[:, -1])[:] = 1e6
+    few_row_blocks(monkeypatch, 50, 7)
+    monkeypatch.setattr(ot.core, "_workers", lambda: 3)
+    with pytest.raises(NumericalError, match="underflowed"):
+        sinkhorn_plan(cost)
+    with pytest.raises(NumericalError, match="underflowed"):
+        ot._sinkhorn_projection(cost, np.zeros((50, 2)), 1.0, 10, 1e-9)
 
 
 def as_layout(cost, layout):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from otrelabel import (
     ValidationError,
     WeakLabelMatrix,
 )
-from otrelabel import estimate, pipeline, transport
+from otrelabel import core, estimate, ot, pipeline
 from otrelabel.lfbank import apply_lf_bank, builtin_bank
 from otrelabel.pipeline import (
     MAX_CELL_ERRORS,
@@ -625,29 +626,31 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("ot_type, k", [("linear", 1), ("sinkhorn", 5)])
-def test_pipeline_bytes_do_not_depend_on_search_workers(
+def test_pipeline_bytes_do_not_depend_on_workers(
         tmp_path, monkeypatch, ot_type, k):
     _, _, features, votes = write_fixture(tmp_path, 300, seed=5)
     cfg = PipelineConfig(ot_type=ot_type, knn_k=k)
-    searches = []
-
-    def one_worker():
-        searches.append(1)
-        return 1
-
+    # a few source rows per Sinkhorn block, so every worker sweeps some
+    monkeypatch.setattr(ot, "_BLOCK_BYTES", 1 << 12)
+    callers = set()
     blobs = []
-    for name in ("default", "one"):
-        if name == "one":
-            monkeypatch.setattr(transport, "_search_workers", one_worker)
-        out = tmp_path / name
+    for workers in (1, 2, 3):
+        def pinned(workers=workers):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return workers
+
+        monkeypatch.setattr(core, "_workers", pinned)
+        out = tmp_path / str(workers)
         run_pipeline(cfg, features, votes, str(out))
         blobs.append({
             p: (out / p).read_bytes()
             for p in ("votes_repaired.csv", "pseudolabels.csv",
                       "fairness.json")})
-    assert blobs[0] == blobs[1]
-    # the pinned run searched the tree, and transport moved votes
-    assert searches
+    assert blobs[0] == blobs[1] == blobs[2]
+    # the tree search, and the Sinkhorn sweeps, took the pinned count,
+    # and transport moved votes
+    assert callers == {"otrelabel.transport"} | (
+        {"otrelabel.ot"} if ot_type == "sinkhorn" else set())
     with open(votes, "rb") as fh:
         assert blobs[0]["votes_repaired.csv"] != fh.read()
 

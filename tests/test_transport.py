@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from scipy.spatial.distance import cdist
 
+import otrelabel.core as core
 import otrelabel.transport as transport
 from otrelabel import (
     GroupedDataset,
@@ -325,7 +326,7 @@ def test_search_does_not_depend_on_worker_count(monkeypatch, kind, k):
     expected = transport._nearest_exact(query, dst, k)
     found = []
     for workers in (1, 2):
-        monkeypatch.setattr(transport, "_search_workers", lambda: workers)
+        monkeypatch.setattr(core, "_workers", lambda: workers)
         found.append(transport._nearest(query, dst, k))
         assert np.array_equal(found[-1], expected)
     assert np.array_equal(found[0], found[1])
@@ -352,7 +353,7 @@ def test_both_tree_searches_get_the_worker_count(monkeypatch):
     query = tie_heavy_points(rng, "grid", 50, 3)
     monkeypatch.setattr(RecordingTree, "workers", [])
     monkeypatch.setattr(transport, "cKDTree", RecordingTree)
-    monkeypatch.setattr(transport, "_search_workers", lambda: 3)
+    monkeypatch.setattr(core, "_workers", lambda: 3)
     nbrs = transport._nearest(query, dst, 2)
     assert np.array_equal(nbrs, transport._nearest_exact(query, dst, 2))
     assert RecordingTree.workers == [("query", 3), ("query_ball_point", 3)]
@@ -361,15 +362,15 @@ def test_both_tree_searches_get_the_worker_count(monkeypatch):
 def test_search_workers_count_the_affinity_set(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
                         raising=False)
-    assert transport._search_workers() == 2
+    assert core._workers() == 2
 
 
 def test_search_workers_fall_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert transport._search_workers() == 6
+    assert core._workers() == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert transport._search_workers() == 1
+    assert core._workers() == 1
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +514,10 @@ def test_sinkhorn_transport_matches_the_public_plan_and_projection(
                       max_iter=max_iter, tol=cfg.sinkhorn_tol),
         X_dst)
     got = transport._transported_sources(X_src, X_dst, cfg)
-    assert np.array_equal(got, public)
+    # the projection is read from the scalings, K (v X_dst) / Kv, not
+    # from the plan's rows: a different order of n_dst-term sums
+    bound = 4 * n_dst * np.finfo(float).eps * np.abs(X_dst).max()
+    assert np.all(np.abs(got - public) <= bound)
 
 
 def test_sinkhorn_transport_holds_one_dense_buffer():
@@ -639,6 +643,24 @@ def oracle_repair(ds, wl, moves, k):
     return expected
 
 
+def test_transport_does_not_check_container_votes_again(monkeypatch):
+    ds, wl = make_biased_fixture(200, seed=8)
+    blind = ds.without_labels()
+    est = per_group_accuracies(wl, blind)
+    cfg = PipelineConfig(ot_type="linear")
+    expected = sbm_transport(blind, wl, est, cfg).new_votes.votes
+
+    def no_check(*args):
+        raise AssertionError("votes checked again")
+
+    monkeypatch.setattr(transport, "require_values", no_check)
+    moved = sbm_transport(blind, wl, est, cfg).new_votes.votes
+    assert np.array_equal(moved, expected)
+    assert not np.array_equal(moved, wl.votes)
+    with pytest.raises(AssertionError, match="checked again"):
+        knn_transfer(ds.features, ds.features, wl.votes, 1)
+
+
 @pytest.mark.parametrize("scope, per_lf_group, moves, n_calls", [
     ("global", [[0.9, 0.6], [0.8, 0.7], [0.7, 0.7]],
      [(0, 1, 0), (1, 1, 0), (2, 1, 0)], 1),
@@ -655,13 +677,13 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
     est = np.array(per_lf_group)
     cfg = PipelineConfig(ot_type="none", knn_k=3, transport_scope=scope)
     calls = []
-    real = transport.knn_transfer
+    real = transport._transfer
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(transport, "knn_transfer", counting)
+    monkeypatch.setattr(transport, "_transfer", counting)
     result = sbm_transport(ds, wl, est, cfg)
     assert len(calls) == n_calls
     assert np.array_equal(result.new_votes.votes,
