@@ -33,7 +33,8 @@ print(f"  -> limit 0.5, check passed: {shift['passed']}")
 
 lp = bundle["lipschitz"]
 print("\nLipschitz ratios vs the 4*theta0 bound:")
-for theta0, ratio, bound in zip(lp["theta0"], lp["max_ratio"], lp["bound"]):
+for theta0, ratio, bound in zip(lp["sweep_values"], lp["measured"],
+                                lp["bound_or_limit"]):
     print(f"  theta0={theta0}: max observed {ratio:.4f} < bound {bound:.1f}")
 print(f"  -> check passed: {lp['passed']}")
 

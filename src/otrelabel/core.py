@@ -247,7 +247,7 @@ class PipelineConfig:
             raise ValidationError(
                 f"end_model must be True or False, got {self.end_model!r}")
         if self.l2 < 0:
-            raise ValidationError("bad end-model hyperparameters")
+            raise ValidationError("l2 must be nonnegative")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -15,7 +15,7 @@ group with no gold positives has no eo gap (``eo_defined=False``).  F1 is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,20 +38,13 @@ class FairnessReport:
     eo_defined: bool = True
 
     def to_dict(self) -> dict:
-        """The report as JSON values, each NaN rate as None."""
-        def value(x: float):
+        """The fields by name, tuples as lists and NaN rates as None."""
+        def value(x):
+            if isinstance(x, tuple):
+                return [value(v) for v in x]
             return None if math.isnan(x) else x
 
-        return {
-            "accuracy": value(self.accuracy),
-            "f1": value(self.f1),
-            "dp_gap": value(self.dp_gap),
-            "eo_gap": value(self.eo_gap),
-            "eo_defined": self.eo_defined,
-            "per_group_accuracy": [value(x) for x in self.per_group_accuracy],
-            "positive_rate_per_group":
-                [value(x) for x in self.positive_rate_per_group],
-        }
+        return {f.name: value(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ artifacts are written here; the labeling-function banks live in
 File formats
 ------------
 Features CSV: UTF-8, header row, comma-separated, ``.`` decimal.  Any
-number of numeric feature columns (any spelling Python's ``float``
-accepts), one group column with values ``0``/``1``, and an optional
-label column with values ``-1``/``1``/``+1``; no name appears twice.
+number of numeric feature columns (finite numbers, in any spelling
+Python's ``float`` accepts), one group column with values ``0``/``1``,
+and an optional label column with values ``-1``/``1``/``+1``; no name
+appears twice.
 
 Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, values ``-1``, ``0``,
 ``1`` or ``+1``, row-aligned with the features CSV.
@@ -412,17 +413,10 @@ class RunManifest:
         return hashlib.sha256(stable.encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "options": self.options,
-            "input_paths": self.input_paths,
-            "input_digests": self.input_digests,
-            "stage_timings_ms": self.stage_timings_ms,
-            "version": self.version,
-            "created_unix": self.created_unix,
-            "failed_stage": self.failed_stage,
-            "digest": self.digest(),
-        }
+        """The manifest's fields by name, plus its ``digest``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["digest"] = self.digest()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,24 +540,19 @@ def run_pipeline(
 
 
 def write_theory_artifacts(bundle: dict, out_dir: str) -> None:
-    """Emit the JSON bundle plus plot-ready CSVs for the two sweeps."""
+    """Emit the JSON bundle plus one plot-ready CSV per sweep report,
+    with header ``<value>,measured,bound_or_limit``."""
     write_json(bundle, os.path.join(out_dir, "theory_report.json"))
-
-    def sweep_csv(report: dict, path: str, value_name: str):
-        _write_csv(path, [value_name, "measured", "bound_or_limit"],
+    for name, filename, value_name in (
+            ("shift_limit", "shift_sweep.csv", "shift"),
+            ("lipschitz", "lipschitz.csv", "theta0"),
+            ("map_error_bound", "map_error_sweep.csv", "n")):
+        report = bundle[name]
+        _write_csv(os.path.join(out_dir, filename),
+                   [value_name, "measured", "bound_or_limit"],
                    ([repr(float(x)) for x in row]
                     for row in zip(report["sweep_values"], report["measured"],
                                    report["bound_or_limit"])))
-
-    sweep_csv(bundle["shift_limit"],
-              os.path.join(out_dir, "shift_sweep.csv"), "shift")
-    sweep_csv(bundle["map_error_bound"],
-              os.path.join(out_dir, "map_error_sweep.csv"), "n")
-    lp = bundle["lipschitz"]
-    _write_csv(os.path.join(out_dir, "lipschitz.csv"),
-               ["theta0", "max_ratio", "bound"],
-               ([repr(float(x)) for x in row]
-                for row in zip(lp["theta0"], lp["max_ratio"], lp["bound"])))
 
 
 def write_regime_csv(profile, path: str) -> None:

@@ -25,7 +25,7 @@ their reports; ``pipeline.write_theory_artifacts`` writes the bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,13 +93,10 @@ class SweepReport:
             raise ValidationError("sweep report lists must share a length")
 
     def to_dict(self) -> dict:
-        return {
-            "sweep_values": list(self.sweep_values),
-            "measured": list(self.measured),
-            "bound_or_limit": list(self.bound_or_limit),
-            "passed": self.passed,
-            "extras": self.extras,
-        }
+        """The report's fields by name, each tuple as a list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: list(v) if isinstance(v, tuple) else v
+                for name, v in values.items()}
 
 
 def proximity(x: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -323,23 +320,22 @@ def run_theory_suite(
 ) -> dict:
     """Run the three numeric checks and bundle their reports.
 
-    The bundle's ``passed`` is the conjunction of the individual flags;
-    the CLI maps a false overall flag to exit status 3.
+    Each check is a :class:`SweepReport` (the Lipschitz one sweeps
+    theta0, with bound 4 * theta0), written as its ``to_dict``; the
+    bundle's ``passed`` is the conjunction of the three flags, and the
+    CLI maps a false overall flag to exit status 3.
     """
     shift_model = SyntheticModel.gaussian(SHIFT_DIM, SHIFT_THETA0)
     shift_report = shift_sweep(shift_model, shifts, shift_n, seed=seed)
 
-    ratios = []
-    for i, theta0 in enumerate(LIPSCHITZ_THETA0S):
-        model = SyntheticModel.gaussian(LIPSCHITZ_DIM, theta0)
-        ratios.append(lipschitz_check(model, lipschitz_trials, seed=seed + i))
-    bounds = [4.0 * t for t in LIPSCHITZ_THETA0S]
-    lipschitz = {
-        "theta0": list(LIPSCHITZ_THETA0S),
-        "max_ratio": ratios,
-        "bound": bounds,
-        "passed": all(r < b for r, b in zip(ratios, bounds)),
-    }
+    ratios = tuple(
+        lipschitz_check(SyntheticModel.gaussian(LIPSCHITZ_DIM, theta0),
+                        lipschitz_trials, seed=seed + i)
+        for i, theta0 in enumerate(LIPSCHITZ_THETA0S))
+    bounds = tuple(4.0 * t for t in LIPSCHITZ_THETA0S)
+    lipschitz = SweepReport(
+        sweep_values=LIPSCHITZ_THETA0S, measured=ratios, bound_or_limit=bounds,
+        passed=all(r < b for r, b in zip(ratios, bounds)))
 
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((MAP_DIM, MAP_DIM)))
@@ -350,11 +346,8 @@ def run_theory_suite(
     map_report = map_error_sweep(
         map_model, map_sizes, seed=seed, holdout=map_holdout)
 
-    bundle = {
-        "shift_limit": shift_report.to_dict(),
-        "lipschitz": lipschitz,
-        "map_error_bound": map_report.to_dict(),
-        "passed": bool(
-            shift_report.passed and lipschitz["passed"] and map_report.passed),
-    }
+    reports = {"shift_limit": shift_report, "lipschitz": lipschitz,
+               "map_error_bound": map_report}
+    bundle = {name: report.to_dict() for name, report in reports.items()}
+    bundle["passed"] = all(report.passed for report in reports.values())
     return bundle

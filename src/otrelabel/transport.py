@@ -121,21 +121,15 @@ def knn_transfer(
         raise ValidationError("query/destination dimensions differ")
     if votes_dst.ndim not in (1, 2) or votes_dst.shape[0] != X_dst.shape[0]:
         raise ValidationError("votes_dst length must match X_dst rows")
+    for name, block in (("query", X_query), ("destination", X_dst)):
+        if not np.isfinite(block).all():
+            raise ValidationError(f"{name} coordinates must be finite")
     votes_dst = np.asarray(
         require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int64)
     k = require_count("k", k)
     if k > X_dst.shape[0]:
         raise ValidationError(
             f"k must be in [1, {X_dst.shape[0]}], got {k}")
-    return _transfer(X_query, X_dst, votes_dst, k)
-
-
-def _transfer(X_query: np.ndarray, X_dst: np.ndarray, votes_dst: np.ndarray,
-              k: int) -> np.ndarray:
-    """:func:`knn_transfer` past its shape, vote and ``k`` checks."""
-    for name, block in (("query", X_query), ("destination", X_dst)):
-        if not np.isfinite(block).all():
-            raise ValidationError(f"{name} coordinates must be finite")
     return _majority_vote(votes_dst[_nearest(X_query, X_dst, k)])
 
 
@@ -306,9 +300,9 @@ def sbm_transport(
     transported coordinates and their nearest destination neighbours
     depend only on features, so the (at most two) directions are taken
     one at a time, in the order of each direction's first moved LF: one
-    transport of the source rows and one kNN transfer, which trusts the
-    container's votes, re-label every LF moved that way.  An error in a
-    direction names that first LF.
+    transport of the source rows and one :func:`knn_transfer` call
+    re-label every LF moved that way.  An error in a direction names that
+    first LF.
     """
     acc = np.asarray(group_acc, dtype=np.float64)
     if acc.shape != (wl.m, 2):
@@ -345,7 +339,7 @@ def sbm_transport(
             X_src = _transported_sources(ds.features[src_rows], X_dst, cfg)
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"lf_{cols[0]}: {exc}") from exc
-        new_votes[np.ix_(src_rows, cols)] = _transfer(
+        new_votes[np.ix_(src_rows, cols)] = knn_transfer(
             X_src, X_dst, votes[np.ix_(dst_rows, cols)], cfg.knn_k)
 
     changed = new_votes != votes

@@ -188,6 +188,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(class_balance=1.0)
     with pytest.raises(ValidationError):
         PipelineConfig(end_model="off")
+    with pytest.raises(ValidationError, match="l2 must be nonnegative"):
+        PipelineConfig(l2=-1)
 
 
 FLOAT_FIELDS = ("sinkhorn_eta", "sinkhorn_tol", "covariance_ridge",

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from hypothesis import strategies as st
 from otrelabel import (
     NumericalError,
     PipelineConfig,
+    SweepReport,
     ValidationError,
     WeakLabelMatrix,
+    fairness_report,
 )
-from otrelabel import core, estimate, ot, pipeline
+from otrelabel import core, estimate, ot, pipeline, synthetic
 from otrelabel.lfbank import apply_lf_bank, builtin_bank
 from otrelabel.pipeline import (
     MAX_CELL_ERRORS,
+    RunManifest,
     load_features_csv,
     load_votes_csv,
     parse_config_text,
@@ -848,8 +852,13 @@ def test_pipeline_calls_each_step_through_its_module_name(
 # theory suite
 
 
-def test_theory_suite_small_run_passes(tmp_path):
-    bundle = run_theory_suite(
+THEORY_CSVS = {"shift_limit": ("shift_sweep.csv", "shift"),
+               "lipschitz": ("lipschitz.csv", "theta0"),
+               "map_error_bound": ("map_error_sweep.csv", "n")}
+
+
+def small_theory_suite():
+    return run_theory_suite(
         seed=0,
         shifts=(0.0, 5.0, 1000.0),
         shift_n=4000,
@@ -857,14 +866,57 @@ def test_theory_suite_small_run_passes(tmp_path):
         map_sizes=(100, 1000),
         map_holdout=3000,
     )
+
+
+def test_theory_suite_small_run_passes(tmp_path):
+    bundle = small_theory_suite()
     assert bundle["shift_limit"]["passed"]
     assert bundle["lipschitz"]["passed"]
     assert bundle["map_error_bound"]["passed"]
     assert bundle["passed"]
+    # one report shape: every entry but the overall flag is a SweepReport
+    assert set(bundle) == {*THEORY_CSVS, "passed"}
+    for name in THEORY_CSVS:
+        assert set(bundle[name]) == {f.name for f in fields(SweepReport)}
+    assert bundle["passed"] == all(bundle[name]["passed"]
+                                   for name in THEORY_CSVS)
+    lp = bundle["lipschitz"]
+    assert lp["sweep_values"] == list(synthetic.LIPSCHITZ_THETA0S)
+    assert lp["bound_or_limit"] == [4.0 * t for t in lp["sweep_values"]]
+    assert lp["extras"] == {}
+
     write_theory_artifacts(bundle, str(tmp_path))
-    assert (tmp_path / "theory_report.json").exists()
-    shift_csv = (tmp_path / "shift_sweep.csv").read_text().splitlines()
-    assert shift_csv[0] == "shift,measured,bound_or_limit"
-    assert len(shift_csv) == 4
-    assert (tmp_path / "map_error_sweep.csv").exists()
-    assert (tmp_path / "lipschitz.csv").exists()
+    assert json.loads((tmp_path / "theory_report.json").read_text()) == bundle
+    for name, (filename, value_name) in THEORY_CSVS.items():
+        report = bundle[name]
+        lines = (tmp_path / filename).read_text().splitlines()
+        assert lines[0] == f"{value_name},measured,bound_or_limit"
+        assert lines[1:] == [
+            ",".join(repr(float(x)) for x in row)
+            for row in zip(report["sweep_values"], report["measured"],
+                           report["bound_or_limit"])]
+
+
+def test_theory_suite_passes_only_if_every_check_passes(monkeypatch):
+    monkeypatch.setattr(synthetic, "lipschitz_check",
+                        lambda model, trials, seed: 4.0 * model.theta0)
+    bundle = small_theory_suite()
+    assert bundle["shift_limit"]["passed"]
+    assert bundle["map_error_bound"]["passed"]
+    assert bundle["lipschitz"]["passed"] is False
+    assert bundle["lipschitz"]["measured"] == bundle["lipschitz"][
+        "bound_or_limit"]
+    assert bundle["passed"] is False
+
+
+def test_report_dicts_are_read_from_their_fields():
+    reports = [
+        (fairness_report(np.array([1, -1]), np.array([1, 1]),
+                         np.array([0, 1])), set()),
+        (SweepReport((1.0,), (0.5,), (0.5,), True), set()),
+        (RunManifest({}, {}, {}, {}, {}, "0", 0.0), {"digest"}),
+        (PipelineConfig(), set()),
+    ]
+    for report, extra in reports:
+        assert set(report.to_dict()) == (
+            {f.name for f in fields(report)} | extra)

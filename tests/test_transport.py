@@ -643,24 +643,6 @@ def oracle_repair(ds, wl, moves, k):
     return expected
 
 
-def test_transport_does_not_check_container_votes_again(monkeypatch):
-    ds, wl = make_biased_fixture(200, seed=8)
-    blind = ds.without_labels()
-    est = per_group_accuracies(wl, blind)
-    cfg = PipelineConfig(ot_type="linear")
-    expected = sbm_transport(blind, wl, est, cfg).new_votes.votes
-
-    def no_check(*args):
-        raise AssertionError("votes checked again")
-
-    monkeypatch.setattr(transport, "require_values", no_check)
-    moved = sbm_transport(blind, wl, est, cfg).new_votes.votes
-    assert np.array_equal(moved, expected)
-    assert not np.array_equal(moved, wl.votes)
-    with pytest.raises(AssertionError, match="checked again"):
-        knn_transfer(ds.features, ds.features, wl.votes, 1)
-
-
 @pytest.mark.parametrize("scope, per_lf_group, moves, n_calls", [
     ("global", [[0.9, 0.6], [0.8, 0.7], [0.7, 0.7]],
      [(0, 1, 0), (1, 1, 0), (2, 1, 0)], 1),
@@ -677,13 +659,13 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
     est = np.array(per_lf_group)
     cfg = PipelineConfig(ot_type="none", knn_k=3, transport_scope=scope)
     calls = []
-    real = transport._transfer
+    real = transport.knn_transfer
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(transport, "_transfer", counting)
+    monkeypatch.setattr(transport, "knn_transfer", counting)
     result = sbm_transport(ds, wl, est, cfg)
     assert len(calls) == n_calls
     assert np.array_equal(result.new_votes.votes,
