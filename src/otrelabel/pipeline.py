@@ -42,6 +42,7 @@ import io
 import json
 import logging
 import os
+import stat
 import tempfile
 import time
 from collections import Counter
@@ -114,19 +115,8 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str, overrides: Optional[dict] = None) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            kwargs = parse_config_text(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if overrides:
-        kwargs.update(overrides)
-    return PipelineConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# input reading and CSV ingestion
 
 _GROUPS = {"0": 0, "1": 1}
 _LABELS = {"-1": -1, "1": 1, "+1": 1}
@@ -135,18 +125,33 @@ _VOTES = {"-1": -1, "0": 0, "1": 1, "+1": 1}
 _BYTE_VOTE = np.array([{45: -1, 48: 0, 49: 1}.get(b, 2) for b in range(256)])
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read(path: str) -> bytes:
+    """The bytes of the input file ``path``, the one place an input is
+    opened.  Only a regular file can be read twice, so anything else is
+    refused before it is opened: a FIFO fails instead of blocking."""
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValidationError(f"{path}: not a regular file")
         with open(path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("utf-8").removeprefix("\ufeff")
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 input file ``path``, without a leading BOM;
+    a byte that is not UTF-8 is named by its offset."""
+    data = _read(path)
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not "
             f"UTF-8: {exc.reason}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+
+
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -170,20 +175,18 @@ def _require_unique(path: str, header: list[str]) -> None:
                               f"{', '.join(map(repr, repeated))}")
 
 
-def _plain_lines(path: str) -> Optional[tuple[list[str], bytes]]:
-    """``(header, body)`` of a file without quote characters, with LF or
+def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes]]:
+    """``(header, body)`` of file bytes without quote characters, with LF or
     CRLF line ends (the body comes back with LF ones), an ASCII body and
     no blank first body line, else None; ``csv`` splits its header at ","."""
+    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
+    head, _, body = data.partition(b"\n")
+    if (not head or body[:1] in (b"", b"\n") or b'"' in data
+            or b"\r" in data or not body.isascii()):
+        return None
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
-        head, _, body = data.partition(b"\n")
-        if (not head or body[:1] in (b"", b"\n") or b'"' in data
-                or b"\r" in data or not body.isascii()):
-            return None
         return [h.strip() for h in head.decode("utf-8").split(",")], body
-    except (OSError, UnicodeDecodeError):
+    except UnicodeDecodeError:
         return None
 
 
@@ -253,7 +256,7 @@ def load_features_csv(
     -1/1.  Errors carry 1-based row numbers (the header is row 1) and
     column names, one line per bad cell.
     """
-    plain = _plain_lines(path)
+    plain = _plain_lines(_read(path))
     values = plain and _plain_table(plain[1], len(plain[0]))
     header, rows = (plain[0], None) if values is not None else _read_rows(path)
     _require_unique(path, header)
@@ -288,13 +291,18 @@ def load_features_csv(
         values = _parse_cells(path, rows or _read_rows(path)[1], columns,
                               np.float64)
     d = len(feature_cols)
+    bad = np.argwhere(~np.isfinite(values[:, :d]))
+    if len(bad):
+        raise cell_error([f"{path}: row {r + 2}, column {feature_cols[c]!r}: "
+                          f"non-finite value {values[r, c]}"
+                          for r, c in bad[:MAX_CELL_ERRORS]], len(bad))
     return GroupedDataset(values[:, :d], values[:, d],
                           values[:, d + 1] if has_labels else None)
 
 
 def load_votes_csv(path: str) -> WeakLabelMatrix:
     """Parse a votes CSV (header lf_0..lf_{m-1}, values in {-1, 0, 1})."""
-    plain = _plain_lines(path)
+    plain = _plain_lines(_read(path))
     votes = plain and _plain_votes(plain[1], len(plain[0]))
     header, rows = (plain[0], None) if votes is not None else _read_rows(path)
     expected = [f"lf_{j}" for j in range(len(header))]
@@ -320,16 +328,17 @@ def read_raw_csv(path: str) -> dict[str, list[str]]:
 # artifact writing
 
 
-def _atomic_write(path: str, write_fn: Callable) -> None:
-    """Write ``path`` through a temporary file in its directory; an
-    unwritable path is an input error."""
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its
+    directory: the one place a file is written.  An unwritable path is an
+    input error."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                write_fn(fh)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -342,13 +351,9 @@ def _atomic_write(path: str, write_fn: Callable) -> None:
 def _write_csv(path: str, header: Sequence[str],
                rows: Iterable[Sequence[str]]) -> None:
     """Rows of string cells, comma-joined and unquoted (every cell is a
-    number's text or a header name), written one at a time."""
-    def write(fh):
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-    _atomic_write(path, write)
+    number's text or a header name)."""
+    _atomic_write(path, "".join(
+        ",".join(row) + "\n" for row in (header, *rows)))
 
 
 def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
@@ -358,7 +363,7 @@ def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
     cells[:, -1] = np.array([b"-1\n", b"0\n", b"1\n"])[wl.votes[:, -1] + 1]
     header = ",".join(f"lf_{j}" for j in range(wl.m)) + "\n"
     body = cells.tobytes().replace(b"\0", b"").decode("ascii")
-    _atomic_write(path, lambda fh: fh.write(header + body))
+    _atomic_write(path, header + body)
 
 
 def _write_pseudolabels(path: str, probs: np.ndarray,
@@ -370,20 +375,15 @@ def _write_pseudolabels(path: str, probs: np.ndarray,
     ends = {label: f",{label}\n" for label in np.unique(hard).tolist()}
     body = "".join([text[i] + ends[label]
                     for i, label in zip(row_of.tolist(), hard.tolist())])
-    _atomic_write(path, lambda fh: fh.write("prob,label\n" + body))
+    _atomic_write(path, "prob,label\n" + body)
 
 
-def write_json(obj: dict, path: str) -> None:
-    _atomic_write(path, lambda fh: fh.write(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"))
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+def write_json(obj, path: str) -> None:
+    """Indented, key-sorted JSON of ``obj``; any object in it that is not
+    JSON is written as its ``to_dict()``, and NaN is refused."""
+    _atomic_write(path, json.dumps(
+        obj, indent=2, sort_keys=True, allow_nan=False,
+        default=lambda report: report.to_dict()) + "\n")
 
 
 @dataclass(frozen=True)
@@ -471,8 +471,8 @@ def run_pipeline(
             ds = load_features_csv(features_path, group_col, label_col)
             wl = load_votes_csv(votes_path)
             validate_dataset(ds, wl)
-            digests.update(features=_sha256(features_path),
-                           votes=_sha256(votes_path))
+            for role, path in manifest.input_paths.items():
+                digests[role] = hashlib.sha256(_read(path)).hexdigest()
             blind = ds.without_labels()
 
         with timed("estimate"):
@@ -504,18 +504,11 @@ def run_pipeline(
             else:
                 fairness = {
                     "skipped": False,
-                    "per_lf": [
-                        {"name": row["name"],
-                         "before": row["before"].to_dict(),
-                         "after": row["after"].to_dict(),
-                         "delta": row["delta"]}
-                        for row in lf_delta_report(wl, repaired, ds)
-                    ],
-                    "pseudolabels": fairness_report(
-                        hard, ds.labels, ds.groups).to_dict(),
+                    "per_lf": lf_delta_report(wl, repaired, ds),
+                    "pseudolabels": fairness_report(hard, ds.labels,
+                                                    ds.groups),
                     "end_model": (
-                        fairness_report(end_preds, ds.labels,
-                                        ds.groups).to_dict()
+                        fairness_report(end_preds, ds.labels, ds.groups)
                         if end_preds is not None else None),
                 }
             fairness["manifest_digest"] = manifest.digest()
@@ -524,11 +517,11 @@ def run_pipeline(
             _write_pseudolabels(os.path.join(out_dir, "pseudolabels.csv"),
                                 probs, hard)
             write_json(fairness, os.path.join(out_dir, "fairness.json"))
-        write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
+        write_json(manifest, os.path.join(out_dir, "manifest.json"))
         return manifest
     except Exception:
         try:
-            write_json(replace(manifest, failed_stage=stage).to_dict(),
+            write_json(replace(manifest, failed_stage=stage),
                        os.path.join(out_dir, "manifest.json"))
         except ValidationError:
             pass  # the original error is the one to report

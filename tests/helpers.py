@@ -451,13 +451,14 @@ def load_features_oracle(
                 raise ValidationError(
                     f"{path}: row {lineno}: label must be -1 or 1, got {l!r}")
             labels[r] = int(l)
-    # every cell parses before the dataset names a non-finite feature
+    # every cell parses before the loader names a non-finite feature
     bad = [(r, c) for r in range(n) for c in range(len(feature_cols))
            if not math.isfinite(features[r, c])]
     if bad:
         r, c = bad[0]
-        raise ValidationError(f"non-finite feature value {features[r, c]} "
-                              f"at row {r}, column {c}")
+        raise ValidationError(f"{path}: row {r + 2}, column "
+                              f"{feature_cols[c]!r}: non-finite value "
+                              f"{features[r, c]}")
     return GroupedDataset(features, groups, labels)
 
 

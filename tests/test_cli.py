@@ -1,12 +1,14 @@
 import json
+import os
 import re
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otrelabel import GroupedDataset, PipelineConfig, WeakLabelMatrix
+from otrelabel import GroupedDataset, PipelineConfig, WeakLabelMatrix, pipeline
 from otrelabel.cli import build_parser, main
 from otrelabel.pipeline import (
     load_votes_csv,
@@ -62,7 +64,8 @@ def test_validate_lists_every_bad_cell(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["validate", "run"])
 def test_non_finite_features_are_named_one_line_each(tmp_path, capsys, verb,
                                                      plain):
-    # nan, inf and 1e999 parse as floats; the dataset names each cell
+    # nan, inf and 1e999 parse as floats; the loader names each cell at
+    # its file row and column
     ds, wl = make_biased_fixture(10, seed=1)
     features = tmp_path / "f.csv"
     write_features_csv(str(features), ds)
@@ -82,9 +85,9 @@ def test_non_finite_features_are_named_one_line_each(tmp_path, capsys, verb,
                         if verb == "run" else [])) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "input error: non-finite feature value nan at row 0, column 0",
-        "non-finite feature value inf at row 3, column 1",
-        "non-finite feature value inf at row 7, column 0",
+        f"input error: {features}: row 2, column 'f0': non-finite value nan",
+        f"{features}: row 5, column 'f1': non-finite value inf",
+        f"{features}: row 9, column 'f0': non-finite value inf",
     ]
     assert captured.out == ""
 
@@ -434,8 +437,8 @@ def test_theory_verb_writes_bundle(tmp_path, capsys):
     assert code == 0
     bundle = json.loads((tmp_path / "theory_report.json").read_text())
     assert bundle["passed"] is True
-    out = capsys.readouterr().out
-    assert "shift_limit: ok" in out
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "shift_limit: ok", "lipschitz: ok", "map_error_bound: ok"]
 
 
 def test_theory_verb_failure_exit_code(tmp_path):
@@ -463,12 +466,15 @@ def test_theory_rejects_lists_it_cannot_check(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "validate", "lf-bank"])
+@pytest.mark.parametrize("verb", ["run", "validate", "lf-bank", "config"])
 def test_non_utf8_input_is_one_line_input_error(tmp_path, capsys, verb):
-    # one reader per verb: features, votes and a raw table
+    # one input per case: features, votes, a raw table and a config file
     _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
     raw = str(write_adult_raw(tmp_path))
-    bad = {"run": features, "validate": votes, "lf-bank": raw}[verb]
+    config = tmp_path / "run.cfg"
+    config.write_text("ot_type=linear\nknn_k=3\n")
+    bad = {"run": features, "validate": votes, "lf-bank": raw,
+           "config": str(config)}[verb]
     with open(bad, "rb") as fh:
         data = fh.read()
     offset = data.index(b"\n") + 2
@@ -478,11 +484,69 @@ def test_non_utf8_input_is_one_line_input_error(tmp_path, capsys, verb):
                     "--out", str(tmp_path / "out")],
             "validate": ["validate", "--features", features, "--votes", votes],
             "lf-bank": ["lf-bank", "--bank", "adult-v1", "--raw", raw,
-                        "--out", str(tmp_path / "v.csv")]}[verb]
+                        "--out", str(tmp_path / "v.csv")],
+            "config": ["run", "--features", features, "--votes", votes,
+                       "--out", str(tmp_path / "out"),
+                       "--config", str(config)]}[verb]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"input error: {bad}: byte {offset} (0xff) is not UTF-8: "
         "invalid start byte\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("role", ["features", "votes", "config",
+                                  "category-map"])
+def test_piped_input_is_not_a_regular_file(tmp_path, capsys, role):
+    # every input is read more than once, and a pipe yields its bytes once
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+    raw = str(write_adult_raw(tmp_path))
+    data = {"features": Path(features).read_bytes(),
+            "votes": Path(votes).read_bytes(),
+            "config": b"ot_type=linear\n", "category-map": b"{}"}[role]
+    assert len(data) < 1 << 16  # the writer never waits for a reader
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        os.write(write_fd, data)
+        os.close(write_fd)  # a reader that reads sees the end, not a hang
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    pipe = f"/dev/fd/{read_fd}"
+    inputs = {"features": features, "votes": votes, role: pipe}
+    argv = ["run", "--features", inputs["features"], "--votes",
+            inputs["votes"], "--out", str(tmp_path / "out")]
+    if role == "config":
+        argv += ["--config", pipe]
+    elif role == "category-map":
+        argv = ["lf-bank", "--bank", "adult-v1", "--raw", raw,
+                "--out", str(tmp_path / "v.csv"), "--category-map", pipe]
+    try:
+        code = main(argv)
+    finally:
+        writer.join()
+        os.close(read_fd)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"input error: {pipe}: not a regular file\n")
+
+
+def test_input_that_vanishes_before_its_digest_is_input_error(
+        tmp_path, capsys, monkeypatch):
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+    load_votes = pipeline.load_votes_csv
+
+    def delete_features_then_load(path):
+        os.unlink(features)
+        return load_votes(path)
+
+    monkeypatch.setattr(pipeline, "load_votes_csv", delete_features_then_load)
+    assert main(["run", "--features", features, "--votes", votes,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot open {features}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("plain", [True, False], ids=["plain", "quoted"])

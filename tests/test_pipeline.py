@@ -1,3 +1,4 @@
+import ast
 import codecs
 import csv
 import hashlib
@@ -6,6 +7,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -846,6 +848,32 @@ def test_pipeline_calls_each_step_through_its_module_name(
     assert set(manifest.stage_timings_ms) == {
         "ingest", "estimate", "transport", "label_model", "end_model",
         "reports"}
+
+
+def test_inputs_are_opened_and_files_written_in_one_place_each():
+    # _read opens every input and _atomic_write writes every file; a call
+    # is owned by the innermost function around it
+    owners = {"open": "_read", "fdopen": "_atomic_write",
+              "mkstemp": "_atomic_write"}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in owners:
+                    found.append((source.name, owner, name))
+            visit(child, owner)
+
+    for source in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        visit(ast.parse(source.read_text()), None)
+    assert sorted(found) == [("pipeline.py", "_atomic_write", "fdopen"),
+                             ("pipeline.py", "_atomic_write", "mkstemp"),
+                             ("pipeline.py", "_read", "open")]
 
 
 # --------------------------------------------------------------------------
