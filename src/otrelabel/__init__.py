@@ -75,54 +75,7 @@ from .transport import (
     sbm_transport,
 )
 
-__all__ = [
-    "__version__",
-    "EndModel",
-    "FairnessReport",
-    "GaussianMoments",
-    "GroupedDataset",
-    "LabelModelParams",
-    "MongeMap",
-    "NumericalError",
-    "PipelineConfig",
-    "RegimeProfile",
-    "RelabelResult",
-    "SpectralSummary",
-    "SweepReport",
-    "SyntheticModel",
-    "TransportDecision",
-    "TransportPlan",
-    "TripletRecord",
-    "TripletRecords",
-    "ValidationError",
-    "WeakLabelMatrix",
-    "accuracies_from_moments",
-    "accuracy_prob",
-    "apply_monge",
-    "barycentric_map",
-    "end_model_objective",
-    "fairness_report",
-    "fit_label_model",
-    "fit_moments",
-    "infer_pseudolabels",
-    "inverse_monge",
-    "knn_transfer",
-    "lf_delta_report",
-    "linear_monge",
-    "lipschitz_check",
-    "map_error_sweep",
-    "moment_matrix",
-    "per_group_accuracies",
-    "predict",
-    "proximity",
-    "psd_sqrt",
-    "regime_profile",
-    "resolve_sign",
-    "sbm_transport",
-    "shift_sweep",
-    "sinkhorn_plan",
-    "spectral_summary",
-    "train_end_model",
-    "triplet_accuracies",
-    "validate_dataset",
-]
+# every class and function imported above, each named once
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(f"{__name__}."))

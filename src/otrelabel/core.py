@@ -31,6 +31,7 @@ import numpy as np
 VOTE_VALUES = (-1, 0, 1)
 MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
 ROW_MISMATCH = "row-count mismatch: {} feature rows vs {} vote rows"
+ROW_BLOCK_BYTES = 1 << 18  # one row block of an n x m temporary
 
 
 class ValidationError(ValueError):
@@ -63,6 +64,13 @@ def _unchecked(cls, **values):
     for name, value in values.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def row_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of ``n`` rows, each at least one row and, at
+    ``row_bytes`` of temporaries per row, within ROW_BLOCK_BYTES."""
+    step = max(1, ROW_BLOCK_BYTES // row_bytes)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _workers() -> int:

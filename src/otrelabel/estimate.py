@@ -6,20 +6,25 @@ factorizes, E[lambda_i lambda_j] = a_i a_j, so for any triplet (i, j, k)
     |a_i| = sqrt(E[l_i l_j] * E[l_i l_k] / E[l_j l_k]).
 
 Each LF's estimate is the median of its magnitudes, one per triplet it
-belongs to (a median does not depend on order: one row sort finds them
-all); signs come afterwards from agreement with the row-wise majority.
+belongs to; signs come afterwards from agreement with the row-wise
+majority.
 
 Moments are computed over rows where both LFs are non-abstaining.  The
-sums are accumulated in float64, which is exact for integer terms below
-2**53 rows, so results are exactly invariant to row order.  The triplet
-pass is vectorised over all C(m, 3) triplets at once.
+sums are accumulated in float64 over row blocks, which is exact for
+integer terms below 2**53 rows, so results are exactly invariant to row
+order and block size.  Each LF's magnitudes come from one pass over the
+pairs of the other LFs, so estimation holds O(m**2) values; the C(m, 3)
+triplet tables are built only when a caller reads them from the records.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    row_blocks,
     validate_dataset,
 )
 
@@ -55,7 +61,8 @@ class TripletRecord:
 
 @dataclass(frozen=True, eq=False)
 class TripletRecords(Sequence):
-    """Every triplet of one estimate, held as arrays.
+    """Every triplet of one estimate, as arrays built from the moments
+    when first read; ``len`` builds none of them.
 
     Row t of ``indices`` (T x 3) is the t-th triplet in
     ``itertools.combinations`` order, ``raw_estimates`` (T x 3) its three
@@ -63,18 +70,37 @@ class TripletRecords(Sequence):
     Items are ``TripletRecord`` objects, built only when accessed.
     """
 
-    indices: np.ndarray
-    raw_estimates: np.ndarray
-    degenerate: np.ndarray
+    moments: np.ndarray
+    eps_pair: float = EPS_PAIR
 
     def __len__(self) -> int:
-        return len(self.degenerate)
+        return math.comb(len(self.moments), 3)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mom = self.moments
+        triplets = combinations(range(len(mom)), 3)
+        idx = np.fromiter(chain.from_iterable(triplets), np.intp).reshape(-1, 3)
+        i, j, k = idx.T
+        bad = np.isnan(mom) | (np.abs(mom) <= self.eps_pair)
+        degenerate = bad[i, j] | bad[i, k] | bad[j, k]
+        mij, mik, mjk = mom[i, j], mom[i, k], mom[j, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = np.column_stack([_triplet_value(*args) for args in (
+                (mij, mik, mjk), (mij, mjk, mik), (mik, mjk, mij))])
+        raw[degenerate] = np.nan
+        return idx, raw, degenerate
+
+    indices = property(lambda self: self._tables[0])
+    raw_estimates = property(lambda self: self._tables[1])
+    degenerate = property(lambda self: self._tables[2])
 
     def __getitem__(self, t: int) -> TripletRecord:
         t = operator.index(t)
-        return TripletRecord(tuple(self.indices[t].tolist()),
-                             tuple(self.raw_estimates[t].tolist()),
-                             bool(self.degenerate[t]))
+        indices, raw_estimates, degenerate = self._tables
+        return TripletRecord(tuple(indices[t].tolist()),
+                             tuple(raw_estimates[t].tolist()),
+                             bool(degenerate[t]))
 
 
 def moment_matrix(wl: WeakLabelMatrix) -> np.ndarray:
@@ -83,31 +109,19 @@ def moment_matrix(wl: WeakLabelMatrix) -> np.ndarray:
     Entry (i, j) is mean(l_i * l_j) restricted to rows where neither LF
     abstains, or NaN when no such row exists.  Abstains contribute zero to
     the product sums, so no masking pass is needed.  Both Gram products
-    run in float64 BLAS: their terms are integers, so every partial sum is
-    exact (hence independent of row order) below 2**53 rows.
+    run in float64 BLAS over row blocks: their terms are integers, so
+    every partial sum is exact (hence independent of row order and block
+    size) below 2**53 rows.
     """
-    v = wl.votes.astype(np.float64)
-    num = v.T @ v
-    np.not_equal(wl.votes, 0, out=v)
-    cnt = v.T @ v
+    num, cnt = np.zeros((wl.m, wl.m)), np.zeros((wl.m, wl.m))
+    for rows in row_blocks(wl.n, 8 * wl.m):
+        v = wl.votes[rows].astype(np.float64)
+        num += v.T @ v
+        np.not_equal(wl.votes[rows], 0, out=v)
+        cnt += v.T @ v
+        del v  # before the next block is cast
     with np.errstate(invalid="ignore"):
         return np.where(cnt > 0, num / np.maximum(cnt, 1), np.nan)
-
-
-def _triplet_indices(m: int) -> np.ndarray:
-    """C(m, 3) x 3 array of triplets i < j < k in combinations order.
-
-    Pairs (j, k) from ``triu_indices`` are in lexicographic order, so the
-    pairs completing a triplet with first index i are the suffix of pairs
-    whose j exceeds i.
-    """
-    j, k = np.triu_indices(m, 1)
-    start = np.searchsorted(j, np.arange(m), side="right")
-    counts = len(j) - start
-    first = np.cumsum(counts) - counts  # first triplet of each i
-    pair = np.arange(counts.sum()) + np.repeat(start - first, counts)
-    return np.column_stack([np.repeat(np.arange(m), counts),
-                            j[pair], k[pair]])
 
 
 def _triplet_value(num1: np.ndarray, num2: np.ndarray,
@@ -128,43 +142,39 @@ def accuracies_from_moments(
 
     Feeding the exact population moments a_i * a_j recovers the accuracies
     to machine precision (algebraic identity).  Triplets where any moment
-    is NaN or has magnitude <= eps_pair are recorded as degenerate and
-    skipped; an LF whose every triplet is degenerate raises NumericalError.
-    Each LF's estimate is the median of its values, in one row sort.
+    is NaN or has magnitude <= eps_pair are degenerate and skipped; an LF
+    whose every triplet is degenerate raises NumericalError.  LF x's value
+    in its triplet with the pair p < q is M[x,p] * M[x,q] / M[p,q] (upper
+    triangle moments), wherever x stands, so one pass over the pairs of
+    the other LFs gives x's values in triplet order, and their median.
     """
     m = moments.shape[0]
     if moments.shape != (m, m):
         raise ValidationError("moment matrix must be square")
     if m < 3:
         raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
-    idx = _triplet_indices(m)
-    i, j, k = idx.T
+    moments = np.where(np.tri(m, dtype=bool), moments.T, moments)
+    moments.setflags(write=False)
     bad = np.isnan(moments) | (np.abs(moments) <= eps_pair)
-    degenerate = bad[i, j] | bad[i, k] | bad[j, k]
-    mij, mik, mjk = moments[i, j], moments[i, k], moments[j, k]
-    raw = np.empty(idx.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw[:, 0] = _triplet_value(mij, mik, mjk)
-        raw[:, 1] = _triplet_value(mij, mjk, mik)
-        raw[:, 2] = _triplet_value(mik, mjk, mij)
-    del mij, mik, mjk
-    # row i of the table holds lf i's C(m-1, 2) values, degenerate ones as
-    # +inf, above any clamped value; a stable small-uint sort is a radix sort
-    raw[degenerate] = np.inf
-    order = np.argsort(idx.ravel().astype(np.min_scalar_type(m - 1)),
-                       kind="stable")
-    table = raw.ravel()[order].reshape(m, -1)
-    raw[degenerate] = np.nan
-    counts = np.count_nonzero(table != np.inf, axis=1)
-    if not counts.all():
-        raise NumericalError(
-            f"every triplet containing lf {int(np.argmin(counts))} "
-            "is degenerate")
-    table.sort(axis=1)
-    rows = np.arange(m)
-    out = (table[rows, (counts - 1) // 2] + table[rows, counts // 2]) / 2
-    out[np.isnan(table[:, -1])] = np.nan  # NaN sorts last; np.median keeps it
-    return out, TripletRecords(idx, raw, degenerate)
+    p, q = np.triu_indices(m, 1)
+    den, bad_pq = moments[p, q], bad[p, q]
+    out = np.empty(m)
+    for x in range(m):
+        keep = (p != x) & (q != x)
+        px, qx, row, bad_x = p[keep], q[keep], moments[x], bad[x]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = _triplet_value(row[px], row[qx], den[keep])
+        # degenerate values as +inf, above any clamped value and below NaN
+        values[bad_x[px] | bad_x[qx] | bad_pq[keep]] = np.inf
+        values.sort()
+        count = np.count_nonzero(values != np.inf)
+        if not count:
+            raise NumericalError(
+                f"every triplet containing lf {x} is degenerate")
+        # NaN sorts last, and np.median keeps it
+        out[x] = np.nan if np.isnan(values[-1]) else (
+            values[(count - 1) // 2] + values[count // 2]) / 2
+    return out, TripletRecords(moments, eps_pair)
 
 
 def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
@@ -181,8 +191,10 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
         raise ValidationError("magnitude vector length must equal m")
     if np.any(raw < 0) or np.any(raw > 1 + 1e-12):
         raise ValidationError("magnitudes must lie in [0, 1]")
-    majority = np.sign(wl.votes.sum(axis=1)).astype(np.int64)
-    agreement = (wl.votes * majority[:, None]).sum(axis=0) / wl.n
+    majority = np.sign(wl.votes.sum(axis=1))
+    # integer products by row block, which stays in cache
+    agreement = sum(majority[rows] @ wl.votes[rows]
+                    for rows in row_blocks(wl.n, 8 * wl.m)) / wl.n
     signs = np.where(agreement < 0, -1.0, 1.0)
     if np.all(signs < 0):
         signs = -signs

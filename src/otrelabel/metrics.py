@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (ROW_MISMATCH, GroupedDataset, ValidationError,
-                   WeakLabelMatrix, require_values)
+                   WeakLabelMatrix, require_values, row_blocks)
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 # regime_profile's share of points around a center and its curve step
@@ -69,21 +69,28 @@ def fairness_report(
     require_values(pred, (-1, 1), "pred")
     require_values(gold, (-1, 1), "gold")
     require_values(groups, (0, 1), "group")
-    active = np.ones((pred.size, 1), dtype=bool)
-    return _report(_group_counts(pred[:, None], gold, groups, active)[0])
+    return _report(_group_counts([pred[:, None]], gold, groups)[0, 0])
 
 
-def _group_counts(pred: np.ndarray, gold: np.ndarray, groups: np.ndarray,
-                  active: np.ndarray) -> np.ndarray:
-    """Counts over the active rows of each column of an n x c ``pred``
-    block, as a c x 3 x 4 array: (rows, correct predictions, positive
+def _group_counts(preds: list[np.ndarray], gold: np.ndarray,
+                  groups: np.ndarray) -> np.ndarray:
+    """Counts of each column of each n x c block in ``preds`` over the
+    rows where every block is non-zero (no vote abstains), as a
+    len(preds) x c x 3 x 4 array: (rows, correct predictions, positive
     predictions) x (group 0, group 1, gold positives in group 0, in
-    group 1).  Float64 sums of 0/1 terms are exact below 2**53 rows."""
+    group 1), summed over row blocks.  Float64 sums of 0/1 terms are exact
+    below 2**53 rows."""
     member = np.stack([groups == 0, groups == 1], axis=1)
     weights = np.concatenate([member, member & (gold == 1)[:, None]], axis=1)
-    masks = (active, active & (pred == gold[:, None]), active & (pred == 1))
-    return np.stack([m.T.astype(np.float64) @ weights for m in masks],
-                    axis=1).astype(np.int64)
+    counts = np.zeros((len(preds), preds[0].shape[1], 3, 4))
+    for rows in row_blocks(len(gold), 8 * len(preds) * preds[0].shape[1]):
+        blocks = [pred[rows] for pred in preds]
+        on = np.logical_and.reduce([block != 0 for block in blocks])
+        for out, block in zip(counts, blocks):
+            masks = (on, on & (block == gold[rows, None]), on & (block == 1))
+            out += np.stack([m.T.astype(np.float64) @ weights[rows]
+                             for m in masks], axis=1)
+    return counts.astype(np.int64)
 
 
 def _rate(count: int, total: int) -> float:
@@ -142,9 +149,7 @@ def lf_delta_report(
         raise ValidationError("before/after vote shapes differ")
     if before.n != ds.n:
         raise ValidationError(ROW_MISMATCH.format(ds.n, before.n))
-    active = (before.votes != 0) & (after.votes != 0)
-    counts = [_group_counts(wl.votes, ds.labels, ds.groups, active)
-              for wl in (before, after)]
+    counts = _group_counts([before.votes, after.votes], ds.labels, ds.groups)
     rows = []
     for j in range(before.m):
         rep_before, rep_after = (_report(c[j]) for c in counts)

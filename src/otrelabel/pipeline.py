@@ -47,10 +47,11 @@ import tempfile
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import (
@@ -59,7 +60,10 @@ from .core import (
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
+    _unchecked,
+    _workers,
     cell_error,
+    row_blocks,
     validate_dataset,
 )
 from .estimate import per_group_accuracies, triplet_accuracies
@@ -179,7 +183,8 @@ def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes]]:
     """``(header, body)`` of file bytes without quote characters, with LF or
     CRLF line ends (the body comes back with LF ones), an ASCII body and
     no blank first body line, else None; ``csv`` splits its header at ","."""
-    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
+    data = data.removeprefix(codecs.BOM_UTF8)
+    data = data.replace(b"\r\n", b"\n") if b"\r" in data else data
     head, _, body = data.partition(b"\n")
     if (not head or body[:1] in (b"", b"\n") or b'"' in data
             or b"\r" in data or not body.isascii()):
@@ -190,32 +195,68 @@ def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes]]:
         return None
 
 
-def _plain_table(body: bytes, width: int) -> Optional[np.ndarray]:
-    """float64 values of a plain body that numpy's C reader parses into
-    ``width`` per line, else None; ``csv`` and ``float`` read it alike."""
+def _columns(header: list[str], group_col: str,
+             label_col: Optional[str]) -> tuple[list[str], list[str]]:
+    """The feature columns of ``header`` and its text columns: the group
+    column, then the label column if the header has one."""
+    text = [group_col] + ([label_col] if label_col in header else [])
+    return [h for h in header if h not in text], text
+
+
+def _plain_table(body: bytes, header: list[str], group_col: str,
+                 label_col: Optional[str]) -> Optional[np.ndarray]:
+    """The rows of a plain body, as numpy's C reader parses them in one
+    call, else None: field ``x`` holds the float features, fields
+    ``group`` and ``label`` the spellings of those cells.  ``S3`` is longer
+    than any accepted spelling, so a truncated cell never passes; ``csv``
+    and ``float`` read such a body alike."""
+    features, text = _columns(header, group_col, label_col)
+    if len(set(header)) < len(header) or group_col not in header \
+            or not features:
+        return None  # the exact pass names the fault
+    dtype = [("x", np.float64, (len(features),))] + [
+        (role, "S3") for role in ("group", "label")[:len(text)]]
     try:
-        values = np.loadtxt(io.BytesIO(body), dtype=np.float64, delimiter=",",
-                            comments=None, ndmin=2, encoding="ascii")
+        table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",",
+                           comments=None, ndmin=1, encoding="ascii",
+                           usecols=[header.index(h) for h in features + text])
     except ValueError:
         return None
     n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
-    # numpy skips blank lines
-    return values if values.shape == (n_lines, width) else None
+    # numpy skips blank lines, and cells past a line's last column
+    return table if len(table) == n_lines \
+        and body.count(b",") == n_lines * (len(header) - 1) else None
 
 
 def _plain_votes(body: bytes, m: int) -> Optional[np.ndarray]:
     """n x m votes of a body whose every cell is ``-1``, ``0`` or ``1`` then
-    its column's separator, else None.  Once every ``-`` is seen to precede
-    a ``1``, dropping those ``1`` bytes leaves one byte per cell."""
-    a = np.frombuffer(body.removesuffix(b"\n") + b"\n", np.uint8)
-    minus = a[:-1] == ord("-")
-    cells = a[np.concatenate(([True], ~minus))]  # never empty: ends in \n
-    if (minus & (a[1:] != ord("1"))).any() or len(cells) % (2 * m):
-        return None  # "-0" too, which the exact pass reports
-    cells = cells.reshape(-1, m, 2)
+    its column's separator, else None.  Blocks of whole lines are parsed
+    into one array: once every ``-`` is seen to precede a ``1``, dropping
+    those ``1`` bytes leaves one byte per cell."""
+    votes = np.empty((body.count(b"\n") + (not body.endswith(b"\n")), m),
+                     np.int64)
     sep = np.frombuffer(b"," * (m - 1) + b"\n", np.uint8)
-    votes = _BYTE_VOTE[cells[..., 0]]
-    return None if (votes > 1).any() or (cells[..., 1] != sep).any() else votes
+    row = start = 0
+    # at most 16 bytes of temporaries a byte, 8 of them the lookup's index
+    for block in row_blocks(len(body), 16):
+        if start >= block.stop:
+            continue  # the lines of the block before ran past this one
+        end = body.find(b"\n", block.stop - 1) + 1 or len(body)
+        a = np.frombuffer(body[start:end].removesuffix(b"\n") + b"\n",
+                          np.uint8)
+        minus = a[:-1] == ord("-")
+        cells = a[np.concatenate(([True], ~minus))]  # never empty: ends in \n
+        if (minus & (a[1:] != ord("1"))).any() or len(cells) % (2 * m):
+            return None  # "-0" too, which the exact pass reports
+        cells = cells.reshape(-1, m, 2)
+        if (cells[..., 1] != sep).any():
+            return None
+        out = votes[row:row + len(cells)]
+        np.take(_BYTE_VOTE, cells[..., 0], out=out)
+        if (out > 1).any():
+            return None
+        row, start = row + len(cells), end
+    return votes
 
 
 def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
@@ -257,14 +298,13 @@ def load_features_csv(
     column names, one line per bad cell.
     """
     plain = _plain_lines(_read(path))
-    values = plain and _plain_table(plain[1], len(plain[0]))
-    header, rows = (plain[0], None) if values is not None else _read_rows(path)
+    table = plain and _plain_table(plain[1], plain[0], group_col, label_col)
+    header, rows = (plain[0], None) if table is not None else _read_rows(path)
     _require_unique(path, header)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
-    has_labels = label_col is not None and label_col in header
-    skip = {group_col} | ({label_col} if has_labels else set())
-    feature_cols = [h for h in header if h not in skip]
+    feature_cols, text = _columns(header, group_col, label_col)
+    has_labels = len(text) == 2
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
     col_idx = {h: i for i, h in enumerate(header)}
@@ -275,29 +315,26 @@ def load_features_csv(
     if has_labels:
         columns.append((col_idx[label_col], _LABELS.__getitem__,
                         ": label must be -1 or 1, got "))
-    index = [i for i, _, _ in columns]
 
-    if values is not None:
-        # numpy reads group and label cells loosely ("0.0", "+0"), so
-        # check their text; U3 is longer than any accepted spelling, so
-        # a truncated cell never passes
-        text = np.loadtxt(io.BytesIO(plain[1]), dtype="U3", delimiter=",",
-                          comments=None, usecols=index[len(feature_cols):],
-                          ndmin=2, encoding="ascii")
-        spelled = np.isin(text[:, 0], list(_GROUPS)).all() and (
-            not has_labels or np.isin(text[:, 1], list(_LABELS)).all())
-        values = values[:, index] if spelled else None
-    if values is None:
+    # numpy reads any text into the group and label fields, so check it
+    if table is not None and np.isin(table["group"], [b"0", b"1"]).all() \
+            and (not has_labels
+                 or np.isin(table["label"], [b"-1", b"1", b"+1"]).all()):
+        features, groups = table["x"], table["group"] == b"1"
+        labels = np.where(table["label"] == b"-1", -1, 1) if has_labels \
+            else None
+    else:
         values = _parse_cells(path, rows or _read_rows(path)[1], columns,
                               np.float64)
-    d = len(feature_cols)
-    bad = np.argwhere(~np.isfinite(values[:, :d]))
+        d = len(feature_cols)
+        features, groups = values[:, :d], values[:, d]
+        labels = values[:, d + 1] if has_labels else None
+    bad = np.argwhere(~np.isfinite(features))
     if len(bad):
         raise cell_error([f"{path}: row {r + 2}, column {feature_cols[c]!r}: "
-                          f"non-finite value {values[r, c]}"
+                          f"non-finite value {features[r, c]}"
                           for r, c in bad[:MAX_CELL_ERRORS]], len(bad))
-    return GroupedDataset(values[:, :d], values[:, d],
-                          values[:, d + 1] if has_labels else None)
+    return GroupedDataset(features, groups, labels)
 
 
 def load_votes_csv(path: str) -> WeakLabelMatrix:
@@ -310,7 +347,8 @@ def load_votes_csv(path: str) -> WeakLabelMatrix:
         raise ValidationError(
             f"{path}: votes header must be {','.join(expected)}")
     if votes is not None:
-        return WeakLabelMatrix(votes)
+        votes.setflags(write=False)
+        return _unchecked(WeakLabelMatrix, votes=votes)
     columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
                for c in range(len(header))]
     return WeakLabelMatrix(_parse_cells(path, rows, columns, np.int64))
@@ -328,17 +366,18 @@ def read_raw_csv(path: str) -> dict[str, list[str]]:
 # artifact writing
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in its
-    directory: the one place a file is written.  An unwritable path is an
-    input error."""
+def _atomic_write(path: str, content: Union[str, Iterable[bytes]]) -> None:
+    """Write ``content``, text or UTF-8 byte chunks, to ``path`` through a
+    temporary file in its directory: the one place a file is written.  An
+    unwritable path is an input error."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines([content.encode()] if isinstance(content, str)
+                              else content)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -357,25 +396,37 @@ def _write_csv(path: str, header: Sequence[str],
 
 
 def write_votes_csv(wl: WeakLabelMatrix, path: str) -> None:
-    """Write the votes through a token lookup, byte-identical to
-    ``csv.writer``; numpy pads the two-byte tokens with NUL bytes."""
-    cells = np.array([b"-1,", b"0,", b"1,"])[wl.votes + 1]
-    cells[:, -1] = np.array([b"-1\n", b"0\n", b"1\n"])[wl.votes[:, -1] + 1]
-    header = ",".join(f"lf_{j}" for j in range(wl.m)) + "\n"
-    body = cells.tobytes().replace(b"\0", b"").decode("ascii")
-    _atomic_write(path, header + body)
+    """Write the votes in row blocks through a token lookup, byte-identical
+    to ``csv.writer``; numpy pads the two-byte tokens with NUL bytes."""
+    def chunks():
+        yield (",".join(f"lf_{j}" for j in range(wl.m)) + "\n").encode()
+        # 9 bytes a cell: the padded tokens, their bytes and those unpadded;
+        # the tokens are indexed by the vote itself, so -1 reads the last
+        for rows in row_blocks(wl.n, 9 * wl.m):
+            cells = np.take(np.array([b"0,", b"1,", b"-1,"]), wl.votes[rows])
+            cells[:, -1] = np.take(np.array([b"0\n", b"1\n", b"-1\n"]),
+                                   wl.votes[rows, -1])
+            yield cells.tobytes().replace(b"\0", b"")
+    _atomic_write(path, chunks())
 
 
 def _write_pseudolabels(path: str, probs: np.ndarray,
                         hard: np.ndarray) -> None:
-    """The ``_write_csv`` bytes of ``repr(prob),str(label)`` rows, built
-    with one ``repr`` per distinct probability (by bits: -0.0 stays)."""
-    bits, row_of = np.unique(probs.view(np.int64), return_inverse=True)
-    text = [repr(p) for p in bits.view(np.float64).tolist()]
+    """The ``_write_csv`` bytes of ``repr(prob),str(label)`` rows, built in
+    row blocks with one ``repr`` per distinct probability of the block (by
+    bits: -0.0 stays)."""
     ends = {label: f",{label}\n" for label in np.unique(hard).tolist()}
-    body = "".join([text[i] + ends[label]
-                    for i, label in zip(row_of.tolist(), hard.tolist())])
-    _atomic_write(path, "prob,label\n" + body)
+
+    def chunks():
+        yield b"prob,label\n"
+        # a row holds about 128 bytes of Python strings and ints
+        for rows in row_blocks(len(probs), 128):
+            bits, row_of = np.unique(probs[rows].view(np.int64),
+                                     return_inverse=True)
+            text = list(map(repr, bits.view(np.float64).tolist()))
+            yield "".join([text[i] + ends[label] for i, label in zip(
+                row_of.tolist(), hard[rows].tolist())]).encode()
+    _atomic_write(path, chunks())
 
 
 def write_json(obj, path: str) -> None:
@@ -392,8 +443,10 @@ class RunManifest:
 
     The digest covers config, run options, input digests keyed by role
     and version only, so it depends on content, not on the input paths,
-    timings or the timestamp, which are informational.  :func:`run_pipeline`
-    fills the input digests and the timings in as its stages finish.
+    timings, the timestamp or the numeric environment (numpy and scipy
+    versions, CPUs in the affinity set), which are informational.
+    :func:`run_pipeline` fills the input digests and the timings in as its
+    stages finish.
     """
 
     config: dict
@@ -404,6 +457,9 @@ class RunManifest:
     version: str
     created_unix: float
     failed_stage: Optional[str] = None
+    environment: dict = field(default_factory=lambda: {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "cpus": _workers()})
 
     def digest(self) -> str:
         stable = json.dumps(

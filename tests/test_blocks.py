@@ -1,0 +1,235 @@
+"""Row-blocked vote temporaries: results equal to one block, and peaks
+bounded by the inputs and outputs plus two blocks."""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from otrelabel import (
+    GroupedDataset,
+    WeakLabelMatrix,
+    accuracies_from_moments,
+    lf_delta_report,
+    moment_matrix,
+)
+from otrelabel import core, estimate, metrics, pipeline
+from otrelabel.pipeline import load_votes_csv, write_votes_csv
+
+ONE_BLOCK = 1 << 40
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_votes(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return WeakLabelMatrix(rng.choice([-1, 0, 1], p=[0.4, 0.2, 0.4],
+                                      size=(n, m)))
+
+
+def random_moments(m, seed, p_bad):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, m))
+    a[rng.random((m, m)) < p_bad] = np.nan
+    a = np.triu(a, 1)
+    a = a + a.T
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+@pytest.fixture
+def recorded_blocks(monkeypatch):
+    """Every block list ``row_blocks`` hands to estimate, metrics and
+    pipeline, as (rows, block sizes)."""
+    calls = []
+
+    def recording(n, row_bytes):
+        blocks = core.row_blocks(n, row_bytes)
+        calls.append((n, [len(range(n)[b]) for b in blocks]))
+        return blocks
+    for module in (estimate, metrics, pipeline):
+        monkeypatch.setattr(module, "row_blocks", recording)
+    return calls
+
+
+def blocked_and_whole(monkeypatch, fn, budget):
+    """``fn()`` under a ROW_BLOCK_BYTES of ``budget``, then in one block."""
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", budget)
+    blocked = fn()
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", ONE_BLOCK)
+    return blocked, fn()
+
+
+def test_row_blocks_cover_every_row_once(monkeypatch):
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 100)
+    for n in (1, 7, 8, 9, 25):
+        for row_bytes in (1, 12, 13, 100, 101, 10**6):
+            rows = np.concatenate([np.arange(n)[b]
+                                   for b in core.row_blocks(n, row_bytes)])
+            assert np.array_equal(rows, np.arange(n))
+            step = max(1, 100 // row_bytes)
+            assert all(len(range(n)[b]) <= step
+                       for b in core.row_blocks(n, row_bytes))
+
+
+# 25 rows at 8 rows a block: blocks of 8, 8, 8 and a one-row tail
+N, M = 25, 5
+
+
+def test_moment_matrix_in_blocks_equals_one_block(monkeypatch,
+                                                  recorded_blocks):
+    wl = random_votes(N, M, seed=1)
+    blocked, whole = blocked_and_whole(
+        monkeypatch, lambda: moment_matrix(wl), 8 * 8 * M)
+    assert recorded_blocks[0] == (N, [8, 8, 8, 1])
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_lf_delta_report_in_blocks_equals_one_block(monkeypatch,
+                                                    recorded_blocks):
+    before, after = random_votes(N, M, seed=2), random_votes(N, M, seed=3)
+    rng = np.random.default_rng(4)
+    ds = GroupedDataset(np.zeros((N, 1)), rng.integers(0, 2, N),
+                        rng.choice([-1, 1], N))
+    blocked, whole = blocked_and_whole(
+        monkeypatch, lambda: json.dumps(lf_delta_report(before, after, ds),
+                                        default=lambda r: r.to_dict()),
+        8 * 2 * 8 * M)
+    assert recorded_blocks[0] == (N, [8, 8, 8, 1])
+    assert blocked == whole
+
+
+def test_write_votes_csv_in_blocks_equals_one_block(monkeypatch, tmp_path,
+                                                    recorded_blocks):
+    wl = random_votes(N, M, seed=5)
+    path = tmp_path / "v.csv"
+
+    def written():
+        write_votes_csv(wl, str(path))
+        return path.read_bytes()
+    blocked, whole = blocked_and_whole(monkeypatch, written, 8 * 9 * M)
+    assert recorded_blocks[0] == (N, [8, 8, 8, 1])
+    assert blocked == whole
+    assert whole.splitlines()[1:] == [
+        ",".join(map(str, row)).encode() for row in wl.votes.tolist()]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("budget", [16, 16 * 7, 16 * 40])
+def test_load_votes_csv_in_blocks_equals_one_block(
+        monkeypatch, tmp_path, newline, final_newline, budget):
+    # a budget of 16 makes every nominal block one byte, so every line is
+    # a block of its own, the last one too
+    wl = random_votes(N, M, seed=6)
+    lines = [",".join(f"lf_{j}" for j in range(M)).encode()] + [
+        ",".join(map(str, row)).encode() for row in wl.votes.tolist()]
+    path = tmp_path / "v.csv"
+    path.write_bytes(newline.join(lines) + (newline if final_newline
+                                            else b""))
+    blocked, whole = blocked_and_whole(
+        monkeypatch, lambda: load_votes_csv(str(path)).votes, budget)
+    assert np.array_equal(blocked, wl.votes)
+    assert np.array_equal(whole, wl.votes)
+    assert not blocked.flags.writeable
+
+
+@pytest.mark.parametrize("body", [b"1,0\n-0,1\n1,1\n",
+                                  b"1,0\n1,1,\n1,1\n",
+                                  b"1,0\n1,2\n1,1\n"])
+def test_load_votes_csv_blocks_defer_a_bad_line_to_the_exact_pass(
+        monkeypatch, tmp_path, body):
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"lf_0,lf_1\n" + body)
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 16)
+    with pytest.raises(pipeline.ValidationError, match="row 3"):
+        load_votes_csv(str(path))
+
+
+def test_write_pseudolabels_in_blocks_equals_one_block(monkeypatch,
+                                                       tmp_path):
+    rng = np.random.default_rng(7)
+    probs = rng.choice([0.25, 0.5, -0.0, 0.0, 1 / 3], size=N)
+    hard = np.where(probs >= 0.5, 1, -1)
+    path = tmp_path / "p.csv"
+
+    def written():
+        pipeline._write_pseudolabels(str(path), probs, hard)
+        return path.read_bytes()
+    blocked, whole = blocked_and_whole(monkeypatch, written, 128 * 8)
+    assert blocked == whole
+    assert whole.decode().splitlines()[1:] == [
+        f"{p!r},{h}" for p, h in zip(probs.tolist(), hard.tolist())]
+
+
+# --------------------------------------------------------------------------
+# peaks
+
+
+def test_accuracies_from_moments_holds_no_triplet_table():
+    m = 164
+    moments = random_moments(m, seed=8, p_bad=0.02)
+    (est, records), peak = traced_peak(
+        lambda: accuracies_from_moments(moments))
+    assert peak <= 2 * 2**20  # the C(164, 3) x 3 tables take 34 MiB
+    assert ((est >= 0) & (est <= 1)).all()
+    n_triplets, peak = traced_peak(lambda: len(records))
+    assert n_triplets == math.comb(m, 3)
+    assert peak < 4096
+    assert "_tables" not in vars(records)
+
+
+@pytest.fixture(scope="module")
+def wide_votes():
+    """20k x 60 votes: 9.2 MiB as int64, 37 blocks of 256 KiB."""
+    return random_votes(20_000, 60, seed=9)
+
+
+def test_moment_matrix_peak_is_two_blocks(wide_votes):
+    moments, peak = traced_peak(lambda: moment_matrix(wide_votes))
+    assert peak <= moments.nbytes + 2 * core.ROW_BLOCK_BYTES
+
+
+def test_lf_delta_report_peak_is_two_blocks(wide_votes):
+    rng = np.random.default_rng(10)
+    ds = GroupedDataset(np.zeros((wide_votes.n, 1)),
+                        rng.integers(0, 2, wide_votes.n),
+                        rng.choice([-1, 1], wide_votes.n))
+    # the report rows are Python objects, counted in the peak
+    _, peak = traced_peak(lambda: lf_delta_report(wide_votes, wide_votes,
+                                                  ds))
+    assert peak <= 2 * core.ROW_BLOCK_BYTES
+
+
+def test_write_votes_csv_peak_is_two_blocks(wide_votes, tmp_path):
+    path = str(tmp_path / "v.csv")
+    _, peak = traced_peak(lambda: write_votes_csv(wide_votes, path))
+    assert peak <= 2 * core.ROW_BLOCK_BYTES
+
+
+def test_load_votes_csv_peak_is_votes_and_body_plus_two_blocks(
+        wide_votes, tmp_path):
+    path = tmp_path / "v.csv"
+    write_votes_csv(wide_votes, str(path))
+    wl, peak = traced_peak(lambda: load_votes_csv(str(path)))
+    assert np.array_equal(wl.votes, wide_votes.votes)
+    assert peak <= (wl.votes.nbytes + path.stat().st_size
+                    + 2 * core.ROW_BLOCK_BYTES)
+
+
+def test_records_are_counted_the_way_the_bench_counts_them():
+    m = 9
+    moments = random_moments(m, seed=11, p_bad=0.15)
+    _, records = accuracies_from_moments(moments)
+    assert len(records) == len(records.degenerate) == math.comb(m, 3)
+    assert sum(r.degenerate for r in records) == records.degenerate.sum() > 0

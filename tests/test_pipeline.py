@@ -176,6 +176,63 @@ def test_plain_files_skip_the_cell_loop(tmp_path, monkeypatch, bom, eol):
     assert np.array_equal(loaded.labels, ds.labels)
 
 
+@pytest.mark.parametrize("header", [
+    ["f0", "group", "f1", "label"], ["label", "f1", "group", "f0"],
+    ["group", "f0", "f1"]])
+def test_plain_features_are_one_parse_in_any_column_order(tmp_path,
+                                                         monkeypatch, header):
+    rng = np.random.default_rng(21)
+    cells = {"f0": list(map(repr, rng.standard_normal(30).tolist())),
+             "f1": list(map(repr, rng.standard_normal(30).tolist())),
+             "group": [str(g) for g in rng.integers(0, 2, 30)],
+             "label": rng.choice(["-1", "1", "+1"], 30).tolist()}
+    p = tmp_path / "f.csv"
+    p.write_text(",".join(header) + "\n" + "".join(
+        ",".join(cells[h][r] for h in header) + "\n" for r in range(30)))
+    want = load_features_oracle(str(p))
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def counted_loadtxt(*args, **kwargs):
+        calls.append(kwargs.get("usecols"))
+        return real_loadtxt(*args, **kwargs)
+
+    def no_cell_loop(*args):
+        raise AssertionError("plain file went to the exact pass")
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(pipeline, "_read_rows", no_cell_loop)
+    got = load_features_csv(str(p))
+    assert len(calls) == 1
+    for name in ("features", "groups", "labels"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.features.flags.c_contiguous
+
+
+def test_plain_features_row_with_an_extra_cell_is_refused(tmp_path):
+    # numpy's reader skips cells past the columns it reads
+    p = tmp_path / "f.csv"
+    p.write_text("x0,group,label\n1.5,0,1\n2.5,1,-1,7\n")
+    with pytest.raises(ValidationError,
+                       match="row 3 has 4 fields, expected 3$"):
+        load_features_csv(str(p))
+
+
+def test_manifest_records_the_numeric_environment_outside_the_digest(
+        tmp_path):
+    import scipy
+    from dataclasses import replace
+
+    _, _, features, votes = write_fixture(tmp_path, 100, seed=2)
+    manifest = run_pipeline(PipelineConfig(), features, votes,
+                            str(tmp_path / "out"))
+    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["environment"] == {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "cpus": core._workers()}
+    assert replace(manifest, environment={}).digest() == manifest.digest()
+
+
 @pytest.mark.parametrize("data, votes", [
     (b"lf_0,lf_1\n-1,0\n1,-1\n", [[-1, 0], [1, -1]]),  # first cell -1
     (b"lf_0\n-1\n0\n1\n", [[-1], [0], [1]]),  # m = 1
