@@ -18,14 +18,8 @@ from otrelabel import (
     PipelineConfig,
     WeakLabelMatrix,
     fairness_report,
-    fit_label_model,
-    infer_pseudolabels,
     lf_delta_report,
-    per_group_accuracies,
-    predict,
-    sbm_transport,
-    train_end_model,
-    triplet_accuracies,
+    repair,
 )
 
 rng = np.random.default_rng(3)
@@ -48,7 +42,6 @@ votes = np.column_stack([
 ])
 ds = GroupedDataset(x, groups, y)
 wl = WeakLabelMatrix(votes)
-blind = ds.without_labels()
 
 
 def group_accuracy(matrix, j, k):
@@ -60,43 +53,34 @@ print("lf_0 accuracy by group before repair: "
       f"group0={group_accuracy(votes, 0, 0):.3f} "
       f"group1={group_accuracy(votes, 0, 1):.3f}")
 
-# %% estimate accuracies from votes alone; the gap drives the direction
+# %% one whole run per transport flavor; repair never reads the gold
+# labels, which only the reports below use
 
-group_acc = per_group_accuracies(wl, blind)
+runs = {ot: repair(ds, wl, PipelineConfig(
+            ot_type=ot, sinkhorn_max_iter=2000, sinkhorn_eta=0.05))
+        for ot in ("none", "linear", "sinkhorn")}
+best = runs["linear"]
+
 print("\nestimated per-group accuracies (no gold labels involved):")
-for j in range(wl.m):
-    a0, a1 = group_acc[j]
+for j, (a0, a1) in enumerate(best.group_acc):
     print(f"  lf_{j}: group0={a0:+.3f} group1={a1:+.3f}")
 
-# %% repair with each transport flavor and compare
-
-for ot in ("none", "linear", "sinkhorn"):
-    cfg = PipelineConfig(ot_type=ot, sinkhorn_max_iter=2000,
-                         sinkhorn_eta=0.05)
-    repaired = sbm_transport(blind, wl, group_acc, cfg).new_votes
+for ot, run in runs.items():
     print(f"\not={ot}: lf_0 group-1 accuracy "
-          f"{group_accuracy(repaired.votes, 0, 1):.3f}")
-    if ot == "linear":
-        best = repaired
+          f"{group_accuracy(run.repaired.votes, 0, 1):.3f}")
 
 # %% per-LF fairness deltas, pseudolabels, and the end model
 
-rows = lf_delta_report(wl, best, ds)
 print("\nper-LF accuracy / demographic-parity deltas (linear repair):")
-for row in rows:
+for row in lf_delta_report(wl, best.repaired, ds):
     print(f"  {row['name']}: dAcc={row['delta']['accuracy']:+.3f} "
           f"dDP={row['delta']['dp_gap']:+.3f}")
 
-for name, matrix in (("raw", wl), ("repaired", best)):
-    global_acc, _ = triplet_accuracies(matrix)
-    params = fit_label_model(global_acc)
-    probs, hard = infer_pseudolabels(params, matrix)
-    rep = fairness_report(hard, y, groups)
+raw = repair(ds, wl, PipelineConfig(end_model=False), passthrough=True)
+for name, run in (("raw", raw), ("repaired", best)):
+    rep = fairness_report(run.hard, y, groups)
     print(f"\npseudolabels from {name} votes: accuracy={rep.accuracy:.3f} "
           f"dp_gap={rep.dp_gap:.3f}")
-    if name == "repaired":
-        model = train_end_model(x, probs, l2=1e-4)
-        _, preds = predict(model, x)
-        emr = fairness_report(preds, y, groups)
-        print(f"end model on repaired pseudolabels: "
-              f"accuracy={emr.accuracy:.3f} dp_gap={emr.dp_gap:.3f}")
+emr = fairness_report(best.end_preds, y, groups)
+print(f"end model on repaired pseudolabels: "
+      f"accuracy={emr.accuracy:.3f} dp_gap={emr.dp_gap:.3f}")

@@ -59,6 +59,7 @@ from .ot import (
     sinkhorn_plan,
     spectral_summary,
 )
+from .pipeline import RunResult, repair
 from .synthetic import (
     SweepReport,
     SyntheticModel,

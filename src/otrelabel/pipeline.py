@@ -1,8 +1,8 @@
-"""Data ingestion and the end-to-end repair run with its report
-artifacts.  The theory suite runs in :mod:`otrelabel.synthetic`, whose
-artifacts are written here; the labeling-function banks live in
-:mod:`otrelabel.lfbank`, whose raw tables are read here
-(:func:`read_raw_csv`).
+"""Data ingestion, the in-memory run :func:`repair`, and the file run
+:func:`run_pipeline` (ingest, :func:`repair`, report artifacts).  The
+theory suite runs in :mod:`otrelabel.synthetic`, whose artifacts are
+written here; the labeling-function banks live in :mod:`otrelabel.lfbank`,
+whose raw tables are read here (:func:`read_raw_csv`).
 
 File formats
 ------------
@@ -67,9 +67,10 @@ from .core import (
     validate_dataset,
 )
 from .estimate import per_group_accuracies, triplet_accuracies
-from .labelmodel import fit_label_model, infer_pseudolabels, predict, train_end_model
+from .labelmodel import (
+    EndModel, fit_label_model, infer_pseudolabels, predict, train_end_model)
 from .metrics import fairness_report, lf_delta_report
-from .transport import sbm_transport
+from .transport import RelabelResult, sbm_transport
 
 logger = logging.getLogger("otrelabel")
 
@@ -478,6 +479,67 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # pipeline
 
+STAGES = ("ingest", "estimate", "transport", "label_model", "end_model",
+          "reports")  # the manifest's stage names, in run order
+
+
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    """Record the block's elapsed ms in ``timings[stage]`` unless it raises."""
+    started = time.perf_counter()
+    yield
+    timings[stage] = (time.perf_counter() - started) * 1000.0
+
+
+@dataclass(frozen=True, eq=False)
+class RunResult:
+    """What a run's stages computed.  ``group_acc`` and ``relabel`` are
+    None in a passthrough run, ``end_model`` and ``end_preds`` when
+    ``cfg.end_model`` is off."""
+
+    group_acc: Optional[np.ndarray]
+    relabel: Optional[RelabelResult]
+    repaired: WeakLabelMatrix
+    global_acc: np.ndarray
+    probs: np.ndarray
+    hard: np.ndarray
+    end_model: Optional[EndModel]
+    end_preds: Optional[np.ndarray]
+
+
+def repair(ds: GroupedDataset, wl: WeakLabelMatrix, cfg: PipelineConfig,
+           passthrough: bool = False,
+           timings: Optional[dict[str, float]] = None) -> RunResult:
+    """Run estimate -> transport -> label model -> end model on arrays.
+
+    Precondition: ``validate_dataset(ds, wl)`` has passed; it is not run
+    again.  The stages read ``ds.without_labels()``: gold labels never
+    steer a run.  The input votes' per-group accuracies pick each LF's
+    transport direction, and the repaired votes' global accuracies weight
+    the posterior; ``passthrough=True`` skips the first two stages (the
+    plain weak-supervision baseline).  Each stage's elapsed ms join
+    ``timings`` under its :data:`STAGES` name once it finishes.
+    """
+    timings = {} if timings is None else timings
+    blind = ds.without_labels()
+    with _timed(timings, "estimate"):
+        group_acc = None if passthrough else per_group_accuracies(wl, blind)
+    with _timed(timings, "transport"):
+        relabel = None if passthrough else sbm_transport(
+            blind, wl, group_acc, cfg)
+        repaired = wl if passthrough else relabel.new_votes
+    with _timed(timings, "label_model"):
+        global_acc = triplet_accuracies(repaired)[0]
+        probs, hard = infer_pseudolabels(
+            fit_label_model(global_acc, cfg.class_balance), repaired)
+    with _timed(timings, "end_model"):
+        end_model = end_preds = None
+        if cfg.end_model:
+            end_model = train_end_model(blind.features, probs, cfg.l2)
+            _, end_preds = predict(end_model, blind.features)
+    return RunResult(group_acc, relabel, repaired, global_acc, probs, hard,
+                     end_model, end_preds)
+
 
 def run_pipeline(
     cfg: PipelineConfig,
@@ -488,23 +550,15 @@ def run_pipeline(
     label_col: Optional[str] = "label",
     passthrough: bool = False,
 ) -> RunManifest:
-    """Execute ingest -> estimate -> transport -> label model -> end
-    model -> reports.
+    """Ingest the two CSVs, :func:`repair` them, then write the reports.
 
     Writes ``votes_repaired.csv``, ``pseudolabels.csv``, ``fairness.json``
-    and ``manifest.json`` into ``out_dir``.  Each stage estimates only
-    what it reads: the estimate stage computes the per-group accuracies
-    of the input votes, which pick the transport direction, and the label
-    model stage the global accuracies of the repaired votes, which weight
-    the posterior.  With ``passthrough=True`` the estimate and transport
-    stages are skipped entirely and pseudolabels come from the raw votes
-    (the plain weak-supervision baseline).  Gold labels, when present,
-    are used only by the report stage.
-
-    The manifest is built once, when the run starts; the inputs' digests
-    join it once they have loaded and validated, and each stage's
-    elapsed ms once it finishes.  A run that raises writes that manifest
-    with ``failed_stage`` set to the stage that raised.
+    and ``manifest.json`` into ``out_dir``.  Ingest loads, pair-checks and
+    digests the inputs; gold labels, when present, are read only by the
+    reports.  The manifest is built when the run starts; the digests and
+    each stage's elapsed ms join it as they are known.  A run that raises
+    writes that manifest with ``failed_stage`` set to the first of
+    :data:`STAGES` without a timing, or ``"reports"`` if all have one.
     """
     timings: dict[str, float] = {}
     digests: dict[str, str] = {}
@@ -512,45 +566,17 @@ def run_pipeline(
         passthrough=passthrough, group_col=group_col, label_col=label_col),
         dict(features=features_path, votes=votes_path), digests, timings,
         __version__, time.time())
-    stage = "ingest"
-
-    @contextmanager
-    def timed(name: str):
-        nonlocal stage
-        stage = name
-        started = time.perf_counter()
-        yield
-        timings[name] = (time.perf_counter() - started) * 1000.0
-
     try:
-        with timed("ingest"):
+        with _timed(timings, "ingest"):
             ds = load_features_csv(features_path, group_col, label_col)
             wl = load_votes_csv(votes_path)
             validate_dataset(ds, wl)
             for role, path in manifest.input_paths.items():
                 digests[role] = hashlib.sha256(_read(path)).hexdigest()
-            blind = ds.without_labels()
 
-        with timed("estimate"):
-            if not passthrough:
-                group_acc = per_group_accuracies(wl, blind)
+        run = repair(ds, wl, cfg, passthrough, timings)
 
-        with timed("transport"):
-            repaired = wl if passthrough else sbm_transport(
-                blind, wl, group_acc, cfg).new_votes
-
-        with timed("label_model"):
-            params = fit_label_model(triplet_accuracies(repaired)[0],
-                                     cfg.class_balance)
-            probs, hard = infer_pseudolabels(params, repaired)
-
-        with timed("end_model"):
-            end_preds = None
-            if cfg.end_model:
-                end_model = train_end_model(ds.features, probs, cfg.l2)
-                _, end_preds = predict(end_model, ds.features)
-
-        with timed("reports"):
+        with _timed(timings, "reports"):
             if ds.labels is None:
                 fairness: dict = {
                     "skipped": True,
@@ -560,24 +586,25 @@ def run_pipeline(
             else:
                 fairness = {
                     "skipped": False,
-                    "per_lf": lf_delta_report(wl, repaired, ds),
-                    "pseudolabels": fairness_report(hard, ds.labels,
+                    "per_lf": lf_delta_report(wl, run.repaired, ds),
+                    "pseudolabels": fairness_report(run.hard, ds.labels,
                                                     ds.groups),
                     "end_model": (
-                        fairness_report(end_preds, ds.labels, ds.groups)
-                        if end_preds is not None else None),
+                        fairness_report(run.end_preds, ds.labels, ds.groups)
+                        if run.end_preds is not None else None),
                 }
             fairness["manifest_digest"] = manifest.digest()
-            write_votes_csv(repaired,
+            write_votes_csv(run.repaired,
                             os.path.join(out_dir, "votes_repaired.csv"))
             _write_pseudolabels(os.path.join(out_dir, "pseudolabels.csv"),
-                                probs, hard)
+                                run.probs, run.hard)
             write_json(fairness, os.path.join(out_dir, "fairness.json"))
         write_json(manifest, os.path.join(out_dir, "manifest.json"))
         return manifest
     except Exception:
+        failed = next((s for s in STAGES if s not in timings), "reports")
         try:
-            write_json(replace(manifest, failed_stage=stage),
+            write_json(replace(manifest, failed_stage=failed),
                        os.path.join(out_dir, "manifest.json"))
         except ValidationError:
             pass  # the original error is the one to report
