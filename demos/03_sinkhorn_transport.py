@@ -25,7 +25,7 @@ dst = (np.column_stack([1 - np.cos(t2), 1 - np.sin(t2)])
 
 cost = cdist(src, dst, "sqeuclidean")
 
-# %% the reference budget (10 rounds) rarely converges; say so honestly
+# %% the reference budget is 10 rounds; the plan says whether they sufficed
 
 quick = sinkhorn_plan(cost, eta=1.0, max_iter=10, tol=1e-9)
 print(f"10 rounds:   violation {quick.marginal_violation:.2e} "
@@ -35,14 +35,16 @@ full = sinkhorn_plan(cost, eta=1.0, max_iter=10_000, tol=1e-9)
 print(f"full budget: violation {full.marginal_violation:.2e} "
       f"converged={full.converged} after {full.iterations_run} rounds")
 
-# %% marginals are conserved and the objective log is monotone
+# %% marginals are conserved; at a sharper eta, a bigger budget lowers the
+# violation until it falls below tol and the scaling stops early
 
 print("\nrow-sum error:", float(np.abs(full.T.sum(1) - 1 / 80).max()))
 print("col-sum error:", float(np.abs(full.T.sum(0) - 1 / 60).max()))
-logged = sinkhorn_plan(cost, eta=1.0, max_iter=50, tol=1e-12,
-                       log_objective=True).objective_log
-print("objective decreases:",
-      all(b <= a + 1e-12 for a, b in zip(logged, logged[1:])))
+for max_iter in (1, 10, 30, 100):
+    plan = sinkhorn_plan(cost, eta=0.05, max_iter=max_iter, tol=1e-12)
+    print(f"eta=0.05, max_iter={max_iter:>3}: violation "
+          f"{plan.marginal_violation:.2e} after {plan.iterations_run} rounds, "
+          f"converged={plan.converged}")
 
 # %% eta controls how sharp the induced mapping is
 

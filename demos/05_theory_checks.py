@@ -23,7 +23,7 @@ from otrelabel.synthetic import run_theory_suite
 
 out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
 
-bundle = run_theory_suite(seed=0)
+bundle = run_theory_suite()
 
 shift = bundle["shift_limit"]
 print("accuracy collapse under group shift (theta0=5):")

@@ -93,14 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     theory = sub.add_parser("theory", help="run the numeric theory checks")
     theory.add_argument("--out", default=".", metavar="DIR")
-    theory.add_argument("--seed", type=int, default=0)
-    theory.add_argument("--shift-n", type=int, default=100_000)
-    theory.add_argument("--shifts", default="0,1,10,100,1000",
-                        help="comma-separated shift magnitudes")
-    theory.add_argument("--lipschitz-trials", type=int, default=100_000)
-    theory.add_argument("--map-sizes", default="100,1000,10000",
-                        help="comma-separated per-group fit sizes")
-    theory.add_argument("--map-holdout", type=int, default=20_000)
 
     bank = sub.add_parser("lf-bank", help="materialize a built-in LF bank")
     bank.add_argument("--bank", required=True,
@@ -135,22 +127,8 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_number_list(text: str, cast) -> list:
-    try:
-        return [cast(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError(f"bad numeric list {text!r}") from None
-
-
 def _cmd_theory(args) -> int:
-    bundle = run_theory_suite(
-        seed=args.seed,
-        shifts=_parse_number_list(args.shifts, float),
-        shift_n=args.shift_n,
-        lipschitz_trials=args.lipschitz_trials,
-        map_sizes=_parse_number_list(args.map_sizes, int),
-        map_holdout=args.map_holdout,
-    )
+    bundle = run_theory_suite()
     write_theory_artifacts(bundle, args.out)
     for name, report in bundle.items():
         if name != "passed":

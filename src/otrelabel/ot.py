@@ -95,10 +95,7 @@ class TransportPlan:
 
     ``converged`` is set when the worst row/column marginal violation fell
     at or below the requested tolerance within the iteration budget; the
-    final violation is reported either way.  ``objective_log``, when
-    requested, holds the negated dual objective of the entropic problem
-    after each scaling round, a quantity that decreases monotonically
-    (the primal objective evaluated at intermediate scalings does not).
+    final violation is reported either way.
     """
 
     T: np.ndarray
@@ -106,7 +103,6 @@ class TransportPlan:
     iterations_run: int
     converged: bool
     marginal_violation: float
-    objective_log: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -229,7 +225,6 @@ def sinkhorn_plan(
     eta: float = 1.0,
     max_iter: int = 10,
     tol: float = 1e-9,
-    log_objective: bool = False,
 ) -> TransportPlan:
     """Entropic transport plan by alternating row/column scaling.
 
@@ -266,23 +261,21 @@ def sinkhorn_plan(
     if not (0 < eta < np.inf and 0 < tol < np.inf):
         raise ValidationError("eta and tol must be positive and finite")
     T = np.empty_like(M)
-    u, v, _, _, iterations, log = _sinkhorn(M, T, a, b, eta, max_iter, tol,
-                                            log_objective)
+    u, v, _, _, iterations = _sinkhorn(M, T, a, b, eta, max_iter, tol)
     T *= u[:, None]  # scaled in place, the kernel becomes the plan
     T *= v
     violation = max(float(np.abs(T.sum(axis=1) - a).max()),
                     float(np.abs(T.sum(axis=0) - b).max()))
-    return TransportPlan(T, eta, iterations, violation <= tol, violation,
-                         tuple(log) if log_objective else None)
+    return TransportPlan(T, eta, iterations, violation <= tol, violation)
 
 
-def _sinkhorn(M, K, a, b, eta, max_iter, tol, log_objective):
+def _sinkhorn(M, K, a, b, eta, max_iter, tol):
     """The scaling of :func:`sinkhorn_plan` on checked arguments, K built in
     ``K``, which may be M (read in full first).  A sweep takes Kv = K v,
     u = a / Kv and u K by row blocks, claimed one at a time by the calling
     thread and :func:`core._workers` - 1 helpers; v = b / (u K) sums the
     blocks in order, and (u, v)'s violation is read from the next sweep's
-    Kv.  Returns u, v, Kv, the u K that gave v, the rounds and the log."""
+    Kv.  Returns u, v, Kv, the u K that gave v and the rounds."""
     scale = _median(M)
     if scale <= 0.0:
         scale = float(M.mean()) or 1.0
@@ -317,7 +310,7 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol, log_objective):
                 helper.result()
 
         each(build)
-        u, v, log, iterations = None, np.ones(n_dst), [], 0
+        u, v, iterations = None, np.ones(n_dst), 0
         while True:
             u_next = np.empty(n_src)
             each(sweep)
@@ -325,16 +318,13 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol, log_objective):
                 # right after the v step the column sums equal b up to
                 # roundoff, so the worst marginal violation is on the rows
                 violation = float(np.abs(u * Kv - a).max())
-                if log_objective:
-                    log.append(float(eta * (u @ Kv - a @ np.log(u)
-                                            - b @ np.log(v))))
                 if violation <= tol or iterations == max_iter:
                     break
             col_sums = sums.sum(axis=0)
             if not col_sums.all():
                 raise NumericalError(_UNDERFLOW)
             u, v, iterations = u_next, b / col_sums, iterations + 1
-    return u, v, Kv, col_sums, iterations, log
+    return u, v, Kv, col_sums, iterations
 
 
 def _median(M: np.ndarray) -> float:
@@ -434,8 +424,8 @@ def _sinkhorn_projection(
     and ``X_dst`` (rows matching the cost's columns) and has checked what
     :func:`sinkhorn_plan` checks; the marginals are uniform."""
     a, b = (np.full(n, 1.0 / n) for n in cost.shape)
-    u, v, Kv, col_sums, iterations, _ = _sinkhorn(cost, cost, a, b, eta,
-                                                  max_iter, tol, False)
+    u, v, Kv, col_sums, iterations = _sinkhorn(cost, cost, a, b, eta,
+                                               max_iter, tol)
     violation = max(float(np.abs(u * Kv - a).max()),
                     float(np.abs(v * col_sums - b).max()))
     return (cost @ (v[:, None] * X_dst)) / Kv[:, None], TransportPlan(

@@ -143,10 +143,9 @@ def _read(path: str) -> bytes:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
 
 
-def read_text(path: str) -> str:
-    """The text of the UTF-8 input file ``path``, without a leading BOM;
-    a byte that is not UTF-8 is named by its offset."""
-    data = _read(path)
+def _decode(path: str, data: bytes) -> str:
+    """The input file ``path``'s bytes ``data`` as UTF-8 text, without a
+    leading BOM; a byte that is not UTF-8 is named by its offset."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -155,8 +154,13 @@ def read_text(path: str) -> str:
             f"UTF-8: {exc.reason}") from None
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+def read_text(path: str) -> str:
+    """The text of the UTF-8 input file ``path``, without a leading BOM."""
+    return _decode(path, _read(path))
+
+
+def _read_rows(path: str, data: bytes) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -196,25 +200,18 @@ def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes]]:
         return None
 
 
-def _columns(header: list[str], group_col: str,
-             label_col: Optional[str]) -> tuple[list[str], list[str]]:
-    """The feature columns of ``header`` and its text columns: the group
-    column, then the label column if the header has one."""
-    text = [group_col] + ([label_col] if label_col in header else [])
-    return [h for h in header if h not in text], text
+def _plain_csv(header: list[str], body: bytes) -> bytes:
+    """CSV bytes with the rows of the plain file split into these parts."""
+    return ",".join(header).encode("utf-8") + b"\n" + body
 
 
-def _plain_table(body: bytes, header: list[str], group_col: str,
-                 label_col: Optional[str]) -> Optional[np.ndarray]:
+def _plain_table(body: bytes, header: list[str], features: list[str],
+                 text: list[str]) -> Optional[np.ndarray]:
     """The rows of a plain body, as numpy's C reader parses them in one
-    call, else None: field ``x`` holds the float features, fields
-    ``group`` and ``label`` the spellings of those cells.  ``S3`` is longer
-    than any accepted spelling, so a truncated cell never passes; ``csv``
-    and ``float`` read such a body alike."""
-    features, text = _columns(header, group_col, label_col)
-    if len(set(header)) < len(header) or group_col not in header \
-            or not features:
-        return None  # the exact pass names the fault
+    call, else None: field ``x`` holds the float ``features``, fields
+    ``group`` and ``label`` the spellings of the ``text`` cells.  ``S3``
+    is longer than any accepted spelling, so a truncated cell never
+    passes; ``csv`` and ``float`` read such a body alike."""
     dtype = [("x", np.float64, (len(features),))] + [
         (role, "S3") for role in ("group", "label")[:len(text)]]
     try:
@@ -298,13 +295,15 @@ def load_features_csv(
     -1/1.  Errors carry 1-based row numbers (the header is row 1) and
     column names, one line per bad cell.
     """
-    plain = _plain_lines(_read(path))
-    table = plain and _plain_table(plain[1], plain[0], group_col, label_col)
-    header, rows = (plain[0], None) if table is not None else _read_rows(path)
+    data = _read(path)
+    plain = _plain_lines(data)
+    header, rows = (plain[0], None) if plain else _read_rows(path, data)
+    del data  # a plain body is a copy of it: hold one at a time
     _require_unique(path, header)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
-    feature_cols, text = _columns(header, group_col, label_col)
+    text = [group_col] + ([label_col] if label_col in header else [])
+    feature_cols = [h for h in header if h not in text]
     has_labels = len(text) == 2
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
@@ -317,6 +316,7 @@ def load_features_csv(
         columns.append((col_idx[label_col], _LABELS.__getitem__,
                         ": label must be -1 or 1, got "))
 
+    table = plain and _plain_table(plain[1], header, feature_cols, text)
     # numpy reads any text into the group and label fields, so check it
     if table is not None and np.isin(table["group"], [b"0", b"1"]).all() \
             and (not has_labels
@@ -325,8 +325,8 @@ def load_features_csv(
         labels = np.where(table["label"] == b"-1", -1, 1) if has_labels \
             else None
     else:
-        values = _parse_cells(path, rows or _read_rows(path)[1], columns,
-                              np.float64)
+        rows = rows or _read_rows(path, _plain_csv(*plain))[1]
+        values = _parse_cells(path, rows, columns, np.float64)
         d = len(feature_cols)
         features, groups = values[:, :d], values[:, d]
         labels = values[:, d + 1] if has_labels else None
@@ -340,16 +340,19 @@ def load_features_csv(
 
 def load_votes_csv(path: str) -> WeakLabelMatrix:
     """Parse a votes CSV (header lf_0..lf_{m-1}, values in {-1, 0, 1})."""
-    plain = _plain_lines(_read(path))
-    votes = plain and _plain_votes(plain[1], len(plain[0]))
-    header, rows = (plain[0], None) if votes is not None else _read_rows(path)
+    data = _read(path)
+    plain = _plain_lines(data)
+    header, rows = (plain[0], None) if plain else _read_rows(path, data)
+    del data  # as in load_features_csv
     expected = [f"lf_{j}" for j in range(len(header))]
     if header != expected:
         raise ValidationError(
             f"{path}: votes header must be {','.join(expected)}")
+    votes = plain and _plain_votes(plain[1], len(header))
     if votes is not None:
         votes.setflags(write=False)
         return _unchecked(WeakLabelMatrix, votes=votes)
+    rows = rows or _read_rows(path, _plain_csv(*plain))[1]
     columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
                for c in range(len(header))]
     return WeakLabelMatrix(_parse_cells(path, rows, columns, np.int64))
@@ -357,7 +360,7 @@ def load_votes_csv(path: str) -> WeakLabelMatrix:
 
 def read_raw_csv(path: str) -> dict[str, list[str]]:
     """Read a raw (possibly non-numeric) CSV into column -> string values."""
-    header, rows = _read_rows(path)
+    header, rows = _read_rows(path, _read(path))
     _require_unique(path, header)
     return {name: [row[i].strip() for row in rows]
             for i, name in enumerate(header)}
@@ -512,13 +515,14 @@ def repair(ds: GroupedDataset, wl: WeakLabelMatrix, cfg: PipelineConfig,
            timings: Optional[dict[str, float]] = None) -> RunResult:
     """Run estimate -> transport -> label model -> end model on arrays.
 
-    Precondition: ``validate_dataset(ds, wl)`` has passed; it is not run
-    again.  The stages read ``ds.without_labels()``: gold labels never
-    steer a run.  The input votes' per-group accuracies pick each LF's
-    transport direction, and the repaired votes' global accuracies weight
-    the posterior; ``passthrough=True`` skips the first two stages (the
-    plain weak-supervision baseline).  Each stage's elapsed ms join
-    ``timings`` under its :data:`STAGES` name once it finishes.
+    Precondition: ``validate_dataset(ds, wl)`` has passed; ``repair`` does
+    not run it again, though the public ``per_group_accuracies`` and
+    ``sbm_transport`` each do.  The stages read ``ds.without_labels()``:
+    gold labels never steer a run.  The input votes' per-group accuracies
+    pick each LF's transport direction, and the repaired votes' global
+    accuracies weight the posterior; ``passthrough=True`` skips the first
+    two stages (the plain weak-supervision baseline).  Each stage's elapsed
+    ms join ``timings`` under its :data:`STAGES` name once it finishes.
     """
     timings = {} if timings is None else timings
     blind = ds.without_labels()

@@ -304,20 +304,18 @@ def map_error_sweep(
 
 # The fixed models of the three checks, SyntheticModel.gaussian(dim,
 # theta0), whose labeler is right with probability
-# sigmoid(2 * theta0 * prox(x, 0)).
+# sigmoid(2 * theta0 * prox(x, 0)), and the seed and sample sizes of the
+# suite's run.
 SHIFT_DIM, SHIFT_THETA0 = 3, 5.0
 LIPSCHITZ_DIM, LIPSCHITZ_THETA0S = 3, (0.5, 1.0, 3.0)
 MAP_DIM, MAP_THETA0 = 4, 1.0
+SEED = 0
+SHIFTS, SHIFT_N = (0.0, 1.0, 10.0, 100.0, 1000.0), 100_000
+LIPSCHITZ_TRIALS = 100_000
+MAP_SIZES, MAP_HOLDOUT = (100, 1000, 10_000), 20_000
 
 
-def run_theory_suite(
-    seed: int = 0,
-    shifts: Sequence[float] = (0.0, 1.0, 10.0, 100.0, 1000.0),
-    shift_n: int = 100_000,
-    lipschitz_trials: int = 100_000,
-    map_sizes: Sequence[int] = (100, 1000, 10_000),
-    map_holdout: int = 20_000,
-) -> dict:
+def run_theory_suite() -> dict:
     """Run the three numeric checks and bundle their reports.
 
     Each check is a :class:`SweepReport` (the Lipschitz one sweeps
@@ -326,25 +324,25 @@ def run_theory_suite(
     CLI maps a false overall flag to exit status 3.
     """
     shift_model = SyntheticModel.gaussian(SHIFT_DIM, SHIFT_THETA0)
-    shift_report = shift_sweep(shift_model, shifts, shift_n, seed=seed)
+    shift_report = shift_sweep(shift_model, SHIFTS, SHIFT_N, seed=SEED)
 
     ratios = tuple(
         lipschitz_check(SyntheticModel.gaussian(LIPSCHITZ_DIM, theta0),
-                        lipschitz_trials, seed=seed + i)
+                        LIPSCHITZ_TRIALS, seed=SEED + i)
         for i, theta0 in enumerate(LIPSCHITZ_THETA0S))
     bounds = tuple(4.0 * t for t in LIPSCHITZ_THETA0S)
     lipschitz = SweepReport(
         sweep_values=LIPSCHITZ_THETA0S, measured=ratios, bound_or_limit=bounds,
         passed=all(r < b for r, b in zip(ratios, bounds)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     q, _ = np.linalg.qr(rng.standard_normal((MAP_DIM, MAP_DIM)))
     g1_matrix = (q * rng.uniform(0.8, 1.6, MAP_DIM)) @ q.T
     g1_offset = rng.standard_normal(MAP_DIM)
     map_model = SyntheticModel.gaussian(MAP_DIM, MAP_THETA0).with_group1(
         MongeMap(g1_matrix, g1_offset))
     map_report = map_error_sweep(
-        map_model, map_sizes, seed=seed, holdout=map_holdout)
+        map_model, MAP_SIZES, seed=SEED, holdout=MAP_HOLDOUT)
 
     reports = {"shift_limit": shift_report, "lipschitz": lipschitz,
                "map_error_bound": map_report}

@@ -125,8 +125,7 @@ def sinkhorn_projection_oracle(M, a, b, eta, rescale_median=True,
     return T
 
 
-def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
-                         log_objective=False):
+def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9):
     """``sinkhorn_plan`` without its checks, the median taken by
     ``np.median`` and every intermediate in a fresh array; the library
     must return this plan bit for bit."""
@@ -145,7 +144,6 @@ def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
     np.exp(K, out=K)
     u = np.ones(n_src)
     v = np.ones(n_dst)
-    log = []
     iterations = 0
     Kv = K @ v
     for _ in range(max_iter):
@@ -154,9 +152,6 @@ def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
         iterations += 1
         Kv = K @ v
         violation = float(np.abs(u * Kv - a).max())
-        if log_objective:
-            log.append(float(eta * (u @ Kv
-                                    - a @ np.log(u) - b @ np.log(v))))
         if violation <= tol:
             break
     T = u[:, None] * K
@@ -171,7 +166,6 @@ def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9,
         iterations_run=iterations,
         converged=violation <= tol,
         marginal_violation=violation,
-        objective_log=tuple(log) if log_objective else None,
     )
 
 

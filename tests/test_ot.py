@@ -272,17 +272,6 @@ def test_sinkhorn_default_budget_reports_convergence_state():
     assert plan.converged == (plan.marginal_violation <= 1e-9)
 
 
-def test_sinkhorn_objective_log_non_increasing():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        n, m = rng.integers(2, 10, size=2)
-        cost = rng.uniform(0.0, 3.0, size=(n, m))
-        plan = sinkhorn_plan(cost, max_iter=200, tol=1e-13,
-                             log_objective=True)
-        diffs = np.diff(plan.objective_log)
-        assert (diffs <= 1e-10).all()
-
-
 def test_sinkhorn_marginal_errors():
     cost = np.zeros((2, 2))
     with pytest.raises(ValidationError):
@@ -358,9 +347,9 @@ def cost_of_kind(rng, kind, n, m):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9),
        st.sampled_from(["uniform", "ties", "zero_median", "zero"]),
-       st.booleans(), st.booleans(), st.booleans())
+       st.booleans(), st.booleans())
 def test_sinkhorn_plan_matches_oracle_bit_for_bit(
-        seed, n, m, kind, log_objective, marginals, transposed):
+        seed, n, m, kind, marginals, transposed):
     rng = np.random.default_rng(seed)
     cost = cost_of_kind(rng, kind, n, m)
     if transposed:  # a column-major cost
@@ -372,15 +361,13 @@ def test_sinkhorn_plan_matches_oracle_bit_for_bit(
         b = rng.uniform(0.1, 1.0, m)
         b /= b.sum()
     kwargs = dict(eta=float(rng.uniform(0.2, 3.0)),
-                  max_iter=int(rng.integers(1, 40)),
-                  log_objective=log_objective)
+                  max_iter=int(rng.integers(1, 40)))
     plan = sinkhorn_plan(cost, a, b, **kwargs)
     oracle = sinkhorn_plan_oracle(cost, a, b, **kwargs)
     assert np.array_equal(plan.T, oracle.T)
     assert plan.iterations_run == oracle.iterations_run
     assert plan.converged == oracle.converged
     assert plan.marginal_violation == oracle.marginal_violation
-    assert plan.objective_log == oracle.objective_log
 
 
 def test_sinkhorn_plan_holds_one_dense_buffer():

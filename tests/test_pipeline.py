@@ -261,6 +261,34 @@ def test_canonical_files_never_reach_the_exact_pass(tmp_path, monkeypatch,
     assert np.array_equal(loaded.labels, ds.labels)
 
 
+DATASET_FIELDS = ["features", "groups", "labels"]
+
+
+@pytest.mark.parametrize("load, oracle, data, names", [
+    (load_features_csv, load_features_oracle,
+     b'f0,group,label\n"1.5",0,1\n-2,1,-1\n', DATASET_FIELDS),
+    # a plain file whose padded cell only the exact pass reads
+    (load_features_csv, load_features_oracle,
+     b"f0,group,label\n1.5,0 ,1\n-2,1,-1\n", DATASET_FIELDS),
+    (load_votes_csv, load_votes_oracle, b"lf_0,lf_1\n+1,0\n-1,1\n", ["votes"]),
+], ids=["quoted-features", "plain-features-padded-group", "plus-one-votes"])
+def test_exact_pass_reuses_the_bytes_the_loader_read(tmp_path, monkeypatch,
+                                                     load, oracle, data,
+                                                     names):
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    reads, exact = [], []
+    real_read, real_read_rows = pipeline._read, pipeline._read_rows
+    monkeypatch.setattr(pipeline, "_read",
+                        lambda path: reads.append(path) or real_read(path))
+    monkeypatch.setattr(pipeline, "_read_rows", lambda path, data: (
+        exact.append(path) or real_read_rows(path, data)))
+    got, want = load(str(p)), oracle(str(p))
+    assert reads == [str(p)] and exact == [str(p)]
+    for name in names:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 @pytest.mark.parametrize("text", [
     "\n1\n0\n", "\n\n", "lf_0\n\n", "lf_0\n", "lf_0", "lf_0\r1\r0\r",
     "lf_0,lf_1\r1,0\n0,1\n", "lf_0\n1\n\n", "lf_0\n \n", "\ufefflf_0\n1\n",
@@ -942,19 +970,8 @@ THEORY_CSVS = {"shift_limit": ("shift_sweep.csv", "shift"),
                "map_error_bound": ("map_error_sweep.csv", "n")}
 
 
-def small_theory_suite():
-    return run_theory_suite(
-        seed=0,
-        shifts=(0.0, 5.0, 1000.0),
-        shift_n=4000,
-        lipschitz_trials=4000,
-        map_sizes=(100, 1000),
-        map_holdout=3000,
-    )
-
-
 def test_theory_suite_small_run_passes(tmp_path):
-    bundle = small_theory_suite()
+    bundle = run_theory_suite()
     assert bundle["shift_limit"]["passed"]
     assert bundle["lipschitz"]["passed"]
     assert bundle["map_error_bound"]["passed"]
@@ -985,7 +1002,7 @@ def test_theory_suite_small_run_passes(tmp_path):
 def test_theory_suite_passes_only_if_every_check_passes(monkeypatch):
     monkeypatch.setattr(synthetic, "lipschitz_check",
                         lambda model, trials, seed: 4.0 * model.theta0)
-    bundle = small_theory_suite()
+    bundle = run_theory_suite()
     assert bundle["shift_limit"]["passed"]
     assert bundle["map_error_bound"]["passed"]
     assert bundle["lipschitz"]["passed"] is False
