@@ -73,6 +73,16 @@ def row_blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def fields_dict(obj) -> dict:
+    """A dataclass's fields by name, each tuple as a list and each NaN
+    float, at any depth of the tuples, as None (JSON null)."""
+    def value(x):
+        if isinstance(x, tuple):
+            return [value(v) for v in x]
+        return None if isinstance(x, float) and math.isnan(x) else x
+    return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
+
+
 def _workers() -> int:
     """CPUs the process may run on: its affinity set, else the CPU count."""
     try:
@@ -257,8 +267,7 @@ class PipelineConfig:
         if self.l2 < 0:
             raise ValidationError("l2 must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    to_dict = fields_dict
 
 
 def validate_dataset(ds: GroupedDataset, wl: WeakLabelMatrix) -> None:

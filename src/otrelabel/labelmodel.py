@@ -143,9 +143,9 @@ def end_model_objective(
 
 
 def _hessian(Xs: np.ndarray, coef: np.ndarray, l2: float) -> np.ndarray:
-    """Hessian of :func:`end_model_objective`: Xs^T diag(p (1 - p)) Xs / n
-    with its intercept row and column, plus the ridge.  It is summed over
-    blocks of ``HESSIAN_ROWS`` rows, so no n x (d + 1) array is built."""
+    """Hessian of :func:`end_model_objective` (Xs^T diag(p (1 - p)) Xs / n,
+    intercept row and column, ridge), summed over fixed ``HESSIAN_ROWS``-row
+    blocks: no n x (d + 1) array, and the sums set the coefficients' bits."""
     H = np.diag(np.append(np.full(Xs.shape[1], l2), 0.0))
     for lo in range(0, len(Xs), HESSIAN_ROWS):
         block = Xs[lo:lo + HESSIAN_ROWS]

@@ -15,12 +15,12 @@ group with no gold positives has no eo gap (``eo_defined=False``).  F1 is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ROW_MISMATCH, GroupedDataset, ValidationError,
-                   WeakLabelMatrix, require_values, row_blocks)
+                   WeakLabelMatrix, fields_dict, require_values, row_blocks)
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 # regime_profile's share of points around a center and its curve step
@@ -37,14 +37,7 @@ class FairnessReport:
     positive_rate_per_group: tuple[float, float]
     eo_defined: bool = True
 
-    def to_dict(self) -> dict:
-        """The fields by name, tuples as lists and NaN rates as None."""
-        def value(x):
-            if isinstance(x, tuple):
-                return [value(v) for v in x]
-            return None if math.isnan(x) else x
-
-        return {f.name: value(getattr(self, f.name)) for f in fields(self)}
+    to_dict = fields_dict
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,9 @@ _EIG_FLOOR = -1e-6
 # the sample adds at most 3% to M's bytes.
 _MEDIAN_SAMPLE = 20_000
 _MEDIAN_MIN_STRIDE = 32
-# Entries per row block of the bracket's counting pass.
-_MEDIAN_BLOCK = 1 << 14
-# Bytes of K per Sinkhorn row block: blocks, and sums, ignore the threads.
+# Bytes of K per Sinkhorn row block, fixed: v sums the blocks in order, so
+# this size, not the threads, sets the plan's bits; and 256 KiB blocks ran
+# Sinkhorn in 285 ms against 134 ms for 4 MiB (medians of 7, 4 MiB L2).
 _BLOCK_BYTES = 1 << 22
 _UNDERFLOW = ("exp(-M/eta) underflowed to zero along an entire row or "
               "column; scaling is infeasible (increase eta)")
@@ -350,7 +350,6 @@ def _median(M: np.ndarray) -> float:
 
 def _bracketed_middle(M: np.ndarray, h: int, odd: int) -> Optional[float]:
     """:func:`_median` from a sample bracket, or None when it misses."""
-    n_rows, n_cols = M.shape
     size = M.size
     # coprime to both sides, a stride steps through every column and row
     # instead of a few evenly spaced ones
@@ -367,9 +366,9 @@ def _bracketed_middle(M: np.ndarray, h: int, odd: int) -> Optional[float]:
     lo, hi = sample[m // 2 - w], sample[m // 2 + w]
     below = at_most = 0  # entries < lo, and <= hi
     gathered = []
-    rows = max(1, _MEDIAN_BLOCK // n_cols)
-    for start in range(0, n_rows, rows):
-        block = M[start:start + rows]
+    # exact counts and entries gathered in M's order: any block size agrees
+    for rows in core.row_blocks(len(M), 8 * M.shape[1]):
+        block = M[rows]
         lt = block < lo
         le = block <= hi
         below += np.count_nonzero(lt)

@@ -63,6 +63,7 @@ from .core import (
     _unchecked,
     _workers,
     cell_error,
+    fields_dict,
     row_blocks,
     validate_dataset,
 )
@@ -434,8 +435,8 @@ def _write_pseudolabels(path: str, probs: np.ndarray,
 
 
 def write_json(obj, path: str) -> None:
-    """Indented, key-sorted JSON of ``obj``; any object in it that is not
-    JSON is written as its ``to_dict()``, and NaN is refused."""
+    """Indented, key-sorted JSON of ``obj``, each non-JSON object in it as
+    its ``to_dict()`` (NaN fields as ``null``); any other NaN is refused."""
     _atomic_write(path, json.dumps(
         obj, indent=2, sort_keys=True, allow_nan=False,
         default=lambda report: report.to_dict()) + "\n")
@@ -474,9 +475,7 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         """The manifest's fields by name, plus its ``digest``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["digest"] = self.digest()
-        return out
+        return fields_dict(self) | {"digest": self.digest()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ their reports; ``pipeline.write_theory_artifacts`` writes the bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, fields_dict
 from .ot import (
     MongeMap,
     apply_monge,
@@ -92,11 +92,7 @@ class SweepReport:
                 == len(self.bound_or_limit)):
             raise ValidationError("sweep report lists must share a length")
 
-    def to_dict(self) -> dict:
-        """The report's fields by name, each tuple as a list."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: list(v) if isinstance(v, tuple) else v
-                for name, v in values.items()}
+    to_dict = fields_dict
 
 
 def proximity(x: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ decision uses estimated accuracies exclusively, never gold labels.
 Neighbours are searched in a KD-tree on the destination rows at up to
 ``_TREE_MAX_D`` dimensions; rows the tree cannot rank beyond rounding
 doubt re-rank the tree's rows near their k-th distance by ``cdist``, and
-every row at higher dimension takes an exact ``cdist`` scan, so the
-chosen neighbours never depend on which search found them.  Both tree
+every row at higher dimension takes an exact ``cdist`` scan in row blocks
+(``core.row_blocks``), so the neighbours never depend on the search.  Both tree
 searches, like the Sinkhorn scaling, run on every CPU in the process's
 affinity set; each query row is searched on its own, so the result never
 depends on that count, and ``taskset -c 0`` pins both to one CPU.
@@ -47,7 +47,6 @@ from .ot import _sinkhorn_projection, apply_monge, fit_moments, linear_monge
 
 logger = logging.getLogger("otrelabel")
 
-_CHUNK = 256
 # Above this dimension a KD-tree prunes too little to beat the cdist scan.
 # Provisional, set from one-core probes on Gaussian rows only: at 6k x 6k,
 # 1-NN, d = 10 tree 289 ms vs scan 327 ms, d = 12 487 vs 341; at 50k x 50k
@@ -148,8 +147,8 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     of its k-th distance, which hold every row ``cdist`` could rank among
     the k nearest.  Every row when k + 1 > n_dst, every row above
     ``_TREE_MAX_D``, and tied rows whose coordinates span so far that
-    squared distances could overflow take the full ``cdist`` scan of
-    :func:`_nearest_exact`.  The result is the scan's, index for index.
+    squared distances could overflow take :func:`_nearest_exact`'s
+    ``cdist`` scan in row blocks.  The result is the scan's, index for index.
     Both tree searches split the query rows over :func:`core._workers`
     threads; each row is searched alone, so the split changes nothing.
     """
@@ -199,13 +198,11 @@ def _rerank(X_query: np.ndarray, X_dst: np.ndarray, cands: np.ndarray,
 
 def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray,
                    k: int) -> np.ndarray:
-    """:func:`_nearest` by a row-chunked ``cdist`` scan of every
-    destination row."""
+    """:func:`_nearest` by a ``cdist`` scan of every destination row in
+    ``core.row_blocks`` blocks of query rows, each ranked on its own."""
     nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
-    for start in range(0, X_query.shape[0], _CHUNK):
-        dist = cdist(X_query[start:start + _CHUNK], X_dst,
-                     metric="euclidean")
-        nbrs[start:start + _CHUNK] = _rank(dist, k)
+    for rows in core.row_blocks(X_query.shape[0], 8 * X_dst.shape[0]):
+        nbrs[rows] = _rank(cdist(X_query[rows], X_dst), k)
     return nbrs
 
 

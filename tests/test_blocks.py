@@ -1,5 +1,5 @@
-"""Row-blocked vote temporaries: results equal to one block, and peaks
-bounded by the inputs and outputs plus two blocks."""
+"""Row-blocked temporaries: results equal to one block, and peaks bounded
+by the inputs and outputs plus a few blocks."""
 
 import json
 import math
@@ -15,8 +15,10 @@ from otrelabel import (
     lf_delta_report,
     moment_matrix,
 )
-from otrelabel import core, estimate, metrics, pipeline
+from otrelabel import core, estimate, metrics, ot, pipeline, transport
 from otrelabel.pipeline import load_votes_csv, write_votes_csv
+
+from helpers import knn_oracle
 
 ONE_BLOCK = 1 << 40
 
@@ -50,14 +52,16 @@ def random_moments(m, seed, p_bad):
 @pytest.fixture
 def recorded_blocks(monkeypatch):
     """Every block list ``row_blocks`` hands to estimate, metrics and
-    pipeline, as (rows, block sizes)."""
+    pipeline, and ``core.row_blocks`` to ot and transport, as (rows, block
+    sizes)."""
     calls = []
+    row_blocks = core.row_blocks
 
     def recording(n, row_bytes):
-        blocks = core.row_blocks(n, row_bytes)
+        blocks = row_blocks(n, row_bytes)
         calls.append((n, [len(range(n)[b]) for b in blocks]))
         return blocks
-    for module in (estimate, metrics, pipeline):
+    for module in (core, estimate, metrics, pipeline):
         monkeypatch.setattr(module, "row_blocks", recording)
     return calls
 
@@ -172,6 +176,45 @@ def test_write_pseudolabels_in_blocks_equals_one_block(monkeypatch,
         f"{p!r},{h}" for p, h in zip(probs.tolist(), hard.tolist())]
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_knn_transfer_in_blocks_equals_one_block(monkeypatch, k,
+                                                 recorded_blocks):
+    # above transport._TREE_MAX_D every row takes the exact scan; a budget
+    # of one destination row's distances makes each query row a block
+    rng = np.random.default_rng(12)
+    n_query, n_dst, d = 7, 40, 16
+    query, dst = rng.normal(size=(n_query, d)), rng.normal(size=(n_dst, d))
+    votes = rng.choice([-1, 0, 1], size=n_dst)
+    blocked, whole = blocked_and_whole(
+        monkeypatch, lambda: transport.knn_transfer(query, dst, votes, k),
+        8 * n_dst)
+    assert recorded_blocks == [(n_query, [1] * n_query), (n_query, [n_query])]
+    expected = knn_oracle(query, dst, votes, k)
+    assert np.array_equal(blocked, expected)
+    assert np.array_equal(whole, expected)
+
+
+def test_median_in_blocks_equals_one_block(monkeypatch, recorded_blocks):
+    # a 64-entry sample sends this 25 x 40 cost through the bracket, as in
+    # test_ot.py; 8 rows a block count it in blocks of 8, 8, 8 and 1
+    rng = np.random.default_rng(13)
+    cost = rng.uniform(size=(N, 40))
+    partitioned = []
+    middle = ot._middle
+
+    def spy(values, h, odd):
+        partitioned.append(values.size)
+        return middle(values, h, odd)
+    monkeypatch.setattr(ot, "_middle", spy)
+    monkeypatch.setattr(ot, "_MEDIAN_SAMPLE", 64)
+    monkeypatch.setattr(ot, "_MEDIAN_MIN_STRIDE", 2)
+    blocked, whole = blocked_and_whole(
+        monkeypatch, lambda: ot._median(cost), 8 * 8 * 40)
+    assert recorded_blocks == [(N, [8, 8, 8, 1]), (N, [N])]
+    assert all(size < cost.size // 2 for size in partitioned)  # bracketed
+    assert blocked == whole == np.median(cost)
+
+
 # --------------------------------------------------------------------------
 # peaks
 
@@ -225,6 +268,16 @@ def test_load_votes_csv_peak_is_votes_and_body_plus_two_blocks(
     assert np.array_equal(wl.votes, wide_votes.votes)
     assert peak <= (wl.votes.nbytes + path.stat().st_size
                     + 2 * core.ROW_BLOCK_BYTES)
+
+
+def test_exact_knn_scan_peak_is_the_output_plus_three_blocks():
+    # a block's distances, and _rank's partition of them, are the only
+    # n_dst-wide temporaries
+    rng = np.random.default_rng(14)
+    query, dst = rng.normal(size=(300, 16)), rng.normal(size=(2000, 16))
+    nbrs, peak = traced_peak(lambda: transport._nearest_exact(query, dst, 5))
+    assert nbrs.shape == (300, 5)
+    assert peak <= nbrs.nbytes + 3 * core.ROW_BLOCK_BYTES
 
 
 def test_records_are_counted_the_way_the_bench_counts_them():

@@ -32,6 +32,7 @@ from otrelabel.pipeline import (
     parse_config_text,
     read_raw_csv,
     run_pipeline,
+    write_json,
     write_theory_artifacts,
     write_votes_csv,
 )
@@ -1011,7 +1012,7 @@ def test_theory_suite_passes_only_if_every_check_passes(monkeypatch):
     assert bundle["passed"] is False
 
 
-def test_report_dicts_are_read_from_their_fields():
+def test_report_dicts_are_read_from_their_fields(tmp_path):
     reports = [
         (fairness_report(np.array([1, -1]), np.array([1, 1]),
                          np.array([0, 1])), set()),
@@ -1022,3 +1023,14 @@ def test_report_dicts_are_read_from_their_fields():
     for report, extra in reports:
         assert set(report.to_dict()) == (
             {f.name for f in fields(report)} | extra)
+    # no rows in group 0: its accuracy is NaN, written as None
+    empty_group = fairness_report(np.array([1, -1]), np.array([1, 1]),
+                                  np.array([1, 1]))
+    assert empty_group.to_dict()["per_group_accuracy"] == [None, 0.5]
+    # a NaN inside a report's fields is written as null
+    path = tmp_path / "report.json"
+    write_json(SweepReport((1.0,), (float("nan"),), (0.5,), False), str(path))
+    assert json.loads(path.read_text())["measured"] == [None]
+    # any other NaN is refused
+    with pytest.raises(ValueError):
+        write_json({"measured": float("nan")}, str(path))
