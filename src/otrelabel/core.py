@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * weak labels (votes) take values in ``{-1, 0, +1}`` where ``0`` means the
-  labeling function abstained on that row;
+  labeling function abstained on that row, stored as ``int8``, one byte a
+  cell: arithmetic on them widens first (``votes.T @ votes`` in int8
+  overflows);
 * exactly two groups, encoded ``0`` and ``1``;
 * gold labels, when present, are in ``{-1, +1}`` and are used for
   evaluation only.
@@ -125,14 +127,14 @@ def require_values(x: np.ndarray, allowed: tuple, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeakLabelMatrix:
-    """n x m matrix of labeling-function votes in {-1, 0, +1}."""
+    """n x m matrix of labeling-function votes in {-1, 0, +1}, as int8."""
 
     votes: np.ndarray
 
     def __post_init__(self):
         v = require_values(_vote_shape(np.asarray(self.votes)),
                            VOTE_VALUES, "vote")
-        object.__setattr__(self, "votes", _frozen_array(v, np.int64))
+        object.__setattr__(self, "votes", _frozen_array(v, np.int8))
 
     @property
     def n(self) -> int:

@@ -126,7 +126,7 @@ def apply_lf_bank(
     numbers = {column: _numbers(cells[column]) for _, *tests in rules
                for column, spec in tests if not isinstance(spec, frozenset)}
     bad: list[tuple[int, int, str]] = []  # (row, rule, column)
-    votes = np.empty((n, len(rules)), dtype=np.int64)
+    votes = np.empty((n, len(rules)), dtype=np.int8)
     for j, (_, *tests) in enumerate(rules):
         hit = np.zeros(n, dtype=bool)
         for column, spec in tests:

@@ -128,7 +128,8 @@ _GROUPS = {"0": 0, "1": 1}
 _LABELS = {"-1": -1, "1": 1, "+1": 1}
 _VOTES = {"-1": -1, "0": 0, "1": 1, "+1": 1}
 # the vote each byte spells in _plain_votes ("-" stands for -1); 2: none
-_BYTE_VOTE = np.array([{45: -1, 48: 0, 49: 1}.get(b, 2) for b in range(256)])
+_BYTE_VOTE = np.array([{45: -1, 48: 0, 49: 1}.get(b, 2) for b in range(256)],
+                      np.int8)
 
 
 def _read(path: str) -> bytes:
@@ -169,13 +170,18 @@ def _read_rows(path: str, data: bytes) -> tuple[list[str], list[list[str]]]:
     rows = list(reader)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    header = [h.strip() for h in header]
-    width = len(header)
+    return [h.strip() for h in header], rows
+
+
+def _require_width(path: str, header: list[str],
+                   rows: list[list[str]]) -> list[list[str]]:
+    """``rows`` once each has the header's width.  Callers check the header
+    first, so a file's first fault is the same in every framing."""
     for i, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {i} has {len(row)} fields, expected {width}")
-    return header, rows
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {i} has {len(row)} fields, "
+                                  f"expected {len(header)}")
+    return rows
 
 
 def _require_unique(path: str, header: list[str]) -> None:
@@ -185,64 +191,67 @@ def _require_unique(path: str, header: list[str]) -> None:
                               f"{', '.join(map(repr, repeated))}")
 
 
-def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes]]:
-    """``(header, body)`` of file bytes without quote characters, with LF or
-    CRLF line ends (the body comes back with LF ones), an ASCII body and
-    no blank first body line, else None; ``csv`` splits its header at ","."""
-    data = data.removeprefix(codecs.BOM_UTF8)
+def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes, int]]:
+    """``(header, data, offset)`` of file bytes without quote characters,
+    with LF or CRLF line ends, an ASCII body and no blank first body line,
+    else None; ``csv`` splits its header at ",".  The body is
+    ``data[offset:]``, read in place: only CRLF bytes are rewritten, to a
+    copy with LF line ends."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     data = data.replace(b"\r\n", b"\n") if b"\r" in data else data
-    head, _, body = data.partition(b"\n")
-    if (not head or body[:1] in (b"", b"\n") or b'"' in data
-            or b"\r" in data or not body.isascii()):
+    off = data.find(b"\n", start) + 1
+    if (off <= start + 1 or data[off:off + 1] in (b"", b"\n")
+            or b'"' in data or b"\r" in data
+            or np.frombuffer(data, np.uint8, offset=off).max() > 127):
         return None
     try:
-        return [h.strip() for h in head.decode("utf-8").split(",")], body
+        header = data[start:off - 1].decode("utf-8").split(",")
     except UnicodeDecodeError:
         return None
+    return [h.strip() for h in header], data, off
 
 
-def _plain_csv(header: list[str], body: bytes) -> bytes:
-    """CSV bytes with the rows of the plain file split into these parts."""
-    return ",".join(header).encode("utf-8") + b"\n" + body
-
-
-def _plain_table(body: bytes, header: list[str], features: list[str],
-                 text: list[str]) -> Optional[np.ndarray]:
-    """The rows of a plain body, as numpy's C reader parses them in one
-    call, else None: field ``x`` holds the float ``features``, fields
-    ``group`` and ``label`` the spellings of the ``text`` cells.  ``S3``
-    is longer than any accepted spelling, so a truncated cell never
+def _plain_table(data: bytes, off: int, header: list[str],
+                 features: list[str], text: list[str]) -> Optional[np.ndarray]:
+    """The rows of a plain body ``data[off:]``, as numpy's C reader parses
+    them in one call, else None: field ``x`` holds the float ``features``,
+    fields ``group`` and ``label`` the spellings of the ``text`` cells.
+    ``S3`` is longer than any accepted spelling, so a truncated cell never
     passes; ``csv`` and ``float`` read such a body alike."""
     dtype = [("x", np.float64, (len(features),))] + [
         (role, "S3") for role in ("group", "label")[:len(text)]]
     try:
-        table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",",
+        body = io.BytesIO(data)  # shares the bytes
+        body.seek(off)
+        table = np.loadtxt(body, dtype, delimiter=",",
                            comments=None, ndmin=1, encoding="ascii",
                            usecols=[header.index(h) for h in features + text])
     except ValueError:
         return None
-    n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    n_lines = data.count(b"\n", off) + (not data.endswith(b"\n"))
     # numpy skips blank lines, and cells past a line's last column
     return table if len(table) == n_lines \
-        and body.count(b",") == n_lines * (len(header) - 1) else None
+        and data.count(b",", off) == n_lines * (len(header) - 1) else None
 
 
-def _plain_votes(body: bytes, m: int) -> Optional[np.ndarray]:
-    """n x m votes of a body whose every cell is ``-1``, ``0`` or ``1`` then
-    its column's separator, else None.  Blocks of whole lines are parsed
-    into one array: once every ``-`` is seen to precede a ``1``, dropping
-    those ``1`` bytes leaves one byte per cell."""
-    votes = np.empty((body.count(b"\n") + (not body.endswith(b"\n")), m),
-                     np.int64)
+def _plain_votes(data: bytes, off: int, m: int) -> Optional[np.ndarray]:
+    """n x m votes of a body ``data[off:]`` whose every cell is ``-1``,
+    ``0`` or ``1`` then its column's separator, else None.  Blocks of
+    whole lines are parsed into one array: once every ``-`` is seen to
+    precede a ``1``, dropping those ``1`` bytes leaves one byte per cell."""
+    votes = np.empty((data.count(b"\n", off) + (not data.endswith(b"\n")),
+                      m), np.int8)
     sep = np.frombuffer(b"," * (m - 1) + b"\n", np.uint8)
-    row = start = 0
+    row, start = 0, off
     # at most 16 bytes of temporaries a byte, 8 of them the lookup's index
-    for block in row_blocks(len(body), 16):
-        if start >= block.stop:
+    for block in row_blocks(len(data) - off, 16):
+        stop = min(off + block.stop, len(data))
+        if start >= stop:
             continue  # the lines of the block before ran past this one
-        end = body.find(b"\n", block.stop - 1) + 1 or len(body)
-        a = np.frombuffer(body[start:end].removesuffix(b"\n") + b"\n",
-                          np.uint8)
+        end = data.find(b"\n", stop - 1) + 1 or len(data)
+        a = np.frombuffer(data, np.uint8, end - start, start)
+        if a[-1] != ord("\n"):  # the last line, without its line end
+            a = np.append(a, np.uint8(ord("\n")))
         minus = a[:-1] == ord("-")
         cells = a[np.concatenate(([True], ~minus))]  # never empty: ends in \n
         if (minus & (a[1:] != ord("1"))).any() or len(cells) % (2 * m):
@@ -299,7 +308,7 @@ def load_features_csv(
     data = _read(path)
     plain = _plain_lines(data)
     header, rows = (plain[0], None) if plain else _read_rows(path, data)
-    del data  # a plain body is a copy of it: hold one at a time
+    del data  # plain holds the bytes, rewritten if they had CRLF line ends
     _require_unique(path, header)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")
@@ -317,7 +326,7 @@ def load_features_csv(
         columns.append((col_idx[label_col], _LABELS.__getitem__,
                         ": label must be -1 or 1, got "))
 
-    table = plain and _plain_table(plain[1], header, feature_cols, text)
+    table = plain and _plain_table(*plain[1:], header, feature_cols, text)
     # numpy reads any text into the group and label fields, so check it
     if table is not None and np.isin(table["group"], [b"0", b"1"]).all() \
             and (not has_labels
@@ -326,7 +335,8 @@ def load_features_csv(
         labels = np.where(table["label"] == b"-1", -1, 1) if has_labels \
             else None
     else:
-        rows = rows or _read_rows(path, _plain_csv(*plain))[1]
+        rows = _require_width(path, header,
+                              rows or _read_rows(path, plain[1])[1])
         values = _parse_cells(path, rows, columns, np.float64)
         d = len(feature_cols)
         features, groups = values[:, :d], values[:, d]
@@ -349,20 +359,21 @@ def load_votes_csv(path: str) -> WeakLabelMatrix:
     if header != expected:
         raise ValidationError(
             f"{path}: votes header must be {','.join(expected)}")
-    votes = plain and _plain_votes(plain[1], len(header))
+    votes = plain and _plain_votes(*plain[1:], len(header))
     if votes is not None:
         votes.setflags(write=False)
         return _unchecked(WeakLabelMatrix, votes=votes)
-    rows = rows or _read_rows(path, _plain_csv(*plain))[1]
+    rows = _require_width(path, header, rows or _read_rows(path, plain[1])[1])
     columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
                for c in range(len(header))]
-    return WeakLabelMatrix(_parse_cells(path, rows, columns, np.int64))
+    return WeakLabelMatrix(_parse_cells(path, rows, columns, np.int8))
 
 
 def read_raw_csv(path: str) -> dict[str, list[str]]:
     """Read a raw (possibly non-numeric) CSV into column -> string values."""
     header, rows = _read_rows(path, _read(path))
     _require_unique(path, header)
+    _require_width(path, header, rows)
     return {name: [row[i].strip() for row in rows]
             for i, name in enumerate(header)}
 
@@ -620,7 +631,8 @@ def run_pipeline(
 
 def write_theory_artifacts(bundle: dict, out_dir: str) -> None:
     """Emit the JSON bundle plus one plot-ready CSV per sweep report,
-    with header ``<value>,measured,bound_or_limit``."""
+    with header ``<value>,measured,bound_or_limit``.  A NaN value, null in
+    the bundle (:func:`core.fields_dict`), is ``nan`` in its CSV."""
     write_json(bundle, os.path.join(out_dir, "theory_report.json"))
     for name, filename, value_name in (
             ("shift_limit", "shift_sweep.csv", "shift"),
@@ -629,7 +641,7 @@ def write_theory_artifacts(bundle: dict, out_dir: str) -> None:
         report = bundle[name]
         _write_csv(os.path.join(out_dir, filename),
                    [value_name, "measured", "bound_or_limit"],
-                   ([repr(float(x)) for x in row]
+                   ([repr(float("nan" if x is None else x)) for x in row]
                     for row in zip(report["sweep_values"], report["measured"],
                                    report["bound_or_limit"])))
 

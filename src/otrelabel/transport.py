@@ -97,7 +97,8 @@ def knn_transfer(
     """Majority vote among the k nearest destination rows (Euclidean).
 
     ``votes_dst`` is one vote column (``n_dst``) or a block of columns
-    (``n_dst x c``); the result has the same layout over the query rows.
+    (``n_dst x c``); the result has the same layout over the query rows,
+    as int8 votes.
     The neighbours are found once and every column votes from them: a
     KD-tree search at low dimension, where rows whose ranking the tree
     cannot prove re-rank its nearby rows by ``cdist``, and an exact
@@ -124,7 +125,7 @@ def knn_transfer(
         if not np.isfinite(block).all():
             raise ValidationError(f"{name} coordinates must be finite")
     votes_dst = np.asarray(
-        require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int64)
+        require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int8)
     k = require_count("k", k)
     if k > X_dst.shape[0]:
         raise ValidationError(

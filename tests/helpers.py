@@ -394,13 +394,17 @@ def _read_rows_oracle(path: str) -> tuple[list[str], list[list[str]]]:
         rows = list(reader)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    header = [h.strip() for h in header]
+    return [h.strip() for h in header], rows
+
+
+def _width_oracle(path: str, header: list[str], rows: list[list[str]]):
+    """Row widths, checked after the header: a file's first fault is the
+    same in every framing."""
     width = len(header)
     for i, row in enumerate(rows, start=2):
         if len(row) != width:
             raise ValidationError(
                 f"{path}: row {i} has {len(row)} fields, expected {width}")
-    return header, rows
 
 
 def load_features_oracle(
@@ -418,6 +422,7 @@ def load_features_oracle(
     feature_cols = [h for h in header if h not in skip]
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
+    _width_oracle(path, header, rows)
     col_idx = {h: i for i, h in enumerate(header)}
 
     n = len(rows)
@@ -464,6 +469,7 @@ def load_votes_oracle(path: str) -> WeakLabelMatrix:
     if header != expected:
         raise ValidationError(
             f"{path}: votes header must be {','.join(expected)}")
+    _width_oracle(path, header, rows)
     votes = np.empty((len(rows), len(header)), dtype=np.int64)
     for r, row in enumerate(rows):
         for c, cell in enumerate(row):

@@ -134,7 +134,12 @@ def test_write_votes_csv_in_blocks_equals_one_block(monkeypatch, tmp_path,
 def test_load_votes_csv_in_blocks_equals_one_block(
         monkeypatch, tmp_path, newline, final_newline, budget):
     # a budget of 16 makes every nominal block one byte, so every line is
-    # a block of its own, the last one too
+    # a block of its own, the last one too; a canonical file never falls
+    # back to the exact pass, wherever a block ends
+    def exact_pass(*args):
+        raise AssertionError("canonical file went to the exact pass")
+
+    monkeypatch.setattr(pipeline, "_read_rows", exact_pass)
     wl = random_votes(N, M, seed=6)
     lines = [",".join(f"lf_{j}" for j in range(M)).encode()] + [
         ",".join(map(str, row)).encode() for row in wl.votes.tolist()]
@@ -234,7 +239,7 @@ def test_accuracies_from_moments_holds_no_triplet_table():
 
 @pytest.fixture(scope="module")
 def wide_votes():
-    """20k x 60 votes: 9.2 MiB as int64, 37 blocks of 256 KiB."""
+    """20k x 60 votes: 1.1 MiB as int8, 37 blocks of 256 KiB as float64."""
     return random_votes(20_000, 60, seed=9)
 
 
@@ -268,6 +273,22 @@ def test_load_votes_csv_peak_is_votes_and_body_plus_two_blocks(
     assert np.array_equal(wl.votes, wide_votes.votes)
     assert peak <= (wl.votes.nbytes + path.stat().st_size
                     + 2 * core.ROW_BLOCK_BYTES)
+
+
+def test_passthrough_repair_peak_is_the_votes_and_their_float_cast():
+    # the traced call builds the int8 votes from int64 ones; after them the
+    # posterior's float64 cast, 8 bytes a cell, is the largest temporary
+    rng = np.random.default_rng(15)
+    n, m = 5000, 60
+    y = rng.choice([-1, 1], n)
+    raw = np.where(rng.random((n, m)) < 0.3, -y[:, None], y[:, None])
+    raw[rng.random((n, m)) < 0.1] = 0
+    ds = GroupedDataset(rng.normal(size=(n, 2)) + y[:, None],
+                        rng.integers(0, 2, n), y)
+    run, peak = traced_peak(lambda: pipeline.repair(
+        ds, WeakLabelMatrix(raw), core.PipelineConfig(), passthrough=True))
+    assert run.repaired.votes.nbytes == n * m
+    assert peak <= (1 + 8) * n * m + core.ROW_BLOCK_BYTES
 
 
 def test_exact_knn_scan_peak_is_the_output_plus_three_blocks():

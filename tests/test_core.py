@@ -12,10 +12,18 @@ from otrelabel import (
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
+    fit_label_model,
+    infer_pseudolabels,
+    knn_transfer,
+    lf_delta_report,
+    moment_matrix,
     sbm_transport,
+    triplet_accuracies,
     validate_dataset,
 )
 from otrelabel.core import MAX_CELL_ERRORS
+from otrelabel.lfbank import apply_lf_bank
+from otrelabel.pipeline import load_votes_csv
 
 
 def test_consistent_input_yields_empty_report():
@@ -107,7 +115,7 @@ def test_containers_name_every_out_of_domain_entry(kind, dtype, data):
     values.flat[where] = bad
     if not where:
         stored = build(kind, values)
-        assert stored.dtype == np.int64
+        assert stored.dtype == (np.int8 if kind == "vote" else np.int64)
         assert np.array_equal(stored, values.astype(np.int64))
         return
     with pytest.raises(ValidationError) as exc:
@@ -253,7 +261,7 @@ def test_derived_containers_skip_the_value_checks(monkeypatch):
     for derived, votes in ((sub, [[1, 0], [0, 0]]),
                            (repaired, [[-1, 0], [-1, 1], [0, 0]])):
         assert np.array_equal(derived.votes, votes)
-        assert derived.votes.dtype == np.int64
+        assert derived.votes.dtype == np.int8
         assert not derived.votes.flags.writeable
     assert blind.labels is None
     assert blind.features is ds.features and blind.groups is ds.groups
@@ -273,3 +281,55 @@ def test_every_export_resolves_and_is_listed_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(otrelabel, name), name
+
+
+def test_votes_are_one_byte_a_cell(tmp_path):
+    raw = [[1, 0], [-1, 1], [0, 0]]
+    built = [WeakLabelMatrix(raw)] + [
+        WeakLabelMatrix(np.array(raw, dtype=dtype))
+        for dtype in (np.int64, np.float64)]
+    built.append(WeakLabelMatrix(np.array([[True, False]])))
+    plain, exact = tmp_path / "plain.csv", tmp_path / "exact.csv"
+    plain.write_text("lf_0,lf_1\n1,0\n-1,1\n0,0\n")
+    exact.write_text("lf_0,lf_1\n+1,0\n-1,1\n0,0\n")  # "+1": the exact pass
+    loaded = [load_votes_csv(str(p)) for p in (plain, exact)]
+    ds = GroupedDataset(np.arange(6.0).reshape(3, 2), [0, 1, 1])
+    derived = [
+        built[0].restrict_rows(np.array([True, False, True])),
+        sbm_transport(ds, built[0], np.array([[0.2, 0.8], [0.5, 0.5]]),
+                      PipelineConfig(ot_type="sinkhorn")).new_votes,
+        apply_lf_bank({"c": ["a", "b", "a"]}, [("r", ("c", frozenset("a")))]),
+    ]
+    for wl in built + loaded + derived:
+        assert wl.votes.dtype == np.int8
+        assert wl.votes.nbytes == wl.n * wl.m
+    assert all(np.array_equal(wl.votes, raw) for wl in loaded)
+    moved = knn_transfer(np.zeros((2, 1)), np.ones((3, 1)),
+                         np.array(raw, dtype=np.int64), 2)
+    assert moved.dtype == np.int8 and moved.tolist() == [[1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_int8_votes_widen_before_any_sum(monkeypatch, mixed):
+    # 300 LFs over 300 rows in one row block, all +1, or with every 6th
+    # vote on a diagonal of the first 150 LFs -1: the sums reach 300, 250
+    # and 200, past int8's 127; int8 reads 200 as -56 and 300 as 44, so a
+    # wrapped sum would flip the mixed bank's first 150 signs and no others
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 1 << 40)
+    n = m = 300
+    votes = np.ones((n, m), dtype=np.int64)
+    if mixed:
+        diagonal = np.add.outer(np.arange(n), np.arange(m)) % 6 == 0
+        votes[diagonal & (np.arange(m) < 150)] = -1
+    wl = WeakLabelMatrix(votes)
+    wide = core._unchecked(WeakLabelMatrix, votes=votes)
+    ds = GroupedDataset(np.zeros((n, 1)), np.arange(n) % 2, np.ones(n))
+    assert np.array_equal(moment_matrix(wl), moment_matrix(wide))
+    acc = triplet_accuracies(wl)[0]
+    assert np.array_equal(acc, triplet_accuracies(wide)[0])
+    assert (acc > 0).all()  # every row's majority is +1
+    assert lf_delta_report(wl, wl, ds) == lf_delta_report(wide, wide, ds)
+    params = fit_label_model(acc, 0.5)
+    for got, want in zip(infer_pseudolabels(params, wl),
+                         infer_pseudolabels(params, wide)):
+        assert np.array_equal(got, want)

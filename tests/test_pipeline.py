@@ -300,6 +300,23 @@ def test_framing_edge_cases_match_cell_oracle(tmp_path, text):
     assert_same_outcome(load_votes_csv, load_votes_oracle, str(p), ["votes"])
 
 
+@pytest.mark.parametrize("load, data, message", [
+    (load_features_csv, b"f0,f0,group\n1,2,0\n3,4\n",
+     "duplicate column names 'f0'"),
+    (load_features_csv, b'"f0","f0","group"\n1,2,0\n3,4\n',
+     "duplicate column names 'f0'"),
+    (load_votes_csv, b"a,b\n1,2\n3\n", "votes header must be lf_0,lf_1"),
+    (load_votes_csv, b'"a","b"\n1,2\n3\n', "votes header must be lf_0,lf_1"),
+], ids=["plain-features", "quoted-features", "plain-votes", "quoted-votes"])
+def test_header_faults_come_before_row_widths_in_every_framing(
+        tmp_path, load, data, message):
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValidationError) as err:
+        load(str(p))
+    assert str(err.value) == f"{p}: {message}"
+
+
 def test_bom_quoted_and_padded_cells_read_like_plain_ones(tmp_path):
     plain = tmp_path / "plain.csv"
     plain.write_text("f1,group,label\n1.5,0,1\n-2,1,-1\n")
@@ -998,6 +1015,19 @@ def test_theory_suite_small_run_passes(tmp_path):
             ",".join(repr(float(x)) for x in row)
             for row in zip(report["sweep_values"], report["measured"],
                            report["bound_or_limit"])]
+
+
+def test_theory_artifacts_write_a_nan_value_in_all_four_files(tmp_path):
+    report = SweepReport((1.0, 2.0), (0.5, float("nan")), (1.0, 1.0), False)
+    bundle = {name: report.to_dict() for name in THEORY_CSVS}
+    bundle["passed"] = False
+    write_theory_artifacts(bundle, str(tmp_path))
+    assert json.loads((tmp_path / "theory_report.json").read_text()) == bundle
+    assert bundle["lipschitz"]["measured"] == [0.5, None]
+    for filename, value_name in THEORY_CSVS.values():
+        assert (tmp_path / filename).read_text().splitlines() == [
+            f"{value_name},measured,bound_or_limit", "1.0,0.5,1.0",
+            "2.0,nan,1.0"]
 
 
 def test_theory_suite_passes_only_if_every_check_passes(monkeypatch):
