@@ -193,15 +193,14 @@ def _require_unique(path: str, header: list[str]) -> None:
 
 def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes, int]]:
     """``(header, data, offset)`` of file bytes without quote characters,
-    with LF or CRLF line ends, an ASCII body and no blank first body line,
-    else None; ``csv`` splits its header at ",".  The body is
-    ``data[offset:]``, read in place: only CRLF bytes are rewritten, to a
-    copy with LF line ends."""
+    with LF or CRLF line ends (every ``\\r`` before a ``\\n``), an ASCII body
+    and no blank first body line, else None; ``csv`` splits its header at
+    ",".  The body is ``data[offset:]``, read in place."""
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    data = data.replace(b"\r\n", b"\n") if b"\r" in data else data
     off = data.find(b"\n", start) + 1
-    if (off <= start + 1 or data[off:off + 1] in (b"", b"\n")
-            or b'"' in data or b"\r" in data
+    if (not data[start:off].rstrip(b"\r\n")  # no line end, or no header
+            or data[off:off + 1] in (b"", b"\n", b"\r") or b'"' in data
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
             or np.frombuffer(data, np.uint8, offset=off).max() > 127):
         return None
     try:
@@ -243,13 +242,15 @@ def _plain_votes(data: bytes, off: int, m: int) -> Optional[np.ndarray]:
                       m), np.int8)
     sep = np.frombuffer(b"," * (m - 1) + b"\n", np.uint8)
     row, start = 0, off
-    # at most 16 bytes of temporaries a byte, 8 of them the lookup's index
+    # at most 16 temporary bytes a byte: 8 the lookup's index, 1 a CRLF copy
     for block in row_blocks(len(data) - off, 16):
         stop = min(off + block.stop, len(data))
         if start >= stop:
             continue  # the lines of the block before ran past this one
         end = data.find(b"\n", stop - 1) + 1 or len(data)
         a = np.frombuffer(data, np.uint8, end - start, start)
+        if data.find(b"\r", start, end) >= 0:
+            a = a[a != ord("\r")]  # CRLF: each \r precedes a \n
         if a[-1] != ord("\n"):  # the last line, without its line end
             a = np.append(a, np.uint8(ord("\n")))
         minus = a[:-1] == ord("-")
@@ -308,7 +309,7 @@ def load_features_csv(
     data = _read(path)
     plain = _plain_lines(data)
     header, rows = (plain[0], None) if plain else _read_rows(path, data)
-    del data  # plain holds the bytes, rewritten if they had CRLF line ends
+    del data  # only plain, if any, still holds the bytes
     _require_unique(path, header)
     if group_col not in header:
         raise ValidationError(f"{path}: missing group column {group_col!r}")

@@ -147,9 +147,9 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     exact tie takes :func:`_rerank` over the tree's rows within the margin
     of its k-th distance, which hold every row ``cdist`` could rank among
     the k nearest.  Every row when k + 1 > n_dst, every row above
-    ``_TREE_MAX_D``, and tied rows whose coordinates span so far that
-    squared distances could overflow take :func:`_nearest_exact`'s
-    ``cdist`` scan in row blocks.  The result is the scan's, index for index.
+    ``_TREE_MAX_D``, and tied rows whose squared distances could overflow
+    take :func:`_nearest_exact`'s ``cdist`` scan in row blocks.  Both rank
+    by :func:`_rank`'s one sort: the result is the scan's, index for index.
     Both tree searches split the query rows over :func:`core._workers`
     threads; each row is searched alone, so the split changes nothing.
     """
@@ -209,20 +209,19 @@ def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray,
 
 def _rank(dist: np.ndarray, k: int) -> np.ndarray:
     """Columns of each row's k smallest distances, nearest first, exact
-    distance ties to the lower column."""
+    distance ties to the lower column: one (row, distance, column) sort of
+    every entry at or within its row's k-th distance, tied rows included."""
     if k == 1:
         # argmin returns the first (lowest-column) minimum
         return np.argmin(dist, axis=1)[:, None]
-    cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    cand_dist = np.take_along_axis(dist, cand, axis=1)
-    order = np.lexsort((cand, cand_dist), axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)
-    # the partition picks arbitrarily among columns tied at the k-th
-    # distance; such rows redo the exact (distance, column) sort
-    kth = np.take_along_axis(dist, cand[:, -1:], axis=1)
-    for r in np.flatnonzero((dist <= kth).sum(axis=1) > k):
-        cand[r] = np.lexsort((np.arange(dist.shape[1]), dist[r]))[:k]
-    return cand
+    n, m = dist.shape
+    # a copy of the k-th column, so the partitioned block is freed
+    kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+    flat = np.flatnonzero(dist <= kth)  # row-major: rows, then columns
+    start = np.searchsorted(flat, np.arange(n) * m)
+    # lexsort is stable, so equal (row, distance) keys stay in column order
+    flat = flat[np.lexsort((dist.ravel()[flat], flat // m))]
+    return flat[start[:, None] + np.arange(k)] % m
 
 
 def _majority_vote(votes: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared fixture builders and independent brute-force oracles.
 
 The oracles here deliberately avoid the production code paths: the kNN
-oracle is an exhaustive scan, the Sinkhorn oracle projects the full matrix
+oracle is an exhaustive scan, the rank oracle sorts each row's columns
+with Python's ``sorted``, the Sinkhorn oracle projects the full matrix
 instead of scaling factor vectors, the Sinkhorn plan oracle takes
 ``np.median`` and builds every intermediate in a fresh array, the
 posterior oracle enumerates the joint outcome space, the moment oracle
@@ -99,6 +100,16 @@ def knn_oracle(X_query, X_dst, votes_dst, k):
         else:
             out[q] = active[0]
     return out
+
+
+def rank_oracle(dist, k):
+    """Columns of each row's k smallest distances, nearest first, exact
+    distance ties to the lower column: one Python sort per row."""
+    dist = np.asarray(dist, float)
+    return np.array([sorted(range(dist.shape[1]),
+                            key=lambda c: (dist[r, c], c))[:k]
+                     for r in range(dist.shape[0])],
+                    dtype=np.intp).reshape(dist.shape[0], k)
 
 
 def sinkhorn_projection_oracle(M, a, b, eta, rescale_median=True,

@@ -275,6 +275,18 @@ def test_load_votes_csv_peak_is_votes_and_body_plus_two_blocks(
                     + 2 * core.ROW_BLOCK_BYTES)
 
 
+def test_load_crlf_votes_csv_peak_is_the_lf_files_bound(wide_votes, tmp_path):
+    # the bytes are read once, in place: the \r bytes are dropped one block
+    # at a time, never by a copy of the whole file
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_votes_csv(wide_votes, str(lf))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    wl, peak = traced_peak(lambda: load_votes_csv(str(crlf)))
+    assert np.array_equal(wl.votes, wide_votes.votes)
+    assert peak <= (wl.votes.nbytes + lf.stat().st_size
+                    + 2 * core.ROW_BLOCK_BYTES)
+
+
 def test_passthrough_repair_peak_is_the_votes_and_their_float_cast():
     # the traced call builds the int8 votes from int64 ones; after them the
     # posterior's float64 cast, 8 bytes a cell, is the largest temporary
@@ -299,6 +311,16 @@ def test_exact_knn_scan_peak_is_the_output_plus_three_blocks():
     nbrs, peak = traced_peak(lambda: transport._nearest_exact(query, dst, 5))
     assert nbrs.shape == (300, 5)
     assert peak <= nbrs.nbytes + 3 * core.ROW_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("k", [5, 50])
+def test_exact_knn_scan_of_a_fully_tied_block_peaks_under_six_blocks(k):
+    # every distance ties at the k-th, so _rank sorts whole blocks: their
+    # entries' indices, distances and rows and the sort order beside them
+    query, dst = np.zeros((300, 12)), np.zeros((2000, 12))
+    nbrs, peak = traced_peak(lambda: transport._nearest_exact(query, dst, k))
+    assert np.array_equal(nbrs, np.broadcast_to(np.arange(k), (300, k)))
+    assert peak <= nbrs.nbytes + 6 * core.ROW_BLOCK_BYTES
 
 
 def test_records_are_counted_the_way_the_bench_counts_them():

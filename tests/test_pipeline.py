@@ -290,6 +290,30 @@ def test_exact_pass_reuses_the_bytes_the_loader_read(tmp_path, monkeypatch,
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+@pytest.mark.parametrize("load, oracle, data, names", [
+    (load_votes_csv, load_votes_oracle, b"lf_0,lf_1\r1,0\r0,1\r", ["votes"]),
+    (load_votes_csv, load_votes_oracle, b"lf_0,lf_1\r\n1,0\r\n0\r,1\r\n",
+     ["votes"]),
+    (load_votes_csv, load_votes_oracle, b"lf_0,lf_1\r\n1,0\r\n0,1\r",
+     ["votes"]),
+    (load_votes_csv, load_votes_oracle, b"lf_0\r\n\r\n1\r\n", ["votes"]),
+    (load_features_csv, load_features_oracle,
+     b"f0,group,label\r\n1.5,0\r,1\r\n-2,1,-1\r\n", DATASET_FIELDS),
+], ids=["cr-only", "lone-cr-in-a-cell", "lone-cr-at-the-end",
+        "crlf-blank-first-body-line", "features-lone-cr"])
+def test_lone_carriage_returns_take_the_exact_pass(tmp_path, monkeypatch,
+                                                   load, oracle, data, names):
+    # a plain file's \r bytes are read in place, so only a \r before a \n
+    # may stay on the blocked path; csv reads every other one its own way
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    exact, real_read_rows = [], pipeline._read_rows
+    monkeypatch.setattr(pipeline, "_read_rows", lambda path, data: (
+        exact.append(path) or real_read_rows(path, data)))
+    assert_same_outcome(load, oracle, str(p), names)
+    assert str(p) in exact
+
+
 @pytest.mark.parametrize("text", [
     "\n1\n0\n", "\n\n", "lf_0\n\n", "lf_0\n", "lf_0", "lf_0\r1\r0\r",
     "lf_0,lf_1\r1,0\n0,1\n", "lf_0\n1\n\n", "lf_0\n \n", "\ufefflf_0\n1\n",

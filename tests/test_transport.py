@@ -21,7 +21,7 @@ from otrelabel import (
     sbm_transport,
     sinkhorn_plan,
 )
-from helpers import knn_oracle, make_biased_fixture
+from helpers import knn_oracle, make_biased_fixture, rank_oracle
 
 
 def lf_group_accuracy(votes_col, y, groups, k):
@@ -206,6 +206,47 @@ def test_tree_search_matches_exact_scan_property(seed, kind, k, d, extra):
     if kind in ("ulp", "tiny"):
         return  # gaps below the oracle's own rounding (norm vs cdist)
     votes = rng.choice([-1, 0, 1], n_dst)
+    assert np.array_equal(knn_transfer(query, dst, votes, k),
+                          knn_oracle(query, dst, votes, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["grid", "uniform", "equal", "inf"]),
+       st.integers(1, 8), st.integers(1, 60), st.data())
+def test_rank_matches_sort_oracle_property(seed, kind, n, m, data):
+    # rank_oracle shares no code with _rank; _nearest and _nearest_exact
+    # both rank by _rank, so comparing them cannot catch its faults
+    k = data.draw(st.integers(1, min(50, m)))
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        dist = rng.random((n, m))
+    elif kind == "equal":
+        dist = np.full((n, m), rng.random())
+    else:  # few levels: ties at and across the k-th distance
+        dist = rng.integers(0, 4, size=(n, m)).astype(float)
+    if kind == "inf":  # an overflowed distance ties with every other one
+        dist[rng.random((n, m)) < 0.4] = np.inf
+    assert np.array_equal(transport._rank(dist, k), rank_oracle(dist, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12),
+       st.integers(0, 48), st.data())
+def test_repeated_destination_rows_match_oracle_property(
+        seed, n_distinct, d, extra, data):
+    # categorical features repeat rows; on small integers cdist and
+    # linalg.norm take the square root of the same exact sum, so the
+    # oracle's ties are cdist's, on the tree path (d <= 10) and the scan
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-3, 4, size=(n_distinct, d)).astype(float)
+    dst = np.vstack([pool, pool, pool[rng.integers(0, n_distinct, extra)]])
+    dst = dst[rng.permutation(len(dst))]
+    k = data.draw(st.integers(1, min(50, len(dst))))
+    near = pool[rng.integers(0, n_distinct, 10)] \
+        + rng.integers(-1, 2, size=(10, d))
+    query = np.vstack([pool, near])
+    votes = rng.choice([-1, 0, 1], len(dst))
     assert np.array_equal(knn_transfer(query, dst, votes, k),
                           knn_oracle(query, dst, votes, k))
 
