@@ -15,6 +15,7 @@ group with no gold positives has no eo gap (``eo_defined=False``).  F1 is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +186,10 @@ def regime_profile(
 
     best_idx, best_acc = -1, -np.inf
     for c in candidate_centers:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) \
+                or not 0 <= c < n:
+            raise ValidationError(
+                f"candidate center must be an integer in [0, {n}), got {c!r}")
         dist = np.linalg.norm(X - X[c], axis=1)
         nearest = np.lexsort((np.arange(n), dist))[:k_neigh]
         acc = float(correct[nearest].mean())

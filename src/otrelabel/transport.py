@@ -7,13 +7,12 @@ destination group's votes are untouched by construction.  The direction
 decision uses estimated accuracies exclusively, never gold labels.
 
 Neighbours are searched in a KD-tree on the destination rows at up to
-``_TREE_MAX_D`` dimensions; rows the tree cannot rank beyond rounding
-doubt re-rank the tree's rows near their k-th distance by ``cdist``, and
-every row at higher dimension takes an exact ``cdist`` scan in row blocks
-(``core.row_blocks``), so the neighbours never depend on the search.  Both tree
-searches, like the Sinkhorn scaling, run on every CPU in the process's
-affinity set; each query row is searched on its own, so the result never
-depends on that count, and ``taskset -c 0`` pins both to one CPU.
+``_TREE_MAX_D`` dimensions.  Each distinct row the tree cannot prove, and
+each above, is ranked once by ``cdist`` in row blocks (``core.row_blocks``),
+so the neighbours never depend on the search.  Both tree searches, like
+the Sinkhorn scaling, run on every CPU in the process's affinity set;
+each query row is searched on its own, so the result never depends on
+that count, and ``taskset -c 0`` pins both to one CPU.
 
 Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
 squared-Euclidean cost is computed into it and becomes K, which the
@@ -62,9 +61,9 @@ _TREE_MAX_D = 10
 # (in distance units) covers squared differences that underflow.
 _TIE_REL = 1e-12
 _TIE_ABS = 1e-150
-# Tied rows re-rank the tree's candidates only while every squared
-# distance, and the squared search radius, stays far from overflow (the
-# tree's ball search raises on overflow).
+# Unproven rows are ranked over the tree's candidates only while every
+# squared distance, and the squared search radius, stays far from
+# overflow (the tree's ball search raises on overflow), else over all.
 _MAX_SQ_SPAN = 1e300
 
 
@@ -100,11 +99,10 @@ def knn_transfer(
     (``n_dst x c``); the result has the same layout over the query rows,
     as int8 votes.
     The neighbours are found once and every column votes from them: a
-    KD-tree search at low dimension, where rows whose ranking the tree
-    cannot prove re-rank its nearby rows by ``cdist``, and an exact
-    ``cdist`` scan for every row above ``_TREE_MAX_D`` dimensions.
-    Either way the neighbours are exactly the scan's.  Non-finite
-    coordinates and votes outside {-1, 0, +1} are rejected.
+    KD-tree search up to ``_TREE_MAX_D`` dimensions, and an exact
+    ``cdist`` ranking, once per distinct row, of every row the tree
+    cannot prove and every row above.  Either way they are the scan's.
+    Non-finite coordinates and votes outside {-1, 0, +1} are rejected.
 
     Deterministic tie handling: exact distance ties prefer the lower row
     index; a tied majority falls back to the nearest non-abstaining
@@ -137,73 +135,69 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     """Indices (n_query x k) of each query row's k nearest destination
     rows, nearest first, exact distance ties to the lower index.
 
-    For ``1 <= d <= _TREE_MAX_D`` a KD-tree on the destination rows finds
-    each row's k + 1 nearest.  A row keeps the tree's first k when every
-    gap between consecutive tree distances exceeds ``_TIE_REL`` relative
-    plus ``_TIE_ABS``: the tree and ``cdist`` sum the same rounded squared
-    differences in different orders, so their distances differ by about
-    d ulps, far inside the margin, and ``cdist`` ranks those k + 1 rows
-    the same way with no other row between them.  A row with a near or
-    exact tie takes :func:`_rerank` over the tree's rows within the margin
-    of its k-th distance, which hold every row ``cdist`` could rank among
-    the k nearest.  Every row when k + 1 > n_dst, every row above
-    ``_TREE_MAX_D``, and tied rows whose squared distances could overflow
-    take :func:`_nearest_exact`'s ``cdist`` scan in row blocks.  Both rank
-    by :func:`_rank`'s one sort: the result is the scan's, index for index.
+    For ``1 <= d <= _TREE_MAX_D`` and k < n_dst a KD-tree on the
+    destination rows finds each row's k + 1 nearest.  A row keeps the
+    tree's first k when every gap between consecutive tree distances
+    exceeds ``_TIE_REL`` relative plus ``_TIE_ABS``: the tree and
+    ``cdist`` sum the same rounded squared differences in different
+    orders, so their distances differ by about d ulps, far inside the
+    margin, and ``cdist`` ranks those k + 1 rows the same way with no
+    other row between them.  Every other row, and every row without a
+    tree, is ranked by :func:`_nearest_exact` once per distinct row
+    (equal rows, -0.0 and 0.0 alike, have bit-identical ``cdist``
+    distances) over the tree's rows within the margin of its k-th
+    distance, which hold every row ``cdist`` could rank among the k
+    nearest, or over all rows when squared distances could overflow.
     Both tree searches split the query rows over :func:`core._workers`
     threads; each row is searched alone, so the split changes nothing.
     """
     n_dst, d = X_dst.shape
-    if not 0 < d <= _TREE_MAX_D or k + 1 > n_dst:
-        return _nearest_exact(X_query, X_dst, k)
-    workers = core._workers()
-    tree = cKDTree(X_dst)
-    dist, idx = tree.query(X_query, k=k + 1, eps=0, workers=workers)
-    bound = dist * (1.0 + _TIE_REL) + _TIE_ABS
-    # an infinite (overflowed) distance fails the gap test unless it is
-    # the last one, which is checked on its own
-    proven = np.isfinite(dist[:, -1]) & np.all(
-        dist[:, 1:] > bound[:, :-1], axis=1)
-    nbrs = idx[:, :k]
-    redo = np.flatnonzero(~proven)
-    if redo.size == 0:
-        return nbrs
-    X_redo = X_query[redo]
-    with np.errstate(over="ignore"):
-        span = np.maximum(X_dst.max(axis=0), X_redo.max(axis=0)) \
-            - np.minimum(X_dst.min(axis=0), X_redo.min(axis=0))
-        safe = np.sum(span * span) < _MAX_SQ_SPAN
-    if not safe:
-        nbrs[redo] = _nearest_exact(X_redo, X_dst, k)
-        return nbrs
-    cands = tree.query_ball_point(X_redo, r=bound[redo, k - 1], eps=0,
-                                  workers=workers, return_sorted=False)
-    nbrs[redo] = _rerank(X_redo, X_dst, cands, k)
+    tree = None
+    if 0 < d <= _TREE_MAX_D and k < n_dst:
+        workers = core._workers()
+        tree = cKDTree(X_dst)
+        dist, idx = tree.query(X_query, k=k + 1, eps=0, workers=workers)
+        bound = dist * (1.0 + _TIE_REL) + _TIE_ABS
+        # an infinite (overflowed) distance fails the gap test unless it
+        # is the last one, which is checked on its own
+        proven = np.isfinite(dist[:, -1]) & np.all(
+            dist[:, 1:] > bound[:, :-1], axis=1)
+        nbrs = idx[:, :k]
+        redo = np.flatnonzero(~proven)
+        if redo.size == 0:
+            return nbrs
+    else:
+        nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
+        redo = np.arange(X_query.shape[0])
+    uniq, first, inv = np.unique(X_query[redo], axis=0, return_index=True,
+                                 return_inverse=True)
+    cands = None
+    if tree is not None:
+        with np.errstate(over="ignore"):
+            span = np.maximum(X_dst.max(axis=0), uniq.max(axis=0)) \
+                - np.minimum(X_dst.min(axis=0), uniq.min(axis=0))
+            safe = np.sum(span * span) < _MAX_SQ_SPAN
+        if safe:
+            cands = tree.query_ball_point(
+                uniq, r=bound[redo[first], k - 1], eps=0, workers=workers,
+                return_sorted=False)
+    nbrs[redo] = _nearest_exact(uniq, X_dst, k, cands)[inv.ravel()]
     return nbrs
 
 
-def _rerank(X_query: np.ndarray, X_dst: np.ndarray, cands: np.ndarray,
-            k: int) -> np.ndarray:
-    """:func:`_nearest` of each query row among its candidate destination
-    rows (one index list per row, in any order).  Exact when the
-    candidates hold every row within the k-th nearest ``cdist`` distance,
-    ties included."""
-    nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
-    for r, cand in enumerate(cands):
-        # sorted, a lower column is a lower row index for _rank's tie rule
-        cand = np.sort(np.asarray(cand, dtype=np.intp))
-        dist = cdist(X_query[r:r + 1], X_dst[cand], metric="euclidean")
-        nbrs[r] = cand[_rank(dist, k)[0]]
-    return nbrs
-
-
-def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray,
-                   k: int) -> np.ndarray:
-    """:func:`_nearest` by a ``cdist`` scan of every destination row in
-    ``core.row_blocks`` blocks of query rows, each ranked on its own."""
+def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray, k: int,
+                   cands=None) -> np.ndarray:
+    """:func:`_nearest` by ``cdist`` in ``core.row_blocks`` blocks of query
+    rows, each ranked over every destination row, or over the union of the
+    block's ``cands`` (per row, every row within its k-th distance)."""
     nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
     for rows in core.row_blocks(X_query.shape[0], 8 * X_dst.shape[0]):
-        nbrs[rows] = _rank(cdist(X_query[rows], X_dst), k)
+        if cands is None:
+            nbrs[rows] = _rank(cdist(X_query[rows], X_dst), k)
+        else:
+            # sorted, a lower column is a lower row index for _rank's rule
+            near = np.unique(np.concatenate(cands[rows]))
+            nbrs[rows] = near[_rank(cdist(X_query[rows], X_dst[near]), k)]
     return nbrs
 
 

@@ -323,6 +323,20 @@ def test_exact_knn_scan_of_a_fully_tied_block_peaks_under_six_blocks(k):
     assert peak <= nbrs.nbytes + 6 * core.ROW_BLOCK_BYTES
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_knn_of_heavily_repeated_rows_peaks_under_four_blocks(k):
+    # two one-hot features of 5 skewed levels: nearly every row ties, and
+    # the few distinct ones are ranked once each over their candidates
+    rng = np.random.default_rng(16)
+    levels = np.eye(5)[rng.choice(5, size=(2000, 2),
+                                  p=[0.5, 0.25, 0.125, 0.0625, 0.0625])]
+    points = levels.reshape(2000, 10)
+    query, dst = points[:1000], points[1000:]
+    nbrs, peak = traced_peak(lambda: transport._nearest(query, dst, k))
+    assert np.array_equal(nbrs, transport._nearest_exact(query, dst, k))
+    assert peak <= nbrs.nbytes + 4 * core.ROW_BLOCK_BYTES
+
+
 def test_records_are_counted_the_way_the_bench_counts_them():
     m = 9
     moments = random_moments(m, seed=11, p_bad=0.15)

@@ -328,3 +328,10 @@ def test_tiny_neighborhood_errors():
     with pytest.raises(ValidationError):
         regime_profile(np.zeros((5, 1)), np.ones(5, bool),
                        np.array([0, 0, 0, 1, 1]), [0])
+
+
+@pytest.mark.parametrize("center", [-1, 20, 1.5, True])
+def test_candidate_outside_the_rows_is_named(center):
+    x = np.arange(20.0)[:, None]
+    with pytest.raises(ValidationError, match=f"got {center!r}"):
+        regime_profile(x, np.ones(20, bool), np.tile([0, 1], 10), [0, center])

@@ -252,16 +252,16 @@ def test_repeated_destination_rows_match_oracle_property(
 
 
 def count_searches(monkeypatch):
-    """Patch the two fallback searches to record how many rows each gets."""
-    rows = {"_rerank": 0, "_nearest_exact": 0}
-    for name in rows:
-        real = getattr(transport, name)
+    """Patch the exact search to record how many rows it ranks over the
+    tree's candidates and how many over every destination row."""
+    rows = {"candidates": 0, "scan": 0}
+    real = transport._nearest_exact
 
-        def counting(X_query, *args, _name=name, _real=real):
-            rows[_name] += X_query.shape[0]
-            return _real(X_query, *args)
+    def counting(X_query, X_dst, k, cands=None):
+        rows["scan" if cands is None else "candidates"] += X_query.shape[0]
+        return real(X_query, X_dst, k, cands)
 
-        monkeypatch.setattr(transport, name, counting)
+    monkeypatch.setattr(transport, "_nearest_exact", counting)
     return rows
 
 
@@ -273,22 +273,23 @@ def test_only_tied_rows_rerank_and_none_scan(monkeypatch, kind, tied):
     expected = transport._nearest_exact(query, dst, 3)
     rows = count_searches(monkeypatch)
     assert np.array_equal(transport._nearest(query, dst, 3), expected)
-    # 200 rows on a 5**3 grid: every query row meets a tie, and re-ranks
-    # the tree's candidates instead of scanning every destination row
-    assert rows == {"_rerank": 100 if tied else 0, "_nearest_exact": 0}
+    # 200 rows on a 5**3 grid: every query row meets a tie, and each
+    # distinct one is ranked over the tree's candidates, not every row
+    distinct = len(np.unique(query, axis=0))
+    assert rows == {"candidates": distinct if tied else 0, "scan": 0}
 
 
 def test_tied_rows_rerank_only_rows_near_the_kth_distance(monkeypatch):
     dst = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                     [5.0, 5.0], [9.0, 9.0], [-7.0, 3.0]])
     seen = []
-    real = transport._rerank
+    real = transport._nearest_exact
 
-    def recording(X_query, X_dst, cands, k):
+    def recording(X_query, X_dst, k, cands=None):
         seen.extend(sorted(c) for c in cands)
-        return real(X_query, X_dst, cands, k)
+        return real(X_query, X_dst, k, cands)
 
-    monkeypatch.setattr(transport, "_rerank", recording)
+    monkeypatch.setattr(transport, "_nearest_exact", recording)
     nbrs = transport._nearest(np.zeros((1, 2)), dst, 2)
     assert nbrs.tolist() == [[0, 1]]  # four-way tie at distance 1
     assert seen == [[0, 1, 2, 3]]
@@ -299,15 +300,44 @@ def test_tied_rows_rerank_only_rows_near_the_kth_distance(monkeypatch):
 @pytest.mark.parametrize("kind", ["grid", "duplicates"])
 def test_rerank_ranks_candidates_given_in_any_order(kind, k, order):
     # the tree's ball search (return_sorted=False) lists each row's
-    # candidates in no particular order
+    # candidates in no particular order; each row's list holds every row
+    # at or within its k-th distance and some farther ones
     rng = np.random.default_rng(14)
     dst = tie_heavy_points(rng, kind, 60, 3)
     query = np.vstack([tie_heavy_points(rng, kind, 20, 3), dst[:5]])
-    rows = np.arange(len(dst))
-    cands = [rows[::-1] if order == "reversed" else rng.permutation(rows)
-             for _ in query]
-    assert np.array_equal(transport._rerank(query, dst, cands, k),
+    dist = cdist(query, dst)
+    kth = np.sort(dist, axis=1)[:, [k - 1]]
+    keep = (dist <= kth) | (rng.random(dist.shape) < 0.2)
+    cands = [(np.flatnonzero(row)[::-1] if order == "reversed"
+              else rng.permutation(np.flatnonzero(row))).tolist()
+             for row in keep]
+    assert np.array_equal(transport._nearest_exact(query, dst, k, cands),
                           transport._nearest_exact(query, dst, k))
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_equal_query_rows_are_searched_once(monkeypatch, d):
+    # every destination row twice, so every query row ties at its nearest
+    rng = np.random.default_rng(31)
+    pool = rng.integers(-2, 3, size=(40, d)).astype(float)
+    dst = np.vstack([pool, pool])[rng.permutation(80)]
+    points = rng.integers(-2, 3, size=(7, d)).astype(float)
+    signed = np.zeros((2, d))
+    signed[:, -1] = 3.0
+    signed[1, :-1] = -0.0
+    query = np.vstack([points[np.arange(100) % 7], signed])
+    query = query[rng.permutation(len(query))]
+    assert len(np.unique(points, axis=0)) == 7
+    assert np.signbit(signed[1, :-1]).all()
+    votes = rng.choice([-1, 0, 1], len(dst))
+    expected = transport._nearest_exact(query, dst, 2)
+    rows = count_searches(monkeypatch)
+    assert np.array_equal(transport._nearest(query, dst, 2), expected)
+    # -0.0 and 0.0 are one row: 7 grid points and the signed pair
+    path = "candidates" if d <= transport._TREE_MAX_D else "scan"
+    assert rows[path] == sum(rows.values()) == 8
+    assert np.array_equal(knn_transfer(query, dst, votes, 2),
+                          knn_oracle(query, dst, votes, 2))
 
 
 class UnderflowFreeTree:
@@ -353,7 +383,7 @@ def test_tied_rows_with_overflowing_span_take_the_scan(monkeypatch):
     rows = count_searches(monkeypatch)
     assert np.array_equal(transport._nearest(query, dst, 2), expected)
     assert expected[0].tolist() == [0, 1]
-    assert rows == {"_rerank": 0, "_nearest_exact": 3}
+    assert rows == {"candidates": 0, "scan": 3}
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
