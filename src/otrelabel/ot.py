@@ -8,7 +8,11 @@ The closed-form map between two Gaussians N(mu_s, S_s) and N(mu_t, S_t) is
 
 which is symmetric positive definite whenever both covariances are.  The
 entropic plan is obtained by alternately scaling the rows and columns of
-K = exp(-M / eta) until the marginals match.
+K = exp(-M / eta) until both marginals match.  The scaling is over-relaxed
+once plain rounds have shown their linear rate, with the factor that rate
+implies, which about halves the rounds (34 -> 18 on the bench's 2k x 2k
+cost at eta = 0.05); it falls back to plain scaling when the relaxed
+rounds stop gaining.
 
 Buffers: the plan is the one dense n_src x n_dst object of the package.
 One private core writes K into a buffer it is handed and scales it by
@@ -43,6 +47,13 @@ _MEDIAN_MIN_STRIDE = 32
 # this size, not the threads, sets the plan's bits; and 256 KiB blocks ran
 # Sinkhorn in 285 ms against 134 ms for 4 MiB (medians of 7, 4 MiB L2).
 _BLOCK_BYTES = 1 << 22
+# Over-relaxation starts once two consecutive violation ratios agree within
+# _RATE_AGREE and gives up after _STALL rounds with no new lowest
+# violation.  The rate's omega tends to 2 as the rate tends to 1 (small
+# eta), where relaxed rounds barely contract: _OMEGA_MAX caps it.
+_RATE_AGREE = 0.01
+_OMEGA_MAX = 1.8
+_STALL = 10
 _UNDERFLOW = ("exp(-M/eta) underflowed to zero along an entire row or "
               "column; scaling is infeasible (increase eta)")
 
@@ -272,10 +283,24 @@ def sinkhorn_plan(
 def _sinkhorn(M, K, a, b, eta, max_iter, tol):
     """The scaling of :func:`sinkhorn_plan` on checked arguments, K built in
     ``K``, which may be M (read in full first).  A sweep takes Kv = K v,
-    u = a / Kv and u K by row blocks, claimed one at a time by the calling
-    thread and :func:`core._workers` - 1 helpers; v = b / (u K) sums the
-    blocks in order, and (u, v)'s violation is read from the next sweep's
-    Kv.  Returns u, v, Kv, the u K that gave v and the rounds."""
+    the u step from a / Kv and u K by row blocks, claimed one at a time by
+    the calling thread and :func:`core._workers` - 1 helpers; the v step
+    from b / (u K) sums the blocks in order.  (u, v)'s violation, the
+    worse of |u Kv - a| and |v (u K) - b|, is read from the next sweep's
+    Kv and the last u K.
+
+    The steps are over-relaxed (Thibault, Chizat, Dossal & Papadakis,
+    Algorithms 2021): each scaling is its plain value times (plain /
+    old)^(omega - 1), one omega for the u and v steps of a round.  The
+    rounds stay plain until two consecutive violation ratios agree within
+    ``_RATE_AGREE`` below 1; that ratio is plain Sinkhorn's linear rate,
+    and :func:`_omega` reads omega from it.  The omega chosen from round
+    t's violation first applies to round t + 2, whose u step is fused into
+    the sweep after the one that measured it.  Omega falls back to 1 for
+    good after ``_STALL`` rounds with no new lowest violation, or when an
+    over-relaxed round leaves a scaling zero or non-finite; that round is
+    then redone plainly from the last (u, v).  Returns u, v, Kv, the
+    violation and the rounds."""
     scale = _median(M)
     if scale <= 0.0:
         scale = float(M.mean()) or 1.0
@@ -294,8 +319,8 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol):
         if not np.matmul(K[rows], v, out=Kv[rows]).all():
             raise NumericalError(_UNDERFLOW)
         if iterations < max_iter:
-            np.matmul(np.divide(a[rows], Kv[rows], out=u_next[rows]),
-                      K[rows], out=sums[i])
+            np.matmul(_relaxed(a[rows], Kv[rows], u[rows], w,
+                               out=u_next[rows]), K[rows], out=sums[i])
 
     # a pool starts its threads on its first task: none for one worker
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
@@ -310,21 +335,62 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol):
                 helper.result()
 
         each(build)
-        u, v, iterations = None, np.ones(n_dst), 0
+        u, v, iterations = np.ones(n_src), np.ones(n_dst), 0
+        omega, warm = 1.0, True  # warm: omega not yet read from the rate
+        lowest, stalled, last, rate = math.inf, 0, math.nan, math.nan
         while True:
-            u_next = np.empty(n_src)
+            u_next, w = np.empty(n_src), omega
             each(sweep)
             if iterations:
-                # right after the v step the column sums equal b up to
-                # roundoff, so the worst marginal violation is on the rows
-                violation = float(np.abs(u * Kv - a).max())
+                violation = max(float(np.abs(u * Kv - a).max()),
+                                float(np.abs(v * col_sums - b).max()))
                 if violation <= tol or iterations == max_iter:
                     break
+                if violation < lowest:
+                    lowest, stalled = violation, 0
+                else:
+                    stalled += 1
+                ratio = violation / last  # NaN until two rounds are seen
+                if warm and ratio < 1 and rate < 1 \
+                        and abs(ratio - rate) <= _RATE_AGREE:
+                    omega, warm = _omega(ratio), False
+                elif stalled >= _STALL:
+                    omega, warm = 1.0, False
+                last, rate = violation, ratio
             col_sums = sums.sum(axis=0)
-            if not col_sums.all():
+            if w == 1.0 and not col_sums.all():
                 raise NumericalError(_UNDERFLOW)
-            u, v, iterations = u_next, b / col_sums, iterations + 1
-    return u, v, Kv, col_sums, iterations
+            v_next = _relaxed(b, col_sums, v, w)
+            if w != 1.0 and not (_usable(u_next) and _usable(v_next)):
+                omega = 1.0  # for good, and this round is redone plainly
+                continue
+            u, v, iterations = u_next, v_next, iterations + 1
+    return u, v, Kv, violation, iterations
+
+
+def _omega(rate: float) -> float:
+    """The over-relaxation for plain Sinkhorn's linear rate ``rate`` < 1:
+    2 / (1 + sqrt(1 - rate)) (Lehmann, von Renesse, Sambale & Uschmajew,
+    Optim. Lett. 2022), at most ``_OMEGA_MAX``."""
+    return min(_OMEGA_MAX, 2.0 / (1.0 + math.sqrt(1.0 - rate)))
+
+
+def _relaxed(num, den, old, omega, out=None):
+    """The scaling num / den, times (num / den / old)^(omega - 1) when
+    omega != 1.  An over-relaxed step may overflow, underflow or divide by
+    zero, which the caller checks for, so it warns of none of them."""
+    if omega == 1.0:
+        return np.divide(num, den, out=out)
+    with np.errstate(all="ignore"):
+        plain = np.divide(num, den, out=out)
+        step = plain / old
+        step **= omega - 1.0
+        return np.multiply(plain, step, out=plain)
+
+
+def _usable(scaling: np.ndarray) -> bool:
+    """Every entry finite and positive (NaN fails both tests)."""
+    return bool(scaling.min() > 0.0 and scaling.max() < math.inf)
 
 
 def _median(M: np.ndarray) -> float:
@@ -423,10 +489,8 @@ def _sinkhorn_projection(
     and ``X_dst`` (rows matching the cost's columns) and has checked what
     :func:`sinkhorn_plan` checks; the marginals are uniform."""
     a, b = (np.full(n, 1.0 / n) for n in cost.shape)
-    u, v, Kv, col_sums, iterations = _sinkhorn(cost, cost, a, b, eta,
-                                               max_iter, tol)
-    violation = max(float(np.abs(u * Kv - a).max()),
-                    float(np.abs(v * col_sums - b).max()))
+    u, v, Kv, violation, iterations = _sinkhorn(cost, cost, a, b, eta,
+                                                max_iter, tol)
     return (cost @ (v[:, None] * X_dst)) / Kv[:, None], TransportPlan(
         cost, eta, iterations, violation <= tol, violation)
 

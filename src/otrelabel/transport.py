@@ -8,21 +8,24 @@ decision uses estimated accuracies exclusively, never gold labels.
 
 Neighbours are searched in a KD-tree on the destination rows at up to
 ``_TREE_MAX_D`` dimensions.  Each distinct row the tree cannot prove, and
-each above, is ranked once by ``cdist`` in row blocks (``core.row_blocks``),
-so the neighbours never depend on the search.  Both tree searches, like
+each above, is ranked once by ``cdist`` in row blocks within
+``core.ROW_BLOCK_BYTES``, so the neighbours never depend on the search.  Both tree searches, like
 the Sinkhorn scaling, run on every CPU in the process's affinity set;
 each query row is searched on its own, so the result never depends on
 that count, and ``taskset -c 0`` pins both to one CPU.
 
 Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
 squared-Euclidean cost is computed into it and becomes K, which the
-projection reads with the scalings.  When it cannot be allocated the
-error names its size before any work starts.
+projection reads with the scalings.  When it is larger than physical
+memory, or cannot be allocated, the error names its size before any work
+starts.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,18 +190,37 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
 
 def _nearest_exact(X_query: np.ndarray, X_dst: np.ndarray, k: int,
                    cands=None) -> np.ndarray:
-    """:func:`_nearest` by ``cdist`` in ``core.row_blocks`` blocks of query
-    rows, each ranked over every destination row, or over the union of the
-    block's ``cands`` (per row, every row within its k-th distance)."""
+    """:func:`_nearest` by ``cdist`` in blocks of query rows, each ranked
+    over every destination row (``core.row_blocks`` blocks), or over the
+    union of the block's ``cands`` (per row, every row within its k-th
+    distance; :func:`_candidate_blocks`)."""
     nbrs = np.empty((X_query.shape[0], k), dtype=np.intp)
-    for rows in core.row_blocks(X_query.shape[0], 8 * X_dst.shape[0]):
-        if cands is None:
+    if cands is None:
+        for rows in core.row_blocks(X_query.shape[0], 8 * X_dst.shape[0]):
             nbrs[rows] = _rank(cdist(X_query[rows], X_dst), k)
-        else:
-            # sorted, a lower column is a lower row index for _rank's rule
-            near = np.unique(np.concatenate(cands[rows]))
-            nbrs[rows] = near[_rank(cdist(X_query[rows], X_dst[near]), k)]
+        return nbrs
+    for rows in _candidate_blocks(cands, X_dst.shape[0]):
+        # sorted, a lower column is a lower row index for _rank's rule
+        near = np.unique(np.concatenate(cands[rows]))
+        nbrs[rows] = near[_rank(cdist(X_query[rows], X_dst[near]), k)]
     return nbrs
+
+
+def _candidate_blocks(cands, n_dst: int) -> list[slice]:
+    """Consecutive slices of the rows of ``cands``, each at least one row
+    and, with the union of its rows' candidates counted at the sum of
+    their counts (at most ``n_dst``), a distance block within
+    ``core.ROW_BLOCK_BYTES``."""
+    blocks, start, width = [], 0, 0
+    for row, count in enumerate(map(len, cands)):
+        width += count
+        if row > start and 8 * (row + 1 - start) * min(width, n_dst) \
+                > core.ROW_BLOCK_BYTES:
+            blocks.append(slice(start, row))
+            start, width = row, count
+    if start < len(cands):
+        blocks.append(slice(start, len(cands)))
+    return blocks
 
 
 def _rank(dist: np.ndarray, k: int) -> np.ndarray:
@@ -229,6 +251,16 @@ def _majority_vote(votes: np.ndarray) -> np.ndarray:
     return np.where(pos > neg, 1, np.where(neg > pos, -1, first))
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where ``os.sysconf`` cannot say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page_size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf or no name
+        return math.inf
+    return pages * page_size if pages > 0 and page_size > 0 else math.inf
+
+
 def _transported_sources(
     X_src: np.ndarray,
     X_dst: np.ndarray,
@@ -249,13 +281,18 @@ def _transported_sources(
         )
         return apply_monge(mm, X_src)
     n_src, n_dst = X_src.shape[0], X_dst.shape[0]
+    need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one dense "
+            f"float64 buffer of {8 * n_src * n_dst} bytes")
+    fix = "; ot_type=linear needs no dense buffer"
+    memory = _physical_memory()
+    if 8 * n_src * n_dst > memory:
+        raise ValidationError(
+            f"{need}, more than the {memory} bytes of physical memory{fix}")
     try:
         cost = np.empty((n_src, n_dst))
     except MemoryError:
         raise ValidationError(
-            f"a sinkhorn plan over {n_src} x {n_dst} rows needs one dense "
-            f"float64 buffer of {8 * n_src * n_dst} bytes, which could not "
-            "be allocated; ot_type=linear needs no dense buffer") from None
+            f"{need}, which could not be allocated{fix}") from None
     cdist(X_src, X_dst, metric="sqeuclidean", out=cost)
     # finite features have finite costs unless a squared distance overflows
     big = float(max(np.abs(X_src).max(), np.abs(X_dst).max()))

@@ -139,7 +139,11 @@ def sinkhorn_projection_oracle(M, a, b, eta, rescale_median=True,
 def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9):
     """``sinkhorn_plan`` without its checks, the median taken by
     ``np.median`` and every intermediate in a fresh array; the library
-    must return this plan bit for bit."""
+    must return this plan bit for bit.
+
+    The loop in the library's order: a round's u step is taken before
+    (u, v)'s violation is read, so the omega chosen from round t's
+    violation first applies to the u and v steps of round t + 2."""
     M = np.asarray(M, dtype=np.float64)
     n_src, n_dst = M.shape
     a = np.full(n_src, 1.0 / n_src) if a is None else np.asarray(a, float)
@@ -153,18 +157,52 @@ def sinkhorn_plan_oracle(M, a=None, b=None, eta=1.0, max_iter=10, tol=1e-9):
     K = np.negative(K, out=K)
     K /= eta
     np.exp(K, out=K)
+
+    def relaxed(plain, old, omega):
+        if omega == 1.0:
+            return plain
+        with np.errstate(all="ignore"):
+            return plain * (plain / old) ** (omega - 1.0)
+
+    def usable(x):
+        return bool(np.all(np.isfinite(x)) and np.all(x > 0))
+
     u = np.ones(n_src)
     v = np.ones(n_dst)
+    col = None
     iterations = 0
-    Kv = K @ v
-    for _ in range(max_iter):
-        u = a / Kv
-        v = b / (K.T @ u)
-        iterations += 1
+    omega, warm = 1.0, True
+    lowest, stalled = np.inf, 0
+    history = []  # every violation, the redone rounds' too
+    while True:
+        w = omega
         Kv = K @ v
-        violation = float(np.abs(u * Kv - a).max())
-        if violation <= tol:
-            break
+        if iterations:
+            violation = max(float(np.abs(u * Kv - a).max()),
+                            float(np.abs(v * col - b).max()))
+            if violation <= tol or iterations == max_iter:
+                break
+            if violation < lowest:
+                lowest, stalled = violation, 0
+            else:
+                stalled += 1
+            history.append(violation)
+            ratios = [history[-1] / history[-2], history[-2] / history[-3]] \
+                if len(history) >= 3 else []
+            if warm and ratios and max(ratios) < 1 \
+                    and abs(ratios[0] - ratios[1]) <= 0.01:
+                omega = min(1.8, 2 / (1 + math.sqrt(1 - ratios[0])))
+                warm = False
+            elif stalled >= 10:
+                omega, warm = 1.0, False
+        u_new = relaxed(a / Kv, u, w)
+        col_new = K.T @ u_new
+        v_new = relaxed(b / col_new, v, w)
+        if w != 1.0 and not (usable(u_new) and usable(v_new)):
+            omega = 1.0
+            continue
+        u, v, col = u_new, v_new, col_new
+        iterations += 1
     T = u[:, None] * K
     T *= v
     violation = max(

@@ -337,6 +337,44 @@ def test_knn_of_heavily_repeated_rows_peaks_under_four_blocks(k):
     assert peak <= nbrs.nbytes + 4 * core.ROW_BLOCK_BYTES
 
 
+def test_candidate_blocks_close_at_the_byte_bound(monkeypatch):
+    # 12 distances a block; a union counts as the sum of its rows'
+    # candidate counts, at most the 10 destination rows
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 8 * 12)
+    cands = [[0, 1], [1, 2], [2, 3], [0, 1, 2, 3, 4], [5], [6],
+             list(range(10)) * 2]
+    assert transport._candidate_blocks(cands, 10) == [
+        slice(0, 2), slice(2, 3), slice(3, 5), slice(5, 6), slice(6, 7)]
+    assert transport._candidate_blocks([], 10) == []
+
+
+def test_candidate_blocks_hold_more_rows_than_scan_blocks(monkeypatch):
+    # integer features of 10 levels: most rows tie, and each is ranked
+    # over a handful of candidates, not over every destination row
+    rng = np.random.default_rng(17)
+    query = rng.integers(0, 10, size=(1500, 6)).astype(float)
+    dst = rng.integers(0, 10, size=(1500, 6)).astype(float)
+    seen = []
+    real = transport._nearest_exact
+
+    def recording(X_query, X_dst, k, cands=None):
+        seen.append(cands)
+        return real(X_query, X_dst, k, cands)
+
+    monkeypatch.setattr(transport, "_nearest_exact", recording)
+    nbrs = transport._nearest(query, dst, 5)
+    assert np.array_equal(nbrs, real(query, dst, 5))
+    (cands,) = seen
+    blocks = transport._candidate_blocks(cands, 1500)
+    rows = np.arange(len(cands))
+    assert np.array_equal(np.concatenate([rows[b] for b in blocks]), rows)
+    for block in blocks:
+        width = len(np.unique(np.concatenate(cands[block])))
+        assert len(rows[block]) == 1 \
+            or 8 * len(rows[block]) * width <= core.ROW_BLOCK_BYTES
+    assert 3 * len(blocks) < len(core.row_blocks(len(cands), 8 * 1500))
+
+
 def test_records_are_counted_the_way_the_bench_counts_them():
     m = 9
     moments = random_moments(m, seed=11, p_bad=0.15)

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from unittest import mock
@@ -377,6 +378,85 @@ def test_sinkhorn_plan_matches_oracle_bit_for_bit(
     assert plan.iterations_run == oracle.iterations_run
     assert plan.converged == oracle.converged
     assert plan.marginal_violation == oracle.marginal_violation
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+       st.floats(0.05, 2.0), st.integers(1, 300),
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_a_converged_plan_meets_both_marginals(seed, n, m, eta, max_iter,
+                                               tol):
+    cost, a, b = transport_problem(seed, n, m)
+    plan = sinkhorn_plan(cost, a, b, eta=eta, max_iter=max_iter, tol=tol)
+    if plan.converged:
+        assert np.abs(plan.T.sum(axis=1) - a).max() <= tol
+        assert np.abs(plan.T.sum(axis=0) - b).max() <= tol
+
+
+def transport_problem(seed, n, m):
+    """A uniform [0, 3) cost with random positive marginals."""
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(0.0, 3.0, size=(n, m))
+    a = rng.uniform(0.1, 1.0, n)
+    b = rng.uniform(0.1, 1.0, m)
+    return cost, a / a.sum(), b / b.sum()
+
+
+def omega_fixed_at(monkeypatch, omega):
+    """Sinkhorn over-relaxed by ``omega`` once it has measured a rate; the
+    rates it measured."""
+    rates = []
+    monkeypatch.setattr(ot, "_omega", lambda rate: rates.append(rate) or omega)
+    return rates
+
+
+@pytest.mark.parametrize("seed,n,m,eta", [(20, 30, 25, 0.2),
+                                          (22, 40, 40, 0.05)])
+def test_sinkhorn_converges_when_omega_overshoots(monkeypatch, seed, n, m,
+                                                  eta):
+    rates = omega_fixed_at(monkeypatch, 1.99)
+    cost, a, b = transport_problem(seed, n, m)
+    plan = sinkhorn_plan(cost, a, b, eta=eta, max_iter=10_000, tol=1e-12)
+    assert rates and plan.converged
+    oracle = sinkhorn_projection_oracle(cost, a, b, eta=eta)
+    assert np.abs(plan.T - oracle).max() <= 1e-8
+
+
+def test_sinkhorn_redoes_a_non_finite_round_plainly(monkeypatch):
+    # (plain / old)^inf is inf or 0 wherever a scaling moved: the first
+    # over-relaxed round is unusable, and is redone as plain Sinkhorn's
+    cost, a, b = transport_problem(20, 30, 25)
+    X_dst = np.random.default_rng(21).normal(size=(25, 2))
+    runs = []
+    for omega in (math.inf, 1.0):
+        rates = omega_fixed_at(monkeypatch, omega)
+        plan = sinkhorn_plan(cost, a, b, eta=0.2, max_iter=10_000, tol=1e-12)
+        projected, diagnostics = ot._sinkhorn_projection(
+            cost.copy(), X_dst, 0.2, 10_000, 1e-12)
+        assert rates and plan.converged and diagnostics.converged
+        runs.append((plan, projected, diagnostics.iterations_run))
+    (plan, projected, rounds), (plain, plain_projected, plain_rounds) = runs
+    assert np.array_equal(plan.T, plain.T)
+    assert plan.iterations_run == plain.iterations_run
+    assert np.array_equal(projected, plain_projected)
+    assert rounds == plain_rounds
+
+
+def test_over_relaxation_converges_where_plain_sinkhorn_runs_out(
+        monkeypatch):
+    # two Gaussian clouds apart on two axes, as in the bench's sinkhorn_k5
+    rng = np.random.default_rng(3)
+    X_src, X_dst = rng.normal(size=(150, 8)), rng.normal(size=(150, 8))
+    X_dst[:, [0, 2]] += 5.0
+    cost = cdist(X_src, X_dst, "sqeuclidean")
+    relaxed = sinkhorn_plan(cost, eta=0.005, max_iter=1000)
+    omega_fixed_at(monkeypatch, 1.0)
+    plain = sinkhorn_plan(cost, eta=0.005, max_iter=1000)
+    assert relaxed.converged and relaxed.iterations_run < 1000
+    assert not plain.converged and plain.iterations_run == 1000
+    uniform = np.full(150, 1 / 150)
+    oracle = sinkhorn_projection_oracle(cost, uniform, uniform, eta=0.005)
+    assert np.abs(relaxed.T - oracle).max() <= 1e-8
 
 
 def test_sinkhorn_plan_holds_one_dense_buffer():

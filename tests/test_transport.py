@@ -627,6 +627,51 @@ def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
     assert "ot_type=linear" in message
 
 
+@pytest.mark.parametrize("memory", [8 * 400 * 300 - 1, 8 * 400 * 300])
+def test_sinkhorn_transport_checks_the_dense_buffer_against_memory(
+        monkeypatch, memory):
+    shapes = []
+    empty = np.empty
+
+    def recording(shape, *args, **kwargs):
+        shapes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(transport.np, "empty", recording)
+    monkeypatch.setattr(transport, "_physical_memory", lambda: memory)
+    rng = np.random.default_rng(13)
+    X_src, X_dst = rng.normal(size=(400, 2)), rng.normal(size=(300, 2))
+    cfg = PipelineConfig(ot_type="sinkhorn")
+    if memory >= 8 * 400 * 300:
+        transport._transported_sources(X_src, X_dst, cfg)
+        assert (400, 300) in shapes
+        return
+    with pytest.raises(ValidationError) as info:
+        transport._transported_sources(X_src, X_dst, cfg)
+    message = str(info.value)
+    assert "400 x 300" in message
+    assert "960000 bytes" in message
+    assert f"the {memory} bytes of physical memory" in message
+    assert "ot_type=linear" in message
+    assert (400, 300) not in shapes  # refused before the allocation
+
+
+@pytest.mark.parametrize("sysconf", ["missing", "unknown name", "no value"])
+def test_physical_memory_is_unbounded_where_sysconf_cannot_say(
+        monkeypatch, sysconf):
+    def failing(name):
+        if sysconf == "unknown name":
+            raise ValueError(f"unrecognized configuration name {name}")
+        return -1  # sysconf's answer for an indeterminate value
+
+    assert 0 < transport._physical_memory() < np.inf
+    if sysconf == "missing":
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        monkeypatch.setattr(os, "sysconf", failing)
+    assert transport._physical_memory() == np.inf
+
+
 def test_global_scope_uses_one_direction():
     ds, wl = make_biased_fixture(400, seed=6)
     blind = ds.without_labels()
