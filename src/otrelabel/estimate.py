@@ -45,7 +45,7 @@ class TripletRecord:
     """Raw magnitudes produced by one LF triplet.
 
     ``degenerate`` is set when any of the three pairwise moments is
-    undefined (no co-voting rows) or has magnitude <= eps_pair; such a
+    undefined (no co-voting rows) or has magnitude <= EPS_PAIR; such a
     triplet contributes nothing to the aggregated estimates.
     """
 
@@ -71,7 +71,6 @@ class TripletRecords(Sequence):
     """
 
     moments: np.ndarray
-    eps_pair: float = EPS_PAIR
 
     def __len__(self) -> int:
         return math.comb(len(self.moments), 3)
@@ -82,7 +81,7 @@ class TripletRecords(Sequence):
         triplets = combinations(range(len(mom)), 3)
         idx = np.fromiter(chain.from_iterable(triplets), np.intp).reshape(-1, 3)
         i, j, k = idx.T
-        bad = np.isnan(mom) | (np.abs(mom) <= self.eps_pair)
+        bad = np.isnan(mom) | (np.abs(mom) <= EPS_PAIR)
         degenerate = bad[i, j] | bad[i, k] | bad[j, k]
         mij, mik, mjk = mom[i, j], mom[i, k], mom[j, k]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -136,13 +135,12 @@ def _triplet_value(num1: np.ndarray, num2: np.ndarray,
 
 def accuracies_from_moments(
     moments: np.ndarray,
-    eps_pair: float = EPS_PAIR,
 ) -> tuple[np.ndarray, TripletRecords]:
     """Aggregate |a_i| estimates from a pairwise second-moment matrix.
 
     Feeding the exact population moments a_i * a_j recovers the accuracies
     to machine precision (algebraic identity).  Triplets where any moment
-    is NaN or has magnitude <= eps_pair are degenerate and skipped; an LF
+    is NaN or has magnitude <= EPS_PAIR are degenerate and skipped; an LF
     whose every triplet is degenerate raises NumericalError.  LF x's value
     in its triplet with the pair p < q is M[x,p] * M[x,q] / M[p,q] (upper
     triangle moments), wherever x stands, so one pass over the pairs of
@@ -155,7 +153,7 @@ def accuracies_from_moments(
         raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
     moments = np.where(np.tri(m, dtype=bool), moments.T, moments)
     moments.setflags(write=False)
-    bad = np.isnan(moments) | (np.abs(moments) <= eps_pair)
+    bad = np.isnan(moments) | (np.abs(moments) <= EPS_PAIR)
     p, q = np.triu_indices(m, 1)
     den, bad_pq = moments[p, q], bad[p, q]
     out = np.empty(m)
@@ -174,7 +172,7 @@ def accuracies_from_moments(
         # NaN sorts last, and np.median keeps it
         out[x] = np.nan if np.isnan(values[-1]) else (
             values[(count - 1) // 2] + values[count // 2]) / 2
-    return out, TripletRecords(moments, eps_pair)
+    return out, TripletRecords(moments)
 
 
 def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
@@ -182,9 +180,10 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
 
     Each LF's sign is the sign of its mean agreement with the per-row
     majority vote over all LFs; majority ties and abstains contribute 0,
-    and an LF with agreement exactly 0 defaults to +.  If every sign comes
-    out negative the whole vector is flipped (the model is sign-symmetric,
-    so we pin the orientation where the average LF beats random).
+    and an LF with agreement exactly 0 defaults to +.  The agreements sum
+    to sum_r |sum_j v_rj| / n >= 0 in exact integer arithmetic, so at
+    least one sign is + and the orientation is already the one where the
+    average LF beats random (the model itself is sign-symmetric).
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (wl.m,):
@@ -195,10 +194,7 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
     # integer products by row block, which stays in cache
     agreement = sum(majority[rows] @ wl.votes[rows]
                     for rows in row_blocks(wl.n, 8 * wl.m)) / wl.n
-    signs = np.where(agreement < 0, -1.0, 1.0)
-    if np.all(signs < 0):
-        signs = -signs
-    return raw * signs
+    return raw * np.where(agreement < 0, -1.0, 1.0)
 
 
 def triplet_accuracies(

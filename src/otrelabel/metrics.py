@@ -207,11 +207,8 @@ def regime_profile(
         d_k = dist[mask][order]
         c_k = correct[mask][order]
         step = max(1, int(STEP_FRAC * n_k))
-        pts = []
-        for stop in range(step, n_k + step, step):
-            stop = min(stop, n_k)
-            pts.append((float(d_k[stop - 1]), float(c_k[:stop].mean())))
-            if stop == n_k:
-                break
-        curves.append(tuple(pts))
+        stops = np.append(np.arange(step, n_k, step), n_k)
+        # exact counts over exact sizes, so c_k[:stop].mean()'s floats
+        accs = np.cumsum(c_k)[stops - 1] / stops
+        curves.append(tuple(zip(d_k[stops - 1].tolist(), accs.tolist())))
     return RegimeProfile(center_index=best_idx, curves=tuple(curves))

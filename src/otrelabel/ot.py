@@ -361,7 +361,9 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol):
             if w == 1.0 and not col_sums.all():
                 raise NumericalError(_UNDERFLOW)
             v_next = _relaxed(b, col_sums, v, w)
-            if w != 1.0 and not (_usable(u_next) and _usable(v_next)):
+            # NaN fails both tests
+            if w != 1.0 and not all(s.min() > 0.0 and s.max() < math.inf
+                                    for s in (u_next, v_next)):
                 omega = 1.0  # for good, and this round is redone plainly
                 continue
             u, v, iterations = u_next, v_next, iterations + 1
@@ -376,21 +378,16 @@ def _omega(rate: float) -> float:
 
 
 def _relaxed(num, den, old, omega, out=None):
-    """The scaling num / den, times (num / den / old)^(omega - 1) when
-    omega != 1.  An over-relaxed step may overflow, underflow or divide by
-    zero, which the caller checks for, so it warns of none of them."""
-    if omega == 1.0:
-        return np.divide(num, den, out=out)
+    """The scaling num / den times (num / den / old)^(omega - 1).  At
+    omega = 1 that factor is x^0 = 1 for every float x, inf and NaN too,
+    so the step is num / den bit for bit.  An over-relaxed step may
+    overflow, underflow or divide by zero, which the caller checks for, so
+    it warns of none of them."""
     with np.errstate(all="ignore"):
         plain = np.divide(num, den, out=out)
         step = plain / old
         step **= omega - 1.0
         return np.multiply(plain, step, out=plain)
-
-
-def _usable(scaling: np.ndarray) -> bool:
-    """Every entry finite and positive (NaN fails both tests)."""
-    return bool(scaling.min() > 0.0 and scaling.max() < math.inf)
 
 
 def _median(M: np.ndarray) -> float:

@@ -110,22 +110,6 @@ def accuracy_prob(x: np.ndarray, model: SyntheticModel) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _sample_latent(model: SyntheticModel, n: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((n, model.dim))
-
-
-def _sample_votes(x: np.ndarray, y: np.ndarray, model: SyntheticModel,
-                  rng: np.random.Generator) -> np.ndarray:
-    agree = rng.random(x.shape[0]) < accuracy_prob(x, model)
-    return np.where(agree, y, -y)
-
-
-def _monotone_nonincreasing(values: Sequence[float], slack: float) -> bool:
-    return all(values[i + 1] <= values[i] + slack
-               for i in range(len(values) - 1))
-
-
 def shift_sweep(
     model: SyntheticModel,
     shifts: Sequence[float],
@@ -157,14 +141,14 @@ def shift_sweep(
         rng = np.random.default_rng(seed + i)
         shifted = model.with_group1(
             MongeMap(np.eye(model.dim), dist * direction))
-        z = _sample_latent(shifted, n, rng)
-        x1 = apply_monge(shifted.group1, z)
+        x1 = apply_monge(shifted.group1, rng.standard_normal((n, model.dim)))
         p = accuracy_prob(x1, shifted)
         measured.append(float(p.mean()))
         y = np.where(rng.random(n) < LABEL_BALANCE, 1, -1)
-        votes = _sample_votes(x1, y, shifted, rng)
+        votes = np.where(rng.random(n) < p, y, -y)
         sampled.append(float((votes == y).mean()))
-    passed = (_monotone_nonincreasing(measured, SHIFT_MONO_SLACK)
+    passed = (all(b <= a + SHIFT_MONO_SLACK
+                  for a, b in zip(measured, measured[1:]))
               and abs(measured[-1] - 0.5) <= SHIFT_FINAL_TOL)
     return SweepReport(
         sweep_values=tuple(shifts),
@@ -251,7 +235,7 @@ def map_error_sweep(
     h_true = inverse_monge(g1)
 
     rng_hold = np.random.default_rng(seed + 10_000)
-    z_hold = _sample_latent(model, holdout, rng_hold)
+    z_hold = rng_hold.standard_normal((holdout, model.dim))
     x_hold = apply_monge(g1, z_hold)
     p_latent = float(accuracy_prob(z_hold, model).mean())
     h_x = apply_monge(h_true, x_hold)
@@ -259,8 +243,8 @@ def map_error_sweep(
     measured, bound, diagnostics = [], [], []
     for i, n in enumerate(sizes):
         rng = np.random.default_rng(seed + i)
-        z0 = _sample_latent(model, n, rng)
-        x1 = apply_monge(g1, _sample_latent(model, n, rng))
+        z0 = rng.standard_normal((n, model.dim))
+        x1 = apply_monge(g1, rng.standard_normal((n, model.dim)))
         m1 = fit_moments(x1, MAP_FIT_RIDGE)
         m0 = fit_moments(z0, MAP_FIT_RIDGE)
         h_fit = linear_monge(m1, m0)

@@ -163,6 +163,28 @@ def test_run_unknown_config_key_is_input_error(tmp_path):
                  "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("end_model=yes", "config line 1: bad value 'yes' for end_model"),
+    ("knn_k=3\not_type linear", "config line 2: expected key=value"),
+    ("sinkhorn_eta=0", "sinkhorn_eta must be positive"),
+    ("sinkhorn_eta=-0.5", "sinkhorn_eta must be positive"),
+    ("sinkhorn_tol=0", "sinkhorn_tol must be positive"),
+    ("covariance_ridge=-1e-6", "covariance_ridge must be nonnegative"),
+    ("tie_tol=-0.1", "tie_tol must be nonnegative"),
+    ("transport_scope=both", "unknown transport_scope 'both'"),
+])
+def test_bad_config_file_is_one_input_error_line(tmp_path, capsys, text,
+                                                 message):
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--features", features, "--votes", votes,
+                 "--out", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_bad_flag_value_names_the_flag(tmp_path, capsys):
     _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
     assert main(["run", "--features", features, "--votes", votes,
@@ -494,6 +516,20 @@ def test_non_utf8_input_is_one_line_input_error(tmp_path, capsys, verb):
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"input error: {bad}: byte {offset} (0xff) is not UTF-8: "
+        "invalid start byte\n")
+
+
+@pytest.mark.parametrize("role", ["features", "votes"])
+def test_non_utf8_header_is_one_line_input_error(tmp_path, capsys, role):
+    # an ASCII body passes the plain reader's byte check, and the header's
+    # bad byte sends the file to the exact pass, which names it
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+    bad = {"features": features, "votes": votes}[role]
+    data = Path(bad).read_bytes()
+    Path(bad).write_bytes(data[:1] + b"\xfe" + data[1:])
+    assert main(["validate", "--features", features, "--votes", votes]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {bad}: byte 1 (0xfe) is not UTF-8: "
         "invalid start byte\n")
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from otrelabel import (
     resolve_sign,
     triplet_accuracies,
 )
+from otrelabel import estimate
 from otrelabel.estimate import EPS_PAIR
 from helpers import pairwise_moment, sample_conditional_lfs, triplet_oracle
 
@@ -121,6 +123,27 @@ def test_resolve_sign_tie_rows_contribute_zero():
     assert np.all(signed == 0.5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9),
+       st.floats(0.0, 0.9), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+def test_resolve_sign_always_leaves_a_positive_sign(seed, n, m, p_abstain,
+                                                    p_silent, p_tied):
+    # the agreements sum to sum_r |sum_j v_rj| / n >= 0, so at least one
+    # is >= 0 and its sign is +, whatever the votes
+    rng = np.random.default_rng(seed)
+    p_neg = rng.uniform(0.0, 1.0 - p_abstain)
+    v = rng.choice([-1, 0, 1], p=[p_neg, p_abstain, 1.0 - p_abstain - p_neg],
+                   size=(n, m))
+    v[rng.random(n) < p_silent] = 0
+    tie = np.resize([1, -1], m)
+    if m % 2:
+        tie[-1] = 0  # an odd row ties with one abstain
+    for r in np.flatnonzero(rng.random(n) < p_tied):
+        v[r] = rng.permutation(tie)
+    signed = resolve_sign(np.full(m, 0.5), WeakLabelMatrix(v))
+    assert np.any(signed > 0)
+
+
 def test_per_group_flipped_lf_detected_exactly():
     rng = np.random.default_rng(4)
     y = rng.choice([-1, 1], size=600)
@@ -202,11 +225,15 @@ def test_triplet_pass_matches_loop_oracle(m, seed, eps_pair, p_bad):
     try:
         want, want_records = triplet_oracle(moments, eps_pair)
     except NumericalError as exc:
-        with pytest.raises(NumericalError) as got:
-            accuracies_from_moments(moments, eps_pair)
+        with mock.patch.object(estimate, "EPS_PAIR", eps_pair), \
+                pytest.raises(NumericalError) as got:
+            accuracies_from_moments(moments)
         assert str(got.value) == str(exc)
         return
-    est, records = accuracies_from_moments(moments, eps_pair)
+    # the records build their tables when read, so read them under the patch
+    with mock.patch.object(estimate, "EPS_PAIR", eps_pair):
+        est, records = accuracies_from_moments(moments)
+        records = list(records)
     assert np.array_equal(est, want)
     assert len(records) == len(want_records)
     for got_rec, want_rec in zip(records, want_records):

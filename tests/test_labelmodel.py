@@ -228,6 +228,41 @@ def test_divergence_epoch_and_message_match_oracle(monkeypatch):
     assert str(got.value) == str(oracle.value)
 
 
+def test_newton_halves_a_step_that_raises_the_loss(monkeypatch):
+    # heavy-tailed features and nearly saturated soft targets: a seed
+    # search over such 9 x 3 problems found one whose full step overshoots
+    rng = np.random.default_rng(161)
+    x = rng.standard_cauchy(size=(9, 3))
+    with np.errstate(over="ignore"):
+        t = 1.0 / (1.0 + np.exp(-(x @ (5.0 * rng.normal(size=3)))))
+    trials, iterates = [], []  # trials: (step, loss); step 0 is the start
+    objective, hessian = labelmodel.end_model_objective, labelmodel._hessian
+
+    def objective_spy(coef, Xs, targets, l2):
+        out = objective(coef, Xs, targets, l2)
+        trials.append((len(iterates), out[0]))
+        return out
+
+    def hessian_spy(Xs, coef, l2):
+        iterates.append(trials[-1][1])  # the loss at the step's start
+        return hessian(Xs, coef, l2)
+
+    monkeypatch.setattr(labelmodel, "end_model_objective", objective_spy)
+    monkeypatch.setattr(labelmodel, "_hessian", hessian_spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_end_model(x, t)
+        want, want_losses = train_end_model_newton_oracle(x, t)
+    # a trial above its step's start was halved
+    assert any(loss > iterates[step - 1] for step, loss in trials if step)
+    assert len(trials) > len(iterates) + 1
+    iterates.append(model.training_meta["final_objective"])
+    assert np.all(np.diff(iterates) <= 0.0)
+    assert np.allclose(iterates, want_losses, rtol=1e-10, atol=0.0)
+    assert np.allclose(model.coefficients, want.coefficients, rtol=1e-9,
+                       atol=1e-12)
+
+
 def _feature_case(seed, n, d, log_scale):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(0, log_scale + 1,

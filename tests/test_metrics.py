@@ -13,6 +13,7 @@ from otrelabel import (
     lf_delta_report,
     regime_profile,
 )
+from otrelabel.metrics import NEIGHBORHOOD_FRAC, STEP_FRAC
 from helpers import fairness_oracle
 
 
@@ -322,6 +323,32 @@ def test_curve_distances_nondecreasing_and_final_is_group_accuracy():
         dists = [d for d, _ in curve]
         assert dists == sorted(dists)
         assert curve[-1][1] == pytest.approx(correct[groups == k].mean())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.integers(math.ceil(1 / NEIGHBORHOOD_FRAC), 300))
+def test_curves_equal_the_per_stop_loop(seed, n):
+    # the reference is the loop that took each stop's mean: equal floats
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, (n, 2)).astype(float)  # tied distances
+    correct = rng.random(n) < rng.random()
+    groups = rng.integers(0, 2, n)
+    groups[:2] = [0, 1]
+    prof = regime_profile(x, correct, groups, [0])
+    dist = np.linalg.norm(x - x[0], axis=1)
+    for k, curve in enumerate(prof.curves):
+        n_k = int((groups == k).sum())
+        order = np.lexsort((np.arange(n_k), dist[groups == k]))
+        d_k, c_k = dist[groups == k][order], correct[groups == k][order]
+        step = max(1, int(STEP_FRAC * n_k))
+        want = []
+        for stop in range(step, n_k + step, step):
+            stop = min(stop, n_k)
+            want.append((float(d_k[stop - 1]), float(c_k[:stop].mean())))
+            if stop == n_k:
+                break
+        assert curve == tuple(want)
 
 
 def test_tiny_neighborhood_errors():

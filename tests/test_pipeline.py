@@ -468,6 +468,20 @@ def test_features_loader_matches_cell_oracle(tmp_path_factory, with_labels,
                         ["features", "groups", "labels"])
 
 
+def test_atomic_write_failing_mid_write_leaves_the_target(tmp_path):
+    target = tmp_path / "votes.csv"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"new,"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="^chunk failed$"):
+        pipeline._atomic_write(str(target), chunks())
+    assert target.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["votes.csv"]
+
+
 # --------------------------------------------------------------------------
 # config parsing
 
