@@ -25,6 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .core import (
 EPS_PAIR = 1e-3
 
 
-@dataclass(frozen=True)
-class TripletRecord:
+class TripletRecord(NamedTuple):
     """Raw magnitudes produced by one LF triplet.
 
     ``degenerate`` is set when any of the three pairwise moments is
@@ -52,11 +52,6 @@ class TripletRecord:
     indices: tuple[int, int, int]
     raw_estimates: tuple[float, float, float]
     degenerate: bool = False
-
-    def __post_init__(self):
-        i, j, k = self.indices
-        if len({i, j, k}) != 3:
-            raise ValidationError(f"triplet indices must be distinct: {self.indices}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,9 @@ rounds stop gaining.
 Buffers: the plan is the one dense n_src x n_dst object of the package.
 One private core writes K into a buffer it is handed and scales it by
 row blocks on every CPU in the affinity set; the exact median of M that
-rescales the cost is selected from a small bracketed subset of M, not
-from a copy.  Public ``sinkhorn_plan`` hands the core a fresh buffer, so
+rescales the cost is read from counts at two sampled pivots, ties
+included, and the few entries between them, not from a copy unless the
+sample misses.  Public ``sinkhorn_plan`` hands the core a fresh buffer, so
 M is never written and a run holds M plus the plan.  The transport stage
 hands it the cost itself, which becomes K, and reads the projection from
 K and the scalings without forming the plan: one buffer in all.
@@ -244,7 +245,7 @@ def sinkhorn_plan(
     raw squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
     otherwise.  Marginals default to uniform.  Stops early once the worst
     marginal violation is <= tol.  M is never written, and its median is
-    selected from a small bracketed part of it, not from a copy.  The
+    selected from a small bracketed part of it, copied only on a miss.  The
     returned ``T``, allocated in M's memory order, is the one n_src x
     n_dst buffer besides M: written first as K, then scaled in place into
     the plan.
@@ -392,14 +393,15 @@ def _relaxed(num, den, old, omega, out=None):
 
 def _median(M: np.ndarray) -> float:
     """``np.median(M)`` bit for bit; M is never written and, past
-    ``_MEDIAN_SAMPLE`` entries, not copied unless the bracket misses.
+    ``_MEDIAN_SAMPLE`` entries, copied only when the sample misses.
 
-    A Floyd-Rivest bracket (Floyd & Rivest, CACM 1975): pivots at about
-    the 49th and 51st percentiles of a strided sample, then one pass over
-    M in row blocks counts the entries below the low pivot and gathers
-    those between the pivots.  Only that small set is partitioned.  When
-    the middle ranks fall outside the bracket, or ties make the gathered
-    set large, the median comes from partitioning a copy, as for small M.
+    A Floyd-Rivest bracket (Floyd & Rivest, CACM 1975): pivots lo and hi
+    at about the 49th and 51st percentiles of a strided sample, then one
+    pass over M in row blocks counts the entries < lo, <= lo and <= hi and
+    gathers those strictly between.  The middle ranks are read from
+    [lo, lo] + gathered + [hi, hi], two copies standing for a pivot's ties.
+    On a miss (a middle rank outside [lo, hi], or over twice the expected
+    entries between the pivots) a copy is partitioned, as for small M.
     """
     if M.flags.f_contiguous:
         M = M.T  # the same entries, with contiguous rows
@@ -427,26 +429,26 @@ def _bracketed_middle(M: np.ndarray, h: int, odd: int) -> Optional[float]:
     m = sample.size
     w = math.ceil(1.5 * math.sqrt(m))
     lo, hi = sample[m // 2 - w], sample[m // 2 + w]
-    below = at_most = 0  # entries < lo, and <= hi
-    gathered = []
+    below = at_lo = at_most = between = 0  # entries < lo, <= lo, <= hi
+    gathered = [np.full(2, lo)]  # only ranks h - 1 and h are ever read
     # exact counts and entries gathered in M's order: any block size agrees
     for rows in core.row_blocks(len(M), 8 * M.shape[1]):
         block = M[rows]
-        lt = block < lo
-        le = block <= hi
-        below += np.count_nonzero(lt)
-        at_most += np.count_nonzero(le)
-        if lo < hi:  # else every entry between the pivots equals lo
-            if at_most - below > 4 * w * stride:
-                return None  # twice the expected set: heavy ties
-            gathered.append(block[le > lt])
+        le_lo = block <= lo
+        below += np.count_nonzero(block < lo)
+        at_lo += np.count_nonzero(le_lo)
+        at_most += np.count_nonzero(block <= hi)
+        gathered.append(block[(block < hi) > le_lo])  # strictly between
+        between += gathered[-1].size
+        if between > 4 * w * stride:
+            return None  # twice the expected set: the sample missed
     # the middle ranks, h and (for an even count) h - 1, must lie in
     # [below, at_most)
     if below > h - 1 + odd or at_most <= h:
         return None
-    if lo == hi:
-        return float(lo if odd else (lo + lo) / 2)
-    return _middle(np.concatenate(gathered), h - below, odd)
+    values = np.concatenate(gathered + [np.full(2, hi)])
+    # M's rank r is rank r - at_lo + 2 here, or a pivot's copy past the ends
+    return _middle(values, min(max(h - at_lo + 2, 1), values.size - 1), odd)
 
 
 def _middle(values: np.ndarray, h: int, odd: int) -> float:

@@ -15,10 +15,11 @@ each query row is searched on its own, so the result never depends on
 that count, and ``taskset -c 0`` pins both to one CPU.
 
 Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
-squared-Euclidean cost is computed into it and becomes K, which the
-projection reads with the scalings.  When it is larger than physical
-memory, or cannot be allocated, the error names its size before any work
-starts.
+squared-Euclidean cost is computed into it, its median is read with no
+copy unless a sample misses, and it becomes K, which the projection reads
+with the scalings.  When it is larger than physical memory, or cannot be
+allocated, the error names its size before any work starts.  First,
+``none`` and ``sinkhorn`` refuse features whose squared distances overflow.
 """
 
 from __future__ import annotations
@@ -175,15 +176,10 @@ def _nearest(X_query: np.ndarray, X_dst: np.ndarray, k: int) -> np.ndarray:
     uniq, first, inv = np.unique(X_query[redo], axis=0, return_index=True,
                                  return_inverse=True)
     cands = None
-    if tree is not None:
-        with np.errstate(over="ignore"):
-            span = np.maximum(X_dst.max(axis=0), uniq.max(axis=0)) \
-                - np.minimum(X_dst.min(axis=0), uniq.min(axis=0))
-            safe = np.sum(span * span) < _MAX_SQ_SPAN
-        if safe:
-            cands = tree.query_ball_point(
-                uniq, r=bound[redo[first], k - 1], eps=0, workers=workers,
-                return_sorted=False)
+    if tree is not None and _squared_diagonal(X_dst, uniq) < _MAX_SQ_SPAN:
+        cands = tree.query_ball_point(
+            uniq, r=bound[redo[first], k - 1], eps=0, workers=workers,
+            return_sorted=False)
     nbrs[redo] = _nearest_exact(uniq, X_dst, k, cands)[inv.ravel()]
     return nbrs
 
@@ -251,6 +247,13 @@ def _majority_vote(votes: np.ndarray) -> np.ndarray:
     return np.where(pos > neg, 1, np.where(neg > pos, -1, first))
 
 
+def _squared_diagonal(A: np.ndarray, B: np.ndarray) -> float:
+    """The squared diagonal of A's and B's rows' bounding box, or inf."""
+    with np.errstate(over="ignore"):
+        span = np.maximum(A.max(0), B.max(0)) - np.minimum(A.min(0), B.min(0))
+        return float(np.sum(span * span))
+
+
 def _physical_memory() -> float:
     """Bytes of physical memory, or inf where ``os.sysconf`` cannot say."""
     try:
@@ -266,6 +269,12 @@ def _transported_sources(
     X_dst: np.ndarray,
     cfg: PipelineConfig,
 ) -> np.ndarray:
+    # the box bounds every distance; linear runs meet their own checks first
+    if cfg.ot_type != "linear" and _squared_diagonal(X_src, X_dst) == np.inf:
+        big = float(max(np.abs(X_src).max(), np.abs(X_dst).max()))
+        raise NumericalError(
+            "squared feature distances overflow float64 (largest |feature| "
+            f"{big:.3e}); rescale the features")
     if cfg.ot_type == "none":
         return X_src
     if cfg.ot_type == "linear":
@@ -294,12 +303,6 @@ def _transported_sources(
         raise ValidationError(
             f"{need}, which could not be allocated{fix}") from None
     cdist(X_src, X_dst, metric="sqeuclidean", out=cost)
-    # finite features have finite costs unless a squared distance overflows
-    big = float(max(np.abs(X_src).max(), np.abs(X_dst).max()))
-    if 4 * X_src.shape[1] * big * big > _MAX_SQ_SPAN and cost.max() == np.inf:
-        raise NumericalError(
-            "squared feature distances overflow float64 (largest |feature| "
-            f"{big:.3e}); rescale the features")
     projected, plan = _sinkhorn_projection(
         cost, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, cfg.sinkhorn_tol)
     if not plan.converged:

@@ -385,6 +385,23 @@ def test_sinkhorn_distance_overflow_names_the_feature_scale(tmp_path,
                    "rescale the features\n")
 
 
+def test_untransported_run_refuses_overflowing_distances(tmp_path, capsys):
+    # without the refusal every overflowed distance ties, and the kNN scan
+    # gives each moved row destination row 0's votes
+    assert run_scaled_fixture(tmp_path, 1e155, "none") == 2
+    biggest = float(np.abs(make_biased_fixture(150, seed=0)[0].features).max()
+                    * 1e155)
+    assert capsys.readouterr().err == (
+        "numerical failure: lf_0: squared feature distances overflow float64 "
+        f"(largest |feature| {biggest:.3e}); rescale the features\n")
+    assert not (tmp_path / "out" / "votes_repaired.csv").exists()
+
+
+def test_untransported_run_takes_large_finite_distances(tmp_path):
+    assert run_scaled_fixture(tmp_path, 1e150, "none") == 0
+    assert (tmp_path / "out" / "votes_repaired.csv").exists()
+
+
 def test_lf_bank_materializes_votes(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text(

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from otrelabel import ot
+from otrelabel import core, ot
 from otrelabel import (
     GaussianMoments,
     NumericalError,
@@ -640,7 +640,7 @@ def test_median_of_a_large_cost_is_bracketed(partitioned, layout, n_dst):
     assert len(partitioned) == 1 and partitioned[0] <= 0.1 * cost.size
 
 
-@pytest.mark.parametrize("miss", ["rank", "straddle", "ties"])
+@pytest.mark.parametrize("miss", ["rank", "straddle"])
 def test_median_falls_back_to_a_copy_when_the_bracket_misses(
         partitioned, miss):
     rng = np.random.default_rng(17)
@@ -654,8 +654,6 @@ def test_median_falls_back_to_a_copy_when_the_bracket_misses(
         # the lower middle entry lies just below the bracket
         cost = np.ones((1, 2 * p))
         cost[0, np.flatnonzero(np.arange(2 * p) % 33)[:p]] = 0.0
-    else:  # two values, each half the cost: the bracket holds them all
-        cost = np.where(rng.random((1, p)) < 0.5, 0.0, 1.0)
     tracemalloc.start()
     try:
         got = ot._median(cost)
@@ -666,6 +664,38 @@ def test_median_falls_back_to_a_copy_when_the_bracket_misses(
     assert partitioned == [cost.size]
     # a miss costs the copy, no more
     assert peak <= 1.25 * cost.nbytes
+
+
+def test_median_copies_when_the_bracket_holds_too_many_entries(partitioned):
+    # the sampled entries (every 32nd of a prime count) spread over [0, 1]
+    # and the rest crowd between the pivots, past the gathered set's cap
+    rng = np.random.default_rng(19)
+    cost = rng.uniform(0.495, 0.505, size=(1, 20_011))
+    sampled = cost[0, ::ot._MEDIAN_MIN_STRIDE]  # a view
+    sampled[:] = rng.uniform(0.0, 1.0, size=sampled.size)
+    assert same_float(ot._median(cost), np.median(cost))
+    assert partitioned == [cost.size]
+
+
+@pytest.mark.parametrize("tied", ["two_values", "binary_feature"])
+def test_median_of_a_tied_cost_is_bracketed(partitioned, tied):
+    # ties at a pivot are counted, not gathered, so a cost of a few values
+    # partitions a handful of entries and never copies M
+    rng = np.random.default_rng(18)
+    if tied == "two_values":  # half zeros, half ones
+        cost = np.where(rng.random((1000, 1000)) < 0.5, 0.0, 1.0)
+    else:  # one 0/1 feature at p = 0.5: the cost takes 0 and 1 only
+        x, y = ((rng.random((2000, 1)) < 0.5).astype(float) for _ in "xy")
+        cost = cdist(x, y, "sqeuclidean")
+    tracemalloc.start()
+    try:
+        got = ot._median(cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_float(got, np.median(cost))
+    assert len(partitioned) == 1 and partitioned[0] <= 100
+    assert peak <= 4 * core.ROW_BLOCK_BYTES
 
 
 @settings(max_examples=25, deadline=None)

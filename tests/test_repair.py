@@ -6,11 +6,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otrelabel import (
     GroupedDataset,
+    NumericalError,
     PipelineConfig,
     RunResult,
+    ValidationError,
     fairness_report,
     lf_delta_report,
     pipeline,
@@ -106,6 +110,37 @@ def test_repair_reproduces_the_file_run(tmp_path, ot_type, knn_k,
     for other in (ds.without_labels(),
                   GroupedDataset(ds.features, ds.groups, -ds.labels)):
         assert_same_run(run, repair(other, wl, cfg, passthrough))
+
+
+def repair_or_error(ds, wl, cfg):
+    """The arrays a run ends in, or the class of the error it raised."""
+    try:
+        run = repair(ds, wl, cfg)
+    except (ValidationError, NumericalError) as exc:
+        return type(exc)
+    return run.repaired.votes, run.probs, run.hard, run.end_preds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 40),
+       st.sampled_from(["none", "linear", "sinkhorn"]), st.sampled_from([1, 3]),
+       st.integers(-12, 8))
+def test_repair_does_not_depend_on_the_feature_units(seed, n, ot_type, knn_k,
+                                                     k):
+    # a power of 4 scales every square, sum, square root and quotient of the
+    # features exactly; linear runs with no ridge, because the default
+    # ridge is added to the covariances verbatim, in the features' units,
+    # and so changes the map at other scales
+    ds, wl = make_biased_fixture(n, seed=seed)
+    cfg = PipelineConfig(ot_type=ot_type, knn_k=knn_k, covariance_ridge=0.0)
+    scaled = GroupedDataset(ds.features * 4.0 ** k, ds.groups, ds.labels)
+    want, got = repair_or_error(ds, wl, cfg), repair_or_error(scaled, wl, cfg)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name, stage", [
