@@ -213,7 +213,7 @@ class PipelineConfig:
     field's annotation (``bool`` is spelled ``on``/``off``) and take the
     help text from the field's metadata.  Defaults mirror the reference
     transport settings: 1 nearest neighbor, entropic regularization 1 with
-    10 scaling rounds.
+    10 scaling rounds; the linear map's ridge follows the features' variance.
     """
 
     ot_type: str = field(default="none", metadata={
@@ -226,8 +226,6 @@ class PipelineConfig:
         "help": "scaling rounds"})
     sinkhorn_tol: float = field(default=1e-9, metadata={
         "help": "marginal-violation tolerance"})
-    covariance_ridge: float = field(default=1e-6, metadata={
-        "help": "diagonal ridge added to covariances"})
     transport_scope: str = field(default="per_lf", metadata={
         "help": "per_lf or global direction choice"})
     class_balance: float = field(default=0.5, metadata={
@@ -257,8 +255,6 @@ class PipelineConfig:
             raise ValidationError("sinkhorn_eta must be positive")
         if self.sinkhorn_tol <= 0:
             raise ValidationError("sinkhorn_tol must be positive")
-        if self.covariance_ridge < 0:
-            raise ValidationError("covariance_ridge must be nonnegative")
         if not 0.0 < self.class_balance < 1.0:
             raise ValidationError("class_balance must be in (0, 1)")
         if self.tie_tol < 0:

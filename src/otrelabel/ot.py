@@ -158,8 +158,8 @@ def psd_sqrt(S: np.ndarray) -> np.ndarray:
 def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
     """Sample mean and unbiased covariance plus ridge * I.
 
-    The ridge is added verbatim to the diagonal; pick it relative to the
-    feature scale (the pipeline default 1e-6 suits unit-scale embeddings).
+    The ridge is added verbatim, in squared feature units; the transport
+    stage adds none here and scales its own by the groups' mean variance.
     A non-finite ridge or X is rejected; covariance overflow: NumericalError.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -200,7 +200,7 @@ def linear_monge(src: GaussianMoments, dst: GaussianMoments) -> MongeMap:
     wd = _pd_eig(dst.sigma, "destination covariance")[0]
     s_half = (Qs * np.sqrt(ws)) @ Qs.T
     s_mhalf = (Qs / np.sqrt(ws)) @ Qs.T
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf too
         inner = s_half @ dst.sigma @ s_half
     if not np.isfinite(inner).all():
         raise NumericalError(
@@ -461,8 +461,9 @@ def _middle(values: np.ndarray, h: int, odd: int) -> float:
 
 
 def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
-    """Row-normalized barycentric projection diag(rowsums)^-1 T X_dst;
-    ``plan.T`` is not written (the normalised plan is a temporary)."""
+    """Row-normalized barycentric projection diag(rowsums)^-1 T X_dst,
+    computed as (T X_dst) / rowsums: ``plan.T`` is neither written nor
+    copied."""
     X_dst = np.asarray(X_dst, dtype=np.float64)
     if X_dst.ndim != 2 or X_dst.shape[0] != plan.T.shape[1]:
         raise ValidationError(
@@ -470,7 +471,7 @@ def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
     row_sums = plan.T.sum(axis=1)
     if np.any(row_sums <= 0):
         raise NumericalError("transport plan has a zero row sum")
-    return (plan.T / row_sums[:, None]) @ X_dst
+    return (plan.T @ X_dst) / row_sums[:, None]
 
 
 def _sinkhorn_projection(

@@ -9,17 +9,18 @@ decision uses estimated accuracies exclusively, never gold labels.
 Neighbours are searched in a KD-tree on the destination rows at up to
 ``_TREE_MAX_D`` dimensions.  Each distinct row the tree cannot prove, and
 each above, is ranked once by ``cdist`` in row blocks within
-``core.ROW_BLOCK_BYTES``, so the neighbours never depend on the search.  Both tree searches, like
-the Sinkhorn scaling, run on every CPU in the process's affinity set;
-each query row is searched on its own, so the result never depends on
-that count, and ``taskset -c 0`` pins both to one CPU.
+``core.ROW_BLOCK_BYTES``, so the neighbours never depend on the search.
+Both tree searches, like the Sinkhorn scaling, run on every CPU in the
+process's affinity set; each query row is searched on its own, so the
+result never depends on that count, and ``taskset -c 0`` pins both to
+one CPU.  Points whose squared distances overflow are refused first: they
+would rank as ties.
 
 Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
 squared-Euclidean cost is computed into it, its median is read with no
 copy unless a sample misses, and it becomes K, which the projection reads
 with the scalings.  When it is larger than physical memory, or cannot be
-allocated, the error names its size before any work starts.  First,
-``none`` and ``sinkhorn`` refuse features whose squared distances overflow.
+allocated, the error names its size before any work starts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -69,6 +70,7 @@ _TIE_ABS = 1e-150
 # squared distance, and the squared search radius, stays far from
 # overflow (the tree's ball search raises on overflow), else over all.
 _MAX_SQ_SPAN = 1e300
+_RIDGE = 1e-6  # the linear map's covariance ridge, per unit mean variance
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,8 @@ def knn_transfer(
     KD-tree search up to ``_TREE_MAX_D`` dimensions, and an exact
     ``cdist`` ranking, once per distinct row, of every row the tree
     cannot prove and every row above.  Either way they are the scan's.
-    Non-finite coordinates and votes outside {-1, 0, +1} are rejected.
+    Non-finite coordinates, votes outside {-1, 0, +1} and points whose
+    squared distances could overflow float64 are rejected.
 
     Deterministic tie handling: exact distance ties prefer the lower row
     index; a tied majority falls back to the nearest non-abstaining
@@ -126,6 +129,7 @@ def knn_transfer(
     for name, block in (("query", X_query), ("destination", X_dst)):
         if not np.isfinite(block).all():
             raise ValidationError(f"{name} coordinates must be finite")
+    _require_squared_distances(X_query, X_dst)
     votes_dst = np.asarray(
         require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int8)
     k = require_count("k", k)
@@ -254,6 +258,17 @@ def _squared_diagonal(A: np.ndarray, B: np.ndarray) -> float:
         return float(np.sum(span * span))
 
 
+def _require_squared_distances(A: np.ndarray, B: np.ndarray) -> None:
+    """Refuse rows of A and B whose squared distances could overflow
+    float64 (their bounding box bounds every distance; an empty A has
+    none): ranked, overflowed distances would all tie."""
+    if A.shape[0] and _squared_diagonal(A, B) == np.inf:
+        big = float(max(np.abs(A).max(), np.abs(B).max()))
+        raise NumericalError(
+            "squared feature distances overflow float64 (largest |feature| "
+            f"{big:.3e}); rescale the features")
+
+
 def _physical_memory() -> float:
     """Bytes of physical memory, or inf where ``os.sysconf`` cannot say."""
     try:
@@ -269,14 +284,8 @@ def _transported_sources(
     X_dst: np.ndarray,
     cfg: PipelineConfig,
 ) -> np.ndarray:
-    # the box bounds every distance; linear runs meet their own checks first
-    if cfg.ot_type != "linear" and _squared_diagonal(X_src, X_dst) == np.inf:
-        big = float(max(np.abs(X_src).max(), np.abs(X_dst).max()))
-        raise NumericalError(
-            "squared feature distances overflow float64 (largest |feature| "
-            f"{big:.3e}); rescale the features")
-    if cfg.ot_type == "none":
-        return X_src
+    if cfg.ot_type == "none" or X_src.shape[1] == 0:
+        return X_src  # points with no coordinates have nowhere to move
     if cfg.ot_type == "linear":
         d = X_src.shape[1]
         for name, block in (("source", X_src), ("destination", X_dst)):
@@ -284,11 +293,14 @@ def _transported_sources(
                 raise ValidationError(
                     f"{name} group has {block.shape[0]} rows; covariance "
                     f"estimation needs at least d + 1 = {d + 1}")
-        mm = linear_monge(
-            fit_moments(X_src, cfg.covariance_ridge),
-            fit_moments(X_dst, cfg.covariance_ridge),
-        )
+        src, dst = fit_moments(X_src), fit_moments(X_dst)
+        # the mean variance, divided before it is summed: it cannot overflow
+        s = np.trace(src.sigma / (2 * d) + dst.sigma / (2 * d)) or 1.0
+        ridge = _RIDGE * s * np.eye(d)
+        mm = linear_monge(replace(src, sigma=src.sigma + ridge),
+                          replace(dst, sigma=dst.sigma + ridge))
         return apply_monge(mm, X_src)
+    _require_squared_distances(X_src, X_dst)
     n_src, n_dst = X_src.shape[0], X_dst.shape[0]
     need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one dense "
             f"float64 buffer of {8 * n_src * n_dst} bytes")
@@ -368,10 +380,10 @@ def sbm_transport(
                 f"{X_dst.shape[0]} rows, fewer than k={cfg.knn_k}")
         try:
             X_src = _transported_sources(ds.features[src_rows], X_dst, cfg)
+            new_votes[np.ix_(src_rows, cols)] = knn_transfer(
+                X_src, X_dst, votes[np.ix_(dst_rows, cols)], cfg.knn_k)
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"lf_{cols[0]}: {exc}") from exc
-        new_votes[np.ix_(src_rows, cols)] = knn_transfer(
-            X_src, X_dst, votes[np.ix_(dst_rows, cols)], cfg.knn_k)
 
     changed = new_votes != votes
     # checked votes moved by _majority_vote: not checked again

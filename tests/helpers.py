@@ -63,6 +63,65 @@ def make_biased_fixture(n_per_group: int, seed: int,
     )
 
 
+# The adult-v1 bank's categorical columns, each level listed from the least
+# to the most often seen with a positive label.
+ADULT_LEVELS = {
+    "workclass": ("Private", "Local-gov", "Self-emp-inc"),
+    "education": ("HS-grad", "Some-college", "Bachelors", "Masters"),
+    "marital-status": ("Never-married", "Divorced", "Married-civ-spouse"),
+    "occupation": ("Other-service", "Craft-repair", "Sales",
+                   "Exec-managerial"),
+    "relationship": ("Own-child", "Not-in-family", "Wife", "Husband"),
+    "race": ("Black", "White", "Asian-Pac-Islander"),
+    "native-country": ("Mexico", "United-States", "Germany"),
+}
+
+
+def make_adult_table(n_per_group: int, seed: int):
+    """A census-shaped raw table with every column the adult-v1 bank reads,
+    as strings, with its groups (0 and 1, ``n_per_group`` rows each) and
+    +-1 labels.
+
+    Level i of a column with L levels is drawn with weight 1 + i on a
+    positive row and L - i on a negative one.  Group 1 has fewer positive
+    rows, never "Husband" (group 0 never "Wife") and rarer capital gains,
+    so several rules are more accurate on one group than the other.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * n_per_group
+    groups = np.repeat([0, 1], n_per_group)
+    labels = np.where(rng.random(n) < np.where(groups == 0, 0.35, 0.2), 1, -1)
+    table = {}
+    for column, levels in ADULT_LEVELS.items():
+        rank = np.arange(len(levels))
+        weights = np.where(labels[:, None] > 0, 1.0 + rank, len(levels) - rank)
+        if column == "relationship":
+            weights[groups == 0, levels.index("Wife")] = 0.0
+            weights[groups == 1, levels.index("Husband")] = 0.0
+        cdf = np.cumsum(weights, axis=1) / weights.sum(axis=1, keepdims=True)
+        pick = (rng.random(n)[:, None] > cdf[:, :-1]).sum(axis=1)
+        table[column] = [levels[i] for i in pick]
+    age = np.where(labels > 0, rng.integers(28, 66, n),
+                   rng.integers(17, 75, n))
+    table["age"] = [str(a) for a in age]
+    gain_rate = np.where(labels > 0, np.where(groups == 0, 0.3, 0.1), 0.03)
+    gain = np.where(rng.random(n) < gain_rate,
+                    np.where(labels > 0, 7688, 2174), 0)
+    table["capital-gain"] = [str(g) for g in gain]
+    return table, groups, labels
+
+
+def adult_features(table) -> np.ndarray:
+    """One-hot relationship and education columns and the age decade: few
+    distinct rows, many exact distance ties, and covariances of rank at
+    most d - 1 (each one-hot block sums to 1)."""
+    blocks = [np.array([[cell == level for level in ADULT_LEVELS[column]]
+                        for cell in table[column]], dtype=float)
+              for column in ("relationship", "education")]
+    decade = np.array([float(int(a) // 10) for a in table["age"]])
+    return np.column_stack(blocks + [decade])
+
+
 def sample_conditional_lfs(accuracies, n: int, seed: int,
                            balance: float = 0.5):
     """Votes from conditionally independent LFs with E[lambda_j y] = a_j."""

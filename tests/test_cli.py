@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from otrelabel import (
-    GroupedDataset, PipelineConfig, WeakLabelMatrix, pipeline, synthetic)
+    GroupedDataset, PipelineConfig, WeakLabelMatrix, pipeline, synthetic,
+    transport)
 from otrelabel.cli import build_parser, main
 from otrelabel.pipeline import (
     load_votes_csv,
     parse_config_text,
     write_votes_csv,
 )
-from helpers import make_biased_fixture
+from helpers import (
+    adult_features, knn_oracle, make_adult_table, make_biased_fixture)
 from test_pipeline import write_features_csv, write_fixture
 
 
@@ -169,7 +171,7 @@ def test_run_unknown_config_key_is_input_error(tmp_path):
     ("sinkhorn_eta=0", "sinkhorn_eta must be positive"),
     ("sinkhorn_eta=-0.5", "sinkhorn_eta must be positive"),
     ("sinkhorn_tol=0", "sinkhorn_tol must be positive"),
-    ("covariance_ridge=-1e-6", "covariance_ridge must be nonnegative"),
+    ("covariance_ridge=1e-3", "config line 1: unknown key 'covariance_ridge'"),
     ("tie_tol=-0.1", "tie_tol must be nonnegative"),
     ("transport_scope=both", "unknown transport_scope 'both'"),
 ])
@@ -185,6 +187,17 @@ def test_bad_config_file_is_one_input_error_line(tmp_path, capsys, text,
     assert not out.exists()
 
 
+def test_covariance_ridge_flag_is_a_usage_error(tmp_path, capsys):
+    # the linear map's ridge follows the features' variance: no flag sets it
+    _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--features", features, "--votes", votes, "--out",
+              str(tmp_path / "o"), "--covariance-ridge", "1e-3"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --covariance-ridge 1e-3" in \
+        capsys.readouterr().err
+
+
 def test_run_bad_flag_value_names_the_flag(tmp_path, capsys):
     _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
     assert main(["run", "--features", features, "--votes", votes,
@@ -197,7 +210,7 @@ def test_run_bad_flag_value_names_the_flag(tmp_path, capsys):
 # one non-default value per PipelineConfig field
 NON_DEFAULT_CONFIG = {
     "ot_type": "sinkhorn", "knn_k": 3, "sinkhorn_eta": 0.5,
-    "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6, "covariance_ridge": 1e-3,
+    "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6,
     "transport_scope": "global", "class_balance": 0.4, "tie_tol": 0.05,
     "end_model": False, "l2": 1e-3,
 }
@@ -627,3 +640,71 @@ def test_repeated_features_header_name_is_input_error(tmp_path, capsys,
                  "--votes", str(votes)]) == 1
     assert capsys.readouterr().err == (
         f"input error: {features}: duplicate column names {repeated}\n")
+
+
+def first_row_knn_oracle(X_query, X_dst, votes_dst):
+    """``knn_oracle`` at k = 1 over distinct rows only.  Equal query rows
+    get equal votes, and of equal destination rows the first is nearer
+    than the rest under the lower-index rule, so the oracle over each
+    distinct destination row's first copy, in row order, is the same."""
+    first = np.sort(np.unique(X_dst, axis=0, return_index=True)[1])
+    uniq, inv = np.unique(X_query, axis=0, return_inverse=True)
+    return knn_oracle(uniq, X_dst[first], votes_dst[first], 1)[inv.ravel()]
+
+
+ARTIFACTS = ("votes_repaired.csv", "pseudolabels.csv", "fairness.json")
+
+
+def test_census_shaped_categorical_inputs_run_end_to_end(tmp_path):
+    # an adult-shaped raw table through lf-bank, then every ot_type on
+    # one-hot plus numeric features: heavy distance ties, and covariances
+    # that only the ridge keeps invertible
+    table, groups, labels = make_adult_table(1000, seed=5)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join(",".join(row) + "\n" for row in [
+        list(table), *zip(*table.values())]))
+    votes = str(tmp_path / "votes.csv")
+    assert main(["lf-bank", "--bank", "adult-v1", "--raw", str(raw),
+                 "--out", votes]) == 0
+    X = adult_features(table)
+    ds, wl = GroupedDataset(X, groups, labels), load_votes_csv(votes)
+    for scale in (1, 1024, 1 / 1024):
+        write_features_csv(str(tmp_path / f"f{scale}.csv"),
+                           GroupedDataset(X * scale, groups, labels))
+
+    def run(ot_type, out, scale=1):
+        assert main(["run", "--features", str(tmp_path / f"f{scale}.csv"),
+                     "--votes", votes, "--out", str(tmp_path / out),
+                     "--ot-type", ot_type]) == 0
+        return {name: (tmp_path / out / name).read_bytes()
+                for name in ARTIFACTS}
+
+    artifacts = {}
+    for ot_type in ("none", "linear", "sinkhorn"):
+        artifacts[ot_type] = run(ot_type, ot_type)
+        assert run(ot_type, ot_type + "_again") == artifacts[ot_type]
+        cfg = PipelineConfig(ot_type=ot_type)
+        expected = pipeline.repair(ds, wl, cfg)
+        repaired = load_votes_csv(
+            str(tmp_path / ot_type / "votes_repaired.csv")).votes
+        assert np.array_equal(repaired, expected.repaired.votes)
+        moved = [d for d in expected.relabel.decisions if not d.skipped]
+        assert moved
+        for d in expected.relabel.decisions:
+            # a skipped LF keeps every vote, a moved one its destination's
+            kept = groups == d.dst_group if not d.skipped else slice(None)
+            assert np.array_equal(repaired[kept, d.lf_index],
+                                  wl.votes[kept, d.lf_index])
+        if ot_type == "sinkhorn":
+            continue
+        for d in moved:
+            src, dst = groups == d.src_group, groups == d.dst_group
+            X_src = transport._transported_sources(X[src], X[dst], cfg)
+            assert np.array_equal(
+                repaired[src, d.lf_index],
+                first_row_knn_oracle(X_src, X[dst], wl.votes[dst, d.lf_index]))
+    # the linear map's ridge follows the features' units
+    for scale in (1024, 1 / 1024):
+        scaled = run("linear", f"linear_{scale}", scale)
+        for name in ("votes_repaired.csv", "pseudolabels.csv"):
+            assert scaled[name] == artifacts["linear"][name]

@@ -182,7 +182,6 @@ def test_config_defaults_match_reference_settings():
     assert cfg.knn_k == 1
     assert cfg.sinkhorn_eta == 1.0
     assert cfg.sinkhorn_max_iter == 10
-    assert cfg.covariance_ridge == 1e-6
     assert cfg.transport_scope == "per_lf"
     assert cfg.ot_type == "none"
 
@@ -200,8 +199,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(l2=-1)
 
 
-FLOAT_FIELDS = ("sinkhorn_eta", "sinkhorn_tol", "covariance_ridge",
-                "class_balance", "tie_tol", "l2")
+FLOAT_FIELDS = ("sinkhorn_eta", "sinkhorn_tol", "class_balance", "tie_tol",
+                "l2")
 
 
 def test_float_fields_listed():
@@ -333,3 +332,16 @@ def test_int8_votes_widen_before_any_sum(monkeypatch, mixed):
     for got, want in zip(infer_pseudolabels(params, wl),
                          infer_pseudolabels(params, wide)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WeakLabelMatrix(np.ones(3)), "votes must be 2-D, got ndim=1"),
+    (lambda: WeakLabelMatrix(np.ones((2, 2, 2))),
+     "votes must be 2-D, got ndim=3"),
+    (lambda: WeakLabelMatrix(np.ones((2, 2))).restrict_rows(
+        np.zeros(2, bool)), "votes must be at least 1x1, got (0, 2)"),
+])
+def test_core_argument_checks_are_one_line_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

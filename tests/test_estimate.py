@@ -305,3 +305,22 @@ def test_records_are_an_array_backed_sequence():
     usable = np.flatnonzero(~records.degenerate)[0]
     assert records[usable].raw_estimates == tuple(
         records.raw_estimates[usable])
+
+
+VOTES_3 = WeakLabelMatrix(np.array([[1, -1, 1], [1, 1, -1]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: accuracies_from_moments(np.ones((3, 4))),
+     "moment matrix must be square"),
+    (lambda: resolve_sign(np.ones(2), VOTES_3),
+     "magnitude vector length must equal m"),
+    (lambda: resolve_sign(np.array([0.5, 1.5, 0.5]), VOTES_3),
+     "magnitudes must lie in [0, 1]"),
+    (lambda: resolve_sign(np.array([0.5, -0.1, 0.5]), VOTES_3),
+     "magnitudes must lie in [0, 1]"),
+])
+def test_estimate_argument_checks_are_one_line_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

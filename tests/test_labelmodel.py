@@ -506,3 +506,32 @@ def test_non_finite_hyperparameters_rejected(value, name):
     with pytest.raises(ValidationError, match="bad training hyperparameters"):
         train_end_model(np.array([[0.0], [1.0]]), np.array([0.2, 0.8]),
                         **{name: value})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: labelmodel.LabelModelParams(np.ones((2, 2)), 0.0),
+     "weights must be 1-D"),
+    (lambda: labelmodel.LabelModelParams(np.array([np.nan]), 0.0),
+     "label-model parameters must be finite"),
+    (lambda: labelmodel.LabelModelParams(np.ones(2), math.inf),
+     "label-model parameters must be finite"),
+    (lambda: labelmodel.EndModel(np.ones((2, 2)), {}),
+     "coefficients must be a finite 1-D vector"),
+    (lambda: labelmodel.EndModel(np.array([np.inf]), {}),
+     "coefficients must be a finite 1-D vector"),
+    (lambda: fit_label_model(np.full(3, 0.5), 1.0),
+     "class_balance must be in (0, 1)"),
+    (lambda: infer_pseudolabels(fit_label_model(np.full(2, 0.5)),
+                                WeakLabelMatrix(np.ones((2, 3)))),
+     "label model has 2 weights but matrix has 3 LFs"),
+    (lambda: train_end_model(np.zeros(3), np.full(3, 0.5)),
+     "X must be a non-empty 2-D matrix"),
+    (lambda: train_end_model(np.zeros((0, 2)), np.zeros(0)),
+     "X must be a non-empty 2-D matrix"),
+    (lambda: train_end_model(np.zeros((3, 2)), np.full(2, 0.5)),
+     "pseudo_probs length must match X rows"),
+])
+def test_labelmodel_argument_checks_are_one_line_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -362,3 +362,34 @@ def test_candidate_outside_the_rows_is_named(center):
     x = np.arange(20.0)[:, None]
     with pytest.raises(ValidationError, match=f"got {center!r}"):
         regime_profile(x, np.ones(20, bool), np.tile([0, 1], 10), [0, center])
+
+
+VOTES_2 = WeakLabelMatrix(np.array([[1, -1, 1], [1, 1, -1]]))
+LABELLED_2 = GroupedDataset(np.zeros((2, 1)), [0, 1], [1, -1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fairness_report(np.ones(3), np.ones(2), np.zeros(3)),
+     "pred, gold and groups must share one length"),
+    (lambda: fairness_report(np.ones((2, 2)), np.ones((2, 2)),
+                             np.zeros((2, 2))),
+     "pred, gold and groups must share one length"),
+    (lambda: lf_delta_report(VOTES_2, WeakLabelMatrix(np.ones((2, 2))),
+                             LABELLED_2),
+     "before/after vote shapes differ"),
+    (lambda: regime_profile(np.zeros((3, 1)), np.ones(2, bool), np.zeros(3),
+                            [0]),
+     "X, correct_mask and groups are inconsistent"),
+    (lambda: regime_profile(np.zeros(3), np.ones(3, bool), np.zeros(3), [0]),
+     "X, correct_mask and groups are inconsistent"),
+    (lambda: regime_profile(np.zeros((3, 1)), np.ones(3, bool),
+                            np.array([0, 1, 1]), []),
+     "candidate set must be non-empty"),
+    (lambda: regime_profile(np.zeros((20, 1)), np.ones(20, bool),
+                            np.zeros(20, int), [0]),
+     "empty group 1"),
+])
+def test_metrics_argument_checks_are_one_line_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

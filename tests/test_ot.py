@@ -752,6 +752,22 @@ def test_barycentric_leaves_the_plan_unchanged():
     assert np.array_equal(plan.T, before)
 
 
+def test_barycentric_holds_no_plan_sized_temporary():
+    rng = np.random.default_rng(19)
+    plan = TransportPlan(rng.random((400, 500)), 1.0, 1, True, 0.0)
+    X_dst = rng.normal(size=(500, 2))
+    expected = (plan.T / plan.T.sum(axis=1)[:, None]) @ X_dst
+    tracemalloc.start()
+    try:
+        mapped = barycentric_map(plan, X_dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row sums and the 400 x 2 result, not a normalised 1.6 MB plan
+    assert peak < plan.T.nbytes / 20
+    assert np.allclose(mapped, expected, rtol=1e-12, atol=0)
+
+
 def test_barycentric_rejects_zero_row():
     plan = TransportPlan(np.array([[0.0, 0.0], [0.5, 0.5]]), 1.0, 1, True, 0.0)
     with pytest.raises(NumericalError):
@@ -804,3 +820,32 @@ def test_spectral_effective_rank_bounds():
     for d in (2, 5, 9):
         s = spectral_summary(random_spd(rng, d))
         assert 1.0 - 1e-12 <= s.effective_rank <= d + 1e-12
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GaussianMoments(np.zeros(2), np.eye(3), 5), ValidationError,
+     "moment shapes are inconsistent"),
+    (lambda: ot.MongeMap(np.eye(2), np.zeros(3)), ValidationError,
+     "Monge map shapes are inconsistent"),
+    (lambda: psd_sqrt(np.ones((2, 3))), ValidationError,
+     "psd_sqrt input must be a square matrix"),
+    (lambda: fit_moments(np.ones(4)), ValidationError, "X must be 2-D"),
+    (lambda: linear_monge(GaussianMoments(np.zeros(1), np.eye(1), 3),
+                          GaussianMoments(np.zeros(2), np.eye(2), 3)),
+     ValidationError, "source and destination dimensions differ"),
+    (lambda: inverse_monge(ot.MongeMap(np.zeros((2, 2)), np.zeros(2))),
+     NumericalError, "Monge map is not invertible"),
+    (lambda: sinkhorn_plan(np.ones(3)), ValidationError,
+     "cost matrix must be 2-D"),
+    (lambda: sinkhorn_plan(np.ones((2, 3)), a=np.full(3, 1 / 3)),
+     ValidationError, "marginal shapes do not match the cost matrix"),
+    (lambda: barycentric_map(sinkhorn_plan(np.ones((2, 3))),
+                             np.zeros((2, 1))),
+     ValidationError, "X_dst must have 3 rows, got (2, 1)"),
+    (lambda: spectral_summary(np.diag([1.0, -1.0])), ValidationError,
+     "matrix is not positive semi-definite"),
+])
+def test_ot_argument_checks_are_one_line_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -1102,3 +1102,26 @@ def test_report_dicts_are_read_from_their_fields(tmp_path):
     # any other NaN is refused
     with pytest.raises(ValueError):
         write_json({"measured": float("nan")}, str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "file is empty"),
+    ("group\n0\n1\n", "no feature columns"),
+    ('"group","label"\n0,1\n1,-1\n', "no feature columns"),
+])
+def test_pipeline_input_checks_are_one_line_errors(tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        load_features_csv(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("table, rules, message", [
+    ({}, builtin_bank("adult-v1"), "raw table has no columns"),
+    ({"age": ["30"]}, [], "rule list is empty"),
+])
+def test_lfbank_argument_checks_are_one_line_errors(table, rules, message):
+    with pytest.raises(ValidationError) as info:
+        apply_lf_bank(table, rules)
+    assert str(info.value) == message

@@ -128,11 +128,9 @@ def repair_or_error(ds, wl, cfg):
 def test_repair_does_not_depend_on_the_feature_units(seed, n, ot_type, knn_k,
                                                      k):
     # a power of 4 scales every square, sum, square root and quotient of the
-    # features exactly; linear runs with no ridge, because the default
-    # ridge is added to the covariances verbatim, in the features' units,
-    # and so changes the map at other scales
+    # features exactly, and the linear map's ridge scales with them
     ds, wl = make_biased_fixture(n, seed=seed)
-    cfg = PipelineConfig(ot_type=ot_type, knn_k=knn_k, covariance_ridge=0.0)
+    cfg = PipelineConfig(ot_type=ot_type, knn_k=knn_k)
     scaled = GroupedDataset(ds.features * 4.0 ** k, ds.groups, ds.labels)
     want, got = repair_or_error(ds, wl, cfg), repair_or_error(scaled, wl, cfg)
     if isinstance(want, type):
@@ -141,6 +139,27 @@ def test_repair_does_not_depend_on_the_feature_units(seed, n, ot_type, knn_k,
         assert not isinstance(got, type)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ot_type", ["none", "linear", "sinkhorn"])
+def test_features_without_columns_move_nowhere(ot_type):
+    # every distance is 0, so each moved row takes destination row 0's
+    # votes; the linear fit used to index an empty eigenvalue list
+    ds, wl = make_biased_fixture(20, seed=3)
+    bare = GroupedDataset(np.zeros((ds.n, 0)), ds.groups, ds.labels)
+    run = repair(bare, wl, PipelineConfig(ot_type=ot_type))
+    want = repair(bare, wl, PipelineConfig(ot_type="none"))
+    assert np.array_equal(run.repaired.votes, want.repaired.votes)
+
+
+def test_linear_ridge_does_not_overflow_where_covariances_are_finite():
+    # both variances near 1e308: their sum overflows, their mean does not,
+    # so the run ends in the Monge map's own overflow check
+    ds, wl = make_biased_fixture(50, seed=0)
+    big = GroupedDataset(ds.features * 1e153, ds.groups, ds.labels)
+    with pytest.raises(NumericalError,
+                       match=r"S\^1/2 Sigma S\^1/2 overflows"):
+        repair(big, wl, PipelineConfig(ot_type="linear"))
 
 
 @pytest.mark.parametrize("name, stage", [

@@ -5,6 +5,7 @@ import pytest
 
 from otrelabel import (
     MongeMap,
+    SweepReport,
     SyntheticModel,
     ValidationError,
     accuracy_prob,
@@ -203,3 +204,32 @@ def test_map_error_rejects_non_spd_transform():
     with pytest.raises(ValidationError):
         map_error_sweep(model, [50, 500])
 
+
+
+def test_lipschitz_check_without_dimensions_is_zero():
+    # every pair coincides in zero dimensions, so none is measured
+    assert lipschitz_check(SyntheticModel.gaussian(0, 1.0), 4) == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SweepReport((1.0,), (), (1.0,), True),
+     "sweep report lists must share a length"),
+    (lambda: shift_sweep(SyntheticModel.gaussian(2, 1.0), [0.0], 0),
+     "n must be >= 1"),
+    (lambda: lipschitz_check(SyntheticModel.gaussian(2, 1.0), 0),
+     "trials must be >= 1"),
+    (lambda: map_error_sweep(SyntheticModel(
+        2, 1.0, MongeMap(np.diag([1.0, -1.0]), np.zeros(2))), [10, 20]),
+     "group-1 transform matrix must be positive definite"),
+    (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [20, 10]),
+     "sample sizes must be increasing and exceed the dimension"),
+    (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [2, 10]),
+     "sample sizes must be increasing and exceed the dimension"),
+    (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10, 20],
+                             holdout=1),
+     "holdout must be >= 2"),
+])
+def test_synthetic_argument_checks_are_one_line_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -12,6 +12,7 @@ import otrelabel.core as core
 import otrelabel.transport as transport
 from otrelabel import (
     GroupedDataset,
+    NumericalError,
     PipelineConfig,
     ValidationError,
     WeakLabelMatrix,
@@ -790,3 +791,86 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
             for d in result.decisions if not d.skipped] == moves
     assert [d.lf_index for d in result.decisions if d.skipped] == [
         j for j in range(wl.m) if j not in {move[0] for move in moves}]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 3)), np.ones(2), 1),
+     "query/destination dimensions differ"),
+    (lambda: knn_transfer(np.zeros(2), np.zeros((2, 1)), np.ones(2), 1),
+     "query/destination dimensions differ"),
+    (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3), 1),
+     "votes_dst length must match X_dst rows"),
+    (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 2)),
+                          np.ones((2, 1, 1)), 1),
+     "votes_dst length must match X_dst rows"),
+])
+def test_transport_argument_checks_are_one_line_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def overflow_probe(scale):
+    rng = np.random.default_rng(23)
+    return (rng.normal(size=(500, 3)) * scale,
+            rng.normal(size=(400, 3)) * scale)
+
+
+def test_knn_transfer_refuses_distances_it_cannot_rank():
+    # overflowed squared distances all tie, and the tie goes to row 0
+    query, dst = overflow_probe(1e155)
+    big = float(max(np.abs(query).max(), np.abs(dst).max()))
+    with pytest.raises(NumericalError) as info:
+        knn_transfer(query, dst, np.ones(400, dtype=int), 1)
+    assert str(info.value) == (
+        "squared feature distances overflow float64 (largest |feature| "
+        f"{big:.3e}); rescale the features")
+
+
+def test_knn_transfer_ranks_large_finite_distances():
+    query, dst = overflow_probe(1e150)
+    # the bits of each destination row's index, as votes, name the row
+    bits = np.where((np.arange(400)[:, None] >> np.arange(9)) & 1, 1, -1)
+    nearest = transport._nearest_exact(query, dst, 1)[:, 0]
+    assert np.array_equal(knn_transfer(query, dst, bits, 1), bits[nearest])
+    assert len(np.unique(nearest)) > 100
+
+
+def test_sinkhorn_refuses_overflowing_distances_before_the_buffer(
+        monkeypatch):
+    monkeypatch.setattr(transport, "_physical_memory", lambda: 0)
+    X_src, X_dst = overflow_probe(1e155)
+    with pytest.raises(NumericalError, match="squared feature distances"):
+        transport._transported_sources(
+            X_src, X_dst, PipelineConfig(ot_type="sinkhorn"))
+
+
+def one_hot_groups(seed):
+    """One-hot rows of 4 levels plus an integer column: each one-hot block
+    sums to 1, so both covariances are singular, and level 3 never occurs
+    in the source group."""
+    rng = np.random.default_rng(seed)
+    src = np.column_stack([np.eye(4)[rng.integers(0, 3, 300)],
+                           rng.integers(0, 5, 300)]).astype(float)
+    dst = np.column_stack([np.eye(4)[rng.integers(0, 4, 200)],
+                           rng.integers(0, 5, 200)]).astype(float)
+    return src, dst
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 2.0 ** -10, 2.0 ** 10])
+def test_linear_map_ridge_follows_the_features_units(scale):
+    src, dst = one_hot_groups(29)
+    cfg = PipelineConfig(ot_type="linear")
+    moved = transport._transported_sources(src, dst, cfg)
+    assert np.array_equal(
+        transport._transported_sources(src * scale, dst * scale, cfg),
+        moved * scale)
+
+
+def test_linear_map_of_constant_groups_moves_onto_the_destination():
+    # zero covariances: the ridge is _RIDGE itself, the same in both
+    # groups, so the map is a translation
+    src, dst = np.full((5, 3), 2.0), np.full((4, 3), -1.0)
+    moved = transport._transported_sources(
+        src, dst, PipelineConfig(ot_type="linear"))
+    assert np.allclose(moved, dst[0], rtol=0, atol=1e-12)
