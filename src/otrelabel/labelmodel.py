@@ -6,9 +6,12 @@ weights w_j = 0.5 * log((1 + a_j) / (1 - a_j)) and prior log-odds theta_y,
     P(y = 1 | votes) = sigmoid(theta_y + 2 * sum_j w_j * vote_j),
 
 which coincides with exact Bayes when votes are independent given y.
-Abstains contribute nothing (vote 0).  The end model is plain logistic
-regression fitted to the soft pseudolabel probabilities by damped Newton
-(IRLS) steps, to the optimum of its L2-regularized objective.
+Abstains contribute nothing (vote 0).  The sum over the votes is exact in
+int64 after one rounding of the weights, so the posterior's bits do not
+depend on the BLAS, its thread count or the LF order.  The end model is
+plain logistic regression fitted to the soft pseudolabel probabilities by
+damped Newton (IRLS) steps, to the optimum of its L2-regularized
+objective.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    row_blocks,
 )
 
 ACC_CLAMP = 0.999
@@ -101,18 +105,37 @@ def fit_label_model(
     return LabelModelParams(weights, prior)
 
 
+def _vote_scores(weights: np.ndarray, votes: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``weights`` times its int8 ``votes``, exact in
+    integers: the weights are rounded once to q 2^-e with q = rint(w 2^e)
+    in int64, e set by m and max |w| so that m max |q| <= 2^61 and no row
+    sum overflows; each row's sum is rounded once to float64.  Its error is
+    below the float64 dot's for every m, and its bits depend on no row
+    block, thread count, BLAS or column order."""
+    top = float(np.abs(weights).max(initial=0.0))
+    e = 61 - (len(weights) - 1).bit_length() - math.frexp(top)[1] \
+        if top else 0
+    q = np.rint(np.ldexp(weights, e)).astype(np.int64)
+    sums = np.empty(len(votes), np.int64)
+    # 8 bytes a vote: a block of votes widened to int64
+    for rows in row_blocks(len(votes), 8 * len(weights)):
+        np.matmul(votes[rows].astype(np.int64), q, out=sums[rows])
+    return np.ldexp(sums.astype(np.float64), -e)
+
+
 def infer_pseudolabels(
     params: LabelModelParams, wl: WeakLabelMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior P(y=1 | votes) and hard labels in {-1, +1}.
 
-    Abstaining votes are zeros and drop out of the score.  Probability
-    exactly 0.5 maps to +1 so hard labels are reproducible.
+    Abstaining votes are zeros and drop out of the score, which
+    :func:`_vote_scores` sums exactly.  Probability exactly 0.5 maps to +1
+    so hard labels are reproducible.
     """
     if wl.m != params.m:
         raise ValidationError(
             f"label model has {params.m} weights but matrix has {wl.m} LFs")
-    score = 0.5 * params.prior + wl.votes.astype(np.float64) @ params.weights
+    score = 0.5 * params.prior + _vote_scores(params.weights, wl.votes)
     probs = _sigmoid(2.0 * score)
     labels = np.where(probs >= 0.5, 1, -1).astype(np.int64)
     return probs, labels

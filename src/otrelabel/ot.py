@@ -401,8 +401,10 @@ def _median(M: np.ndarray) -> float:
     gathers those strictly between.  The middle ranks are read from
     [lo, lo] + gathered + [hi, hi], two copies standing for a pivot's ties.
     On a miss (a middle rank outside [lo, hi], or over twice the expected
-    entries between the pivots) a copy is partitioned, as for small M.
+    entries between the pivots) a copy is partitioned, as for small M; a
+    copy that cannot be allocated is an input error naming its bytes.
     """
+    shape = M.shape
     if M.flags.f_contiguous:
         M = M.T  # the same entries, with contiguous rows
     h, odd = divmod(M.size, 2)
@@ -410,7 +412,15 @@ def _median(M: np.ndarray) -> float:
         middle = _bracketed_middle(M, h, odd)
         if middle is not None:
             return middle
-    return _middle(M.flatten(order="K"), h, odd)
+    try:
+        values = np.empty(M.size)
+    except MemoryError:
+        raise ValidationError(
+            f"the median of a {shape[0]} x {shape[1]} cost needs a "
+            f"float64 copy of {8 * M.size} bytes, which could not be "
+            "allocated") from None
+    values.reshape(M.shape)[...] = M
+    return _middle(values, h, odd)
 
 
 def _bracketed_middle(M: np.ndarray, h: int, odd: int) -> Optional[float]:

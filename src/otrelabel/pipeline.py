@@ -17,11 +17,16 @@ Votes CSV: header exactly ``lf_0,...,lf_{m-1}``, values ``-1``, ``0``,
 
 Both: an optional UTF-8 BOM, LF, CRLF or CR line ends, csv quoting, and
 whitespace around any cell or header name.  Every row has the header's
-width and no line is blank.  Plain files (ASCII body, no quotes,
-canonical spellings, as :func:`write_votes_csv` writes) take one byte
-pass for votes, numpy's C reader plus a spelling check for features; any
-other file an exact cell-by-cell pass that reports each bad cell on its
-own line, up to ``MAX_CELL_ERRORS`` lines plus a count of the rest.
+width and no line is blank.  Each CSV is opened once and read in blocks
+of whole lines, every byte hashed as it is read, so a run digests the
+bytes it parsed.  Plain files (ASCII body, no quotes, canonical
+spellings, as :func:`write_votes_csv` writes) are parsed block by block,
+a byte pass for votes, numpy's C reader plus a spelling check for
+features, into an output that grows in place; any other file, or one
+with a block that is not plain, is read again from its start through
+the same handle and takes an exact cell-by-cell pass that reports each
+bad cell on its own line, up to ``MAX_CELL_ERRORS`` lines plus a count
+of the rest.
 
 Config file: flat ``key=value`` lines (``#`` starts a comment).  The
 accepted keys are the field names of :class:`PipelineConfig`; each value
@@ -48,12 +53,14 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from itertools import chain
+from typing import (
+    BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union)
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, core
 from .core import (
     MAX_CELL_ERRORS,
     GroupedDataset,
@@ -132,17 +139,67 @@ _BYTE_VOTE = np.array([{45: -1, 48: 0, 49: 1}.get(b, 2) for b in range(256)],
                       np.int8)
 
 
-def _read(path: str) -> bytes:
-    """The bytes of the input file ``path``, the one place an input is
-    opened.  Only a regular file can be read twice, so anything else is
-    refused before it is opened: a FIFO fails instead of blocking."""
+@contextmanager
+def _read(path: str) -> Iterator[BinaryIO]:
+    """The input file ``path`` open for reading bytes: the one place an
+    input is opened.  Anything but a regular file is refused before it is
+    opened, so a FIFO fails instead of blocking and a loader can go back to
+    the file's start.  An error opening or reading it is an input error."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValidationError(f"{path}: not a regular file")
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
+
+
+def _line_blocks(fh: BinaryIO, sha) -> Iterator[bytes]:
+    """The open file ``fh``'s first line, then the rest of it in blocks of
+    whole lines of about ROW_BLOCK_BYTES (a longer line is a block of its
+    own), each fed to the hash ``sha`` as it is read.  Only the last block
+    can lack a line end."""
+    # read(n) allocates n bytes before it reads
+    step = max(1, min(core.ROW_BLOCK_BYTES, os.fstat(fh.fileno()).st_size))
+    block = fh.readline()
+    while block:
+        sha.update(block)
+        yield block
+        block = fh.read(step)
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+
+
+def _load(path: str, role: str, digests: Optional[dict[str, str]],
+          plain: Callable, exact: Callable):
+    """What the input file ``path`` holds, parsed from one open handle.
+
+    When its first line is a plain header (:func:`_plain_header`) and a body
+    follows, ``plain(header, blocks)`` gets the header's names and an
+    iterator over the body's blocks of lines.  When it returns None (for a
+    block or header that is not plain) or is not called, the file is read
+    again from its start and ``exact(header, rows)`` gets what
+    :func:`_read_rows` reads from all of it, so every error is the exact
+    pass's.  The SHA-256 of the bytes the value was parsed from joins
+    ``digests``, if given, under ``role``.
+    """
+    sha = hashlib.sha256()
+    with _read(path) as fh:
+        blocks = _line_blocks(fh, sha)
+        header = _plain_header(next(blocks, b""))
+        start = next(blocks, b"") if header else b""
+        value = plain(header, chain([start], blocks)) if start else None
+        if value is None:
+            fh.seek(0)
+            data = fh.read()
+            sha = hashlib.sha256(data)
+    if value is None:
+        header, rows = _read_rows(path, data)
+        del data  # the rows hold the text
+        value = exact(header, rows)
+    if digests is not None:
+        digests[role] = sha.hexdigest()
+    return value
 
 
 def _decode(path: str, data: bytes) -> str:
@@ -158,7 +215,9 @@ def _decode(path: str, data: bytes) -> str:
 
 def read_text(path: str) -> str:
     """The text of the UTF-8 input file ``path``, without a leading BOM."""
-    return _decode(path, _read(path))
+    with _read(path) as fh:
+        data = fh.read()
+    return _decode(path, data)
 
 
 def _read_rows(path: str, data: bytes) -> tuple[list[str], list[list[str]]]:
@@ -191,60 +250,78 @@ def _require_unique(path: str, header: list[str]) -> None:
                               f"{', '.join(map(repr, repeated))}")
 
 
-def _plain_lines(data: bytes) -> Optional[tuple[list[str], bytes, int]]:
-    """``(header, data, offset)`` of file bytes without quote characters,
-    with LF or CRLF line ends (every ``\\r`` before a ``\\n``), an ASCII body
-    and no blank first body line, else None; ``csv`` splits its header at
-    ",".  The body is ``data[offset:]``, read in place."""
-    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    off = data.find(b"\n", start) + 1
-    if (not data[start:off].rstrip(b"\r\n")  # no line end, or no header
-            or data[off:off + 1] in (b"", b"\n", b"\r") or b'"' in data
-            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-            or np.frombuffer(data, np.uint8, offset=off).max() > 127):
+def _plain_header(line: bytes) -> Optional[list[str]]:
+    """The stripped names of a file's first line if it is plain: an
+    optional BOM, then UTF-8 text with no quote and no CR, then an LF or
+    CRLF line end; else None.  ``csv`` splits such a line at ","."""
+    text = line.removeprefix(codecs.BOM_UTF8)
+    if not text.endswith(b"\n"):
+        return None
+    text = text[:-1].removesuffix(b"\r")
+    if not text or b'"' in text or b"\r" in text:
         return None
     try:
-        header = data[start:off - 1].decode("utf-8").split(",")
+        return [h.strip() for h in text.decode("utf-8").split(",")]
     except UnicodeDecodeError:
         return None
-    return [h.strip() for h in header], data, off
 
 
-def _plain_table(data: bytes, off: int, header: list[str],
-                 features: list[str], text: list[str]) -> Optional[np.ndarray]:
-    """The rows of a plain body ``data[off:]``, as numpy's C reader parses
-    them in one call, else None: field ``x`` holds the float ``features``,
-    fields ``group`` and ``label`` the spellings of the ``text`` cells.
-    ``S3`` is longer than any accepted spelling, so a truncated cell never
-    passes; ``csv`` and ``float`` read such a body alike."""
+def _plain_bytes(data: bytes) -> bool:
+    """Whether a block of body lines can be read in place: its first line
+    is not blank, and it holds no quote, no CR but before an LF and only
+    ASCII bytes."""
+    return (data[:1] not in (b"", b"\n", b"\r") and b'"' not in data
+            and (b"\r" not in data
+                 or data.count(b"\r") == data.count(b"\r\n"))
+            and np.frombuffer(data, np.uint8).max() <= 127)
+
+
+def _plain_table(data: bytes, header: list[str], features: list[str],
+                 text: list[str]) -> Optional[np.ndarray]:
+    """The rows of a plain block of body lines ``data``, as numpy's C
+    reader parses them in one call, else None: field ``x`` holds the float
+    ``features``, fields ``group`` and ``label`` the ``text`` cells, each
+    spelled as the exact pass reads it, and every feature is finite.  ``S3``
+    is longer than any accepted spelling, so a truncated cell never passes;
+    ``csv`` and ``float`` read such a block alike."""
+    if not _plain_bytes(data):
+        return None
     dtype = [("x", np.float64, (len(features),))] + [
         (role, "S3") for role in ("group", "label")[:len(text)]]
     try:
-        body = io.BytesIO(data)  # shares the bytes
-        body.seek(off)
-        table = np.loadtxt(body, dtype, delimiter=",",
-                           comments=None, ndmin=1, encoding="ascii",
+        table = np.loadtxt(io.BytesIO(data),  # shares the bytes
+                           dtype, delimiter=",", comments=None, ndmin=1,
+                           encoding="ascii",
                            usecols=[header.index(h) for h in features + text])
     except ValueError:
         return None
-    n_lines = data.count(b"\n", off) + (not data.endswith(b"\n"))
-    # numpy skips blank lines, and cells past a line's last column
+    n_lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    # numpy skips blank lines, and cells past a line's last column; it
+    # reads any text into the group and label fields
     return table if len(table) == n_lines \
-        and data.count(b",", off) == n_lines * (len(header) - 1) else None
+        and data.count(b",") == n_lines * (len(header) - 1) \
+        and np.isfinite(table["x"]).all() \
+        and np.isin(table["group"], [b"0", b"1"]).all() \
+        and (len(text) == 1
+             or np.isin(table["label"], [b"-1", b"1", b"+1"]).all()) \
+        else None
 
 
-def _plain_votes(data: bytes, off: int, m: int) -> Optional[np.ndarray]:
-    """n x m votes of a body ``data[off:]`` whose every cell is ``-1``,
-    ``0`` or ``1`` then its column's separator, else None.  Blocks of
-    whole lines are parsed into one array: once every ``-`` is seen to
-    precede a ``1``, dropping those ``1`` bytes leaves one byte per cell."""
-    votes = np.empty((data.count(b"\n", off) + (not data.endswith(b"\n")),
-                      m), np.int8)
+def _plain_votes(data: bytes, m: int) -> Optional[np.ndarray]:
+    """The n x m votes of a plain block of body lines ``data`` whose every
+    cell is ``-1``, ``0`` or ``1`` then its column's separator, else None.
+    Sub-blocks of whole lines are parsed into one array: once every ``-``
+    is seen to precede a ``1``, dropping those ``1`` bytes leaves one byte
+    per cell."""
+    if not _plain_bytes(data):
+        return None
+    votes = np.empty((data.count(b"\n") + (not data.endswith(b"\n")), m),
+                     np.int8)
     sep = np.frombuffer(b"," * (m - 1) + b"\n", np.uint8)
-    row, start = 0, off
+    row, start = 0, 0
     # at most 16 temporary bytes a byte: 8 the lookup's index, 1 a CRLF copy
-    for block in row_blocks(len(data) - off, 16):
-        stop = min(off + block.stop, len(data))
+    for block in row_blocks(len(data), 16):
+        stop = min(block.stop, len(data))
         if start >= stop:
             continue  # the lines of the block before ran past this one
         end = data.find(b"\n", stop - 1) + 1 or len(data)
@@ -295,84 +372,130 @@ def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
     return out
 
 
+def _append(out: np.ndarray, rows: np.ndarray) -> None:
+    """Append ``rows`` to ``out`` in place: its buffer grows by a realloc,
+    so a loader never holds its output twice.  No view of ``out`` may
+    exist, as numpy cannot check that when the caller holds a reference."""
+    n = len(out)
+    out.resize((n + len(rows),) + out.shape[1:], refcheck=False)
+    out[n:] = rows
+
+
 def load_features_csv(
     path: str,
     group_col: str = "group",
     label_col: Optional[str] = "label",
+    *,
+    digests: Optional[dict[str, str]] = None,
 ) -> GroupedDataset:
     """Parse a features CSV into a GroupedDataset, preserving row order.
 
     ``label_col`` is optional in the file; when present it must contain
     -1/1.  Errors carry 1-based row numbers (the header is row 1) and
-    column names, one line per bad cell.
+    column names, one line per bad cell.  The SHA-256 of the bytes parsed
+    joins ``digests``, if given, under ``"features"``.
     """
-    data = _read(path)
-    plain = _plain_lines(data)
-    header, rows = (plain[0], None) if plain else _read_rows(path, data)
-    del data  # only plain, if any, still holds the bytes
-    _require_unique(path, header)
-    if group_col not in header:
-        raise ValidationError(f"{path}: missing group column {group_col!r}")
-    text = [group_col] + ([label_col] if label_col in header else [])
-    feature_cols = [h for h in header if h not in text]
-    has_labels = len(text) == 2
-    if not feature_cols:
-        raise ValidationError(f"{path}: no feature columns")
-    col_idx = {h: i for i, h in enumerate(header)}
-    columns = [(col_idx[name], float, f", column {name!r}: non-numeric value ")
-               for name in feature_cols]
-    columns.append((col_idx[group_col], _GROUPS.__getitem__,
-                    ": unknown group value "))
-    if has_labels:
-        columns.append((col_idx[label_col], _LABELS.__getitem__,
-                        ": label must be -1 or 1, got "))
+    def roles(header):
+        """The feature columns and the text ones (the group column, then
+        any label column) of a header that names each column once."""
+        _require_unique(path, header)
+        if group_col not in header:
+            raise ValidationError(
+                f"{path}: missing group column {group_col!r}")
+        text = [group_col] + ([label_col] if label_col in header else [])
+        names = [h for h in header if h not in text]
+        if not names:
+            raise ValidationError(f"{path}: no feature columns")
+        return names, text
 
-    table = plain and _plain_table(*plain[1:], header, feature_cols, text)
-    # numpy reads any text into the group and label fields, so check it
-    if table is not None and np.isin(table["group"], [b"0", b"1"]).all() \
-            and (not has_labels
-                 or np.isin(table["label"], [b"-1", b"1", b"+1"]).all()):
-        features, groups = table["x"], table["group"] == b"1"
-        labels = np.where(table["label"] == b"-1", -1, 1) if has_labels \
-            else None
-    else:
-        rows = _require_width(path, header,
-                              rows or _read_rows(path, plain[1])[1])
-        values = _parse_cells(path, rows, columns, np.float64)
-        d = len(feature_cols)
-        features, groups = values[:, :d], values[:, d]
-        labels = values[:, d + 1] if has_labels else None
-    bad = np.argwhere(~np.isfinite(features))
-    if len(bad):
-        raise cell_error([f"{path}: row {r + 2}, column {feature_cols[c]!r}: "
-                          f"non-finite value {features[r, c]}"
-                          for r, c in bad[:MAX_CELL_ERRORS]], len(bad))
-    return GroupedDataset(features, groups, labels)
+    def plain(header, blocks):
+        try:
+            names, text = roles(header)
+        except ValidationError:
+            return None  # the exact pass reports it after any fault before
+        features = np.empty((0, len(names)))
+        groups = np.empty(0, np.int64)
+        labels = np.empty(0, np.int64) if len(text) == 2 else None
+        for block in blocks:
+            table = _plain_table(block, header, names, text)
+            if table is None:
+                return None
+            _append(features, table["x"])
+            _append(groups, table["group"] == b"1")
+            if labels is not None:
+                _append(labels, np.where(table["label"] == b"-1", -1, 1))
+        for values in (features, groups, labels):
+            if values is not None:
+                values.setflags(write=False)
+        # every value is checked, and a GroupedDataset's copy would hold
+        # the features twice
+        return _unchecked(GroupedDataset, features=features, groups=groups,
+                          labels=labels)
+
+    def exact(header, rows):
+        names, text = roles(header)
+        col_idx = {h: i for i, h in enumerate(header)}
+        columns = [(col_idx[name], float,
+                    f", column {name!r}: non-numeric value ")
+                   for name in names]
+        columns.append((col_idx[group_col], _GROUPS.__getitem__,
+                        ": unknown group value "))
+        if len(text) == 2:
+            columns.append((col_idx[label_col], _LABELS.__getitem__,
+                            ": label must be -1 or 1, got "))
+        values = _parse_cells(path, _require_width(path, header, rows),
+                              columns, np.float64)
+        d = len(names)
+        features = values[:, :d]
+        bad = np.argwhere(~np.isfinite(features))
+        if len(bad):
+            raise cell_error([f"{path}: row {r + 2}, column {names[c]!r}: "
+                              f"non-finite value {features[r, c]}"
+                              for r, c in bad[:MAX_CELL_ERRORS]], len(bad))
+        return GroupedDataset(features, values[:, d],
+                              values[:, d + 1] if len(text) == 2 else None)
+
+    return _load(path, "features", digests, plain, exact)
 
 
-def load_votes_csv(path: str) -> WeakLabelMatrix:
-    """Parse a votes CSV (header lf_0..lf_{m-1}, values in {-1, 0, 1})."""
-    data = _read(path)
-    plain = _plain_lines(data)
-    header, rows = (plain[0], None) if plain else _read_rows(path, data)
-    del data  # as in load_features_csv
-    expected = [f"lf_{j}" for j in range(len(header))]
-    if header != expected:
-        raise ValidationError(
-            f"{path}: votes header must be {','.join(expected)}")
-    votes = plain and _plain_votes(*plain[1:], len(header))
-    if votes is not None:
+def load_votes_csv(
+    path: str, *, digests: Optional[dict[str, str]] = None,
+) -> WeakLabelMatrix:
+    """Parse a votes CSV (header lf_0..lf_{m-1}, values in {-1, 0, 1}).
+    The SHA-256 of the bytes parsed joins ``digests``, if given, under
+    ``"votes"``."""
+    def names(m):
+        return [f"lf_{j}" for j in range(m)]
+
+    def plain(header, blocks):
+        if header != names(len(header)):
+            return None  # as in load_features_csv
+        votes = np.empty((0, len(header)), np.int8)
+        for block in blocks:
+            cells = _plain_votes(block, len(header))
+            if cells is None:
+                return None
+            _append(votes, cells)
         votes.setflags(write=False)
         return _unchecked(WeakLabelMatrix, votes=votes)
-    rows = _require_width(path, header, rows or _read_rows(path, plain[1])[1])
-    columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
-               for c in range(len(header))]
-    return WeakLabelMatrix(_parse_cells(path, rows, columns, np.int8))
+
+    def exact(header, rows):
+        if header != names(len(header)):
+            raise ValidationError(
+                f"{path}: votes header must be {','.join(names(len(header)))}")
+        columns = [(c, _VOTES.__getitem__, f", lf_{c}: illegal vote ")
+                   for c in range(len(header))]
+        return WeakLabelMatrix(_parse_cells(
+            path, _require_width(path, header, rows), columns, np.int8))
+
+    return _load(path, "votes", digests, plain, exact)
 
 
 def read_raw_csv(path: str) -> dict[str, list[str]]:
     """Read a raw (possibly non-numeric) CSV into column -> string values."""
-    header, rows = _read_rows(path, _read(path))
+    with _read(path) as fh:
+        data = fh.read()
+    header, rows = _read_rows(path, data)
     _require_unique(path, header)
     _require_width(path, header, rows)
     return {name: [row[i].strip() for row in rows]
@@ -583,11 +706,12 @@ def run_pipeline(
         __version__, time.time())
     try:
         with _timed(timings, "ingest"):
-            ds = load_features_csv(features_path, group_col, label_col)
-            wl = load_votes_csv(votes_path)
+            read: dict[str, str] = {}
+            ds = load_features_csv(features_path, group_col, label_col,
+                                   digests=read)
+            wl = load_votes_csv(votes_path, digests=read)
             validate_dataset(ds, wl)
-            for role, path in manifest.input_paths.items():
-                digests[role] = hashlib.sha256(_read(path)).hexdigest()
+            digests.update(read)
 
         run = repair(ds, wl, cfg, passthrough, timings)
 

@@ -1,6 +1,7 @@
 """Row-blocked temporaries: results equal to one block, and peaks bounded
 by the inputs and outputs plus a few blocks."""
 
+import codecs
 import json
 import math
 import tracemalloc
@@ -16,7 +17,8 @@ from otrelabel import (
     moment_matrix,
 )
 from otrelabel import core, estimate, metrics, ot, pipeline, transport
-from otrelabel.pipeline import load_votes_csv, write_votes_csv
+from otrelabel.pipeline import (
+    load_features_csv, load_votes_csv, write_votes_csv)
 
 from helpers import knn_oracle
 
@@ -220,6 +222,137 @@ def test_median_in_blocks_equals_one_block(monkeypatch, recorded_blocks):
     assert blocked == whole == np.median(cost)
 
 
+# every framing the plain loaders read in place
+FRAMINGS = {"lf": (b"\n", b""), "lf-bom": (b"\n", codecs.BOM_UTF8),
+            "crlf": (b"\r\n", b""), "crlf-bom": (b"\r\n", codecs.BOM_UTF8)}
+
+
+def write_framed(path, lines, framing):
+    eol, bom = FRAMINGS[framing]
+    path.write_bytes(bom + eol.join(line.encode() for line in lines) + eol)
+
+
+def features_lines(n, seed):
+    """A header and n rows of 4 features, a group and a label, with the
+    arrays they hold."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 4))
+    groups, labels = rng.integers(0, 2, n), rng.choice([-1, 1], n)
+    return (["x0,x1,x2,x3,group,label"] + [
+        ",".join(map(repr, row)) + f",{g},{y}"
+        for row, g, y in zip(x.tolist(), groups.tolist(), labels.tolist())],
+        x, groups, labels)
+
+
+def votes_lines(votes):
+    return [",".join(f"lf_{j}" for j in range(votes.shape[1]))] + [
+        ",".join(map(str, row)) for row in votes.tolist()]
+
+
+@pytest.mark.parametrize("framing", list(FRAMINGS))
+@pytest.mark.parametrize("n", [40, 400])
+def test_a_fault_in_the_last_block_gets_the_exact_pass(monkeypatch, tmp_path,
+                                                       framing, n):
+    # 256-byte blocks: every block before the last is plain, and the loader
+    # falls back to the exact pass through the handle it opened, whose
+    # report is the whole file's, with row numbers and byte offsets intact
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 256)
+    opened, exact, parsed = [], [], []
+    real_open, read_rows = open, pipeline._read_rows
+    plain_table, plain_votes = pipeline._plain_table, pipeline._plain_votes
+    monkeypatch.setattr(pipeline, "open", lambda path, *args: (
+        opened.append(path) or real_open(path, *args)), raising=False)
+    monkeypatch.setattr(pipeline, "_read_rows", lambda path, data: (
+        exact.append(path) or read_rows(path, data)))
+    monkeypatch.setattr(pipeline, "_plain_table", lambda data, *args: (
+        parsed.append(data) or plain_table(data, *args)))
+    monkeypatch.setattr(pipeline, "_plain_votes", lambda data, m: (
+        parsed.append(data) or plain_votes(data, m)))
+    lines, x, _, _ = features_lines(n, seed=n)
+    votes = np.random.default_rng(n).choice([-1, 0, 1], size=(n, 3))
+    row = n + 1  # the last row's number; the header is row 1
+    cases = [
+        (load_features_csv, lines, "oops,0.5,0.5,0.5,1,1",
+         f"row {row}, column 'x0': non-numeric value 'oops'"),
+        (load_features_csv, lines, "nan,0.5,0.5,0.5,1,1",
+         f"row {row}, column 'x0': non-finite value nan"),
+        (load_features_csv, lines, "0.5,0.5,0.5,0.5,2,1",
+         f"row {row}: unknown group value '2'"),
+        (load_features_csv, lines, '"0.25",0.5,0.5,0.5,1,1', None),
+        (load_features_csv, lines, "\xa00.25,0.5,0.5,0.5,1,1", None),
+        (load_votes_csv, votes_lines(votes), "1,2,0",
+         f"row {row}, lf_1: illegal vote '2'"),
+        (load_votes_csv, votes_lines(votes), '1,"-1",0', None),
+        (load_votes_csv, votes_lines(votes), "1,\xa0-1,0", None),
+    ]
+    for load, lines, last, message in cases:
+        path = tmp_path / "in.csv"
+        write_framed(path, lines[:-1] + [last], framing)
+        opened.clear(), exact.clear(), parsed.clear()
+        if message is None:
+            got = load(str(path))
+            if load is load_votes_csv:
+                assert np.array_equal(
+                    got.votes, np.vstack([votes[:-1], [[1, -1, 0]]]))
+            else:
+                assert np.array_equal(got.features[:-1], x[:-1])
+                assert got.features[-1].tolist() == [0.25, 0.5, 0.5, 0.5]
+        else:
+            with pytest.raises(pipeline.ValidationError) as info:
+                load(str(path))
+            assert str(info.value) == f"{path}: {message}"
+        assert opened == exact == [str(path)]
+        # the plain pass read every block of the body, the last one too
+        body = path.read_bytes().split(FRAMINGS[framing][0], 1)[1]
+        assert len(parsed) > 1 and b"".join(parsed) == body
+
+
+@pytest.mark.parametrize("framing", list(FRAMINGS))
+def test_a_byte_that_is_not_utf8_in_the_last_block_is_named(
+        monkeypatch, tmp_path, framing):
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 256)
+    lines, _, _, _ = features_lines(200, seed=1)
+    path = tmp_path / "f.csv"
+    write_framed(path, lines, framing)
+    data = path.read_bytes()
+    offset = data.rindex(b"1")  # the last row's label, -1 or 1
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    with pytest.raises(pipeline.ValidationError) as info:
+        load_features_csv(str(path))
+    assert str(info.value) == (
+        f"{path}: byte {offset} (0xff) is not UTF-8: invalid start byte")
+
+
+@pytest.fixture(scope="module", params=[4000, 32000])
+def streamed_inputs(request, tmp_path_factory):
+    """Features and votes lines of n rows, n a factor 8 apart, with the
+    arrays they hold."""
+    n = request.param
+    lines, x, groups, labels = features_lines(n, seed=n)
+    votes = np.random.default_rng(n).choice([-1, 0, 1], size=(n, 60))
+    return lines, x, votes_lines(votes), votes
+
+
+@pytest.mark.parametrize("framing", list(FRAMINGS))
+def test_loaders_peak_at_their_output_plus_a_few_blocks(
+        tmp_path, streamed_inputs, framing):
+    # neither loader holds its file: each block of lines is parsed and
+    # appended to an output that grows in place, whatever the file's size
+    f_lines, x, v_lines, votes = streamed_inputs
+    features, votes_path = tmp_path / "f.csv", tmp_path / "v.csv"
+    write_framed(features, f_lines, framing)
+    write_framed(votes_path, v_lines, framing)
+    ds, peak = traced_peak(lambda: load_features_csv(str(features)))
+    assert np.array_equal(ds.features, x)
+    output = ds.features.nbytes + ds.groups.nbytes + ds.labels.nbytes
+    assert features.stat().st_size > output
+    assert peak <= output + 5 * core.ROW_BLOCK_BYTES
+    wl, peak = traced_peak(lambda: load_votes_csv(str(votes_path)))
+    assert np.array_equal(wl.votes, votes)
+    assert votes_path.stat().st_size > 2 * wl.votes.nbytes
+    assert peak <= wl.votes.nbytes + 5 * core.ROW_BLOCK_BYTES
+
+
 # --------------------------------------------------------------------------
 # peaks
 
@@ -288,8 +421,9 @@ def test_load_crlf_votes_csv_peak_is_the_lf_files_bound(wide_votes, tmp_path):
 
 
 def test_passthrough_repair_peak_is_the_votes_and_their_float_cast():
-    # the traced call builds the int8 votes from int64 ones; after them the
-    # posterior's float64 cast, 8 bytes a cell, is the largest temporary
+    # the int8 votes, n * m bytes, are built before the peak is reset;
+    # after them every temporary is a row block or an n- or m-vector: the
+    # posterior widens the votes one row block at a time, with no float cast
     rng = np.random.default_rng(15)
     n, m = 5000, 60
     y = rng.choice([-1, 1], n)
@@ -297,10 +431,16 @@ def test_passthrough_repair_peak_is_the_votes_and_their_float_cast():
     raw[rng.random((n, m)) < 0.1] = 0
     ds = GroupedDataset(rng.normal(size=(n, 2)) + y[:, None],
                         rng.integers(0, 2, n), y)
-    run, peak = traced_peak(lambda: pipeline.repair(
-        ds, WeakLabelMatrix(raw), core.PipelineConfig(), passthrough=True))
+    tracemalloc.start()
+    try:
+        wl = WeakLabelMatrix(raw)
+        tracemalloc.reset_peak()
+        run = pipeline.repair(ds, wl, core.PipelineConfig(), passthrough=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert run.repaired.votes.nbytes == n * m
-    assert peak <= (1 + 8) * n * m + core.ROW_BLOCK_BYTES
+    assert peak <= n * m + 3 * core.ROW_BLOCK_BYTES
 
 
 def test_exact_knn_scan_peak_is_the_output_plus_three_blocks():

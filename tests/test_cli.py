@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -601,21 +602,24 @@ def test_piped_input_is_not_a_regular_file(tmp_path, capsys, role):
         f"input error: {pipe}: not a regular file\n")
 
 
-def test_input_that_vanishes_before_its_digest_is_input_error(
-        tmp_path, capsys, monkeypatch):
+def test_manifest_digests_the_bytes_that_were_parsed(tmp_path, monkeypatch):
+    # the features file is rewritten after its load: the manifest still
+    # describes the bytes the run read, not the file as it is afterwards
     _, _, features, votes = write_fixture(tmp_path, 30, seed=0)
+    original = Path(features).read_bytes()
     load_votes = pipeline.load_votes_csv
 
-    def delete_features_then_load(path):
-        os.unlink(features)
-        return load_votes(path)
+    def rewrite_features_then_load(path, **kwargs):
+        Path(features).write_bytes(original.replace(b"\n", b"\r\n"))
+        return load_votes(path, **kwargs)
 
-    monkeypatch.setattr(pipeline, "load_votes_csv", delete_features_then_load)
+    monkeypatch.setattr(pipeline, "load_votes_csv", rewrite_features_then_load)
     assert main(["run", "--features", features, "--votes", votes,
-                 "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"input error: cannot open {features}: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+                 "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["input_digests"] == {
+        "features": hashlib.sha256(original).hexdigest(),
+        "votes": hashlib.sha256(Path(votes).read_bytes()).hexdigest()}
 
 
 @pytest.mark.parametrize("plain", [True, False], ids=["plain", "quoted"])

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from otrelabel import (
     predict,
     train_end_model,
 )
-from otrelabel import labelmodel
+from otrelabel import core, labelmodel
 from otrelabel.labelmodel import NEWTON_MAX_ITER, NEWTON_TOL, _sigmoid
 from helpers import (
     bayes_posterior_oracle,
@@ -122,6 +123,102 @@ def test_inference_invariant_under_column_permutation():
         fit_label_model(np.array(accs[perm])),
         WeakLabelMatrix(votes[:, perm]))
     assert np.allclose(p1, p2, atol=1e-14)
+
+
+def wide_posterior_inputs(seed, n=400, m=60):
+    rng = np.random.default_rng(seed)
+    votes = rng.choice([-1, 0, 1], size=(n, m))
+    return fit_label_model(rng.uniform(-0.99, 0.99, m), 0.4), votes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_posterior_bits_do_not_depend_on_column_order(seed):
+    params, votes = wide_posterior_inputs(seed)
+    want, _ = infer_pseudolabels(params, WeakLabelMatrix(votes))
+    for perm in np.random.default_rng(seed).permuted(
+            np.tile(np.arange(params.m), (5, 1)), axis=1):
+        got, _ = infer_pseudolabels(
+            labelmodel.LabelModelParams(params.weights[perm], params.prior),
+            WeakLabelMatrix(votes[:, perm]))
+        assert np.array_equal(got, want)
+
+
+def test_posterior_bits_do_not_depend_on_row_blocks(monkeypatch):
+    params, votes = wide_posterior_inputs(4)
+    wl = WeakLabelMatrix(votes)
+    want, _ = infer_pseudolabels(params, wl)
+    calls = []
+    row_blocks = labelmodel.row_blocks
+
+    def recording(n, row_bytes):
+        calls.append(len(row_blocks(n, row_bytes)))
+        return row_blocks(n, row_bytes)
+
+    monkeypatch.setattr(labelmodel, "row_blocks", recording)
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 3 * 8 * params.m)
+    got, _ = infer_pseudolabels(params, wl)
+    assert calls == [math.ceil(len(votes) / 3)]
+    assert np.array_equal(got, want)
+
+
+def exact_vote_scores(weights, votes):
+    """Each row's vote sum in fractions from the weights rounded to q 2^-e,
+    then rounded once to float.  With max |w| in [2^(k-1), 2^k) and
+    2^c >= m, e = 61 - c - k, so that m max |q| <= 2^61."""
+    m = len(weights)
+    top = max(abs(Fraction(w)) for w in weights.tolist())
+    e = 0
+    if top:
+        k = c = 0
+        while top >= Fraction(2) ** k:
+            k += 1
+        while top < Fraction(2) ** (k - 1):
+            k -= 1
+        while 2**c < m:
+            c += 1
+        e = 61 - c - k
+    q = [round(Fraction(w) * Fraction(2) ** e) for w in weights.tolist()]
+    assert m * max(map(abs, q)) <= 2**61
+    return np.array([float(sum(v * qj for v, qj in zip(row, q))
+                           / Fraction(2) ** e) for row in votes.tolist()])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_vote_scores_equal_the_exact_sum_of_the_rounded_weights(scale):
+    params, votes = wide_posterior_inputs(5, n=200, m=37)
+    weights = params.weights * scale
+    got = labelmodel._vote_scores(weights, WeakLabelMatrix(votes).votes)
+    assert np.array_equal(got, exact_vote_scores(weights, votes))
+    assert np.allclose(got, votes @ weights, rtol=1e-12, atol=0)
+
+
+def test_vote_scores_of_equal_maximal_weights_do_not_overflow():
+    # every row sum is m max |q|, the bound itself
+    for m in (1, 2, 3, 64, 1000):
+        weights = np.full(m, 3.8)
+        votes = np.ones((2, m), np.int8)
+        votes[1] = -1
+        got = labelmodel._vote_scores(weights, votes)
+        assert np.array_equal(got, exact_vote_scores(weights, votes))
+        assert np.allclose(got, [3.8 * m, -3.8 * m], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("weights", [
+    [1e-300, -2e-300, 3e-300, 5e-324], [1e300, -1e300, 5e299, 1.0]],
+    ids=["tiny", "huge"])
+def test_user_built_weights_neither_overflow_nor_warn(weights):
+    # pytest turns every warning into an error; the clamp in
+    # fit_label_model does not bound a user's LabelModelParams
+    params = labelmodel.LabelModelParams(np.array(weights), 0.0)
+    votes = np.array(list(itertools.product([-1, 0, 1], repeat=4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs, hard = infer_pseudolabels(params, WeakLabelMatrix(votes))
+        scores = labelmodel._vote_scores(params.weights,
+                                         WeakLabelMatrix(votes).votes)
+    assert np.array_equal(scores, exact_vote_scores(params.weights, votes))
+    assert np.isfinite(probs).all() and ((probs >= 0) & (probs <= 1)).all()
+    assert np.array_equal(hard, np.where(probs >= 0.5, 1, -1))
 
 
 @settings(max_examples=30, deadline=None)

@@ -677,6 +677,29 @@ def test_median_copies_when_the_bracket_holds_too_many_entries(partitioned):
     assert partitioned == [cost.size]
 
 
+def test_median_reports_a_copy_it_cannot_allocate(monkeypatch, partitioned):
+    # the same forced miss as above; the copy, which the transport's byte
+    # budget does not count, fails to allocate
+    rng = np.random.default_rng(19)
+    cost = rng.uniform(0.495, 0.505, size=(1, 20_011))
+    cost[0, ::ot._MEDIAN_MIN_STRIDE] = rng.uniform(
+        0.0, 1.0, size=cost[0, ::ot._MEDIAN_MIN_STRIDE].size)
+    empty = np.empty
+
+    def no_copy(shape, *args, **kwargs):
+        if shape == cost.size:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(ot.np, "empty", no_copy)
+    with pytest.raises(ValidationError) as info:
+        ot._median(cost)
+    assert str(info.value) == (
+        "the median of a 1 x 20011 cost needs a float64 copy of "
+        f"{8 * cost.size} bytes, which could not be allocated")
+    assert partitioned == []
+
+
 @pytest.mark.parametrize("tied", ["two_values", "binary_feature"])
 def test_median_of_a_tied_cost_is_bracketed(partitioned, tied):
     # ties at a pivot are counted, not gathered, so a cost of a few values

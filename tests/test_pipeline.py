@@ -8,6 +8,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -450,6 +451,30 @@ def test_votes_loader_matches_cell_oracle(tmp_path_factory, m, data):
     p = tmp_path_factory.mktemp("votes") / "v.csv"
     p.write_bytes(data.draw(csv_files(header, [_VOTE_TOKENS] * m)))
     assert_same_outcome(load_votes_csv, load_votes_oracle, str(p), ["votes"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_bytes=st.integers(1, 48), data=st.data())
+def test_loaders_match_cell_oracle_in_small_blocks(tmp_path_factory,
+                                                   block_bytes, data):
+    # blocks of a line or a few: a fault, a blank line or a lone CR can
+    # start or end any block, and a later block can fail after earlier
+    # ones parsed
+    columns = {"x0": _FEATURE_TOKENS, "group": _GROUP_TOKENS,
+               "label": _LABEL_TOKENS}
+    header = data.draw(st.permutations(list(columns)))
+    features = tmp_path_factory.mktemp("features") / "f.csv"
+    features.write_bytes(data.draw(
+        csv_files(header, [columns[name] for name in header])))
+    m = data.draw(st.integers(1, 3))
+    votes = tmp_path_factory.mktemp("votes") / "v.csv"
+    votes.write_bytes(data.draw(csv_files(
+        [f"lf_{j}" for j in range(m)], [_VOTE_TOKENS] * m)))
+    with mock.patch.object(core, "ROW_BLOCK_BYTES", block_bytes):
+        assert_same_outcome(load_features_csv, load_features_oracle,
+                            str(features), ["features", "groups", "labels"])
+        assert_same_outcome(load_votes_csv, load_votes_oracle, str(votes),
+                            ["votes"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -989,6 +1014,20 @@ def test_pipeline_calls_each_step_through_its_module_name(
     assert set(manifest.stage_timings_ms) == {
         "ingest", "estimate", "transport", "label_model", "end_model",
         "reports"}
+
+
+def test_run_pipeline_reads_each_input_once(tmp_path, monkeypatch):
+    # the loads hash the bytes they parse: no second read for the digests
+    _, _, features, votes = write_fixture(tmp_path, 60, seed=4)
+    reads, real_read = [], pipeline._read
+    monkeypatch.setattr(pipeline, "_read",
+                        lambda path: reads.append(path) or real_read(path))
+    manifest = run_pipeline(PipelineConfig(ot_type="linear"), features,
+                            votes, str(tmp_path / "out"))
+    assert reads == [features, votes]
+    assert manifest.input_digests == {
+        role: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for role, path in (("features", features), ("votes", votes))}
 
 
 def test_inputs_are_opened_and_files_written_in_one_place_each():
