@@ -114,9 +114,12 @@ def _vote_shape(v: np.ndarray) -> np.ndarray:
 def require_values(x: np.ndarray, allowed: tuple, what: str) -> np.ndarray:
     """``x`` once every entry, as given (before an int cast truncates 0.5
     to 0), is in ``allowed``; else an error naming each bad entry's row,
-    and its column as ``lf`` in a matrix.  Boolean masks only: ``np.isin``
-    copies integer input."""
-    bad = np.argwhere(~np.logical_or.reduce([x == v for v in allowed]))
+    and its column as ``lf`` in a matrix.  Two boolean masks at a time:
+    ``np.isin`` copies integer input."""
+    bad = x != allowed[0]
+    for v in allowed[1:]:
+        bad &= x != v
+    bad = np.argwhere(bad)
     if len(bad):
         raise cell_error(
             [f"illegal {what} value {x[tuple(i)]} at row {i[0]}"

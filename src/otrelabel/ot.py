@@ -15,14 +15,14 @@ cost at eta = 0.05); it falls back to plain scaling when the relaxed
 rounds stop gaining.
 
 Buffers: the plan is the one dense n_src x n_dst object of the package.
-One private core writes K into a buffer it is handed and scales it by
-row blocks on every CPU in the affinity set; the exact median of M that
-rescales the cost is read from counts at two sampled pivots, ties
-included, and the few entries between them, not from a copy unless the
-sample misses.  Public ``sinkhorn_plan`` hands the core a fresh buffer, so
-M is never written and a run holds M plus the plan.  The transport stage
-hands it the cost itself, which becomes K, and reads the projection from
-K and the scalings without forming the plan: one buffer in all.
+The cost is divided by a scale, the median of a strided sample of it,
+before the kernel.  One private core scales a built K, float64 or
+float32, by row blocks on every CPU in the affinity set.  Public
+``sinkhorn_plan`` builds K in float64 in a fresh buffer, so M is never
+written and a run holds M plus the plan.  The transport stage builds K
+from the features by row blocks, so no cost matrix exists, and reads the
+projection from K and the scalings without forming the plan: one buffer
+in all.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .core import NumericalError, ValidationError, require_count
 
 _SYM_TOL = 1e-8
 _EIG_FLOOR = -1e-6
-# The median's bracket samples every stride-th entry of M: about
-# _MEDIAN_SAMPLE entries of a large M, and never more than 1/32 of M, so
-# the sample adds at most 3% to M's bytes.
+# The cost's scale is the median of every stride-th entry: about
+# _MEDIAN_SAMPLE entries of a large cost, and every entry of one below
+# 2 * _MEDIAN_SAMPLE.
 _MEDIAN_SAMPLE = 20_000
-_MEDIAN_MIN_STRIDE = 32
 # Bytes of K per Sinkhorn row block, fixed: v sums the blocks in order, so
 # this size, not the threads, sets the plan's bits; and 256 KiB blocks ran
 # Sinkhorn in 285 ms against 134 ms for 4 MiB (medians of 7, 4 MiB L2).
@@ -240,14 +239,15 @@ def sinkhorn_plan(
 ) -> TransportPlan:
     """Entropic transport plan by alternating row/column scaling.
 
-    The cost matrix is always divided by its median (else its mean, else
-    1) before exponentiation, so ``eta`` is relative to the median cost;
-    raw squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
+    The cost matrix is always divided by a scale before exponentiation,
+    the median of a strided sample of it (every entry below
+    2 * ``_MEDIAN_SAMPLE``, where it is ``np.median(M)``), else its mean,
+    else 1, so ``eta`` is relative to the median cost; raw
+    squared-Euclidean costs at eta = 1 routinely underflow exp(-M/eta)
     otherwise.  Marginals default to uniform.  Stops early once the worst
-    marginal violation is <= tol.  M is never written, and its median is
-    selected from a small bracketed part of it, copied only on a miss.  The
-    returned ``T``, allocated in M's memory order, is the one n_src x
-    n_dst buffer besides M: written first as K, then scaled in place into
+    marginal violation is <= tol.  M is never written.  The returned
+    ``T``, allocated in M's memory order, is the one n_src x n_dst buffer
+    besides M: written first as K, in float64, then scaled in place into
     the plan.
     """
     M = np.asarray(M, dtype=np.float64)
@@ -272,8 +272,11 @@ def sinkhorn_plan(
     max_iter = require_count("max_iter", max_iter)
     if not (0 < eta < np.inf and 0 < tol < np.inf):
         raise ValidationError("eta and tol must be positive and finite")
-    T = np.empty_like(M)
-    u, v, _, _, iterations = _sinkhorn(M, T, a, b, eta, max_iter, tol)
+    T = np.divide(M, _scale(M.flat[::_sample_stride(M.size)], M),
+                  out=np.empty_like(M))
+    np.divide(T, -eta, out=T)  # -(M / eta) bit for bit: rounding is
+    np.exp(T, out=T)           # symmetric in sign
+    u, v, _, _, iterations = _sinkhorn(T, a, b, max_iter, tol)
     T *= u[:, None]  # scaled in place, the kernel becomes the plan
     T *= v
     violation = max(float(np.abs(T.sum(axis=1) - a).max()),
@@ -281,14 +284,33 @@ def sinkhorn_plan(
     return TransportPlan(T, eta, iterations, violation <= tol, violation)
 
 
-def _sinkhorn(M, K, a, b, eta, max_iter, tol):
-    """The scaling of :func:`sinkhorn_plan` on checked arguments, K built in
-    ``K``, which may be M (read in full first).  A sweep takes Kv = K v,
-    the u step from a / Kv and u K by row blocks, claimed one at a time by
-    the calling thread and :func:`core._workers` - 1 helpers; the v step
-    from b / (u K) sums the blocks in order.  (u, v)'s violation, the
-    worse of |u Kv - a| and |v (u K) - b|, is read from the next sweep's
-    Kv and the last u K.
+def _sample_stride(size: int) -> int:
+    """The stride of the scale's sample of a cost of ``size`` entries,
+    about ``size / _MEDIAN_SAMPLE``: coprime to the size, it steps through
+    every column and row instead of a few evenly spaced ones."""
+    stride = max(1, size // _MEDIAN_SAMPLE)
+    while math.gcd(stride, size) != 1:
+        stride += 1
+    return stride
+
+
+def _scale(sample: np.ndarray, whole: np.ndarray) -> float:
+    """The cost's scale: the median of ``sample``, else the mean of
+    ``whole``, else 1."""
+    scale = float(np.median(sample))
+    return scale if scale > 0.0 else float(whole.mean()) or 1.0
+
+
+def _sinkhorn(K, a, b, max_iter, tol):
+    """The scaling of :func:`sinkhorn_plan` on checked arguments and a
+    built kernel ``K``, float64 or float32, which is not written.  A sweep
+    takes Kv = K v, the u step from a / Kv and u K by row blocks of
+    ``_BLOCK_BYTES``, claimed one at a time by the calling thread and
+    :func:`core._workers` - 1 helpers; the v step from b / (u K) sums the
+    blocks in order, in float64.  The products run in K's dtype, u and v
+    cast to it each round; the scalings and violations are float64.
+    (u, v)'s violation, the worse of |u Kv - a| and |v (u K) - b|, is read
+    from the next sweep's Kv and the last u K.
 
     The steps are over-relaxed (Thibault, Chizat, Dossal & Papadakis,
     Algorithms 2021): each scaling is its plain value times (plain /
@@ -300,28 +322,21 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol):
     the sweep after the one that measured it.  Omega falls back to 1 for
     good after ``_STALL`` rounds with no new lowest violation, or when an
     over-relaxed round leaves a scaling zero or non-finite; that round is
-    then redone plainly from the last (u, v).  Returns u, v, Kv, the
-    violation and the rounds."""
-    scale = _median(M)
-    if scale <= 0.0:
-        scale = float(M.mean()) or 1.0
-    n_src, n_dst = M.shape
-    step = max(1, _BLOCK_BYTES // (8 * n_dst))
+    then redone plainly from the last (u, v).  Returns u, v, Kv (in K's
+    dtype), the violation and the rounds."""
+    n_src, n_dst = K.shape
+    step = max(1, _BLOCK_BYTES // (K.itemsize * n_dst))
     blocks = [slice(s, s + step) for s in range(0, n_src, step)]
     workers = min(core._workers(), len(blocks))
-    Kv, sums = np.empty(n_src), np.empty((len(blocks), n_dst))
-
-    def build(i, rows):
-        K_b = np.divide(M[rows], scale, out=K[rows])
-        np.divide(K_b, -eta, out=K_b)  # -(M / eta) bit for bit: rounding
-        np.exp(K_b, out=K_b)           # is symmetric in sign
+    Kv, sums = np.empty(n_src, K.dtype), np.empty((len(blocks), n_dst),
+                                                  K.dtype)
 
     def sweep(i, rows):
-        if not np.matmul(K[rows], v, out=Kv[rows]).all():
+        if not np.matmul(K[rows], v_k, out=Kv[rows]).all():
             raise NumericalError(_UNDERFLOW)
         if iterations < max_iter:
-            np.matmul(_relaxed(a[rows], Kv[rows], u[rows], w,
-                               out=u_next[rows]), K[rows], out=sums[i])
+            u_k = _relaxed(a[rows], Kv[rows], u[rows], w, out=u_next[rows])
+            np.matmul(u_k.astype(K.dtype, copy=False), K[rows], out=sums[i])
 
     # a pool starts its threads on its first task: none for one worker
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
@@ -335,12 +350,12 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol):
             for helper in helpers:
                 helper.result()
 
-        each(build)
         u, v, iterations = np.ones(n_src), np.ones(n_dst), 0
         omega, warm = 1.0, True  # warm: omega not yet read from the rate
         lowest, stalled, last, rate = math.inf, 0, math.nan, math.nan
         while True:
             u_next, w = np.empty(n_src), omega
+            v_k = v.astype(K.dtype, copy=False)
             each(sweep)
             if iterations:
                 violation = max(float(np.abs(u * Kv - a).max()),
@@ -358,7 +373,7 @@ def _sinkhorn(M, K, a, b, eta, max_iter, tol):
                 elif stalled >= _STALL:
                     omega, warm = 1.0, False
                 last, rate = violation, ratio
-            col_sums = sums.sum(axis=0)
+            col_sums = sums.sum(axis=0, dtype=np.float64)
             if w == 1.0 and not col_sums.all():
                 raise NumericalError(_UNDERFLOW)
             v_next = _relaxed(b, col_sums, v, w)
@@ -391,85 +406,6 @@ def _relaxed(num, den, old, omega, out=None):
         return np.multiply(plain, step, out=plain)
 
 
-def _median(M: np.ndarray) -> float:
-    """``np.median(M)`` bit for bit; M is never written and, past
-    ``_MEDIAN_SAMPLE`` entries, copied only when the sample misses.
-
-    A Floyd-Rivest bracket (Floyd & Rivest, CACM 1975): pivots lo and hi
-    at about the 49th and 51st percentiles of a strided sample, then one
-    pass over M in row blocks counts the entries < lo, <= lo and <= hi and
-    gathers those strictly between.  The middle ranks are read from
-    [lo, lo] + gathered + [hi, hi], two copies standing for a pivot's ties.
-    On a miss (a middle rank outside [lo, hi], or over twice the expected
-    entries between the pivots) a copy is partitioned, as for small M; a
-    copy that cannot be allocated is an input error naming its bytes.
-    """
-    shape = M.shape
-    if M.flags.f_contiguous:
-        M = M.T  # the same entries, with contiguous rows
-    h, odd = divmod(M.size, 2)
-    if M.size > _MEDIAN_SAMPLE:
-        middle = _bracketed_middle(M, h, odd)
-        if middle is not None:
-            return middle
-    try:
-        values = np.empty(M.size)
-    except MemoryError:
-        raise ValidationError(
-            f"the median of a {shape[0]} x {shape[1]} cost needs a "
-            f"float64 copy of {8 * M.size} bytes, which could not be "
-            "allocated") from None
-    values.reshape(M.shape)[...] = M
-    return _middle(values, h, odd)
-
-
-def _bracketed_middle(M: np.ndarray, h: int, odd: int) -> Optional[float]:
-    """:func:`_median` from a sample bracket, or None when it misses."""
-    size = M.size
-    # coprime to both sides, a stride steps through every column and row
-    # instead of a few evenly spaced ones
-    stride = max(_MEDIAN_MIN_STRIDE, size // _MEDIAN_SAMPLE)
-    while math.gcd(stride, size) != 1:
-        stride += 1
-    sample = M.flat[::stride]  # a copy, in M's logical (C) order
-    sample.sort()
-    # the pivots sit three standard deviations of the sample median's
-    # rank (sqrt(m) / 2) either side of it: the 48.9th and 51.1st
-    # percentiles of a 20k sample (any m >= 16 keeps both inside it)
-    m = sample.size
-    w = math.ceil(1.5 * math.sqrt(m))
-    lo, hi = sample[m // 2 - w], sample[m // 2 + w]
-    below = at_lo = at_most = between = 0  # entries < lo, <= lo, <= hi
-    gathered = [np.full(2, lo)]  # only ranks h - 1 and h are ever read
-    # exact counts and entries gathered in M's order: any block size agrees
-    for rows in core.row_blocks(len(M), 8 * M.shape[1]):
-        block = M[rows]
-        le_lo = block <= lo
-        below += np.count_nonzero(block < lo)
-        at_lo += np.count_nonzero(le_lo)
-        at_most += np.count_nonzero(block <= hi)
-        gathered.append(block[(block < hi) > le_lo])  # strictly between
-        between += gathered[-1].size
-        if between > 4 * w * stride:
-            return None  # twice the expected set: the sample missed
-    # the middle ranks, h and (for an even count) h - 1, must lie in
-    # [below, at_most)
-    if below > h - 1 + odd or at_most <= h:
-        return None
-    values = np.concatenate(gathered + [np.full(2, hi)])
-    # M's rank r is rank r - at_lo + 2 here, or a pivot's copy past the ends
-    return _middle(values, min(max(h - at_lo + 2, 1), values.size - 1), odd)
-
-
-def _middle(values: np.ndarray, h: int, odd: int) -> float:
-    """np.median's float from the entries of rank h (and h - 1 for an
-    even count) of ``values``, which is partitioned in place."""
-    values.partition(h)
-    # values[:h] holds the h smallest entries, so for an even count their
-    # maximum is the lower middle value
-    return float(values[h] if odd else (values[:h].max() + values[h]) / 2)
-
-
 def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
     """Row-normalized barycentric projection diag(rowsums)^-1 T X_dst,
     computed as (T X_dst) / rowsums: ``plan.T`` is neither written nor
@@ -485,24 +421,31 @@ def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
 
 
 def _sinkhorn_projection(
-    cost: np.ndarray,
+    K: np.ndarray,
     X_dst: np.ndarray,
     eta: float,
     max_iter: int,
     tol: float,
 ) -> tuple[np.ndarray, TransportPlan]:
-    """``barycentric_map(sinkhorn_plan(cost, eta=eta, max_iter=max_iter,
-    tol=tol), X_dst)`` up to rounding, and the plan's diagnostics (its
-    ``T`` is K), in cost's own buffer, overwritten by K: the projection
-    K (v X_dst) / Kv and the violations u Kv - a and v (u K) - b come from
-    K and the scalings, never from a plan.  For a caller that owns ``cost``
-    and ``X_dst`` (rows matching the cost's columns) and has checked what
-    :func:`sinkhorn_plan` checks; the marginals are uniform."""
-    a, b = (np.full(n, 1.0 / n) for n in cost.shape)
-    u, v, Kv, violation, iterations = _sinkhorn(cost, cost, a, b, eta,
-                                                max_iter, tol)
-    return (cost @ (v[:, None] * X_dst)) / Kv[:, None], TransportPlan(
-        cost, eta, iterations, violation <= tol, violation)
+    """``barycentric_map`` of the plan that scales the built kernel ``K``
+    (float64 or float32, rows the sources, columns ``X_dst``'s rows) to
+    uniform marginals, up to rounding, and the plan's diagnostics (its
+    ``T`` is K): the projection K (v X_dst) / Kv and the violations
+    u Kv - a and v (u K) - b come from K and the scalings, never from a
+    plan.  A float32 K is widened one ``core.row_blocks`` block at a time.
+    For a caller that has checked what :func:`sinkhorn_plan` checks."""
+    n_src, n_dst = K.shape
+    a, b = (np.full(n, 1.0 / n) for n in K.shape)
+    u, v, Kv, violation, iterations = _sinkhorn(K, a, b, max_iter, tol)
+    vX = v[:, None] * X_dst
+    projected = np.empty((n_src, X_dst.shape[1]))
+    for rows in ([slice(None)] if K.dtype == np.float64
+                 else core.row_blocks(n_src, 8 * n_dst)):
+        np.matmul(K[rows].astype(np.float64, copy=False), vX,
+                  out=projected[rows])
+    projected /= Kv[:, None]
+    return projected, TransportPlan(K, eta, iterations, violation <= tol,
+                                    violation)
 
 
 def spectral_summary(S: np.ndarray) -> SpectralSummary:

@@ -16,11 +16,14 @@ result never depends on that count, and ``taskset -c 0`` pins both to
 one CPU.  Points whose squared distances overflow are refused first: they
 would rank as ties.
 
-Sinkhorn transport holds one dense n_src x n_dst float64 buffer: the
-squared-Euclidean cost is computed into it, its median is read with no
-copy unless a sample misses, and it becomes K, which the projection reads
-with the scalings.  When it is larger than physical memory, or cannot be
-allocated, the error names its size before any work starts.
+Sinkhorn transport holds one dense n_src x n_dst buffer, the kernel K,
+which the projection reads with the scalings.  The cost's scale is the
+median of a strided sample computed from its row pairs; K is then built
+by row blocks, each squared-Euclidean cost block computed by ``cdist``
+into one scratch block, so no cost matrix exists.  K is float32 when
+every entry is a normal float32, else float64.  When a buffer is larger
+than physical memory, or cannot be allocated, the error names its dtype
+and size before it is written.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import core
+from . import core, ot
 from .core import (
     GroupedDataset,
     NumericalError,
@@ -71,6 +74,8 @@ _TIE_ABS = 1e-150
 # overflow (the tree's ball search raises on overflow), else over all.
 _MAX_SQ_SPAN = 1e300
 _RIDGE = 1e-6  # the linear map's covariance ridge, per unit mean variance
+# exp of a float64 at or above this rounds to a normal float32
+_LOG_TINY32 = math.log(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
@@ -301,28 +306,64 @@ def _transported_sources(
                           replace(dst, sigma=dst.sigma + ridge))
         return apply_monge(mm, X_src)
     _require_squared_distances(X_src, X_dst)
-    n_src, n_dst = X_src.shape[0], X_dst.shape[0]
-    need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one dense "
-            f"float64 buffer of {8 * n_src * n_dst} bytes")
-    fix = "; ot_type=linear needs no dense buffer"
-    memory = _physical_memory()
-    if 8 * n_src * n_dst > memory:
-        raise ValidationError(
-            f"{need}, more than the {memory} bytes of physical memory{fix}")
-    try:
-        cost = np.empty((n_src, n_dst))
-    except MemoryError:
-        raise ValidationError(
-            f"{need}, which could not be allocated{fix}") from None
-    cdist(X_src, X_dst, metric="sqeuclidean", out=cost)
+    K = _kernel(X_src, X_dst, cfg.sinkhorn_eta)
     projected, plan = _sinkhorn_projection(
-        cost, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, cfg.sinkhorn_tol)
+        K, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, cfg.sinkhorn_tol)
     if not plan.converged:
         logger.info(
             "sinkhorn stopped after %d rounds with marginal violation "
             "%.2e (raise sinkhorn_max_iter to tighten)",
             plan.iterations_run, plan.marginal_violation)
     return projected
+
+
+def _kernel(X_src: np.ndarray, X_dst: np.ndarray, eta: float) -> np.ndarray:
+    """The Sinkhorn kernel exp(-(M / scale) / eta) of the squared-Euclidean
+    cost M between X_src's and X_dst's rows, built by ``core.row_blocks``
+    row blocks of M, each computed by ``cdist`` into one scratch block.
+    The scale is :func:`ot._scale` of ``M.flat[::stride]``, summed from
+    its row pairs in ``cdist``'s order, so bit for bit.  K is float32 when
+    every exponent is at least log(float32 tiny), so that every entry is a
+    normal float32; at the first block that falls short it is freed and
+    rebuilt in float64.  Each buffer's bytes are checked against physical
+    memory before it is allocated."""
+    n_src, n_dst = X_src.shape[0], X_dst.shape[0]
+    size = n_src * n_dst
+    pairs = np.divmod(np.arange(0, size, ot._sample_stride(size)), n_dst)
+    sample = np.zeros(pairs[0].size)
+    for j in range(X_src.shape[1]):  # cdist's sum, one feature at a time
+        diff = X_src[pairs[0], j] - X_dst[pairs[1], j]
+        sample += diff * diff
+    scale = ot._scale(sample, sample)
+    del pairs, sample, diff
+    blocks = core.row_blocks(n_src, 8 * n_dst)
+    scratch = np.empty((min(blocks[0].stop, n_src), n_dst))
+    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one "
+                f"dense {dtype} buffer of {dtype.itemsize * size} bytes")
+        fix = "; ot_type=linear needs no dense buffer"
+        memory = _physical_memory()
+        if dtype.itemsize * size > memory:
+            raise ValidationError(
+                f"{need}, more than the {memory} bytes of physical "
+                f"memory{fix}")
+        try:
+            K = np.empty((n_src, n_dst), dtype)
+        except MemoryError:
+            raise ValidationError(
+                f"{need}, which could not be allocated{fix}") from None
+        for rows in blocks:
+            src = X_src[rows]
+            block = scratch[:len(src)]
+            cdist(src, X_dst, "sqeuclidean", out=block)
+            np.divide(block, scale, out=block)
+            np.divide(block, -eta, out=block)  # as sinkhorn_plan does
+            if dtype == np.float32 and block.min() < _LOG_TINY32:
+                break
+            np.exp(block, out=K[rows])
+        else:
+            return K
+        del K  # before the float64 buffer
 
 
 def sbm_transport(

@@ -201,25 +201,19 @@ def test_knn_transfer_in_blocks_equals_one_block(monkeypatch, k,
     assert np.array_equal(whole, expected)
 
 
-def test_median_in_blocks_equals_one_block(monkeypatch, recorded_blocks):
-    # a 64-entry sample sends this 25 x 40 cost through the bracket, as in
-    # test_ot.py; 8 rows a block count it in blocks of 8, 8, 8 and 1
+@pytest.mark.parametrize("eta,dtype", [(1.0, np.float32),
+                                       (0.05, np.float64)])
+def test_sinkhorn_kernel_in_blocks_equals_one_block(monkeypatch, eta, dtype,
+                                                    recorded_blocks):
+    # 8 rows a block build the kernel in blocks of 8, 8, 8 and 1; at eta
+    # 0.05 a block is past float32's range and the kernel is rebuilt
     rng = np.random.default_rng(13)
-    cost = rng.uniform(size=(N, 40))
-    partitioned = []
-    middle = ot._middle
-
-    def spy(values, h, odd):
-        partitioned.append(values.size)
-        return middle(values, h, odd)
-    monkeypatch.setattr(ot, "_middle", spy)
-    monkeypatch.setattr(ot, "_MEDIAN_SAMPLE", 64)
-    monkeypatch.setattr(ot, "_MEDIAN_MIN_STRIDE", 2)
+    X_src, X_dst = rng.normal(size=(N, 3)), rng.normal(size=(40, 3)) + 0.5
     blocked, whole = blocked_and_whole(
-        monkeypatch, lambda: ot._median(cost), 8 * 8 * 40)
+        monkeypatch, lambda: transport._kernel(X_src, X_dst, eta), 8 * 8 * 40)
     assert recorded_blocks == [(N, [8, 8, 8, 1]), (N, [N])]
-    assert all(size < cost.size // 2 for size in partitioned)  # bracketed
-    assert blocked == whole == np.median(cost)
+    assert blocked.dtype == whole.dtype == dtype
+    assert np.array_equal(blocked, whole)
 
 
 # every framing the plain loaders read in place
@@ -441,6 +435,17 @@ def test_passthrough_repair_peak_is_the_votes_and_their_float_cast():
         tracemalloc.stop()
     assert run.repaired.votes.nbytes == n * m
     assert peak <= n * m + 3 * core.ROW_BLOCK_BYTES
+
+
+def test_weak_label_matrix_of_int64_votes_peaks_at_two_masks():
+    # one mask of the allowed values and one comparison at a time: the
+    # int8 copy (n * m bytes) and two n x m boolean masks
+    rng = np.random.default_rng(15)
+    n, m = 5000, 60
+    raw = rng.choice([-1, 0, 1], size=(n, m))
+    wl, peak = traced_peak(lambda: WeakLabelMatrix(raw))
+    assert wl.votes.dtype == np.int8
+    assert peak <= 3 * n * m + core.ROW_BLOCK_BYTES
 
 
 def test_exact_knn_scan_peak_is_the_output_plus_three_blocks():

@@ -1,7 +1,6 @@
 import math
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from otrelabel import core, ot
+from otrelabel import ot
 from otrelabel import (
     GaussianMoments,
     NumericalError,
@@ -432,7 +431,7 @@ def test_sinkhorn_redoes_a_non_finite_round_plainly(monkeypatch):
         rates = omega_fixed_at(monkeypatch, omega)
         plan = sinkhorn_plan(cost, a, b, eta=0.2, max_iter=10_000, tol=1e-12)
         projected, diagnostics = ot._sinkhorn_projection(
-            cost.copy(), X_dst, 0.2, 10_000, 1e-12)
+            kernel(cost, 0.2), X_dst, 0.2, 10_000, 1e-12)
         assert rates and plan.converged and diagnostics.converged
         runs.append((plan, projected, diagnostics.iterations_run))
     (plan, projected, rounds), (plain, plain_projected, plain_rounds) = runs
@@ -506,6 +505,12 @@ def test_sinkhorn_accepts_a_negative_zero_cost():
     assert np.array_equal(sinkhorn_plan(signed).T, sinkhorn_plan(cost).T)
 
 
+def kernel(cost, eta):
+    """``sinkhorn_plan``'s float64 kernel of a cost of fewer than
+    2 * ``ot._MEDIAN_SAMPLE`` entries, whose scale is its median."""
+    return np.exp(cost / np.median(cost) / -eta)
+
+
 def few_row_blocks(monkeypatch, n_dst, rows):
     """Sinkhorn row blocks of ``rows`` rows for an n_dst-column cost."""
     monkeypatch.setattr(ot, "_BLOCK_BYTES", 8 * n_dst * rows)
@@ -546,15 +551,20 @@ def test_sinkhorn_does_not_depend_on_the_worker_count(monkeypatch):
         for workers in (1, 2, 3):
             monkeypatch.setattr(ot.core, "_workers", lambda: workers)
             plans.append(sinkhorn_plan(cost, eta=0.5, max_iter=200))
-            projections.append(ot._sinkhorn_projection(
-                cost.copy(), X_dst, eta=0.5, max_iter=200, tol=1e-9))
+            # a float32 kernel's blocks hold twice the rows: 3 blocks
+            projections.append([ot._sinkhorn_projection(
+                kernel(cost, 0.5).astype(dtype), X_dst, eta=0.5,
+                max_iter=200, tol=1e-9) for dtype in (np.float64, np.float32)])
     finally:
         sys.setswitchinterval(interval)
-    for plan, (projected, diagnostics) in zip(plans[1:], projections[1:]):
+    for plan, projection in zip(plans[1:], projections[1:]):
         assert np.array_equal(plan.T, plans[0].T)
         assert plan.iterations_run == plans[0].iterations_run
-        assert np.array_equal(projected, projections[0][0])
-        assert diagnostics.iterations_run == projections[0][1].iterations_run
+        for (projected, diagnostics), (first, first_diagnostics) in zip(
+                projection, projections[0]):
+            assert np.array_equal(projected, first)
+            assert diagnostics.iterations_run == \
+                first_diagnostics.iterations_run
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -568,157 +578,13 @@ def test_sinkhorn_underflow_in_any_block_raises(monkeypatch, axis):
     with pytest.raises(NumericalError, match="underflowed"):
         sinkhorn_plan(cost)
     with pytest.raises(NumericalError, match="underflowed"):
-        ot._sinkhorn_projection(cost, np.zeros((50, 2)), 1.0, 10, 1e-9)
+        ot._sinkhorn_projection(kernel(cost, 1.0), np.zeros((50, 2)), 1.0,
+                                10, 1e-9)
 
 
 def as_layout(cost, layout):
-    """``cost`` row-major, column-major, or as a strided view of it."""
-    if layout == "F":
-        return np.asfortranarray(cost)
-    if layout == "view":
-        return cost[::2, ::3]
-    return cost
-
-
-def same_float(x, y):
-    return np.float64(x).tobytes() == np.float64(y).tobytes()
-
-
-@pytest.fixture
-def partitioned(monkeypatch):
-    """The sizes of the arrays the median partitions, call by call."""
-    sizes = []
-    middle = ot._middle
-
-    def spy(values, h, odd):
-        sizes.append(values.size)
-        return middle(values, h, odd)
-
-    monkeypatch.setattr(ot, "_middle", spy)
-    return sizes
-
-
-def median_cost(rng, kind, n, m):
-    """``cost_of_kind``, or mostly entries whose sum overflows: the mean
-    of two middle entries is then inf."""
-    if kind == "huge":
-        return np.where(rng.random((n, m)) < 0.8, 1e308, 0.0)
-    return cost_of_kind(rng, kind, n, m)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 90),
-       st.one_of(st.integers(1, 90), st.sampled_from([32, 64, 96])),
-       st.sampled_from(["uniform", "ties", "zero_median", "zero", "huge"]),
-       st.sampled_from(["C", "F", "view"]),
-       st.sampled_from([(64, 2), (ot._MEDIAN_SAMPLE, ot._MEDIAN_MIN_STRIDE)]))
-def test_median_matches_np_median_bit_for_bit(seed, n, m, kind, layout,
-                                              sampling):
-    # a sample of 64 entries at stride >= 2 sends small costs through the
-    # bracket; a row length of 32k shares a factor with every even stride
-    cost = as_layout(median_cost(np.random.default_rng(seed), kind, n, m),
-                     layout)
-    before = cost.copy()
-    with mock.patch.object(ot, "_MEDIAN_SAMPLE", sampling[0]), \
-            mock.patch.object(ot, "_MEDIAN_MIN_STRIDE", sampling[1]), \
-            np.errstate(over="ignore"):
-        got = ot._median(cost)
-        want = np.median(cost)
-    assert same_float(got, want)
-    assert np.array_equal(cost, before)
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "view"])
-@pytest.mark.parametrize("n_dst", [600, 599])
-def test_median_of_a_large_cost_is_bracketed(partitioned, layout, n_dst):
-    rng = np.random.default_rng(16)
-    cost = as_layout(cdist(rng.normal(size=(601, 4)),
-                           rng.normal(size=(n_dst, 4)) + 0.5,
-                           "sqeuclidean"), layout)
-    assert same_float(ot._median(cost), np.median(cost))
-    # only the bracketed few percent were partitioned, not a copy
-    assert len(partitioned) == 1 and partitioned[0] <= 0.1 * cost.size
-
-
-@pytest.mark.parametrize("miss", ["rank", "straddle"])
-def test_median_falls_back_to_a_copy_when_the_bracket_misses(
-        partitioned, miss):
-    rng = np.random.default_rng(17)
-    p = 20_011  # a prime, so the sample stride is the least one, 32
-    if miss == "rank":  # every sampled entry is the minimum
-        cost = rng.uniform(1.0, 2.0, size=(1, p))
-        cost[0, ::ot._MEDIAN_MIN_STRIDE] = 0.0
-    elif miss == "straddle":
-        # an even count, half of it zeros that the sample (every 33rd
-        # entry: 33 is the least stride >= 32 coprime to 2p) never reads;
-        # the lower middle entry lies just below the bracket
-        cost = np.ones((1, 2 * p))
-        cost[0, np.flatnonzero(np.arange(2 * p) % 33)[:p]] = 0.0
-    tracemalloc.start()
-    try:
-        got = ot._median(cost)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert same_float(got, np.median(cost))
-    assert partitioned == [cost.size]
-    # a miss costs the copy, no more
-    assert peak <= 1.25 * cost.nbytes
-
-
-def test_median_copies_when_the_bracket_holds_too_many_entries(partitioned):
-    # the sampled entries (every 32nd of a prime count) spread over [0, 1]
-    # and the rest crowd between the pivots, past the gathered set's cap
-    rng = np.random.default_rng(19)
-    cost = rng.uniform(0.495, 0.505, size=(1, 20_011))
-    sampled = cost[0, ::ot._MEDIAN_MIN_STRIDE]  # a view
-    sampled[:] = rng.uniform(0.0, 1.0, size=sampled.size)
-    assert same_float(ot._median(cost), np.median(cost))
-    assert partitioned == [cost.size]
-
-
-def test_median_reports_a_copy_it_cannot_allocate(monkeypatch, partitioned):
-    # the same forced miss as above; the copy, which the transport's byte
-    # budget does not count, fails to allocate
-    rng = np.random.default_rng(19)
-    cost = rng.uniform(0.495, 0.505, size=(1, 20_011))
-    cost[0, ::ot._MEDIAN_MIN_STRIDE] = rng.uniform(
-        0.0, 1.0, size=cost[0, ::ot._MEDIAN_MIN_STRIDE].size)
-    empty = np.empty
-
-    def no_copy(shape, *args, **kwargs):
-        if shape == cost.size:
-            raise MemoryError
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(ot.np, "empty", no_copy)
-    with pytest.raises(ValidationError) as info:
-        ot._median(cost)
-    assert str(info.value) == (
-        "the median of a 1 x 20011 cost needs a float64 copy of "
-        f"{8 * cost.size} bytes, which could not be allocated")
-    assert partitioned == []
-
-
-@pytest.mark.parametrize("tied", ["two_values", "binary_feature"])
-def test_median_of_a_tied_cost_is_bracketed(partitioned, tied):
-    # ties at a pivot are counted, not gathered, so a cost of a few values
-    # partitions a handful of entries and never copies M
-    rng = np.random.default_rng(18)
-    if tied == "two_values":  # half zeros, half ones
-        cost = np.where(rng.random((1000, 1000)) < 0.5, 0.0, 1.0)
-    else:  # one 0/1 feature at p = 0.5: the cost takes 0 and 1 only
-        x, y = ((rng.random((2000, 1)) < 0.5).astype(float) for _ in "xy")
-        cost = cdist(x, y, "sqeuclidean")
-    tracemalloc.start()
-    try:
-        got = ot._median(cost)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert same_float(got, np.median(cost))
-    assert len(partitioned) == 1 and partitioned[0] <= 100
-    assert peak <= 4 * core.ROW_BLOCK_BYTES
+    """``cost`` row-major or column-major."""
+    return np.asfortranarray(cost) if layout == "F" else cost
 
 
 @settings(max_examples=25, deadline=None)

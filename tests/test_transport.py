@@ -570,8 +570,9 @@ def test_sinkhorn_transport_frees_the_cost_before_the_projection():
 @pytest.mark.parametrize("n_src,n_dst,d,eta,max_iter", [
     (1, 1, 2, 1.0, 10),
     (40, 30, 3, 0.5, 50),
-    # past the median's sample size, so the bracket selects it
+    # past twice the scale's sample size, so the scale is a sample's
     (300, 250, 4, 1.0, 10),
+    # eta 0.05 takes an exponent past float32's range: a float64 kernel
     (250, 301, 2, 0.05, 200),
 ])
 def test_sinkhorn_transport_matches_the_public_plan_and_projection(
@@ -586,9 +587,12 @@ def test_sinkhorn_transport_matches_the_public_plan_and_projection(
                       max_iter=max_iter, tol=cfg.sinkhorn_tol),
         X_dst)
     got = transport._transported_sources(X_src, X_dst, cfg)
+    dtype = transport._kernel(X_src, X_dst, eta).dtype
+    assert dtype == (np.float64 if eta == 0.05 else np.float32)
     # the projection is read from the scalings, K (v X_dst) / Kv, not
-    # from the plan's rows: a different order of n_dst-term sums
-    bound = 4 * n_dst * np.finfo(float).eps * np.abs(X_dst).max()
+    # from the plan's rows: a different order of n_dst-term sums, each
+    # term rounded once more where K is float32
+    bound = 4 * n_dst * np.finfo(dtype).eps * np.abs(X_dst).max()
     assert np.all(np.abs(got - public) <= bound)
 
 
@@ -604,19 +608,128 @@ def test_sinkhorn_transport_holds_one_dense_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the cost, which becomes the plan; the median adds a few percent
+    # the kernel, which the projection reads, and one cost block
     assert peak <= 1.15 * dense
 
 
-def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_float32_sinkhorn_transport_holds_half_the_dense_bytes():
+    rng = np.random.default_rng(12)
+    X_src = rng.normal(size=(2000, 3))
+    X_dst = rng.normal(size=(1500, 3)) + 1.0
+    cfg = PipelineConfig(ot_type="sinkhorn")
+    assert transport._kernel(X_src, X_dst, 1.0).dtype == np.float32
+    peak = traced_peak(transport._transported_sources, X_src, X_dst, cfg)
+    assert peak <= 0.55 * 8 * 2000 * 1500
+
+
+def edge_cost(seed):
+    """Rows on a line whose cost's largest entry over its median scale
+    sets the eta at which the largest exponent is float32's log(tiny)."""
+    rng = np.random.default_rng(seed)
+    X_src, X_dst = rng.normal(size=(150, 1)), rng.normal(size=(120, 1))
+    cost = cdist(X_src, X_dst, "sqeuclidean")  # 18,000 entries: all sampled
+    edge = cost.max() / np.median(cost) / -transport._LOG_TINY32
+    return X_src, X_dst, edge
+
+
+@pytest.mark.parametrize("side,dtype", [("inside", np.float32),
+                                        ("outside", np.float64)])
+def test_the_kernel_is_float32_only_inside_its_normal_range(side, dtype):
+    X_src, X_dst, edge = edge_cost(31)
+    eta = edge * (1 + 1e-9 if side == "inside" else 1 - 1e-9)
+    K = transport._kernel(X_src, X_dst, eta)
+    assert K.dtype == dtype
+    # the float64 kernel is the public plan's, bit for bit
+    public = np.exp(cdist(X_src, X_dst, "sqeuclidean")
+                    / np.median(cdist(X_src, X_dst, "sqeuclidean")) / -eta)
+    if dtype == np.float64:
+        assert np.array_equal(K, public)
+    else:
+        assert K.min() >= np.finfo(np.float32).tiny
+        assert np.array_equal(K, public.astype(np.float32))
+
+
+def test_the_float64_fallback_holds_one_dense_buffer():
+    rng = np.random.default_rng(12)
+    X_src = rng.normal(size=(1000, 3))
+    X_dst = rng.normal(size=(800, 3)) + 1.0
+    assert transport._kernel(X_src, X_dst, 0.05).dtype == np.float64
+    peak = traced_peak(transport._transported_sources, X_src, X_dst,
+                       PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=0.05))
+    # the float32 kernel is freed before the float64 one is allocated
+    assert peak <= 1.15 * 8 * 1000 * 800
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_the_scale_sample_is_the_cost_s_own_entries(monkeypatch, d):
+    samples = []
+    scale = transport.ot._scale
+    monkeypatch.setattr(transport.ot, "_scale",
+                        lambda sample, whole: samples.append(sample.copy())
+                        or scale(sample, whole))
+    rng = np.random.default_rng(d)
+    X_src = rng.normal(size=(230, d)) * rng.uniform(0.1, 10.0, d)
+    X_dst = rng.normal(size=(190, d)) + 0.5  # 43,700 entries: stride 3
+    transport._kernel(X_src, X_dst, 1.0)
+    stride = transport.ot._sample_stride(230 * 190)
+    assert stride == 3
+    want = cdist(X_src, X_dst, "sqeuclidean").flat[::stride]
+    assert samples[0].tobytes() == want.tobytes()
+
+
+def sinkhorn_k5_groups(seed, n):
+    """Two groups shaped like the bench's sinkhorn_k5: 8 features, the
+    first four shifted by a +-1 label, positive in 35% of group 0's rows
+    and 65% of group 1's, and axes 0 and 2 shifted by 5 in group 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2 * n, 8))
+    x[:, :4] += np.where(rng.random((2 * n, 1))
+                         < np.repeat([[0.35], [0.65]], n, axis=0), 1.0, -1.0)
+    x[n:, [0, 2]] += 5.0
+    return x[:n], x[n:]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_sinkhorn_k5_shaped_cost_takes_the_same_rounds_in_both_dtypes(
+        seed):
+    X_src, X_dst = sinkhorn_k5_groups(seed, 1000)
+    K = transport._kernel(X_src, X_dst, 0.05)
+    assert K.dtype == np.float32
+    rounds = transport.ot._sinkhorn_projection(K, X_dst, 0.05, 200, 1e-9)[1]
+    public = sinkhorn_plan(cdist(X_src, X_dst, "sqeuclidean"), eta=0.05,
+                           max_iter=200)
+    assert rounds.converged and public.converged
+    assert rounds.iterations_run == public.iterations_run
+
+
+def recorded_dense(monkeypatch, fail=None):
+    """The dtypes of the 400 x 300 buffers ``np.empty`` allocates; an
+    allocation of dtype ``fail`` raises MemoryError instead."""
+    dtypes = []
     empty = np.empty
 
-    def no_dense(shape, *args, **kwargs):
+    def recording(shape, dtype=float, *args, **kwargs):
         if shape == (400, 300):
-            raise MemoryError
-        return empty(shape, *args, **kwargs)
+            if fail is not None and np.dtype(dtype) == fail:
+                raise MemoryError
+            dtypes.append(np.dtype(dtype))
+        return empty(shape, dtype, *args, **kwargs)
 
-    monkeypatch.setattr(transport.np, "empty", no_dense)
+    monkeypatch.setattr(transport.np, "empty", recording)
+    return dtypes
+
+
+def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
+    recorded_dense(monkeypatch, fail=np.float32)
     rng = np.random.default_rng(13)
     cfg = PipelineConfig(ot_type="sinkhorn")
     with pytest.raises(ValidationError) as info:
@@ -624,37 +737,62 @@ def test_sinkhorn_transport_reports_a_cost_it_cannot_allocate(monkeypatch):
             rng.normal(size=(400, 2)), rng.normal(size=(300, 2)), cfg)
     message = str(info.value)
     assert "400 x 300" in message
-    assert "960000 bytes" in message
+    assert "float32 buffer of 480000 bytes" in message
     assert "ot_type=linear" in message
 
 
-@pytest.mark.parametrize("memory", [8 * 400 * 300 - 1, 8 * 400 * 300])
+def test_sinkhorn_transport_reports_a_fallback_it_cannot_allocate(
+        monkeypatch):
+    dense = recorded_dense(monkeypatch, fail=np.float64)
+    rng = np.random.default_rng(13)
+    # at eta 0.05 an exponent is past float32's range
+    cfg = PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=0.05)
+    with pytest.raises(ValidationError) as info:
+        transport._transported_sources(
+            rng.normal(size=(400, 2)), rng.normal(size=(300, 2)), cfg)
+    message = str(info.value)
+    assert "400 x 300" in message
+    assert "float64 buffer of 960000 bytes" in message
+    assert "which could not be allocated" in message
+    assert dense == [np.float32]
+
+
+@pytest.mark.parametrize("memory", [4 * 400 * 300 - 1, 4 * 400 * 300,
+                                    8 * 400 * 300 - 1, 8 * 400 * 300])
 def test_sinkhorn_transport_checks_the_dense_buffer_against_memory(
         monkeypatch, memory):
-    shapes = []
-    empty = np.empty
-
-    def recording(shape, *args, **kwargs):
-        shapes.append(shape)
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(transport.np, "empty", recording)
+    dense = recorded_dense(monkeypatch)
     monkeypatch.setattr(transport, "_physical_memory", lambda: memory)
     rng = np.random.default_rng(13)
     X_src, X_dst = rng.normal(size=(400, 2)), rng.normal(size=(300, 2))
-    cfg = PipelineConfig(ot_type="sinkhorn")
+    # at eta 0.05 an exponent is past float32's range: K is built in
+    # float32, then freed and rebuilt in float64
+    cfg = PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=0.05)
     if memory >= 8 * 400 * 300:
         transport._transported_sources(X_src, X_dst, cfg)
-        assert (400, 300) in shapes
+        assert dense == [np.float32, np.float64]
         return
     with pytest.raises(ValidationError) as info:
         transport._transported_sources(X_src, X_dst, cfg)
     message = str(info.value)
+    need = "float32 buffer of 480000" if memory < 4 * 400 * 300 \
+        else "float64 buffer of 960000"
     assert "400 x 300" in message
-    assert "960000 bytes" in message
+    assert f"{need} bytes" in message
     assert f"the {memory} bytes of physical memory" in message
     assert "ot_type=linear" in message
-    assert (400, 300) not in shapes  # refused before the allocation
+    # each refused before its allocation
+    assert dense == ([] if memory < 4 * 400 * 300 else [np.float32])
+
+
+def test_a_float32_kernel_needs_only_its_own_bytes_of_memory(monkeypatch):
+    dense = recorded_dense(monkeypatch)
+    monkeypatch.setattr(transport, "_physical_memory", lambda: 4 * 400 * 300)
+    rng = np.random.default_rng(13)
+    transport._transported_sources(
+        rng.normal(size=(400, 2)), rng.normal(size=(300, 2)),
+        PipelineConfig(ot_type="sinkhorn"))
+    assert dense == [np.float32]
 
 
 @pytest.mark.parametrize("sysconf", ["missing", "unknown name", "no value"])
