@@ -76,7 +76,7 @@ for row in lf_delta_report(wl, best.repaired, ds):
     print(f"  {row['name']}: dAcc={row['delta']['accuracy']:+.3f} "
           f"dDP={row['delta']['dp_gap']:+.3f}")
 
-raw = repair(ds, wl, PipelineConfig(end_model=False), passthrough=True)
+raw = repair(ds, wl, PipelineConfig(), passthrough=True)
 for name, run in (("raw", raw), ("repaired", best)):
     rep = fairness_report(run.hard, y, groups)
     print(f"\npseudolabels from {name} votes: accuracy={rep.accuracy:.3f} "

@@ -213,10 +213,10 @@ class PipelineConfig:
 
     The fields are the only list of config keys: config files and the
     ``run`` flags accept exactly these names, parse each value by the
-    field's annotation (``bool`` is spelled ``on``/``off``) and take the
-    help text from the field's metadata.  Defaults mirror the reference
-    transport settings: 1 nearest neighbor, entropic regularization 1 with
-    10 scaling rounds; the linear map's ridge follows the features' variance.
+    field's annotation and take the help text from the field's metadata.
+    Defaults mirror the reference transport settings: 1 nearest neighbor,
+    entropic regularization 1 with 10 scaling rounds; the linear map's
+    ridge follows the features' variance.
     """
 
     ot_type: str = field(default="none", metadata={
@@ -229,14 +229,10 @@ class PipelineConfig:
         "help": "scaling rounds"})
     sinkhorn_tol: float = field(default=1e-9, metadata={
         "help": "marginal-violation tolerance"})
-    transport_scope: str = field(default="per_lf", metadata={
-        "help": "per_lf or global direction choice"})
     class_balance: float = field(default=0.5, metadata={
         "help": "prior P(y=1) for the label model"})
     tie_tol: float = field(default=0.01, metadata={
         "help": "skip transport when group accuracies are this close"})
-    end_model: bool = field(default=True, metadata={
-        "help": "train the end model: on or off"})
     l2: float = field(default=1e-4, metadata={
         "help": "end-model L2 penalty"})
 
@@ -251,9 +247,6 @@ class PipelineConfig:
                 object.__setattr__(self, f.name, require_count(f.name, value))
         if self.ot_type not in ("none", "linear", "sinkhorn"):
             raise ValidationError(f"unknown ot_type {self.ot_type!r}")
-        if self.transport_scope not in ("per_lf", "global"):
-            raise ValidationError(
-                f"unknown transport_scope {self.transport_scope!r}")
         if self.sinkhorn_eta <= 0:
             raise ValidationError("sinkhorn_eta must be positive")
         if self.sinkhorn_tol <= 0:
@@ -262,9 +255,6 @@ class PipelineConfig:
             raise ValidationError("class_balance must be in (0, 1)")
         if self.tie_tol < 0:
             raise ValidationError("tie_tol must be nonnegative")
-        if not isinstance(self.end_model, bool):
-            raise ValidationError(
-                f"end_model must be True or False, got {self.end_model!r}")
         if self.l2 < 0:
             raise ValidationError("l2 must be nonnegative")
 

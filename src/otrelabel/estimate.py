@@ -141,9 +141,10 @@ def accuracies_from_moments(
     triangle moments), wherever x stands, so one pass over the pairs of
     the other LFs gives x's values in triplet order, and their median.
     """
-    m = moments.shape[0]
-    if moments.shape != (m, m):
+    moments = np.asarray(moments, dtype=np.float64)
+    if moments.ndim != 2 or moments.shape[0] != moments.shape[1]:
         raise ValidationError("moment matrix must be square")
+    m = len(moments)
     if m < 3:
         raise ValidationError(f"need at least 3 LFs for triplets, got {m}")
     moments = np.where(np.tri(m, dtype=bool), moments.T, moments)

@@ -247,6 +247,8 @@ def predict(model: EndModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValidationError(
             f"X must be n x {model.d} for this model, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValidationError("X must be finite")
     probs = _sigmoid(X @ model.coefficients[:-1] + model.coefficients[-1])
     labels = np.where(probs >= 0.5, 1, -1).astype(np.int64)
     return probs, labels

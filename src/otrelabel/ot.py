@@ -130,6 +130,8 @@ def _check_symmetric(S: np.ndarray, what: str) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValidationError(f"{what} must be a square matrix")
+    if not np.isfinite(S).all():
+        raise ValidationError(f"{what} must be finite")
     scale = max(1.0, float(np.abs(S).max()))
     if float(np.abs(S - S.T).max()) > _SYM_TOL * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance")

@@ -30,7 +30,7 @@ of the rest.
 
 Config file: flat ``key=value`` lines (``#`` starts a comment).  The
 accepted keys are the field names of :class:`PipelineConfig`; each value
-is parsed by its field's annotation, with booleans spelled ``on``/``off``.
+is parsed by its field's annotation.
 
 All artifacts are written atomically (temp file then rename), and a rerun
 with identical inputs and config produces byte-identical data
@@ -87,14 +87,8 @@ logger = logging.getLogger("otrelabel")
 # configuration
 
 
-def _parse_on_off(text: str) -> bool:
-    if text not in ("on", "off"):
-        raise ValueError(f"expected on or off, got {text!r}")
-    return text == "on"
-
-
 _PARSE_BY_TYPE: dict[str, Callable[[str], object]] = {
-    "int": int, "float": float, "str": str, "bool": _parse_on_off}
+    "int": int, "float": float, "str": str}
 _FIELD_PARSERS = {
     f.name: _PARSE_BY_TYPE[f.type] for f in fields(PipelineConfig)}
 
@@ -631,8 +625,7 @@ def _timed(timings: dict[str, float], stage: str):
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """What a run's stages computed.  ``group_acc`` and ``relabel`` are
-    None in a passthrough run, ``end_model`` and ``end_preds`` when
-    ``cfg.end_model`` is off."""
+    None in a passthrough run."""
 
     group_acc: Optional[np.ndarray]
     relabel: Optional[RelabelResult]
@@ -640,8 +633,8 @@ class RunResult:
     global_acc: np.ndarray
     probs: np.ndarray
     hard: np.ndarray
-    end_model: Optional[EndModel]
-    end_preds: Optional[np.ndarray]
+    end_model: EndModel
+    end_preds: np.ndarray
 
 
 def repair(ds: GroupedDataset, wl: WeakLabelMatrix, cfg: PipelineConfig,
@@ -671,10 +664,8 @@ def repair(ds: GroupedDataset, wl: WeakLabelMatrix, cfg: PipelineConfig,
         probs, hard = infer_pseudolabels(
             fit_label_model(global_acc, cfg.class_balance), repaired)
     with _timed(timings, "end_model"):
-        end_model = end_preds = None
-        if cfg.end_model:
-            end_model = train_end_model(blind.features, probs, cfg.l2)
-            _, end_preds = predict(end_model, blind.features)
+        end_model = train_end_model(blind.features, probs, cfg.l2)
+        _, end_preds = predict(end_model, blind.features)
     return RunResult(group_acc, relabel, repaired, global_acc, probs, hard,
                      end_model, end_preds)
 
@@ -728,9 +719,8 @@ def run_pipeline(
                     "per_lf": lf_delta_report(wl, run.repaired, ds),
                     "pseudolabels": fairness_report(run.hard, ds.labels,
                                                     ds.groups),
-                    "end_model": (
-                        fairness_report(run.end_preds, ds.labels, ds.groups)
-                        if run.end_preds is not None else None),
+                    "end_model": fairness_report(run.end_preds, ds.labels,
+                                                 ds.groups),
                 }
             fairness["manifest_digest"] = manifest.digest()
             write_votes_csv(run.repaired,

@@ -377,10 +377,9 @@ def sbm_transport(
     ``group_acc`` is the m x 2 matrix of per-group accuracy estimates
     (:func:`~otrelabel.estimate.per_group_accuracies`).  Each LF picks
     src = its lower estimated-accuracy group, and is skipped when the two
-    estimates are within ``tie_tol``.  In ``per_lf`` scope the estimates
-    are the LF's own; in ``global`` scope every LF uses the mean
-    per-group accuracy over all LFs, so all of them share one decision
-    and one map, and one decision per LF is recorded.  The
+    estimates are within ``tie_tol``.  To give every LF one shared
+    decision, pass the mean over LFs broadcast to every row,
+    ``np.broadcast_to(group_acc.mean(axis=0), group_acc.shape)``.  The
     transported coordinates and their nearest destination neighbours
     depend only on features, so the (at most two) directions are taken
     one at a time, in the order of each direction's first moved LF: one
@@ -395,8 +394,6 @@ def sbm_transport(
         raise ValidationError("accuracy estimates must lie in [-1, 1]")
     validate_dataset(ds, wl)
 
-    if cfg.transport_scope == "global":
-        acc = np.broadcast_to(acc.mean(axis=0), acc.shape)
     skipped = np.abs(acc[:, 0] - acc[:, 1]) <= cfg.tie_tol
     # a tie is recorded with group 0 as its source
     src_of = np.where(skipped | (acc[:, 0] < acc[:, 1]), 0, 1)

@@ -134,20 +134,19 @@ def test_run_writes_artifacts(tmp_path, capsys):
     _, _, features, votes = write_fixture(tmp_path, 60, seed=2)
     out = tmp_path / "out"
     code = main(["run", "--features", features, "--votes", votes,
-                 "--out", str(out), "--ot-type", "linear",
-                 "--end-model", "off"])
+                 "--out", str(out), "--ot-type", "linear"])
     assert code == 0
     for name in ("votes_repaired.csv", "pseudolabels.csv",
                  "fairness.json", "manifest.json"):
         assert (out / name).exists()
     fairness = json.loads((out / "fairness.json").read_text())
-    assert fairness["end_model"] is None
+    assert "accuracy" in fairness["end_model"]
 
 
 def test_run_config_file_with_flag_override(tmp_path):
     _, _, features, votes = write_fixture(tmp_path, 60, seed=3)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("ot_type=linear\nknn_k=3\nend_model=off\n")
+    cfg.write_text("ot_type=linear\nknn_k=3\n")
     out = tmp_path / "out"
     code = main(["run", "--features", features, "--votes", votes,
                  "--out", str(out), "--config", str(cfg),
@@ -167,14 +166,15 @@ def test_run_unknown_config_key_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("end_model=yes", "config line 1: bad value 'yes' for end_model"),
+    ("knn_k=three", "config line 1: bad value 'three' for knn_k"),
     ("knn_k=3\not_type linear", "config line 2: expected key=value"),
     ("sinkhorn_eta=0", "sinkhorn_eta must be positive"),
     ("sinkhorn_eta=-0.5", "sinkhorn_eta must be positive"),
     ("sinkhorn_tol=0", "sinkhorn_tol must be positive"),
     ("covariance_ridge=1e-3", "config line 1: unknown key 'covariance_ridge'"),
     ("tie_tol=-0.1", "tie_tol must be nonnegative"),
-    ("transport_scope=both", "unknown transport_scope 'both'"),
+    ("transport_scope=global", "config line 1: unknown key 'transport_scope'"),
+    ("end_model=off", "config line 1: unknown key 'end_model'"),
 ])
 def test_bad_config_file_is_one_input_error_line(tmp_path, capsys, text,
                                                  message):
@@ -188,14 +188,18 @@ def test_bad_config_file_is_one_input_error_line(tmp_path, capsys, text,
     assert not out.exists()
 
 
-def test_covariance_ridge_flag_is_a_usage_error(tmp_path, capsys):
-    # the linear map's ridge follows the features' variance: no flag sets it
+# the linear map's ridge follows the features' variance, each LF takes
+# the direction of its own estimates, and every run trains the end model
+@pytest.mark.parametrize("flag, value", [
+    ("--covariance-ridge", "1e-3"), ("--transport-scope", "global"),
+    ("--end-model", "off")])
+def test_removed_config_flags_are_usage_errors(tmp_path, capsys, flag, value):
     _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
     with pytest.raises(SystemExit) as err:
         main(["run", "--features", features, "--votes", votes, "--out",
-              str(tmp_path / "o"), "--covariance-ridge", "1e-3"])
+              str(tmp_path / "o"), flag, value])
     assert err.value.code == 1
-    assert "unrecognized arguments: --covariance-ridge 1e-3" in \
+    assert f"unrecognized arguments: {flag} {value}" in \
         capsys.readouterr().err
 
 
@@ -211,9 +215,8 @@ def test_run_bad_flag_value_names_the_flag(tmp_path, capsys):
 # one non-default value per PipelineConfig field
 NON_DEFAULT_CONFIG = {
     "ot_type": "sinkhorn", "knn_k": 3, "sinkhorn_eta": 0.5,
-    "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6,
-    "transport_scope": "global", "class_balance": 0.4, "tie_tol": 0.05,
-    "end_model": False, "l2": 1e-3,
+    "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6, "class_balance": 0.4,
+    "tie_tol": 0.05, "l2": 1e-3,
 }
 
 
@@ -222,8 +225,7 @@ def test_every_config_field_parses_from_file_and_flag(tmp_path):
     assert NON_DEFAULT_CONFIG.keys() == defaults.keys()
     for key, value in NON_DEFAULT_CONFIG.items():
         assert value != defaults[key], key
-    text = {key: ("on" if value else "off") if isinstance(value, bool)
-            else str(value) for key, value in NON_DEFAULT_CONFIG.items()}
+    text = {key: str(value) for key, value in NON_DEFAULT_CONFIG.items()}
     parsed = parse_config_text("".join(f"{k} = {v}\n" for k, v in text.items()))
     assert PipelineConfig(**parsed).to_dict() == NON_DEFAULT_CONFIG
 

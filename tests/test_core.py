@@ -182,7 +182,6 @@ def test_config_defaults_match_reference_settings():
     assert cfg.knn_k == 1
     assert cfg.sinkhorn_eta == 1.0
     assert cfg.sinkhorn_max_iter == 10
-    assert cfg.transport_scope == "per_lf"
     assert cfg.ot_type == "none"
 
 
@@ -193,8 +192,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(knn_k=0)
     with pytest.raises(ValidationError):
         PipelineConfig(class_balance=1.0)
-    with pytest.raises(ValidationError):
-        PipelineConfig(end_model="off")
+    with pytest.raises(TypeError, match="end_model"):
+        PipelineConfig(end_model=False)  # every run trains the end model
     with pytest.raises(ValidationError, match="l2 must be nonnegative"):
         PipelineConfig(l2=-1)
 

@@ -61,6 +61,8 @@ def test_population_moments_recover_accuracies_exactly():
     assert np.abs(est - TRUE_ACC).max() <= 1e-12
     assert all(not r.degenerate for r in records)
     assert len(records) == 10  # C(5, 3)
+    # any array-like: nested lists give the same bits
+    assert np.array_equal(accuracies_from_moments(moments.tolist())[0], est)
 
 
 def test_sampled_moments_recover_accuracies():
@@ -312,6 +314,12 @@ VOTES_3 = WeakLabelMatrix(np.array([[1, -1, 1], [1, 1, -1]]))
 
 @pytest.mark.parametrize("call, message", [
     (lambda: accuracies_from_moments(np.ones((3, 4))),
+     "moment matrix must be square"),
+    (lambda: accuracies_from_moments([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]]),
+     "moment matrix must be square"),
+    (lambda: accuracies_from_moments(np.float64(0.5)),
+     "moment matrix must be square"),
+    (lambda: accuracies_from_moments(np.ones(3)),
      "moment matrix must be square"),
     (lambda: resolve_sign(np.ones(2), VOTES_3),
      "magnitude vector length must equal m"),

@@ -718,6 +718,14 @@ def test_spectral_effective_rank_bounds():
      "Monge map shapes are inconsistent"),
     (lambda: psd_sqrt(np.ones((2, 3))), ValidationError,
      "psd_sqrt input must be a square matrix"),
+    (lambda: psd_sqrt([[np.nan]]), ValidationError,
+     "psd_sqrt input must be finite"),
+    (lambda: psd_sqrt([[np.inf]]), ValidationError,
+     "psd_sqrt input must be finite"),
+    (lambda: spectral_summary([[1.0, np.nan], [np.nan, 1.0]]),
+     ValidationError, "spectral_summary input must be finite"),
+    (lambda: spectral_summary([[-np.inf]]), ValidationError,
+     "spectral_summary input must be finite"),
     (lambda: fit_moments(np.ones(4)), ValidationError, "X must be 2-D"),
     (lambda: linear_monge(GaussianMoments(np.zeros(1), np.eye(1), 3),
                           GaussianMoments(np.zeros(2), np.eye(2), 3)),

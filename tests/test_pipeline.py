@@ -517,14 +517,12 @@ def test_config_text_roundtrip():
     ot_type = linear
     knn_k = 3
     sinkhorn_eta = 0.5
-    end_model = off
     """
     kwargs = parse_config_text(text)
     cfg = PipelineConfig(**kwargs)
     assert cfg.ot_type == "linear"
     assert cfg.knn_k == 3
     assert cfg.sinkhorn_eta == 0.5
-    assert cfg.end_model is False
 
 
 def test_config_unknown_key_rejected():
@@ -532,9 +530,11 @@ def test_config_unknown_key_rejected():
         parse_config_text("ot_type=linear\nfoo=1\n")
 
 
-@pytest.mark.parametrize("line", ["lr=0.1", "epochs=500"])
+@pytest.mark.parametrize("line", ["lr=0.1", "epochs=500", "end_model=off",
+                                  "transport_scope=global"])
 def test_removed_end_model_keys_are_unknown(line):
-    # the end model is solved to its optimum: no step size or epoch count
+    # the end model is solved to its optimum, with no step size or epoch
+    # count, in every run; each LF takes the direction of its own estimates
     with pytest.raises(ValidationError, match="config line 2: unknown key"):
         parse_config_text(f"ot_type=linear\n{line}\n")
 
@@ -850,7 +850,7 @@ def test_pipeline_fairness_schema(tmp_path):
     for row in fairness["per_lf"]:
         assert set(row) == {"name", "before", "after", "delta"}
     assert "accuracy" in fairness["pseudolabels"]
-    assert fairness["end_model"] is not None
+    assert "accuracy" in fairness["end_model"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert fairness["manifest_digest"] == manifest["digest"]
     assert manifest["failed_stage"] is None

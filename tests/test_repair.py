@@ -52,7 +52,7 @@ def run_values(run: RunResult) -> dict:
             out["relabel.decisions"] = value.decisions
             out["relabel.changed_mask"] = value.changed_mask
             value = value.new_votes
-        if f.name == "end_model" and value is not None:
+        if f.name == "end_model":
             out["end_model.training_meta"] = value.training_meta
             value = value.coefficients
         out[f.name] = getattr(value, "votes", value)
@@ -69,15 +69,14 @@ def assert_same_run(a: RunResult, b: RunResult) -> None:
             assert value == vb[name], name
 
 
-@pytest.mark.parametrize("end_model", [True, False], ids=["end", "no_end"])
+# every run goes through to the end model
 @pytest.mark.parametrize("ot_type, knn_k, passthrough", [
     ("linear", 1, False), ("sinkhorn", 5, False), ("linear", 1, True)],
-    ids=["linear_k1", "sinkhorn_k5", "passthrough"])
+    ids=["linear_k1-end", "sinkhorn_k5-end", "passthrough-end"])
 def test_repair_reproduces_the_file_run(tmp_path, ot_type, knn_k,
-                                        passthrough, end_model):
+                                        passthrough):
     features, votes = write_inputs(tmp_path)
-    cfg = PipelineConfig(ot_type=ot_type, knn_k=knn_k, end_model=end_model,
-                         sinkhorn_eta=0.5)
+    cfg = PipelineConfig(ot_type=ot_type, knn_k=knn_k, sinkhorn_eta=0.5)
     out = tmp_path / "out"
     manifest = run_pipeline(cfg, features, votes, str(out),
                             passthrough=passthrough)
@@ -86,7 +85,6 @@ def test_repair_reproduces_the_file_run(tmp_path, ot_type, knn_k,
     run = repair(ds, wl, cfg, passthrough, timings)
     assert list(timings) == list(STAGES[1:5])
     assert (run.relabel is None) == (run.group_acc is None) == passthrough
-    assert (run.end_model is None) == (run.end_preds is None) != end_model
 
     repaired = load_votes_csv(str(out / "votes_repaired.csv"))
     assert np.array_equal(repaired.votes, run.repaired.votes)
@@ -100,8 +98,7 @@ def test_repair_reproduces_the_file_run(tmp_path, ot_type, knn_k,
         "skipped": False,
         "per_lf": lf_delta_report(wl, run.repaired, ds),
         "pseudolabels": fairness_report(run.hard, ds.labels, ds.groups),
-        "end_model": None if run.end_preds is None else fairness_report(
-            run.end_preds, ds.labels, ds.groups),
+        "end_model": fairness_report(run.end_preds, ds.labels, ds.groups),
         "manifest_digest": manifest.digest()}
     assert json.loads((out / "fairness.json").read_text()) == json.loads(
         json.dumps(expected, default=lambda report: report.to_dict()))

@@ -811,33 +811,6 @@ def test_physical_memory_is_unbounded_where_sysconf_cannot_say(
     assert transport._physical_memory() == np.inf
 
 
-def test_global_scope_uses_one_direction():
-    ds, wl = make_biased_fixture(400, seed=6)
-    blind = ds.without_labels()
-    est = per_group_accuracies(wl, blind)
-    cfg = PipelineConfig(ot_type="none", transport_scope="global")
-    moved = sbm_transport(blind, wl, est, cfg)
-    assert [d.lf_index for d in moved.decisions] == list(range(wl.m))
-    assert len({(d.src_group, d.dst_group) for d in moved.decisions}) == 1
-    assert not any(d.skipped for d in moved.decisions)
-    mean_acc = est.mean(axis=0)
-    for d in moved.decisions:
-        assert (d.acc_src, d.acc_dst) == (mean_acc[d.src_group],
-                                          mean_acc[d.dst_group])
-
-
-def test_global_scope_tie_skips_every_lf():
-    ds, wl = make_biased_fixture(400, seed=6)
-    blind = ds.without_labels()
-    est = per_group_accuracies(wl, blind)
-    cfg = PipelineConfig(ot_type="none", transport_scope="global",
-                         tie_tol=1.0)
-    moved = sbm_transport(blind, wl, est, cfg)
-    assert np.array_equal(moved.new_votes.votes, wl.votes)
-    assert [d.lf_index for d in moved.decisions] == list(range(wl.m))
-    assert all(d.skipped and d.reason == "tie" for d in moved.decisions)
-
-
 def test_invalid_inputs_rejected():
     ds, wl = make_biased_fixture(50, seed=7)
     est = per_group_accuracies(wl, ds.without_labels())
@@ -912,7 +885,9 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
     ds = GroupedDataset(rng.normal(size=(60, 2)), np.repeat([0, 1], 30))
     wl = WeakLabelMatrix(rng.choice([-1, 0, 1], size=(60, 3)))
     est = np.array(per_lf_group)
-    cfg = PipelineConfig(ot_type="none", knn_k=3, transport_scope=scope)
+    if scope == "global":  # one shared decision: the mean over LFs
+        est = np.broadcast_to(est.mean(axis=0), est.shape)
+    cfg = PipelineConfig(ot_type="none", knn_k=3)
     calls = []
     real = transport.knn_transfer
 
