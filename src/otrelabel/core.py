@@ -216,7 +216,9 @@ class PipelineConfig:
     field's annotation and take the help text from the field's metadata.
     Defaults mirror the reference transport settings: 1 nearest neighbor,
     entropic regularization 1 with 10 scaling rounds; the linear map's
-    ridge follows the features' variance.
+    ridge follows the features' variance.  A run takes its Sinkhorn
+    tolerance, class prior and L2 penalty from the defaults of
+    ``sinkhorn_plan``, ``fit_label_model`` and ``train_end_model``.
     """
 
     ot_type: str = field(default="none", metadata={
@@ -227,36 +229,31 @@ class PipelineConfig:
         "help": "entropic regularization strength"})
     sinkhorn_max_iter: int = field(default=10, metadata={
         "help": "scaling rounds"})
-    sinkhorn_tol: float = field(default=1e-9, metadata={
-        "help": "marginal-violation tolerance"})
-    class_balance: float = field(default=0.5, metadata={
-        "help": "prior P(y=1) for the label model"})
     tie_tol: float = field(default=0.01, metadata={
         "help": "skip transport when group accuracies are this close"})
-    l2: float = field(default=1e-4, metadata={
-        "help": "end-model L2 penalty"})
 
     def __post_init__(self):
-        # one loop for every float and int field: NaN passes the range
-        # checks below, and 2.5 or True would fail later as a TypeError
+        # one loop stores every float and int field as a Python float or
+        # int: NaN passes the range checks below, True or 2.5 would fail
+        # later as a TypeError, and a numpy float32 in writing the manifest
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value}")
+            if f.type == "float":
+                if type(value) is bool or not isinstance(value, numbers.Real):
+                    raise ValidationError(
+                        f"{f.name} must be a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, float(value))
             if f.type == "int":
                 object.__setattr__(self, f.name, require_count(f.name, value))
         if self.ot_type not in ("none", "linear", "sinkhorn"):
             raise ValidationError(f"unknown ot_type {self.ot_type!r}")
         if self.sinkhorn_eta <= 0:
             raise ValidationError("sinkhorn_eta must be positive")
-        if self.sinkhorn_tol <= 0:
-            raise ValidationError("sinkhorn_tol must be positive")
-        if not 0.0 < self.class_balance < 1.0:
-            raise ValidationError("class_balance must be in (0, 1)")
         if self.tie_tol < 0:
             raise ValidationError("tie_tol must be nonnegative")
-        if self.l2 < 0:
-            raise ValidationError("l2 must be nonnegative")
 
     to_dict = fields_dict
 

@@ -39,6 +39,7 @@ from .core import NumericalError, ValidationError, require_count
 
 _SYM_TOL = 1e-8
 _EIG_FLOOR = -1e-6
+SINKHORN_TOL = 1e-9  # sinkhorn_plan's default, and every pipeline run's
 # The cost's scale is the median of every stride-th entry: about
 # _MEDIAN_SAMPLE entries of a large cost, and every entry of one below
 # 2 * _MEDIAN_SAMPLE.
@@ -128,8 +129,8 @@ class SpectralSummary:
 
 def _check_symmetric(S: np.ndarray, what: str) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix")
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
+        raise ValidationError(f"{what} must be a non-empty square matrix")
     if not np.isfinite(S).all():
         raise ValidationError(f"{what} must be finite")
     scale = max(1.0, float(np.abs(S).max()))
@@ -185,6 +186,8 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
 
 
 def _pd_eig(S: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    if S.size == 0:
+        raise ValidationError(f"{what} is empty")
     w, Q = np.linalg.eigh(S)
     if w[0] <= 0 or w[0] < w[-1] * 1e-15:
         raise NumericalError(
@@ -237,7 +240,7 @@ def sinkhorn_plan(
     b: Optional[np.ndarray] = None,
     eta: float = 1.0,
     max_iter: int = 10,
-    tol: float = 1e-9,
+    tol: float = SINKHORN_TOL,
 ) -> TransportPlan:
     """Entropic transport plan by alternating row/column scaling.
 

@@ -661,10 +661,9 @@ def repair(ds: GroupedDataset, wl: WeakLabelMatrix, cfg: PipelineConfig,
         repaired = wl if passthrough else relabel.new_votes
     with _timed(timings, "label_model"):
         global_acc = triplet_accuracies(repaired)[0]
-        probs, hard = infer_pseudolabels(
-            fit_label_model(global_acc, cfg.class_balance), repaired)
+        probs, hard = infer_pseudolabels(fit_label_model(global_acc), repaired)
     with _timed(timings, "end_model"):
-        end_model = train_end_model(blind.features, probs, cfg.l2)
+        end_model = train_end_model(blind.features, probs)
         _, end_preds = predict(end_model, blind.features)
     return RunResult(group_acc, relabel, repaired, global_acc, probs, hard,
                      end_model, end_preds)

@@ -308,7 +308,7 @@ def _transported_sources(
     _require_squared_distances(X_src, X_dst)
     K = _kernel(X_src, X_dst, cfg.sinkhorn_eta)
     projected, plan = _sinkhorn_projection(
-        K, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, cfg.sinkhorn_tol)
+        K, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, ot.SINKHORN_TOL)
     if not plan.converged:
         logger.info(
             "sinkhorn stopped after %d rounds with marginal violation "

@@ -170,7 +170,9 @@ def test_run_unknown_config_key_is_input_error(tmp_path):
     ("knn_k=3\not_type linear", "config line 2: expected key=value"),
     ("sinkhorn_eta=0", "sinkhorn_eta must be positive"),
     ("sinkhorn_eta=-0.5", "sinkhorn_eta must be positive"),
-    ("sinkhorn_tol=0", "sinkhorn_tol must be positive"),
+    ("sinkhorn_tol=0", "config line 1: unknown key 'sinkhorn_tol'"),
+    ("class_balance=0.4", "config line 1: unknown key 'class_balance'"),
+    ("l2=1e-3", "config line 1: unknown key 'l2'"),
     ("covariance_ridge=1e-3", "config line 1: unknown key 'covariance_ridge'"),
     ("tie_tol=-0.1", "tie_tol must be nonnegative"),
     ("transport_scope=global", "config line 1: unknown key 'transport_scope'"),
@@ -189,10 +191,13 @@ def test_bad_config_file_is_one_input_error_line(tmp_path, capsys, text,
 
 
 # the linear map's ridge follows the features' variance, each LF takes
-# the direction of its own estimates, and every run trains the end model
+# the direction of its own estimates, every run trains the end model, and
+# a run takes the Sinkhorn tolerance, class prior and L2 penalty from the
+# defaults of sinkhorn_plan, fit_label_model and train_end_model
 @pytest.mark.parametrize("flag, value", [
     ("--covariance-ridge", "1e-3"), ("--transport-scope", "global"),
-    ("--end-model", "off")])
+    ("--end-model", "off"), ("--sinkhorn-tol", "1e-6"),
+    ("--class-balance", "0.4"), ("--l2", "1e-3")])
 def test_removed_config_flags_are_usage_errors(tmp_path, capsys, flag, value):
     _, _, features, votes = write_fixture(tmp_path, 30, seed=4)
     with pytest.raises(SystemExit) as err:
@@ -215,8 +220,7 @@ def test_run_bad_flag_value_names_the_flag(tmp_path, capsys):
 # one non-default value per PipelineConfig field
 NON_DEFAULT_CONFIG = {
     "ot_type": "sinkhorn", "knn_k": 3, "sinkhorn_eta": 0.5,
-    "sinkhorn_max_iter": 20, "sinkhorn_tol": 1e-6, "class_balance": 0.4,
-    "tie_tol": 0.05, "l2": 1e-3,
+    "sinkhorn_max_iter": 20, "tie_tol": 0.05,
 }
 
 

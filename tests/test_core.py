@@ -190,16 +190,21 @@ def test_config_rejects_bad_values():
         PipelineConfig(ot_type="exact")
     with pytest.raises(ValidationError):
         PipelineConfig(knn_k=0)
-    with pytest.raises(ValidationError):
-        PipelineConfig(class_balance=1.0)
     with pytest.raises(TypeError, match="end_model"):
         PipelineConfig(end_model=False)  # every run trains the end model
-    with pytest.raises(ValidationError, match="l2 must be nonnegative"):
-        PipelineConfig(l2=-1)
+    # a run takes these from sinkhorn_plan, fit_label_model, train_end_model
+    for name in ("sinkhorn_tol", "class_balance", "l2"):
+        with pytest.raises(TypeError, match=name):
+            PipelineConfig(**{name: 0.5})
+    # True used to be stored as is, and "0.1" raised a bare TypeError
+    for name in ("sinkhorn_eta", "tie_tol"):
+        for value in (True, np.bool_(False), "0.1", None, np.array([0.5])):
+            with pytest.raises(ValidationError,
+                               match=f"^{name} must be a number, got "):
+                PipelineConfig(**{name: value})
 
 
-FLOAT_FIELDS = ("sinkhorn_eta", "sinkhorn_tol", "class_balance", "tie_tol",
-                "l2")
+FLOAT_FIELDS = ("sinkhorn_eta", "tie_tol")
 
 
 def test_float_fields_listed():
@@ -213,6 +218,14 @@ def test_config_rejects_non_finite_floats(name, value):
     # NaN compares false, so a range check alone lets it through
     with pytest.raises(ValidationError, match=f"{name} must be finite"):
         PipelineConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), 1])
+def test_config_accepts_numpy_floats_as_float(name, value):
+    # a numpy float32 used to reach the manifest and fail json.dumps
+    stored = getattr(PipelineConfig(**{name: value}), name)
+    assert stored == value and type(stored) is float
 
 
 INT_FIELDS = ("knn_k", "sinkhorn_max_iter")

@@ -717,7 +717,14 @@ def test_spectral_effective_rank_bounds():
     (lambda: ot.MongeMap(np.eye(2), np.zeros(3)), ValidationError,
      "Monge map shapes are inconsistent"),
     (lambda: psd_sqrt(np.ones((2, 3))), ValidationError,
-     "psd_sqrt input must be a square matrix"),
+     "psd_sqrt input must be a non-empty square matrix"),
+    (lambda: psd_sqrt(np.zeros((0, 0))), ValidationError,
+     "psd_sqrt input must be a non-empty square matrix"),
+    (lambda: spectral_summary(np.zeros((0, 0))), ValidationError,
+     "spectral_summary input must be a non-empty square matrix"),
+    (lambda: linear_monge(fit_moments(np.zeros((5, 0))),
+                          fit_moments(np.zeros((5, 0)))),
+     ValidationError, "source covariance is empty"),
     (lambda: psd_sqrt([[np.nan]]), ValidationError,
      "psd_sqrt input must be finite"),
     (lambda: psd_sqrt([[np.inf]]), ValidationError,

@@ -226,9 +226,11 @@ def test_manifest_records_the_numeric_environment_outside_the_digest(
     from dataclasses import replace
 
     _, _, features, votes = write_fixture(tmp_path, 100, seed=2)
-    manifest = run_pipeline(PipelineConfig(), features, votes,
-                            str(tmp_path / "out"))
+    # a numpy float32 config value used to fail json.dumps here
+    cfg = PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=np.float32(0.5))
+    manifest = run_pipeline(cfg, features, votes, str(tmp_path / "out"))
     on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["config"]["sinkhorn_eta"] == 0.5
     assert on_disk["environment"] == {
         "numpy": np.__version__, "scipy": scipy.__version__,
         "cpus": core._workers()}

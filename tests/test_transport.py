@@ -540,7 +540,7 @@ def test_sinkhorn_transport_sharpens_with_smaller_eta():
     results = {}
     for eta in (1.0, 0.02):
         cfg = PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=eta,
-                             sinkhorn_max_iter=2000, sinkhorn_tol=1e-9)
+                             sinkhorn_max_iter=2000)
         moved = sbm_transport(blind, wl, est, cfg)
         results[eta] = lf_group_accuracy(
             moved.new_votes.votes[:, 0], y, groups, 1)
@@ -584,7 +584,7 @@ def test_sinkhorn_transport_matches_the_public_plan_and_projection(
                          sinkhorn_max_iter=max_iter)
     public = barycentric_map(
         sinkhorn_plan(cdist(X_src, X_dst, "sqeuclidean"), eta=eta,
-                      max_iter=max_iter, tol=cfg.sinkhorn_tol),
+                      max_iter=max_iter),
         X_dst)
     got = transport._transported_sources(X_src, X_dst, cfg)
     dtype = transport._kernel(X_src, X_dst, eta).dtype
