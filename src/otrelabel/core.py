@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -91,6 +93,26 @@ def _workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+@contextmanager
+def fan_out():
+    """``(workers, each)`` for a ``with`` block: ``each(fn, n)`` calls
+    ``fn(worker, i)`` for every i < n on up to :func:`_workers` workers,
+    the calling thread (0) and helper threads (none for one worker), each
+    taking the next i; it returns once all have, or raises their error."""
+    workers = _workers()
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        def each(fn, n):
+            left = iter(range(n))  # next() is atomic under the GIL
+            def run(worker):
+                for i in left:
+                    fn(worker, i)
+            helpers = [pool.submit(run, w) for w in range(1, min(workers, n))]
+            run(0)
+            for helper in helpers:
+                helper.result()
+        yield workers, each
 
 
 def require_count(name: str, value) -> int:

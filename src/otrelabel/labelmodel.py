@@ -203,7 +203,7 @@ def train_end_model(
         raise ValidationError("pseudo_probs length must match X rows")
     if not np.all((t >= 0) & (t <= 1)):  # NaN too
         raise ValidationError("pseudo_probs must lie in [0, 1]")
-    if not 0 <= l2 < math.inf:  # NaN too
+    if type(l2) is bool or not 0 <= l2 < math.inf:  # NaN too
         raise ValidationError("bad training hyperparameters")
     lo, hi = X.min(axis=0), X.max(axis=0)  # NaN propagates
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

@@ -20,15 +20,14 @@ before the kernel.  One private core scales a built K, float64 or
 float32, by row blocks on every CPU in the affinity set.  Public
 ``sinkhorn_plan`` builds K in float64 in a fresh buffer, so M is never
 written and a run holds M plus the plan.  The transport stage builds K
-from the features by row blocks, so no cost matrix exists, and reads the
-projection from K and the scalings without forming the plan: one buffer
-in all.
+from the features by row blocks on every CPU too, so no cost matrix
+exists, and reads the projection from K and the scalings without
+forming the plan: one buffer in all.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -275,8 +274,9 @@ def sinkhorn_plan(
     if abs(a.sum() - 1.0) > 1e-8 or abs(b.sum() - 1.0) > 1e-8:
         raise ValidationError("marginals must each sum to 1")
     max_iter = require_count("max_iter", max_iter)
-    if not (0 < eta < np.inf and 0 < tol < np.inf):
-        raise ValidationError("eta and tol must be positive and finite")
+    if type(eta) is bool or type(tol) is bool \
+            or not (0 < eta < np.inf and 0 < tol < np.inf):
+        raise ValidationError("eta and tol must be positive, finite numbers")
     T = np.divide(M, _scale(M.flat[::_sample_stride(M.size)], M),
                   out=np.empty_like(M))
     np.divide(T, -eta, out=T)  # -(M / eta) bit for bit: rounding is
@@ -310,12 +310,11 @@ def _sinkhorn(K, a, b, max_iter, tol):
     """The scaling of :func:`sinkhorn_plan` on checked arguments and a
     built kernel ``K``, float64 or float32, which is not written.  A sweep
     takes Kv = K v, the u step from a / Kv and u K by row blocks of
-    ``_BLOCK_BYTES``, claimed one at a time by the calling thread and
-    :func:`core._workers` - 1 helpers; the v step from b / (u K) sums the
-    blocks in order, in float64.  The products run in K's dtype, u and v
-    cast to it each round; the scalings and violations are float64.
-    (u, v)'s violation, the worse of |u Kv - a| and |v (u K) - b|, is read
-    from the next sweep's Kv and the last u K.
+    ``_BLOCK_BYTES`` on :func:`core.fan_out`'s workers; the v step from
+    b / (u K) sums the blocks in order, in float64.  The products run in
+    K's dtype, u and v cast to it each round; the scalings and violations
+    are float64.  (u, v)'s violation, the worse of |u Kv - a| and
+    |v (u K) - b|, is read from the next sweep's Kv and the last u K.
 
     The steps are over-relaxed (Thibault, Chizat, Dossal & Papadakis,
     Algorithms 2021): each scaling is its plain value times (plain /
@@ -332,36 +331,25 @@ def _sinkhorn(K, a, b, max_iter, tol):
     n_src, n_dst = K.shape
     step = max(1, _BLOCK_BYTES // (K.itemsize * n_dst))
     blocks = [slice(s, s + step) for s in range(0, n_src, step)]
-    workers = min(core._workers(), len(blocks))
     Kv, sums = np.empty(n_src, K.dtype), np.empty((len(blocks), n_dst),
                                                   K.dtype)
 
-    def sweep(i, rows):
+    def sweep(_, i):
+        rows = blocks[i]
         if not np.matmul(K[rows], v_k, out=Kv[rows]).all():
             raise NumericalError(_UNDERFLOW)
         if iterations < max_iter:
             u_k = _relaxed(a[rows], Kv[rows], u[rows], w, out=u_next[rows])
             np.matmul(u_k.astype(K.dtype, copy=False), K[rows], out=sums[i])
 
-    # a pool starts its threads on its first task: none for one worker
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        def each(fn):
-            left = iter(range(len(blocks)))  # next() is atomic under the GIL
-            def run():
-                for i in left:
-                    fn(i, blocks[i])
-            helpers = [pool.submit(run) for _ in range(workers - 1)]
-            run()
-            for helper in helpers:
-                helper.result()
-
+    with core.fan_out() as (_, each):
         u, v, iterations = np.ones(n_src), np.ones(n_dst), 0
         omega, warm = 1.0, True  # warm: omega not yet read from the rate
         lowest, stalled, last, rate = math.inf, 0, math.nan, math.nan
         while True:
             u_next, w = np.empty(n_src), omega
             v_k = v.astype(K.dtype, copy=False)
-            each(sweep)
+            each(sweep, len(blocks))
             if iterations:
                 violation = max(float(np.abs(u * Kv - a).max()),
                                 float(np.abs(v * col_sums - b).max()))
@@ -444,6 +432,7 @@ def _sinkhorn_projection(
     u, v, Kv, violation, iterations = _sinkhorn(K, a, b, max_iter, tol)
     vX = v[:, None] * X_dst
     projected = np.empty((n_src, X_dst.shape[1]))
+    # one thread, fixed blocks: BLAS's last bits vary with a block's height
     for rows in ([slice(None)] if K.dtype == np.float64
                  else core.row_blocks(n_src, 8 * n_dst)):
         np.matmul(K[rows].astype(np.float64, copy=False), vX,

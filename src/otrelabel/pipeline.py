@@ -159,9 +159,10 @@ def _line_blocks(fh: BinaryIO, sha) -> Iterator[bytes]:
     while block:
         sha.update(block)
         yield block
-        block = fh.read(step)
-        if not block.endswith(b"\n"):
-            block += fh.readline()
+        start = fh.tell()  # the block ends with the line of its step-th byte
+        end = fh.seek(step - 1, os.SEEK_CUR) + len(fh.readline())
+        fh.seek(start)
+        block = fh.read(end - start)  # one read, and no copy to complete it
 
 
 def _load(path: str, role: str, digests: Optional[dict[str, str]],

@@ -10,20 +10,20 @@ Neighbours are searched in a KD-tree on the destination rows at up to
 ``_TREE_MAX_D`` dimensions.  Each distinct row the tree cannot prove, and
 each above, is ranked once by ``cdist`` in row blocks within
 ``core.ROW_BLOCK_BYTES``, so the neighbours never depend on the search.
-Both tree searches, like the Sinkhorn scaling, run on every CPU in the
-process's affinity set; each query row is searched on its own, so the
-result never depends on that count, and ``taskset -c 0`` pins both to
-one CPU.  Points whose squared distances overflow are refused first: they
-would rank as ties.
+Both tree searches, like the Sinkhorn kernel's build and scaling, run on
+every CPU in the process's affinity set; each query row is searched on
+its own, so the result never depends on that count, and ``taskset -c 0``
+pins them all to one CPU.  Points whose squared distances overflow are
+refused first: they would rank as ties.
 
 Sinkhorn transport holds one dense n_src x n_dst buffer, the kernel K,
 which the projection reads with the scalings.  The cost's scale is the
 median of a strided sample computed from its row pairs; K is then built
-by row blocks, each squared-Euclidean cost block computed by ``cdist``
-into one scratch block, so no cost matrix exists.  K is float32 when
-every entry is a normal float32, else float64.  When a buffer is larger
-than physical memory, or cannot be allocated, the error names its dtype
-and size before it is written.
+by row blocks on every CPU, each squared-Euclidean cost block computed
+by ``cdist`` into its worker's scratch block, so no cost matrix exists.
+K is float32 when every entry is a normal float32, else float64.  When a
+buffer is larger than physical memory, or cannot be allocated, the error
+names its dtype and size before it is written.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ logger = logging.getLogger("otrelabel")
 # Provisional, set from one-core probes on Gaussian rows only: at 6k x 6k,
 # 1-NN, d = 10 tree 289 ms vs scan 327 ms, d = 12 487 vs 341; at 50k x 50k
 # the tree still wins at d = 12 (1-NN 19.0 s vs 28.7 s), so the crossover
-# rises with n_dst.  The tree searches on core._workers() threads while
-# the scan's cdist holds the GIL (two threads scanning halves at d = 16,
-# 6k x 6k: 378 -> 355 ms), so on more than one CPU the crossover is at
-# least this high.  Re-tune once a workload runs transport above d = 10.
+# rises with n_dst.  The tree searches on core._workers() threads, the
+# scan on one (cdist releases the GIL, but two threads scanning halves at
+# d = 16, 6k x 6k, took 378 -> 355 ms), so on more CPUs the crossover is
+# at least this high.  Re-tune once a workload runs transport above d = 10.
 _TREE_MAX_D = 10
 # A tree ranking is trusted only across gaps wider than this margin.  The
 # relative part is some 10**3 times the rounding difference between the
@@ -320,13 +320,14 @@ def _transported_sources(
 def _kernel(X_src: np.ndarray, X_dst: np.ndarray, eta: float) -> np.ndarray:
     """The Sinkhorn kernel exp(-(M / scale) / eta) of the squared-Euclidean
     cost M between X_src's and X_dst's rows, built by ``core.row_blocks``
-    row blocks of M, each computed by ``cdist`` into one scratch block.
-    The scale is :func:`ot._scale` of ``M.flat[::stride]``, summed from
-    its row pairs in ``cdist``'s order, so bit for bit.  K is float32 when
-    every exponent is at least log(float32 tiny), so that every entry is a
-    normal float32; at the first block that falls short it is freed and
-    rebuilt in float64.  Each buffer's bytes are checked against physical
-    memory before it is allocated."""
+    row blocks of M on :func:`core.fan_out`'s workers, each computed by
+    ``cdist`` into its worker's scratch block.  The scale is
+    :func:`ot._scale` of ``M.flat[::stride]``, summed from its row pairs in
+    ``cdist``'s order, so bit for bit.  K is float32 when every exponent
+    is at least log(float32 tiny), so that every entry is a normal
+    float32; a block that falls short stops every worker, and K is freed
+    and rebuilt in float64.  Each buffer's bytes are checked against
+    physical memory before it is allocated."""
     n_src, n_dst = X_src.shape[0], X_dst.shape[0]
     size = n_src * n_dst
     pairs = np.divmod(np.arange(0, size, ot._sample_stride(size)), n_dst)
@@ -336,34 +337,41 @@ def _kernel(X_src: np.ndarray, X_dst: np.ndarray, eta: float) -> np.ndarray:
         sample += diff * diff
     scale = ot._scale(sample, sample)
     del pairs, sample, diff
-    blocks = core.row_blocks(n_src, 8 * n_dst)
-    scratch = np.empty((min(blocks[0].stop, n_src), n_dst))
-    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-        need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one "
-                f"dense {dtype} buffer of {dtype.itemsize * size} bytes")
-        fix = "; ot_type=linear needs no dense buffer"
-        memory = _physical_memory()
-        if dtype.itemsize * size > memory:
-            raise ValidationError(
-                f"{need}, more than the {memory} bytes of physical "
-                f"memory{fix}")
-        try:
-            K = np.empty((n_src, n_dst), dtype)
-        except MemoryError:
-            raise ValidationError(
-                f"{need}, which could not be allocated{fix}") from None
-        for rows in blocks:
-            src = X_src[rows]
-            block = scratch[:len(src)]
+    with core.fan_out() as (workers, each):
+        blocks = core.row_blocks(n_src, 8 * n_dst * workers)
+        # a scratch block a worker, together within ROW_BLOCK_BYTES
+        scratch = np.empty((workers, min(blocks[0].stop, n_src), n_dst))
+        def build(worker, i):
+            if short:
+                return
+            src = X_src[blocks[i]]
+            block = scratch[worker, :len(src)]
             cdist(src, X_dst, "sqeuclidean", out=block)
             np.divide(block, scale, out=block)
             np.divide(block, -eta, out=block)  # as sinkhorn_plan does
             if dtype == np.float32 and block.min() < _LOG_TINY32:
-                break
-            np.exp(block, out=K[rows])
-        else:
-            return K
-        del K  # before the float64 buffer
+                short.append(i)
+            else:
+                np.exp(block, out=K[blocks[i]])
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one "
+                    f"dense {dtype} buffer of {dtype.itemsize * size} bytes")
+            fix = "; ot_type=linear needs no dense buffer"
+            memory = _physical_memory()
+            if dtype.itemsize * size > memory:
+                raise ValidationError(
+                    f"{need}, more than the {memory} bytes of physical "
+                    f"memory{fix}")
+            try:
+                K = np.empty((n_src, n_dst), dtype)
+            except MemoryError:
+                raise ValidationError(
+                    f"{need}, which could not be allocated{fix}") from None
+            short = []  # a block past float32's range stops every worker
+            each(build, len(blocks))
+            if not short:
+                return K
+            del K  # every worker has stopped: before the float64 buffer
 
 
 def sbm_transport(

@@ -2,6 +2,7 @@
 by the inputs and outputs plus a few blocks."""
 
 import codecs
+import hashlib
 import json
 import math
 import tracemalloc
@@ -201,17 +202,21 @@ def test_knn_transfer_in_blocks_equals_one_block(monkeypatch, k,
     assert np.array_equal(whole, expected)
 
 
+@pytest.mark.parametrize("workers,heights", [(1, [8, 8, 8, 1]),
+                                             (3, [2] * 12 + [1])])
 @pytest.mark.parametrize("eta,dtype", [(1.0, np.float32),
                                        (0.05, np.float64)])
-def test_sinkhorn_kernel_in_blocks_equals_one_block(monkeypatch, eta, dtype,
-                                                    recorded_blocks):
-    # 8 rows a block build the kernel in blocks of 8, 8, 8 and 1; at eta
-    # 0.05 a block is past float32's range and the kernel is rebuilt
+def test_sinkhorn_kernel_in_blocks_equals_one_block(
+        monkeypatch, eta, dtype, workers, heights, recorded_blocks):
+    # a budget of 8 rows builds the kernel in blocks of 8, 8, 8 and 1 on
+    # one worker, and of 2 rows on each of 3; at eta 0.05 a block is past
+    # float32's range and the kernel is rebuilt
+    monkeypatch.setattr(core, "_workers", lambda: workers)
     rng = np.random.default_rng(13)
     X_src, X_dst = rng.normal(size=(N, 3)), rng.normal(size=(40, 3)) + 0.5
     blocked, whole = blocked_and_whole(
         monkeypatch, lambda: transport._kernel(X_src, X_dst, eta), 8 * 8 * 40)
-    assert recorded_blocks == [(N, [8, 8, 8, 1]), (N, [N])]
+    assert recorded_blocks == [(N, heights), (N, [N])]
     assert blocked.dtype == whole.dtype == dtype
     assert np.array_equal(blocked, whole)
 
@@ -317,6 +322,30 @@ def test_a_byte_that_is_not_utf8_in_the_last_block_is_named(
         f"{path}: byte {offset} (0xff) is not UTF-8: invalid start byte")
 
 
+@pytest.mark.parametrize("end", [b"", b"\n"])
+def test_line_blocks_run_to_the_end_of_their_last_byte_s_line(
+        monkeypatch, tmp_path, end):
+    # 16-byte blocks: lines that end on, before and past a block's last
+    # byte, a line longer than a block, and a last line with and without
+    # its line end
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 16)
+    data = b"\n".join([b"h,h", b"1", b"22", b"x" * 40, b"333", b"4" * 15,
+                       b"5" * 14, b"6" * 16, b"7"]) + end
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        blocks = list(pipeline._line_blocks(fh, sha))
+    assert blocks[0] == b"h,h\n"
+    assert b"".join(blocks) == data
+    assert sha.hexdigest() == hashlib.sha256(data).hexdigest()
+    start = len(blocks[0])
+    for block in blocks[1:]:
+        stop = data.find(b"\n", start + 15) + 1 or len(data)
+        assert block == data[start:stop]
+        start = stop
+
+
 @pytest.fixture(scope="module", params=[4000, 32000])
 def streamed_inputs(request, tmp_path_factory):
     """Features and votes lines of n rows, n a factor 8 apart, with the
@@ -330,8 +359,9 @@ def streamed_inputs(request, tmp_path_factory):
 @pytest.mark.parametrize("framing", list(FRAMINGS))
 def test_loaders_peak_at_their_output_plus_a_few_blocks(
         tmp_path, streamed_inputs, framing):
-    # neither loader holds its file: each block of lines is parsed and
-    # appended to an output that grows in place, whatever the file's size
+    # neither loader holds its file: each block of lines is read once, in
+    # place, then parsed and appended to an output that grows in place,
+    # whatever the file's size (3.5 blocks at most were measured)
     f_lines, x, v_lines, votes = streamed_inputs
     features, votes_path = tmp_path / "f.csv", tmp_path / "v.csv"
     write_framed(features, f_lines, framing)
@@ -340,11 +370,11 @@ def test_loaders_peak_at_their_output_plus_a_few_blocks(
     assert np.array_equal(ds.features, x)
     output = ds.features.nbytes + ds.groups.nbytes + ds.labels.nbytes
     assert features.stat().st_size > output
-    assert peak <= output + 5 * core.ROW_BLOCK_BYTES
+    assert peak <= output + 4 * core.ROW_BLOCK_BYTES
     wl, peak = traced_peak(lambda: load_votes_csv(str(votes_path)))
     assert np.array_equal(wl.votes, votes)
     assert votes_path.stat().st_size > 2 * wl.votes.nbytes
-    assert peak <= wl.votes.nbytes + 5 * core.ROW_BLOCK_BYTES
+    assert peak <= wl.votes.nbytes + 4 * core.ROW_BLOCK_BYTES
 
 
 # --------------------------------------------------------------------------

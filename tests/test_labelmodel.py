@@ -627,6 +627,8 @@ def test_non_finite_hyperparameters_rejected(value, name):
      "X must be a non-empty 2-D matrix"),
     (lambda: train_end_model(np.zeros((3, 2)), np.full(2, 0.5)),
      "pseudo_probs length must match X rows"),
+    (lambda: train_end_model(np.zeros((3, 2)), np.full(3, 0.5), l2=True),
+     "bad training hyperparameters"),
     (lambda: predict(labelmodel.EndModel(np.array([1.0, 0.0]), {}),
                      [[np.nan]]), "X must be finite"),
     (lambda: predict(labelmodel.EndModel(np.array([1.0, 0.0]), {}),

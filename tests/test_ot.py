@@ -743,6 +743,10 @@ def test_spectral_effective_rank_bounds():
      "cost matrix must be 2-D"),
     (lambda: sinkhorn_plan(np.ones((2, 3)), a=np.full(3, 1 / 3)),
      ValidationError, "marginal shapes do not match the cost matrix"),
+    (lambda: sinkhorn_plan(np.ones((2, 2)), eta=True), ValidationError,
+     "eta and tol must be positive, finite numbers"),
+    (lambda: sinkhorn_plan(np.ones((2, 2)), tol=True), ValidationError,
+     "eta and tol must be positive, finite numbers"),
     (lambda: barycentric_map(sinkhorn_plan(np.ones((2, 3))),
                              np.zeros((2, 1))),
      ValidationError, "X_dst must have 3 rows, got (2, 1)"),

@@ -821,10 +821,10 @@ def test_pipeline_bytes_do_not_depend_on_workers(
             for p in ("votes_repaired.csv", "pseudolabels.csv",
                       "fairness.json")})
     assert blobs[0] == blobs[1] == blobs[2]
-    # the tree search, and the Sinkhorn sweeps, took the pinned count,
-    # and transport moved votes
+    # the tree search, and the pool that builds the Sinkhorn kernel and
+    # sweeps it, took the pinned count, and transport moved votes
     assert callers == {"otrelabel.transport"} | (
-        {"otrelabel.ot"} if ot_type == "sinkhorn" else set())
+        {"otrelabel.core"} if ot_type == "sinkhorn" else set())
     with open(votes, "rb") as fh:
         assert blobs[0]["votes_repaired.csv"] != fh.read()
 

@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -658,7 +660,9 @@ def test_the_kernel_is_float32_only_inside_its_normal_range(side, dtype):
         assert np.array_equal(K, public.astype(np.float32))
 
 
-def test_the_float64_fallback_holds_one_dense_buffer():
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_float64_fallback_holds_one_dense_buffer(monkeypatch, workers):
+    monkeypatch.setattr(core, "_workers", lambda: workers)
     rng = np.random.default_rng(12)
     X_src = rng.normal(size=(1000, 3))
     X_dst = rng.normal(size=(800, 3)) + 1.0
@@ -667,6 +671,118 @@ def test_the_float64_fallback_holds_one_dense_buffer():
                        PipelineConfig(ot_type="sinkhorn", sinkhorn_eta=0.05))
     # the float32 kernel is freed before the float64 one is allocated
     assert peak <= 1.15 * 8 * 1000 * 800
+
+
+def pooled_kernels(monkeypatch, X_src, X_dst, eta, workers=(1, 2, 3)):
+    """``_kernel`` at each worker count, in blocks of 3 rows a worker,
+    with threads switching as often as they can."""
+    kernels = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in workers:
+            monkeypatch.setattr(core, "ROW_BLOCK_BYTES",
+                                count * 3 * 8 * X_dst.shape[0])
+            monkeypatch.setattr(core, "_workers", lambda: count)
+            kernels.append(transport._kernel(X_src, X_dst, eta))
+    finally:
+        sys.setswitchinterval(interval)
+    return kernels
+
+
+@pytest.mark.parametrize("eta,dtype", [(1.0, np.float32),
+                                       (0.01, np.float64)])
+def test_the_kernel_does_not_depend_on_the_worker_count(monkeypatch, eta,
+                                                        dtype):
+    X_src, X_dst = sinkhorn_k5_groups(3, 300)
+    kernels = pooled_kernels(monkeypatch, X_src, X_dst, eta)
+    for K in kernels:
+        assert K.dtype == dtype
+        assert np.array_equal(K, kernels[0])
+
+
+def test_each_worker_builds_in_its_own_scratch_block(monkeypatch):
+    # each helper waits in its first block until the calling thread has
+    # taken one, so all three workers build
+    X_src, X_dst = sinkhorn_k5_groups(7, 100)
+    buffers = {}
+    started = threading.Event()
+
+    def recording(XA, XB, metric, out):
+        thread = threading.current_thread()
+        if thread is threading.main_thread():
+            started.set()
+        else:
+            started.wait(10.0)
+        buffers.setdefault(thread, set()).add(out.ctypes.data)
+        return cdist(XA, XB, metric, out=out)
+
+    monkeypatch.setattr(transport, "cdist", recording)
+    pooled_kernels(monkeypatch, X_src, X_dst, 1.0, workers=[3])
+    assert len(buffers) == 3
+    assert all(len(starts) == 1 for starts in buffers.values())
+    assert len(set.union(*buffers.values())) == 3
+
+
+def test_a_helper_s_block_past_float32_s_range_rebuilds_the_kernel(
+        monkeypatch):
+    # only the last source row's exponents are past float32's range.  Each
+    # helper waits in its first block until the calling thread has taken
+    # one, which waits in it until the last block is built: by a helper
+    X_src, X_dst = sinkhorn_k5_groups(4, 100)
+    X_src[-1] += 100.0
+    last = {}
+    started, built = threading.Event(), threading.Event()
+
+    def recording(XA, XB, metric, out):
+        if threading.current_thread() is threading.main_thread():
+            started.set()
+            built.wait(10.0)
+        else:
+            started.wait(10.0)
+        result = cdist(XA, XB, metric, out=out)
+        if np.array_equal(XA[-1], X_src[-1]):
+            last.setdefault("thread", threading.current_thread())
+            built.set()
+        return result
+
+    monkeypatch.setattr(transport, "cdist", recording)
+    pooled = pooled_kernels(monkeypatch, X_src, X_dst, 0.5, workers=[3])[0]
+    assert last["thread"] is not threading.main_thread()
+    monkeypatch.setattr(transport, "cdist", cdist)
+    one = pooled_kernels(monkeypatch, X_src, X_dst, 0.5, workers=[1])[0]
+    assert pooled.dtype == one.dtype == np.float64
+    assert np.array_equal(pooled, one)
+
+
+def test_an_error_in_a_helper_s_block_surfaces_and_its_threads_end(
+        monkeypatch):
+    X_src, X_dst = sinkhorn_k5_groups(5, 60)
+    started = threading.Event()
+
+    def failing(XA, XB, metric, out):
+        if threading.current_thread() is threading.main_thread():
+            started.wait(10.0)  # until a helper has taken a block
+            return cdist(XA, XB, metric, out=out)
+        started.set()
+        raise RuntimeError("helper block")
+
+    threads = threading.active_count()
+    monkeypatch.setattr(transport, "cdist", failing)
+    with pytest.raises(RuntimeError, match="helper block"):
+        pooled_kernels(monkeypatch, X_src, X_dst, 1.0, workers=[3])
+    assert threading.active_count() == threads
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def refused(thread):
+        raise AssertionError(f"{thread} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    X_src, X_dst = sinkhorn_k5_groups(6, 60)
+    # the float64 rebuild too
+    assert [pooled_kernels(monkeypatch, X_src, X_dst, eta, workers=[1])[0]
+            .dtype for eta in (1.0, 0.01)] == [np.float32, np.float64]
 
 
 @pytest.mark.parametrize("d", range(1, 17))
