@@ -184,7 +184,7 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (wl.m,):
         raise ValidationError("magnitude vector length must equal m")
-    if np.any(raw < 0) or np.any(raw > 1 + 1e-12):
+    if not ((raw >= 0) & (raw <= 1 + 1e-12)).all():  # NaN too
         raise ValidationError("magnitudes must lie in [0, 1]")
     majority = np.sign(wl.votes.sum(axis=1))
     # integer products by row block, which stays in cache

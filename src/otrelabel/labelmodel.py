@@ -95,7 +95,7 @@ def fit_label_model(
     a = np.asarray(accuracies, dtype=np.float64)
     if a.ndim != 1:
         raise ValidationError("accuracies must be 1-D")
-    if np.any(np.abs(a) > 1 + 1e-12):
+    if not (np.abs(a) <= 1 + 1e-12).all():  # NaN too
         raise ValidationError("accuracy estimates must lie in [-1, 1]")
     if not 0.0 < class_balance < 1.0:
         raise ValidationError("class_balance must be in (0, 1)")

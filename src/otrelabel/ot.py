@@ -221,6 +221,8 @@ def apply_monge(map_: MongeMap, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != map_.d:
         raise ValidationError(
             f"X must be n x {map_.d} to apply this map, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValidationError("X must be finite")
     return X @ map_.A.T + map_.b
 
 
@@ -408,7 +410,7 @@ def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"X_dst must have {plan.T.shape[1]} rows, got {X_dst.shape}")
     row_sums = plan.T.sum(axis=1)
-    if np.any(row_sums <= 0):
+    if not (row_sums > 0).all():  # NaN too
         raise NumericalError("transport plan has a zero row sum")
     return (plan.T @ X_dst) / row_sums[:, None]
 

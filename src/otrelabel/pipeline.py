@@ -19,10 +19,12 @@ Both: an optional UTF-8 BOM, LF, CRLF or CR line ends, csv quoting, and
 whitespace around any cell or header name.  Every row has the header's
 width and no line is blank.  Each CSV is opened once and read in blocks
 of whole lines, every byte hashed as it is read, so a run digests the
-bytes it parsed.  Plain files (ASCII body, no quotes, canonical
-spellings, as :func:`write_votes_csv` writes) are parsed block by block,
-a byte pass for votes, numpy's C reader plus a spelling check for
-features, into an output that grows in place; any other file, or one
+bytes it parsed: features blocks of about ``core.ROW_BLOCK_BYTES``, votes
+blocks of 1/16 of that, since the votes' byte pass holds up to 16
+temporary bytes an input byte.  Plain files (ASCII body, no quotes,
+canonical spellings, as :func:`write_votes_csv` writes) are parsed block
+by block, a byte pass for votes, numpy's C reader plus a spelling check
+for features, into an output that grows in place; any other file, or one
 with a block that is not plain, is read again from its start through
 the same handle and takes an exact cell-by-cell pass that reports each
 bad cell on its own line, up to ``MAX_CELL_ERRORS`` lines plus a count
@@ -148,13 +150,15 @@ def _read(path: str) -> Iterator[BinaryIO]:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
 
 
-def _line_blocks(fh: BinaryIO, sha) -> Iterator[bytes]:
+def _line_blocks(fh: BinaryIO, sha, row_bytes: int) -> Iterator[bytes]:
     """The open file ``fh``'s first line, then the rest of it in blocks of
-    whole lines of about ROW_BLOCK_BYTES (a longer line is a block of its
-    own), each fed to the hash ``sha`` as it is read.  Only the last block
-    can lack a line end."""
+    whole lines of about ROW_BLOCK_BYTES // ``row_bytes`` bytes, ``row_bytes``
+    being a parse's temporary bytes per input byte (a longer line is a block
+    of its own), each fed to the hash ``sha`` as it is read.  Only the last
+    block can lack a line end."""
     # read(n) allocates n bytes before it reads
-    step = max(1, min(core.ROW_BLOCK_BYTES, os.fstat(fh.fileno()).st_size))
+    step = max(1, min(core.ROW_BLOCK_BYTES // row_bytes,
+                      os.fstat(fh.fileno()).st_size))
     block = fh.readline()
     while block:
         sha.update(block)
@@ -166,21 +170,22 @@ def _line_blocks(fh: BinaryIO, sha) -> Iterator[bytes]:
 
 
 def _load(path: str, role: str, digests: Optional[dict[str, str]],
-          plain: Callable, exact: Callable):
+          row_bytes: int, plain: Callable, exact: Callable):
     """What the input file ``path`` holds, parsed from one open handle.
 
     When its first line is a plain header (:func:`_plain_header`) and a body
     follows, ``plain(header, blocks)`` gets the header's names and an
-    iterator over the body's blocks of lines.  When it returns None (for a
-    block or header that is not plain) or is not called, the file is read
-    again from its start and ``exact(header, rows)`` gets what
+    iterator over the body's blocks of lines, cut for ``row_bytes``
+    temporary bytes per input byte (:func:`_line_blocks`).  When it returns
+    None (for a block or header that is not plain) or is not called, the
+    file is read again from its start and ``exact(header, rows)`` gets what
     :func:`_read_rows` reads from all of it, so every error is the exact
     pass's.  The SHA-256 of the bytes the value was parsed from joins
     ``digests``, if given, under ``role``.
     """
     sha = hashlib.sha256()
     with _read(path) as fh:
-        blocks = _line_blocks(fh, sha)
+        blocks = _line_blocks(fh, sha, row_bytes)
         header = _plain_header(next(blocks, b""))
         start = next(blocks, b"") if header else b""
         value = plain(header, chain([start], blocks)) if start else None
@@ -296,48 +301,36 @@ def _plain_table(data: bytes, header: list[str], features: list[str],
     return table if len(table) == n_lines \
         and data.count(b",") == n_lines * (len(header) - 1) \
         and np.isfinite(table["x"]).all() \
-        and np.isin(table["group"], [b"0", b"1"]).all() \
+        and np.isin(table["group"], np.array([*_GROUPS], "S3")).all() \
         and (len(text) == 1
-             or np.isin(table["label"], [b"-1", b"1", b"+1"]).all()) \
+             or np.isin(table["label"], np.array([*_LABELS], "S3")).all()) \
         else None
 
 
 def _plain_votes(data: bytes, m: int) -> Optional[np.ndarray]:
     """The n x m votes of a plain block of body lines ``data`` whose every
-    cell is ``-1``, ``0`` or ``1`` then its column's separator, else None.
-    Sub-blocks of whole lines are parsed into one array: once every ``-``
-    is seen to precede a ``1``, dropping those ``1`` bytes leaves one byte
-    per cell."""
+    cell is ``-1``, ``0`` or ``1`` then its column's separator, else None:
+    once every ``-`` is seen to precede a ``1``, dropping those ``1`` bytes
+    leaves one byte per cell.  Its blocks are 1/16 of ROW_BLOCK_BYTES, as
+    it holds at most 16 temporary bytes a byte: 8 the lookup's index, 1 a
+    CRLF copy."""
     if not _plain_bytes(data):
         return None
-    votes = np.empty((data.count(b"\n") + (not data.endswith(b"\n")), m),
-                     np.int8)
+    a = np.frombuffer(data, np.uint8)
+    if b"\r" in data:
+        a = a[a != ord("\r")]  # CRLF: each \r precedes a \n
+    if a[-1] != ord("\n"):  # the last line, without its line end
+        a = np.append(a, np.uint8(ord("\n")))
+    minus = a[:-1] == ord("-")
+    cells = a[np.concatenate(([True], ~minus))]  # never empty: ends in \n
+    if (minus & (a[1:] != ord("1"))).any() or len(cells) % (2 * m):
+        return None  # "-0" too, which the exact pass reports
+    cells = cells.reshape(-1, m, 2)
     sep = np.frombuffer(b"," * (m - 1) + b"\n", np.uint8)
-    row, start = 0, 0
-    # at most 16 temporary bytes a byte: 8 the lookup's index, 1 a CRLF copy
-    for block in row_blocks(len(data), 16):
-        stop = min(block.stop, len(data))
-        if start >= stop:
-            continue  # the lines of the block before ran past this one
-        end = data.find(b"\n", stop - 1) + 1 or len(data)
-        a = np.frombuffer(data, np.uint8, end - start, start)
-        if data.find(b"\r", start, end) >= 0:
-            a = a[a != ord("\r")]  # CRLF: each \r precedes a \n
-        if a[-1] != ord("\n"):  # the last line, without its line end
-            a = np.append(a, np.uint8(ord("\n")))
-        minus = a[:-1] == ord("-")
-        cells = a[np.concatenate(([True], ~minus))]  # never empty: ends in \n
-        if (minus & (a[1:] != ord("1"))).any() or len(cells) % (2 * m):
-            return None  # "-0" too, which the exact pass reports
-        cells = cells.reshape(-1, m, 2)
-        if (cells[..., 1] != sep).any():
-            return None
-        out = votes[row:row + len(cells)]
-        np.take(_BYTE_VOTE, cells[..., 0], out=out)
-        if (out > 1).any():
-            return None
-        row, start = row + len(cells), end
-    return votes
+    if (cells[..., 1] != sep).any():
+        return None
+    votes = np.take(_BYTE_VOTE, cells[..., 0])
+    return None if (votes > 1).any() else votes
 
 
 def _parse_cells(path: str, rows: list[list[str]], columns: list[tuple],
@@ -450,7 +443,7 @@ def load_features_csv(
         return GroupedDataset(features, values[:, d],
                               values[:, d + 1] if len(text) == 2 else None)
 
-    return _load(path, "features", digests, plain, exact)
+    return _load(path, "features", digests, 1, plain, exact)
 
 
 def load_votes_csv(
@@ -483,7 +476,7 @@ def load_votes_csv(
         return WeakLabelMatrix(_parse_cells(
             path, _require_width(path, header, rows), columns, np.int8))
 
-    return _load(path, "votes", digests, plain, exact)
+    return _load(path, "votes", digests, 16, plain, exact)
 
 
 def read_raw_csv(path: str) -> dict[str, list[str]]:

@@ -62,7 +62,7 @@ class SyntheticModel:
     group1: MongeMap
 
     def __post_init__(self):
-        if self.theta0 < 0:
+        if not self.theta0 >= 0:  # NaN too
             raise ValidationError("theta0 must be nonnegative")
         if self.group1.d != self.dim:
             raise ValidationError("group transform dimension mismatch")
@@ -192,7 +192,7 @@ def lipschitz_check(
 
 
 def _require_spd(A: np.ndarray, what: str) -> None:
-    if np.abs(A - A.T).max() > 1e-10:
+    if not np.abs(A - A.T).max() <= 1e-10:  # NaN too
         raise ValidationError(f"{what} must be symmetric")
     if np.linalg.eigvalsh(A)[0] <= 0:
         raise ValidationError(f"{what} must be positive definite")

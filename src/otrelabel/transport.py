@@ -398,7 +398,7 @@ def sbm_transport(
     acc = np.asarray(group_acc, dtype=np.float64)
     if acc.shape != (wl.m, 2):
         raise ValidationError(f"group_acc must be {wl.m}x2, got {acc.shape}")
-    if np.any(np.abs(acc) > 1 + 1e-12):
+    if not (np.abs(acc) <= 1 + 1e-12).all():  # NaN too
         raise ValidationError("accuracy estimates must lie in [-1, 1]")
     validate_dataset(ds, wl)
 

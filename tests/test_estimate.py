@@ -327,6 +327,8 @@ VOTES_3 = WeakLabelMatrix(np.array([[1, -1, 1], [1, 1, -1]]))
      "magnitudes must lie in [0, 1]"),
     (lambda: resolve_sign(np.array([0.5, -0.1, 0.5]), VOTES_3),
      "magnitudes must lie in [0, 1]"),
+    (lambda: resolve_sign(np.array([np.nan, 0.5, 0.5]), VOTES_3),
+     "magnitudes must lie in [0, 1]"),
 ])
 def test_estimate_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:

@@ -618,6 +618,8 @@ def test_non_finite_hyperparameters_rejected(value, name):
      "coefficients must be a finite 1-D vector"),
     (lambda: fit_label_model(np.full(3, 0.5), 1.0),
      "class_balance must be in (0, 1)"),
+    (lambda: fit_label_model(np.array([math.nan, 0.5])),
+     "accuracy estimates must lie in [-1, 1]"),
     (lambda: infer_pseudolabels(fit_label_model(np.full(2, 0.5)),
                                 WeakLabelMatrix(np.ones((2, 3)))),
      "label model has 2 weights but matrix has 3 LFs"),

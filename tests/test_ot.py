@@ -750,6 +750,13 @@ def test_spectral_effective_rank_bounds():
     (lambda: barycentric_map(sinkhorn_plan(np.ones((2, 3))),
                              np.zeros((2, 1))),
      ValidationError, "X_dst must have 3 rows, got (2, 1)"),
+    (lambda: barycentric_map(
+        TransportPlan(np.array([[math.nan, 0.5], [0.5, 0.5]]), 0.1, 1, True,
+                      0.0), np.zeros((2, 1))),
+     NumericalError, "transport plan has a zero row sum"),
+    (lambda: apply_monge(ot.MongeMap(np.eye(2), np.zeros(2)),
+                         [[0.0, 0.0], [math.nan, 0.0]]),
+     ValidationError, "X must be finite"),
     (lambda: spectral_summary(np.diag([1.0, -1.0])), ValidationError,
      "matrix is not positive semi-definite"),
 ])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from otrelabel import (
     NumericalError,
     PipelineConfig,
+    RegimeProfile,
     SweepReport,
     ValidationError,
     WeakLabelMatrix,
@@ -34,6 +35,7 @@ from otrelabel.pipeline import (
     read_raw_csv,
     run_pipeline,
     write_json,
+    write_regime_csv,
     write_theory_artifacts,
     write_votes_csv,
 )
@@ -475,6 +477,8 @@ def test_loaders_match_cell_oracle_in_small_blocks(tmp_path_factory,
     with mock.patch.object(core, "ROW_BLOCK_BYTES", block_bytes):
         assert_same_outcome(load_features_csv, load_features_oracle,
                             str(features), ["features", "groups", "labels"])
+    # votes blocks are 1/16 of ROW_BLOCK_BYTES: the same block_bytes here
+    with mock.patch.object(core, "ROW_BLOCK_BYTES", 16 * block_bytes):
         assert_same_outcome(load_votes_csv, load_votes_oracle, str(votes),
                             ["votes"])
 
@@ -1107,6 +1111,17 @@ def test_theory_artifacts_write_a_nan_value_in_all_four_files(tmp_path):
         assert (tmp_path / filename).read_text().splitlines() == [
             f"{value_name},measured,bound_or_limit", "1.0,0.5,1.0",
             "2.0,nan,1.0"]
+
+
+def test_regime_csv_writes_each_group_s_curve_in_order(tmp_path):
+    # numpy scalars are written as the floats they hold, each by its repr
+    profile = RegimeProfile(3, (((0.0, 1.0), (np.float64(0.1), 0.75)),
+                                ((np.float32(0.5), np.float64(1 / 3)),)))
+    path = tmp_path / "regime.csv"
+    write_regime_csv(profile, str(path))
+    assert path.read_bytes() == (
+        b"group,farthest_distance,cumulative_accuracy\n"
+        b"0,0.0,1.0\n0,0.1,0.75\n1,0.5,0.3333333333333333\n")
 
 
 def test_theory_suite_passes_only_if_every_check_passes(monkeypatch):

@@ -218,9 +218,15 @@ def test_lipschitz_check_without_dimensions_is_zero():
      "n must be >= 1"),
     (lambda: lipschitz_check(SyntheticModel.gaussian(2, 1.0), 0),
      "trials must be >= 1"),
+    (lambda: SyntheticModel.gaussian(2, math.nan),
+     "theta0 must be nonnegative"),
     (lambda: map_error_sweep(SyntheticModel(
         2, 1.0, MongeMap(np.diag([1.0, -1.0]), np.zeros(2))), [10, 20]),
      "group-1 transform matrix must be positive definite"),
+    (lambda: map_error_sweep(SyntheticModel(
+        2, 1.0, MongeMap(np.array([[1.0, math.nan], [math.nan, 1.0]]),
+                         np.zeros(2))), [10, 20]),
+     "group-1 transform matrix must be symmetric"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [20, 10]),
      "sample sizes must be increasing and exceed the dimension"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [2, 10]),

@@ -1032,6 +1032,11 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
     (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 2)),
                           np.ones((2, 1, 1)), 1),
      "votes_dst length must match X_dst rows"),
+    (lambda: sbm_transport(
+        GroupedDataset(np.zeros((4, 1)), np.array([0, 0, 1, 1])),
+        WeakLabelMatrix(np.ones((4, 1))), np.array([[np.nan, 0.5]]),
+        PipelineConfig(tie_tol=0.1)),
+     "accuracy estimates must lie in [-1, 1]"),
 ])
 def test_transport_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:
