@@ -16,22 +16,25 @@ rounds stop gaining.
 
 Buffers: the plan is the one dense n_src x n_dst object of the package.
 The cost is divided by a scale, the median of a strided sample of it,
-before the kernel.  One private core scales a built K, float64 or
-float32, by row blocks on every CPU in the affinity set.  Public
-``sinkhorn_plan`` builds K in float64 in a fresh buffer, so M is never
-written and a run holds M plus the plan.  The transport stage builds K
-from the features by row blocks on every CPU too, so no cost matrix
-exists, and reads the projection from K and the scalings without
+before the kernel.  Public ``sinkhorn_plan`` builds K in float64 in a
+fresh buffer, so M is never written and a run holds M plus the plan.
+The transport stage's ``_sinkhorn_projection`` builds K from the
+features, float32 when every entry is a normal float32, else float64, by
+row blocks on every CPU in the affinity set, so no cost matrix exists.
+One private core scales either K the same way, and the projection is
+read from K and the scalings, one fixed row block at a time, without
 forming the plan: one buffer in all.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import core
 from .core import NumericalError, ValidationError, require_count
@@ -54,6 +57,8 @@ _BLOCK_BYTES = 1 << 22
 _RATE_AGREE = 0.01
 _OMEGA_MAX = 1.8
 _STALL = 10
+# exp of a float64 at or above this rounds to a normal float32
+_LOG_TINY32 = math.log(np.finfo(np.float32).tiny)
 _UNDERFLOW = ("exp(-M/eta) underflowed to zero along an entire row or "
               "column; scaling is infeasible (increase eta)")
 
@@ -71,6 +76,8 @@ class GaussianMoments:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         if mu.ndim != 1 or sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValidationError("moment shapes are inconsistent")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValidationError("moments must be finite")
         sigma = 0.5 * (sigma + sigma.T)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -92,6 +99,8 @@ class MongeMap:
         b = np.asarray(self.b, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
             raise ValidationError("Monge map shapes are inconsistent")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValidationError("Monge map must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -342,7 +351,9 @@ def _sinkhorn(K, a, b, max_iter, tol):
             raise NumericalError(_UNDERFLOW)
         if iterations < max_iter:
             u_k = _relaxed(a[rows], Kv[rows], u[rows], w, out=u_next[rows])
-            np.matmul(u_k.astype(K.dtype, copy=False), K[rows], out=sums[i])
+            with np.errstate(all="ignore"):  # a bad relaxed u is redone
+                np.matmul(u_k.astype(K.dtype, copy=False), K[rows],
+                          out=sums[i])
 
     with core.fan_out() as (_, each):
         u, v, iterations = np.ones(n_src), np.ones(n_dst), 0
@@ -415,33 +426,94 @@ def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
     return (plan.T @ X_dst) / row_sums[:, None]
 
 
-def _sinkhorn_projection(
-    K: np.ndarray,
-    X_dst: np.ndarray,
-    eta: float,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, TransportPlan]:
-    """``barycentric_map`` of the plan that scales the built kernel ``K``
-    (float64 or float32, rows the sources, columns ``X_dst``'s rows) to
-    uniform marginals, up to rounding, and the plan's diagnostics (its
-    ``T`` is K): the projection K (v X_dst) / Kv and the violations
-    u Kv - a and v (u K) - b come from K and the scalings, never from a
-    plan.  A float32 K is widened one ``core.row_blocks`` block at a time.
-    For a caller that has checked what :func:`sinkhorn_plan` checks."""
+def _sinkhorn_projection(X_src: np.ndarray, X_dst: np.ndarray, eta: float,
+                         max_iter: int) -> tuple[np.ndarray, int, float]:
+    """``barycentric_map`` of X_src's rows onto X_dst's under the plan of
+    :func:`_kernel`'s K at uniform marginals and ``SINKHORN_TOL``, up to
+    rounding, with the rounds and the final violation.  The projection
+    K (v X_dst) / Kv is read from the scalings and from K, widened to
+    float64 one ``core.row_blocks`` block at a time.  For finite rows
+    whose squared distances are finite, and arguments that
+    :func:`sinkhorn_plan` accepts."""
+    K = _kernel(X_src, X_dst, eta)
     n_src, n_dst = K.shape
     a, b = (np.full(n, 1.0 / n) for n in K.shape)
-    u, v, Kv, violation, iterations = _sinkhorn(K, a, b, max_iter, tol)
+    _, v, Kv, violation, iterations = _sinkhorn(K, a, b, max_iter,
+                                                SINKHORN_TOL)
     vX = v[:, None] * X_dst
     projected = np.empty((n_src, X_dst.shape[1]))
     # one thread, fixed blocks: BLAS's last bits vary with a block's height
-    for rows in ([slice(None)] if K.dtype == np.float64
-                 else core.row_blocks(n_src, 8 * n_dst)):
+    for rows in core.row_blocks(n_src, 8 * n_dst):
         np.matmul(K[rows].astype(np.float64, copy=False), vX,
                   out=projected[rows])
     projected /= Kv[:, None]
-    return projected, TransportPlan(K, eta, iterations, violation <= tol,
-                                    violation)
+    return projected, iterations, violation
+
+
+def _kernel(X_src: np.ndarray, X_dst: np.ndarray, eta: float) -> np.ndarray:
+    """The Sinkhorn kernel exp(-(M / scale) / eta) of the squared-Euclidean
+    cost M between X_src's and X_dst's rows, built by ``core.row_blocks``
+    row blocks of M on :func:`core.fan_out`'s workers, each by ``cdist``
+    into its worker's scratch block.  The scale is :func:`_scale` of
+    ``M.flat[::stride]``, summed from its row pairs in ``cdist``'s order,
+    so bit for bit.  K is float32 when every exponent is at least
+    log(float32 tiny); a block that falls short stops every worker, and K
+    is freed and rebuilt in float64.  Each buffer's bytes are checked
+    against physical memory before it is allocated."""
+    n_src, n_dst = X_src.shape[0], X_dst.shape[0]
+    size = n_src * n_dst
+    pairs = np.divmod(np.arange(0, size, _sample_stride(size)), n_dst)
+    sample = np.zeros(pairs[0].size)
+    for j in range(X_src.shape[1]):  # cdist's sum, one feature at a time
+        diff = X_src[pairs[0], j] - X_dst[pairs[1], j]
+        sample += diff * diff
+    scale = _scale(sample, sample)
+    del pairs, sample, diff
+    with core.fan_out() as (workers, each):
+        blocks = core.row_blocks(n_src, 8 * n_dst * workers)
+        # a scratch block a worker, together within ROW_BLOCK_BYTES
+        scratch = np.empty((workers, min(blocks[0].stop, n_src), n_dst))
+        def build(worker, i):
+            if short:
+                return
+            src = X_src[blocks[i]]
+            block = scratch[worker, :len(src)]
+            cdist(src, X_dst, "sqeuclidean", out=block)
+            np.divide(block, scale, out=block)
+            np.divide(block, -eta, out=block)  # as sinkhorn_plan does
+            if dtype == np.float32 and block.min() < _LOG_TINY32:
+                short.append(i)
+            else:
+                np.exp(block, out=K[blocks[i]])
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one "
+                    f"dense {dtype} buffer of {dtype.itemsize * size} bytes")
+            fix = "; ot_type=linear needs no dense buffer"
+            memory = _physical_memory()
+            if dtype.itemsize * size > memory:
+                raise ValidationError(
+                    f"{need}, more than the {memory} bytes of physical "
+                    f"memory{fix}")
+            try:
+                K = np.empty((n_src, n_dst), dtype)
+            except MemoryError:
+                raise ValidationError(
+                    f"{need}, which could not be allocated{fix}") from None
+            short = []  # a block past float32's range stops every worker
+            each(build, len(blocks))
+            if not short:
+                return K
+            del K  # every worker has stopped: before the float64 buffer
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where ``os.sysconf`` cannot say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page_size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf or no name
+        return math.inf
+    return pages * page_size if pages > 0 and page_size > 0 else math.inf
 
 
 def spectral_summary(S: np.ndarray) -> SpectralSummary:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, fields_dict
+from .core import ValidationError, fields_dict, require_count
 from .ot import (
     MongeMap,
     apply_monge,
@@ -132,8 +132,7 @@ def shift_sweep(
     if any(s < 0 for s in shifts) or any(
             b < a for a, b in zip(shifts, shifts[1:])):
         raise ValidationError("shifts must be nonnegative and increasing")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = require_count("n", n)
     direction = np.zeros(model.dim)
     direction[0] = 1.0
     measured, sampled = [], []
@@ -170,8 +169,7 @@ def lipschitz_check(
     skipped.  The labeler construction guarantees the ratio stays strictly
     below 4 * theta0.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = require_count("trials", trials)
     rng = np.random.default_rng(seed)
     d = model.dim
     n_wide = trials // 2
@@ -221,13 +219,14 @@ def map_error_sweep(
     Effective-rank and tau diagnostics for the fitted covariances are
     logged in ``extras``.
     """
-    sizes = [int(s) for s in sample_sizes]
+    sizes = [require_count("sample size", s) for s in sample_sizes]
     if not sizes:
         raise ValidationError("sample sizes must not be empty")
     if any(s < model.dim + 1 for s in sizes) or any(
             b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError(
             "sample sizes must be increasing and exceed the dimension")
+    holdout = require_count("holdout", holdout)
     if holdout < 2:
         raise ValidationError("holdout must be >= 2")
     g1 = model.group1

@@ -16,28 +16,20 @@ its own, so the result never depends on that count, and ``taskset -c 0``
 pins them all to one CPU.  Points whose squared distances overflow are
 refused first: they would rank as ties.
 
-Sinkhorn transport holds one dense n_src x n_dst buffer, the kernel K,
-which the projection reads with the scalings.  The cost's scale is the
-median of a strided sample computed from its row pairs; K is then built
-by row blocks on every CPU, each squared-Euclidean cost block computed
-by ``cdist`` into its worker's scratch block, so no cost matrix exists.
-K is float32 when every entry is a normal float32, else float64.  When a
-buffer is larger than physical memory, or cannot be allocated, the error
-names its dtype and size before it is written.
+Sinkhorn transport is one call, ``ot._sinkhorn_projection``; the ``ot``
+module describes its kernel's buffer, dtype and projection.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import core, ot
+from . import core
 from .core import (
     GroupedDataset,
     NumericalError,
@@ -50,7 +42,8 @@ from .core import (
     require_values,
     validate_dataset,
 )
-from .ot import _sinkhorn_projection, apply_monge, fit_moments, linear_monge
+from .ot import (
+    SINKHORN_TOL, _sinkhorn_projection, apply_monge, fit_moments, linear_monge)
 
 logger = logging.getLogger("otrelabel")
 
@@ -74,8 +67,6 @@ _TIE_ABS = 1e-150
 # overflow (the tree's ball search raises on overflow), else over all.
 _MAX_SQ_SPAN = 1e300
 _RIDGE = 1e-6  # the linear map's covariance ridge, per unit mean variance
-# exp of a float64 at or above this rounds to a normal float32
-_LOG_TINY32 = math.log(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
@@ -274,16 +265,6 @@ def _require_squared_distances(A: np.ndarray, B: np.ndarray) -> None:
             f"{big:.3e}); rescale the features")
 
 
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where ``os.sysconf`` cannot say."""
-    try:
-        pages = os.sysconf("SC_PHYS_PAGES")
-        page_size = os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf or no name
-        return math.inf
-    return pages * page_size if pages > 0 and page_size > 0 else math.inf
-
-
 def _transported_sources(
     X_src: np.ndarray,
     X_dst: np.ndarray,
@@ -306,72 +287,13 @@ def _transported_sources(
                           replace(dst, sigma=dst.sigma + ridge))
         return apply_monge(mm, X_src)
     _require_squared_distances(X_src, X_dst)
-    K = _kernel(X_src, X_dst, cfg.sinkhorn_eta)
-    projected, plan = _sinkhorn_projection(
-        K, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter, ot.SINKHORN_TOL)
-    if not plan.converged:
+    projected, rounds, violation = _sinkhorn_projection(
+        X_src, X_dst, cfg.sinkhorn_eta, cfg.sinkhorn_max_iter)
+    if violation > SINKHORN_TOL:
         logger.info(
             "sinkhorn stopped after %d rounds with marginal violation "
-            "%.2e (raise sinkhorn_max_iter to tighten)",
-            plan.iterations_run, plan.marginal_violation)
+            "%.2e (raise sinkhorn_max_iter to tighten)", rounds, violation)
     return projected
-
-
-def _kernel(X_src: np.ndarray, X_dst: np.ndarray, eta: float) -> np.ndarray:
-    """The Sinkhorn kernel exp(-(M / scale) / eta) of the squared-Euclidean
-    cost M between X_src's and X_dst's rows, built by ``core.row_blocks``
-    row blocks of M on :func:`core.fan_out`'s workers, each computed by
-    ``cdist`` into its worker's scratch block.  The scale is
-    :func:`ot._scale` of ``M.flat[::stride]``, summed from its row pairs in
-    ``cdist``'s order, so bit for bit.  K is float32 when every exponent
-    is at least log(float32 tiny), so that every entry is a normal
-    float32; a block that falls short stops every worker, and K is freed
-    and rebuilt in float64.  Each buffer's bytes are checked against
-    physical memory before it is allocated."""
-    n_src, n_dst = X_src.shape[0], X_dst.shape[0]
-    size = n_src * n_dst
-    pairs = np.divmod(np.arange(0, size, ot._sample_stride(size)), n_dst)
-    sample = np.zeros(pairs[0].size)
-    for j in range(X_src.shape[1]):  # cdist's sum, one feature at a time
-        diff = X_src[pairs[0], j] - X_dst[pairs[1], j]
-        sample += diff * diff
-    scale = ot._scale(sample, sample)
-    del pairs, sample, diff
-    with core.fan_out() as (workers, each):
-        blocks = core.row_blocks(n_src, 8 * n_dst * workers)
-        # a scratch block a worker, together within ROW_BLOCK_BYTES
-        scratch = np.empty((workers, min(blocks[0].stop, n_src), n_dst))
-        def build(worker, i):
-            if short:
-                return
-            src = X_src[blocks[i]]
-            block = scratch[worker, :len(src)]
-            cdist(src, X_dst, "sqeuclidean", out=block)
-            np.divide(block, scale, out=block)
-            np.divide(block, -eta, out=block)  # as sinkhorn_plan does
-            if dtype == np.float32 and block.min() < _LOG_TINY32:
-                short.append(i)
-            else:
-                np.exp(block, out=K[blocks[i]])
-        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-            need = (f"a sinkhorn plan over {n_src} x {n_dst} rows needs one "
-                    f"dense {dtype} buffer of {dtype.itemsize * size} bytes")
-            fix = "; ot_type=linear needs no dense buffer"
-            memory = _physical_memory()
-            if dtype.itemsize * size > memory:
-                raise ValidationError(
-                    f"{need}, more than the {memory} bytes of physical "
-                    f"memory{fix}")
-            try:
-                K = np.empty((n_src, n_dst), dtype)
-            except MemoryError:
-                raise ValidationError(
-                    f"{need}, which could not be allocated{fix}") from None
-            short = []  # a block past float32's range stops every worker
-            each(build, len(blocks))
-            if not short:
-                return K
-            del K  # every worker has stopped: before the float64 buffer
 
 
 def sbm_transport(

@@ -215,10 +215,28 @@ def test_sinkhorn_kernel_in_blocks_equals_one_block(
     rng = np.random.default_rng(13)
     X_src, X_dst = rng.normal(size=(N, 3)), rng.normal(size=(40, 3)) + 0.5
     blocked, whole = blocked_and_whole(
-        monkeypatch, lambda: transport._kernel(X_src, X_dst, eta), 8 * 8 * 40)
+        monkeypatch, lambda: ot._kernel(X_src, X_dst, eta), 8 * 8 * 40)
     assert recorded_blocks == [(N, heights), (N, [N])]
     assert blocked.dtype == whole.dtype == dtype
     assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("eta,dtype", [(1.0, np.float32),
+                                       (0.05, np.float64)])
+def test_sinkhorn_projection_takes_the_same_blocks_in_both_dtypes(
+        monkeypatch, eta, dtype, recorded_blocks):
+    # on 3 workers the kernel is built in blocks of 2 rows; the projection
+    # then widens K in blocks of 8, 8, 8 and 1 on one thread, whatever
+    # K's dtype
+    monkeypatch.setattr(core, "_workers", lambda: 3)
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 8 * 8 * 40)
+    rng = np.random.default_rng(13)
+    X_src, X_dst = rng.normal(size=(N, 3)), rng.normal(size=(40, 3)) + 0.5
+    assert ot._kernel(X_src, X_dst, eta).dtype == dtype
+    recorded_blocks.clear()
+    projected, _, _ = ot._sinkhorn_projection(X_src, X_dst, eta, 50)
+    assert recorded_blocks == [(N, [2] * 12 + [1]), (N, [8, 8, 8, 1])]
+    assert projected.shape == (N, 3) and np.isfinite(projected).all()
 
 
 # every framing the plain loaders read in place

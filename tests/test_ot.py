@@ -425,16 +425,19 @@ def test_sinkhorn_redoes_a_non_finite_round_plainly(monkeypatch):
     # (plain / old)^inf is inf or 0 wherever a scaling moved: the first
     # over-relaxed round is unusable, and is redone as plain Sinkhorn's
     cost, a, b = transport_problem(20, 30, 25)
-    X_dst = np.random.default_rng(21).normal(size=(25, 2))
+    rng = np.random.default_rng(21)
+    X_src, X_dst = rng.normal(size=(30, 2)), rng.normal(size=(25, 2))
     runs = []
     for omega in (math.inf, 1.0):
         rates = omega_fixed_at(monkeypatch, omega)
         plan = sinkhorn_plan(cost, a, b, eta=0.2, max_iter=10_000, tol=1e-12)
-        projected, diagnostics = ot._sinkhorn_projection(
-            kernel(cost, 0.2), X_dst, 0.2, 10_000, 1e-12)
-        assert rates and plan.converged and diagnostics.converged
-        runs.append((plan, projected, diagnostics.iterations_run))
-    (plan, projected, rounds), (plain, plain_projected, plain_rounds) = runs
+        assert rates and plan.converged
+        rates.clear()
+        projection = ot._sinkhorn_projection(X_src, X_dst, 0.2, 10_000)
+        assert rates and projection[2] <= ot.SINKHORN_TOL
+        runs.append((plan, projection))
+    (plan, (projected, rounds, _)), (plain, (plain_projected,
+                                             plain_rounds, _)) = runs
     assert np.array_equal(plan.T, plain.T)
     assert plan.iterations_run == plain.iterations_run
     assert np.array_equal(projected, plain_projected)
@@ -505,12 +508,6 @@ def test_sinkhorn_accepts_a_negative_zero_cost():
     assert np.array_equal(sinkhorn_plan(signed).T, sinkhorn_plan(cost).T)
 
 
-def kernel(cost, eta):
-    """``sinkhorn_plan``'s float64 kernel of a cost of fewer than
-    2 * ``ot._MEDIAN_SAMPLE`` entries, whose scale is its median."""
-    return np.exp(cost / np.median(cost) / -eta)
-
-
 def few_row_blocks(monkeypatch, n_dst, rows):
     """Sinkhorn row blocks of ``rows`` rows for an n_dst-column cost."""
     monkeypatch.setattr(ot, "_BLOCK_BYTES", 8 * n_dst * rows)
@@ -543,6 +540,9 @@ def test_sinkhorn_does_not_depend_on_the_worker_count(monkeypatch):
     X_src = rng.normal(size=(103, 3))
     X_dst = rng.normal(size=(40, 3)) + 0.5
     cost = cdist(X_src, X_dst, "sqeuclidean")
+    # a float32 kernel at eta 0.5, a float64 one at 0.05
+    assert [ot._kernel(X_src, X_dst, eta).dtype for eta in (0.5, 0.05)] \
+        == [np.float32, np.float64]
     few_row_blocks(monkeypatch, 40, 20)  # 6 blocks, the last of 3 rows
     plans, projections = [], []
     interval = sys.getswitchinterval()
@@ -553,33 +553,31 @@ def test_sinkhorn_does_not_depend_on_the_worker_count(monkeypatch):
             plans.append(sinkhorn_plan(cost, eta=0.5, max_iter=200))
             # a float32 kernel's blocks hold twice the rows: 3 blocks
             projections.append([ot._sinkhorn_projection(
-                kernel(cost, 0.5).astype(dtype), X_dst, eta=0.5,
-                max_iter=200, tol=1e-9) for dtype in (np.float64, np.float32)])
+                X_src, X_dst, eta, 200) for eta in (0.5, 0.05)])
     finally:
         sys.setswitchinterval(interval)
     for plan, projection in zip(plans[1:], projections[1:]):
         assert np.array_equal(plan.T, plans[0].T)
         assert plan.iterations_run == plans[0].iterations_run
-        for (projected, diagnostics), (first, first_diagnostics) in zip(
+        for (projected, rounds, _), (first, first_rounds, _) in zip(
                 projection, projections[0]):
             assert np.array_equal(projected, first)
-            assert diagnostics.iterations_run == \
-                first_diagnostics.iterations_run
+            assert rounds == first_rounds
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_sinkhorn_underflow_in_any_block_raises(monkeypatch, axis):
     # the last row, or the last column, underflows: a helper thread may
     # sweep the block that finds it
-    cost = np.random.default_rng(17).uniform(0.0, 1.0, size=(50, 50))
-    (cost[-1] if axis == 0 else cost[:, -1])[:] = 1e6
+    rng = np.random.default_rng(17)
+    X_src, X_dst = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+    (X_src if axis == 0 else X_dst)[-1] += 1e3
     few_row_blocks(monkeypatch, 50, 7)
     monkeypatch.setattr(ot.core, "_workers", lambda: 3)
     with pytest.raises(NumericalError, match="underflowed"):
-        sinkhorn_plan(cost)
+        sinkhorn_plan(cdist(X_src, X_dst, "sqeuclidean"))
     with pytest.raises(NumericalError, match="underflowed"):
-        ot._sinkhorn_projection(kernel(cost, 1.0), np.zeros((50, 2)), 1.0,
-                                10, 1e-9)
+        ot._sinkhorn_projection(X_src, X_dst, 1.0, 10)
 
 
 def as_layout(cost, layout):
@@ -759,6 +757,11 @@ def test_spectral_effective_rank_bounds():
      ValidationError, "X must be finite"),
     (lambda: spectral_summary(np.diag([1.0, -1.0])), ValidationError,
      "matrix is not positive semi-definite"),
+    (lambda: apply_monge(ot.MongeMap([[math.nan]], [0.0]), [[1.0]]),
+     ValidationError, "Monge map must be finite"),
+    (lambda: linear_monge(GaussianMoments([math.nan], [[1.0]], 3),
+                          GaussianMoments([0.0], [[1.0]], 3)),
+     ValidationError, "moments must be finite"),
 ])
 def test_ot_argument_checks_are_one_line_errors(call, error, message):
     with pytest.raises(error) as info:

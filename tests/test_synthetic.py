@@ -215,9 +215,13 @@ def test_lipschitz_check_without_dimensions_is_zero():
     (lambda: SweepReport((1.0,), (), (1.0,), True),
      "sweep report lists must share a length"),
     (lambda: shift_sweep(SyntheticModel.gaussian(2, 1.0), [0.0], 0),
-     "n must be >= 1"),
+     "n must be an integer >= 1, got 0"),
+    (lambda: shift_sweep(SyntheticModel.gaussian(2, 1.0), [0.0], 2.5),
+     "n must be an integer >= 1, got 2.5"),
     (lambda: lipschitz_check(SyntheticModel.gaussian(2, 1.0), 0),
-     "trials must be >= 1"),
+     "trials must be an integer >= 1, got 0"),
+    (lambda: lipschitz_check(SyntheticModel.gaussian(2, 1.0), True),
+     "trials must be an integer >= 1, got True"),
     (lambda: SyntheticModel.gaussian(2, math.nan),
      "theta0 must be nonnegative"),
     (lambda: map_error_sweep(SyntheticModel(
@@ -226,7 +230,7 @@ def test_lipschitz_check_without_dimensions_is_zero():
     (lambda: map_error_sweep(SyntheticModel(
         2, 1.0, MongeMap(np.array([[1.0, math.nan], [math.nan, 1.0]]),
                          np.zeros(2))), [10, 20]),
-     "group-1 transform matrix must be symmetric"),
+     "Monge map must be finite"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [20, 10]),
      "sample sizes must be increasing and exceed the dimension"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [2, 10]),
@@ -234,6 +238,11 @@ def test_lipschitz_check_without_dimensions_is_zero():
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10, 20],
                              holdout=1),
      "holdout must be >= 2"),
+    (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10, 20],
+                             holdout=2.5),
+     "holdout must be an integer >= 1, got 2.5"),
+    (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10.7, 20]),
+     "sample size must be an integer >= 1, got 10.7"),
 ])
 def test_synthetic_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:
