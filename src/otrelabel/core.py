@@ -17,7 +17,8 @@ the inputs has one owner: :class:`WeakLabelMatrix` checks vote values,
 :func:`validate_dataset` what only the pair can get wrong, equal row counts
 and two non-empty groups.  Each raises one error, one line per violation.
 Stages that receive a container do not check it again, and containers
-derived from a checked one skip the value checks.
+derived from a checked one skip the value checks.  Number arguments have
+two owners, :func:`require_count` and :func:`require_number`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ VOTE_VALUES = (-1, 0, 1)
 MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
 ROW_MISMATCH = "row-count mismatch: {} feature rows vs {} vote rows"
 ROW_BLOCK_BYTES = 1 << 18  # one row block of an n x m temporary
+# require_number's ranges, keyed by the words of its error
+_WITHIN = {"": lambda x: True, ">= 0": lambda x: x >= 0,
+           "> 0": lambda x: x > 0, "in (0, 1)": lambda x: 0 < x < 1}
 
 
 class ValidationError(ValueError):
@@ -115,14 +119,27 @@ def fan_out():
         yield workers, each
 
 
-def require_count(name: str, value) -> int:
-    """``value`` as a Python int once it is an integer >= 1; ``bool``
-    (an ``int`` subclass) and non-integers such as 2.0 are rejected,
-    numpy integers accepted."""
+def require_count(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python int once it is an integer >= ``least``;
+    ``bool`` (an ``int`` subclass) and non-integers such as 2.0 are
+    rejected, numpy integers accepted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < least:
+        raise ValidationError(
+            f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def require_number(name: str, value, within: str = "") -> float:
+    """``value`` as a Python float once it is a finite real in the range
+    ``within`` names (a key of ``_WITHIN``); ``bool``, strings, arrays and
+    None are rejected, numpy scalars accepted."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    x = float(value) if real else math.nan
+    if not (math.isfinite(x) and _WITHIN[within](x)):
+        raise ValidationError(f"{name} must be a finite number {within}"
+                              .rstrip() + f", got {value!r}")
+    return x
 
 
 def _vote_shape(v: np.ndarray) -> np.ndarray:
@@ -235,7 +252,7 @@ class PipelineConfig:
 
     The fields are the only list of config keys: config files and the
     ``run`` flags accept exactly these names, parse each value by the
-    field's annotation and take the help text from the field's metadata.
+    field's annotation and take the help text and range from its metadata.
     Defaults mirror the reference transport settings: 1 nearest neighbor,
     entropic regularization 1 with 10 scaling rounds; the linear map's
     ridge follows the features' variance.  A run takes its Sinkhorn
@@ -248,34 +265,25 @@ class PipelineConfig:
     knn_k: int = field(default=1, metadata={
         "help": "nearest neighbors used for re-labeling"})
     sinkhorn_eta: float = field(default=1.0, metadata={
-        "help": "entropic regularization strength"})
+        "help": "entropic regularization strength", "within": "> 0"})
     sinkhorn_max_iter: int = field(default=10, metadata={
         "help": "scaling rounds"})
     tie_tol: float = field(default=0.01, metadata={
-        "help": "skip transport when group accuracies are this close"})
+        "help": "skip transport when group accuracies are this close",
+        "within": ">= 0"})
 
     def __post_init__(self):
-        # one loop stores every float and int field as a Python float or
-        # int: NaN passes the range checks below, True or 2.5 would fail
-        # later as a TypeError, and a numpy float32 in writing the manifest
+        # each number field as a Python float or int in its range: True or
+        # 2.5 would fail later as a TypeError, np.float32 in the manifest
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float":
-                if type(value) is bool or not isinstance(value, numbers.Real):
-                    raise ValidationError(
-                        f"{f.name} must be a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"{f.name} must be finite, got {value}")
-                object.__setattr__(self, f.name, float(value))
-            if f.type == "int":
-                object.__setattr__(self, f.name, require_count(f.name, value))
+                value = require_number(f.name, value, f.metadata["within"])
+            elif f.type == "int":
+                value = require_count(f.name, value)
+            object.__setattr__(self, f.name, value)
         if self.ot_type not in ("none", "linear", "sinkhorn"):
             raise ValidationError(f"unknown ot_type {self.ot_type!r}")
-        if self.sinkhorn_eta <= 0:
-            raise ValidationError("sinkhorn_eta must be positive")
-        if self.tie_tol < 0:
-            raise ValidationError("tie_tol must be nonnegative")
 
     to_dict = fields_dict
 

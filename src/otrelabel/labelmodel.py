@@ -25,6 +25,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    require_number,
     row_blocks,
 )
 
@@ -45,9 +46,10 @@ class LabelModelParams:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ValidationError("weights must be 1-D")
-        if not np.all(np.isfinite(w)) or not math.isfinite(self.prior):
-            raise ValidationError("label-model parameters must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "prior", require_number("prior", self.prior))
 
     @property
     def m(self) -> int:
@@ -97,8 +99,7 @@ def fit_label_model(
         raise ValidationError("accuracies must be 1-D")
     if not (np.abs(a) <= 1 + 1e-12).all():  # NaN too
         raise ValidationError("accuracy estimates must lie in [-1, 1]")
-    if not 0.0 < class_balance < 1.0:
-        raise ValidationError("class_balance must be in (0, 1)")
+    class_balance = require_number("class_balance", class_balance, "in (0, 1)")
     a = np.clip(a, -ACC_CLAMP, ACC_CLAMP)
     weights = 0.5 * np.log((1.0 + a) / (1.0 - a))
     prior = math.log(class_balance / (1.0 - class_balance))
@@ -203,8 +204,7 @@ def train_end_model(
         raise ValidationError("pseudo_probs length must match X rows")
     if not np.all((t >= 0) & (t <= 1)):  # NaN too
         raise ValidationError("pseudo_probs must lie in [0, 1]")
-    if type(l2) is bool or not 0 <= l2 < math.inf:  # NaN too
-        raise ValidationError("bad training hyperparameters")
+    l2 = require_number("l2", l2, ">= 0")
     lo, hi = X.min(axis=0), X.max(axis=0)  # NaN propagates
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValidationError("X must be finite")

@@ -15,13 +15,13 @@ group with no gold positives has no eo gap (``eo_defined=False``).  F1 is
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ROW_MISMATCH, GroupedDataset, ValidationError,
-                   WeakLabelMatrix, fields_dict, require_values, row_blocks)
+                   WeakLabelMatrix, fields_dict, require_count, require_values,
+                   row_blocks)
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 # regime_profile's share of points around a center and its curve step
@@ -186,15 +186,14 @@ def regime_profile(
 
     best_idx, best_acc = -1, -np.inf
     for c in candidate_centers:
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral) \
-                or not 0 <= c < n:
-            raise ValidationError(
-                f"candidate center must be an integer in [0, {n}), got {c!r}")
+        c = require_count("candidate center", c, 0)
+        if c >= n:
+            raise ValidationError(f"candidate center must be < {n}, got {c}")
         dist = np.linalg.norm(X - X[c], axis=1)
         nearest = np.lexsort((np.arange(n), dist))[:k_neigh]
         acc = float(correct[nearest].mean())
         if acc > best_acc:
-            best_idx, best_acc = int(c), acc
+            best_idx, best_acc = c, acc
 
     dist = np.linalg.norm(X - X[best_idx], axis=1)
     curves = []

@@ -178,8 +178,7 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
     n, d = X.shape
     if n < 2:
         raise ValidationError(f"need at least 2 rows to fit moments, got {n}")
-    if not 0 <= ridge < math.inf:  # NaN too
-        raise ValidationError("ridge must be nonnegative and finite")
+    ridge = core.require_number("ridge", ridge, ">= 0")
     if not np.isfinite(X).all():
         raise ValidationError("X must be finite")
     mu = X.mean(axis=0)
@@ -189,8 +188,7 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
     if not np.isfinite(sigma).all():
         raise NumericalError(
             "covariance overflows float64; rescale the features")
-    sigma = 0.5 * (sigma + sigma.T) + ridge * np.eye(d)
-    return GaussianMoments(mu, sigma, n)
+    return GaussianMoments(mu, sigma + ridge * np.eye(d), n)
 
 
 def _pd_eig(S: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +216,7 @@ def linear_monge(src: GaussianMoments, dst: GaussianMoments) -> MongeMap:
         raise NumericalError(
             "the Monge map's S^1/2 Sigma S^1/2 overflows float64 at covariance"
             f" scale {max(ws[-1], wd[-1]):.3e}; rescale the features")
-    mid = psd_sqrt(0.5 * (inner + inner.T))  # PSD but for rounding
+    mid = psd_sqrt(inner)  # symmetric and PSD but for rounding
     A = s_mhalf @ mid @ s_mhalf
     A = 0.5 * (A + A.T)
     return MongeMap(A, dst.mu - A @ src.mu)
@@ -285,9 +283,8 @@ def sinkhorn_plan(
     if abs(a.sum() - 1.0) > 1e-8 or abs(b.sum() - 1.0) > 1e-8:
         raise ValidationError("marginals must each sum to 1")
     max_iter = require_count("max_iter", max_iter)
-    if type(eta) is bool or type(tol) is bool \
-            or not (0 < eta < np.inf and 0 < tol < np.inf):
-        raise ValidationError("eta and tol must be positive, finite numbers")
+    eta = core.require_number("eta", eta, "> 0")
+    tol = core.require_number("tol", tol, "> 0")
     T = np.divide(M, _scale(M.flat[::_sample_stride(M.size)], M),
                   out=np.empty_like(M))
     np.divide(T, -eta, out=T)  # -(M / eta) bit for bit: rounding is

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, fields_dict, require_count
+from .core import ValidationError, fields_dict, require_count, require_number
 from .ot import (
     MongeMap,
     apply_monge,
@@ -62,14 +62,16 @@ class SyntheticModel:
     group1: MongeMap
 
     def __post_init__(self):
-        if not self.theta0 >= 0:  # NaN too
-            raise ValidationError("theta0 must be nonnegative")
+        object.__setattr__(self, "dim", require_count("dim", self.dim, 0))
+        object.__setattr__(self, "theta0",
+                           require_number("theta0", self.theta0, ">= 0"))
         if self.group1.d != self.dim:
             raise ValidationError("group transform dimension mismatch")
 
     @classmethod
     def gaussian(cls, dim: int, theta0: float) -> "SyntheticModel":
         """Group 1 observing through the identity, like group 0."""
+        dim = require_count("dim", dim, 0)
         return cls(dim, theta0, MongeMap(np.eye(dim), np.zeros(dim)))
 
     def with_group1(self, g1: MongeMap) -> "SyntheticModel":
@@ -126,14 +128,11 @@ def shift_sweep(
     ``SHIFT_MONO_SLACK`` and the final value lies within
     ``SHIFT_FINAL_TOL`` of the random-guessing limit 1/2.
     """
-    shifts = [float(s) for s in shifts]
-    if not shifts or not np.isfinite(shifts).all():
-        raise ValidationError("shifts must be nonempty and finite")
-    if any(s < 0 for s in shifts) or any(
-            b < a for a, b in zip(shifts, shifts[1:])):
-        raise ValidationError("shifts must be nonnegative and increasing")
-    n = require_count("n", n)
-    direction = np.zeros(model.dim)
+    shifts = [require_number("shift", s, ">= 0") for s in shifts]
+    if not shifts or any(b < a for a, b in zip(shifts, shifts[1:])):
+        raise ValidationError("shifts must be nonempty and increasing")
+    n, seed = require_count("n", n), require_count("seed", seed, 0)
+    direction = np.zeros(require_count("model dim", model.dim))
     direction[0] = 1.0
     measured, sampled = [], []
     for i, dist in enumerate(shifts):
@@ -170,7 +169,7 @@ def lipschitz_check(
     below 4 * theta0.
     """
     trials = require_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count("seed", seed, 0))
     d = model.dim
     n_wide = trials // 2
     n_tight = trials - n_wide
@@ -226,9 +225,9 @@ def map_error_sweep(
             b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError(
             "sample sizes must be increasing and exceed the dimension")
-    holdout = require_count("holdout", holdout)
-    if holdout < 2:
-        raise ValidationError("holdout must be >= 2")
+    holdout = require_count("holdout", holdout, 2)
+    seed = require_count("seed", seed, 0)
+    require_count("model dim", model.dim)
     g1 = model.group1
     _require_spd(g1.A, "group-1 transform matrix")
     h_true = inverse_monge(g1)

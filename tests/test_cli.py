@@ -168,13 +168,14 @@ def test_run_unknown_config_key_is_input_error(tmp_path):
 @pytest.mark.parametrize("text,message", [
     ("knn_k=three", "config line 1: bad value 'three' for knn_k"),
     ("knn_k=3\not_type linear", "config line 2: expected key=value"),
-    ("sinkhorn_eta=0", "sinkhorn_eta must be positive"),
-    ("sinkhorn_eta=-0.5", "sinkhorn_eta must be positive"),
+    ("sinkhorn_eta=0", "sinkhorn_eta must be a finite number > 0, got 0.0"),
+    ("sinkhorn_eta=-0.5",
+     "sinkhorn_eta must be a finite number > 0, got -0.5"),
     ("sinkhorn_tol=0", "config line 1: unknown key 'sinkhorn_tol'"),
     ("class_balance=0.4", "config line 1: unknown key 'class_balance'"),
     ("l2=1e-3", "config line 1: unknown key 'l2'"),
     ("covariance_ridge=1e-3", "config line 1: unknown key 'covariance_ridge'"),
-    ("tie_tol=-0.1", "tie_tol must be nonnegative"),
+    ("tie_tol=-0.1", "tie_tol must be a finite number >= 0, got -0.1"),
     ("transport_scope=global", "config line 1: unknown key 'transport_scope'"),
     ("end_model=off", "config line 1: unknown key 'end_model'"),
 ])

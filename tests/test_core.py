@@ -1,4 +1,7 @@
+import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +12,25 @@ import otrelabel
 import otrelabel.core as core
 from otrelabel import (
     GroupedDataset,
+    LabelModelParams,
+    MongeMap,
     PipelineConfig,
+    SyntheticModel,
     ValidationError,
     WeakLabelMatrix,
     fit_label_model,
+    fit_moments,
     infer_pseudolabels,
     knn_transfer,
     lf_delta_report,
+    lipschitz_check,
+    map_error_sweep,
     moment_matrix,
+    regime_profile,
     sbm_transport,
+    shift_sweep,
+    sinkhorn_plan,
+    train_end_model,
     triplet_accuracies,
     validate_dataset,
 )
@@ -199,8 +212,9 @@ def test_config_rejects_bad_values():
     # True used to be stored as is, and "0.1" raised a bare TypeError
     for name in ("sinkhorn_eta", "tie_tol"):
         for value in (True, np.bool_(False), "0.1", None, np.array([0.5])):
-            with pytest.raises(ValidationError,
-                               match=f"^{name} must be a number, got "):
+            with pytest.raises(
+                    ValidationError,
+                    match=rf"^{name} must be a finite number [^,]*, got "):
                 PipelineConfig(**{name: value})
 
 
@@ -216,7 +230,8 @@ def test_float_fields_listed():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_config_rejects_non_finite_floats(name, value):
     # NaN compares false, so a range check alone lets it through
-    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+    with pytest.raises(ValidationError,
+                       match=f"{name} must be a finite number"):
         PipelineConfig(**{name: value})
 
 
@@ -357,3 +372,109 @@ def test_core_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("least", [0, 1, 2])
+def test_require_count_takes_integers_from_its_bound(least):
+    for value in (least, np.int64(least + 1)):
+        kept = core.require_count("n", value, least)
+        assert kept == value and type(kept) is int
+    for value in (least - 1, least + 0.5, float(least), True, "3"):
+        with pytest.raises(ValidationError) as info:
+            core.require_count("n", value, least)
+        assert str(info.value) == \
+            f"n must be an integer >= {least}, got {value!r}"
+
+
+@pytest.mark.parametrize("within, inside, outside", [
+    ("", [-1e300, 0.0, 2], []),
+    (">= 0", [0.0, -0.0, 5], [-1e-300]),
+    ("> 0", [1e-300, 3], [0.0, -1.0]),
+    ("in (0, 1)", [0.5, np.float32(0.3)], [0.0, 1.0, 1]),
+])
+def test_require_number_takes_finite_reals_in_its_range(within, inside,
+                                                        outside):
+    for value in inside:
+        kept = core.require_number("x", value, within)
+        assert kept == float(value) and type(kept) is float
+    for value in outside + [math.nan, math.inf, True, "0.5", None]:
+        with pytest.raises(ValidationError) as info:
+            core.require_number("x", value, within)
+        assert str(info.value) == \
+            f"x must be a finite number {within}".rstrip() + f", got {value!r}"
+
+
+def _model(dim=2, theta0=1.0):
+    return SyntheticModel(dim, theta0, MongeMap(np.eye(dim), np.zeros(dim)))
+
+
+# every number argument the package takes, as (name, call with it)
+NUMBER_ARGUMENTS = [
+    ("sinkhorn_eta", lambda v: PipelineConfig(sinkhorn_eta=v)),
+    ("tie_tol", lambda v: PipelineConfig(tie_tol=v)),
+    ("knn_k", lambda v: PipelineConfig(knn_k=v)),
+    ("sinkhorn_max_iter", lambda v: PipelineConfig(sinkhorn_max_iter=v)),
+    ("eta", lambda v: sinkhorn_plan(np.ones((2, 2)), eta=v)),
+    ("tol", lambda v: sinkhorn_plan(np.ones((2, 2)), tol=v)),
+    ("max_iter", lambda v: sinkhorn_plan(np.ones((2, 2)), max_iter=v)),
+    ("ridge", lambda v: fit_moments(np.eye(3), v)),
+    ("class_balance", lambda v: fit_label_model(np.full(2, 0.5), v)),
+    ("l2", lambda v: train_end_model(np.eye(2), np.full(2, 0.5), l2=v)),
+    ("prior", lambda v: LabelModelParams(np.ones(2), v)),
+    ("theta0", lambda v: SyntheticModel.gaussian(2, v)),
+    ("theta0", lambda v: _model(theta0=v)),
+    ("dim", lambda v: SyntheticModel.gaussian(v, 1.0)),
+    ("dim", lambda v: SyntheticModel(v, 1.0, MongeMap(np.eye(1), [0.0]))),
+    ("seed", lambda v: shift_sweep(_model(), [0.0], 10, seed=v)),
+    ("n", lambda v: shift_sweep(_model(), [0.0], v)),
+    ("shift", lambda v: shift_sweep(_model(), [0.0, v], 10)),
+    ("seed", lambda v: lipschitz_check(_model(), 4, seed=v)),
+    ("trials", lambda v: lipschitz_check(_model(), v)),
+    ("seed", lambda v: map_error_sweep(_model(), [10, 20], seed=v)),
+    ("holdout", lambda v: map_error_sweep(_model(), [10, 20], holdout=v)),
+    ("sample size", lambda v: map_error_sweep(_model(), [v, 20])),
+    ("k", lambda v: knn_transfer(np.zeros((2, 1)), np.ones((3, 1)),
+                                 np.ones((3, 1)), v)),
+    ("candidate center", lambda v: regime_profile(
+        np.zeros((20, 1)), np.ones(20, bool), np.tile([0, 1], 10), [v])),
+]
+
+
+@pytest.mark.parametrize("name, call", NUMBER_ARGUMENTS)
+@pytest.mark.parametrize("value", [
+    True, np.bool_(False), "1", None, math.nan, math.inf, np.array([0.5])])
+def test_number_arguments_refuse_non_numbers_in_one_line(name, call, value):
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert re.fullmatch(f"{name} must be an? [^\n]*", str(info.value))
+
+
+def test_number_arguments_are_stored_as_python_numbers():
+    half = np.float32(0.5)
+    values = [PipelineConfig(sinkhorn_eta=half, knn_k=np.int64(2)).knn_k,
+              sinkhorn_plan(np.ones((2, 2)), eta=half).eta,
+              LabelModelParams(np.ones(2), half).prior,
+              SyntheticModel.gaussian(np.int64(2), half).dim,
+              SyntheticModel.gaussian(2, np.int64(1)).theta0,
+              regime_profile(np.zeros((20, 1)), np.ones(20, bool),
+                             np.tile([0, 1], 10), [np.int64(3)]).center_index]
+    assert [type(v) for v in values] == [int, float, float, int, float, int]
+    acc, low = np.array([0.6, 0.2]), np.float32(0.3)
+    assert fit_label_model(acc, low).prior == \
+        fit_label_model(acc, float(low)).prior
+    x = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(fit_moments(x, low).sigma,
+                          fit_moments(x, float(low)).sigma)
+
+
+def test_only_core_tests_for_bool_by_hand():
+    # the number-argument rule lives in core.require_count and
+    # core.require_number; a module writing its own bool test drifts
+    hand_written = re.compile(
+        r"\bis\s+(not\s+)?bool\b|==\s*bool\b|isinstance\(.*\bbool\b")
+    package = Path(core.__file__).parent
+    found = [f"{path.name}:{i}" for path in sorted(package.glob("*.py"))
+             if path.name != "core.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if hand_written.search(line)]
+    assert found == []

@@ -600,7 +600,8 @@ def test_nan_targets_rejected():
 @pytest.mark.parametrize("name", ["l2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_hyperparameters_rejected(value, name):
-    with pytest.raises(ValidationError, match="bad training hyperparameters"):
+    with pytest.raises(ValidationError,
+                       match=f"^{name} must be a finite number >= 0, got "):
         train_end_model(np.array([[0.0], [1.0]]), np.array([0.2, 0.8]),
                         **{name: value})
 
@@ -609,15 +610,15 @@ def test_non_finite_hyperparameters_rejected(value, name):
     (lambda: labelmodel.LabelModelParams(np.ones((2, 2)), 0.0),
      "weights must be 1-D"),
     (lambda: labelmodel.LabelModelParams(np.array([np.nan]), 0.0),
-     "label-model parameters must be finite"),
+     "weights must be finite"),
     (lambda: labelmodel.LabelModelParams(np.ones(2), math.inf),
-     "label-model parameters must be finite"),
+     "prior must be a finite number, got inf"),
     (lambda: labelmodel.EndModel(np.ones((2, 2)), {}),
      "coefficients must be a finite 1-D vector"),
     (lambda: labelmodel.EndModel(np.array([np.inf]), {}),
      "coefficients must be a finite 1-D vector"),
     (lambda: fit_label_model(np.full(3, 0.5), 1.0),
-     "class_balance must be in (0, 1)"),
+     "class_balance must be a finite number in (0, 1), got 1.0"),
     (lambda: fit_label_model(np.array([math.nan, 0.5])),
      "accuracy estimates must lie in [-1, 1]"),
     (lambda: infer_pseudolabels(fit_label_model(np.full(2, 0.5)),
@@ -630,7 +631,7 @@ def test_non_finite_hyperparameters_rejected(value, name):
     (lambda: train_end_model(np.zeros((3, 2)), np.full(2, 0.5)),
      "pseudo_probs length must match X rows"),
     (lambda: train_end_model(np.zeros((3, 2)), np.full(3, 0.5), l2=True),
-     "bad training hyperparameters"),
+     "l2 must be a finite number >= 0, got True"),
     (lambda: predict(labelmodel.EndModel(np.array([1.0, 0.0]), {}),
                      [[np.nan]]), "X must be finite"),
     (lambda: predict(labelmodel.EndModel(np.array([1.0, 0.0]), {}),

@@ -140,7 +140,8 @@ def test_fit_moments_needs_two_rows():
 @pytest.mark.parametrize("ridge", [np.nan, np.inf])
 def test_fit_moments_rejects_a_non_finite_ridge(ridge):
     x = np.random.default_rng(4).normal(size=(50, 3))
-    with pytest.raises(ValidationError, match="ridge must be"):
+    with pytest.raises(ValidationError,
+                       match="ridge must be a finite number >= 0, got "):
         fit_moments(x, ridge)
 
 
@@ -742,9 +743,9 @@ def test_spectral_effective_rank_bounds():
     (lambda: sinkhorn_plan(np.ones((2, 3)), a=np.full(3, 1 / 3)),
      ValidationError, "marginal shapes do not match the cost matrix"),
     (lambda: sinkhorn_plan(np.ones((2, 2)), eta=True), ValidationError,
-     "eta and tol must be positive, finite numbers"),
+     "eta must be a finite number > 0, got True"),
     (lambda: sinkhorn_plan(np.ones((2, 2)), tol=True), ValidationError,
-     "eta and tol must be positive, finite numbers"),
+     "tol must be a finite number > 0, got True"),
     (lambda: barycentric_map(sinkhorn_plan(np.ones((2, 3))),
                              np.zeros((2, 1))),
      ValidationError, "X_dst must have 3 rows, got (2, 1)"),

@@ -223,7 +223,7 @@ def test_lipschitz_check_without_dimensions_is_zero():
     (lambda: lipschitz_check(SyntheticModel.gaussian(2, 1.0), True),
      "trials must be an integer >= 1, got True"),
     (lambda: SyntheticModel.gaussian(2, math.nan),
-     "theta0 must be nonnegative"),
+     "theta0 must be a finite number >= 0, got nan"),
     (lambda: map_error_sweep(SyntheticModel(
         2, 1.0, MongeMap(np.diag([1.0, -1.0]), np.zeros(2))), [10, 20]),
      "group-1 transform matrix must be positive definite"),
@@ -237,12 +237,16 @@ def test_lipschitz_check_without_dimensions_is_zero():
      "sample sizes must be increasing and exceed the dimension"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10, 20],
                              holdout=1),
-     "holdout must be >= 2"),
+     "holdout must be an integer >= 2, got 1"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10, 20],
                              holdout=2.5),
-     "holdout must be an integer >= 1, got 2.5"),
+     "holdout must be an integer >= 2, got 2.5"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [10.7, 20]),
      "sample size must be an integer >= 1, got 10.7"),
+    (lambda: map_error_sweep(SyntheticModel.gaussian(0, 1.0), [2, 3]),
+     "model dim must be an integer >= 1, got 0"),
+    (lambda: shift_sweep(SyntheticModel.gaussian(0, 1.0), [0.0, 1.0], 10),
+     "model dim must be an integer >= 1, got 0"),
 ])
 def test_synthetic_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:
