@@ -17,8 +17,9 @@ the inputs has one owner: :class:`WeakLabelMatrix` checks vote values,
 :func:`validate_dataset` what only the pair can get wrong, equal row counts
 and two non-empty groups.  Each raises one error, one line per violation.
 Stages that receive a container do not check it again, and containers
-derived from a checked one skip the value checks.  Number arguments have
-two owners, :func:`require_count` and :func:`require_number`.
+derived from a checked one skip the value checks.  Number and array
+arguments have three owners, :func:`require_count`,
+:func:`require_number` and :func:`require_array`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,15 @@ VOTE_VALUES = (-1, 0, 1)
 MAX_CELL_ERRORS = 20  # bad cells listed in one error; the rest are counted
 ROW_MISMATCH = "row-count mismatch: {} feature rows vs {} vote rows"
 ROW_BLOCK_BYTES = 1 << 18  # one row block of an n x m temporary
-# require_number's ranges, keyed by the words of its error
+# require_number's and require_array's ranges, keyed by the words of their
+# errors: intervals, so an array's min and max decide for every entry; each
+# test also takes an array, entry by entry.  Accuracy estimates keep 1e-12
+# of rounding slack.
 _WITHIN = {"": lambda x: True, ">= 0": lambda x: x >= 0,
-           "> 0": lambda x: x > 0, "in (0, 1)": lambda x: 0 < x < 1}
+           "> 0": lambda x: x > 0, "in (0, 1)": lambda x: (0 < x) & (x < 1),
+           "in [0, 1]": lambda x: (0 <= x) & (x <= 1),
+           "in [0, 1 + 1e-12]": lambda x: (0 <= x) & (x <= 1 + 1e-12),
+           "in [-1 - 1e-12, 1 + 1e-12]": lambda x: abs(x) <= 1 + 1e-12}
 
 
 class ValidationError(ValueError):
@@ -135,11 +142,48 @@ def require_number(name: str, value, within: str = "") -> float:
     ``within`` names (a key of ``_WITHIN``); ``bool``, strings, arrays and
     None are rejected, numpy scalars accepted."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    x = float(value) if real else math.nan
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past float's range
+        x = math.inf
     if not (math.isfinite(x) and _WITHIN[within](x)):
         raise ValidationError(f"{name} must be a finite number {within}"
                               .rstrip() + f", got {value!r}")
     return x
+
+
+def require_array(name: str, value, shape: tuple,
+                  within: str = "") -> np.ndarray:
+    """``value`` as a float64 array, not copied when it is one, once it is
+    an int, uint or float array whose axes match ``shape`` (an int fixes an
+    axis, None leaves it free) and whose entries are finite and in the
+    range ``within`` names (a key of ``_WITHIN``); ``bool``, complex,
+    string, object and ragged input is rejected, and an empty array passes.
+    The entries are read through the array's min and max alone, so the
+    check makes no array-sized temporary."""
+    try:
+        x = np.asarray(value)
+    except ValueError:  # numpy refuses ragged nesting
+        got = "a ragged sequence"
+    else:
+        if x.dtype.kind not in "iuf":
+            got = f"dtype {x.dtype}"
+        elif not (x.ndim == len(shape) and all(
+                want in (None, size) for want, size in zip(shape, x.shape))):
+            got = f"shape {x.shape}"
+        else:
+            x = x.astype(np.float64, copy=False)
+            inside = _WITHIN[within]
+            # min and max carry a NaN
+            if x.size == 0 or all(math.isfinite(v) and inside(v)
+                                  for v in (x.min(), x.max())):
+                return x
+            got = float(x.flat[np.argmin(np.isfinite(x) & inside(x))])
+    sizes = ["n" if want is None else str(want) for want in shape]
+    axes = f"{len(shape)}-D" if set(sizes) == {"n"} else \
+        f"length-{sizes[0]}" if len(sizes) == 1 else f"({', '.join(sizes)})"
+    raise ValidationError(f"{name} must be a {axes} array of finite numbers "
+                          f"{within}".rstrip() + f", got {got}")
 
 
 def _vote_shape(v: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    require_array,
     row_blocks,
     validate_dataset,
 )
@@ -181,11 +182,7 @@ def resolve_sign(raw: np.ndarray, wl: WeakLabelMatrix) -> np.ndarray:
     least one sign is + and the orientation is already the one where the
     average LF beats random (the model itself is sign-symmetric).
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (wl.m,):
-        raise ValidationError("magnitude vector length must equal m")
-    if not ((raw >= 0) & (raw <= 1 + 1e-12)).all():  # NaN too
-        raise ValidationError("magnitudes must lie in [0, 1]")
+    raw = require_array("raw", raw, (wl.m,), "in [0, 1 + 1e-12]")
     majority = np.sign(wl.votes.sum(axis=1))
     # integer products by row block, which stays in cache
     agreement = sum(majority[rows] @ wl.votes[rows]

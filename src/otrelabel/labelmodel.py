@@ -25,6 +25,7 @@ from .core import (
     NumericalError,
     ValidationError,
     WeakLabelMatrix,
+    require_array,
     require_number,
     row_blocks,
 )
@@ -43,12 +44,8 @@ class LabelModelParams:
     prior: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1:
-            raise ValidationError("weights must be 1-D")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights",
+                           require_array("weights", self.weights, (None,)))
         object.__setattr__(self, "prior", require_number("prior", self.prior))
 
     @property
@@ -64,10 +61,8 @@ class EndModel:
     training_meta: dict
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValidationError("coefficients must be a finite 1-D vector")
-        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "coefficients", require_array(
+            "coefficients", self.coefficients, (None,)))
 
     @property
     def d(self) -> int:
@@ -94,11 +89,8 @@ def fit_label_model(
     Accuracies are clamped to [-0.999, 0.999] before the log so weights
     stay finite even for (near-)perfect LFs.
     """
-    a = np.asarray(accuracies, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValidationError("accuracies must be 1-D")
-    if not (np.abs(a) <= 1 + 1e-12).all():  # NaN too
-        raise ValidationError("accuracy estimates must lie in [-1, 1]")
+    a = require_array("accuracies", accuracies, (None,),
+                      "in [-1 - 1e-12, 1 + 1e-12]")
     class_balance = require_number("class_balance", class_balance, "in (0, 1)")
     a = np.clip(a, -ACC_CLAMP, ACC_CLAMP)
     weights = 0.5 * np.log((1.0 + a) / (1.0 - a))
@@ -196,18 +188,12 @@ def train_end_model(
     coefficients are folded back to raw feature units for :func:`predict`;
     ``training_meta`` holds the iterations and the final loss and gradient
     norm in standardized units."""
-    X = np.asarray(X, dtype=np.float64)
-    t = np.asarray(pseudo_probs, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValidationError("X must be a non-empty 2-D matrix")
-    if t.shape != (X.shape[0],):
-        raise ValidationError("pseudo_probs length must match X rows")
-    if not np.all((t >= 0) & (t <= 1)):  # NaN too
-        raise ValidationError("pseudo_probs must lie in [0, 1]")
+    X = require_array("X", X, (None, None))
+    if X.shape[0] < 1:
+        raise ValidationError("X must have at least 1 row, got 0")
+    t = require_array("pseudo_probs", pseudo_probs, (len(X),), "in [0, 1]")
     l2 = require_number("l2", l2, ">= 0")
-    lo, hi = X.min(axis=0), X.max(axis=0)  # NaN propagates
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValidationError("X must be finite")
+    lo, hi = X.min(axis=0), X.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         center, spread = X.mean(axis=0), X.std(axis=0)
     # hi > lo: the mean of a constant column can miss it by an ulp
@@ -243,12 +229,7 @@ def train_end_model(
 
 def predict(model: EndModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities sigmoid(Xw + b) and hard labels (0.5 ties -> +1)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
-        raise ValidationError(
-            f"X must be n x {model.d} for this model, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValidationError("X must be finite")
+    X = require_array("X", X, (None, model.d))
     probs = _sigmoid(X @ model.coefficients[:-1] + model.coefficients[-1])
     labels = np.where(probs >= 0.5, 1, -1).astype(np.int64)
     return probs, labels

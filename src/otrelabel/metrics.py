@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ROW_MISMATCH, GroupedDataset, ValidationError,
-                   WeakLabelMatrix, fields_dict, require_count, require_values,
-                   row_blocks)
+                   WeakLabelMatrix, fields_dict, require_array, require_count,
+                   require_values, row_blocks)
 
 _METRIC_KEYS = ("accuracy", "f1", "dp_gap", "eo_gap")
 # regime_profile's share of points around a center and its curve step
@@ -170,11 +170,10 @@ def regime_profile(
     ordered by distance to that center, recording the farthest included
     distance and the cumulative accuracy.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = require_array("X", X, (None, None))
     correct = np.asarray(correct_mask, dtype=bool)
     groups = np.asarray(groups)
-    if X.ndim != 2 or correct.shape != (X.shape[0],) \
-            or groups.shape != (X.shape[0],):
+    if correct.shape != (X.shape[0],) or groups.shape != (X.shape[0],):
         raise ValidationError("X, correct_mask and groups are inconsistent")
     if len(candidate_centers) == 0:
         raise ValidationError("candidate set must be non-empty")

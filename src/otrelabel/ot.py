@@ -72,12 +72,8 @@ class GaussianMoments:
     n: int
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if mu.ndim != 1 or sigma.shape != (mu.shape[0], mu.shape[0]):
-            raise ValidationError("moment shapes are inconsistent")
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-            raise ValidationError("moments must be finite")
+        mu = core.require_array("mu", self.mu, (None,))
+        sigma = core.require_array("sigma", self.sigma, (len(mu), len(mu)))
         sigma = 0.5 * (sigma + sigma.T)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -95,12 +91,8 @@ class MongeMap:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-            raise ValidationError("Monge map shapes are inconsistent")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValidationError("Monge map must be finite")
+        b = core.require_array("b", self.b, (None,))
+        A = core.require_array("A", self.A, (len(b), len(b)))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -136,11 +128,9 @@ class SpectralSummary:
 
 
 def _check_symmetric(S: np.ndarray, what: str) -> np.ndarray:
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
+    S = core.require_array(what, S, (None, None))
+    if S.shape[0] != S.shape[1] or S.size == 0:
         raise ValidationError(f"{what} must be a non-empty square matrix")
-    if not np.isfinite(S).all():
-        raise ValidationError(f"{what} must be finite")
     scale = max(1.0, float(np.abs(S).max()))
     if float(np.abs(S - S.T).max()) > _SYM_TOL * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance")
@@ -172,15 +162,11 @@ def fit_moments(X: np.ndarray, ridge: float = 0.0) -> GaussianMoments:
     stage adds none here and scales its own by the groups' mean variance.
     A non-finite ridge or X is rejected; covariance overflow: NumericalError.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValidationError("X must be 2-D")
+    X = core.require_array("X", X, (None, None))
     n, d = X.shape
     if n < 2:
         raise ValidationError(f"need at least 2 rows to fit moments, got {n}")
     ridge = core.require_number("ridge", ridge, ">= 0")
-    if not np.isfinite(X).all():
-        raise ValidationError("X must be finite")
     mu = X.mean(axis=0)
     Xc = X - mu
     with np.errstate(over="ignore"):
@@ -224,13 +210,7 @@ def linear_monge(src: GaussianMoments, dst: GaussianMoments) -> MongeMap:
 
 def apply_monge(map_: MongeMap, X: np.ndarray) -> np.ndarray:
     """Row-wise affine image X A^T + b."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != map_.d:
-        raise ValidationError(
-            f"X must be n x {map_.d} to apply this map, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValidationError("X must be finite")
-    return X @ map_.A.T + map_.b
+    return core.require_array("X", X, (None, map_.d)) @ map_.A.T + map_.b
 
 
 def inverse_monge(map_: MongeMap) -> MongeMap:
@@ -263,23 +243,14 @@ def sinkhorn_plan(
     besides M: written first as K, in float64, then scaled in place into
     the plan.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValidationError("cost matrix must be 2-D")
+    M = core.require_array("M", M, (None, None), ">= 0")
     if M.size == 0:
         raise ValidationError("cost matrix is empty")
-    # reductions, not elementwise masks: a NaN makes the minimum NaN, and
-    # `NaN >= 0` is false; -0.0 >= 0 holds
-    if not (M.min() >= 0 and M.max() < np.inf):
-        raise ValidationError("cost matrix entries must be finite and >= 0")
     n_src, n_dst = M.shape
-    a = np.full(n_src, 1.0 / n_src) if a is None else np.asarray(a, float)
-    b = np.full(n_dst, 1.0 / n_dst) if b is None else np.asarray(b, float)
-    if a.shape != (n_src,) or b.shape != (n_dst,):
-        raise ValidationError("marginal shapes do not match the cost matrix")
-    # `not (x > 0)`, unlike `x <= 0`, is true for NaN
-    if not (np.all(a > 0) and np.all(b > 0)):
-        raise ValidationError("marginals must be strictly positive")
+    a = np.full(n_src, 1.0 / n_src) if a is None \
+        else core.require_array("a", a, (n_src,), "> 0")
+    b = np.full(n_dst, 1.0 / n_dst) if b is None \
+        else core.require_array("b", b, (n_dst,), "> 0")
     if abs(a.sum() - 1.0) > 1e-8 or abs(b.sum() - 1.0) > 1e-8:
         raise ValidationError("marginals must each sum to 1")
     max_iter = require_count("max_iter", max_iter)
@@ -413,10 +384,7 @@ def barycentric_map(plan: TransportPlan, X_dst: np.ndarray) -> np.ndarray:
     """Row-normalized barycentric projection diag(rowsums)^-1 T X_dst,
     computed as (T X_dst) / rowsums: ``plan.T`` is neither written nor
     copied."""
-    X_dst = np.asarray(X_dst, dtype=np.float64)
-    if X_dst.ndim != 2 or X_dst.shape[0] != plan.T.shape[1]:
-        raise ValidationError(
-            f"X_dst must have {plan.T.shape[1]} rows, got {X_dst.shape}")
+    X_dst = core.require_array("X_dst", X_dst, (plan.T.shape[1], None))
     row_sums = plan.T.sum(axis=1)
     if not (row_sums > 0).all():  # NaN too
         raise NumericalError("transport plan has a zero row sum")

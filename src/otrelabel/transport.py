@@ -112,19 +112,13 @@ def knn_transfer(
     neighbor's vote.  Abstaining neighbors are excluded from the majority;
     if all k neighbors abstain the transferred vote is abstain.
     """
-    X_query = np.asarray(X_query, dtype=np.float64)
-    X_dst = np.asarray(X_dst, dtype=np.float64)
-    votes_dst = np.asarray(votes_dst)
+    X_dst = core.require_array("X_dst", X_dst, (None, None))
     if X_dst.shape[0] == 0:
         raise ValidationError("destination set is empty")
-    if X_query.ndim != 2 or X_dst.ndim != 2 \
-            or X_query.shape[1] != X_dst.shape[1]:
-        raise ValidationError("query/destination dimensions differ")
+    X_query = core.require_array("X_query", X_query, (None, X_dst.shape[1]))
+    votes_dst = np.asarray(votes_dst)
     if votes_dst.ndim not in (1, 2) or votes_dst.shape[0] != X_dst.shape[0]:
         raise ValidationError("votes_dst length must match X_dst rows")
-    for name, block in (("query", X_query), ("destination", X_dst)):
-        if not np.isfinite(block).all():
-            raise ValidationError(f"{name} coordinates must be finite")
     _require_squared_distances(X_query, X_dst)
     votes_dst = np.asarray(
         require_values(votes_dst, VOTE_VALUES, "vote"), dtype=np.int8)
@@ -317,11 +311,8 @@ def sbm_transport(
     re-label every LF moved that way.  An error in a direction names that
     first LF.
     """
-    acc = np.asarray(group_acc, dtype=np.float64)
-    if acc.shape != (wl.m, 2):
-        raise ValidationError(f"group_acc must be {wl.m}x2, got {acc.shape}")
-    if not (np.abs(acc) <= 1 + 1e-12).all():  # NaN too
-        raise ValidationError("accuracy estimates must lie in [-1, 1]")
+    acc = core.require_array("group_acc", group_acc, (wl.m, 2),
+                             "in [-1 - 1e-12, 1 + 1e-12]")
     validate_dataset(ds, wl)
 
     skipped = np.abs(acc[:, 0] - acc[:, 1]) <= cfg.tie_tol

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import otrelabel
 import otrelabel.core as core
 from otrelabel import (
+    EndModel,
+    GaussianMoments,
     GroupedDataset,
     LabelModelParams,
     MongeMap,
@@ -18,6 +20,8 @@ from otrelabel import (
     SyntheticModel,
     ValidationError,
     WeakLabelMatrix,
+    apply_monge,
+    barycentric_map,
     fit_label_model,
     fit_moments,
     infer_pseudolabels,
@@ -26,10 +30,14 @@ from otrelabel import (
     lipschitz_check,
     map_error_sweep,
     moment_matrix,
+    predict,
+    psd_sqrt,
     regime_profile,
+    resolve_sign,
     sbm_transport,
     shift_sweep,
     sinkhorn_plan,
+    spectral_summary,
     train_end_model,
     triplet_accuracies,
     validate_dataset,
@@ -391,6 +399,7 @@ def test_require_count_takes_integers_from_its_bound(least):
     (">= 0", [0.0, -0.0, 5], [-1e-300]),
     ("> 0", [1e-300, 3], [0.0, -1.0]),
     ("in (0, 1)", [0.5, np.float32(0.3)], [0.0, 1.0, 1]),
+    (">= 0", [10**300], [10**400, -10**400]),  # past float's range
 ])
 def test_require_number_takes_finite_reals_in_its_range(within, inside,
                                                         outside):
@@ -465,6 +474,120 @@ def test_number_arguments_are_stored_as_python_numbers():
     x = np.arange(6.0).reshape(3, 2)
     assert np.array_equal(fit_moments(x, low).sigma,
                           fit_moments(x, float(low)).sigma)
+
+
+def test_require_array_takes_number_arrays_as_float64():
+    kept = core.require_array("x", [[1, -2], [3, 4]], (None, 2))
+    assert kept.dtype == np.float64 and kept.tolist() == [[1, -2], [3, 4]]
+    for given in (np.arange(3, dtype=np.uint8), np.float32([0.1, 2, 3])):
+        kept = core.require_array("x", given, (3,))
+        assert kept.dtype == np.float64 and np.array_equal(kept, given)
+    given = np.linspace(0.0, 1.0, 12).reshape(3, 4)[:, 1:]
+    assert np.shares_memory(core.require_array("x", given, (3, 3)), given)
+
+
+@pytest.mark.parametrize("within", list(core._WITHIN))
+def test_require_array_passes_an_empty_array(within):
+    for shape, want in (((0,), (None,)), ((0, 3), (None, 3)),
+                        ((2, 0), (2, None))):
+        kept = core.require_array("x", np.empty(shape), want, within)
+        assert kept.shape == shape
+
+
+def test_require_array_keeps_the_sign_of_a_zero():
+    kept = core.require_array("x", [-0.0, 1.0], (None,), ">= 0")
+    assert math.copysign(1.0, kept[0]) == -1.0
+
+
+@pytest.mark.parametrize("within, edges", [
+    ("in [0, 1 + 1e-12]", [0.0, 1 + 1e-12]),
+    ("in [-1 - 1e-12, 1 + 1e-12]", [-1 - 1e-12, 1 + 1e-12]),
+])
+def test_require_array_keeps_the_accuracy_slack(within, edges):
+    assert core.require_array("a", edges, (2,), within).tolist() == edges
+    for bad in (1 + 1e-11, -1 - 1e-11):
+        with pytest.raises(ValidationError) as info:
+            core.require_array("a", [0.5, bad], (2,), within)
+        assert str(info.value) == \
+            f"a must be a length-2 array of finite numbers {within}, got {bad}"
+
+
+def _sbm(group_acc):
+    ds = GroupedDataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]))
+    return sbm_transport(ds, WeakLabelMatrix(np.ones((4, 1))), group_acc,
+                         PipelineConfig())
+
+
+# every array argument checked by core.require_array, as (name, call with
+# it, a value the call accepts)
+ARRAY_ARGUMENTS = [
+    ("mu", lambda v: GaussianMoments(v, np.eye(2), 3), np.zeros(2)),
+    ("sigma", lambda v: GaussianMoments(np.zeros(2), v, 3), np.eye(2)),
+    ("A", lambda v: MongeMap(v, np.zeros(2)), np.eye(2)),
+    ("b", lambda v: MongeMap(np.eye(2), v), np.zeros(2)),
+    ("psd_sqrt input", psd_sqrt, np.eye(2)),
+    ("spectral_summary input", spectral_summary, np.eye(2)),
+    ("X", fit_moments, np.arange(6.0).reshape(3, 2)),
+    ("X", lambda v: apply_monge(MongeMap(np.eye(2), np.zeros(2)), v),
+     np.ones((3, 2))),
+    ("M", sinkhorn_plan, np.ones((2, 3))),
+    ("a", lambda v: sinkhorn_plan(np.ones((2, 3)), a=v), np.full(2, 0.5)),
+    ("b", lambda v: sinkhorn_plan(np.ones((2, 3)), b=v), np.full(3, 1 / 3)),
+    ("X_dst", lambda v: barycentric_map(sinkhorn_plan(np.ones((2, 3))), v),
+     np.ones((3, 2))),
+    ("weights", lambda v: LabelModelParams(v, 0.0), np.ones(2)),
+    ("coefficients", lambda v: EndModel(v, {}), np.ones(2)),
+    ("accuracies", fit_label_model, np.full(2, 0.5)),
+    ("X", lambda v: train_end_model(v, np.full(2, 0.5)), np.eye(2)),
+    ("pseudo_probs", lambda v: train_end_model(np.eye(2), v), np.full(2, 0.5)),
+    ("X", lambda v: predict(EndModel(np.ones(2), {}), v), np.ones((3, 1))),
+    ("X_query", lambda v: knn_transfer(v, np.ones((3, 1)), np.ones(3), 1),
+     np.zeros((2, 1))),
+    ("X_dst", lambda v: knn_transfer(np.zeros((2, 1)), v, np.ones(3), 1),
+     np.ones((3, 1))),
+    ("group_acc", _sbm, np.full((1, 2), 0.5)),
+    ("raw", lambda v: resolve_sign(v, WeakLabelMatrix(np.ones((2, 3)))),
+     np.full(3, 0.5)),
+    ("X", lambda v: regime_profile(v, np.ones(20, bool), np.tile([0, 1], 10),
+                                   [0]), np.zeros((20, 1))),
+]
+
+
+def _with(good, index, value):
+    bad = good.copy()
+    bad.flat[index] = value
+    return bad
+
+
+@pytest.mark.parametrize("name, call, good", ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("variant", [
+    lambda good: good.astype(str),
+    lambda good: good.astype(bool),
+    lambda good: good.astype(complex),
+    lambda good: [good.tolist(), []],  # ragged
+    lambda good: _with(good, 0, math.nan),
+    lambda good: _with(good, -1, math.inf),
+    lambda good: good[None],  # one axis too many
+], ids=["str", "bool", "complex", "ragged", "nan", "inf", "ndim"])
+def test_array_arguments_refuse_non_arrays_in_one_line(name, call, good,
+                                                       variant):
+    call(good)  # so the refusal is the variant's
+    with pytest.raises(ValidationError) as info:
+        call(variant(good))
+    assert re.fullmatch(f"{re.escape(name)} must be a [^\n]*",
+                        str(info.value))
+
+
+def test_only_core_checks_arrays_by_hand():
+    # the array-argument rule lives in core.require_array; a module
+    # writing its own shape or finiteness message drifts from it
+    hand_written = re.compile(r"must be (finite|1-D|2-D)")
+    package = Path(core.__file__).parent
+    found = [f"{path.name}:{i}" for path in sorted(package.glob("*.py"))
+             if path.name != "core.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if hand_written.search(line)]
+    assert found == []
 
 
 def test_only_core_tests_for_bool_by_hand():

@@ -322,13 +322,17 @@ VOTES_3 = WeakLabelMatrix(np.array([[1, -1, 1], [1, 1, -1]]))
     (lambda: accuracies_from_moments(np.ones(3)),
      "moment matrix must be square"),
     (lambda: resolve_sign(np.ones(2), VOTES_3),
-     "magnitude vector length must equal m"),
+     "raw must be a length-3 array of finite numbers in [0, 1 + 1e-12], "
+     "got shape (2,)"),
     (lambda: resolve_sign(np.array([0.5, 1.5, 0.5]), VOTES_3),
-     "magnitudes must lie in [0, 1]"),
+     "raw must be a length-3 array of finite numbers in [0, 1 + 1e-12], "
+     "got 1.5"),
     (lambda: resolve_sign(np.array([0.5, -0.1, 0.5]), VOTES_3),
-     "magnitudes must lie in [0, 1]"),
+     "raw must be a length-3 array of finite numbers in [0, 1 + 1e-12], "
+     "got -0.1"),
     (lambda: resolve_sign(np.array([np.nan, 0.5, 0.5]), VOTES_3),
-     "magnitudes must lie in [0, 1]"),
+     "raw must be a length-3 array of finite numbers in [0, 1 + 1e-12], "
+     "got nan"),
 ])
 def test_estimate_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:

@@ -233,9 +233,11 @@ def test_monotone_in_positive_vote_weight(acc, bump):
 
 
 @pytest.mark.parametrize("accuracies, message", [
-    (np.full((3, 2), 0.5), "accuracies must be 1-D"),
-    (np.array([0.5, 1.5, 0.2]), r"must lie in \[-1, 1\]"),
-    (np.array([0.5, -1 - 1e-9, 0.2]), r"must lie in \[-1, 1\]"),
+    (np.full((3, 2), 0.5),
+     r"^accuracies must be a 1-D array .*, got shape \(3, 2\)$"),
+    (np.array([0.5, 1.5, 0.2]), r"in \[-1 - 1e-12, 1 \+ 1e-12\], got 1\.5$"),
+    (np.array([0.5, -1 - 1e-9, 0.2]),
+     r"in \[-1 - 1e-12, 1 \+ 1e-12\], got -1\.000000001$"),
 ])
 def test_label_model_rejects_bad_accuracies(accuracies, message):
     with pytest.raises(ValidationError, match=message):
@@ -507,7 +509,8 @@ def test_non_finite_features_rejected(bad):
     x[17, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="X must be finite"):
+        with pytest.raises(ValidationError, match="^X must be a 2-D array "
+                           f"of finite numbers, got {bad}$"):
             train_end_model(x, np.full(50, 0.3))
 
 
@@ -593,7 +596,9 @@ def test_bad_targets_rejected():
 
 
 def test_nan_targets_rejected():
-    with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+    with pytest.raises(ValidationError, match=r"^pseudo_probs must be a "
+                       r"length-2 array of finite numbers in \[0, 1\], "
+                       r"got nan$"):
         train_end_model(np.zeros((2, 1)), np.array([0.5, np.nan]))
 
 
@@ -608,34 +613,38 @@ def test_non_finite_hyperparameters_rejected(value, name):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: labelmodel.LabelModelParams(np.ones((2, 2)), 0.0),
-     "weights must be 1-D"),
+     "weights must be a 1-D array of finite numbers, got shape (2, 2)"),
     (lambda: labelmodel.LabelModelParams(np.array([np.nan]), 0.0),
-     "weights must be finite"),
+     "weights must be a 1-D array of finite numbers, got nan"),
     (lambda: labelmodel.LabelModelParams(np.ones(2), math.inf),
      "prior must be a finite number, got inf"),
     (lambda: labelmodel.EndModel(np.ones((2, 2)), {}),
-     "coefficients must be a finite 1-D vector"),
+     "coefficients must be a 1-D array of finite numbers, got shape (2, 2)"),
     (lambda: labelmodel.EndModel(np.array([np.inf]), {}),
-     "coefficients must be a finite 1-D vector"),
+     "coefficients must be a 1-D array of finite numbers, got inf"),
     (lambda: fit_label_model(np.full(3, 0.5), 1.0),
      "class_balance must be a finite number in (0, 1), got 1.0"),
     (lambda: fit_label_model(np.array([math.nan, 0.5])),
-     "accuracy estimates must lie in [-1, 1]"),
+     "accuracies must be a 1-D array of finite numbers "
+     "in [-1 - 1e-12, 1 + 1e-12], got nan"),
     (lambda: infer_pseudolabels(fit_label_model(np.full(2, 0.5)),
                                 WeakLabelMatrix(np.ones((2, 3)))),
      "label model has 2 weights but matrix has 3 LFs"),
     (lambda: train_end_model(np.zeros(3), np.full(3, 0.5)),
-     "X must be a non-empty 2-D matrix"),
+     "X must be a 2-D array of finite numbers, got shape (3,)"),
     (lambda: train_end_model(np.zeros((0, 2)), np.zeros(0)),
-     "X must be a non-empty 2-D matrix"),
+     "X must have at least 1 row, got 0"),
     (lambda: train_end_model(np.zeros((3, 2)), np.full(2, 0.5)),
-     "pseudo_probs length must match X rows"),
+     "pseudo_probs must be a length-3 array of finite numbers in [0, 1], "
+     "got shape (2,)"),
     (lambda: train_end_model(np.zeros((3, 2)), np.full(3, 0.5), l2=True),
      "l2 must be a finite number >= 0, got True"),
     (lambda: predict(labelmodel.EndModel(np.array([1.0, 0.0]), {}),
-                     [[np.nan]]), "X must be finite"),
+                     [[np.nan]]),
+     "X must be a (n, 1) array of finite numbers, got nan"),
     (lambda: predict(labelmodel.EndModel(np.array([1.0, 0.0]), {}),
-                     [[0.0], [np.inf]]), "X must be finite"),
+                     [[0.0], [np.inf]]),
+     "X must be a (n, 1) array of finite numbers, got inf"),
 ])
 def test_labelmodel_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:

@@ -357,6 +357,15 @@ def test_tiny_neighborhood_errors():
                        np.array([0, 0, 0, 1, 1]), [0])
 
 
+def test_regime_profile_refuses_a_nan_X():
+    x = np.arange(20.0)[:, None]
+    x[3] = np.nan
+    with pytest.raises(ValidationError) as info:
+        regime_profile(x, np.ones(20, bool), np.tile([0, 1], 10), [0])
+    assert str(info.value) == \
+        "X must be a 2-D array of finite numbers, got nan"
+
+
 @pytest.mark.parametrize("center", [-1, 20, 1.5, True])
 def test_candidate_outside_the_rows_is_named(center):
     x = np.arange(20.0)[:, None]
@@ -381,7 +390,7 @@ LABELLED_2 = GroupedDataset(np.zeros((2, 1)), [0, 1], [1, -1])
                             [0]),
      "X, correct_mask and groups are inconsistent"),
     (lambda: regime_profile(np.zeros(3), np.ones(3, bool), np.zeros(3), [0]),
-     "X, correct_mask and groups are inconsistent"),
+     "X must be a 2-D array of finite numbers, got shape (3,)"),
     (lambda: regime_profile(np.zeros((3, 1)), np.ones(3, bool),
                             np.array([0, 1, 1]), []),
      "candidate set must be non-empty"),

@@ -149,7 +149,8 @@ def test_fit_moments_rejects_a_non_finite_ridge(ridge):
 def test_fit_moments_rejects_a_non_finite_row(value):
     x = np.random.default_rng(4).normal(size=(50, 3))
     x[17, 1] = value
-    with pytest.raises(ValidationError, match="X must be finite"):
+    with pytest.raises(ValidationError, match="^X must be a 2-D array of "
+                       f"finite numbers, got {value}$"):
         fit_moments(x)
 
 
@@ -492,8 +493,16 @@ def test_sinkhorn_rejects_each_bad_cost_entry(bad):
     cost = np.ones((3, 4))
     cost[2, 1] = bad
     with pytest.raises(ValidationError,
-                       match="cost matrix entries must be finite and >= 0"):
+                       match="^M must be a 2-D array of finite numbers "
+                             f">= 0, got {bad}$"):
         sinkhorn_plan(cost)
+
+
+def test_sinkhorn_plan_refuses_a_complex_cost():
+    with pytest.raises(ValidationError) as info:
+        sinkhorn_plan([[1j]])
+    assert str(info.value) == \
+        "M must be a 2-D array of finite numbers >= 0, got dtype complex128"
 
 
 def test_sinkhorn_rejects_an_empty_cost():
@@ -640,6 +649,16 @@ def test_barycentric_leaves_the_plan_unchanged():
     assert np.array_equal(plan.T, before)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_barycentric_map_refuses_a_non_finite_X_dst(bad):
+    x_dst = np.ones((3, 2))
+    x_dst[1, 0] = bad
+    with pytest.raises(ValidationError) as info:
+        barycentric_map(sinkhorn_plan(np.ones((2, 3))), x_dst)
+    assert str(info.value) == \
+        f"X_dst must be a (3, n) array of finite numbers, got {bad}"
+
+
 def test_barycentric_holds_no_plan_sized_temporary():
     rng = np.random.default_rng(19)
     plan = TransportPlan(rng.random((400, 500)), 1.0, 1, True, 0.0)
@@ -712,9 +731,9 @@ def test_spectral_effective_rank_bounds():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: GaussianMoments(np.zeros(2), np.eye(3), 5), ValidationError,
-     "moment shapes are inconsistent"),
+     "sigma must be a (2, 2) array of finite numbers, got shape (3, 3)"),
     (lambda: ot.MongeMap(np.eye(2), np.zeros(3)), ValidationError,
-     "Monge map shapes are inconsistent"),
+     "A must be a (3, 3) array of finite numbers, got shape (2, 2)"),
     (lambda: psd_sqrt(np.ones((2, 3))), ValidationError,
      "psd_sqrt input must be a non-empty square matrix"),
     (lambda: psd_sqrt(np.zeros((0, 0))), ValidationError,
@@ -725,44 +744,49 @@ def test_spectral_effective_rank_bounds():
                           fit_moments(np.zeros((5, 0)))),
      ValidationError, "source covariance is empty"),
     (lambda: psd_sqrt([[np.nan]]), ValidationError,
-     "psd_sqrt input must be finite"),
+     "psd_sqrt input must be a 2-D array of finite numbers, got nan"),
     (lambda: psd_sqrt([[np.inf]]), ValidationError,
-     "psd_sqrt input must be finite"),
+     "psd_sqrt input must be a 2-D array of finite numbers, got inf"),
     (lambda: spectral_summary([[1.0, np.nan], [np.nan, 1.0]]),
-     ValidationError, "spectral_summary input must be finite"),
+     ValidationError,
+     "spectral_summary input must be a 2-D array of finite numbers, got nan"),
     (lambda: spectral_summary([[-np.inf]]), ValidationError,
-     "spectral_summary input must be finite"),
-    (lambda: fit_moments(np.ones(4)), ValidationError, "X must be 2-D"),
+     "spectral_summary input must be a 2-D array of finite numbers, "
+     "got -inf"),
+    (lambda: fit_moments(np.ones(4)), ValidationError,
+     "X must be a 2-D array of finite numbers, got shape (4,)"),
     (lambda: linear_monge(GaussianMoments(np.zeros(1), np.eye(1), 3),
                           GaussianMoments(np.zeros(2), np.eye(2), 3)),
      ValidationError, "source and destination dimensions differ"),
     (lambda: inverse_monge(ot.MongeMap(np.zeros((2, 2)), np.zeros(2))),
      NumericalError, "Monge map is not invertible"),
     (lambda: sinkhorn_plan(np.ones(3)), ValidationError,
-     "cost matrix must be 2-D"),
+     "M must be a 2-D array of finite numbers >= 0, got shape (3,)"),
     (lambda: sinkhorn_plan(np.ones((2, 3)), a=np.full(3, 1 / 3)),
-     ValidationError, "marginal shapes do not match the cost matrix"),
+     ValidationError,
+     "a must be a length-2 array of finite numbers > 0, got shape (3,)"),
     (lambda: sinkhorn_plan(np.ones((2, 2)), eta=True), ValidationError,
      "eta must be a finite number > 0, got True"),
     (lambda: sinkhorn_plan(np.ones((2, 2)), tol=True), ValidationError,
      "tol must be a finite number > 0, got True"),
     (lambda: barycentric_map(sinkhorn_plan(np.ones((2, 3))),
                              np.zeros((2, 1))),
-     ValidationError, "X_dst must have 3 rows, got (2, 1)"),
+     ValidationError,
+     "X_dst must be a (3, n) array of finite numbers, got shape (2, 1)"),
     (lambda: barycentric_map(
         TransportPlan(np.array([[math.nan, 0.5], [0.5, 0.5]]), 0.1, 1, True,
                       0.0), np.zeros((2, 1))),
      NumericalError, "transport plan has a zero row sum"),
     (lambda: apply_monge(ot.MongeMap(np.eye(2), np.zeros(2)),
                          [[0.0, 0.0], [math.nan, 0.0]]),
-     ValidationError, "X must be finite"),
+     ValidationError, "X must be a (n, 2) array of finite numbers, got nan"),
     (lambda: spectral_summary(np.diag([1.0, -1.0])), ValidationError,
      "matrix is not positive semi-definite"),
     (lambda: apply_monge(ot.MongeMap([[math.nan]], [0.0]), [[1.0]]),
-     ValidationError, "Monge map must be finite"),
+     ValidationError, "A must be a (1, 1) array of finite numbers, got nan"),
     (lambda: linear_monge(GaussianMoments([math.nan], [[1.0]], 3),
                           GaussianMoments([0.0], [[1.0]], 3)),
-     ValidationError, "moments must be finite"),
+     ValidationError, "mu must be a 1-D array of finite numbers, got nan"),
 ])
 def test_ot_argument_checks_are_one_line_errors(call, error, message):
     with pytest.raises(error) as info:

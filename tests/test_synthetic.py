@@ -230,7 +230,7 @@ def test_lipschitz_check_without_dimensions_is_zero():
     (lambda: map_error_sweep(SyntheticModel(
         2, 1.0, MongeMap(np.array([[1.0, math.nan], [math.nan, 1.0]]),
                          np.zeros(2))), [10, 20]),
-     "Monge map must be finite"),
+     "A must be a (2, 2) array of finite numbers, got nan"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [20, 10]),
      "sample sizes must be increasing and exceed the dimension"),
     (lambda: map_error_sweep(SyntheticModel.gaussian(2, 1.0), [2, 10]),

@@ -164,9 +164,9 @@ def test_kth_distance_tie_outside_nearest_k_breaks_to_lower_index():
 def test_non_finite_coordinates_rejected():
     votes = np.array([1, -1])
     dst = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValidationError, match="query"):
+    with pytest.raises(ValidationError, match="^X_query must be "):
         knn_transfer(np.array([[np.nan, 0.0], [np.inf, 0.0]]), dst, votes, 1)
-    with pytest.raises(ValidationError, match="destination"):
+    with pytest.raises(ValidationError, match="^X_dst must be "):
         knn_transfer(np.zeros((1, 2)), np.array([[0.0, 0.0], [-np.inf, 0.0]]),
                      votes, 1)
 
@@ -936,13 +936,16 @@ def test_invalid_inputs_rejected():
 
 
 @pytest.mark.parametrize("group_acc, message", [
-    (np.full((4, 2), 0.5), r"group_acc must be 3x2, got \(4, 2\)"),
-    (np.full((3, 3), 0.5), r"group_acc must be 3x2, got \(3, 3\)"),
-    (np.full(3, 0.5), r"group_acc must be 3x2, got \(3,\)"),
+    (np.full((4, 2), 0.5),
+     r"^group_acc must be a \(3, 2\) array .*, got shape \(4, 2\)$"),
+    (np.full((3, 3), 0.5),
+     r"^group_acc must be a \(3, 2\) array .*, got shape \(3, 3\)$"),
+    (np.full(3, 0.5),
+     r"^group_acc must be a \(3, 2\) array .*, got shape \(3,\)$"),
     (np.array([[0.5, 0.5], [0.5, 1.5], [0.5, 0.5]]),
-     r"must lie in \[-1, 1\]"),
+     r"in \[-1 - 1e-12, 1 \+ 1e-12\], got 1\.5$"),
     (np.array([[0.5, 0.5], [0.5, 0.5], [-1 - 1e-9, 0.5]]),
-     r"must lie in \[-1, 1\]"),
+     r"in \[-1 - 1e-12, 1 \+ 1e-12\], got -1\.000000001$"),
 ])
 def test_bad_group_accuracies_rejected(group_acc, message):
     ds, wl = make_biased_fixture(50, seed=7)
@@ -1024,9 +1027,9 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
 
 @pytest.mark.parametrize("call, message", [
     (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 3)), np.ones(2), 1),
-     "query/destination dimensions differ"),
+     "X_query must be a (n, 3) array of finite numbers, got shape (2, 2)"),
     (lambda: knn_transfer(np.zeros(2), np.zeros((2, 1)), np.ones(2), 1),
-     "query/destination dimensions differ"),
+     "X_query must be a (n, 1) array of finite numbers, got shape (2,)"),
     (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3), 1),
      "votes_dst length must match X_dst rows"),
     (lambda: knn_transfer(np.zeros((2, 2)), np.zeros((2, 2)),
@@ -1036,7 +1039,8 @@ def test_one_knn_call_per_direction(monkeypatch, scope, per_lf_group,
         GroupedDataset(np.zeros((4, 1)), np.array([0, 0, 1, 1])),
         WeakLabelMatrix(np.ones((4, 1))), np.array([[np.nan, 0.5]]),
         PipelineConfig(tie_tol=0.1)),
-     "accuracy estimates must lie in [-1, 1]"),
+     "group_acc must be a (1, 2) array of finite numbers "
+     "in [-1 - 1e-12, 1 + 1e-12], got nan"),
 ])
 def test_transport_argument_checks_are_one_line_errors(call, message):
     with pytest.raises(ValidationError) as info:
